@@ -14,19 +14,21 @@
 // CompileCompact builds that form directly with one BFS per destination and
 // O(nr) scratch, never materialising the all-pairs Paths matrix (whose
 // dist+next arrays are 6 bytes per pair — themselves over budget at 100k
-// endpoints).
+// endpoints). The same sweep is also how dense minimal-route tables are
+// built: it records the distance census (DenseBytes), and Dense expands the
+// bytes into the interned arrays at their exact size.
 
 package routing
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/topo"
 )
 
-// cnhNone marks a pair with no next hop: src == dst or dst unreachable.
-// Compact compilation caps the radix at 254 so the sentinel can never be a
-// real port.
+// cnhNone marks the pairs with no next hop, src == dst. Compact compilation
+// caps the radix at 254 so the sentinel can never be a real port.
 const cnhNone = 0xff
 
 // CompileCompact builds the compact next-hop form of deterministic minimal
@@ -36,6 +38,13 @@ const cnhNone = 0xff
 // reconstruct routes with AppendRoute instead of borrowing Route views. The
 // adjacency is retained (not copied) and must not be mutated afterwards —
 // the same immutability contract WithNetwork already demands.
+//
+// This is the one all-pairs sweep deterministic minimal routing needs: one
+// BFS per destination with O(nr) scratch yields the next-hop byte of every
+// pair and, from the same distances, the census DenseBytes reports; Dense
+// lays the interned form down from those bytes without searching the graph
+// again. A disconnected network is an error naming the first unreachable
+// pair — no table form can route it.
 func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 	nr := net.Nr
 	if vcs < 1 {
@@ -52,42 +61,42 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 		cnh:  make([]uint8, nr*nr),
 		cadj: net.Adj,
 	}
-	// One BFS per destination, O(nr) scratch. The BFS layers reproduce
-	// NewMinimal's dist exactly; the next hop is NewMinimal's deterministic
-	// tie-break — the first (lowest-index, rows are sorted) neighbour strictly
-	// closer to the destination — recorded as its port position.
+	// The BFS layers reproduce NewMinimal's dist exactly; the next hop is
+	// NewMinimal's deterministic tie-break — the first (lowest-index, rows
+	// are sorted) neighbour strictly closer to the destination — recorded as
+	// its port position.
 	dist := make([]int32, nr)
 	queue := make([]int32, 0, nr)
 	for dst := 0; dst < nr; dst++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range net.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, int32(v))
+		order := net.BFS(dst, dist, queue)
+		if len(order) < nr {
+			// Adjacency is symmetric, so the first sweep to come up short
+			// is destination 0 and the lowest router it missed is the pair
+			// Compile's row-major walk would trip over first.
+			for r := range dist {
+				if dist[r] < 0 {
+					return nil, unreachableError(dst, r)
 				}
 			}
 		}
-		for r := 0; r < nr; r++ {
-			e := cnhNone
-			if r != dst && dist[r] > 0 {
-				for pos, v := range net.Adj[r] {
-					if dist[v] == dist[r]-1 {
-						e = pos
-						break
-					}
+		t.cnh[dst*nr+dst] = cnhNone
+		for _, r := range order[1:] {
+			t.csum += int64(dist[r])
+			for pos, v := range net.Adj[r] {
+				if dist[v] == dist[r]-1 {
+					t.cnh[int(r)*nr+dst] = uint8(pos)
+					break
 				}
 			}
-			t.cnh[r*nr+dst] = uint8(e)
 		}
 	}
 	return t, nil
+}
+
+// unreachableError is the compile failure of a disconnected network, worded
+// the same whichever construction meets it.
+func unreachableError(src, dst int) error {
+	return fmt.Errorf("routing: no route %d->%d: the network is disconnected", src, dst)
 }
 
 // Compact reports whether this is a next-hop-only table: Route/Ports/
@@ -95,46 +104,74 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 // their own buffers with AppendRoute.
 func (t *RouteTable) Compact() bool { return t.cnh != nil }
 
-// EstimateDenseBytes computes the resident footprint of the dense table that
-// Compile + CompilePorts would intern for deterministic minimal routes on
-// this network, without building it: one BFS per destination censuses the
-// pairwise distances. A pair at distance d interns 12 B of offsets,
-// (d+1)*4 B of routers, d B of hop VCs, d B of ports and (d+1)*4 B of
-// next-hop words — 20 + 10*d bytes — so the total is exact on connected
-// networks (unreachable pairs intern an empty path and are overcounted by
-// 8 B, an error in the safe direction for a budget check). The offset floor
-// of nr^2 x 12 badly underestimates long-path topologies: a 35x36 torus at
-// 10k endpoints floors at 19 MiB but interns ~370 MiB once its ~18-hop
-// average routes are laid down. The BFS census costs O(nr x edges), the
-// same as CompileCompact itself.
-func EstimateDenseBytes(net *topo.Network) int64 {
-	nr := net.Nr
-	var sumDist int64
-	dist := make([]int32, nr)
-	queue := make([]int32, 0, nr)
-	for dst := 0; dst < nr; dst++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range net.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, int32(v))
-				}
+// DenseBytes returns the resident footprint Dense's table would have — and
+// Compile + CompilePorts' table of the same routes has — without building
+// it, from the distance census CompileCompact's sweep took. A pair at
+// distance d interns 12 B of offsets, (d+1)*4 B of routers, d B of hop VCs,
+// d B of ports and (d+1)*4 B of next-hop words — 20 + 10*d bytes — so the
+// figure is exact, not a bound. The nr^2 x 12 offset floor alone badly
+// underestimates long-path topologies: a 35x36 torus at 10k endpoints
+// floors at 19 MiB but interns ~370 MiB once its ~18-hop average routes
+// are laid down. Only valid on compact tables.
+func (t *RouteTable) DenseBytes() int64 {
+	if t.cnh == nil {
+		panic("routing: DenseBytes on a non-compact table (use MemBytes)")
+	}
+	return 20*int64(t.nr)*int64(t.nr) + 10*t.csum
+}
+
+// Dense lays down the dense interned form of a compact table's routes: all
+// seven arrays allocated once at the size the census gives and filled in
+// Compile's row-major pair order by walking the next-hop bytes — the port is
+// the byte, the VC min(hop, vcs-1), the next-hop word follows from both, the
+// next router is one adjacency index. The result equals
+// Compile(MinimalRouting{NewMinimal(net)}) + CompilePorts array for array,
+// shares nothing with the compact table, and is immutable like any compiled
+// table.
+func (t *RouteTable) Dense() (*RouteTable, error) {
+	if t.cnh == nil {
+		return nil, fmt.Errorf("routing: Dense on a non-compact table")
+	}
+	nr := t.nr
+	pairs := int64(nr) * int64(nr)
+	if pairs+t.csum > math.MaxInt32 {
+		return nil, fmt.Errorf("routing: dense table of %d routers needs %d path entries, beyond its int32 offsets", nr, pairs+t.csum)
+	}
+	d := &RouteTable{
+		nr:      nr,
+		vcs:     t.vcs,
+		off:     make([]int32, pairs),
+		voff:    make([]int32, pairs),
+		plen:    make([]int32, pairs),
+		routers: make([]int32, pairs+t.csum),
+		nextw:   make([]uint32, pairs+t.csum),
+		hopVCs:  make([]uint8, t.csum),
+		ports:   make([]uint8, t.csum),
+	}
+	o, vo := 0, 0 // cursors into routers/nextw and hopVCs/ports
+	for src := 0; src < nr; src++ {
+		for dst := 0; dst < nr; dst++ {
+			pair := src*nr + dst
+			d.off[pair], d.voff[pair] = int32(o), int32(vo)
+			start := o
+			for cur, hop := src, 0; cur != dst; hop++ {
+				p := t.cnh[cur*nr+dst]
+				vc := min(hop, t.vcs-1)
+				d.routers[o] = int32(cur)
+				d.nextw[o] = NextWord(int(p), vc, t.vcs)
+				d.hopVCs[vo] = uint8(vc)
+				d.ports[vo] = p
+				o++
+				vo++
+				cur = t.cadj[cur][p]
 			}
-		}
-		for r := 0; r < nr; r++ {
-			if dist[r] > 0 {
-				sumDist += int64(dist[r])
-			}
+			d.routers[o] = int32(dst)
+			d.nextw[o] = NextEject
+			o++
+			d.plen[pair] = int32(o - start)
 		}
 	}
-	return 20*int64(nr)*int64(nr) + 10*sumDist
+	return d, nil
 }
 
 // AppendRoute reconstructs the src->dst route into the caller's four buffers
@@ -143,8 +180,7 @@ func EstimateDenseBytes(net *topo.Network) int64 {
 // terminated next-hop words — element for element what Route, Ports and
 // NextWords return on a dense CompilePorts'd table of the same routes.
 // Allocation-free once the buffers have reached their high-water capacity.
-// An unreachable pair appends nothing; src == dst appends the single-router
-// path. Only valid on compact tables.
+// src == dst appends the single-router path. Only valid on compact tables.
 //
 //sim:hot
 func (t *RouteTable) AppendRoute(path []int32, vcs, ports []uint8, next []uint32, src, dst int) ([]int32, []uint8, []uint8, []uint32) {
@@ -154,9 +190,6 @@ func (t *RouteTable) AppendRoute(path []int32, vcs, ports []uint8, next []uint32
 	if src == dst {
 		//detlint:allow hotalloc amortised append into caller-owned buffers whose capacity the packet freelist retains across cycles
 		return append(path, int32(src)), vcs, ports, append(next, NextEject)
-	}
-	if t.cnh[src*t.nr+dst] == cnhNone {
-		return path, vcs, ports, next // unreachable: the dense table interns an empty path
 	}
 	cur := src
 	path = append(path, int32(cur))
@@ -184,9 +217,6 @@ func (t *RouteTable) AppendRoute(path []int32, vcs, ports []uint8, next []uint32
 func (t *RouteTable) appendPathOnly(buf []int, src, dst int) []int {
 	if src == dst {
 		return append(buf, src)
-	}
-	if t.cnh[src*t.nr+dst] == cnhNone {
-		return buf
 	}
 	cur := src
 	buf = append(buf, cur)

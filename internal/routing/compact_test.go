@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -165,34 +168,148 @@ func TestCompactMemBytes(t *testing.T) {
 	}
 }
 
-// TestEstimateDenseBytesExact pins the BFS distance census against the real
-// interned footprint: on connected networks the estimate must equal
-// Compile+CompilePorts' MemBytes to the byte. A long-path topology (an
-// 8x9 torus, the shape of the 10k-endpoint scale baselines) rides along to
-// cover the regime where path bytes dwarf the nr^2 x 12 offset floor —
-// the case the compact auto-selection exists for.
+// TestEstimateDenseBytesExact pins the sweep's distance census against the
+// real interned footprint: DenseBytes on the compact table must equal, to
+// the byte, MemBytes of both the generic Compile+CompilePorts table and the
+// table Dense then lays down. A long-path topology (an 8x9 torus, the shape
+// of the 10k-endpoint scale baselines) rides along to cover the regime where
+// path bytes dwarf the nr^2 x 12 offset floor — the case the compact
+// auto-selection exists for.
 func TestEstimateDenseBytesExact(t *testing.T) {
 	nets := compactNets(t)
 	nets["t2d"] = topo.Torus2D(8, 9, 1)
 	for name, net := range nets {
 		net := net
 		t.Run(name, func(t *testing.T) {
-			dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
+			ref := referenceDense(t, net, 2)
+			compact, err := CompileCompact(net, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dense.CompilePorts(net.Adj); err != nil {
+			got := compact.DenseBytes()
+			if want := ref.MemBytes(); got != want {
+				t.Fatalf("DenseBytes = %d, want exact dense MemBytes %d", got, want)
+			}
+			dense, err := compact.Dense()
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := EstimateDenseBytes(net)
-			if want := dense.MemBytes(); got != want {
-				t.Fatalf("EstimateDenseBytes = %d, want exact dense MemBytes %d", got, want)
+			if built := dense.MemBytes(); built != got {
+				t.Fatalf("Dense() built %d bytes, census predicted %d", built, got)
 			}
 			floor := int64(net.Nr) * int64(net.Nr) * 12
 			if got <= floor {
-				t.Fatalf("estimate %d not above the %d offset floor — census lost the path bytes", got, floor)
+				t.Fatalf("census %d not above the %d offset floor — it lost the path bytes", got, floor)
 			}
 		})
+	}
+}
+
+// referenceDense builds the dense table the generic way — all-pairs Paths,
+// one PathBuilder call per pair, a binary search per hop — which is the
+// reference the single-sweep construction must equal.
+func referenceDense(t testing.TB, net *topo.Network, vcs int) *RouteTable {
+	t.Helper()
+	ref, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.CompilePorts(net.Adj); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestDenseFromSweepMatchesCompile is the byte-identity contract of the
+// single-sweep construction: CompileCompact + Dense must produce the same
+// seven arrays (offsets, VC offsets, lengths, routers, hop VCs, ports,
+// next-hop words) as Compile(MinimalRouting) + CompilePorts, on every SN
+// size class and layout, a Dragonfly and a folded Clos, at VC counts below,
+// at and above the diameter.
+func TestDenseFromSweepMatchesCompile(t *testing.T) {
+	type namedNet struct {
+		name string
+		net  *topo.Network
+	}
+	var nets []namedNet
+	for _, q := range []int{3, 5, 8, 9, 16} {
+		for _, l := range core.Layouts() {
+			if q == 16 && l != core.LayoutSubgroup && testing.Short() {
+				continue // layouts move coordinates, not links; one 512-router case is enough for -short
+			}
+			nets = append(nets, namedNet{fmt.Sprintf("sn_q%d_%s", q, l), snNet(t, q, 4, l)})
+		}
+	}
+	df, err := topo.Dragonfly(5, 2, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, namedNet{"dragonfly", df}, namedNet{"clos", topo.FoldedClos(25, 7, 8)})
+	for _, c := range nets {
+		net := c.net
+		t.Run(c.name, func(t *testing.T) {
+			for _, vcs := range []int{1, 2, 4, 8} {
+				ref := referenceDense(t, net, vcs)
+				compact, err := CompileCompact(net, vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := compact.Dense()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Compact() || got.pb != nil || got.nr != ref.nr || got.vcs != ref.vcs {
+					t.Fatalf("vcs=%d: dense table header %+v", vcs, got)
+				}
+				for _, arr := range []struct {
+					name      string
+					got, want any
+				}{
+					{"off", got.off, ref.off}, {"voff", got.voff, ref.voff}, {"plen", got.plen, ref.plen},
+					{"routers", got.routers, ref.routers}, {"hopVCs", got.hopVCs, ref.hopVCs},
+					{"ports", got.ports, ref.ports}, {"nextw", got.nextw, ref.nextw},
+				} {
+					if !reflect.DeepEqual(arr.got, arr.want) {
+						t.Fatalf("vcs=%d: %s differs from Compile+CompilePorts", vcs, arr.name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCompileDisconnected: a network in two components has no route table.
+// Both constructions must say so with an error naming the first unreachable
+// pair — the generic path used to die in makeslice (AscendingVCs(-1)).
+func TestCompileDisconnected(t *testing.T) {
+	two := &topo.Network{Name: "two-islands", Nr: 4, P: 1,
+		Adj: [][]int{{1}, {0}, {3}, {2}}}
+	sn := snNet(t, 5, 4, core.LayoutSubgroup)
+	damaged := sn.RemoveRandomLinks(0.85, 3)
+	if damaged.Diameter() != -1 {
+		t.Fatal("fixture: 85% link removal left the SN connected")
+	}
+	first := -1 // lowest router that router 0 cannot reach
+	p := NewMinimal(damaged)
+	for r := 0; r < damaged.Nr && first < 0; r++ {
+		if p.Dist(0, r) < 0 {
+			first = r
+		}
+	}
+	for _, c := range []struct {
+		net  *topo.Network
+		pair string
+	}{{two, "0->2"}, {damaged, fmt.Sprintf("0->%d", first)}} {
+		_, gerr := Compile(c.net.Nr, &MinimalRouting{P: NewMinimal(c.net), VCs: 2})
+		_, serr := CompileCompact(c.net, 2)
+		for which, err := range map[string]error{"Compile": gerr, "CompileCompact": serr} {
+			if err == nil {
+				t.Fatalf("%s: %s accepted a disconnected network", c.net.Name, which)
+			}
+			if !strings.Contains(err.Error(), c.pair) {
+				t.Errorf("%s: %s error %q does not name the first unreachable pair %s", c.net.Name, which, err, c.pair)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,21 @@
 // every packet, which removes route construction from the simulation hot
 // path and lets campaigns share one immutable table across concurrent runs
 // of the same (network, algorithm, VC count).
+//
+// There are two ways to build one. Deterministic minimal routing — what SN,
+// Dragonfly and Clos use — needs a single all-pairs sweep (compact.go):
+// CompileCompact runs one BFS per destination (topo.Network.BFS, O(nr)
+// scratch) and keeps one next-hop port byte per pair plus the sum of all
+// distances. That census gives the dense table's size exactly (DenseBytes)
+// before a byte of it exists, so the caller can pick a form, or refuse on a
+// memory budget, first; Dense then allocates the seven interned arrays once
+// at that size and fills them by walking the bytes — no Paths matrix, no
+// PathBuilder call or allocation per pair, no adjacency search per hop, no
+// second BFS. Every other builder (DOR, XY, datelines, custom registrations)
+// goes through the generic Compile(nr, pb) + CompilePorts, which asks the
+// builder for each pair in turn; on minimal routes it is the reference the
+// sweep's output must equal array for array (TestDenseFromSweepMatchesCompile).
+// slimnoc.CompileRouteTable is the one caller that chooses between them.
 package routing
 
 import (
@@ -41,32 +56,19 @@ func NewMinimal(net *topo.Network) *Paths {
 		p.dist[i] = make([]int16, nr)
 		p.next[i] = make([]int32, nr)
 	}
-	queue := make([]int, 0, nr)
+	dist := make([]int32, nr)
+	queue := make([]int32, 0, nr)
 	for dst := 0; dst < nr; dst++ {
+		order := net.BFS(dst, dist, queue)
 		for r := 0; r < nr; r++ {
-			p.dist[r][dst] = -1
+			p.dist[r][dst] = int16(dist[r])
 			p.next[r][dst] = -1
-		}
-		p.dist[dst][dst] = 0
-		queue = append(queue[:0], dst)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range net.Adj[u] {
-				if p.dist[v][dst] < 0 {
-					p.dist[v][dst] = p.dist[u][dst] + 1
-					queue = append(queue, v)
-				}
-			}
 		}
 		// Deterministic next hops: lowest-index neighbour that decreases
 		// distance.
-		for r := 0; r < nr; r++ {
-			if r == dst {
-				continue
-			}
+		for _, r := range order[1:] {
 			for _, v := range net.Adj[r] {
-				if p.dist[v][dst] == p.dist[r][dst]-1 {
+				if dist[v] == dist[r]-1 {
 					p.next[r][dst] = int32(v)
 					break
 				}
@@ -185,9 +187,13 @@ type MinimalRouting struct {
 	VCs int
 }
 
-// Route implements PathBuilder.
+// Route implements PathBuilder. An unreachable pair has no route: both
+// results are nil, which Compile reports as an error.
 func (m *MinimalRouting) Route(src, dst int) ([]int, []int) {
 	path := m.P.MinPath(src, dst)
+	if path == nil {
+		return nil, nil
+	}
 	return path, AscendingVCs(len(path)-1, m.VCs)
 }
 

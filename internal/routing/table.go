@@ -49,8 +49,9 @@ type RouteTable struct {
 	// reconstruction walks. Mutually exclusive with the interned storage
 	// above: a compact table has no off/voff/plen arrays at all — that is
 	// the point — and serves routes via AppendRoute instead of views.
-	cnh  []uint8 // [src*nr+dst] output port at src toward dst; cnhNone if none
+	cnh  []uint8 // [src*nr+dst] output port at src toward dst; cnhNone if src == dst
 	cadj [][]int // borrowed adjacency (sorted rows), for next-hop resolution
+	csum int64   // sum of all pairwise hop distances: the census behind DenseBytes
 }
 
 // NextEject is the next-hop word of a path's final hop: the router visit is
@@ -111,6 +112,9 @@ func NewMemoTable(nr int, pb PathBuilder) *RouteTable {
 
 func (t *RouteTable) fill(src, dst int) error {
 	path, vcs := t.pb.Route(src, dst)
+	if len(path) == 0 {
+		return unreachableError(src, dst)
+	}
 	if len(vcs) != len(path)-1 {
 		return fmt.Errorf("routing: table compile %d->%d: %d vcs for %d hops",
 			src, dst, len(vcs), len(path)-1)

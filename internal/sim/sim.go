@@ -689,7 +689,14 @@ func New(cfg Config) (*Sim, error) {
 	for i := range s.ejUsedAt {
 		s.ejUsedAt[i] = -1
 	}
-	// Build links and wire them into the flat port arrays.
+	// Build links and wire them into the flat port arrays. One link per
+	// directed edge; their per-VC lanes are sliced out of a single slab.
+	edges := 0
+	for _, kp := range s.kp {
+		edges += int(kp)
+	}
+	s.links = make([]link, 0, edges)
+	lanes := make([]ring[linkFlit], edges*cfg.VCs)
 	maxLat := int64(1)
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
@@ -710,12 +717,11 @@ func New(cfg Config) (*Sim, error) {
 			if lat > maxLat {
 				maxLat = lat
 			}
-			l := link{
+			lid := len(s.links)
+			s.links = append(s.links, link{
 				from: nb, to: r, toPort: pi, latency: lat,
-				lanes: make([]ring[linkFlit], cfg.VCs),
-			}
-			s.links = append(s.links, l)
-			lid := len(s.links) - 1
+				lanes: lanes[lid*cfg.VCs : (lid+1)*cfg.VCs : (lid+1)*cfg.VCs],
+			})
 			pos := portIndex(s.net.Adj[nb], r)
 			s.links[lid].sendVB = int32((nb*s.stride + pos) * cfg.VCs)
 			s.outLink[nb*s.stride+pos] = int32(lid)

@@ -68,32 +68,20 @@ func (n *Network) Connectivity() float64 {
 	if n.Nr == 0 {
 		return 0
 	}
+	// One BFS per component: the routers a sweep reaches all reach each other.
 	seen := make([]bool, n.Nr)
-	var sizes []int
+	dist := make([]int32, n.Nr)
+	queue := make([]int32, 0, n.Nr)
+	reachable := 0
 	for s := 0; s < n.Nr; s++ {
 		if seen[s] {
 			continue
 		}
-		// BFS component size.
-		size := 0
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			size++
-			for _, v := range n.Adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
+		comp := n.BFS(s, dist, queue)
+		for _, v := range comp {
+			seen[v] = true
 		}
-		sizes = append(sizes, size)
-	}
-	reachable := 0
-	for _, s := range sizes {
-		reachable += s * (s - 1)
+		reachable += len(comp) * (len(comp) - 1)
 	}
 	total := n.Nr * (n.Nr - 1)
 	if total == 0 {

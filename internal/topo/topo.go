@@ -9,6 +9,7 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Coord is a router position on the 2D placement grid (1-indexed like the
@@ -50,6 +51,12 @@ type Network struct {
 	// account for crossbar size differences (§5.1): 0.5 ns for SN and
 	// PFBF, 0.4 ns for T2D and CM, 0.6 ns for FBF.
 	CycleTimeNs float64
+
+	// Memoized Diameter (see there). Unexported, so a Network assembled
+	// field by field — RemoveRandomLinks' damaged copy, say — starts with
+	// its own empty memo rather than inheriting the original's.
+	diamOnce sync.Once
+	diam     int
 }
 
 // N returns the number of attached nodes.
@@ -132,67 +139,69 @@ func (n *Network) Connected(i, j int) bool {
 	return k < len(a) && a[k] == j
 }
 
-// Diameter returns the maximum over all router pairs of the shortest-path
-// hop count, computed by BFS from every router.
-func (n *Network) Diameter() int {
-	diam := 0
-	dist := make([]int, n.Nr)
-	queue := make([]int, 0, n.Nr)
-	for s := 0; s < n.Nr; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range n.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					if dist[v] > diam {
-						diam = dist[v]
-					}
-					queue = append(queue, v)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d < 0 {
-				return -1 // disconnected
+// BFS fills dist (length Nr) with the hop distance from src to every router,
+// -1 where unreachable, and returns the routers reached in visit order
+// (nondecreasing distance, src first). queue is scratch the caller keeps
+// across calls: the walk indexes a head into it instead of re-slicing, so a
+// queue of capacity Nr is never reallocated however many sources are swept.
+// The result aliases queue.
+func (n *Network) BFS(src int, dist, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		d := dist[u] + 1
+		for _, v := range n.Adj[u] {
+			if dist[v] < 0 {
+				dist[v] = d
+				queue = append(queue, int32(v))
 			}
 		}
 	}
-	return diam
+	return queue
+}
+
+// Diameter returns the maximum over all router pairs of the shortest-path
+// hop count (-1 if the network is disconnected), computed by BFS from every
+// router. The all-pairs sweep runs once per Network and is memoized: every
+// later call, from any goroutine, returns the first answer. That is sound
+// under the read-only sharing contract the facade already imposes (see
+// slimnoc.WithNetwork) — a network must not be mutated once it has been
+// handed to anything that may ask for its diameter.
+func (n *Network) Diameter() int {
+	n.diamOnce.Do(func() { n.diam = n.diameter() })
+	return n.diam
+}
+
+func (n *Network) diameter() int {
+	diam := int32(0)
+	dist := make([]int32, n.Nr)
+	queue := make([]int32, 0, n.Nr)
+	for s := 0; s < n.Nr; s++ {
+		order := n.BFS(s, dist, queue)
+		if len(order) < n.Nr {
+			return -1 // disconnected
+		}
+		if d := dist[order[len(order)-1]]; d > diam {
+			diam = d
+		}
+	}
+	return int(diam)
 }
 
 // AvgShortestPath returns the mean router-router shortest path length over
-// all ordered pairs of distinct routers.
+// all ordered pairs of distinct, mutually reachable routers.
 func (n *Network) AvgShortestPath() float64 {
 	total, pairs := 0, 0
-	dist := make([]int, n.Nr)
-	queue := make([]int, 0, n.Nr)
+	dist := make([]int32, n.Nr)
+	queue := make([]int32, 0, n.Nr)
 	for s := 0; s < n.Nr; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range n.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		for v, d := range dist {
-			if v != s && d > 0 {
-				total += d
-				pairs++
-			}
+		for _, v := range n.BFS(s, dist, queue)[1:] {
+			total += int(dist[v])
+			pairs++
 		}
 	}
 	if pairs == 0 {

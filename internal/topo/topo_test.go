@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -349,9 +350,52 @@ func BenchmarkDiameterFBF144(b *testing.B) {
 	f := FBF(12, 12, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f.Diameter() != 2 {
+		if f.diameter() != 2 { // the sweep itself; Diameter() would time the memo
 			b.Fatal("wrong diameter")
 		}
+	}
+}
+
+// TestBFS pins the shared sweep helper: distances, the visit order (source
+// first, nondecreasing distance, unreachable routers absent), and that the
+// caller's queue is reused rather than regrown — the five hand-rolled loops
+// this replaced re-sliced their queue forward and so reallocated it for
+// every source.
+func TestBFS(t *testing.T) {
+	n := &Network{Name: "path+island", Nr: 6, P: 1,
+		Adj: [][]int{{1}, {0, 2}, {1, 3}, {2}, {5}, {4}}}
+	dist := make([]int32, n.Nr)
+	queue := make([]int32, 0, n.Nr)
+	order := n.BFS(1, dist, queue)
+	if want := []int32{1, 0, 2, 3}; !slices.Equal(order, want) {
+		t.Errorf("visit order %v, want %v", order, want)
+	}
+	if want := []int32{1, 0, 1, 2, -1, -1}; !slices.Equal(dist, want) {
+		t.Errorf("dist %v, want %v", dist, want)
+	}
+	f := FBF(12, 12, 9)
+	dist, queue = make([]int32, f.Nr), make([]int32, 0, f.Nr)
+	if allocs := testing.AllocsPerRun(5, func() {
+		for s := 0; s < f.Nr; s++ {
+			f.BFS(s, dist, queue)
+		}
+	}); allocs != 0 {
+		t.Errorf("all-sources sweep with caller scratch allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestDiameterMemo: the all-pairs sweep runs once per Network, and a damaged
+// copy computes its own answer instead of inheriting the original's.
+func TestDiameterMemo(t *testing.T) {
+	m := Mesh2D(3, 3, 1)
+	if d := m.Diameter(); d != 4 {
+		t.Fatalf("3x3 mesh diameter = %d, want 4", d)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { m.Diameter() }); allocs != 0 {
+		t.Errorf("memoized Diameter allocated %.0f times, want 0", allocs)
+	}
+	if d := m.RemoveRandomLinks(1.0, 1).Diameter(); d != -1 {
+		t.Errorf("linkless copy reports diameter %d, want -1 (memo inherited?)", d)
 	}
 }
 

@@ -2,6 +2,7 @@ package slimnoc
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,50 @@ func TestWithMemBudget(t *testing.T) {
 	if capped.Raw != free.Raw {
 		t.Errorf("budgeted result %+v != unbudgeted %+v", capped.Raw, free.Raw)
 	}
+
+	// A run that compiles its own table: the budget is checked against the
+	// sweep's census, so the error arrives before the dense arrays are
+	// allocated — the bytes the refused Run allocated stay far below the
+	// table it declined to build.
+	spec := tableBustsBudget()
+	net, kind, err := BuildNetwork(spec.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(tableBudget))
+	runtime.ReadMemStats(&after)
+	checkTableBudgetError(t, err)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("refused run allocated %d KiB; the table must be rejected before it is laid down", got>>10)
+	}
+	if _, err := Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(64<<20)); err != nil {
+		t.Errorf("64 MiB budget: %v", err)
+	}
+}
+
+// tableBustsBudget is a point whose route table alone (9.9 MiB dense on the
+// 512-router SN) exceeds tableBudget while the rest of its engine would fit.
+func tableBustsBudget() RunSpec {
+	return RunSpec{
+		Network: NetworkSpec{Topology: "sn", Q: 16, Conc: 8, Layout: "subgr"},
+		Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.008},
+		Sim:     SimSpec{WarmupCycles: 10, MeasureCycles: 20, DrainCycles: 40, Seed: 9},
+	}
+}
+
+const tableBudget = 8 << 20
+
+// checkTableBudgetError asserts err is the route-table sizing error.
+func checkTableBudgetError(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("an 8 MiB budget accepted a 9.9 MiB route table")
+	}
+	if !strings.Contains(err.Error(), "MemBudgetBytes") || !strings.Contains(err.Error(), "route table") {
+		t.Errorf("error %q does not name the route table and MemBudgetBytes", err)
+	}
 }
 
 // TestCampaignMemBudget checks the campaign plumbing: with a tiny per-point
@@ -76,6 +121,18 @@ func TestCampaignMemBudget(t *testing.T) {
 	if !strings.Contains(results[0].Err.Error(), "MemBudgetBytes") {
 		t.Errorf("point error %q does not name MemBudgetBytes", results[0].Err)
 	}
+
+	// The table-less path under a campaign: the shared-table cache compiles
+	// under the point budget too, refuses, and the point reports the table.
+	results, err = RunCampaign(context.Background(),
+		[]RunSpec{tableBustsBudget()}, WithJobs(1), WithPointMemBudget(tableBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 {
+		t.Fatalf("got %d results", len(results))
+	}
+	checkTableBudgetError(t, results[0].Err)
 }
 
 // TestScalePresets pins the 10k/100k Table 4 siblings added for the scale-*

@@ -287,8 +287,9 @@ func (nc *netCache) get(ns NetworkSpec) (*Network, routing.Kind, error) {
 
 // table returns the shared compiled route table for a static routing
 // algorithm on the spec's network, compiling it at most once per
-// (network, algorithm, VCs) combination.
-func (nc *netCache) table(ns NetworkSpec, algorithm string, vcs int) (*routing.RouteTable, error) {
+// (network, algorithm, VCs) combination, under the campaign's per-point
+// memory budget (0 = none).
+func (nc *netCache) table(ns NetworkSpec, algorithm string, vcs int, budget int64) (*routing.RouteTable, error) {
 	net, kind, err := nc.get(ns)
 	if err != nil {
 		return nil, err
@@ -306,7 +307,7 @@ func (nc *netCache) table(ns NetworkSpec, algorithm string, vcs int) (*routing.R
 	}
 	nc.mu.Unlock()
 	e.once.Do(func() {
-		e.tab, e.err = CompileRouteTable(net, kind, algorithm, vcs)
+		e.tab, e.err = compileRouteTable(net, kind, algorithm, vcs, budget)
 	})
 	return e.tab, e.err
 }
@@ -429,18 +430,13 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 	if err == nil {
 		opts = append(opts, WithNetwork(net, kind))
 		// Static routing compiles once per (network, algorithm, VCs) and is
-		// shared read-only by every point using it. Compile errors are left
-		// for Runner.Run to rediscover and report; adaptive algorithms
-		// route per packet and have no compiled form.
-		// The eager compile happens before sim.New's budget check runs, so
-		// when the table alone would bust a point budget, skip it here and
-		// let sim.New report the sizing error without the allocation. The
-		// floor accounts for compact auto-selection: a 100k-endpoint minimal
-		// table is one byte per pair, not twelve, and fits budgets its dense
-		// form never could.
-		if re, ok := routings.lookup(spec.Routing.Algorithm); ok && !re.Adaptive &&
-			!(c.memBudget > 0 && tableFloorBytes(net, kind, spec.Routing.Algorithm) > c.memBudget) {
-			if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs); terr == nil {
+		// shared read-only by every point using it; adaptive algorithms
+		// route per packet and have no compiled form. The compile runs under
+		// the point budget, so a table that alone would bust it is refused
+		// before it is allocated. Any compile error is left for Runner.Run
+		// to rediscover and report.
+		if re, ok := routings.lookup(spec.Routing.Algorithm); ok && !re.Adaptive {
+			if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); terr == nil {
 				cachedTab = tab
 				opts = append(opts, WithRouteTable(tab))
 			}

@@ -258,7 +258,10 @@ func TestCampaignPointError(t *testing.T) {
 
 // TestCampaignSharedNetworkRace runs many concurrent simulations on one
 // WithNetwork-shared network. Under -race this pins the contract that
-// sim.New/Run never mutate a supplied topo.Network.
+// sim.New/Run never mutate a supplied topo.Network — its one piece of
+// internal state, the memoized Diameter every point's NetworkInfo asks for,
+// is filled exactly once behind a sync.Once however many workers get there
+// together (the network arrives here with the memo still empty).
 func TestCampaignSharedNetworkRace(t *testing.T) {
 	net, kind, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
 	if err != nil {
@@ -279,9 +282,15 @@ func TestCampaignSharedNetworkRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh, _, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range results {
 		if p.Err != nil {
 			t.Errorf("point %d: %v", i, p.Err)
+		} else if got, want := p.Result.Network.Diameter, fresh.Diameter(); got != want {
+			t.Errorf("point %d: diameter %d from the shared network, %d from a fresh build", i, got, want)
 		}
 	}
 	if err := net.Validate(); err != nil {

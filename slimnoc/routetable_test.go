@@ -142,3 +142,77 @@ func TestCampaignSharedRouteTableRace(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRouteTableSelection pins the one selection policy: an eligible
+// algorithm gets the dense table up to 64 MiB of exact interned size and the
+// compact form above it, and the size the policy reads — the sweep's own
+// census — is the size an independent BFS count gives, so the flip sits at
+// the same networks as when a separate census pass made the call. The two
+// SN sizes straddle the threshold (59 MiB / 81 MiB dense); minimal routing
+// on the 10k-endpoint torus is the long-path case whose 19 MiB offset floor
+// says "dense" while its real 300+ MiB says "compact".
+func TestCompileRouteTableSelection(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		ns          NetworkSpec
+		algorithm   string
+		wantCompact bool
+	}{
+		{"sn_q25", NetworkSpec{Topology: "sn", Q: 25, Conc: 4, Layout: "subgr"}, "auto", false},
+		{"sn_q27", NetworkSpec{Topology: "sn", Q: 27, Conc: 4, Layout: "subgr"}, "auto", true},
+		{"t2d10k_minimal", NetworkSpec{Preset: "t2d10k"}, "minimal", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, kind, err := BuildNetwork(c.ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The census as a pass of its own: 20 B per pair plus 10 B per hop.
+			var hops int64
+			dist, queue := make([]int32, net.Nr), make([]int32, 0, net.Nr)
+			for dst := 0; dst < net.Nr; dst++ {
+				for _, r := range net.BFS(dst, dist, queue) {
+					hops += int64(dist[r])
+				}
+			}
+			dense := 20*int64(net.Nr)*int64(net.Nr) + 10*hops
+			if (dense > compactTableThreshold) != c.wantCompact {
+				t.Fatalf("fixture: exact dense size %d B is on the wrong side of the threshold", dense)
+			}
+			tab, err := CompileRouteTable(net, kind, c.algorithm, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.Compact() != c.wantCompact {
+				t.Fatalf("Compact() = %v, want %v at %d dense bytes", tab.Compact(), c.wantCompact, dense)
+			}
+			if c.wantCompact {
+				if got := tab.DenseBytes(); got != dense {
+					t.Errorf("sweep census %d B, independent count %d B", got, dense)
+				}
+			} else if got := tab.MemBytes(); got != dense {
+				t.Errorf("dense table holds %d B, census predicted %d B", got, dense)
+			}
+		})
+	}
+}
+
+// TestCompileRouteTableAllocs caps the allocations of one compile on the
+// N=512 SN: the sweep's table and scratch plus the seven dense arrays, each
+// made once. The generic construction this replaced allocated twice per
+// router pair (32k+ here); the ceiling leaves room for bookkeeping, none for
+// anything per pair or per router.
+func TestCompileRouteTableAllocs(t *testing.T) {
+	net, kind, err := BuildNetwork(NetworkSpec{Topology: "sn", Q: 8, Conc: 4, Layout: "subgr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := CompileRouteTable(net, kind, "auto", 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("CompileRouteTable allocates %.0f times per call, want <= 24", allocs)
+	}
+}

@@ -82,14 +82,17 @@ type Option func(*Runner)
 // supplied topo.Network, so one network may back any number of concurrent
 // Runners (the Campaign engine relies on this; TestCampaignSharedNetworkRace
 // pins it under -race). Callers must likewise stop mutating the network
-// once it is shared.
+// once it is shared — also because the network memoizes its own Diameter
+// (reported in every Result.Network) on first request, behind a sync.Once:
+// points sharing a network pay that all-pairs sweep once between them, and
+// a later mutation would leave the memo stale.
 func WithNetwork(net *Network, kind routing.Kind) Option {
 	return func(r *Runner) { r.net, r.kind, r.haveNet = net, kind, true }
 }
 
 // WithRouteTable supplies a precompiled route table for the spec's static
-// routing algorithm, skipping per-run path-builder construction and route
-// compilation. The table must come from CompileRouteTable (or
+// routing algorithm, skipping the CompileRouteTable call Run would otherwise
+// make itself. The table must come from CompileRouteTable (or
 // routing.Compile) for the same network, algorithm and VC count as the
 // spec. Compiled tables are immutable, so one table may back any number of
 // concurrent Runners — the Campaign engine shares one per distinct
@@ -242,18 +245,16 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 	var pb routing.PathBuilder
 	var policy sim.AdaptivePolicy
-	var table *routing.RouteTable
-	if r.table != nil && !re.Adaptive && r.policy == nil {
-		// A shared compiled table stands in for the per-run path builder.
-		table = r.table
-	} else {
-		pb, policy, err = re.New(net, kind, vcs)
-		if err != nil {
+	static := !re.Adaptive && r.policy == nil
+	if !static {
+		// Adaptive routing picks paths per packet from the builder; a
+		// supplied table is ignored.
+		if pb, policy, err = re.New(net, kind, vcs); err != nil {
 			return nil, err
 		}
-	}
-	if r.policy != nil {
-		policy = r.policy
+		if r.policy != nil {
+			policy = r.policy
+		}
 	}
 
 	h := spec.HopsPerCycle()
@@ -279,6 +280,19 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 		if src, err = te.New(net, spec.Traffic); err != nil {
 			return nil, err
+		}
+	}
+
+	// Static routing always runs from a compiled table: a shared one
+	// (WithRouteTable) or, compiled last so that every cheaper spec error
+	// surfaces first, the one CompileRouteTable would hand out.
+	var table *routing.RouteTable
+	if static {
+		if table = r.table; table == nil {
+			table, err = compileRouteTable(net, kind, spec.Routing.Algorithm, vcs, r.memBudget)
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -325,25 +339,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // (whose dense tables reach gigabytes) compress to one byte per pair.
 const compactTableThreshold = 64 << 20
 
-// compactSelected reports whether CompileRouteTable picks the compact form:
-// the algorithm must be compact-eligible and the dense table must exceed
-// compactTableThreshold. The dense size is the exact interned footprint
-// (routing.EstimateDenseBytes, a BFS distance census), not just the
-// nr^2 x 12 offset floor — long-path topologies like the 10k-endpoint
-// torus/mesh baselines intern hundreds of MiB of path bytes on top of a
-// 19 MiB floor. The floor short-circuits the census in both directions:
-// when the offsets alone bust the threshold (the 100k presets, where the
-// census itself would be minutes of BFS) the answer is compact without it.
-func compactSelected(net *Network, kind Kind, algorithm string) bool {
-	if !compactEligible(kind, algorithm) {
-		return false
-	}
-	if int64(net.Nr)*int64(net.Nr)*12 > compactTableThreshold {
-		return true
-	}
-	return routing.EstimateDenseBytes(net) > compactTableThreshold
-}
-
 // compactEligible reports whether the algorithm's routes on this topology
 // are exactly the deterministic minimal next-hop routes that
 // routing.CompileCompact reproduces: the generic minimal builder, either
@@ -360,28 +355,34 @@ func compactEligible(kind Kind, algorithm string) bool {
 	return false
 }
 
-// tableFloorBytes is the minimum resident footprint of the table
-// CompileRouteTable would build for this point — the campaign uses it to
-// skip eager compilation that a point memory budget would reject anyway.
-func tableFloorBytes(net *Network, kind Kind, algorithm string) int64 {
-	if compactSelected(net, kind, algorithm) {
-		return int64(net.Nr) * int64(net.Nr) // compact: one next-hop byte per pair
-	}
-	return int64(net.Nr) * int64(net.Nr) * 12
-}
-
 // CompileRouteTable builds the immutable compiled route table for a static
 // routing algorithm on an already built network. The result is safe to
 // share across concurrent runs via WithRouteTable. Adaptive algorithms
-// (RoutingEntry.Adaptive) have no compiled form and are rejected.
+// (RoutingEntry.Adaptive) have no compiled form and are rejected. It is the
+// one place route tables come from: a Run without WithRouteTable, the
+// campaign's shared-table cache and NewEstimator all compile here.
 //
-// When the dense table would exceed compactTableThreshold (exact interned
-// size, see compactSelected), algorithms whose routes are deterministic
-// minimal next-hop routes (see compactEligible) compile to the compact
-// next-hop-only form — byte-identical routes at one byte per (src,dst)
-// pair — instead of the dense interned table; routing.CompileCompact is the
-// direct way to force that form at any size.
+// Algorithms whose routes are deterministic minimal next-hop routes (see
+// compactEligible) are built from a single all-pairs sweep
+// (routing.CompileCompact), whose distance census gives the exact size of
+// the dense interned table before any of it exists. Up to
+// compactTableThreshold the dense table is laid down from the sweep's
+// next-hop bytes; above it the compact form — byte-identical routes at one
+// byte per (src,dst) pair — is returned as is. routing.CompileCompact is the
+// direct way to force that form at any size. Every other static algorithm
+// (the grid builders, custom registrations) goes through the generic
+// routing.Compile + CompilePorts.
 func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*RouteTable, error) {
+	return compileRouteTable(net, kind, algorithm, vcs, 0)
+}
+
+// compileRouteTable is CompileRouteTable under a memory budget (0 = none):
+// the table's size is checked against it before the table is allocated —
+// exactly for single-sweep tables, whose census precedes the dense arrays,
+// and by the nr^2 offset floor otherwise — so a point whose table alone
+// busts the budget fails here instead of allocating first and letting
+// sim.New find out.
+func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budget int64) (*RouteTable, error) {
 	re, ok := routings.lookup(algorithm)
 	if !ok {
 		return nil, fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
@@ -390,8 +391,34 @@ func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*Rou
 	if re.Adaptive {
 		return nil, fmt.Errorf("slimnoc: adaptive algorithm %q routes per packet and cannot be compiled", algorithm)
 	}
-	if compactSelected(net, kind, algorithm) {
-		return routing.CompileCompact(net, vcs)
+	overBudget := func(bytes int64) error {
+		if budget <= 0 || bytes <= budget {
+			return nil
+		}
+		return fmt.Errorf(
+			"slimnoc: route table needs at least %.1f MiB for %d routers, which exceeds MemBudgetBytes = %.1f MiB; raise the budget or pick a smaller instance",
+			float64(bytes)/(1<<20), net.Nr, float64(budget)/(1<<20))
+	}
+	pairs := int64(net.Nr) * int64(net.Nr)
+	if compactEligible(kind, algorithm) {
+		if err := overBudget(pairs); err != nil { // the sweep's own byte per pair
+			return nil, err
+		}
+		tab, err := routing.CompileCompact(net, vcs)
+		if err != nil {
+			return nil, err
+		}
+		dense := tab.DenseBytes()
+		if dense > compactTableThreshold {
+			return tab, nil
+		}
+		if err := overBudget(dense); err != nil {
+			return nil, err
+		}
+		return tab.Dense()
+	}
+	if err := overBudget(pairs * 12); err != nil { // three int32 offsets per pair
+		return nil, err
 	}
 	pb, _, err := re.New(net, kind, vcs)
 	if err != nil {
@@ -403,7 +430,7 @@ func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*Rou
 	}
 	// Bake the per-hop output ports in while the table is still private:
 	// engines sharing the frozen table then skip the per-packet adjacency
-	// searches entirely (sim.New cannot do this itself on a shared table).
+	// searches entirely.
 	if err := tab.CompilePorts(net.Adj); err != nil {
 		return nil, err
 	}
