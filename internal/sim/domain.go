@@ -99,7 +99,8 @@ func normalizeJobs(jobs, nr int) int {
 }
 
 // buildDomains splits the routers into nd contiguous ranges and sizes the
-// ownership lookups. Called once from New.
+// ownership lookups. Called once from New; the domains' mutable state gets
+// its initial values from domain.reset.
 func (s *Sim) buildDomains(nd int) {
 	nr := s.net.Nr
 	s.doms = make([]domain, nd)
@@ -115,7 +116,6 @@ func (s *Sim) buildDomains(nd int) {
 		d.rlo, d.rhi = int32(lo), int32(hi)
 		d.outMask = make([]uint64, maskW)
 		d.touched = make([]bool, nd)
-		d.calDirty = true
 		for r := lo; r < hi; r++ {
 			s.domOf[r] = int32(di)
 		}
@@ -130,6 +130,24 @@ func (s *Sim) buildDomains(nd int) {
 	if nd > 1 {
 		s.par = &parRunner{workers: make([]workerSlot, nd-1)}
 	}
+}
+
+// reset empties the domain's active lists and staging buffers (keeping their
+// capacity) and marks its calendar cache stale; see Sim.reset. The
+// central-buffer freelist survives.
+func (d *domain) reset() {
+	d.routerList = d.routerList[:0]
+	d.linkList = d.linkList[:0]
+	clear(d.outMask)
+	d.credits = d.credits[:0]
+	clear(d.ejects) // release packet references before truncating
+	d.ejects = d.ejects[:0]
+	d.occDecs = d.occDecs[:0]
+	d.linkActs = d.linkActs[:0]
+	d.calDirty, d.calArrive, d.calPending = true, 0, 0
+	clear(d.touched)
+	d.touchedList = d.touchedList[:0]
+	d.forwarded, d.bypass, d.buffered = 0, 0, 0
 }
 
 // stepLinksDomain delivers arrived flits on the domain's active links. The
@@ -288,6 +306,18 @@ type parRunner struct {
 	workers []workerSlot
 	started bool
 	wg      sync.WaitGroup
+}
+
+// reset returns a stopped runner to its just-built state; see Sim.reset.
+func (pr *parRunner) reset() {
+	if pr.started {
+		panic("sim: reset while domain workers are running")
+	}
+	pr.cmd = 0
+	pr.epoch.Store(0)
+	for w := range pr.workers {
+		pr.workers[w].ack.Store(0)
+	}
 }
 
 // startWorkers launches one goroutine per extra domain for the duration of a

@@ -86,6 +86,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
+			// New initialises every mutable field through reset(), the same
+			// path a reused episode engine takes between episodes.
 			s := newEngineSim(t, sc.scheme, 0.06)
 			// The golden SN network is narrow enough for the occupancy
 			// bitmask, so these cases pin the bitmask arbitration walk —

@@ -1,10 +1,12 @@
 // The latency-query entry point for co-simulation serving: instead of a
-// statistical run over warmup/measure/drain phases, EstimateLatencies
+// statistical run over warmup/measure/drain phases, an estimate episode
 // answers "how many cycles does this transfer take?" by injecting a batch
 // of packets into an otherwise idle network at cycle 0 and stepping the
 // engine until the last tail flit ejects. Execution-driven platforms (in
 // the uPIMulator x BookSim2 style) call this through the slimnoc/serve
 // service layer, which owns the warm-engine pooling and response caching.
+// EpisodeEngine is the reusable form — one Sim, reset before every episode —
+// and EstimateLatencies the construct-per-call reference.
 
 package sim
 
@@ -27,7 +29,7 @@ type Transfer struct {
 // supported topology, small enough to fail fast on a misconfigured one.
 const DefaultEstimateCap = 1 << 20
 
-// oneshotSource is the Source behind EstimateLatencies: it emits every
+// oneshotSource is the Source behind an estimate episode: it emits every
 // transfer at cycle 0 (tagged by batch index via the class field) and
 // records each tail-flit ejection cycle, which on an idle network with
 // genTime 0 is the transfer's end-to-end latency.
@@ -72,38 +74,59 @@ func (o *oneshotSource) OnDelivered(t int64, _, _, _, class int, _ func(src, dst
 	}
 }
 
-// EstimateLatencies runs one isolated estimate episode: the transfers are
-// injected at cycle 0 into an idle network built from cfg (whose Traffic
-// must be nil — the episode supplies its own source) and the engine steps
-// until every tail flit has ejected. The returned slice holds each
-// transfer's delivery latency in cycles, in batch order.
-//
-// A single-transfer batch measures the pure zero-load latency of that
-// route; a multi-transfer batch measures a concurrent burst, contention
-// included. Episodes are deterministic: the same cfg and batch always
-// yield the same latencies, independent of wall-clock or scheduling (the
-// engine RNG is only consulted by adaptive policies, which seed from
-// cfg.Seed as usual).
-//
-// maxCycles bounds the episode (<= 0 selects DefaultEstimateCap); hitting
-// the bound reports an error naming the undelivered transfers, the
-// estimate-mode analogue of the run loop's deadlock watchdog.
-//
-// The expensive inputs — cfg.Net and cfg.Table — are read-only here like
-// everywhere else in the engine, so any number of concurrent episodes may
-// share one network and one compiled route table (the slimnoc/serve engine
-// pool relies on this, under the same contract as campaign workers).
-func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int64, error) {
+// EpisodeEngine is a reusable estimate engine: the simulator's geometry is
+// allocated once, and every episode starts from a full Sim.reset, so any
+// number of episodes run back to back on one engine with the latencies fresh
+// engines would report (pinned by TestEpisodeEngineReuse). An engine runs one
+// episode at a time; concurrent callers each need their own (slimnoc's
+// Estimator keeps a free list of them).
+type EpisodeEngine struct {
+	s   *Sim
+	src *oneshotSource
+}
+
+// NewEpisodeEngine builds an idle network from cfg, whose Traffic must be
+// nil — episodes supply their own source. The expensive inputs, cfg.Net and
+// cfg.Table, are read-only here like everywhere else in the engine, so any
+// number of engines may share one network and one compiled route table.
+func NewEpisodeEngine(cfg Config) (*EpisodeEngine, error) {
 	if cfg.Traffic != nil {
 		return nil, fmt.Errorf("sim: estimate: cfg.Traffic must be nil (the episode supplies its own source)")
-	}
-	if len(transfers) == 0 {
-		return nil, fmt.Errorf("sim: estimate: empty transfer batch")
 	}
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("sim: estimate: cfg.Net is required")
 	}
-	n := cfg.Net.N()
+	src := &oneshotSource{}
+	cfg.Traffic = src
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &EpisodeEngine{s: s, src: src}, nil
+}
+
+// Latencies runs one isolated episode: the transfers are injected at cycle 0
+// into the idle network and the engine steps until every tail flit has
+// ejected. The returned slice holds each transfer's delivery latency in
+// cycles, in batch order.
+//
+// A single-transfer batch measures the pure zero-load latency of that
+// route; a multi-transfer batch measures a concurrent burst, contention
+// included. Episodes are deterministic: the same config and batch always
+// yield the same latencies, independent of wall-clock, scheduling or what
+// the engine ran before (the engine RNG is only consulted by adaptive
+// policies, and is reseeded from cfg.Seed with everything else).
+//
+// maxCycles bounds the episode (<= 0 selects DefaultEstimateCap); hitting
+// the bound reports an error naming the undelivered transfers, the
+// estimate-mode analogue of the run loop's deadlock watchdog. The engine
+// stays usable after any error.
+func (e *EpisodeEngine) Latencies(transfers []Transfer, maxCycles int64) ([]int64, error) {
+	if len(transfers) == 0 {
+		return nil, fmt.Errorf("sim: estimate: empty transfer batch")
+	}
+	s, src := e.s, e.src
+	n := s.net.N()
 	for i, tr := range transfers {
 		if tr.Src < 0 || tr.Src >= n || tr.Dst < 0 || tr.Dst >= n {
 			return nil, fmt.Errorf("sim: estimate: transfer %d endpoints (%d -> %d) out of node range [0, %d)",
@@ -113,18 +136,20 @@ func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int
 			return nil, fmt.Errorf("sim: estimate: transfer %d has %d flits, want >= 1", i, tr.Flits)
 		}
 	}
-	src := &oneshotSource{transfers: transfers, lat: make([]int64, len(transfers))}
-	for i := range src.lat {
-		src.lat[i] = -1
-	}
-	cfg.Traffic = src
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if maxCycles <= 0 {
 		maxCycles = DefaultEstimateCap
 	}
+	// Reset before the episode, not after: whatever the previous one left
+	// behind — a batch cut off by the watchdog mid-flight included — is gone
+	// before this one injects.
+	s.reset()
+	lat := make([]int64, len(transfers))
+	for i := range lat {
+		lat[i] = -1
+	}
+	*src = oneshotSource{transfers: transfers, lat: lat}
+	// Drop the caller's batch when done, so an idle engine pins nothing.
+	defer func() { *src = oneshotSource{} }()
 	// Drive the cycle loop directly: unlike Run there are no phases — the
 	// episode ends the moment the batch is fully delivered. Delayed
 	// ejections ride the ejection wheel and complete inside step, so no
@@ -144,5 +169,16 @@ func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int
 			s.skipAhead(maxCycles)
 		}
 	}
-	return src.lat, nil
+	return lat, nil
+}
+
+// EstimateLatencies runs one episode on an engine built for the call: the
+// construct-per-call form of EpisodeEngine.Latencies, and the reference the
+// reuse tests compare a long-lived engine against.
+func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int64, error) {
+	e, err := NewEpisodeEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Latencies(transfers, maxCycles)
 }

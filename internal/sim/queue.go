@@ -108,6 +108,18 @@ func newWheel[T any](horizon int64) *wheel[T] {
 	return &wheel[T]{buckets: make([][]T, n)}
 }
 
+// reset drops every pending event and the depth telemetry, keeping bucket
+// capacity; see Sim.reset.
+func (w *wheel[T]) reset() {
+	for b := range w.buckets {
+		clear(w.buckets[b]) // release references held by undelivered events
+		w.buckets[b] = w.buckets[b][:0]
+	}
+	clear(w.overflow)
+	w.overflow = w.overflow[:0]
+	w.pending, w.peak = 0, 0
+}
+
 //sim:hot
 func (w *wheel[T]) schedule(now, at int64, v T) {
 	if at <= now {
@@ -217,6 +229,12 @@ type activeSet struct {
 
 func newActiveSet(n int) activeSet {
 	return activeSet{in: make([]bool, n)}
+}
+
+// reset empties the set, keeping the list's capacity; see Sim.reset.
+func (a *activeSet) reset() {
+	clear(a.in)
+	a.list = a.list[:0]
 }
 
 //sim:hot

@@ -392,6 +392,7 @@ type Sim struct {
 	rng    *rand.Rand
 	now    int64
 	links  []link
+	lanes  []ring[linkFlit] // every link's per-VC lanes, one slab ([link*vcs+vc])
 	nics   []nic
 	table  *routing.RouteTable // compiled static routes (nil when adaptive)
 	minTab *routing.RouteTable // memoized minimal candidates for adaptive policies
@@ -405,9 +406,10 @@ type Sim struct {
 	outLink []int32 // [r*stride+pi] link index of output pi
 	inLink  []int32 // [r*stride+pi] link arriving at input pi
 	revPort []int32 // [r*stride+pi] our port index at the upstream router
-	// Mutable per-VC state:
-	inQ   []ring[flit] // [(r*stride+pi)*vcs+vc] input buffers
-	inCap []int32      // [(r*stride+pi)*vcs+vc] input buffer capacity
+	inCap   []int32 // [(r*stride+pi)*vcs+vc] input buffer capacity
+	// Mutable per-VC state (initial values written by reset, like every
+	// other mutable field below):
+	inQ []ring[flit] // [(r*stride+pi)*vcs+vc] input buffers
 	// inLen/inFront mirror each input buffer's length and head flit in two
 	// dense arrays so the switch-allocation scan never chases the ring's
 	// backing-array pointer: a failed arbitration probe (the common case at
@@ -633,7 +635,6 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:    cfg,
 		net:    cfg.Net,
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
 		vcs:    cfg.VCs,
 		scheme: cfg.Scheme,
 	}
@@ -659,6 +660,8 @@ func New(cfg Config) (*Sim, error) {
 				float64(est)/(1<<20), nr, s.net.N(), float64(cfg.MemBudgetBytes)/(1<<20))
 		}
 	}
+	// From here New only allocates and wires what never changes during a
+	// run; every mutable field gets its initial value in reset, below.
 	np := nr * s.stride
 	nv := np * cfg.VCs
 	s.outLink = make([]int32, np)
@@ -669,9 +672,6 @@ func New(cfg Config) (*Sim, error) {
 	s.inLen = make([]int32, nv)
 	s.inFront = make([]flit, nv)
 	s.inNext = make([]uint32, nv)
-	for i := range s.inNext {
-		s.inNext[i] = nextNone
-	}
 	if s.stride*s.vcs <= 64 {
 		s.occIn = make([]uint64, nr)
 	}
@@ -681,14 +681,8 @@ func New(cfg Config) (*Sim, error) {
 		s.cbq = make([]ring[*cbPacket], nv)
 	}
 	s.cbFree = make([]int32, nr)
-	for r := range s.cbFree {
-		s.cbFree[r] = int32(cfg.CBCap)
-	}
 	s.work = make([]int32, nr)
 	s.ejUsedAt = make([]int64, s.net.N())
-	for i := range s.ejUsedAt {
-		s.ejUsedAt[i] = -1
-	}
 	// Build links and wire them into the flat port arrays. One link per
 	// directed edge; their per-VC lanes are sliced out of a single slab.
 	edges := 0
@@ -696,7 +690,7 @@ func New(cfg Config) (*Sim, error) {
 		edges += int(kp)
 	}
 	s.links = make([]link, 0, edges)
-	lanes := make([]ring[linkFlit], edges*cfg.VCs)
+	s.lanes = make([]ring[linkFlit], edges*cfg.VCs)
 	maxLat := int64(1)
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
@@ -720,7 +714,7 @@ func New(cfg Config) (*Sim, error) {
 			lid := len(s.links)
 			s.links = append(s.links, link{
 				from: nb, to: r, toPort: pi, latency: lat,
-				lanes: lanes[lid*cfg.VCs : (lid+1)*cfg.VCs : (lid+1)*cfg.VCs],
+				lanes: s.lanes[lid*cfg.VCs : (lid+1)*cfg.VCs : (lid+1)*cfg.VCs],
 			})
 			pos := portIndex(s.net.Adj[nb], r)
 			s.links[lid].sendVB = int32((nb*s.stride + pos) * cfg.VCs)
@@ -741,30 +735,11 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	// Init owners and readiness now that capacities are known: EdgeBuffers
-	// outputs start with the peer input buffer's full credit count, elastic
-	// outputs with the link pipeline's slot count (latency stages + 1).
-	for r := 0; r < nr; r++ {
-		for pi := 0; pi < int(s.kp[r]); pi++ {
-			vb := (r*s.stride + pi) * cfg.VCs
-			l := &s.links[s.outLink[r*s.stride+pi]]
-			peer := (l.to*s.stride + l.toPort) * cfg.VCs
-			for v := 0; v < cfg.VCs; v++ {
-				s.outOwner[vb+v] = -1
-				if cfg.Scheme == EdgeBuffers {
-					s.space[vb+v] = s.inCap[peer+v]
-				} else {
-					s.space[vb+v] = int32(l.latency) + 1
-				}
-			}
-		}
-	}
 	// NICs.
 	s.nics = make([]nic, s.net.N())
 	s.injNext = make([]uint32, s.net.N())
 	for v := range s.nics {
 		s.nics[v] = nic{node: v, injCap: cfg.InjQueueCap}
-		s.injNext[v] = nextNone
 	}
 	// Compiled static routes: adaptive policies route per packet, everyone
 	// else reads the table (supplied and shared, or compiled here).
@@ -812,7 +787,100 @@ func New(cfg Config) (*Sim, error) {
 	s.replyEmit = func(src, dst, flits, class int) {
 		s.enqueuePacket(src, dst, flits, class, false)
 	}
+	s.reset()
 	return s, nil
+}
+
+// reset puts every mutable field into the state a run starts from. It is the
+// only place those initial values are written: New allocates and wires the
+// geometry and then calls it, and a reusable episode engine (estimate.go)
+// calls it again before every episode, so a Sim that has been reset is
+// indistinguishable from one New just returned (pinned field by field by
+// TestResetEqualsFresh — a field added to Sim and forgotten here fails it).
+//
+// Queues go back to their zero value rather than keeping grown backing
+// arrays, and scratch slices are truncated, so a long-lived engine's
+// footprint stays at its construction size. Three things survive by design:
+// the packet and central-buffer freelists (a recycled packet is fully
+// reinitialised when allocated), and the memoized minimal paths adaptive
+// policies borrow (paths, minTab), which are pure functions of the network.
+// Domain workers must not be running.
+func (s *Sim) reset() {
+	cfg := &s.cfg
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	} else {
+		s.rng.Seed(cfg.Seed + 1)
+	}
+	s.now = 0
+	// Router state: empty buffers, no wormhole owners, full readiness.
+	// EdgeBuffers outputs start with the peer input buffer's full credit
+	// count, elastic outputs with the link pipeline's slot count (latency
+	// stages + 1).
+	clear(s.inQ)
+	clear(s.inLen)
+	clear(s.inFront)
+	for i := range s.inNext {
+		s.inNext[i] = nextNone
+	}
+	clear(s.occIn)
+	clear(s.cbq)
+	for r := range s.cbFree {
+		s.cbFree[r] = int32(cfg.CBCap)
+	}
+	clear(s.work)
+	for i := range s.ejUsedAt {
+		s.ejUsedAt[i] = -1
+	}
+	for r := range s.kp {
+		for pi := 0; pi < int(s.kp[r]); pi++ {
+			vb := (r*s.stride + pi) * s.vcs
+			l := &s.links[s.outLink[r*s.stride+pi]]
+			peer := (l.to*s.stride + l.toPort) * s.vcs
+			for v := 0; v < s.vcs; v++ {
+				s.outOwner[vb+v] = -1
+				if s.scheme == EdgeBuffers {
+					s.space[vb+v] = s.inCap[peer+v]
+				} else {
+					s.space[vb+v] = int32(l.latency) + 1
+				}
+			}
+		}
+	}
+	// Links: nothing on any wire.
+	clear(s.lanes)
+	for li := range s.links {
+		l := &s.links[li]
+		l.pending, l.nextArrive, l.occupancy = 0, 0, 0
+	}
+	// NICs: empty source and injection queues.
+	for v := range s.nics {
+		nc := &s.nics[v]
+		nc.srcQ, nc.injQ = ring[*packet]{}, ring[flit]{}
+		s.injNext[v] = nextNone
+	}
+	s.activeNICs.reset()
+	// Domains: empty active lists and staging, calendar caches stale.
+	for di := range s.doms {
+		s.doms[di].reset()
+	}
+	clear(s.routerIn)
+	clear(s.linkIn)
+	if s.par != nil {
+		s.par.reset()
+	}
+	s.creditWheel.reset()
+	s.ejectWheel.reset()
+	// Statistics.
+	s.nextPktID = 0
+	s.Result = Result{}
+	s.lat = s.lat[:0]
+	s.genMeasured, s.doneMeasured = 0, 0
+	s.flitsEjected, s.flitsInjected, s.inFlightFlits = 0, 0, 0
+	s.totalHops, s.hopPackets = 0, 0
+	s.bypassFlits, s.bufferedFlits, s.forwardedFlits = 0, 0, 0
+	s.lastEject = 0
+	s.eng = engineCounters{}
 }
 
 func portIndex(adj []int, target int) int {

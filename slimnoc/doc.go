@@ -94,8 +94,12 @@
 // batch of transfers injected together on an otherwise idle network — a
 // single transfer is the zero-load latency of its route and size, a batch
 // is one contended episode. Estimators are safe for concurrent use: the
-// underlying network and table are immutable, the same sharing contract
-// campaigns rely on. Package slimnoc/serve exposes estimators as a
+// underlying network and table are immutable and shared, the same contract
+// campaigns rely on, and the simulator instances episodes run on are
+// recycled — reset in full before every episode, at most one per
+// concurrently running episode, each no larger than the engine sim.New
+// builds for the network. Set MaxCycles and EngineJobs before the first
+// Estimate call. Package slimnoc/serve exposes estimators as a
 // co-simulation oracle service (JSON-line protocol, engine pool,
 // store-backed response cache) consumed by the snserve binary; see
 // docs/SERVING.md.

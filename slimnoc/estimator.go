@@ -3,6 +3,7 @@ package slimnoc
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -30,13 +31,21 @@ type EstimateResult struct {
 }
 
 // Estimator answers cycle-accurate per-transfer latency queries on a warm
-// engine: the network is built and the static route table compiled once at
-// construction, then every Estimate call runs one isolated engine episode
-// (all transfers injected at cycle 0 on an idle network, stepped until the
-// last tail flit ejects). An Estimator is immutable after NewEstimator and
-// safe for any number of concurrent Estimate calls — episodes share the
-// network and route table strictly read-only, the same contract campaign
-// workers rely on (pinned under -race by TestEstimatorConcurrentIdentity).
+// engine. "Warm" means two things. The network is built and the static route
+// table compiled once at construction, and every episode shares them
+// strictly read-only — the same contract campaign workers rely on. And the
+// simulator instances themselves are recycled: an Estimate call takes an idle
+// episode engine off a free list (building one only when none is idle), runs
+// one isolated episode on it (all transfers injected at cycle 0 on an idle
+// network, stepped until the last tail flit ejects; the engine is fully reset
+// first, so nothing of an earlier episode can reach a latency — see
+// docs/DETERMINISM.md), and puts it back. At most one engine exists per
+// concurrently running episode, each the size sim.New allocates for the
+// network and never larger.
+//
+// An Estimator is safe for any number of concurrent Estimate and RouterPath
+// calls (pinned under -race by TestEstimatorConcurrentIdentity). It holds a
+// lock and must not be copied.
 //
 // Estimates need compiled routes, so the spec must name a static routing
 // algorithm; adaptive algorithms (which route per packet from live state
@@ -48,14 +57,25 @@ type Estimator struct {
 	table *routing.RouteTable
 	cfg   sim.Config // template: Net/Table/VCs/scheme fields set, Traffic nil
 	// MaxCycles bounds one episode (0 = the engine default); exceeding it
-	// means an undeliverable transfer and fails the episode.
+	// means an undeliverable transfer and fails the episode. Set it before
+	// the first Estimate call.
 	MaxCycles int64
 	// EngineJobs steps each episode's engine across that many parallel
 	// spatial domains (0 or 1 = serial; see sim.Config.EngineJobs).
 	// Latencies are byte-identical at every value, so it is not part of the
-	// estimator's cache identity. Like MaxCycles, set it before the
-	// estimator is shared across goroutines.
+	// estimator's cache identity. Engines are built with the value current
+	// at the time, so like MaxCycles set it before the first Estimate call.
 	EngineJobs int
+
+	mu   sync.Mutex
+	idle []*episode // LIFO: the most recently used engine is the cache-warm one
+}
+
+// episode is one recyclable unit of estimate state: an engine plus the
+// scratch the hop count is derived in.
+type episode struct {
+	eng  *sim.EpisodeEngine
+	path []int
 }
 
 // EstimatorSpec canonicalizes a RunSpec to the fields an estimate episode
@@ -81,8 +101,8 @@ func EstimatorSpec(spec RunSpec) (RunSpec, error) {
 
 // NewEstimator builds the warm engine for the spec: network constructed,
 // static routes compiled into an immutable shared table, buffering scheme
-// resolved. The traffic and sim sections of the spec are ignored (see
-// EstimatorSpec).
+// resolved. Episode engines are built on demand by Estimate. The traffic and
+// sim sections of the spec are ignored (see EstimatorSpec).
 func NewEstimator(spec RunSpec) (*Estimator, error) {
 	canon, err := EstimatorSpec(spec)
 	if err != nil {
@@ -149,19 +169,41 @@ func (e *Estimator) CycleTimeNs() float64 { return e.net.CycleTimeNs }
 
 // RouterPath returns the compiled router path a transfer from node src to
 // node dst follows (len >= 1; consecutive elements are the directed links
-// the transfer occupies). The returned slice is the table's interned
-// storage: read-only, valid for the estimator's lifetime.
+// the transfer occupies). The slice is the caller's.
 func (e *Estimator) RouterPath(src, dst int) ([]int, error) {
 	n := e.net.N()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("slimnoc: transfer endpoints (%d -> %d) out of node range [0, %d)", src, dst, n)
 	}
-	path, _ := e.table.Route(e.net.NodeRouter(src), e.net.NodeRouter(dst))
-	out := make([]int, len(path))
-	for i, r := range path {
-		out[i] = int(r)
+	return e.table.AppendPath(nil, e.net.NodeRouter(src), e.net.NodeRouter(dst)), nil
+}
+
+// acquire pops an idle episode engine, or builds one when every existing
+// engine is busy.
+func (e *Estimator) acquire() (*episode, error) {
+	e.mu.Lock()
+	if n := len(e.idle); n > 0 {
+		ep := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		e.mu.Unlock()
+		return ep, nil
 	}
-	return out, nil
+	e.mu.Unlock()
+	cfg := e.cfg
+	cfg.EngineJobs = e.EngineJobs
+	eng, err := sim.NewEpisodeEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &episode{eng: eng}, nil
+}
+
+// release returns an episode engine to the idle list.
+func (e *Estimator) release(ep *episode) {
+	e.mu.Lock()
+	e.idle = append(e.idle, ep)
+	e.mu.Unlock()
 }
 
 // Estimate runs one isolated episode: every transfer of the batch is
@@ -171,19 +213,24 @@ func (e *Estimator) RouterPath(src, dst int) ([]int, error) {
 // are deterministic and independent, so concurrent calls return the same
 // results as serial ones.
 func (e *Estimator) Estimate(transfers []Transfer) ([]EstimateResult, error) {
-	cfg := e.cfg
-	cfg.EngineJobs = e.EngineJobs
-	lats, err := sim.EstimateLatencies(cfg, transfers, e.MaxCycles)
+	ep, err := e.acquire()
+	if err != nil {
+		return nil, err
+	}
+	// A failed episode leaves the engine reusable (it resets before every
+	// run), so it goes back either way.
+	defer e.release(ep)
+	lats, err := ep.eng.Latencies(transfers, e.MaxCycles)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]EstimateResult, len(transfers))
 	for i, tr := range transfers {
-		path, _ := e.table.Route(e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
+		ep.path = e.table.AppendPath(ep.path[:0], e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
 		out[i] = EstimateResult{
 			LatencyCycles: lats[i],
 			LatencyNs:     float64(lats[i]) * e.net.CycleTimeNs,
-			Hops:          len(path) - 1,
+			Hops:          len(ep.path) - 1,
 			Flits:         tr.Flits,
 		}
 	}

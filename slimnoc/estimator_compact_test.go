@@ -1,0 +1,60 @@
+package slimnoc
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestEstimatorCompactTable estimates and path-queries on an engine whose
+// dense route table would exceed the 64 MiB threshold, so NewEstimator holds
+// the compact form (which has no Route views: deriving hops from them used to
+// panic the serving goroutine after the first episode), and pins every answer
+// equal to the same network forced onto the dense table.
+func TestEstimatorCompactTable(t *testing.T) {
+	e, err := NewEstimator(RunSpec{Network: NetworkSpec{Topology: "sn", Q: 27, Conc: 8, Layout: "subgr"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.table.Compact() {
+		t.Fatal("fixture: estimator table is dense; pick a network past the compact threshold")
+	}
+	dense, err := e.table.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: dense, cfg: e.cfg}
+	d.cfg.Table = dense
+
+	n := e.Nodes()
+	batches := [][]Transfer{
+		{{Src: 0, Dst: n - 1, Flits: 6}},
+		{{Src: 5, Dst: 5, Flits: 2}},
+		{{Src: 17, Dst: 9000, Flits: 4}, {Src: 18, Dst: 9000, Flits: 4}, {Src: 9000, Dst: 17, Flits: 9}, {Src: n / 2, Dst: 3, Flits: 1}},
+	}
+	for i, b := range batches {
+		got, err := e.Estimate(b)
+		if err != nil {
+			t.Fatalf("batch %d on the compact table: %v", i, err)
+		}
+		want, err := d.Estimate(b)
+		if err != nil {
+			t.Fatalf("batch %d on the dense table: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: compact %+v, dense %+v", i, got, want)
+		}
+		for _, tr := range b {
+			gp, err := e.RouterPath(tr.Src, tr.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wp, err := d.RouterPath(tr.Src, tr.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gp, wp) {
+				t.Fatalf("RouterPath(%d, %d): compact %v, dense %v", tr.Src, tr.Dst, gp, wp)
+			}
+		}
+	}
+}

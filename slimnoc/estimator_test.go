@@ -83,10 +83,11 @@ func TestEstimatorEstimateAndPath(t *testing.T) {
 	}
 }
 
-// TestEstimatorConcurrentIdentity pins the read-only sharing contract: many
-// goroutines estimating on one warm Estimator (same network, same compiled
-// table) get exactly the latencies a serial caller gets. Run under -race by
-// the CI race job.
+// TestEstimatorConcurrentIdentity pins the sharing contract: many goroutines
+// estimating on one warm Estimator (same network, same compiled table, episode
+// engines handed out from its free list) get exactly the latencies a serial
+// caller gets, and the estimator never holds more engines than there were
+// concurrent callers. Run under -race by the CI race job.
 func TestEstimatorConcurrentIdentity(t *testing.T) {
 	e := newTestEstimator(t, "t2d9")
 	n := e.Nodes()
@@ -105,6 +106,10 @@ func TestEstimatorConcurrentIdentity(t *testing.T) {
 		}
 		serial[i] = r
 	}
+	if got := e.IdleEngines(); got != 1 {
+		t.Fatalf("%d idle engines after serial use, want 1 (one engine, reused)", got)
+	}
+	const rounds = 8
 	concurrent := make([][]slimnoc.EstimateResult, len(batches))
 	errs := make([]error, len(batches))
 	var wg sync.WaitGroup
@@ -112,7 +117,9 @@ func TestEstimatorConcurrentIdentity(t *testing.T) {
 		wg.Add(1)
 		go func(i int, b []slimnoc.Transfer) {
 			defer wg.Done()
-			concurrent[i], errs[i] = e.Estimate(b)
+			for r := 0; r < rounds && errs[i] == nil; r++ {
+				concurrent[i], errs[i] = e.Estimate(b)
+			}
 		}(i, b)
 	}
 	wg.Wait()
@@ -126,5 +133,61 @@ func TestEstimatorConcurrentIdentity(t *testing.T) {
 					i, j, concurrent[i][j], serial[i][j])
 			}
 		}
+	}
+	if got := e.IdleEngines(); got < 1 || got > len(batches) {
+		t.Fatalf("%d idle engines after %d concurrent callers, want between 1 and %d", got, len(batches), len(batches))
+	}
+}
+
+// TestEstimatorFailedEpisodeKeepsEngine cuts an episode off with the cycle
+// watchdog, then checks the same engine answers the next one like a fresh
+// estimator: an aborted episode neither loses the engine nor poisons it.
+func TestEstimatorFailedEpisodeKeepsEngine(t *testing.T) {
+	e := newTestEstimator(t, "t2d9")
+	batch := []slimnoc.Transfer{{Src: 0, Dst: e.Nodes() - 1, Flits: 16}, {Src: 1, Dst: e.Nodes() - 1, Flits: 16}}
+	want, err := newTestEstimator(t, "t2d9").Estimate(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.MaxCycles = 5
+	if _, err := e.Estimate(batch); err == nil {
+		t.Fatal("5-cycle cap: no undelivered error")
+	}
+	if _, err := e.Estimate(nil); err == nil {
+		t.Fatal("empty batch accepted")
+	}
+	e.MaxCycles = 0
+	got, err := e.Estimate(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("transfer %d after an aborted episode: %+v, fresh estimator %+v", i, got[i], want[i])
+		}
+	}
+	if n := e.IdleEngines(); n != 1 {
+		t.Fatalf("%d idle engines, want the one engine back on the list", n)
+	}
+}
+
+// TestEstimateWarmAllocs caps what a warm single-transfer Estimate allocates:
+// the result slices plus the handful of queue backing arrays the packet
+// touches on its way (reset hands queues back empty). Building an engine per
+// episode, as Estimate once did, costs 60+ allocations and ~1 MiB on this
+// network and fails this loudly.
+func TestEstimateWarmAllocs(t *testing.T) {
+	e := newTestEstimator(t, "sn_gr_1296")
+	batch := []slimnoc.Transfer{{Src: 3, Dst: 1200, Flits: 4}}
+	if _, err := e.Estimate(batch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.Estimate(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("warm single-transfer Estimate allocates %.0f times, want <= 16", allocs)
 	}
 }

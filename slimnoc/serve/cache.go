@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"strconv"
 	"sync/atomic"
 
 	"repro/slimnoc"
@@ -18,15 +21,6 @@ const cacheSchema = "slimnoc.serve.EstimateBatch/v1"
 
 // cacheSalt partitions the store key space for serve responses.
 const cacheSalt = cacheSchema + "|engine=" + slimnoc.EngineVersion
-
-// cacheIdentity is the canonical identity of one estimate episode: the
-// engine's canonical spec plus the exact transfer batch. Batches are
-// order-sensitive by design — transfers in one episode contend, so a
-// reordered batch is a different (if usually equal-valued) computation.
-type cacheIdentity struct {
-	Spec      slimnoc.RunSpec    `json:"spec"`
-	Transfers []slimnoc.Transfer `json:"transfers"`
-}
 
 // Cache is the store-backed response cache: estimate episodes keyed by
 // content address, so a repeated query — same engine, same batch — is
@@ -48,9 +42,71 @@ func NewCache(st *store.Store) *Cache { return &Cache{st: st} }
 
 // Key computes the content address of an episode under the estimator's
 // canonical spec. spec must already be canonical (Estimator.Spec returns
-// the right form); transfers must carry resolved flit counts.
+// the right form); transfers must carry resolved flit counts. A session,
+// whose spec never changes, keeps the keyer instead of calling this per
+// request.
 func (c *Cache) Key(spec slimnoc.RunSpec, transfers []slimnoc.Transfer) (store.Key, error) {
-	return store.KeyOf(cacheSalt, cacheIdentity{Spec: spec, Transfers: transfers})
+	k, err := newEpisodeKeyer(spec)
+	if err != nil {
+		return "", err
+	}
+	return k.key(transfers), nil
+}
+
+// episodeKeyer computes episode content addresses for one engine spec. An
+// episode's identity is the engine's canonical spec plus the exact transfer
+// batch — order-sensitive by design: transfers in one episode contend, so a
+// reordered batch is a different (if usually equal-valued) computation. Its
+// key is store.KeyOf(cacheSalt, {"spec": spec, "transfers": batch}), whose
+// hash input is
+//
+//	salt '\n' {"spec":<canonical spec>,"transfers":<canonical transfers>}
+//
+// Everything up to the transfers is the same for every request of a session,
+// so it is rendered once; key appends the transfers — whose canonical form
+// (keys sorted: dst, flits, src) needs no JSON round trip — and hashes. Byte
+// identity with store.KeyOf is pinned by TestEpisodeKeyerMatchesKeyOf, so
+// cache files written before the keyer existed keep hitting. Not safe for
+// concurrent use: it reuses its buffer.
+type episodeKeyer struct {
+	buf    []byte
+	prefix int // len of the constant part of buf
+}
+
+func newEpisodeKeyer(spec slimnoc.RunSpec) (*episodeKeyer, error) {
+	canon, err := store.Canonical(spec)
+	if err != nil {
+		return nil, err
+	}
+	buf := append([]byte(cacheSalt+"\n"+`{"spec":`), canon...)
+	buf = append(buf, `,"transfers":`...)
+	return &episodeKeyer{buf: buf, prefix: len(buf)}, nil
+}
+
+func (k *episodeKeyer) key(transfers []slimnoc.Transfer) store.Key {
+	b := k.buf[:k.prefix]
+	if transfers == nil {
+		b = append(b, "null"...) // what encoding/json writes for a nil slice
+	} else {
+		b = append(b, '[')
+		for i, t := range transfers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"dst":`...)
+			b = strconv.AppendInt(b, int64(t.Dst), 10)
+			b = append(b, `,"flits":`...)
+			b = strconv.AppendInt(b, int64(t.Flits), 10)
+			b = append(b, `,"src":`...)
+			b = strconv.AppendInt(b, int64(t.Src), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '}')
+	k.buf = b
+	sum := sha256.Sum256(b)
+	return store.Key(hex.EncodeToString(sum[:]))
 }
 
 // Get returns the cached episode results for key, if present and

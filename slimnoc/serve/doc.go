@@ -15,9 +15,10 @@
 //
 // Behind the protocol sit two shared structures. The Pool multiplexes
 // sessions over warm engines keyed by canonical estimator spec — network,
-// routing, and VC configuration are built once and shared read-only — and
-// bounds concurrent engine activations so overload queues instead of
-// thrashing. The Cache content-addresses every estimate episode in a
+// routing, and VC configuration are built once and shared read-only, and
+// the simulators that run the episodes are reset and reused rather than
+// rebuilt — and bounds concurrent engine activations so overload queues
+// instead of thrashing. The Cache content-addresses every estimate episode in a
 // store.Store, salted with the engine version exactly like slimnoc's
 // PointKey, so repeated queries are served without simulating, across
 // sessions and server restarts, and an engine bump can never serve stale

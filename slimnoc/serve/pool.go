@@ -14,13 +14,17 @@ import (
 //
 //   - Warm-engine sharing: estimators are keyed by their canonical spec
 //     (slimnoc.EstimatorSpec — expanded network, static routing, VCs,
-//     buffering, hop factor), built at most once, and shared read-only by
-//     every session that negotiates the same engine — the same contract the
-//     Campaign netCache uses for networks and route tables.
+//     buffering, hop factor), built at most once, and shared by every
+//     session that negotiates the same engine. The network and route table
+//     inside are read-only — the same contract the Campaign netCache uses —
+//     and the estimator recycles the simulators its episodes run on (see
+//     slimnoc.Estimator).
 //   - Activation bounding: each engine episode (an actual simulation)
 //     holds one of Size activation slots while it runs. More concurrent
 //     sessions than slots simply queue, which is how server-side
-//     backpressure reaches clients without dropping requests.
+//     backpressure reaches clients without dropping requests. Because an
+//     estimator keeps one simulator per concurrently running episode, Size
+//     is also the most simulators any one engine ever holds.
 //
 // A Pool is safe for concurrent use by any number of sessions.
 type Pool struct {

@@ -101,6 +101,7 @@ func (s *Server) Stats() Stats {
 type session struct {
 	srv       *Server
 	est       *slimnoc.Estimator
+	keyer     *episodeKeyer // cache keys under est's spec; nil without a cache
 	flitBytes int
 	windows   windowSet
 }
@@ -210,7 +211,13 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		if err != nil {
 			return fail("%v", err)
 		}
-		sess.est = est
+		var keyer *episodeKeyer
+		if sess.srv.cache != nil {
+			if keyer, err = newEpisodeKeyer(est.Spec()); err != nil {
+				return fail("%v", err)
+			}
+		}
+		sess.est, sess.keyer = est, keyer
 		if req.FlitBytes > 0 {
 			sess.flitBytes = req.FlitBytes
 		}
@@ -355,14 +362,10 @@ func (sess *session) estimate(ctx context.Context, transfers []slimnoc.Transfer)
 	srv := sess.srv
 	srv.estimates.Add(int64(len(transfers)))
 	var key store.Key
-	cached := false
-	if srv.cache != nil {
-		k, err := srv.cache.Key(sess.est.Spec(), transfers)
-		if err != nil {
-			return nil, err
-		}
-		key, cached = k, true
-		if results, ok := srv.cache.Get(k); ok && len(results) == len(transfers) {
+	cached := sess.keyer != nil
+	if cached {
+		key = sess.keyer.key(transfers)
+		if results, ok := srv.cache.Get(key); ok && len(results) == len(transfers) {
 			return results, nil
 		}
 	}
