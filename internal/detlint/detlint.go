@@ -15,9 +15,10 @@
 //   - maporder:   no `range` over a map in determinism-critical code unless
 //     the keys are collected and sorted (the sorted-keys idiom) or the site
 //     carries a `//detlint:ordered <reason>` waiver.
-//   - rngsource:  all randomness flows from an explicitly seeded *rand.Rand
-//     (the DeriveSeed discipline); global math/rand draws and wall-clock
-//     reads (time.Now and friends) are forbidden.
+//   - rngsource:  all randomness flows from an explicitly seeded generator
+//     (the DeriveSeed discipline: the engine's *rng.Stream, or a *rand.Rand);
+//     global math/rand draws and wall-clock reads (time.Now and friends)
+//     are forbidden.
 //   - hotalloc:   functions annotated `//sim:hot` (the engine cycle-loop
 //     call graph) must not contain allocation-causing constructs, turning
 //     the aggregate AllocsPerRun==0 tests into line-precise diagnostics.
@@ -141,8 +142,9 @@ type Config struct {
 // DefaultConfig returns the repository configuration: topo networks and
 // compiled routing state are the shared read-only types, their declaring
 // packages (plus internal/core, which assembles Slim NoC networks) the
-// writers, and internal/sim + internal/traffic the packages required to
-// carry the hot-path annotation set.
+// writers, and internal/sim, internal/traffic, internal/routing and
+// internal/rng (the engine's draw path) the packages required to carry the
+// hot-path annotation set.
 func DefaultConfig() *Config {
 	return &Config{
 		SharedTypes: []string{
@@ -180,7 +182,7 @@ func DefaultConfig() *Config {
 			"repro/internal/sim.domain.touched",
 			"repro/internal/sim.domain.touchedList",
 		},
-		HotPackages: []string{"repro/internal/sim", "repro/internal/traffic", "repro/internal/routing"},
+		HotPackages: []string{"repro/internal/sim", "repro/internal/traffic", "repro/internal/routing", "repro/internal/rng"},
 	}
 }
 

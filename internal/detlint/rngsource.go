@@ -6,8 +6,10 @@ import (
 )
 
 // RNGSource enforces the DeriveSeed discipline: every random draw must
-// flow from an explicitly seeded *rand.Rand handed down by the campaign
-// layer, and no code may read the wall clock. The global math/rand
+// flow from an explicitly seeded generator handed down by the campaign
+// layer (the engine's *rng.Stream, which is seeded through the math/rand
+// constructors allowed here, or a *rand.Rand), and no code may read the
+// wall clock. The global math/rand
 // functions draw from a process-wide shared source whose state depends on
 // everything else that ran, and time.Now injects the host's clock — either
 // one silently breaks run-to-run byte identity.

@@ -30,8 +30,8 @@ package routing
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -129,7 +129,7 @@ func (p *Paths) ValiantPath(src, mid, dst int) []int {
 
 // RandomIntermediate picks a Valiant intermediate router uniformly,
 // excluding src and dst.
-func (p *Paths) RandomIntermediate(rng *rand.Rand, src, dst int) int {
+func (p *Paths) RandomIntermediate(rng *rng.Stream, src, dst int) int {
 	nr := p.net.Nr
 	if nr <= 2 {
 		return src

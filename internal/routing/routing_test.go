@@ -1,10 +1,10 @@
 package routing
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -95,7 +95,7 @@ func TestValiantPath(t *testing.T) {
 func TestRandomIntermediate(t *testing.T) {
 	n := snNet(t, 3, 1, core.LayoutBasic)
 	p := NewMinimal(n)
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	for i := 0; i < 100; i++ {
 		mid := p.RandomIntermediate(rng, 2, 7)
 		if mid == 2 || mid == 7 || mid < 0 || mid >= n.Nr {

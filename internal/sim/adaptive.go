@@ -5,8 +5,7 @@
 package sim
 
 import (
-	"math/rand"
-
+	"repro/internal/rng"
 	"repro/internal/routing"
 )
 
@@ -32,7 +31,7 @@ type UGAL struct {
 }
 
 // Choose implements AdaptivePolicy.
-func (u *UGAL) Choose(s *Sim, rng *rand.Rand, srcRouter, dstRouter int) ([]int, []int) {
+func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
 	t := s.MinRoutes()
 	u.minPath = t.AppendPath(u.minPath[:0], srcRouter, dstRouter)
 	if len(u.minPath) <= 1 {
@@ -73,7 +72,7 @@ type MinAdaptive struct {
 }
 
 // Choose implements AdaptivePolicy.
-func (m *MinAdaptive) Choose(s *Sim, rng *rand.Rand, srcRouter, dstRouter int) ([]int, []int) {
+func (m *MinAdaptive) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
 	p := s.Paths()
 	if srcRouter == dstRouter {
 		return []int{srcRouter}, nil
@@ -96,6 +95,6 @@ type StaticMin struct {
 }
 
 // Choose implements AdaptivePolicy.
-func (m *StaticMin) Choose(s *Sim, rng *rand.Rand, srcRouter, dstRouter int) ([]int, []int) {
+func (m *StaticMin) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
 	return m.B.Route(srcRouter, dstRouter)
 }

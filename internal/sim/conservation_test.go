@@ -1,10 +1,10 @@
 package sim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -26,7 +26,7 @@ type conservingSource struct {
 	expectForwarded int64
 }
 
-func (c *conservingSource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (c *conservingSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	c.inner.Generate(t, rng, func(src, dst, flits, class int) {
 		path, _ := c.pb.Route(c.net.NodeRouter(src), c.net.NodeRouter(dst))
 		// A flit is forwarded at every router except the injection router

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -44,7 +45,7 @@ type hotRegionSource struct {
 	rate          float64
 }
 
-func (h *hotRegionSource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (h *hotRegionSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	prob := h.rate / float64(h.flits)
 	for node := 0; node < h.hot; node++ {
 		if rng.Float64() < prob {

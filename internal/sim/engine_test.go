@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/routing"
 )
 
@@ -21,7 +22,7 @@ type bernoulliSource struct {
 	flits int
 }
 
-func (b *bernoulliSource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (b *bernoulliSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	prob := b.rate / float64(b.flits)
 	for node := 0; node < b.n; node++ {
 		if rng.Float64() < prob {
@@ -188,7 +189,7 @@ func newOnOffSource(n int, rate, burstLen, duty float64) *onOffSource {
 	}
 }
 
-func (b *onOffSource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (b *onOffSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	prob := b.rate / float64(b.flits)
 	for node := 0; node < b.n; node++ {
 		if b.on[node] {
@@ -225,7 +226,7 @@ type reqReplySource struct {
 	totalOut    int
 }
 
-func (s *reqReplySource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (s *reqReplySource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	if s.outstanding == nil {
 		s.outstanding = make([]int, s.n)
 	}

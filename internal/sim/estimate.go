@@ -13,7 +13,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"repro/internal/rng"
 )
 
 // Transfer is one point-to-point message whose delivery latency an
@@ -45,7 +46,7 @@ var _ NextFirer = (*oneshotSource)(nil)
 // Generate implements Source: the whole batch enters at cycle 0, so
 // transfers within one episode contend for links and buffers exactly like
 // simultaneously issued DMAs.
-func (o *oneshotSource) Generate(t int64, _ *rand.Rand, emit func(src, dst, flits, class int)) {
+func (o *oneshotSource) Generate(t int64, _ *rng.Stream, emit func(src, dst, flits, class int)) {
 	if t != 0 {
 		return
 	}

@@ -1,10 +1,10 @@
 package sim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/sim"
 )
@@ -149,5 +149,5 @@ func TestEstimateValidation(t *testing.T) {
 // oneshotStub is a placeholder Source for the Traffic-must-be-nil check.
 type oneshotStub struct{}
 
-func (oneshotStub) Generate(int64, *rand.Rand, func(int, int, int, int))            {}
+func (oneshotStub) Generate(int64, *rng.Stream, func(int, int, int, int))           {}
 func (oneshotStub) OnDelivered(int64, int, int, int, int, func(int, int, int, int)) {}

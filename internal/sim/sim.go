@@ -21,9 +21,9 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
@@ -161,7 +161,11 @@ type Config struct {
 //   - Sources must be deterministic functions of the supplied RNG stream
 //     (fixed seed => identical injection sequence) and must not allocate
 //     once warm: the steady-state cycle loop is zero-allocation end to end,
-//     sources included (pinned by TestSteadyStateZeroAllocsWorkloads).
+//     sources included (pinned by TestSteadyStateZeroAllocsWorkloads). The
+//     stream is the engine's one *rng.Stream, seeded from Config.Seed and
+//     shared with the adaptive routing policy; it yields what math/rand's
+//     generator yields for that seed, so the order in which a source draws
+//     from it is part of the byte-identity contract.
 //
 // A source may additionally implement NextFirer to let the event calendar
 // skip its dead cycles; sources that draw RNG every cycle must not (see
@@ -170,7 +174,7 @@ type Config struct {
 // Both emit callbacks are preallocated per Sim and safe to call any number
 // of times, including zero.
 type Source interface {
-	Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int))
+	Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int))
 	// OnDelivered is invoked when a packet is fully ejected; sources may
 	// emit replies (e.g. read responses in trace-driven mode, or the
 	// data-carrying replies of the request-reply closed loop).
@@ -185,9 +189,11 @@ type Source interface {
 // for every cycle u in (t, NextFire(t)), Generate(u, ...) must emit nothing
 // AND draw zero values from the RNG — otherwise skipping would fork the RNG
 // stream and break byte-identical equivalence with cycle-stepping. Sources
-// that draw RNG every cycle (Bernoulli, OnOff, modulated processes) must
-// simply not implement the interface; their dead time is recovered by the
-// calendar's drain-phase and post-generation skipping instead.
+// that draw RNG every cycle (Bernoulli, OnOff, modulated processes — one
+// decision per node per cycle, however cheaply rng.Stream.FirstBelow scans
+// them) must simply not implement the interface; their dead time is
+// recovered by the calendar's drain-phase and post-generation skipping
+// instead.
 type NextFirer interface {
 	NextFire(t int64) int64
 }
@@ -198,7 +204,7 @@ type AdaptivePolicy interface {
 	// srcRouter to dstRouter. The simulator copies both slices before the
 	// next Choose call, so implementations may return reused scratch
 	// buffers.
-	Choose(s *Sim, rng *rand.Rand, srcRouter, dstRouter int) (path []int, vcs []int)
+	Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) (path []int, vcs []int)
 }
 
 // Defaults match the paper's evaluation setup (§5.1).
@@ -389,7 +395,7 @@ type nic struct {
 type Sim struct {
 	cfg    Config
 	net    *topo.Network
-	rng    *rand.Rand
+	rng    *rng.Stream
 	now    int64
 	links  []link
 	lanes  []ring[linkFlit] // every link's per-VC lanes, one slab ([link*vcs+vc])
@@ -808,7 +814,7 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) reset() {
 	cfg := &s.cfg
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+		s.rng = rng.New(cfg.Seed + 1)
 	} else {
 		s.rng.Seed(cfg.Seed + 1)
 	}

@@ -1,10 +1,10 @@
 package sim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -344,7 +344,7 @@ type replySource struct {
 	replies int
 }
 
-func (r *replySource) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (r *replySource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	if t < 50 && r.emitted < 20 {
 		emit(int(t)%r.n, (int(t)+r.n/2)%r.n, 2, 1)
 		r.emitted++
@@ -560,7 +560,7 @@ func TestVariablePacketSizes(t *testing.T) {
 
 type mixedSource struct{ n int }
 
-func (m *mixedSource) Generate(tt int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (m *mixedSource) Generate(tt int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	for node := 0; node < m.n; node++ {
 		if rng.Float64() < 0.01 {
 			flits := 2

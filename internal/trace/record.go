@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -27,10 +27,10 @@ type Event struct {
 // Record runs a Source standalone for the given number of cycles and
 // captures the primary (non-reply) messages it would inject.
 func Record(src *Source, cycles int64, seed int64) []Event {
-	rng := rand.New(rand.NewSource(seed))
+	r := rng.New(seed)
 	var out []Event
 	for t := int64(0); t < cycles; t++ {
-		src.Generate(t, rng, func(s, d, flits, class int) {
+		src.Generate(t, r, func(s, d, flits, class int) {
 			out = append(out, Event{Cycle: t, Src: int32(s), Dst: int32(d),
 				Flits: int16(flits), Class: int16(class)})
 		})
@@ -105,7 +105,7 @@ func (r *Replay) NextFire(t int64) int64 {
 }
 
 // Generate implements sim.Source.
-func (r *Replay) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (r *Replay) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	for {
 		if r.pos >= len(r.Events) {
 			if !r.Loop || len(r.Events) == 0 {

@@ -12,8 +12,7 @@
 package trace
 
 import (
-	"math/rand"
-
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -114,13 +113,12 @@ func NewSource(b Benchmark, n int) *Source {
 	return &Source{B: b, N: n, Copies: copies, ThreadsPerCopy: threads}
 }
 
-// Generate implements sim.Source.
-func (s *Source) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
-	active := s.Copies * s.ThreadsPerCopy
-	for node := 0; node < active; node++ {
-		if rng.Float64() >= s.B.Rate {
-			continue
-		}
+// Generate implements sim.Source: one Float64() < Rate decision per active
+// node, ascending, each issuing node's destination and class draws following
+// its own decision.
+func (s *Source) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
+	rate, active := s.B.Rate, s.Copies*s.ThreadsPerCopy
+	for node := rng.FirstBelow(rate, active); node < active; node += 1 + rng.FirstBelow(rate, active-node-1) {
 		dst := s.dest(rng, node)
 		r := rng.Float64()
 		switch {
@@ -137,7 +135,7 @@ func (s *Source) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, cl
 
 // dest picks a destination within the source's application copy using the
 // benchmark's locality/hotspot structure.
-func (s *Source) dest(rng *rand.Rand, src int) int {
+func (s *Source) dest(rng *rng.Stream, src int) int {
 	copyID := src / s.ThreadsPerCopy
 	base := copyID * s.ThreadsPerCopy
 	local := src - base

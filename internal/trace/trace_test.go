@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestBenchmarksWellFormed(t *testing.T) {
@@ -54,7 +57,7 @@ func TestSourceMultiprogrammed(t *testing.T) {
 // each other.
 func TestDestinationsStayInCopy(t *testing.T) {
 	s := NewSource(*BenchmarkByName("radix"), 192)
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	for trial := 0; trial < 5000; trial++ {
 		src := rng.Intn(192)
 		d := s.dest(rng, src)
@@ -71,7 +74,7 @@ func TestDestinationsStayInCopy(t *testing.T) {
 // paper's flit sizes.
 func TestMessageMix(t *testing.T) {
 	s := NewSource(*BenchmarkByName("canneal"), 192)
-	rng := rand.New(rand.NewSource(2))
+	rng := rng.New(2)
 	counts := map[int]int{}
 	flits := map[int]int{}
 	for cyc := int64(0); cyc < 3000; cyc++ {
@@ -159,7 +162,7 @@ func TestReplayEmitsInOrder(t *testing.T) {
 		{Cycle: 5, Src: 5, Dst: 6, Flits: 2, Class: ClassCoh},
 	}
 	r := &Replay{Events: events}
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	var got []Event
 	for tt := int64(0); tt < 10; tt++ {
 		r.Generate(tt, rng, func(src, dst, flits, class int) {
@@ -178,12 +181,63 @@ func TestReplayEmitsInOrder(t *testing.T) {
 func TestReplayLoop(t *testing.T) {
 	events := []Event{{Cycle: 0, Src: 1, Dst: 2, Flits: 2, Class: ClassCoh}}
 	r := &Replay{Events: events, Loop: true}
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	count := 0
 	for tt := int64(0); tt < 5; tt++ {
 		r.Generate(tt, rng, func(src, dst, flits, class int) { count++ })
 	}
 	if count < 2 {
 		t.Errorf("looped replay emitted %d events, want repeated injection", count)
+	}
+}
+
+// TestSourceMatchesPerNodeLoop pins Generate's scan against the loop it
+// replaced: one Float64() >= Rate decision per active node, and for each
+// issuing node its destination and class draws, written out on math/rand —
+// the generator every recorded result was produced with.
+func TestSourceMatchesPerNodeLoop(t *testing.T) {
+	for _, n := range []int{1, 3, 54, 192} {
+		for _, name := range []string{"fft", "radios.", "water-s"} {
+			s := NewSource(*BenchmarkByName(name), n)
+			const cycles, seed = 4000, 5
+			got := Record(s, cycles, seed)
+
+			b, threads := s.B, s.ThreadsPerCopy
+			r := rand.New(rand.NewSource(seed))
+			var want []Event
+			for c := int64(0); c < cycles; c++ {
+				for node := 0; node < s.Copies*threads; node++ {
+					if r.Float64() >= b.Rate {
+						continue
+					}
+					base := node / threads * threads
+					local := node - base
+					var d int
+					switch x := r.Float64(); {
+					case x < b.Hotspot:
+						d = r.Intn(4)
+					case x < b.Hotspot+b.Locality:
+						quarter := max(threads/4, 1)
+						d = local/quarter*quarter + r.Intn(quarter)
+					default:
+						d = r.Intn(threads)
+					}
+					if d += base; d == node {
+						d = base + (local+1)%threads
+					}
+					e := Event{Cycle: c, Src: int32(node), Dst: int32(d), Flits: FlitsCoh, Class: ClassCoh}
+					switch x := r.Float64(); {
+					case x < b.ReadFrac:
+						e.Flits, e.Class = FlitsRead, ClassRead
+					case x < b.ReadFrac+b.WriteFrac:
+						e.Flits, e.Class = FlitsWrite, ClassWrite
+					}
+					want = append(want, e)
+				}
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("%s on %d nodes: %d events, reference loop %d, or they differ", name, n, len(got), len(want))
+			}
+		}
 	}
 }

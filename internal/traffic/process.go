@@ -2,13 +2,13 @@
 // Sizer decomposition. A Process decides, per node per cycle, whether the
 // node starts a packet; the spatial Pattern then picks the destination and
 // the Sizer the length. All processes are deterministic functions of the
-// run's RNG stream: Begin is drawn exactly once per cycle and Inject exactly
-// once per node per cycle (in ascending node order), so a fixed seed always
-// produces the identical injection sequence.
+// run's RNG stream: Begin draws exactly once per cycle, and the Next calls of
+// one cycle between them draw for every node exactly once, in ascending node
+// order, so a fixed seed always produces the identical injection sequence.
 
 package traffic
 
-import "math/rand"
+import "repro/internal/rng"
 
 // Process is the temporal injection process of a Synthetic source. prob is
 // the per-cycle packet-start probability that realises the configured mean
@@ -22,11 +22,18 @@ import "math/rand"
 type Process interface {
 	Name() string
 	// Begin is called once at the top of each generation cycle, before any
-	// Inject call, so globally modulated processes can advance their state.
-	Begin(t int64, rng *rand.Rand)
-	// Inject reports whether the node starts a packet this cycle. It is
-	// called once per node per cycle, nodes ascending.
-	Inject(rng *rand.Rand, node int, prob float64) bool
+	// Next call, so globally modulated processes can advance their state.
+	Begin(t int64, rng *rng.Stream)
+	// Next returns the first node in [from, n) that starts a packet this
+	// cycle, or n if none does. It makes the injection decision — the same
+	// draws a per-node loop would make — for every node it passes, the
+	// returned one included, in ascending order, and for no node beyond it.
+	// Synthetic.Generate calls Next(0), draws the packet's destination and
+	// length, and resumes with Next(node+1), so within a cycle the stream
+	// reads: decisions of nodes 0..a, Dest and Draw draws of a's packet,
+	// decisions of nodes a+1..b, Dest and Draw draws of b's packet, and so
+	// on to the decisions of the last nodes.
+	Next(rng *rng.Stream, from, n int, prob float64) int
 }
 
 // Bernoulli is the paper's open-loop memoryless process (§5.1): every node
@@ -43,13 +50,14 @@ func (Bernoulli) Name() string { return "bernoulli" }
 // Begin implements Process (memoryless: no per-cycle state, no RNG draw).
 //
 //sim:hot
-func (Bernoulli) Begin(t int64, rng *rand.Rand) {}
+func (Bernoulli) Begin(t int64, rng *rng.Stream) {}
 
-// Inject implements Process.
+// Next implements Process: one scan of the stream for the first draw below
+// prob.
 //
 //sim:hot
-func (Bernoulli) Inject(rng *rand.Rand, node int, prob float64) bool {
-	return rng.Float64() < prob
+func (Bernoulli) Next(rng *rng.Stream, from, n int, prob float64) int {
+	return from + rng.FirstBelow(prob, n-from)
 }
 
 // OnOff is a two-state bursty process: each node alternates independently
@@ -96,27 +104,30 @@ func NewOnOff(n int, burstLen, duty float64) *OnOff {
 // Name implements Process.
 func (o *OnOff) Name() string { return "burst" }
 
-// Begin implements Process (state is per node, advanced in Inject).
+// Begin implements Process (state is per node, advanced in Next).
 //
 //sim:hot
-func (o *OnOff) Begin(t int64, rng *rand.Rand) {}
+func (o *OnOff) Begin(t int64, rng *rng.Stream) {}
 
-// Inject implements Process: advance the node's two-state chain, then draw
-// the injection decision while on.
+// Next implements Process: for each node, advance its two-state chain (one
+// draw), then draw the injection decision while it is on.
 //
 //sim:hot
-func (o *OnOff) Inject(rng *rand.Rand, node int, prob float64) bool {
-	if o.on[node] {
-		if rng.Float64() < o.exitOn {
-			o.on[node] = false
+func (o *OnOff) Next(rng *rng.Stream, from, n int, prob float64) int {
+	onProb := prob / o.Duty
+	for node := from; node < n; node++ {
+		if o.on[node] {
+			if rng.Float64() < o.exitOn {
+				o.on[node] = false
+			}
+		} else if rng.Float64() < o.exitOff {
+			o.on[node] = true
 		}
-	} else if rng.Float64() < o.exitOff {
-		o.on[node] = true
+		if o.on[node] && rng.Float64() < onProb {
+			return node
+		}
 	}
-	if !o.on[node] {
-		return false
-	}
-	return rng.Float64() < prob/o.Duty
+	return n
 }
 
 // Modulated is an MMPP-style process: one global two-state Markov chain
@@ -158,22 +169,23 @@ func (m *Modulated) Name() string { return "mmpp" }
 // Begin implements Process: one global state-transition draw per cycle.
 //
 //sim:hot
-func (m *Modulated) Begin(t int64, rng *rand.Rand) {
+func (m *Modulated) Begin(t int64, rng *rng.Stream) {
 	if rng.Float64() < m.flip {
 		m.high = !m.high
 	}
 }
 
-// Inject implements Process.
+// Next implements Process: memoryless within a cycle, so one scan at the
+// current state's probability.
 //
 //sim:hot
-func (m *Modulated) Inject(rng *rand.Rand, node int, prob float64) bool {
+func (m *Modulated) Next(rng *rng.Stream, from, n int, prob float64) int {
 	if m.high {
 		prob *= m.Factor
 	} else {
 		prob *= 2 - m.Factor
 	}
-	return rng.Float64() < prob
+	return from + rng.FirstBelow(prob, n-from)
 }
 
 // Sizer is the packet-length axis of the decomposition: it draws the flit
@@ -186,7 +198,7 @@ type Sizer interface {
 	Name() string
 	Mean() float64
 	// Draw returns the flit count of one packet.
-	Draw(rng *rand.Rand) int
+	Draw(rng *rng.Stream) int
 }
 
 // Fixed sizes every packet at Flits (the paper's 6-flit data packet). It
@@ -206,7 +218,7 @@ func (f Fixed) Mean() float64 { return float64(f.Flits) }
 // Draw implements Sizer.
 //
 //sim:hot
-func (f Fixed) Draw(rng *rand.Rand) int { return f.Flits }
+func (f Fixed) Draw(rng *rng.Stream) int { return f.Flits }
 
 // Bimodal mixes short control packets with long data packets: a packet is
 // Short flits with probability ShortFrac and Long flits otherwise — the
@@ -231,7 +243,7 @@ func (b Bimodal) Mean() float64 {
 // Draw implements Sizer.
 //
 //sim:hot
-func (b Bimodal) Draw(rng *rand.Rand) int {
+func (b Bimodal) Draw(rng *rng.Stream) int {
 	if rng.Float64() < b.ShortFrac {
 		return b.Short
 	}

@@ -8,8 +8,8 @@ package traffic
 
 import (
 	"math"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -64,7 +64,7 @@ var _ sim.NextFirer = (*ReqReply)(nil)
 // steady closed-loop state.
 //
 //sim:hot
-func (s *ReqReply) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
+func (s *ReqReply) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	if s.outstanding == nil {
 		//detlint:allow hotalloc one-time lazy init on first cycle, outside the measured steady state
 		s.outstanding = make([]int, s.N)

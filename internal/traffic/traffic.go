@@ -17,15 +17,19 @@
 // closed-loop request-reply workload where each node keeps a bounded window
 // of outstanding requests, so load self-throttles to delivered bandwidth.
 //
-// Every component is a deterministic function of the run's RNG stream, and
+// Every component is a deterministic function of the run's RNG stream (an
+// *rng.Stream, bit-identical to the math/rand stream of the same seed), and
 // the default composition (nil Process, nil Sizer) consumes RNG draws in
 // exactly the order the pre-decomposition monolithic source did, so existing
-// specs reproduce byte-identical results.
+// specs reproduce byte-identical results. Within a cycle the order is: the
+// Process's Begin draw, then the injection decisions of the nodes in
+// ascending order, with each issuing node's Pattern.Dest and Sizer.Draw draws
+// directly after its own decision and before the next node's (see
+// Process.Next).
 package traffic
 
 import (
-	"math/rand"
-
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -34,7 +38,7 @@ import (
 // Pattern maps a source node to a destination node.
 type Pattern interface {
 	Name() string
-	Dest(rng *rand.Rand, src int) int
+	Dest(rng *rng.Stream, src int) int
 }
 
 // Uniform is RND: a uniformly random destination other than the source.
@@ -48,7 +52,7 @@ func (Uniform) Name() string { return "RND" }
 // Dest implements Pattern.
 //
 //sim:hot
-func (u Uniform) Dest(rng *rand.Rand, src int) int {
+func (u Uniform) Dest(rng *rng.Stream, src int) int {
 	if u.N < 2 {
 		return src
 	}
@@ -95,7 +99,7 @@ func (Shuffle) Name() string { return "SHF" }
 // Dest implements Pattern.
 //
 //sim:hot
-func (s Shuffle) Dest(rng *rand.Rand, src int) int {
+func (s Shuffle) Dest(rng *rng.Stream, src int) int {
 	b := nodeBits(s.N)
 	if b == 0 {
 		return src
@@ -122,7 +126,7 @@ func (Reversal) Name() string { return "REV" }
 // Dest implements Pattern.
 //
 //sim:hot
-func (r Reversal) Dest(rng *rand.Rand, src int) int {
+func (r Reversal) Dest(rng *rng.Stream, src int) int {
 	b := nodeBits(r.N)
 	d := 0
 	for i := 0; i < b; i++ {
@@ -195,7 +199,7 @@ func (a *Adversarial) Name() string {
 // Dest implements Pattern.
 //
 //sim:hot
-func (a *Adversarial) Dest(rng *rand.Rand, src int) int {
+func (a *Adversarial) Dest(rng *rng.Stream, src int) int {
 	p := a.net.P
 	r := a.net.NodeRouter(src)
 	slot := src - r*p
@@ -218,7 +222,10 @@ func (Asymmetric) Name() string { return "ASYM" }
 // Dest implements Pattern.
 //
 //sim:hot
-func (a Asymmetric) Dest(rng *rand.Rand, src int) int {
+func (a Asymmetric) Dest(rng *rng.Stream, src int) int {
+	if a.N < 2 {
+		return src
+	}
 	half := a.N / 2
 	d := src % half
 	if rng.Intn(2) == 1 {
@@ -253,7 +260,7 @@ func (h Hotspot) Name() string { return "HOT+" + h.Base.Name() }
 // Dest implements Pattern.
 //
 //sim:hot
-func (h Hotspot) Dest(rng *rand.Rand, src int) int {
+func (h Hotspot) Dest(rng *rng.Stream, src int) int {
 	if rng.Float64() >= h.Frac {
 		return h.Base.Dest(rng, src)
 	}
@@ -270,6 +277,9 @@ func (h Hotspot) Dest(rng *rand.Rand, src int) int {
 // each packet's destination, and the Sizer its length. A nil Process is
 // Bernoulli and a nil Sizer is Fixed{PacketFlits} — the paper's §5.1 setup,
 // with the identical RNG draw sequence as the pre-decomposition source.
+// Generate asks the Process for the next issuing node (Process.Next) rather
+// than every node for its decision, so a cycle costs one call per packet
+// started plus one, not one per node.
 type Synthetic struct {
 	N           int
 	Rate        float64 // flits/node/cycle, mean over the run
@@ -279,6 +289,11 @@ type Synthetic struct {
 	Process Process
 	// Sizer draws per-packet lengths (nil = Fixed{PacketFlits}).
 	Sizer Sizer
+
+	// prob is the per-node per-cycle packet-start probability, Rate over the
+	// sizer's mean length; pin sets it with the defaults on the first cycle.
+	prob   float64
+	pinned bool
 }
 
 var _ sim.Source = (*Synthetic)(nil)
@@ -286,9 +301,23 @@ var _ sim.Source = (*Synthetic)(nil)
 // Generate implements sim.Source.
 //
 //sim:hot
-func (s *Synthetic) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
-	// Defaults are pinned on first use (not per cycle) so the interface
-	// conversions never allocate inside the steady-state loop.
+func (s *Synthetic) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
+	if !s.pinned {
+		s.pin()
+	}
+	s.Process.Begin(t, rng)
+	for node := s.Process.Next(rng, 0, s.N, s.prob); node < s.N; node = s.Process.Next(rng, node+1, s.N, s.prob) {
+		emit(node, s.Pattern.Dest(rng, node), s.Sizer.Draw(rng), 0)
+	}
+}
+
+// pin fixes, on the first cycle, what every later cycle uses: the default
+// Process and Sizer and the packet-start probability. Pinning once (not per
+// cycle) keeps the interface conversions and the Sizer.Mean call out of the
+// steady-state loop; Rate, Process and Sizer must not change afterwards.
+//
+//sim:hot
+func (s *Synthetic) pin() {
 	if s.Process == nil {
 		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Process = Bernoulli{}
@@ -297,13 +326,8 @@ func (s *Synthetic) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits,
 		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Sizer = Fixed{Flits: s.PacketFlits}
 	}
-	prob := s.Rate / s.Sizer.Mean()
-	s.Process.Begin(t, rng)
-	for node := 0; node < s.N; node++ {
-		if s.Process.Inject(rng, node, prob) {
-			emit(node, s.Pattern.Dest(rng, node), s.Sizer.Draw(rng), 0)
-		}
-	}
+	s.prob = s.Rate / s.Sizer.Mean()
+	s.pinned = true
 }
 
 // OnDelivered implements sim.Source (synthetic traffic has no replies).

@@ -5,8 +5,9 @@
 package traffic
 
 import (
-	"math/rand"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestShuffleNonPowerOfTwoWrap pins the deliberate `% N` fold: for N not a
@@ -14,7 +15,7 @@ import (
 // results wrap modulo N instead of being rejected.
 func TestShuffleNonPowerOfTwoWrap(t *testing.T) {
 	s := Shuffle{N: 10} // 4-bit IDs, values 10..15 reachable before the fold
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	// src 5 = 0b0101 rotates to 0b1010 = 10, folds to 10 % 10 = 0.
 	if got := s.Dest(rng, 5); got != 0 {
 		t.Errorf("SHF(5) on N=10 = %d, want 0 (10 %% 10)", got)
@@ -41,7 +42,7 @@ func TestShuffleNonPowerOfTwoWrap(t *testing.T) {
 // TestReversalNonPowerOfTwoWrap pins the same fold for bit reversal.
 func TestReversalNonPowerOfTwoWrap(t *testing.T) {
 	r := Reversal{N: 10}
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	// src 3 = 0b0011 reverses to 0b1100 = 12, folds to 2.
 	if got := r.Dest(rng, 3); got != 2 {
 		t.Errorf("REV(3) on N=10 = %d, want 2 (12 %% 10)", got)
@@ -64,7 +65,7 @@ func TestReversalNonPowerOfTwoWrap(t *testing.T) {
 // K hot nodes and delegates the rest to the base pattern.
 func TestHotspotConcentration(t *testing.T) {
 	h := Hotspot{Frac: 0.3, K: 4, N: 100, Base: Uniform{N: 100}}
-	rng := rand.New(rand.NewSource(7))
+	rng := rng.New(7)
 	hot := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
@@ -92,9 +93,9 @@ type injection struct {
 
 // record runs the source for cycles and returns every emitted packet.
 func record(src interface {
-	Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int))
+	Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int))
 }, seed int64, cycles int64) []injection {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	var out []injection
 	for t := int64(0); t < cycles; t++ {
 		src.Generate(t, rng, func(s, d, f, c int) {
@@ -254,7 +255,7 @@ func TestBimodalMeanLoad(t *testing.T) {
 func TestReqReplyWindow(t *testing.T) {
 	const n, w = 16, 3
 	src := &ReqReply{N: n, Window: w, ReqFlits: 2, ReplyFlits: 6, Pattern: Uniform{N: n}}
-	rng := rand.New(rand.NewSource(9))
+	rng := rng.New(9)
 	var pending []injection
 	emit := func(s, d, f, c int) { pending = append(pending, injection{0, s, d, f, c}) }
 
@@ -301,7 +302,7 @@ func TestReqReplyWindow(t *testing.T) {
 // TestSteadyStateZeroAllocsWorkloads).
 func TestSourceGenerateZeroAllocs(t *testing.T) {
 	const n = 64
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	nop := func(s, d, f, c int) {}
 	for name, src := range newWorkloads(n) {
 		src := src

@@ -419,3 +419,34 @@ func TestCSVSinkWorkloadColumns(t *testing.T) {
 		t.Errorf("defaulted burst row reports burst_len=%s duty=%s, want resolved 8/0.25", bl, d)
 	}
 }
+
+// TestTrafficMatrixNeverPanics is the first row of the robustness matrix:
+// every registered traffic pattern x temporal process, on the degenerate
+// one-node network and on a small Slim NoC, for about a hundred cycles. A
+// run may fail with an error or produce a result; it must not panic (the
+// asym pattern used to divide by zero on a one-node network).
+func TestTrafficMatrixNeverPanics(t *testing.T) {
+	nets := map[string]NetworkSpec{
+		"one-node":    {Topology: "mesh", X: 1, Y: 1, Conc: 1},
+		"sn_subgr_54": {Preset: "sn_subgr_54"},
+	}
+	for netName, ns := range nets {
+		for _, pattern := range Traffics() {
+			entry, _ := TrafficByName(pattern)
+			for _, process := range Processes() {
+				t.Run(netName+"/"+pattern+"/"+process, func(t *testing.T) {
+					ts := entry.Example
+					ts.Rate, ts.Process = 0.5, process
+					spec := RunSpec{Network: ns, Traffic: ts,
+						Sim: SimSpec{WarmupCycles: 20, MeasureCycles: 60, DrainCycles: 20, Seed: 1}}
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Run panicked: %v", r)
+						}
+					}()
+					_, _ = Run(t.Context(), spec) // an error and a result are both fine
+				})
+			}
+		}
+	}
+}
