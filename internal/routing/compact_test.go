@@ -3,7 +3,8 @@ package routing
 import (
 	"fmt"
 	"math"
-	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,70 +23,50 @@ func compactNets(t *testing.T) map[string]*topo.Network {
 	}
 }
 
-// TestCompactMatchesDense verifies, for every (src,dst) pair, that the
-// compact table's AppendRoute reconstruction is element-for-element identical
-// to the dense table's Route/Ports/NextWords views of the same deterministic
-// minimal routes — the equivalence the simulator's byte-identity under
-// compact tables rests on.
+// checkCompactMatchesCompile verifies, for every (src,dst) pair, that the
+// compact table's AppendRoute and AppendNextWords reconstructions are
+// element-for-element identical to the Route/Ports/NextWords views of
+// Compile(MinimalRouting{NewMinimal}) + CompilePorts — the equivalence the
+// simulator's byte-identity under compact tables rests on.
+func checkCompactMatchesCompile(t *testing.T, net *topo.Network, vcs int) {
+	t.Helper()
+	dense := referenceDense(t, net, vcs)
+	compact, err := CompileCompact(net, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !compact.Compact() || dense.Compact() {
+		t.Fatalf("Compact() flags: compact=%v dense=%v", compact.Compact(), dense.Compact())
+	}
+	if compact.Nr() != net.Nr || compact.NumVCs() != vcs {
+		t.Fatalf("compact table dims %d/%d, want %d/%d", compact.Nr(), compact.NumVCs(), net.Nr, vcs)
+	}
+	var path []int32
+	var vcb, ports []uint8
+	var next, words []uint32
+	for src := 0; src < net.Nr; src++ {
+		for dst := 0; dst < net.Nr; dst++ {
+			wantPath, wantVCs := dense.Route(src, dst)
+			path, vcb, ports, next = compact.AppendRoute(path[:0], vcb[:0], ports[:0], next[:0], src, dst)
+			words = compact.AppendNextWords(words[:0], src, dst)
+			if !slices.Equal(path, wantPath) || !slices.Equal(vcb, wantVCs) ||
+				!slices.Equal(ports, dense.Ports(src, dst)) || !slices.Equal(next, dense.NextWords(src, dst)) {
+				t.Fatalf("vcs=%d %d->%d: AppendRoute gave path %v vcs %v ports %v next %#x, want %v %v %v %#x",
+					vcs, src, dst, path, vcb, ports, next, wantPath, wantVCs, dense.Ports(src, dst), dense.NextWords(src, dst))
+			}
+			if !slices.Equal(words, next) {
+				t.Fatalf("vcs=%d %d->%d: AppendNextWords gave %#x, want %#x", vcs, src, dst, words, next)
+			}
+		}
+	}
+}
+
+// TestCompactMatchesDense runs the per-pair equivalence on the two small
+// structures: an SN instance and an FBF grid (generic minimal routes over a
+// different graph).
 func TestCompactMatchesDense(t *testing.T) {
-	const vcs = 2
 	for name, net := range compactNets(t) {
-		net := net
-		t.Run(name, func(t *testing.T) {
-			dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.CompilePorts(net.Adj); err != nil {
-				t.Fatal(err)
-			}
-			compact, err := CompileCompact(net, vcs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !compact.Compact() || dense.Compact() {
-				t.Fatalf("Compact() flags: compact=%v dense=%v", compact.Compact(), dense.Compact())
-			}
-			if compact.Nr() != net.Nr || compact.NumVCs() != vcs {
-				t.Fatalf("compact table dims %d/%d, want %d/%d", compact.Nr(), compact.NumVCs(), net.Nr, vcs)
-			}
-			var path []int32
-			var vcb, ports []uint8
-			var next []uint32
-			for src := 0; src < net.Nr; src++ {
-				for dst := 0; dst < net.Nr; dst++ {
-					wantPath, wantVCs := dense.Route(src, dst)
-					wantPorts := dense.Ports(src, dst)
-					wantNext := dense.NextWords(src, dst)
-					path, vcb, ports, next = compact.AppendRoute(path[:0], vcb[:0], ports[:0], next[:0], src, dst)
-					if len(path) != len(wantPath) {
-						t.Fatalf("%d->%d: path len %d, want %d", src, dst, len(path), len(wantPath))
-					}
-					for i := range path {
-						if path[i] != wantPath[i] {
-							t.Fatalf("%d->%d: path[%d] = %d, want %d", src, dst, i, path[i], wantPath[i])
-						}
-					}
-					if len(vcb) != len(wantVCs) || len(ports) != len(wantPorts) || len(next) != len(wantNext) {
-						t.Fatalf("%d->%d: vcs/ports/next lens %d/%d/%d, want %d/%d/%d",
-							src, dst, len(vcb), len(ports), len(next), len(wantVCs), len(wantPorts), len(wantNext))
-					}
-					for i := range vcb {
-						if vcb[i] != wantVCs[i] {
-							t.Fatalf("%d->%d: vc[%d] = %d, want %d", src, dst, i, vcb[i], wantVCs[i])
-						}
-						if ports[i] != wantPorts[i] {
-							t.Fatalf("%d->%d: port[%d] = %d, want %d", src, dst, i, ports[i], wantPorts[i])
-						}
-					}
-					for i := range next {
-						if next[i] != wantNext[i] {
-							t.Fatalf("%d->%d: next[%d] = %#x, want %#x", src, dst, i, next[i], wantNext[i])
-						}
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkCompactMatchesCompile(t, net, 2) })
 	}
 }
 
@@ -102,7 +83,7 @@ func TestCompactPathHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !compact.HasPorts() {
-		t.Fatal("compact table must report HasPorts (ports ride in AppendRoute)")
+		t.Fatal("compact table must report HasPorts (its bytes are the ports)")
 	}
 	if got, want := compact.Pairs(), net.Nr*net.Nr; got != want {
 		t.Fatalf("Pairs() = %d, want %d", got, want)
@@ -168,38 +149,51 @@ func TestCompactMemBytes(t *testing.T) {
 	}
 }
 
-// TestEstimateDenseBytesExact pins the sweep's distance census against the
-// real interned footprint: DenseBytes on the compact table must equal, to
-// the byte, MemBytes of both the generic Compile+CompilePorts table and the
-// table Dense then lays down. A long-path topology (an 8x9 torus, the shape
-// of the 10k-endpoint scale baselines) rides along to cover the regime where
-// path bytes dwarf the nr^2 x 12 offset floor — the case the compact
-// auto-selection exists for.
-func TestEstimateDenseBytesExact(t *testing.T) {
-	nets := compactNets(t)
-	nets["t2d"] = topo.Torus2D(8, 9, 1)
-	for name, net := range nets {
-		net := net
-		t.Run(name, func(t *testing.T) {
-			ref := referenceDense(t, net, 2)
-			compact, err := CompileCompact(net, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := compact.DenseBytes()
-			if want := ref.MemBytes(); got != want {
-				t.Fatalf("DenseBytes = %d, want exact dense MemBytes %d", got, want)
-			}
-			dense, err := compact.Dense()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if built := dense.MemBytes(); built != got {
-				t.Fatalf("Dense() built %d bytes, census predicted %d", built, got)
-			}
-			floor := int64(net.Nr) * int64(net.Nr) * 12
-			if got <= floor {
-				t.Fatalf("census %d not above the %d offset floor — it lost the path bytes", got, floor)
+// TestNextHopsMatchScalarBFS anchors both sweep consumers to a construction
+// that shares no code with the sweep — the scalar loop they replaced, one
+// topo.Network.BFS per destination and the first adjacency position one hop
+// closer: every NewMinimal distance and next hop, and every byte of the
+// compact table, on the structures the compact form serves, a long-path torus
+// and an SN in pieces (where only NewMinimal has an answer).
+func TestNextHopsMatchScalarBFS(t *testing.T) {
+	df, err := topo.Dragonfly(5, 2, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := snNet(t, 9, 4, core.LayoutSubgroup)
+	damaged := sn.RemoveRandomLinks(0.9, 3)
+	if damaged.Diameter() != -1 {
+		t.Fatal("fixture: 90% link removal left the SN connected")
+	}
+	for _, net := range []*topo.Network{
+		sn, damaged, snNet(t, 5, 4, core.LayoutRand), df,
+		topo.FoldedClos(25, 7, 8), topo.FBF(4, 4, 1), topo.Torus2D(8, 9, 1),
+	} {
+		t.Run(net.Name, func(t *testing.T) {
+			nr := net.Nr
+			p := NewMinimal(net)
+			compact, cerr := CompileCompact(net, 2)
+			dist, queue := make([]int32, nr), make([]int32, 0, nr)
+			for dst := 0; dst < nr; dst++ {
+				connected := len(net.BFS(dst, dist, queue)) == nr
+				if connected != (cerr == nil) {
+					t.Fatalf("BFS from %d reaches everyone: %v, but CompileCompact said %v", dst, connected, cerr)
+				}
+				for r := 0; r < nr; r++ {
+					next, port := -1, cnhNone
+					for pos, v := range net.Adj[r] {
+						if dist[r] > 0 && dist[v] == dist[r]-1 {
+							next, port = v, pos
+							break
+						}
+					}
+					if p.Dist(r, dst) != int(dist[r]) || int(p.next[r][dst]) != next {
+						t.Fatalf("%d->%d: NewMinimal has distance %d via %d, BFS %d via %d", r, dst, p.Dist(r, dst), p.next[r][dst], dist[r], next)
+					}
+					if cerr == nil && int(compact.cnh[r*nr+dst]) != port {
+						t.Fatalf("%d->%d: compact table byte %d, BFS says port %d", r, dst, compact.cnh[r*nr+dst], port)
+					}
+				}
 			}
 		})
 	}
@@ -221,11 +215,12 @@ func referenceDense(t testing.TB, net *topo.Network, vcs int) *RouteTable {
 }
 
 // TestDenseFromSweepMatchesCompile is the byte-identity contract of the
-// single-sweep construction: CompileCompact + Dense must produce the same
-// seven arrays (offsets, VC offsets, lengths, routers, hop VCs, ports,
-// next-hop words) as Compile(MinimalRouting) + CompilePorts, on every SN
+// sweep-built table: every route reconstructed from CompileCompact's bytes
+// equals what Compile(MinimalRouting) + CompilePorts interns — on every SN
 // size class and layout, a Dragonfly and a folded Clos, at VC counts below,
-// at and above the diameter.
+// at and above the diameter. (The name dates from when the sweep's bytes were
+// expanded into a dense table and compared array for array; the dense side is
+// now only this reference.)
 func TestDenseFromSweepMatchesCompile(t *testing.T) {
 	type namedNet struct {
 		name string
@@ -246,33 +241,9 @@ func TestDenseFromSweepMatchesCompile(t *testing.T) {
 	}
 	nets = append(nets, namedNet{"dragonfly", df}, namedNet{"clos", topo.FoldedClos(25, 7, 8)})
 	for _, c := range nets {
-		net := c.net
 		t.Run(c.name, func(t *testing.T) {
 			for _, vcs := range []int{1, 2, 4, 8} {
-				ref := referenceDense(t, net, vcs)
-				compact, err := CompileCompact(net, vcs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := compact.Dense()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Compact() || got.pb != nil || got.nr != ref.nr || got.vcs != ref.vcs {
-					t.Fatalf("vcs=%d: dense table header %+v", vcs, got)
-				}
-				for _, arr := range []struct {
-					name      string
-					got, want any
-				}{
-					{"off", got.off, ref.off}, {"voff", got.voff, ref.voff}, {"plen", got.plen, ref.plen},
-					{"routers", got.routers, ref.routers}, {"hopVCs", got.hopVCs, ref.hopVCs},
-					{"ports", got.ports, ref.ports}, {"nextw", got.nextw, ref.nextw},
-				} {
-					if !reflect.DeepEqual(arr.got, arr.want) {
-						t.Fatalf("vcs=%d: %s differs from Compile+CompilePorts", vcs, arr.name)
-					}
-				}
+				checkCompactMatchesCompile(t, c.net, vcs)
 			}
 		})
 	}
@@ -311,6 +282,29 @@ func TestCompileDisconnected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompileCompactAllocs pins the compile's memory shape on the 512-router
+// SN: the table (one byte per pair) plus the sweep's three nr-word arrays and
+// a handful of fixed-size objects — nothing per destination, per batch or per
+// level.
+func TestCompileCompactAllocs(t *testing.T) {
+	net := snNet(t, 16, 4, core.LayoutSubgroup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab, err := CompileCompact(net, 2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := uint64(net.Nr)
+	if got, want := after.TotalAlloc-before.TotalAlloc, nr*nr+3*8*nr; got < want || got > want+4096 {
+		t.Errorf("CompileCompact allocated %d B, want the table and three word arrays (%d B) plus at most 4 KiB", got, want)
+	}
+	if got := after.Mallocs - before.Mallocs; got > 8 {
+		t.Errorf("CompileCompact made %d allocations, want at most 8 at any size", got)
+	}
+	runtime.KeepAlive(tab)
 }
 
 // TestCompactRejectsViews verifies the dense-view entry points fail loudly on

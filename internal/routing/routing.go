@@ -12,24 +12,24 @@
 // path and lets campaigns share one immutable table across concurrent runs
 // of the same (network, algorithm, VC count).
 //
-// There are two ways to build one. Deterministic minimal routing — what SN,
-// Dragonfly and Clos use — needs a single all-pairs sweep (compact.go):
-// CompileCompact runs one BFS per destination (topo.Network.BFS, O(nr)
-// scratch) and keeps one next-hop port byte per pair plus the sum of all
-// distances. That census gives the dense table's size exactly (DenseBytes)
-// before a byte of it exists, so the caller can pick a form, or refuse on a
-// memory budget, first; Dense then allocates the seven interned arrays once
-// at that size and fills them by walking the bytes — no Paths matrix, no
-// PathBuilder call or allocation per pair, no adjacency search per hop, no
-// second BFS. Every other builder (DOR, XY, datelines, custom registrations)
-// goes through the generic Compile(nr, pb) + CompilePorts, which asks the
-// builder for each pair in turn; on minimal routes it is the reference the
-// sweep's output must equal array for array (TestDenseFromSweepMatchesCompile).
-// slimnoc.CompileRouteTable is the one caller that chooses between them.
+// There are two table forms, one per kind of builder. Deterministic minimal
+// routing — what SN, Dragonfly and Clos use — is next-hop-consistent, so it
+// compiles to one output-port byte per pair (compact.go): CompileCompact
+// fills the bytes from the word-parallel all-pairs sweep (topo.Network.Sweep,
+// 64 destinations per machine word, O(nr) scratch) and the engine walks them
+// per packet (AppendNextWords) — no Paths matrix, no PathBuilder call or
+// allocation per pair, no interned path bytes at any size. Every other
+// builder (DOR, XY, datelines, custom registrations) assigns VCs by geometry
+// and goes through the generic Compile(nr, pb) + CompilePorts, which asks the
+// builder for each pair in turn and interns the answers; on minimal routes it
+// is the reference the compact reconstruction must equal element for element
+// (TestDenseFromSweepMatchesCompile). slimnoc.CompileRouteTable picks the
+// form from the algorithm.
 package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/rng"
 	"repro/internal/topo"
@@ -42,9 +42,10 @@ type Paths struct {
 	next [][]int32 // deterministic minimal next hop (lowest-index tie-break)
 }
 
-// NewMinimal builds all-pairs shortest paths by BFS from every destination.
-// Ties are broken toward the lowest-numbered next hop, making routes
-// deterministic as in the paper's Dijkstra-based setup.
+// NewMinimal builds all-pairs shortest paths from the word-parallel sweep
+// (topo.Network.Sweep). Ties are broken toward the lowest-numbered next hop,
+// making routes deterministic as in the paper's Dijkstra-based setup.
+// Unreachable pairs keep distance and next hop -1.
 func NewMinimal(net *topo.Network) *Paths {
 	nr := net.Nr
 	p := &Paths{
@@ -55,26 +56,36 @@ func NewMinimal(net *topo.Network) *Paths {
 	for i := range p.dist {
 		p.dist[i] = make([]int16, nr)
 		p.next[i] = make([]int32, nr)
-	}
-	dist := make([]int32, nr)
-	queue := make([]int32, 0, nr)
-	for dst := 0; dst < nr; dst++ {
-		order := net.BFS(dst, dist, queue)
-		for r := 0; r < nr; r++ {
-			p.dist[r][dst] = int16(dist[r])
-			p.next[r][dst] = -1
+		for j := range p.dist[i] {
+			p.dist[i][j], p.next[i][j] = -1, -1
 		}
-		// Deterministic next hops: lowest-index neighbour that decreases
-		// distance.
-		for _, r := range order[1:] {
+	}
+	net.Sweep(func(base, _, level int, prev, cur []uint64) {
+		for r, todo := range cur {
+			if todo == 0 {
+				continue
+			}
+			// Bit j of todo: r is level hops from destination base+j.
+			dist, next := p.dist[r][base:], p.next[r][base:]
+			for w := todo; w != 0; w &= w - 1 {
+				dist[bits.TrailingZeros64(w)] = int16(level)
+			}
+			if level == 0 {
+				continue
+			}
+			// The same positional tie-break CompileCompact records as a port
+			// byte: the first neighbour in the sorted row that is one hop
+			// closer, i.e. carries the destination's bit in prev.
 			for _, v := range net.Adj[r] {
-				if dist[v] == dist[r]-1 {
-					p.next[r][dst] = int32(v)
+				for hit := prev[v] & todo; hit != 0; hit &= hit - 1 {
+					next[bits.TrailingZeros64(hit)] = int32(v)
+				}
+				if todo &^= prev[v]; todo == 0 {
 					break
 				}
 			}
 		}
-	}
+	})
 	return p
 }
 

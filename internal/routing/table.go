@@ -48,10 +48,10 @@ type RouteTable struct {
 	// byte per (src,dst) pair, with the network adjacency borrowed for the
 	// reconstruction walks. Mutually exclusive with the interned storage
 	// above: a compact table has no off/voff/plen arrays at all — that is
-	// the point — and serves routes via AppendRoute instead of views.
+	// the point — and serves routes via AppendNextWords/AppendRoute instead
+	// of views.
 	cnh  []uint8 // [src*nr+dst] output port at src toward dst; cnhNone if src == dst
 	cadj [][]int // borrowed adjacency (sorted rows), for next-hop resolution
-	csum int64   // sum of all pairwise hop distances: the census behind DenseBytes
 }
 
 // NextEject is the next-hop word of a path's final hop: the router visit is
@@ -225,7 +225,7 @@ func searchAdj(adj []int, nxt int) (int, bool) {
 }
 
 // HasPorts reports whether per-hop output ports are available — CompilePorts
-// has run (dense tables) or the table is compact (ports ride in AppendRoute).
+// has run (dense tables) or the table is compact (its bytes are the ports).
 func (t *RouteTable) HasPorts() bool { return t.ports != nil || t.cnh != nil }
 
 // Ports returns the per-hop output ports for src->dst (len(path)-1 entries,

@@ -33,7 +33,7 @@ func (s *Sim) Stuck() StuckReport {
 					f := q.front()
 					p := f.pkt
 					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d cb=%v)",
-						r, pi, vc, q.len(), p.id, p.src, p.dst, f.hop, len(p.path)-1, f.idx, p.cbState))
+						r, pi, vc, q.len(), p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, p.cbState))
 				}
 			}
 			for vc := 0; vc < s.vcs && s.cbq != nil; vc++ {

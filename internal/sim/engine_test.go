@@ -73,7 +73,7 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 
 // TestSteadyStateZeroAllocs pins the tentpole contract: once warm, the
 // cycle loop performs zero heap allocations — packets come from the
-// freelist, routes are borrowed from the compiled table, queues are rings
+// freelist, routes are borrowed from the interned table, queues are rings
 // that keep their backing arrays, and credits/ejections ride preallocated
 // timing-wheel buckets.
 func TestSteadyStateZeroAllocs(t *testing.T) {
@@ -117,11 +117,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocsCompactTable extends the zero-allocation contract
-// to the compressed route-table path: route reconstruction at enqueue time
-// appends into per-packet buffers that recycle through the freelist, so once
-// every pooled packet's buffers have reached the network diameter the cycle
-// loop allocates nothing.
+// TestSteadyStateZeroAllocsCompactTable is the zero-allocation contract on
+// the table every SN, Dragonfly and Clos run gets (TestSteadyStateZeroAllocs
+// above runs the interned views grid routing keeps): the next-hop walk at
+// enqueue time appends into a per-packet buffer that recycles through the
+// freelist, so once every pooled packet's buffer has reached the network
+// diameter the cycle loop allocates nothing.
 func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 	sn, err := core.New(core.Params{Q: 5, P: 4})
 	if err != nil {

@@ -145,16 +145,19 @@ var resetSchemes = []struct {
 	scheme BufferScheme
 }{{"eb", EdgeBuffers}, {"el", ElasticLinks}, {"cbr", CentralBuffer}}
 
-// resetTables returns the dense and the compact table of the same minimal
-// routes.
+// resetTables returns the interned (generic Compile + CompilePorts) and the
+// compact table of the same minimal routes.
 func resetTables(t *testing.T, net *topo.Network) (dense, compact *routing.RouteTable) {
 	t.Helper()
 	compact, err := routing.CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err = compact.Dense()
+	dense, err = routing.Compile(net.Nr, &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dense.CompilePorts(net.Adj); err != nil {
 		t.Fatal(err)
 	}
 	return dense, compact

@@ -11,8 +11,9 @@
 // The engine is an active-set design: instead of scanning every link,
 // router and NIC each cycle, dirty lists track the entities with pending
 // work, timing wheels deliver credit returns and delayed ejections, static
-// routes come pre-compiled from a routing.RouteTable whose interned paths
-// packets borrow rather than copy, and packet/buffer freelists make the
+// routes come pre-compiled from a routing.RouteTable as one next-hop word
+// per hop (borrowed from an interned table, or walked off a compact one into
+// a recycled per-packet buffer), and packet/buffer freelists make the
 // steady-state cycle loop allocation-free. All of this is behaviour-
 // preserving: results are byte-identical to the original full-scan engine
 // (pinned by the golden-metrics fixture in testdata/golden_results.json).
@@ -261,20 +262,13 @@ func EdgeBufVar(h, vcs int) func(dist int) int {
 type packet struct {
 	id       int64
 	src, dst int // nodes
-	// path/vcs/ports either borrow a RouteTable's interned storage (static
-	// routing) or view the packet's own pathBuf/vcsBuf/portsBuf (adaptive
-	// routing, or tables without compiled ports); they are read-only either
-	// way. ports[hop] is the output-port index at path[hop] toward
-	// path[hop+1], resolved once at enqueue so switch allocation never
-	// searches the adjacency.
-	path  []int32
-	vcs   []uint8
-	ports []uint8
 	// next is the per-hop next-hop word sequence (routing.NextWord encoding,
-	// NextEject-terminated, len(path) entries): either a RouteTable's interned
-	// nextw view or the packet-owned nextBuf. Flits copy next[hop] at
-	// injection and on every send, so the arbitration loop never touches the
-	// packet's route arrays.
+	// NextEject-terminated, one entry per router on the path, so the hop count
+	// is len(next)-1) — all the engine reads of a route once the packet is
+	// queued. It is either a dense RouteTable's interned NextWords view or the
+	// packet-owned nextBuf (compact tables, adaptive routes), read-only either
+	// way. Flits copy next[hop] at injection and on every send, so the
+	// arbitration loop never touches the packet.
 	next  []uint32
 	flits int
 	class int
@@ -289,13 +283,9 @@ type packet struct {
 	// by hop because head and tail flits of one packet can occupy
 	// different routers simultaneously.
 	cbState []uint8
-	// pathBuf/vcsBuf/portsBuf/nextBuf are the packet-owned route storage for
-	// dynamically (adaptively) routed packets; retained across freelist
-	// recycles.
-	pathBuf  []int32
-	vcsBuf   []uint8
-	portsBuf []uint8
-	nextBuf  []uint32
+	// nextBuf is the packet-owned storage behind next when the route is
+	// reconstructed per packet; retained across freelist recycles.
+	nextBuf []uint32
 }
 
 // flit references its packet and position. next carries the precomputed
@@ -1140,13 +1130,27 @@ func (s *Sim) allocPacket() *packet {
 	return p
 }
 
-// freePacket recycles a fully ejected packet. Borrowed route views are
+// freePacket recycles a fully ejected packet. The borrowed route view is
 // dropped; the packet-owned buffers keep their capacity for reuse.
 //
 //sim:hot
 func (s *Sim) freePacket(p *packet) {
-	p.path, p.vcs, p.ports, p.next = nil, nil, nil, nil
+	p.next = nil
 	s.pktPool = append(s.pktPool, p)
+}
+
+// appendNextWords derives a route's next-hop words from its router path and
+// per-hop VCs, for the routes that arrive in that form (an adaptive policy's
+// choice, a table without compiled ports): the output ports are resolved
+// once here, out of the switch-allocation hot path.
+//
+//sim:hot
+func appendNextWords[R int | int32, V int | uint8](s *Sim, buf []uint32, path []R, vcs []V) []uint32 {
+	for i := 0; i+1 < len(path); i++ {
+		buf = append(buf, routing.NextWord(s.portToward(int(path[i]), int(path[i+1])), int(vcs[i]), s.vcs))
+	}
+	buf = append(buf, nextEject)
+	return buf
 }
 
 //sim:hot
@@ -1163,62 +1167,37 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	p.src, p.dst = src, dst
 	p.flits, p.class = flits, class
 	p.genTime, p.tracked = s.now, tracked
-	if s.cfg.Adaptive != nil {
+	switch {
+	case s.cfg.Adaptive != nil:
 		path, vcs := s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
-		p.pathBuf = p.pathBuf[:0]
-		for _, r := range path {
-			p.pathBuf = append(p.pathBuf, int32(r))
-		}
-		p.path = p.pathBuf
-		p.vcsBuf = p.vcsBuf[:0]
-		for _, v := range vcs {
-			p.vcsBuf = append(p.vcsBuf, uint8(v))
-		}
-		p.vcs = p.vcsBuf
-	} else if s.table.Compact() {
-		// Compact (next-hop-only) table: reconstruct the route into the
-		// packet-owned buffers. Byte-identical to the dense views (pinned by
-		// the routing equivalence tests and the compact golden replay), and
-		// allocation-free once the buffers reach their high-water capacity.
-		p.pathBuf, p.vcsBuf, p.portsBuf, p.nextBuf = s.table.AppendRoute(
-			p.pathBuf[:0], p.vcsBuf[:0], p.portsBuf[:0], p.nextBuf[:0], srcR, dstR)
-		p.path, p.vcs, p.ports, p.next = p.pathBuf, p.vcsBuf, p.portsBuf, p.nextBuf
-	} else {
-		p.path, p.vcs = s.table.Route(srcR, dstR)
-		p.ports = s.table.Ports(srcR, dstR)
+		p.nextBuf = appendNextWords(s, p.nextBuf[:0], path, vcs)
+		p.next = p.nextBuf
+	case s.table.Compact():
+		// Next-hop-only table: walk its bytes into the packet-owned buffer.
+		// Word for word the dense view (pinned by the routing equivalence
+		// tests and the compact golden replay), and allocation-free once the
+		// buffer has reached the longest route's length.
+		p.nextBuf = s.table.AppendNextWords(p.nextBuf[:0], srcR, dstR)
+		p.next = p.nextBuf
+	case s.table.HasPorts():
 		p.next = s.table.NextWords(srcR, dstR)
-	}
-	if p.ports == nil && len(p.path) > 1 {
-		// Adaptive route or a shared table without compiled ports: resolve
-		// the per-hop output ports once here, out of the switch-allocation
-		// hot path.
-		p.portsBuf = p.portsBuf[:0]
-		for i := 0; i+1 < len(p.path); i++ {
-			p.portsBuf = append(p.portsBuf, uint8(s.portToward(int(p.path[i]), int(p.path[i+1]))))
-		}
-		p.ports = p.portsBuf
-	}
-	if p.next == nil {
-		// No interned next-hop words (adaptive route, or a table without
-		// CompilePorts): derive them once here from the resolved ports/VCs.
-		p.nextBuf = p.nextBuf[:0]
-		for i := 0; i+1 < len(p.path); i++ {
-			p.nextBuf = append(p.nextBuf, routing.NextWord(int(p.ports[i]), int(p.vcs[i]), s.vcs))
-		}
-		p.nextBuf = append(p.nextBuf, nextEject)
+	default:
+		// A shared table without compiled ports (routing.Compile alone).
+		path, vcs := s.table.Route(srcR, dstR)
+		p.nextBuf = appendNextWords(s, p.nextBuf[:0], path, vcs)
 		p.next = p.nextBuf
 	}
 	if s.cfg.Scheme == CentralBuffer {
 		// Reset the per-hop bypass decisions, reusing capacity.
-		if cap(p.cbState) < len(p.path) {
+		if cap(p.cbState) < len(p.next) {
 			//detlint:allow hotalloc capacity growth only; recycled packets reuse cbState backing at steady state
-			p.cbState = make([]uint8, len(p.path))
+			p.cbState = make([]uint8, len(p.next))
 		} else {
-			p.cbState = p.cbState[:len(p.path)]
+			p.cbState = p.cbState[:len(p.next)]
 			clear(p.cbState)
 		}
 	}
-	if len(p.path) > maxPacketFlits {
+	if len(p.next) > maxPacketFlits {
 		panic("sim: route exceeds maxPacketFlits hops (flit hop indices are uint16)")
 	}
 	if tracked {
@@ -1319,7 +1298,7 @@ func (s *Sim) eject(f flit) {
 		if p.tracked {
 			s.doneMeasured++
 			s.lat = append(s.lat, s.now-p.genTime)
-			s.totalHops += int64(len(p.path) - 1)
+			s.totalHops += int64(len(p.next) - 1)
 			s.hopPackets++
 		}
 		s.cfg.Traffic.OnDelivered(s.now, p.src, p.dst, p.flits, p.class, s.replyEmit)

@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -144,7 +145,8 @@ func (n *Network) Connected(i, j int) bool {
 // (nondecreasing distance, src first). queue is scratch the caller keeps
 // across calls: the walk indexes a head into it instead of re-slicing, so a
 // queue of capacity Nr is never reallocated however many sources are swept.
-// The result aliases queue.
+// The result aliases queue. This is the single-source search (components,
+// one unreachable pair); anything over all pairs runs on Sweep.
 func (n *Network) BFS(src int, dist, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = -1
@@ -164,46 +166,109 @@ func (n *Network) BFS(src int, dist, queue []int32) []int32 {
 	return queue
 }
 
+// Sweep is the all-pairs breadth-first search: it runs a BFS from every
+// router, 64 sources at a time, one source per bit of a machine word. Sources
+// are batched in index order — batch base covers sources base..base+k-1,
+// k = 64 except for a shorter last batch — and each batch advances all of its
+// searches one level per pass over the adjacency:
+//
+//	cur[r] = (OR of prev[v] over v in Adj[r]) &^ seen[r]
+//
+// so a diameter-2 network is done in two passes per 64 sources instead of 64
+// queue walks. visit is called once per batch and non-empty level, levels
+// ascending from 0: bit j of cur[r] is set exactly when router r is at
+// distance level from source base+j, and prev is the previous level's
+// frontier in the same encoding (nil at level 0). Adjacency is symmetric, so
+// the same bit also says r is level hops from reaching base+j, and a
+// neighbour v of r with the bit set in prev is one step closer to it. Both
+// slices are scratch the sweep reuses (three Nr-word arrays for the whole
+// run) and are only valid during the call.
+//
+// Sweep reports whether the network is connected. A disconnected network is
+// swept to the end all the same: unreachable pairs simply never appear in a
+// frontier.
+func (n *Network) Sweep(visit func(base, k, level int, prev, cur []uint64)) (connected bool) {
+	nr := n.Nr
+	scratch := make([]uint64, 3*nr)
+	prev, cur, seen := scratch[:nr], scratch[nr:2*nr], scratch[2*nr:]
+	connected = true
+	for base := 0; base < nr; base += 64 {
+		k := min(64, nr-base)
+		full := ^uint64(0) >> (64 - k) // the tail batch owns only its low k bits
+		clear(cur)
+		clear(seen)
+		for j := 0; j < k; j++ {
+			cur[base+j] = 1 << j
+			seen[base+j] = 1 << j
+		}
+		visit(base, k, 0, nil, cur)
+		for level := 1; ; level++ {
+			prev, cur = cur, prev
+			reached, all := uint64(0), full
+			for r, adj := range n.Adj {
+				s := seen[r]
+				if s == full {
+					cur[r] = 0
+					continue
+				}
+				var front uint64
+				for _, v := range adj {
+					front |= prev[v]
+				}
+				front &^= s
+				cur[r] = front
+				seen[r] = s | front
+				reached |= front
+				all &= s | front
+			}
+			if reached == 0 {
+				connected = connected && all == full
+				break
+			}
+			visit(base, k, level, prev, cur)
+			if all == full {
+				break
+			}
+		}
+	}
+	return connected
+}
+
 // Diameter returns the maximum over all router pairs of the shortest-path
-// hop count (-1 if the network is disconnected), computed by BFS from every
-// router. The all-pairs sweep runs once per Network and is memoized: every
-// later call, from any goroutine, returns the first answer. That is sound
-// under the read-only sharing contract the facade already imposes (see
-// slimnoc.WithNetwork) — a network must not be mutated once it has been
-// handed to anything that may ask for its diameter.
+// hop count (-1 if the network is disconnected). The all-pairs sweep runs
+// once per Network and is memoized: every later call, from any goroutine,
+// returns the first answer. That is sound under the read-only sharing
+// contract the facade already imposes (see slimnoc.WithNetwork) — a network
+// must not be mutated once it has been handed to anything that may ask for
+// its diameter.
 func (n *Network) Diameter() int {
 	n.diamOnce.Do(func() { n.diam = n.diameter() })
 	return n.diam
 }
 
 func (n *Network) diameter() int {
-	diam := int32(0)
-	dist := make([]int32, n.Nr)
-	queue := make([]int32, 0, n.Nr)
-	for s := 0; s < n.Nr; s++ {
-		order := n.BFS(s, dist, queue)
-		if len(order) < n.Nr {
-			return -1 // disconnected
-		}
-		if d := dist[order[len(order)-1]]; d > diam {
-			diam = d
-		}
+	diam := 0
+	if !n.Sweep(func(_, _, level int, _, _ []uint64) { diam = max(diam, level) }) {
+		return -1
 	}
-	return int(diam)
+	return diam
 }
 
 // AvgShortestPath returns the mean router-router shortest path length over
 // all ordered pairs of distinct, mutually reachable routers.
 func (n *Network) AvgShortestPath() float64 {
 	total, pairs := 0, 0
-	dist := make([]int32, n.Nr)
-	queue := make([]int32, 0, n.Nr)
-	for s := 0; s < n.Nr; s++ {
-		for _, v := range n.BFS(s, dist, queue)[1:] {
-			total += int(dist[v])
-			pairs++
+	n.Sweep(func(_, _, level int, _, cur []uint64) {
+		if level == 0 {
+			return
 		}
-	}
+		at := 0
+		for _, w := range cur {
+			at += bits.OnesCount64(w)
+		}
+		total += level * at
+		pairs += at
+	})
 	if pairs == 0 {
 		return 0
 	}

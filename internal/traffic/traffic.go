@@ -29,8 +29,9 @@
 package traffic
 
 import (
+	"math/bits"
+
 	"repro/internal/rng"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -159,27 +160,46 @@ func NewAdversarial(net *topo.Network, variant int) *Adversarial {
 	a := &Adversarial{Variant: variant, net: net, partner: make([]int, net.Nr)}
 	switch variant {
 	case 1:
-		// Greedy maximum-distance matching: a permutation, so ejection
-		// bandwidth stays balanced while minimal paths are maximally long
-		// and deterministic tie-breaking concentrates them on few links.
-		p := routing.NewMinimal(net)
-		taken := make([]bool, net.Nr)
-		for r := 0; r < net.Nr; r++ {
-			best, bestD := -1, -1
-			for o := 0; o < net.Nr; o++ {
-				if o == r || taken[o] {
-					continue
+		// Greedy maximum-distance matching in router order: a permutation, so
+		// ejection bandwidth stays balanced while minimal paths are maximally
+		// long and deterministic tie-breaking concentrates them on few links.
+		// Distances come from the all-pairs sweep one 64-source batch at a
+		// time, so the scratch is 64 distance rows, not a matrix.
+		nr := net.Nr
+		taken := make([]bool, nr)
+		dist := make([]int16, 64*nr) // row j: hops from router base+j, -1 if unreachable
+		match := func(base, k int) {
+			for j := 0; j < k; j++ {
+				r := base + j
+				best, bestD := -1, int16(-1)
+				for o, d := range dist[j*nr : (j+1)*nr] {
+					if o != r && !taken[o] && d > bestD {
+						best, bestD = o, d
+					}
 				}
-				if d := p.Dist(r, o); d > bestD {
-					best, bestD = o, d
+				if best < 0 {
+					best = r // odd leftover: self maps identity, filtered in Dest
 				}
+				taken[best] = true
+				a.partner[r] = best
 			}
-			if best < 0 {
-				best = r // odd leftover: self maps identity, filtered in Dest
-			}
-			taken[best] = true
-			a.partner[r] = best
 		}
+		batch, size := 0, 0 // the batch whose rows are being filled
+		net.Sweep(func(base, k, level int, _, cur []uint64) {
+			if level == 0 {
+				match(batch, size) // the previous batch's rows are complete
+				batch, size = base, k
+				for i := range dist {
+					dist[i] = -1
+				}
+			}
+			for o, w := range cur {
+				for ; w != 0; w &= w - 1 {
+					dist[bits.TrailingZeros64(w)*nr+o] = int16(level)
+				}
+			}
+		})
+		match(batch, size)
 	default:
 		for r := 0; r < net.Nr; r++ {
 			a.partner[r] = (r + net.Nr/2) % net.Nr

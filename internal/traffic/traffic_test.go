@@ -1,11 +1,13 @@
 package traffic
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -133,6 +135,45 @@ func TestAdversarialPermutation(t *testing.T) {
 		d := adv.Dest(rng, src)
 		if d == src || d < 0 || d >= net.N() {
 			t.Fatalf("bad dest %d for %d", d, src)
+		}
+	}
+}
+
+// TestAdversarialMatchesAllPairs pins the batched ADV1 construction against
+// the matrix it replaced: the same greedy farthest-partner matching run over
+// a full routing.Paths distance matrix must give the same partner of every
+// router — on sn_subgr_200, t2d54 (many distance ties) and a Dragonfly, on a
+// 98-router SN that spans two 64-source batches, and on that SN with most
+// links removed (unreachable routers are nobody's partner).
+func TestAdversarialMatchesAllPairs(t *testing.T) {
+	df, err := topo.Dragonfly(5, 2, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn98 := snNet(t, 7, 4)
+	damaged := sn98.RemoveRandomLinks(0.8, 3)
+	if damaged.Diameter() != -1 {
+		t.Fatal("fixture: 80% link removal left the SN connected")
+	}
+	for _, net := range []*topo.Network{snNet(t, 5, 4), topo.Torus2D(6, 3, 3), df, sn98, damaged} {
+		p := routing.NewMinimal(net)
+		want := make([]int, net.Nr)
+		taken := make([]bool, net.Nr)
+		for r := range want {
+			best, bestD := -1, -1
+			for o := 0; o < net.Nr; o++ {
+				if d := p.Dist(r, o); o != r && !taken[o] && d > bestD {
+					best, bestD = o, d
+				}
+			}
+			if best < 0 {
+				best = r
+			}
+			taken[best] = true
+			want[r] = best
+		}
+		if got := NewAdversarial(net, 1).partner; !slices.Equal(got, want) {
+			t.Errorf("%s (%d routers): partners %v, want %v", net.Name, net.Nr, got, want)
 		}
 	}
 }

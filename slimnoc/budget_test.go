@@ -61,10 +61,10 @@ func TestWithMemBudget(t *testing.T) {
 		t.Errorf("budgeted result %+v != unbudgeted %+v", capped.Raw, free.Raw)
 	}
 
-	// A run that compiles its own table: the budget is checked against the
-	// sweep's census, so the error arrives before the dense arrays are
-	// allocated — the bytes the refused Run allocated stay far below the
-	// table it declined to build.
+	// A run that compiles its own interned table: the budget is checked
+	// against the table's nr^2 x 12 offset floor, so the error arrives before
+	// any of it is allocated — the bytes the refused Run allocated stay far
+	// below the table it declined to build.
 	spec := tableBustsBudget()
 	net, kind, err := BuildNetwork(spec.Network)
 	if err != nil {
@@ -78,19 +78,41 @@ func TestWithMemBudget(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
 		t.Errorf("refused run allocated %d KiB; the table must be rejected before it is laid down", got>>10)
 	}
-	if _, err := Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(64<<20)); err != nil {
-		t.Errorf("64 MiB budget: %v", err)
+
+	// The 512-router SN used to need a 9.9 MiB interned table; its compact
+	// table is 0.25 MiB, so the whole N=4096 point now fits the same 8 MiB
+	// budget — and allocates accordingly.
+	spec = compactFitsBudget()
+	if net, kind, err = BuildNetwork(spec.Network); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	_, err = Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(tableBudget))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("8 MiB budget on the 512-router SN: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 12<<20 {
+		t.Errorf("the N=4096 point allocated %d KiB, want under 12 MiB", got>>10)
 	}
 }
 
-// tableBustsBudget is a point whose route table alone (9.9 MiB dense on the
-// 512-router SN) exceeds tableBudget while the rest of its engine would fit.
+// tableBustsBudget is a point whose interned DOR route table (18.2 MiB of
+// offsets alone on the 1260-router torus) exceeds tableBudget.
 func tableBustsBudget() RunSpec {
 	return RunSpec{
-		Network: NetworkSpec{Topology: "sn", Q: 16, Conc: 8, Layout: "subgr"},
+		Network: NetworkSpec{Preset: "t2d10k"},
 		Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.008},
 		Sim:     SimSpec{WarmupCycles: 10, MeasureCycles: 20, DrainCycles: 40, Seed: 9},
 	}
+}
+
+// compactFitsBudget is the N=4096 SN point, table and engine, inside
+// tableBudget.
+func compactFitsBudget() RunSpec {
+	spec := tableBustsBudget()
+	spec.Network = NetworkSpec{Topology: "sn", Q: 16, Conc: 8, Layout: "subgr"}
+	return spec
 }
 
 const tableBudget = 8 << 20
@@ -99,7 +121,7 @@ const tableBudget = 8 << 20
 func checkTableBudgetError(t *testing.T, err error) {
 	t.Helper()
 	if err == nil {
-		t.Fatal("an 8 MiB budget accepted a 9.9 MiB route table")
+		t.Fatal("an 8 MiB budget accepted an 18 MiB route table")
 	}
 	if !strings.Contains(err.Error(), "MemBudgetBytes") || !strings.Contains(err.Error(), "route table") {
 		t.Errorf("error %q does not name the route table and MemBudgetBytes", err)
@@ -125,14 +147,17 @@ func TestCampaignMemBudget(t *testing.T) {
 	// The table-less path under a campaign: the shared-table cache compiles
 	// under the point budget too, refuses, and the point reports the table.
 	results, err = RunCampaign(context.Background(),
-		[]RunSpec{tableBustsBudget()}, WithJobs(1), WithPointMemBudget(tableBudget))
+		[]RunSpec{tableBustsBudget(), compactFitsBudget()}, WithJobs(1), WithPointMemBudget(tableBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 {
+	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
 	checkTableBudgetError(t, results[0].Err)
+	if results[1].Err != nil {
+		t.Errorf("the N=4096 SN point under the same budget: %v", results[1].Err)
+	}
 }
 
 // TestScalePresets pins the 10k/100k Table 4 siblings added for the scale-*

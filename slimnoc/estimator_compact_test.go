@@ -3,23 +3,28 @@ package slimnoc
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/routing"
 )
 
-// TestEstimatorCompactTable estimates and path-queries on an engine whose
-// dense route table would exceed the 64 MiB threshold, so NewEstimator holds
-// the compact form (which has no Route views: deriving hops from them used to
-// panic the serving goroutine after the first episode), and pins every answer
-// equal to the same network forced onto the dense table.
+// TestEstimatorCompactTable estimates and path-queries on the compact table
+// NewEstimator holds for every SN engine (it has no Route views: deriving hops
+// from them used to panic the serving goroutine after the first episode), and
+// pins every answer equal to the same network on the interned table the
+// generic Compile + CompilePorts builds.
 func TestEstimatorCompactTable(t *testing.T) {
 	e, err := NewEstimator(RunSpec{Network: NetworkSpec{Topology: "sn", Q: 27, Conc: 8, Layout: "subgr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !e.table.Compact() {
-		t.Fatal("fixture: estimator table is dense; pick a network past the compact threshold")
+		t.Fatal("estimator table of an SN engine is not compact")
 	}
-	dense, err := e.table.Dense()
+	dense, err := routing.Compile(e.net.Nr, &routing.MinimalRouting{P: routing.NewMinimal(e.net), VCs: e.table.NumVCs()})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dense.CompilePorts(e.net.Adj); err != nil {
 		t.Fatal(err)
 	}
 	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: dense, cfg: e.cfg}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/routing"
 )
 
 // TestRunnerWithRouteTable pins that a precompiled shared table changes
@@ -143,14 +146,13 @@ func TestCampaignSharedRouteTableRace(t *testing.T) {
 	}
 }
 
-// TestCompileRouteTableSelection pins the one selection policy: an eligible
-// algorithm gets the dense table up to 64 MiB of exact interned size and the
-// compact form above it, and the size the policy reads — the sweep's own
-// census — is the size an independent BFS count gives, so the flip sits at
-// the same networks as when a separate census pass made the call. The two
-// SN sizes straddle the threshold (59 MiB / 81 MiB dense); minimal routing
-// on the 10k-endpoint torus is the long-path case whose 19 MiB offset floor
-// says "dense" while its real 300+ MiB says "compact".
+// TestCompileRouteTableSelection pins the one selection policy: the form
+// follows the algorithm, never the size. Deterministic minimal routing — named
+// directly or picked by "auto" on a generic-class topology — gets the compact
+// next-hop table, one byte per router pair, from the smallest SN to the sizes
+// that used to straddle a dense/compact threshold (q = 25, 27) and the
+// long-path 10k-endpoint torus; grid "auto" (DOR, VCs by geometry) keeps the
+// interned table with compiled ports.
 func TestCompileRouteTableSelection(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -158,50 +160,82 @@ func TestCompileRouteTableSelection(t *testing.T) {
 		algorithm   string
 		wantCompact bool
 	}{
-		{"sn_q25", NetworkSpec{Topology: "sn", Q: 25, Conc: 4, Layout: "subgr"}, "auto", false},
+		{"sn_q5", NetworkSpec{Topology: "sn", Q: 5, Conc: 4, Layout: "subgr"}, "auto", true},
+		{"sn_q25", NetworkSpec{Topology: "sn", Q: 25, Conc: 4, Layout: "subgr"}, "auto", true},
 		{"sn_q27", NetworkSpec{Topology: "sn", Q: 27, Conc: 4, Layout: "subgr"}, "auto", true},
 		{"t2d10k_minimal", NetworkSpec{Preset: "t2d10k"}, "minimal", true},
+		{"t2d54_auto", NetworkSpec{Preset: "t2d54"}, "auto", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net, kind, err := BuildNetwork(c.ns)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The census as a pass of its own: 20 B per pair plus 10 B per hop.
-			var hops int64
-			dist, queue := make([]int32, net.Nr), make([]int32, 0, net.Nr)
-			for dst := 0; dst < net.Nr; dst++ {
-				for _, r := range net.BFS(dst, dist, queue) {
-					hops += int64(dist[r])
-				}
-			}
-			dense := 20*int64(net.Nr)*int64(net.Nr) + 10*hops
-			if (dense > compactTableThreshold) != c.wantCompact {
-				t.Fatalf("fixture: exact dense size %d B is on the wrong side of the threshold", dense)
-			}
 			tab, err := CompileRouteTable(net, kind, c.algorithm, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tab.Compact() != c.wantCompact {
-				t.Fatalf("Compact() = %v, want %v at %d dense bytes", tab.Compact(), c.wantCompact, dense)
+				t.Fatalf("Compact() = %v, want %v", tab.Compact(), c.wantCompact)
 			}
+			pairs := int64(net.Nr) * int64(net.Nr)
 			if c.wantCompact {
-				if got := tab.DenseBytes(); got != dense {
-					t.Errorf("sweep census %d B, independent count %d B", got, dense)
+				if got := tab.MemBytes(); got != pairs {
+					t.Errorf("compact table holds %d B, want one per pair (%d)", got, pairs)
 				}
-			} else if got := tab.MemBytes(); got != dense {
-				t.Errorf("dense table holds %d B, census predicted %d B", got, dense)
+			} else if !tab.HasPorts() || tab.MemBytes() <= 12*pairs {
+				t.Errorf("interned table: HasPorts %v, %d B (offset floor %d)", tab.HasPorts(), tab.MemBytes(), 12*pairs)
 			}
 		})
 	}
 }
 
+// TestCompactTableMatchesBFSOnPresets holds the sweep-built table against the
+// scalar construction it replaced on every registered preset (and the SN
+// sizes the figures use) of up to 1300 routers: for each pair the first
+// next-hop word carries the port of the first neighbour, in adjacency order,
+// that one BFS from the destination puts a hop closer; and the network's
+// memoized diameter is the largest BFS distance.
+func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
+	for _, name := range append(Presets(), "sn_subgr_200", "sn_gr_1296", "sn_subgr_10000") {
+		net, _, err := BuildNetwork(NetworkSpec{Preset: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Nr > 1300 || (testing.Short() && net.Nr > 300) {
+			continue
+		}
+		tab, err := routing.CompileCompact(net, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		diam := int32(0)
+		var words []uint32
+		dist, queue := make([]int32, net.Nr), make([]int32, 0, net.Nr)
+		for dst := 0; dst < net.Nr; dst++ {
+			net.BFS(dst, dist, queue)
+			for r, adj := range net.Adj {
+				diam = max(diam, dist[r])
+				if r == dst {
+					continue
+				}
+				port := slices.IndexFunc(adj, func(v int) bool { return dist[v] == dist[r]-1 })
+				words = tab.AppendNextWords(words[:0], r, dst)
+				if got := int(words[0] >> 16); got != port || len(words) != int(dist[r])+1 {
+					t.Fatalf("%s %d->%d: table leaves by port %d on a %d-hop route, BFS by port %d on %d hops", name, r, dst, got, len(words)-1, port, dist[r])
+				}
+			}
+		}
+		if got := net.Diameter(); got != int(diam) {
+			t.Errorf("%s: Diameter() = %d, BFS says %d", name, got, diam)
+		}
+	}
+}
+
 // TestCompileRouteTableAllocs caps the allocations of one compile on the
-// N=512 SN: the sweep's table and scratch plus the seven dense arrays, each
-// made once. The generic construction this replaced allocated twice per
-// router pair (32k+ here); the ceiling leaves room for bookkeeping, none for
-// anything per pair or per router.
+// N=512 SN: the table, the sweep's scratch and bookkeeping. The generic
+// construction allocates twice per router pair (32k+ here); the ceiling
+// leaves no room for anything per pair or per router.
 func TestCompileRouteTableAllocs(t *testing.T) {
 	net, kind, err := BuildNetwork(NetworkSpec{Topology: "sn", Q: 8, Conc: 4, Layout: "subgr"})
 	if err != nil {
@@ -212,7 +246,7 @@ func TestCompileRouteTableAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 24 {
-		t.Errorf("CompileRouteTable allocates %.0f times per call, want <= 24", allocs)
+	if allocs > 8 {
+		t.Errorf("CompileRouteTable allocates %.0f times per call, want <= 8", allocs)
 	}
 }

@@ -332,19 +332,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
-// compactTableThreshold is the dense-table size above which
-// CompileRouteTable switches to the compact next-hop form for eligible
-// algorithms. 64 MiB keeps every benchmark-sized network on the dense
-// zero-reconstruction path while the paper's 100k-endpoint instances
-// (whose dense tables reach gigabytes) compress to one byte per pair.
-const compactTableThreshold = 64 << 20
-
 // compactEligible reports whether the algorithm's routes on this topology
 // are exactly the deterministic minimal next-hop routes that
 // routing.CompileCompact reproduces: the generic minimal builder, either
 // named directly or selected by "auto" on a generic-class topology (SN,
 // Dragonfly, Clos). Grid algorithms (DOR, XY, datelines) assign VCs by
-// geometry rather than hop index and keep their dense tables.
+// geometry rather than hop index and keep interned tables.
 func compactEligible(kind Kind, algorithm string) bool {
 	switch strings.ToLower(algorithm) {
 	case "minimal":
@@ -363,14 +356,11 @@ func compactEligible(kind Kind, algorithm string) bool {
 // campaign's shared-table cache and NewEstimator all compile here.
 //
 // Algorithms whose routes are deterministic minimal next-hop routes (see
-// compactEligible) are built from a single all-pairs sweep
-// (routing.CompileCompact), whose distance census gives the exact size of
-// the dense interned table before any of it exists. Up to
-// compactTableThreshold the dense table is laid down from the sweep's
-// next-hop bytes; above it the compact form — byte-identical routes at one
-// byte per (src,dst) pair — is returned as is. routing.CompileCompact is the
-// direct way to force that form at any size. Every other static algorithm
-// (the grid builders, custom registrations) goes through the generic
+// compactEligible) compile, at every size, to routing.CompileCompact's table:
+// one next-hop byte per (src,dst) pair, filled by a single word-parallel
+// all-pairs sweep, from which the engine reconstructs each packet's route
+// byte-identically to an interned table. Every other static algorithm (the
+// grid builders, custom registrations) goes through the generic
 // routing.Compile + CompilePorts.
 func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*RouteTable, error) {
 	return compileRouteTable(net, kind, algorithm, vcs, 0)
@@ -378,10 +368,9 @@ func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*Rou
 
 // compileRouteTable is CompileRouteTable under a memory budget (0 = none):
 // the table's size is checked against it before the table is allocated —
-// exactly for single-sweep tables, whose census precedes the dense arrays,
-// and by the nr^2 offset floor otherwise — so a point whose table alone
-// busts the budget fails here instead of allocating first and letting
-// sim.New find out.
+// exactly for compact tables (nr^2 bytes), by the nr^2 x 12 offset floor for
+// interned ones — so a point whose table alone busts the budget fails here
+// instead of allocating first and letting sim.New find out.
 func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budget int64) (*RouteTable, error) {
 	re, ok := routings.lookup(algorithm)
 	if !ok {
@@ -401,21 +390,10 @@ func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budge
 	}
 	pairs := int64(net.Nr) * int64(net.Nr)
 	if compactEligible(kind, algorithm) {
-		if err := overBudget(pairs); err != nil { // the sweep's own byte per pair
+		if err := overBudget(pairs); err != nil { // one next-hop byte per pair
 			return nil, err
 		}
-		tab, err := routing.CompileCompact(net, vcs)
-		if err != nil {
-			return nil, err
-		}
-		dense := tab.DenseBytes()
-		if dense > compactTableThreshold {
-			return tab, nil
-		}
-		if err := overBudget(dense); err != nil {
-			return nil, err
-		}
-		return tab.Dense()
+		return routing.CompileCompact(net, vcs)
 	}
 	if err := overBudget(pairs * 12); err != nil { // three int32 offsets per pair
 		return nil, err
