@@ -1,8 +1,13 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation. Each benchmark executes the corresponding experiment from
-// internal/exp in quick mode and reports a headline metric so regressions in
-// the reproduced trends are visible from `go test -bench`. Run
+// evaluation. Each benchmark reproduces the corresponding manifest figure
+// from internal/exp in quick mode (FigureByID -> RunFigure -> Derive) and
+// reports a headline metric of its derived tables, so regressions in the
+// reproduced trends are visible from `go test -bench`. Run
 // `go run ./cmd/snexp -exp <id> -full` for the full-methodology tables.
+//
+// BenchmarkEngine and BenchmarkCampaign time the simulator and the
+// campaign pool for local profiling; `go run ./benchmark` is the
+// measurement of record.
 package repro_test
 
 import (
@@ -19,16 +24,22 @@ import (
 
 func opts() exp.Options { return exp.Options{Quick: true, Seed: 1} }
 
-// runExp executes one registered experiment and returns its tables.
+// runExp reproduces one manifest figure and returns its derived tables.
 func runExp(b *testing.B, id string) []*stats.Table {
 	b.Helper()
-	e, err := exp.ByID(id)
+	f, err := exp.FigureByID(id, opts())
 	if err != nil {
 		b.Fatal(err)
 	}
 	var tables []*stats.Table
 	for i := 0; i < b.N; i++ {
-		tables = e.Run(context.Background(), opts())
+		run, err := exp.RunFigure(context.Background(), f, opts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tables, err = f.Derive(run); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(tables) == 0 {
 		b.Fatalf("%s produced no tables", id)
@@ -382,9 +393,7 @@ func BenchmarkAblSmartHopFactor(b *testing.B) {
 // saturated load are where per-flit router work dominates, which the SoA
 // state layout plus domain-parallel stepping attack (every run here uses
 // WithEngineJobs(-1), all cores — results are byte-identical to serial, so
-// the fixture stays comparable across machine shapes). These sub-benchmarks
-// are the headline numbers for engine-core optimisations (tracked in
-// BENCH_sim.json).
+// the numbers stay comparable across machine shapes).
 func BenchmarkEngine(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

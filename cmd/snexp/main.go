@@ -1,9 +1,11 @@
-// Command snexp runs the paper-reproduction experiments and prints their
-// tables. With no arguments it lists the registry; -exp runs one experiment,
-// -all runs everything. Scale and seed come from the shared spec flags
-// (-full, -seed, or a -spec file's sim section); -jobs sets the simulation
-// worker count (0 = every CPU — per-point results are identical at any job
-// count). Ctrl-C cancels the in-flight sweep and exits cleanly.
+// Command snexp prints the paper's derived tables: it runs a manifest
+// figure's simulation grid (none, for the analytic artifacts) and renders
+// the tables its Derive computes from the point results and the analytical
+// models. With no arguments it lists the figures that have derived tables;
+// -exp runs one, -all runs every one. Scale and seed come from the shared
+// spec flags (-full, -seed, or a -spec file's sim section); -jobs sets the
+// simulation worker count (0 = every CPU — per-point results are identical
+// at any job count). Ctrl-C cancels the in-flight grid and exits 130.
 //
 // Usage:
 //
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/stats"
@@ -57,56 +60,56 @@ func main() {
 	switch {
 	case *list || (*id == "" && !*all):
 		fmt.Println("Available experiments:")
-		for _, e := range exp.Registry() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+		for _, f := range derived(opts) {
+			fmt.Printf("  %-8s %s (%s)\n", f.ID, f.Title, f.Section)
 		}
-		return
 	case *all:
-		for _, e := range exp.Registry() {
-			fmt.Printf("== running %s: %s\n", e.ID, e.Title)
-			tables, err := runExperiment(ctx, e, opts)
-			if err != nil {
-				interrupted(err)
-			}
-			emit(tables, *csv)
+		for _, f := range derived(opts) {
+			fmt.Printf("== running %s: %s (%s)\n", f.ID, f.Title, f.Section)
+			run(ctx, f, opts, *csv)
 		}
 	default:
-		e, err := exp.ByID(*id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		f, err := exp.FigureByID(*id, opts)
+		if err != nil || f.Derive == nil {
+			var ids []string
+			for _, f := range derived(opts) {
+				ids = append(ids, f.ID)
+			}
+			fmt.Fprintf(os.Stderr, "snexp: unknown experiment %q (have %s)\n", *id, strings.Join(ids, ", "))
 			os.Exit(1)
 		}
-		tables, err := runExperiment(ctx, e, opts)
-		if err != nil {
-			interrupted(err)
-		}
-		emit(tables, *csv)
+		run(ctx, f, opts, *csv)
 	}
 }
 
-// runExperiment invokes one experiment, converting the cancellation panic
-// the Must* experiment helpers raise on Ctrl-C back into an error.
-func runExperiment(ctx context.Context, e exp.Experiment, opts exp.Options) (tables []*stats.Table, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
+// derived returns the manifest figures that have derived tables, in
+// manifest order.
+func derived(opts exp.Options) []exp.Figure {
+	var out []exp.Figure
+	for _, f := range exp.Manifest(opts) {
+		if f.Derive != nil {
+			out = append(out, f)
 		}
-		if rerr, ok := r.(error); ok && errors.Is(rerr, context.Canceled) {
-			err = rerr
-			return
-		}
-		panic(r)
-	}()
-	return e.Run(ctx, opts), nil
+	}
+	return out
 }
 
-func interrupted(err error) {
-	fmt.Fprintln(os.Stderr, "snexp: interrupted:", err)
-	os.Exit(130)
-}
-
-func emit(tables []*stats.Table, csv bool) {
+// run reproduces one figure and prints its derived tables; it exits 130
+// when interrupted and 1 on any other failure.
+func run(ctx context.Context, f exp.Figure, opts exp.Options, csv bool) {
+	r, err := exp.RunFigure(ctx, f, opts)
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr, "snexp: interrupted:", err)
+		os.Exit(130)
+	}
+	var tables []*stats.Table
+	if err == nil {
+		tables, err = f.Derive(r)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snexp: %s: %v\n", f.ID, err)
+		os.Exit(1)
+	}
 	for _, t := range tables {
 		if csv {
 			fmt.Println(t.CSV())

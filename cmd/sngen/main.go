@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +34,15 @@ func main() {
 
 	switch {
 	case *table2:
-		for _, t := range exp.Table2(context.Background(), exp.Options{}) {
+		f, err := exp.FigureByID("tab2", exp.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		tables, err := f.Derive(exp.FigureRun{Figure: f})
+		if err != nil {
+			fatal(err)
+		}
+		for _, t := range tables {
 			fmt.Println(t.String())
 		}
 	case *field != 0:

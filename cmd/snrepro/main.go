@@ -76,7 +76,7 @@ func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bo
 		for _, f := range manifest {
 			kind := fmt.Sprintf("%d sweep(s)", len(f.Sweeps))
 			switch {
-			case f.Analytic:
+			case !f.Simulates():
 				kind = "analytic"
 			case len(f.Sats) > 0:
 				kind = fmt.Sprintf("%d search(es)", len(f.Sats))
@@ -123,7 +123,7 @@ func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bo
 			return fail(fmt.Errorf("%s: %w", f.ID, bad))
 		}
 		cached, fresh := run.CachedCount()
-		if f.Analytic {
+		if !f.Simulates() {
 			fmt.Printf("   analytic artifact — see `snexp -exp %s` for the derived tables\n", f.ID)
 		} else {
 			fmt.Printf("   %d points (%d from store, %d simulated)\n", cached+fresh, cached, fresh)
@@ -132,7 +132,7 @@ func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bo
 		if err := os.WriteFile(mdPath, []byte(run.Markdown()), 0o644); err != nil {
 			return fail(err)
 		}
-		if !f.Analytic {
+		if f.Simulates() {
 			csvPath := filepath.Join(outDir, f.ID+".csv")
 			if err := os.WriteFile(csvPath, []byte(run.CSV()), 0o644); err != nil {
 				return fail(err)

@@ -20,12 +20,13 @@
 // allocation-free), the static-route compiler in internal/routing (whose
 // RouteTable interns per-pair paths that packets borrow and campaigns
 // share), the DSENT-substitute power models in internal/power, and the
-// per-figure experiment harness in internal/exp — which also carries the
-// reproduction manifest mapping every figure to its declarative sweeps
-// (consumed by cmd/snrepro, the resumable paper-reproduction driver; see
+// reproduction manifest in internal/exp, which declares every figure once:
+// its declarative sweeps plus the derivation of its tables (consumed by
+// cmd/snrepro, the resumable paper-reproduction driver, and cmd/snexp; see
 // docs/REPRODUCING.md). The root package holds the benchmark harness
 // (bench_test.go) that regenerates every table and figure of the paper's
-// evaluation plus the engine/campaign performance benchmarks recorded in
-// BENCH_sim.json; run `go run ./cmd/snexp -list` for the experiment index
-// and `go run ./cmd/snrepro -list` for the reproducible-figure manifest.
+// evaluation plus local engine/campaign profiling benchmarks; `go run
+// ./benchmark` is the measurement of record. Run `go run ./cmd/snexp -list`
+// for the derived-table index and `go run ./cmd/snrepro -list` for the
+// reproducible-figure manifest.
 package repro

@@ -1,17 +1,15 @@
-// Package exp is the experiment harness: one entry per table and figure in
-// the paper's evaluation (§2.2, §3, §5, §6). Each experiment builds the
-// networks of Table 4, runs the simulator and/or the analytical models, and
-// emits the same rows or series the paper reports, as printable tables.
+// Package exp reproduces the paper's evaluation (§2.1, §2.2, §3, §5, §6).
+// Every table and figure is one manifest entry (Figure): the declarative
+// simulation grids that generate its points, plus an optional Derive that
+// renders the paper's exact tables from those points and the analytical
+// area/power/layout models. One driver (RunFigure) executes the grids;
+// cmd/snrepro renders every figure's per-point reports against a result
+// store, and cmd/snexp prints the derived tables.
 package exp
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 
-	"repro/internal/routing"
-	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/slimnoc"
 )
@@ -24,10 +22,10 @@ type Options struct {
 	Quick bool
 	Seed  int64
 
-	// Jobs is the simulation worker count for batched experiment points:
-	// 1 forces serial execution, 0 (the default) uses every CPU. Results
-	// are identical at any job count — each point's seed is fixed up
-	// front — so Jobs trades wall-clock only.
+	// Jobs is the simulation worker count for a figure's points: 1 forces
+	// serial execution, 0 (the default) uses every CPU. Results are
+	// identical at any job count — each point's seed is fixed up front — so
+	// Jobs trades wall-clock only.
 	Jobs int
 
 	// EngineJobs steps each point's engine across that many parallel
@@ -86,192 +84,13 @@ func (o Options) Loads() []float64 {
 	return []float64{0.008, 0.02, 0.06, 0.12, 0.24, 0.40}
 }
 
-// NetSpec is one simulated network configuration from Table 4.
-type NetSpec struct {
-	Name string
-	Net  *topo.Network
-	Kind routing.Kind
-}
-
-// BuildNet constructs a named network via the slimnoc preset registry.
-// Names follow Table 4 (cm3, t2d9, fbf8, pfbf4, ...) plus sn_<layout>_<N>
-// for Slim NoCs and the N=54 small-scale set of §5.6.
-func BuildNet(name string) (NetSpec, error) {
-	net, kind, err := slimnoc.BuildNetwork(slimnoc.NetworkSpec{Preset: name})
+// preset builds a named network through the slimnoc preset registry: the
+// Table 4 names (cm3, t2d9, fbf8, pfbf4, ...), sn_<layout>_<N> for Slim
+// NoCs, and the N=54 small-scale set of §5.6.
+func preset(name string) (*topo.Network, error) {
+	net, _, err := slimnoc.BuildNetwork(slimnoc.NetworkSpec{Preset: name})
 	if err != nil {
-		return NetSpec{}, err
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	net.Name = name
-	return NetSpec{Name: name, Net: net, Kind: kind}, nil
-}
-
-// MustNet builds a network or panics (experiment setup errors are
-// programming errors).
-func MustNet(name string) NetSpec {
-	spec, err := BuildNet(name)
-	if err != nil {
-		panic(err)
-	}
-	return spec
-}
-
-// RunSpec configures one simulation point.
-type RunSpec struct {
-	Spec    NetSpec
-	VCs     int
-	Scheme  sim.BufferScheme
-	BufCap  func(int) int // EdgeBuffers sizing; nil = EB-Small (5)
-	CBCap   int
-	SMART   bool
-	H       int // explicit SMART hop factor; overrides the SMART default of 9
-	Pattern string
-	Rate    float64
-	Source  sim.Source // overrides Pattern/Rate when set
-	Policy  sim.AdaptivePolicy
-	Opts    Options
-}
-
-// schemeName maps a simulator buffer scheme onto its registry key.
-func schemeName(s sim.BufferScheme) string {
-	switch s {
-	case sim.CentralBuffer:
-		return "cbr"
-	case sim.ElasticLinks:
-		return "el"
-	default:
-		return "eb"
-	}
-}
-
-// facade converts an experiment point into its slimnoc spec plus the runner
-// options covering what the declarative spec cannot express (the prebuilt
-// network, custom sources, adaptive policies). Both the serial and the
-// batched execution paths go through this one conversion, which is what
-// keeps their per-point results byte-identical.
-func (rs RunSpec) facade() (slimnoc.RunSpec, []slimnoc.Option) {
-	spec := slimnoc.RunSpec{
-		Name: rs.Spec.Name,
-		Routing: slimnoc.RoutingSpec{
-			Algorithm: "auto",
-			VCs:       rs.VCs,
-		},
-		Buffering: slimnoc.BufferingSpec{
-			Scheme: schemeName(rs.Scheme),
-			CBCap:  rs.CBCap,
-		},
-		Traffic: slimnoc.TrafficSpec{
-			Pattern: strings.ToLower(rs.Pattern),
-			Rate:    rs.Rate,
-		},
-		SMART:     rs.SMART,
-		HopFactor: rs.H,
-		Sim:       rs.Opts.SimSpec(),
-	}
-	opts := []slimnoc.Option{slimnoc.WithNetwork(rs.Spec.Net, rs.Spec.Kind)}
-	if rs.Source != nil {
-		opts = append(opts, slimnoc.WithSource(rs.Source))
-		spec.Traffic = slimnoc.TrafficSpec{}
-	}
-	if rs.Policy != nil {
-		opts = append(opts, slimnoc.WithAdaptivePolicy(rs.Policy))
-	}
-	if rs.BufCap != nil {
-		opts = append(opts, slimnoc.WithEdgeBufferSizing(rs.BufCap))
-	}
-	return spec, opts
-}
-
-// Run executes one simulation point through the slimnoc facade. Cancelling
-// the context stops the run at its next poll point.
-func Run(ctx context.Context, rs RunSpec) (sim.Result, error) {
-	spec, opts := rs.facade()
-	if rs.Opts.EngineJobs != 0 {
-		opts = append(opts, slimnoc.WithEngineJobs(rs.Opts.EngineJobs))
-	}
-	if rs.Opts.MemBudget > 0 {
-		opts = append(opts, slimnoc.WithMemBudget(rs.Opts.MemBudget))
-	}
-	res, err := slimnoc.Run(ctx, spec, opts...)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return res.Raw, nil
-}
-
-// MustRun is Run with panic-on-error for experiment bodies.
-func MustRun(ctx context.Context, rs RunSpec) sim.Result {
-	res, err := Run(ctx, rs)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunBatch executes the points through a slimnoc.Campaign with o.Jobs
-// workers and returns the raw results in submission order. Experiment grids
-// submit their whole sweep here instead of looping over Run, so the suite
-// parallelizes across cores while every point keeps the exact seed (and
-// therefore metrics) of the serial path. The first point error aborts with
-// that error; a cancelled context returns ctx's error.
-func RunBatch(ctx context.Context, o Options, points []RunSpec) ([]sim.Result, error) {
-	specs := make([]slimnoc.RunSpec, len(points))
-	opts := make([][]slimnoc.Option, len(points))
-	for i, rs := range points {
-		specs[i], opts[i] = rs.facade()
-	}
-	copts := []slimnoc.CampaignOption{
-		slimnoc.WithJobs(o.Jobs),
-		slimnoc.WithPointOptions(func(i int, _ slimnoc.RunSpec) []slimnoc.Option {
-			return opts[i]
-		}),
-	}
-	if o.EngineJobs != 0 {
-		copts = append(copts, slimnoc.WithPointEngineJobs(o.EngineJobs))
-	}
-	if o.MemBudget > 0 {
-		copts = append(copts, slimnoc.WithPointMemBudget(o.MemBudget))
-	}
-	results, err := slimnoc.RunCampaign(ctx, specs, copts...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sim.Result, len(results))
-	for i, p := range results {
-		if p.Err != nil {
-			return nil, fmt.Errorf("exp: point %d (%s): %w", i, p.Spec.Name, p.Err)
-		}
-		out[i] = p.Result.Raw
-	}
-	return out, nil
-}
-
-// MustRunBatch is RunBatch with panic-on-error for experiment bodies.
-func MustRunBatch(ctx context.Context, o Options, points []RunSpec) []sim.Result {
-	res, err := RunBatch(ctx, o, points)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// fmtLoad renders a load value compactly for row labels.
-func fmtLoad(l float64) string { return fmt.Sprintf("%.3f", l) }
-
-// fmtLat renders a latency, marking saturated points like the paper omits
-// them.
-func fmtLat(r sim.Result) string {
-	if r.Saturated {
-		return "sat"
-	}
-	return fmt.Sprintf("%.1f", r.AvgLatency)
-}
-
-// sortedKeys returns map keys in sorted order for deterministic tables.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return net, nil
 }

@@ -5,11 +5,36 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
+	"repro/slimnoc"
 )
 
 func ctx() context.Context { return context.Background() }
 
 func quick() Options { return Options{Quick: true, Seed: 1} }
+
+// derive reproduces one manifest figure — FigureByID, RunFigure, Derive —
+// and returns its derived tables.
+func derive(t *testing.T, id string, o Options, copts ...slimnoc.CampaignOption) []*stats.Table {
+	t.Helper()
+	f, err := FigureByID(id, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Derive == nil {
+		t.Fatalf("%s has no Derive", id)
+	}
+	run, err := RunFigure(ctx(), f, o, copts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := f.Derive(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
 
 func TestBuildNetAllNames(t *testing.T) {
 	names := []string{
@@ -20,15 +45,15 @@ func TestBuildNetAllNames(t *testing.T) {
 		"sn_gr_1296", "sn_subgr_1024", "sn_subgr_54",
 	}
 	for _, name := range names {
-		spec, err := BuildNet(name)
+		net, err := preset(name)
 		if err != nil {
-			t.Fatalf("BuildNet(%s): %v", name, err)
+			t.Fatalf("preset(%s): %v", name, err)
 		}
-		if err := spec.Net.Validate(); err != nil {
+		if err := net.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := BuildNet("nonsense"); err == nil {
+	if _, err := preset("nonsense"); err == nil {
 		t.Error("unknown name should fail")
 	}
 }
@@ -39,39 +64,49 @@ func TestBuildNetSizes(t *testing.T) {
 		"sn_gr_1296": 1296, "t2d54": 54, "sn_subgr_54": 54,
 	}
 	for name, n := range cases {
-		spec := MustNet(name)
-		if spec.Net.N() != n {
-			t.Errorf("%s: N = %d, want %d", name, spec.Net.N(), n)
+		net, err := preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.N() != n {
+			t.Errorf("%s: N = %d, want %d", name, net.N(), n)
 		}
 	}
 }
 
+// TestRegistryComplete pins that every table and figure of the evaluation
+// has derived tables, and that the snrepro-only families do not.
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
 	want := []string{"fig1a", "fig1bc", "fig3", "fig5", "fig6", "fig10a",
 		"fig10b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "tab2", "tab3", "tab4", "tab5",
 		"tab6", "sec55", "sens-sizes", "sens-conc", "sens-cycle", "resil",
 		"abl-cbsize", "abl-vcs", "abl-smarth", "scale-smoke"}
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
 	for _, id := range want {
-		if !have[id] {
-			t.Errorf("registry missing %s", id)
+		f, err := FigureByID(id, quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Derive == nil {
+			t.Errorf("%s has no Derive", id)
 		}
 	}
-	if _, err := ByID("fig12"); err != nil {
-		t.Error(err)
+	for _, id := range []string{"sat-nets", "sat-schemes", "sat-process", "scale-nets"} {
+		f, err := FigureByID(id, quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Derive != nil {
+			t.Errorf("%s: saturation-search figures have no derived tables", id)
+		}
 	}
-	if _, err := ByID("nope"); err == nil {
+	if _, err := FigureByID("nope", quick()); err == nil {
 		t.Error("unknown id should fail")
 	}
 }
 
 func TestTable2Experiment(t *testing.T) {
-	tables := Table2(ctx(), quick())
+	tables := derive(t, "tab2", quick())
 	if len(tables) != 1 {
 		t.Fatal("Table2 should emit one table")
 	}
@@ -81,7 +116,7 @@ func TestTable2Experiment(t *testing.T) {
 }
 
 func TestTable3Experiment(t *testing.T) {
-	tables := Table3(ctx(), quick())
+	tables := derive(t, "tab3", quick())
 	if len(tables) != 6 {
 		t.Fatalf("Table3 should emit 6 tables (add/mul/neg for F9 and F8), got %d", len(tables))
 	}
@@ -92,7 +127,7 @@ func TestTable3Experiment(t *testing.T) {
 }
 
 func TestTable4Experiment(t *testing.T) {
-	tbl := Table4(ctx(), quick())[0]
+	tbl := derive(t, "tab4", quick())[0]
 	if len(tbl.Rows) != 18 {
 		t.Errorf("Table 4 has %d rows, want 18", len(tbl.Rows))
 	}
@@ -107,7 +142,7 @@ func TestTable4Experiment(t *testing.T) {
 }
 
 func TestFig5Experiment(t *testing.T) {
-	tables := Fig5(ctx(), quick())
+	tables := derive(t, "fig5", quick())
 	if len(tables) != 4 {
 		t.Fatalf("Fig5 should emit 4 tables, got %d", len(tables))
 	}
@@ -129,7 +164,7 @@ func TestFig5Experiment(t *testing.T) {
 }
 
 func TestFig6Experiment(t *testing.T) {
-	tables := Fig6(ctx(), quick())
+	tables := derive(t, "fig6", quick())
 	if len(tables) != 3 {
 		t.Fatalf("Fig6 should emit 3 tables, got %d", len(tables))
 	}
@@ -149,7 +184,7 @@ func TestFig6Experiment(t *testing.T) {
 }
 
 func TestFig3Experiment(t *testing.T) {
-	tables := Fig3(ctx(), quick())
+	tables := derive(t, "fig3", quick())
 	if len(tables) != 3 {
 		t.Fatalf("Fig3 should emit 3 tables, got %d", len(tables))
 	}
@@ -174,7 +209,7 @@ func TestFig10aExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping layout sweep in short mode")
 	}
-	tables := Fig10a(ctx(), quick())
+	tables := derive(t, "fig10a", quick())
 	if len(tables) != 3 {
 		t.Fatalf("Fig10a should emit 3 tables, got %d", len(tables))
 	}
@@ -205,7 +240,7 @@ func TestFig12Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping small-network SMART sweep in short mode")
 	}
-	tables := Fig12(ctx(), quick())
+	tables := derive(t, "fig12", quick())
 	if len(tables) != 4 {
 		t.Fatalf("Fig12 should emit 4 tables, got %d", len(tables))
 	}
@@ -226,7 +261,7 @@ func TestFig12Experiment(t *testing.T) {
 }
 
 func TestFig15Experiment(t *testing.T) {
-	tables := Fig15(ctx(), quick())
+	tables := derive(t, "fig15", quick())
 	if len(tables) != 3 {
 		t.Fatal("Fig15 should emit 3 tables")
 	}
@@ -247,7 +282,7 @@ func TestFig15Experiment(t *testing.T) {
 }
 
 func TestSec55Experiment(t *testing.T) {
-	tbl := Sec55Clos(ctx(), quick())[0]
+	tbl := derive(t, "sec55", quick())[0]
 	if len(tbl.Rows) != 2 {
 		t.Fatal("expected rows for N=200 and N=1296")
 	}
@@ -256,12 +291,6 @@ func TestSec55Experiment(t *testing.T) {
 		if gain <= 0 {
 			t.Errorf("SN should be smaller than folded Clos: row %v", row)
 		}
-	}
-}
-
-func TestRunRejectsBadPattern(t *testing.T) {
-	if _, err := Run(ctx(), RunSpec{Spec: MustNet("cm3"), Pattern: "XXX", Rate: 0.1, Opts: quick()}); err == nil {
-		t.Error("unknown pattern should fail")
 	}
 }
 
@@ -278,7 +307,7 @@ func TestOptionsScaling(t *testing.T) {
 }
 
 func TestSensCycleTimeExperiment(t *testing.T) {
-	tbl := SensCycleTime(ctx(), quick())[0]
+	tbl := derive(t, "sens-cycle", quick())[0]
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tbl.Rows))
 	}
@@ -293,7 +322,7 @@ func TestSensCycleTimeExperiment(t *testing.T) {
 }
 
 func TestResilienceExperiment(t *testing.T) {
-	tbl := Resilience(ctx(), quick())[0]
+	tbl := derive(t, "resil", quick())[0]
 	// Row order: frac x {sn, fbf4, t2d4}. At 0% everything is connected.
 	for i := 0; i < 3; i++ {
 		conn, _ := strconv.ParseFloat(tbl.Rows[i][2], 64)
@@ -302,7 +331,7 @@ func TestResilienceExperiment(t *testing.T) {
 		}
 	}
 	// At 10% failures SN must stay connected with small diameter (the
-	// expander property): diameter <= 4.
+	// expander property): diameter <= 4, and it is simulated.
 	for _, row := range tbl.Rows {
 		if row[0] == "10" && row[1] == "sn_subgr_200" {
 			conn, _ := strconv.ParseFloat(row[2], 64)
@@ -313,12 +342,15 @@ func TestResilienceExperiment(t *testing.T) {
 			if d > 4 {
 				t.Errorf("SN diameter at 10%% failures = %d", d)
 			}
+			if row[5] == "n/a" {
+				t.Error("damaged SN was not simulated")
+			}
 		}
 	}
 }
 
 func TestSensConcentrationExperiment(t *testing.T) {
-	tbl := SensConcentration(ctx(), quick())[0]
+	tbl := derive(t, "sens-conc", quick())[0]
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("quick mode rows = %d, want 3", len(tbl.Rows))
 	}
@@ -335,7 +367,7 @@ func TestAblCBSizeExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping central-buffer ablation in short mode")
 	}
-	tables := AblCBSize(ctx(), quick())
+	tables := derive(t, "abl-cbsize", quick())
 	if len(tables) != 2 {
 		t.Fatalf("want 2 tables, got %d", len(tables))
 	}
@@ -345,14 +377,14 @@ func TestAblCBSizeExperiment(t *testing.T) {
 }
 
 func TestAblVCsExperiment(t *testing.T) {
-	tbl := AblVCs(ctx(), quick())[0]
+	tbl := derive(t, "abl-vcs", quick())[0]
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("want 3 VC rows, got %d", len(tbl.Rows))
 	}
 }
 
 func TestAblSmartHExperiment(t *testing.T) {
-	tbl := AblSmartH(ctx(), quick())[0]
+	tbl := derive(t, "abl-smarth", quick())[0]
 	// H=9 must not be slower than H=1 on the long-wire basic layout.
 	h1, _ := strconv.ParseFloat(tbl.Rows[0][1], 64)
 	h9, _ := strconv.ParseFloat(tbl.Rows[1][1], 64)

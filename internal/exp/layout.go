@@ -1,10 +1,9 @@
-// Analytic (non-simulation) experiments: Table 2, Table 3, Table 4, Fig. 5
-// and Fig. 6.
+// Analytic artifacts from the construction and layout models: Table 2,
+// Table 3, Table 4, Fig. 5 and Fig. 6. None of them simulates.
 
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -12,8 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Table2 reproduces Table 2: every Slim NoC configuration with N <= 1300.
-func Table2(ctx context.Context, o Options) []*stats.Table {
+// tab2Tables renders Table 2: every Slim NoC configuration with N <= 1300.
+func tab2Tables() ([]*stats.Table, error) {
 	t := &stats.Table{
 		ID:    "tab2",
 		Title: "Slim NoC configurations with N <= 1300 (Table 2)",
@@ -28,16 +27,16 @@ func Table2(ctx context.Context, o Options) []*stats.Table {
 		t.AddRowF(r.KPrime, r.P, r.IdealP, fmt.Sprintf("%.0f%%", r.Subscription*100),
 			r.N, r.Nr, r.Q, field, r.PowerOfTwoN, r.SquareGroups)
 	}
-	return []*stats.Table{t}
+	return []*stats.Table{t}, nil
 }
 
-// Table3 reproduces Table 3: the hand-built operation tables of F8 and F9.
-func Table3(ctx context.Context, o Options) []*stats.Table {
+// tab3Tables renders Table 3: the hand-built operation tables of F8 and F9.
+func tab3Tables() ([]*stats.Table, error) {
 	var out []*stats.Table
 	for _, q := range []int{9, 8} {
 		f, err := gf.New(q)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		add := &stats.Table{
 			ID:     fmt.Sprintf("tab3-add-F%d", q),
@@ -69,7 +68,7 @@ func Table3(ctx context.Context, o Options) []*stats.Table {
 		}
 		out = append(out, add, mul, neg)
 	}
-	return out
+	return out, nil
 }
 
 func headerFor(f *gf.Field) []string {
@@ -80,9 +79,9 @@ func headerFor(f *gf.Field) []string {
 	return h
 }
 
-// Table4 reproduces Table 4: the compared configurations for both size
+// tab4Tables renders Table 4: the compared configurations for both size
 // classes.
-func Table4(ctx context.Context, o Options) []*stats.Table {
+func tab4Tables() ([]*stats.Table, error) {
 	t := &stats.Table{
 		ID:     "tab4",
 		Title:  "Considered configurations (Table 4)",
@@ -93,18 +92,20 @@ func Table4(ctx context.Context, o Options) []*stats.Table {
 		"t2d9", "t2d8", "cm9", "cm8", "fbf9", "fbf8", "pfbf9", "pfbf8", "sn_gr_1296",
 	}
 	for _, name := range names {
-		spec := MustNet(name)
-		n := spec.Net
+		n, err := preset(name)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowF(name, n.Diameter(), n.P, n.NetworkRadix(), n.RouterRadix(),
 			n.Nr, n.N(), n.CycleTimeNs)
 	}
-	return []*stats.Table{t}
+	return []*stats.Table{t}, nil
 }
 
-// Fig5 reproduces Fig. 5: average wire length M, total per-router buffer
-// size without and with SMART, and the maximum wire crossing count versus
-// the Eq. 3 bound, for every layout across network sizes.
-func Fig5(ctx context.Context, o Options) []*stats.Table {
+// fig5Tables renders Fig. 5: average wire length M, total per-router buffer size
+// without and with SMART, and the maximum wire crossing count versus the
+// Eq. 3 bound, for every layout across network sizes.
+func fig5Tables(o Options) ([]*stats.Table, error) {
 	qs := []int{3, 5, 7, 9, 11, 13}
 	if o.Quick {
 		qs = []int{3, 5, 9}
@@ -137,7 +138,7 @@ func Fig5(ctx context.Context, o Options) []*stats.Table {
 		p := (kp + 1) / 2
 		s, err := core.New(core.Params{Q: q, P: p})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		mrow := []interface{}{q, s.N()}
 		brow := []interface{}{q, s.N()}
@@ -147,7 +148,7 @@ func Fig5(ctx context.Context, o Options) []*stats.Table {
 		for _, l := range core.Layouts() {
 			net, err := s.Network(l, o.Seed+7)
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
 			mrow = append(mrow, net.AvgWireLength())
 			brow = append(brow, m.PerRouterEdgeBuffers(net))
@@ -164,21 +165,21 @@ func Fig5(ctx context.Context, o Options) []*stats.Table {
 		st.AddRowF(srow...)
 		wt.AddRowF(wrow...)
 	}
-	return []*stats.Table{mt, bt, st, wt}
+	return []*stats.Table{mt, bt, st, wt}, nil
 }
 
-// Fig6 reproduces Fig. 6: the distribution of link Manhattan distances for
-// the group and subgroup layouts at N in {200, 1024, 1296}.
-func Fig6(ctx context.Context, o Options) []*stats.Table {
+// fig6Tables renders Fig. 6: the distribution of link Manhattan distances for the
+// group and subgroup layouts at N in {200, 1024, 1296}.
+func fig6Tables() ([]*stats.Table, error) {
 	var out []*stats.Table
 	for _, n := range []int{200, 1024, 1296} {
 		params, err := core.FromNetworkSize(n)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		s, err := core.New(params)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		t := &stats.Table{
 			ID:     fmt.Sprintf("fig6-N%d", n),
@@ -187,11 +188,11 @@ func Fig6(ctx context.Context, o Options) []*stats.Table {
 		}
 		gr, err := s.Network(core.LayoutGroup, 1)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		sg, err := s.Network(core.LayoutSubgroup, 1)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		dg := core.DistanceDistribution(gr)
 		ds := core.DistanceDistribution(sg)
@@ -204,7 +205,7 @@ func Fig6(ctx context.Context, o Options) []*stats.Table {
 		}
 		out = append(out, t)
 	}
-	return out
+	return out, nil
 }
 
 func at(xs []float64, i int) float64 {

@@ -1,10 +1,11 @@
-// The reproduction manifest: a machine-readable registry mapping every
-// figure and table of the paper's evaluation to the declarative SweepSpecs
-// that generate its simulation grid. cmd/snrepro consumes it to run any
-// subset of the evaluation against a content-addressed result store
-// (resumable, deduplicated across figures); the classic Experiment registry
-// (registry.go) remains the path that post-processes raw results into the
-// paper's exact derived tables (power models, EDP, gain percentages).
+// The reproduction manifest: one declaration per figure and table of the
+// paper's evaluation. A Figure carries the declarative SweepSpecs and
+// saturation searches that generate its simulation points and, where the
+// paper reports more than per-point metrics, a Derive that renders its
+// exact tables (power models, EDP, gain percentages) from those points.
+// cmd/snrepro runs any subset against a content-addressed result store
+// (resumable, deduplicated across figures); cmd/snexp prints the derived
+// tables.
 
 package exp
 
@@ -13,13 +14,16 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/stats"
 	"repro/slimnoc"
 )
 
-// Figure is one manifest entry: a paper artifact and the declarative sweeps
-// that reproduce its simulation grid.
+// Figure is one manifest entry: a paper artifact, the declarative sweeps
+// that reproduce its simulation grid, and the derivation of its tables. A
+// figure with neither sweeps nor searches is analytic: its tables come from
+// the analytical models alone.
 type Figure struct {
-	// ID matches the Experiment registry ID (fig12, tab5, abl-vcs, ...).
+	// ID names the artifact (fig12, tab5, abl-vcs, ...).
 	ID string
 	// Title names the artifact as the paper does.
 	Title string
@@ -41,17 +45,120 @@ type Figure struct {
 	// family). RunFigure enforces it via slimnoc.WithPointMemBudget unless
 	// Options.MemBudget overrides; 0 means unbudgeted.
 	MemBudget int64
-	// Analytic marks artifacts computed entirely from the analytical
-	// area/power/layout models: they have no simulation grid, and snrepro
-	// defers to `snexp -exp <id>` for them.
-	Analytic bool
-	// Notes records what the declarative grids do not capture (derived
-	// post-processing, non-declarative network surgery), and how to get it.
+	// Notes records what the per-point reports do not show, and how to get
+	// it.
 	Notes string
+	// Derive renders the paper's tables from a completed run of this
+	// figure (nil for figures whose per-point reports are the result). It
+	// reads a point Result's Spec, Network, Metrics and Engine only — never
+	// Raw, which is zero for points served from a result store — so warm
+	// and cold runs derive byte-identical tables.
+	Derive func(FigureRun) ([]*stats.Table, error) `json:"-"`
 }
 
-// loadsAxis is the shared offered-load axis for the mode.
-func loadsAxis(o Options) []float64 { return o.Loads() }
+// Simulates reports whether the figure has a simulation grid or search;
+// a figure that does not is analytic.
+func (f Figure) Simulates() bool { return len(f.Sweeps) > 0 || len(f.Sats) > 0 }
+
+// figures is the manifest in order: every figure's ID and its builder.
+// Builders run lazily, so FigureByID pays only for the figure it returns.
+var figures = []struct {
+	id    string
+	build func(Options) Figure
+}{
+	{"fig1a", fig1a},
+	{"fig1bc", fig1bc},
+	{"fig3", func(o Options) Figure {
+		return analytic("Slim Fly and Dragonfly straight on-chip", "Fig. 3",
+			func() ([]*stats.Table, error) { return fig3Tables(o) })
+	}},
+	{"tab2", func(Options) Figure {
+		return analytic("Slim NoC configurations, N<=1300", "Table 2", tab2Tables)
+	}},
+	{"tab3", func(Options) Figure { return analytic("F8/F9 operation tables", "Table 3", tab3Tables) }},
+	{"tab4", func(Options) Figure { return analytic("Compared configurations", "Table 4", tab4Tables) }},
+	{"fig5", func(o Options) Figure {
+		return analytic("Layout cost analysis: M, buffers, wiring", "Fig. 5",
+			func() ([]*stats.Table, error) { return fig5Tables(o) })
+	}},
+	{"fig6", func(Options) Figure { return analytic("Link distance distributions", "Fig. 6", fig6Tables) }},
+	{"fig10a", fig10a},
+	{"fig10b", fig10b},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"fig14", fig14},
+	{"fig15", fig15},
+	{"fig16", fig16},
+	{"fig17", fig17},
+	{"tab5", tab5},
+	{"fig18", fig18},
+	{"fig19", fig19},
+	{"tab6", tab6},
+	{"fig20", fig20},
+	{"sec55", func(Options) Figure {
+		return analytic("Folded Clos comparison", "§5.5", sec55Tables)
+	}},
+	{"sens-sizes", sensSizes},
+	{"sens-conc", sensConc},
+	{"sens-cycle", sensCycle},
+	{"resil", resil},
+	{"abl-cbsize", ablCBSize},
+	{"abl-vcs", ablVCs},
+	{"abl-smarth", ablSmartH},
+	{"scale-smoke", scaleSmoke},
+	{"sat-nets", satNets},
+	{"sat-schemes", satSchemes},
+	{"sat-process", satProcess},
+	{"scale-nets", scaleNets},
+}
+
+// analytic declares a figure with no simulation grid: its tables come from
+// the analytical models alone.
+func analytic(title, section string, tables func() ([]*stats.Table, error)) Figure {
+	return Figure{
+		Title: title, Section: section,
+		Derive: func(FigureRun) ([]*stats.Table, error) { return tables() },
+	}
+}
+
+// Manifest returns the full reproduction manifest for the mode. Every entry
+// with sweeps expands to concrete, validated RunSpecs whose per-point seeds
+// derive from o.Seed, so two invocations with equal Options produce
+// identical grids — the property that makes a shared result store serve
+// them byte-identically.
+func Manifest(o Options) []Figure {
+	out := make([]Figure, len(figures))
+	for i, e := range figures {
+		out[i] = e.build(o)
+		out[i].ID = e.id
+	}
+	return out
+}
+
+// FigureByID builds one manifest entry.
+func FigureByID(id string, o Options) (Figure, error) {
+	id = strings.ToLower(id)
+	for _, e := range figures {
+		if e.id == id {
+			f := e.build(o)
+			f.ID = e.id
+			return f, nil
+		}
+	}
+	return Figure{}, fmt.Errorf("exp: unknown manifest figure %q (have %s)",
+		id, strings.Join(FigureIDs(), ", "))
+}
+
+// FigureIDs lists the manifest IDs, sorted.
+func FigureIDs() []string {
+	out := make([]string, len(figures))
+	for i, e := range figures {
+		out[i] = e.id
+	}
+	sort.Strings(out)
+	return out
+}
 
 // simBase returns the base RunSpec every manifest sweep starts from.
 func simBase(o Options) slimnoc.RunSpec {
@@ -69,7 +176,7 @@ func latencyGrid(o Options, name string, presets, patterns []string, smart bool)
 		Axes: slimnoc.SweepAxes{
 			Presets:  presets,
 			Patterns: patterns,
-			Loads:    loadsAxis(o),
+			Loads:    o.Loads(),
 		},
 	}
 }
@@ -87,202 +194,34 @@ func activityGrid(o Options, name string, presets []string) slimnoc.SweepSpec {
 	}
 }
 
-// traceGrids builds one sweep per PARSEC/SPLASH benchmark over the given
-// networks (the traces axis: sources are stateful, so each benchmark is a
-// base-spec variation rather than a sweep axis).
-func traceGrids(o Options, name string, presets []string, smart bool) []slimnoc.SweepSpec {
-	var out []slimnoc.SweepSpec
-	for _, b := range benchList(o) {
-		base := simBase(o)
-		base.SMART = smart
-		base.Traffic = slimnoc.TrafficSpec{Pattern: "trace", Trace: b.Name}
-		out = append(out, slimnoc.SweepSpec{
-			Name: fmt.Sprintf("%s/%s", name, b.Name),
-			Base: base,
-			Axes: slimnoc.SweepAxes{Presets: presets},
-		})
-	}
-	return out
+// The scale-* family's per-point engine budgets. The grid baselines keep
+// dense DOR tables, and since the route tables started interning per-hop
+// next-hop words for the arbitration fast path, the long-path 10k
+// instances intern ~390 MiB (t2d10k averages ~18 hops across 1260^2 pairs)
+// — a deliberate table-bytes-for-cycle-loop-speed trade. 512 MiB fits every
+// 10k instance while still rejecting the 100k grid family, whose dense
+// tables run to gigabytes. The SN instances are unaffected: generic-minimal
+// routes compile to the compact one-byte-per-pair form well inside the old
+// budget, so the CI smoke figure keeps the tighter 256 MiB guard.
+const (
+	scaleBudget = int64(1) << 29
+	smokeBudget = int64(1) << 28
+)
+
+// searchBase is the sat-* and scale-* families' point: one preset under
+// one pattern, SMART.
+func searchBase(o Options, preset, pattern string) slimnoc.RunSpec {
+	b := simBase(o)
+	b.SMART = true
+	b.Network = slimnoc.NetworkSpec{Preset: preset}
+	b.Traffic = slimnoc.TrafficSpec{Pattern: pattern}
+	return b
 }
 
-// Manifest returns the full reproduction manifest for the mode. Every entry
-// with sweeps expands to concrete, validated RunSpecs whose per-point seeds
-// derive from o.Seed, so two invocations with equal Options produce
-// identical grids — the property that makes a shared result store serve
-// them byte-identically.
-func Manifest(o Options) []Figure {
-	loads := loadsAxis(o)
-	smallNets := []string{"cm3", "t2d3", "pfbf3", "pfbf4", "sn_subgr_200", "fbf3"}
-	patterns := []string{"adv1", "rev", "rnd", "shf"}
-
-	var figs []Figure
-	add := func(f Figure) { figs = append(figs, f) }
-
-	add(Figure{
-		ID: "fig1a", Title: "Latency under adversarial traffic, N=1296", Section: "Fig. 1a",
-		Sweeps: []slimnoc.SweepSpec{
-			latencyGrid(o, "fig1a", []string{"cm9", "t2d9", "fbf9", "sn_gr_1296"}, []string{"adv1"}, true),
-		},
-	})
-	add(Figure{
-		ID: "fig10a", Title: "SN layouts on synthetic traffic, N=200, no SMART", Section: "Fig. 10a",
-		Sweeps: []slimnoc.SweepSpec{
-			latencyGrid(o, "fig10a",
-				[]string{"sn_basic_200", "sn_rand_200", "sn_gr_200", "sn_subgr_200"},
-				[]string{"rev", "rnd", "shf"}, false),
-		},
-	})
-	add(Figure{
-		ID: "fig10b", Title: "SN layouts on PARSEC/SPLASH, N=200, no SMART", Section: "Fig. 10b",
-		Sweeps: traceGrids(o, "fig10b",
-			[]string{"sn_basic_200", "sn_gr_200", "sn_subgr_200"}, false),
-	})
-	add(fig11Manifest(o, loads))
-	add(Figure{
-		ID: "fig12", Title: "Synthetic traffic, small networks (N in {192,200}), SMART", Section: "Fig. 12",
-		Sweeps: []slimnoc.SweepSpec{latencyGrid(o, "fig12", smallNets, patterns, true)},
-	})
-	add(Figure{
-		ID: "fig13", Title: "Synthetic traffic, N=1296, SMART", Section: "Fig. 13",
-		Sweeps: []slimnoc.SweepSpec{
-			latencyGrid(o, "fig13", []string{"cm9", "t2d9", "pfbf9", "sn_gr_1296", "fbf9"}, patterns, true),
-		},
-	})
-	add(Figure{
-		ID: "fig14", Title: "Synthetic traffic, small networks, no SMART", Section: "Fig. 14",
-		Sweeps: []slimnoc.SweepSpec{
-			latencyGrid(o, "fig14", []string{"cm3", "t2d3", "pfbf3", "sn_subgr_200", "fbf3"}, patterns, false),
-		},
-	})
-	add(Figure{
-		ID: "fig15", Title: "Area and static power, N=200, no SMART", Section: "Fig. 15",
-		Analytic: true,
-		Notes:    "Computed entirely from the analytical area/power models; run `snexp -exp fig15`.",
-	})
-	add(Figure{
-		ID: "fig16", Title: "Area/power per node, small networks, SMART, 45+22nm", Section: "Fig. 16",
-		Sweeps: []slimnoc.SweepSpec{
-			activityGrid(o, "fig16", []string{"fbf3", "fbf4", "pfbf3", "sn_subgr_200", "t2d4", "cm4"}),
-		},
-		Notes: "The grid provides the dynamic-power activity runs; area and static power are analytical. `snexp -exp fig16` renders the full per-node tables.",
-	})
-	add(Figure{
-		ID: "fig17", Title: "Area/power per node, N=1296, SMART, 45+22nm", Section: "Fig. 17",
-		Sweeps: []slimnoc.SweepSpec{
-			activityGrid(o, "fig17", []string{"fbf8", "fbf9", "pfbf9", "sn_gr_1296", "t2d9", "cm9"}),
-		},
-		Notes: "As fig16; `snexp -exp fig17` renders the derived tables.",
-	})
-	add(Figure{
-		ID: "fig18", Title: "Energy-delay product on PARSEC/SPLASH, SMART", Section: "Fig. 18",
-		Sweeps: traceGrids(o, "fig18", []string{"fbf3", "pfbf3", "cm3", "sn_subgr_200"}, true),
-		Notes:  "EDP normalisation against FBF is derived post-processing; `snexp -exp fig18` renders it from the same runs.",
-	})
-	add(Figure{
-		ID: "fig19", Title: "Small-scale analysis, N=54", Section: "Fig. 19",
-		Sweeps: []slimnoc.SweepSpec{
-			latencyGrid(o, "fig19a", []string{"fbf54", "pfbf54", "sn_subgr_54", "t2d54"}, []string{"rnd"}, true),
-			activityGrid(o, "fig19bc", []string{"sn_subgr_54", "fbf54", "pfbf54", "t2d54"}),
-		},
-		Notes: "fig19a is the latency panel; fig19bc feeds the area/power panels (`snexp -exp fig19` for the derived tables).",
-	})
-	add(fig20Manifest(o, loads))
-	add(Figure{
-		ID: "tab5", Title: "SN throughput/power advantage (RND)", Section: "Table 5",
-		Sweeps: []slimnoc.SweepSpec{
-			activityGrid(o, "tab5", []string{
-				"sn_subgr_200", "t2d4", "cm4", "pfbf3", "fbf3", "fbf4",
-				"sn_gr_1296", "t2d9", "cm9", "pfbf9", "fbf8", "fbf9",
-			}),
-		},
-		Notes: "Gain percentages divide throughput/power pairs per tech node; `snexp -exp tab5` renders them from the same runs.",
-	})
-	add(tab6Manifest(o))
-	add(sensSizesManifest(o))
-	add(Figure{
-		ID: "sens-conc", Title: "Concentration sweep, SN q=8", Section: "§5.5 / §2.1",
-		Sweeps: []slimnoc.SweepSpec{sensConcSweep(o)},
-	})
-	add(Figure{
-		ID: "sens-cycle", Title: "Cycle-time sensitivity, N in {192,200}", Section: "§5.1",
-		Sweeps: []slimnoc.SweepSpec{func() slimnoc.SweepSpec {
-			base := simBase(o)
-			base.SMART = true
-			base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd", Rate: 0.06}
-			return slimnoc.SweepSpec{
-				Name: "sens-cycle",
-				Base: base,
-				Axes: slimnoc.SweepAxes{Presets: []string{"cm3", "t2d3", "pfbf3", "sn_subgr_200", "fbf3"}},
-			}
-		}()},
-		Notes: "Nanosecond conversions under per-topology vs uniform clocks are derived; `snexp -exp sens-cycle` renders them.",
-	})
-	add(Figure{
-		ID: "resil", Title: "Link-failure resilience, N=200-class networks", Section: "§2.1",
-		Sweeps: []slimnoc.SweepSpec{func() slimnoc.SweepSpec {
-			base := simBase(o)
-			base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd", Rate: 0.06}
-			return slimnoc.SweepSpec{
-				Name: "resil",
-				Base: base,
-				Axes: slimnoc.SweepAxes{Presets: []string{"sn_subgr_200", "fbf4", "t2d4"}},
-			}
-		}()},
-		Notes: "The declarative grid covers the undamaged baselines. Failed-link variants surgically remove links from built networks (not expressible as specs); `snexp -exp resil` runs the full study.",
-	})
-	add(ablCBSizeManifest(o))
-	add(Figure{
-		ID: "abl-vcs", Title: "Virtual-channel count ablation, sn_subgr_200", Section: "§4.3",
-		Sweeps: []slimnoc.SweepSpec{func() slimnoc.SweepSpec {
-			base := simBase(o)
-			base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd"}
-			return slimnoc.SweepSpec{
-				Name: "abl-vcs",
-				Base: base,
-				Axes: slimnoc.SweepAxes{
-					Presets: []string{"sn_subgr_200"},
-					VCs:     []int{2, 3, 4},
-					Loads:   []float64{0.06, 0.30},
-				},
-			}
-		}()},
-	})
-	add(ablSmartHManifest(o))
-	for _, f := range satManifest(o) {
-		add(f)
-	}
-	for _, f := range scaleManifest(o) {
-		add(f)
-	}
-	return figs
-}
-
-// scaleManifest builds the scale-* family: the event-calendar engine at
-// 10k-endpoint scale, SN against its Table 4 baseline siblings, under a
-// declared per-point memory budget. scale-nets searches each topology's
-// saturation load — where its throughput collapses — while scale-smoke is
-// the CI-sized single point proving a 10k-endpoint SN builds and runs
-// inside the budget.
-func scaleManifest(o Options) []Figure {
-	base := func(preset, pattern string) slimnoc.RunSpec {
-		b := simBase(o)
-		b.SMART = true
-		b.Network = slimnoc.NetworkSpec{Preset: preset}
-		b.Traffic = slimnoc.TrafficSpec{Pattern: pattern}
-		return b
-	}
-	// The grid baselines keep dense DOR tables, and since the route tables
-	// started interning per-hop next-hop words for the arbitration fast
-	// path, the long-path 10k instances intern ~390 MiB (t2d10k averages
-	// ~18 hops across 1260^2 pairs) — a deliberate table-bytes-for-cycle-
-	// loop-speed trade. 512 MiB fits every 10k instance while still
-	// rejecting the 100k grid family, whose dense tables run to gigabytes.
-	// The SN instances are unaffected: generic-minimal routes compile to
-	// the compact one-byte-per-pair form well inside the old budget, so the
-	// CI smoke figure keeps the tighter 256 MiB guard.
-	const budget = int64(1) << 29
-	const smokeBudget = int64(1) << 28
-
+// scaleNets searches each 10k-endpoint topology's saturation load — where
+// its throughput collapses — SN against its Table 4 baseline siblings,
+// under a declared per-point memory budget.
+func scaleNets(o Options) Figure {
 	nets := []string{"sn_subgr_10000", "cm10k", "t2d10k", "fbf10k"}
 	patterns := []string{"rnd", "adv1"}
 	if o.Quick {
@@ -291,35 +230,60 @@ func scaleManifest(o Options) []Figure {
 	var sats []slimnoc.SaturationSpec
 	for _, net := range nets {
 		for _, pat := range patterns {
-			sats = append(sats, satSearch(o, fmt.Sprintf("scale-nets/%s/%s", net, pat), base(net, pat)))
+			sats = append(sats, satSearch(o, fmt.Sprintf("scale-nets/%s/%s", net, pat), searchBase(o, net, pat)))
 		}
 	}
+	return Figure{
+		Title: "Saturation collapse at N=10080, SN vs Table 4 baselines", Section: "§5.5 scale-out",
+		Sats:      sats,
+		MemBudget: scaleBudget,
+		Notes: "Each search brackets the load where the topology's throughput collapses. " +
+			"The cm100k/t2d100k/fbf100k presets and sn_subgr_99856 extend the family to ~100k endpoints " +
+			"but are deliberately absent: the SN's minimal routes now compress to one next-hop byte per pair " +
+			"(12482^2 ~ 149 MiB, inside even the smoke budget) but one saturated probe on 12k routers is hours " +
+			"of engine work, and the grid baselines keep dense DOR tables in the gigabytes; " +
+			"run them explicitly with patience (and, for the grids, a raised -mem-budget).",
+	}
+}
 
-	smoke := base("sn_subgr_10000", "rnd")
-	return []Figure{
-		{
-			ID: "scale-nets", Title: "Saturation collapse at N=10080, SN vs Table 4 baselines", Section: "§5.5 scale-out",
-			Sats:      sats,
-			MemBudget: budget,
-			Notes: "Each search brackets the load where the topology's throughput collapses. " +
-				"The cm100k/t2d100k/fbf100k presets and sn_subgr_99856 extend the family to ~100k endpoints " +
-				"but are deliberately absent: the SN's minimal routes now compress to one next-hop byte per pair " +
-				"(12482^2 ~ 149 MiB, inside even the smoke budget) but one saturated probe on 12k routers is hours " +
-				"of engine work, and the grid baselines keep dense DOR tables in the gigabytes; " +
-				"run them explicitly with patience (and, for the grids, a raised -mem-budget).",
-		},
-		{
-			ID: "scale-smoke", Title: "10k-endpoint smoke point under memory budget", Section: "CI",
-			Sweeps: []slimnoc.SweepSpec{{
-				Name: "scale-smoke",
-				Base: smoke,
-				Axes: slimnoc.SweepAxes{
-					Presets: []string{"sn_subgr_10000"},
-					Loads:   []float64{0.008},
-				},
-			}},
-			MemBudget: smokeBudget,
-			Notes:     "One low-load point on the q=25 subgroup SN (1250 routers, 10000 endpoints): the idle-heavy regime the event calendar accelerates, run inside a 256 MiB budget the SN's table never strains.",
+// scaleSmoke is the CI-sized single point proving a 10k-endpoint SN builds
+// and runs inside the budget, reported with the event calendar's skip
+// telemetry: at this load the overwhelming majority of cycles are dead and
+// are jumped over exactly, which is why the point fits in smoke-test time.
+func scaleSmoke(o Options) Figure {
+	return Figure{
+		Title: "10k-endpoint smoke point under memory budget", Section: "CI",
+		Sweeps: []slimnoc.SweepSpec{{
+			Name: "scale-smoke",
+			Base: searchBase(o, "sn_subgr_10000", "rnd"),
+			Axes: slimnoc.SweepAxes{
+				Presets: []string{"sn_subgr_10000"},
+				Loads:   []float64{0.008},
+			},
+		}},
+		MemBudget: smokeBudget,
+		Notes:     "One low-load point on the q=25 subgroup SN (1250 routers, 10000 endpoints): the idle-heavy regime the event calendar accelerates, run inside a 256 MiB budget the SN's table never strains.",
+		Derive: func(r FigureRun) ([]*stats.Table, error) {
+			res, err := r.results(0)
+			if err != nil {
+				return nil, err
+			}
+			t := &stats.Table{
+				ID:    "scale-smoke",
+				Title: "Scale smoke: 10k-endpoint SN under a 256 MiB engine budget (§5.5 scale-out)",
+				Header: []string{"network", "nodes", "load", "latency_cycles",
+					"throughput", "cycles", "cycles_skipped", "skip_%"},
+			}
+			for _, p := range res {
+				m := p.Metrics
+				skip := 0.0
+				if m.Cycles > 0 {
+					skip = 100 * float64(p.Engine.CyclesSkipped) / float64(m.Cycles)
+				}
+				t.AddRowF(p.Spec.Network.Preset, p.Network.Nodes, p.Spec.Traffic.Rate, m.AvgLatencyCycles,
+					m.Throughput, m.Cycles, p.Engine.CyclesSkipped, skip)
+			}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -342,284 +306,57 @@ func satSearch(o Options, name string, base slimnoc.RunSpec) slimnoc.SaturationS
 	return s
 }
 
-// satManifest builds the sat-* family: saturation load per network, per
-// buffering scheme, and per temporal process, for the Slim NoC against the
-// Table 4 baselines. Searches have no fixed grid to sweep — snrepro runs
-// them through Campaign.SaturationSearch — but their probes live in the same
-// result store as every other point, so a sat figure warms the latency-vs-
-// load figures (and vice versa) wherever loads coincide.
-func satManifest(o Options) []Figure {
-	base := func(preset, pattern string) slimnoc.RunSpec {
-		b := simBase(o)
-		b.SMART = true
-		b.Network = slimnoc.NetworkSpec{Preset: preset}
-		b.Traffic = slimnoc.TrafficSpec{Pattern: pattern}
-		return b
-	}
+// The sat-* family: saturation load per network, per buffering scheme, and
+// per temporal process, for the Slim NoC against the Table 4 baselines.
+// Searches have no fixed grid to sweep — snrepro runs them through
+// Campaign.SaturationSearch — but their probes live in the same result
+// store as every other point, so a sat figure warms the latency-vs-load
+// figures (and vice versa) wherever loads coincide.
 
-	var figs []Figure
-
-	nets := []string{"cm3", "t2d3", "fbf3", "pfbf3", "sn_subgr_200"}
+// satNets searches the saturation load of every small network.
+func satNets(o Options) Figure {
 	patterns := []string{"rnd", "adv1"}
 	if o.Quick {
 		patterns = []string{"rnd"}
 	}
-	var netSats []slimnoc.SaturationSpec
-	for _, net := range nets {
+	var sats []slimnoc.SaturationSpec
+	for _, net := range []string{"cm3", "t2d3", "fbf3", "pfbf3", "sn_subgr_200"} {
 		for _, pat := range patterns {
-			netSats = append(netSats, satSearch(o, fmt.Sprintf("sat-nets/%s/%s", net, pat), base(net, pat)))
+			sats = append(sats, satSearch(o, fmt.Sprintf("sat-nets/%s/%s", net, pat), searchBase(o, net, pat)))
 		}
 	}
-	figs = append(figs, Figure{
-		ID: "sat-nets", Title: "Saturation load per network, SN vs Table 4 baselines", Section: "§5.1 / Table 4",
-		Sats:  netSats,
+	return Figure{
+		Title: "Saturation load per network, SN vs Table 4 baselines", Section: "§5.1 / Table 4",
+		Sats:  sats,
 		Notes: "Threshold: mean latency 3x the zero-load baseline (or the run's own saturation flag).",
-	})
+	}
+}
 
-	var schemeSats []slimnoc.SaturationSpec
+// satSchemes searches sn_subgr_200's saturation load per buffering scheme.
+func satSchemes(o Options) Figure {
+	var sats []slimnoc.SaturationSpec
 	for _, scheme := range []string{"eb", "eb-large", "el", "cbr"} {
-		b := base("sn_subgr_200", "rnd")
+		b := searchBase(o, "sn_subgr_200", "rnd")
 		b.Buffering = slimnoc.BufferingSpec{Scheme: scheme}
-		schemeSats = append(schemeSats, satSearch(o, "sat-schemes/"+scheme, b))
+		sats = append(sats, satSearch(o, "sat-schemes/"+scheme, b))
 	}
-	figs = append(figs, Figure{
-		ID: "sat-schemes", Title: "Saturation load per buffering scheme, sn_subgr_200", Section: "§4 / Fig. 11",
-		Sats: schemeSats,
-	})
+	return Figure{
+		Title: "Saturation load per buffering scheme, sn_subgr_200", Section: "§4 / Fig. 11",
+		Sats: sats,
+	}
+}
 
-	var procSats []slimnoc.SaturationSpec
+// satProcess searches sn_subgr_200's saturation load per temporal process.
+func satProcess(o Options) Figure {
+	var sats []slimnoc.SaturationSpec
 	for _, proc := range []string{"bernoulli", "burst", "mmpp"} {
-		b := base("sn_subgr_200", "rnd")
+		b := searchBase(o, "sn_subgr_200", "rnd")
 		b.Traffic.Process = proc
-		procSats = append(procSats, satSearch(o, "sat-process/"+proc, b))
+		sats = append(sats, satSearch(o, "sat-process/"+proc, b))
 	}
-	figs = append(figs, Figure{
-		ID: "sat-process", Title: "Saturation load per temporal process, sn_subgr_200", Section: "workload decomposition",
-		Sats:  procSats,
+	return Figure{
+		Title: "Saturation load per temporal process, sn_subgr_200", Section: "workload decomposition",
+		Sats:  sats,
 		Notes: "Open-loop processes only: the request-reply closed loop self-throttles and has no load knob to search.",
-	})
-
-	return figs
-}
-
-// fig11Manifest builds the buffering-strategy grids: the registry schemes
-// sweep as an axis; the two central-buffer capacities are base variations.
-func fig11Manifest(o Options, loads []float64) Figure {
-	var sweeps []slimnoc.SweepSpec
-	for _, net := range []string{"sn_subgr_200", "sn_gr_1296"} {
-		for _, smart := range []bool{false, true} {
-			label := "nosmart"
-			if smart {
-				label = "smart"
-			}
-			base := simBase(o)
-			base.SMART = smart
-			sweeps = append(sweeps, slimnoc.SweepSpec{
-				Name: fmt.Sprintf("fig11/%s/%s", net, label),
-				Base: base,
-				Axes: slimnoc.SweepAxes{
-					Presets:  []string{net},
-					Patterns: []string{"rnd"},
-					Schemes:  []string{"eb", "eb-var", "eb-large", "el"},
-					Loads:    loads,
-				},
-			})
-			for _, cb := range []int{40, 6} {
-				cbBase := base
-				cbBase.Buffering = slimnoc.BufferingSpec{Scheme: "cbr", CBCap: cb}
-				cbBase.Traffic = slimnoc.TrafficSpec{Pattern: "rnd"}
-				sweeps = append(sweeps, slimnoc.SweepSpec{
-					Name: fmt.Sprintf("fig11/%s/%s/cbr%d", net, label, cb),
-					Base: cbBase,
-					Axes: slimnoc.SweepAxes{Presets: []string{net}, Loads: loads},
-				})
-			}
-		}
 	}
-	return Figure{
-		ID: "fig11", Title: "Buffering strategies, N in {200, 1296}", Section: "Fig. 11",
-		Sweeps: sweeps,
-		Notes:  "CBR capacities 40 and 6 are base-spec variations (capacity is not a sweep axis).",
-	}
-}
-
-// fig20Manifest builds the adaptive-routing grids: one sweep per
-// (network, registered algorithm) pair, matching the Fig. 20 variants.
-func fig20Manifest(o Options, loads []float64) Figure {
-	variants := []struct {
-		net, alg string
-	}{
-		{"sn_subgr_200", "auto"},
-		{"sn_subgr_200", "ugal-l"},
-		{"sn_subgr_200", "ugal-g"},
-		{"fbf4", "auto"},
-		{"fbf4", "ugal-l"},
-		{"fbf4", "min-adapt"},
-	}
-	var sweeps []slimnoc.SweepSpec
-	for _, v := range variants {
-		base := simBase(o)
-		base.Routing = slimnoc.RoutingSpec{Algorithm: v.alg, VCs: 4}
-		sweeps = append(sweeps, slimnoc.SweepSpec{
-			Name: fmt.Sprintf("fig20/%s/%s", v.net, v.alg),
-			Base: base,
-			Axes: slimnoc.SweepAxes{
-				Presets:  []string{v.net},
-				Patterns: []string{"rnd", "asym"},
-				Loads:    loads,
-			},
-		})
-	}
-	return Figure{
-		ID: "fig20", Title: "Adaptive routing study, N=200, input-queued routers", Section: "Fig. 20 / §6",
-		Sweeps: sweeps,
-		Notes:  "`auto` is the static minimal baseline the figure labels MIN.",
-	}
-}
-
-// tab6Manifest pairs SMART-off and SMART-on trace runs per benchmark.
-func tab6Manifest(o Options) Figure {
-	nets := []string{"fbf3", "pfbf3", "cm3", "sn_subgr_200"}
-	sweeps := traceGrids(o, "tab6/nosmart", nets, false)
-	sweeps = append(sweeps, traceGrids(o, "tab6/smart", nets, true)...)
-	return Figure{
-		ID: "tab6", Title: "Latency decrease from SMART, PARSEC/SPLASH", Section: "Table 6",
-		Sweeps: sweeps,
-		Notes:  "The percentage gain pairs each benchmark's SMART and no-SMART runs; `snexp -exp tab6` renders it.",
-	}
-}
-
-// sensSizesManifest mixes preset SNs with explicitly parameterised torus
-// and FBF networks at the §5.5 sizes.
-func sensSizesManifest(o Options) Figure {
-	type size struct {
-		n          int
-		sn         string
-		x, y, conc int
-	}
-	sizes := []size{
-		{588, "sn_subgr_588", 14, 7, 6},
-		{686, "sn_subgr_686", 14, 7, 7},
-		{1024, "sn_subgr_1024", 16, 8, 8},
-	}
-	if o.Quick {
-		sizes = sizes[2:]
-	}
-	var sweeps []slimnoc.SweepSpec
-	for _, s := range sizes {
-		base := simBase(o)
-		base.SMART = true
-		base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd", Rate: 0.06}
-		sweeps = append(sweeps, slimnoc.SweepSpec{
-			Name: fmt.Sprintf("sens-sizes/%d", s.n),
-			Base: base,
-			Axes: slimnoc.SweepAxes{
-				Presets: []string{s.sn},
-				Networks: []slimnoc.NetworkSpec{
-					{Topology: "torus", X: s.x, Y: s.y, Conc: s.conc},
-					{Topology: "flatfly", X: s.x, Y: s.y, Conc: s.conc},
-				},
-			},
-		})
-	}
-	return Figure{
-		ID: "sens-sizes", Title: "Other network sizes: N in {588, 686, 1024}", Section: "§5.5",
-		Sweeps: sweeps,
-		Notes:  "Area columns are analytical; `snexp -exp sens-sizes` renders them alongside the latencies.",
-	}
-}
-
-// sensConcSweep sweeps SN concentration p at fixed q=8 via explicit
-// NetworkSpecs (p is a construction parameter, not a sweep axis).
-func sensConcSweep(o Options) slimnoc.SweepSpec {
-	ps := []int{4, 5, 6, 7, 8}
-	if o.Quick {
-		ps = []int{4, 6, 8}
-	}
-	nets := make([]slimnoc.NetworkSpec, len(ps))
-	for i, p := range ps {
-		nets[i] = slimnoc.NetworkSpec{Topology: "sn", Q: 8, Conc: p, Layout: "subgr"}
-	}
-	base := simBase(o)
-	base.SMART = true
-	base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd", Rate: 0.24}
-	return slimnoc.SweepSpec{
-		Name: "sens-conc",
-		Base: base,
-		Axes: slimnoc.SweepAxes{Networks: nets},
-	}
-}
-
-// ablCBSizeManifest builds one sweep per central-buffer capacity and
-// network (capacity is a base-spec variation).
-func ablCBSizeManifest(o Options) Figure {
-	sizes := []int{6, 10, 20, 40, 70, 100}
-	if o.Quick {
-		sizes = []int{6, 20, 40, 100}
-	}
-	var sweeps []slimnoc.SweepSpec
-	for _, net := range []string{"sn_subgr_200", "sn_gr_1296"} {
-		for _, cb := range sizes {
-			base := simBase(o)
-			base.Buffering = slimnoc.BufferingSpec{Scheme: "cbr", CBCap: cb}
-			base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd"}
-			sweeps = append(sweeps, slimnoc.SweepSpec{
-				Name: fmt.Sprintf("abl-cbsize/%s/cb%d", net, cb),
-				Base: base,
-				Axes: slimnoc.SweepAxes{
-					Presets: []string{net},
-					Loads:   []float64{0.06, 0.30},
-				},
-			})
-		}
-	}
-	return Figure{
-		ID: "abl-cbsize", Title: "Central-buffer capacity ablation", Section: "§5.2.1",
-		Sweeps: sweeps,
-	}
-}
-
-// ablSmartHManifest sweeps the SMART hop factor H as base-spec variations.
-func ablSmartHManifest(o Options) Figure {
-	hs := []int{1, 3, 9, 11}
-	if o.Quick {
-		hs = []int{1, 9}
-	}
-	var sweeps []slimnoc.SweepSpec
-	for _, h := range hs {
-		base := simBase(o)
-		base.HopFactor = h
-		base.Traffic = slimnoc.TrafficSpec{Pattern: "rnd", Rate: 0.06}
-		sweeps = append(sweeps, slimnoc.SweepSpec{
-			Name: fmt.Sprintf("abl-smarth/h%d", h),
-			Base: base,
-			Axes: slimnoc.SweepAxes{Presets: []string{"sn_basic_1296"}},
-		})
-	}
-	return Figure{
-		ID: "abl-smarth", Title: "SMART hop-factor ablation, sn_basic_1296", Section: "§3.2.2",
-		Sweeps: sweeps,
-	}
-}
-
-// FigureByID finds one manifest entry.
-func FigureByID(id string, o Options) (Figure, error) {
-	id = strings.ToLower(id)
-	for _, f := range Manifest(o) {
-		if f.ID == id {
-			return f, nil
-		}
-	}
-	return Figure{}, fmt.Errorf("exp: unknown manifest figure %q (have %s)",
-		id, strings.Join(FigureIDs(), ", "))
-}
-
-// FigureIDs lists the manifest IDs, sorted.
-func FigureIDs() []string {
-	var out []string
-	for _, f := range Manifest(Options{Quick: true}) {
-		out = append(out, f.ID)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -21,9 +21,9 @@ func manifestOptions() Options {
 }
 
 // TestManifestExpandsAndValidates expands every manifest sweep: every
-// non-analytic figure must contribute at least one grid whose points all
-// validate, IDs must be unique, and each must name a registered experiment
-// so `snexp -exp <id>` always works as the derived-table companion.
+// figure must contribute a grid whose points all validate, a search, or
+// derived tables; IDs must be unique; and every figure without saturation
+// searches must have a Derive, so `snexp -exp <id>` always renders it.
 func TestManifestExpandsAndValidates(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		o := manifestOptions()
@@ -34,22 +34,8 @@ func TestManifestExpandsAndValidates(t *testing.T) {
 				t.Errorf("duplicate manifest ID %q", f.ID)
 			}
 			seen[f.ID] = true
-			if len(f.Sats) == 0 {
-				// Saturation-search figures are snrepro-native: they have no
-				// snexp derived-table companion, so only grid/analytic
-				// figures must pair with an experiment-registry entry.
-				if _, err := ByID(f.ID); err != nil {
-					t.Errorf("manifest ID %q has no experiment-registry entry: %v", f.ID, err)
-				}
-			}
-			if f.Analytic {
-				if len(f.Sweeps) != 0 {
-					t.Errorf("%s: analytic figure carries %d sweeps", f.ID, len(f.Sweeps))
-				}
-				continue
-			}
-			if len(f.Sweeps) == 0 && len(f.Sats) == 0 {
-				t.Errorf("%s: no sweeps, no searches, and not analytic", f.ID)
+			if len(f.Sats) == 0 && f.Derive == nil {
+				t.Errorf("%s: figure without searches has no Derive", f.ID)
 			}
 			for _, s := range f.Sweeps {
 				points, err := s.Points()

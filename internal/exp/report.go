@@ -211,7 +211,7 @@ func (r FigureRun) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s — %s\n\n", r.Figure.ID, r.Figure.Title)
 	fmt.Fprintf(&b, "Paper reference: %s.\n\n", r.Figure.Section)
-	if r.Figure.Analytic {
+	if !r.Figure.Simulates() {
 		b.WriteString("This artifact is computed entirely from the analytical models; it has no simulation grid.\n")
 	}
 	if r.Figure.Notes != "" {

@@ -194,7 +194,8 @@ func ProcessByName(name string) (ProcessEntry, bool) { return processes.lookup(n
 func (ns NetworkSpec) hasOverrides() bool {
 	return ns.Topology != "" || ns.X != 0 || ns.Y != 0 || ns.Conc != 0 ||
 		ns.PartsX != 0 || ns.PartsY != 0 || ns.Q != 0 || ns.Nodes != 0 ||
-		ns.Layout != "" || ns.LayoutSeed != 0 || len(ns.Extra) > 0
+		ns.Layout != "" || ns.LayoutSeed != 0 || len(ns.Extra) > 0 ||
+		ns.FailFrac != 0 || ns.FailSeed != 0
 }
 
 // ExpandNetwork resolves a NetworkSpec to explicit parameters: a preset is
@@ -240,6 +241,7 @@ func ExpandNetwork(ns NetworkSpec) (NetworkSpec, error) {
 		if len(ns.Extra) > 0 {
 			expanded.Extra = ns.Extra
 		}
+		expanded.FailFrac, expanded.FailSeed = ns.FailFrac, ns.FailSeed
 		ns = expanded
 	}
 	if ns.Topology == "sn" {
@@ -262,8 +264,22 @@ func ExpandNetwork(ns NetworkSpec) (NetworkSpec, error) {
 
 // BuildNetwork constructs the placed network and routing kind described by
 // a NetworkSpec, expanding its preset (with explicit fields as overrides)
-// first if one is named.
+// first if one is named. A spec with link failures builds the intact
+// network, then removes its FailFrac share of links; the damaged copy is
+// named after the intact one and routes as a generic graph.
 func BuildNetwork(ns NetworkSpec) (*topo.Network, routing.Kind, error) {
+	if err := ns.validateFailures(); err != nil {
+		return nil, routing.Kind{}, err
+	}
+	if ns.FailFrac > 0 {
+		intact := ns
+		intact.FailFrac, intact.FailSeed = 0, 0
+		net, _, err := BuildNetwork(intact)
+		if err != nil {
+			return nil, routing.Kind{}, err
+		}
+		return net.RemoveRandomLinks(ns.FailFrac, ns.FailSeed), routing.Kind{Class: routing.ClassGeneric}, nil
+	}
 	name := strings.ToLower(ns.Preset)
 	pristine := name != "" && !ns.hasOverrides()
 	ns, err := ExpandNetwork(ns)

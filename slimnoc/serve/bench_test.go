@@ -10,8 +10,9 @@ import (
 // BenchmarkServeEstimate times the full serving path — client, JSON-line
 // protocol, session, engine or cache — in its three regimes: cold (every
 // query is an engine episode), warm-cache (every query is a store hit), and
-// batch (32 transfers amortizing one engine activation). CI renders the
-// results into BENCH_serve.json next to BENCH_sim.json.
+// batch (32 transfers amortizing one engine activation). A local profiling
+// entry point; `go run ./benchmark -workload serve-mixed` is the
+// measurement of record.
 func BenchmarkServeEstimate(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		srv := serve.NewServer() // no cache: every estimate simulates

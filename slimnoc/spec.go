@@ -59,6 +59,20 @@ type NetworkSpec struct {
 	// Extra carries topology-specific integer parameters: dragonfly uses
 	// a/h/g, clos uses leaves/spines.
 	Extra map[string]int `json:"extra,omitempty"`
+	// FailFrac removes this fraction of the built network's router-router
+	// links, in [0, 1) (the §2.1 resilience study). A damaged network
+	// routes as a generic graph: its grid structure, if any, is gone.
+	FailFrac float64 `json:"fail_frac,omitempty"`
+	// FailSeed seeds the uniform choice of the failed links.
+	FailSeed int64 `json:"fail_seed,omitempty"`
+}
+
+// validateFailures checks the link-failure fraction.
+func (ns NetworkSpec) validateFailures() error {
+	if !(ns.FailFrac >= 0 && ns.FailFrac < 1) { // also rejects NaN
+		return fmt.Errorf("slimnoc: network.fail_frac = %g out of [0, 1)", ns.FailFrac)
+	}
+	return nil
 }
 
 // RoutingSpec selects a routing algorithm from the routing registry.
@@ -256,6 +270,9 @@ func (s RunSpec) Normalized() RunSpec {
 	s.Network.Preset = strings.ToLower(s.Network.Preset)
 	s.Network.Topology = strings.ToLower(s.Network.Topology)
 	s.Network.Layout = strings.ToLower(s.Network.Layout)
+	if s.Network.FailFrac == 0 {
+		s.Network.FailSeed = 0 // inert without failures
+	}
 	return s
 }
 
@@ -285,6 +302,9 @@ func (s RunSpec) Validate() error {
 	} else if _, ok := topologies.lookup(s.Network.Topology); !ok {
 		return fmt.Errorf("slimnoc: unknown topology %q (have %s)",
 			s.Network.Topology, strings.Join(Topologies(), ", "))
+	}
+	if err := s.Network.validateFailures(); err != nil {
+		return err
 	}
 	if _, ok := routings.lookup(s.Routing.Algorithm); !ok {
 		return fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
