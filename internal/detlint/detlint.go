@@ -29,7 +29,8 @@
 //     (code that runs concurrently across router domains each cycle),
 //     writes to the configured cross-domain shared fields
 //     (Config.DomainSharedFields — link handshake state, the timing
-//     wheels, the Sim counters) are flagged unless waived in place with
+//     wheels, the Sim counters) are flagged — assignments, and calls of
+//     pointer-receiver methods on them — unless waived in place with
 //     the reason the write is race-free (sender-/receiver-exclusive
 //     sides of a directed link, or effects staged per domain and merged
 //     serially).
@@ -128,7 +129,8 @@ type Config struct {
 	LabelFields []string
 	// DomainSharedFields lists "pkgpath.TypeName.Field" fields that are
 	// shared across router domains during the engine's parallel phases.
-	// sharedread flags writes to them inside //sim:domain functions; each
+	// sharedread flags writes to them inside //sim:domain functions —
+	// assignments, and calls of pointer-receiver methods; each
 	// legitimate write site carries a waiver explaining why it is race-free
 	// (exclusive link side, or staged-and-merged effect).
 	DomainSharedFields []string
@@ -162,12 +164,11 @@ func DefaultConfig() *Config {
 		// and occupancy state (written by exactly one side per phase), the
 		// input-stage readiness mirrors filled at link delivery, the
 		// shared timing wheels, the Sim-level counters (updated only
-		// through per-domain staging merged serially), and the per-domain
-		// calendar cache (own-domain fields recomputed locally; foreign
-		// domains are dirtied only through staged touch marks).
+		// through per-domain staging merged serially), the arrival wheels
+		// (scheduled by the sending domain, taken by the receiving one)
+		// and the stalled-lane lists of the link phase.
 		DomainSharedFields: []string{
 			"repro/internal/sim.link.pending",
-			"repro/internal/sim.link.nextArrive",
 			"repro/internal/sim.link.occupancy",
 			"repro/internal/sim.Sim.occIn",
 			"repro/internal/sim.wheel.buckets",
@@ -176,11 +177,8 @@ func DefaultConfig() *Config {
 			"repro/internal/sim.Sim.forwardedFlits",
 			"repro/internal/sim.Sim.bypassFlits",
 			"repro/internal/sim.Sim.bufferedFlits",
-			"repro/internal/sim.domain.calDirty",
-			"repro/internal/sim.domain.calArrive",
-			"repro/internal/sim.domain.calPending",
-			"repro/internal/sim.domain.touched",
-			"repro/internal/sim.domain.touchedList",
+			"repro/internal/sim.domain.out",
+			"repro/internal/sim.domain.stalled",
 		},
 		HotPackages: []string{"repro/internal/sim", "repro/internal/traffic", "repro/internal/routing", "repro/internal/rng"},
 	}

@@ -267,6 +267,7 @@ func TestDomainSharedGolden(t *testing.T) {
 			"sharedread/dompkg.link.pending",
 			"sharedread/dompkg.link.inFly",
 			"sharedread/dompkg.engine.count",
+			"sharedread/dompkg.engine.out",
 		},
 	}
 	runGolden(t, SharedRead, cfg, "sharedread/dompkg")

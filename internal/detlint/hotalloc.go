@@ -19,8 +19,8 @@ import (
 // Two amortised shapes pass without a waiver: self-append
 // (`x = append(x, ...)`, the freelist/ring recycling pattern whose
 // capacity is retained across cycles) and a function literal passed
-// directly as a call argument (the engine's forEachSorted visitors, which
-// do not escape and are measured allocation-free).
+// directly as a call argument (a visitor handed to an iteration helper,
+// which does not escape and is measured allocation-free).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//sim:hot functions must not contain allocation-causing constructs",

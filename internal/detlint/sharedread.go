@@ -22,10 +22,11 @@ import (
 // is mostly partitioned but not entirely — link handshake state, the
 // timing wheels and the Sim counters are reachable from every domain
 // (Config.DomainSharedFields). A write to one of those fields inside a
-// //sim:domain function is flagged unless the site carries a waiver
-// stating why it is race-free: the write is on a link side owned
-// exclusively by this domain in this phase, or the effect is staged in
-// the domain's buffers and merged serially.
+// //sim:domain function — an assignment, or a call of a pointer-receiver
+// method on it (a wheel's schedule or take) — is flagged unless the site
+// carries a waiver stating why it is race-free: the write is on a link
+// side owned exclusively by this domain in this phase, or the effect is
+// staged in the domain's buffers and merged serially.
 var SharedRead = &Analyzer{
 	Name: "sharedread",
 	Doc:  "no writes to shared network/route-table state outside constructors, nor to cross-domain engine state inside //sim:domain functions",
@@ -89,11 +90,26 @@ func runDomainShared(pass *Pass) {
 					}
 				case *ast.IncDecStmt:
 					checkDomainWrite(pass, fields, x.X)
+				case *ast.CallExpr:
+					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && pointerMethod(pass.Pkg.Info, sel) {
+						checkDomainWrite(pass, fields, sel.X)
+					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// pointerMethod reports whether sel selects a method with a pointer
+// receiver: calling it may mutate the receiver, so it is a write.
+func pointerMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return false
+	}
+	_, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
 }
 
 // checkDomainWrite reports when the written expression bottoms out in one

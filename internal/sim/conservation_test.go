@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -99,6 +101,57 @@ func TestFlitConservation(t *testing.T) {
 					}
 				} else if bypass != 0 || buffered != 0 {
 					t.Errorf("non-CBR scheme recorded CB path stats: %d/%d", bypass, buffered)
+				}
+			})
+		}
+	}
+}
+
+// TestStuckAccountsEveryFlit pins Stuck's census against the engine's own
+// in-flight counter. Saturated runs of every buffer scheme, serial and on
+// four domains, are stopped between cycles at regular points; each time,
+// every flit InFlight counts must sit in exactly one place Stuck reports:
+// an input buffer, a wire (in flight, or stalled at a full input latch), an
+// injection queue, a central buffer, or the ejection pipeline.
+func TestStuckAccountsEveryFlit(t *testing.T) {
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	for _, sc := range []struct {
+		name   string
+		scheme sim.BufferScheme
+	}{{"EB", sim.EdgeBuffers}, {"EL", sim.ElasticLinks}, {"CBR", sim.CentralBuffer}} {
+		for _, jobs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/jobs%d", sc.name, jobs), func(t *testing.T) {
+				s, err := sim.New(sim.Config{
+					Net:     net,
+					Routing: minRouting(t, net, 2),
+					Scheme:  sc.scheme,
+					Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.40, PacketFlits: 6,
+						Pattern: traffic.Uniform{N: net.N()}},
+					Seed:          83,
+					EngineJobs:    jobs,
+					WarmupCycles:  300,
+					MeasureCycles: 600,
+					DrainCycles:   600,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checks, onLinks := 0, 0
+				_, err = s.RunContext(context.Background(), 37, func(p sim.Progress) {
+					rep := s.Stuck()
+					sum := rep.InInputBuffers + rep.OnLinks + rep.InInjQueues + rep.InCB + rep.PendingEject
+					if int64(sum) != s.InFlight() {
+						t.Fatalf("cycle %d: Stuck counts %d flits (inputs %d, links %d, injection %d, CB %d, eject %d), InFlight %d",
+							p.Cycle, sum, rep.InInputBuffers, rep.OnLinks, rep.InInjQueues, rep.InCB, rep.PendingEject, s.InFlight())
+					}
+					checks++
+					onLinks += rep.OnLinks
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if checks < 10 || onLinks == 0 {
+					t.Fatalf("%d census points saw %d flits on wires; the test exercised an idle network", checks, onLinks)
 				}
 			})
 		}

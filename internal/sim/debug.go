@@ -49,16 +49,31 @@ func (s *Sim) Stuck() StuckReport {
 			}
 		}
 	}
-	for li := range s.links {
-		l := &s.links[li]
-		for vc := range l.lanes {
-			lane := &l.lanes[vc]
-			if n := lane.len(); n > 0 {
-				rep.OnLinks += n
-				lf := lane.front()
-				add(fmt.Sprintf("link %d->%d vc %d: %d flits (head pkt %d arrive %d, now %d)",
-					l.from, l.to, vc, n, lf.f.pkt.id, lf.arrive, s.now))
+	// Flits on wires ride the arrival wheels, or wait in a stall FIFO at the
+	// end of theirs; both are counted per lane.
+	onLane := make([]int, len(s.laneLast))
+	for di := range s.doms {
+		for _, w := range s.doms[di].out {
+			for _, b := range w.buckets {
+				for _, a := range b {
+					onLane[int(a.link)*s.vcs+int(a.vc)]++
+				}
 			}
+			for _, e := range w.overflow {
+				onLane[int(e.v.link)*s.vcs+int(e.v.vc)]++
+			}
+		}
+	}
+	for lane, n := range onLane {
+		stalled := 0
+		if s.stall != nil {
+			stalled = s.stall[lane].len()
+		}
+		if n += stalled; n > 0 {
+			rep.OnLinks += n
+			l := &s.links[lane/s.vcs]
+			add(fmt.Sprintf("link %d->%d vc %d: %d flits (%d stalled at a full input, now %d)",
+				l.from, l.to, lane%s.vcs, n, stalled, s.now))
 		}
 	}
 	for v := range s.nics {

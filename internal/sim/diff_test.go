@@ -206,6 +206,14 @@ func TestCalendarDifferential(t *testing.T) {
 	if testing.Short() {
 		pinned = pinned[:1]
 	}
+	// Pinned saturated elastic specs, run even under -short: input latches
+	// fill, so flits stall at the ends of their wires and are retried every
+	// link phase — the one path where a landing waits on the receiver, and
+	// where CBR's 2- and 4-cycle router paths share a lane.
+	pinned = append(pinned,
+		diffSpec{q: 5, p: 4, scheme: sim.CentralBuffer, h: 1, vcs: 2, rate: 0.40, seed: 504},
+		diffSpec{q: 5, p: 4, scheme: sim.ElasticLinks, h: 9, vcs: 2, rate: 0.40, seed: 505},
+	)
 	for i, sp := range pinned {
 		totalSkipped += assertDiffEquivalence(t, sp)
 		t.Logf("pinned[%d] %s: ok", i, diffName(sp))

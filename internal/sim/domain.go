@@ -6,18 +6,21 @@
 // owned by it:
 //
 //   - SoA router state of routers in [rlo, rhi), the NIC injection queues of
-//     their attached nodes, and the per-node ejection budget of those nodes
-//     (a node ejects only at its own router);
-//   - the receiver side of links into the domain (lane pops, pending, the
-//     sender's space readiness words) during the link phase;
-//   - the sender side of links out of the domain (lane pushes, pending,
-//     space decrements, occupancy increments) during the router phase — a
-//     directed link has exactly one sending router, and the phase barrier
-//     separates sender-phase writes from receiver-phase writes;
+//     their attached nodes, their ready-list marks, and the per-node
+//     ejection budget of those nodes (a node ejects only at its own router);
+//   - the receiver side of links into the domain during the link phase: the
+//     arrival wheels out[d] of every sending domain (take), the lanes' stall
+//     FIFOs and the domain's stalled list, pending, and the sender's space
+//     readiness words;
+//   - the sender side of links out of the domain during the router phase:
+//     its own arrival wheels (schedule), the lanes' last-arrival words,
+//     pending, space decrements, occupancy increments — a directed link has
+//     exactly one sending router, and the phase barrier separates
+//     sender-phase writes from receiver-phase writes;
 //
 // or staged in per-domain buffers (credit-wheel events, delayed ejections,
-// occupancy decrements, cross-domain link wakes, counter deltas) and
-// replayed by mergeDomains on the main goroutine in ascending domain order.
+// occupancy decrements, counter deltas) and replayed by mergeDomains on the
+// main goroutine in ascending domain order.
 // Domains are contiguous ascending router ranges and each domain appends its
 // staged events in its own ascending-router visit order, so the ascending-
 // domain replay reproduces the serial engine's ascending-router-index event
@@ -29,7 +32,6 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,13 +48,26 @@ type stagedCredit struct {
 type domain struct {
 	di       int32 // own index in Sim.doms
 	rlo, rhi int32 // router range [rlo, rhi)
-	// Active lists owned by this domain: routers in the range with pending
-	// work, links whose receiving router lies in the range. The membership
-	// flags live in Sim.routerIn/linkIn — flag elements are only ever
-	// written by the entity's owning (or, for linkIn, sending) domain
-	// within a phase, so the shared arrays need no synchronisation.
+	// routerList holds the routers in the range with resident flits. The
+	// membership flags live in Sim.routerIn; an element is only ever
+	// written by the router's own domain, so the shared array needs no
+	// synchronisation.
 	routerList []int32
-	linkList   []int32
+	// out[rd] is the arrival wheel of flits sent by this domain's routers
+	// onto links into domain rd: scheduled here in the router phase, taken
+	// by rd in its link phase, with the phase barrier between the two.
+	out []wheel[arrival]
+	// stalled lists the lanes into this domain ([link*vcs+vc]) whose stall
+	// FIFO is non-empty, retried at the start of every link phase (elastic
+	// schemes only).
+	stalled []int32
+	// linksLive is this domain's share of the links carrying flits: +1 when
+	// one of its routers puts a flit on an idle link, -1 when its link phase
+	// takes the last flit off one. The sum over domains is the active-link
+	// count.
+	linksLive int
+	// ready lists the domain's NICs due an injection visit (Sim.nicReady).
+	ready []int32
 	// outMask is the per-cycle output-conflict bitmask scratch: while
 	// stepRouter visits a router, bit p of outMask[p/64] means output port p
 	// was claimed this cycle. One router is stepped at a time per domain, so
@@ -65,20 +80,9 @@ type domain struct {
 	// Staging of effects that target shared engine state — appended during
 	// the parallel phases, replayed serially by mergeDomains. The 1-domain
 	// engine bypasses these (Sim.single) and applies effects directly.
-	credits  []stagedCredit // credit-wheel schedules (upstream may be foreign)
-	ejects   []flit         // delayed ejections (order observable)
-	occDecs  []int32        // link occupancy decrements (sender may be foreign)
-	linkActs []int32        // link wakes (receiver may be foreign)
-	// Per-domain calendar cache (see calendar.go): the earliest front-flit
-	// arrival over the domain's active links and their total pending-flit
-	// backlog, recomputed by skipAhead only when calDirty. A domain dirties
-	// itself on its own link activity; pushes onto another domain's links
-	// are staged in touched/touchedList and merged like the other effects.
-	calDirty    bool
-	calArrive   int64
-	calPending  int
-	touched     []bool  // [domain] staged dirty marks, cleared at merge
-	touchedList []int32 // domains marked in touched, in first-touch order
+	credits []stagedCredit // credit-wheel schedules (upstream may be foreign)
+	ejects  []flit         // delayed ejections (order observable)
+	occDecs []int32        // link occupancy decrements (sender may be foreign)
 	// Counter deltas folded into the Sim totals at merge.
 	forwarded int64
 	bypass    int64
@@ -98,10 +102,11 @@ func normalizeJobs(jobs, nr int) int {
 	return jobs
 }
 
-// buildDomains splits the routers into nd contiguous ranges and sizes the
-// ownership lookups. Called once from New; the domains' mutable state gets
-// its initial values from domain.reset.
-func (s *Sim) buildDomains(nd int) {
+// buildDomains splits the routers into nd contiguous ranges, sizes the
+// ownership lookups and gives every (sending, receiving) domain pair an
+// arrival wheel of the given horizon. Called once from New; the domains'
+// mutable state gets its initial values from domain.reset.
+func (s *Sim) buildDomains(nd int, horizon int64) {
 	nr := s.net.Nr
 	s.doms = make([]domain, nd)
 	s.domOf = make([]int32, nr)
@@ -115,129 +120,147 @@ func (s *Sim) buildDomains(nd int) {
 		d.di = int32(di)
 		d.rlo, d.rhi = int32(lo), int32(hi)
 		d.outMask = make([]uint64, maskW)
-		d.touched = make([]bool, nd)
+		d.out = make([]wheel[arrival], nd)
+		for rd := range d.out {
+			d.out[rd] = *newWheel[arrival](horizon)
+		}
 		for r := lo; r < hi; r++ {
 			s.domOf[r] = int32(di)
 		}
 	}
 	s.single = nd == 1
-	s.linkDom = make([]int32, len(s.links))
-	for lid := range s.links {
-		s.linkDom[lid] = s.domOf[s.links[lid].to]
-	}
 	s.routerIn = make([]bool, nr)
-	s.linkIn = make([]bool, len(s.links))
 	if nd > 1 {
 		s.par = &parRunner{workers: make([]workerSlot, nd-1)}
 	}
 }
 
-// reset empties the domain's active lists and staging buffers (keeping their
-// capacity) and marks its calendar cache stale; see Sim.reset. The
-// central-buffer freelist survives.
+// arrivalHorizon sizes the arrival wheels so no flit ever reaches the
+// overflow list: a send lands at most the buffered router delay plus the
+// longest wire after now, and the per-lane FIFO rule only ever delays it to
+// an earlier send's landing cycle.
+func arrivalHorizon(maxLat int64) int64 { return maxLat + routerDelayBuffered + 1 }
+
+// reset empties the domain's active lists, arrival wheels and staging
+// buffers (keeping their capacity); see Sim.reset. The central-buffer
+// freelist survives.
 func (d *domain) reset() {
 	d.routerList = d.routerList[:0]
-	d.linkList = d.linkList[:0]
+	for rd := range d.out {
+		d.out[rd].reset()
+	}
+	d.stalled = d.stalled[:0]
+	d.linksLive = 0
+	d.ready = d.ready[:0]
 	clear(d.outMask)
 	d.credits = d.credits[:0]
 	clear(d.ejects) // release packet references before truncating
 	d.ejects = d.ejects[:0]
 	d.occDecs = d.occDecs[:0]
-	d.linkActs = d.linkActs[:0]
-	d.calDirty, d.calArrive, d.calPending = true, 0, 0
-	clear(d.touched)
-	d.touchedList = d.touchedList[:0]
 	d.forwarded, d.bypass, d.buffered = 0, 0, 0
 }
 
-// stepLinksDomain delivers arrived flits on the domain's active links. The
-// list is deliberately not sorted: links do not interact within the phase —
-// each delivers into its own (router, port) input queues and wakes only its
-// own receiver — so iteration order cannot affect any state the engine
-// observes (the router phase re-sorts its list before stepping).
+// stepLinksDomain lands the flits due this cycle on links into the domain:
+// first the stalled lanes, in order, then every sending domain's arrivals.
+// Landing order across lanes is not observable — each lane feeds its own
+// input slot and wakes only its own receiver, and the router phase visits
+// routers in ascending order whatever order they woke in — but within a
+// lane it is: the stalled flits go first, and a new arrival joins them
+// while any remain.
 //
 //sim:hot
 //sim:domain
 func (s *Sim) stepLinksDomain(d *domain) {
-	if len(d.linkList) == 0 {
-		return
+	if len(d.stalled) > 0 {
+		keep := d.stalled[:0]
+		for _, lane := range d.stalled {
+			if s.drainStall(d, int(lane)) {
+				keep = append(keep, lane)
+			}
+		}
+		//detlint:allow sharedread own-domain list: only this domain's link phase touches its stalled lanes
+		d.stalled = keep
 	}
-	// Any lane pop or list retirement changes this domain's calendar horizon;
-	// one flag set per phase is cheaper than tracking which one did.
-	//detlint:allow sharedread own-domain calendar cache: d is this goroutine's domain, no other domain reads or writes it during the phase
-	d.calDirty = true
-	keep := d.linkList[:0]
-	for _, li := range d.linkList {
-		if s.stepLink(int(li)) {
-			keep = append(keep, li)
-		} else {
-			s.linkIn[li] = false
+	for sd := range s.doms {
+		//detlint:allow sharedread receiver-exclusive: out[d] of every sender is taken only by d, and senders schedule only in the barrier-separated router phase
+		evs := s.doms[sd].out[d.di].take(s.now)
+		for i := range evs {
+			s.land(d, evs[i])
 		}
 	}
-	d.linkList = keep
 }
 
-// stepLink delivers the arrived flits of one link into its receiver's input
-// buffers (or CB staging), one VC lane at a time (ElastiStore-style
-// independent per-VC handshakes). Reports whether the link still carries
-// flits.
+// land takes one flit off its wire. Under EdgeBuffers the credit it was
+// sent on guarantees room; an elastic input latch may be full, or the lane
+// may hold stalled flits the new one must not overtake, and then the flit
+// waits in the lane's stall FIFO (backpressure into the link pipeline).
 //
 //sim:hot
 //sim:domain
-func (s *Sim) stepLink(li int) bool {
-	l := &s.links[li]
-	now := s.now
-	if l.nextArrive > now {
-		// Every flit on the wire is still in flight: nothing to deliver, the
-		// per-lane peeks would all fail. (The classic scan would find the
-		// same, so skipping it is an iteration shortcut, not a behaviour
-		// change.)
-		return l.pending > 0
-	}
-	to := l.to
-	vb := (to*s.stride + l.toPort) * s.vcs
-	elastic := s.scheme != EdgeBuffers
-	inLen, inCap := s.inLen, s.inCap
-	na := int64(math.MaxInt64)
-	for vc := range l.lanes {
-		lane := &l.lanes[vc]
-		for lane.len() > 0 {
-			lf := lane.front()
-			if lf.arrive > now {
-				if lf.arrive < na {
-					na = lf.arrive
-				}
-				break
+func (s *Sim) land(d *domain, a arrival) {
+	l := &s.links[a.link]
+	vc := int(a.vc)
+	if s.stall != nil {
+		lane := int(a.link)*s.vcs + vc
+		slot := int(l.recvVB) + vc
+		if s.stall[lane].len() > 0 || s.inLen[slot] >= s.inCap[slot] {
+			if s.stall[lane].len() == 0 {
+				//detlint:allow sharedread own-domain list: the lane leads into this domain, so only its link phase touches the entry
+				d.stalled = append(d.stalled, int32(lane))
 			}
-			if elastic && inLen[vb+vc] >= inCap[vb+vc] {
-				na = now + 1 // elastic backpressure: flit waits in the pipeline
-				break
-			}
-			q := &s.inQ[vb+vc]
-			q.push(lf.f)
-			if inLen[vb+vc] == 0 {
-				s.inFront[vb+vc] = lf.f
-				s.inNext[vb+vc] = lf.f.next
-				if s.occIn != nil {
-					//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the occupancy bit belongs to the receiving router
-					s.occIn[to] |= 1 << uint(l.toPort*s.vcs+vc)
-				}
-			}
-			inLen[vb+vc]++
-			lane.pop()
-			//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, sender writes only after the phase barrier
-			l.pending--
-			if elastic {
-				// Return the pipeline slot to the sender's readiness word.
-				//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the sending domain reads space only after the phase barrier
-				s.space[int(l.sendVB)+vc]++
-			}
-			s.routerGainsFlit(to)
+			s.stall[lane].push(a.f)
+			return
 		}
 	}
-	//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the sender's refresh happens in the barrier-separated router phase
-	l.nextArrive = na
-	return l.pending > 0
+	s.deliver(d, l, vc, a.f)
+}
+
+// drainStall lands a stalled lane's flits while its input latch has room and
+// reports whether any remain.
+//
+//sim:hot
+//sim:domain
+func (s *Sim) drainStall(d *domain, lane int) bool {
+	l := &s.links[lane/s.vcs]
+	vc := lane % s.vcs
+	slot := int(l.recvVB) + vc
+	st := &s.stall[lane]
+	for st.len() > 0 && s.inLen[slot] < s.inCap[slot] {
+		s.deliver(d, l, vc, st.pop())
+	}
+	return st.len() > 0
+}
+
+// deliver pushes a landed flit into input VC vc of the link's receiving
+// port, keeping the dense input mirrors coherent, and returns the pipeline
+// slot to the sender in elastic modes.
+//
+//sim:hot
+//sim:domain
+func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
+	to := l.to
+	slot := int(l.recvVB) + vc
+	s.inQ[slot].push(f)
+	if s.inLen[slot] == 0 {
+		s.inFront[slot] = f
+		s.inNext[slot] = f.next
+		if s.occIn != nil {
+			//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the occupancy bit belongs to the receiving router
+			s.occIn[to] |= 1 << uint(l.toPort*s.vcs+vc)
+		}
+	}
+	s.inLen[slot]++
+	//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, sender writes only after the phase barrier
+	l.pending--
+	if l.pending == 0 {
+		d.linksLive--
+	}
+	if s.stall != nil {
+		// Return the pipeline slot to the sender's readiness word.
+		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the sending domain reads space only after the phase barrier
+		s.space[int(l.sendVB)+vc]++
+	}
+	s.routerGainsFlit(to)
 }
 
 // mergeDomains replays every domain's staged effects into the shared engine
@@ -249,11 +272,6 @@ func (s *Sim) stepLink(li int) bool {
 func (s *Sim) mergeDomains() {
 	for di := range s.doms {
 		d := &s.doms[di]
-		for _, lid := range d.linkActs {
-			//detlint:allow hotalloc amortised active-list growth; capacity is retained across cycles
-			s.doms[s.linkDom[lid]].linkList = append(s.doms[s.linkDom[lid]].linkList, lid)
-		}
-		d.linkActs = d.linkActs[:0]
 		for _, sc := range d.credits {
 			s.creditWheel.schedule(s.now, sc.at, sc.ev)
 		}
@@ -267,11 +285,6 @@ func (s *Sim) mergeDomains() {
 			s.links[lid].occupancy--
 		}
 		d.occDecs = d.occDecs[:0]
-		for _, td := range d.touchedList {
-			s.doms[td].calDirty = true
-			d.touched[td] = false
-		}
-		d.touchedList = d.touchedList[:0]
 		s.forwardedFlits += d.forwarded
 		s.bypassFlits += d.bypass
 		s.bufferedFlits += d.buffered

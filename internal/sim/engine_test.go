@@ -1,11 +1,12 @@
 // White-box engine tests: the zero-allocation steady-state contract, the
-// percentile helper, and the engine containers (ring, wheel, active set).
+// percentile helper, and the engine containers (ring, wheel).
 
 package sim
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -540,35 +541,6 @@ func TestWheelNextDue(t *testing.T) {
 	}
 }
 
-func TestActiveSetSortedDedup(t *testing.T) {
-	a := newActiveSet(10)
-	for _, i := range []int{7, 3, 7, 1, 3, 9} {
-		a.add(i)
-	}
-	if a.size() != 4 {
-		t.Fatalf("size = %d, want 4 (deduplicated)", a.size())
-	}
-	var seen []int
-	a.forEachSorted(func(i int) bool {
-		seen = append(seen, i)
-		return i == 3 // retain only 3
-	})
-	if len(seen) != 4 || seen[0] != 1 || seen[1] != 3 || seen[2] != 7 || seen[3] != 9 {
-		t.Fatalf("iteration order %v, want ascending [1 3 7 9]", seen)
-	}
-	seen = nil
-	a.forEachSorted(func(i int) bool {
-		seen = append(seen, i)
-		return false
-	})
-	if len(seen) != 1 || seen[0] != 3 {
-		t.Fatalf("retained %v, want [3]", seen)
-	}
-	if a.size() != 0 {
-		t.Fatalf("size after retire = %d", a.size())
-	}
-}
-
 // TestEngineStatsPopulated checks the telemetry block reflects a real run:
 // packets recycle through the freelist and active sets stay well below the
 // topology size at low load.
@@ -590,5 +562,49 @@ func TestEngineStatsPopulated(t *testing.T) {
 	}
 	if st.PeakEjectEvents == 0 {
 		t.Error("ejection wheel never held an event")
+	}
+}
+
+// TestMemEstimateTracksNew keeps the MemBudgetBytes guard honest: for every
+// buffer scheme, on the 200-node and the 4096-node Slim NoC, memEstimate
+// (minus the supplied route table, which New does not allocate) must stay
+// within 0.5x-1.5x of what New actually allocates.
+func TestMemEstimateTracksNew(t *testing.T) {
+	for _, nc := range []struct {
+		name string
+		q, p int
+	}{{"sn_subgr_200", 5, 4}, {"sn_q16", 16, 8}} {
+		sn, err := core.New(core.Params{Q: nc.q, P: nc.p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sn.Network(core.LayoutSubgroup, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := routing.CompileCompact(net, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range resetSchemes {
+			t.Run(nc.name+"/"+sc.name, func(t *testing.T) {
+				cfg := Config{Net: net, Table: tab, VCs: 2, Scheme: sc.scheme, H: 9,
+					Traffic: &bernoulliSource{n: net.N(), rate: 0.1, flits: 6}}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				s, err := New(cfg)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				measured := float64(after.TotalAlloc - before.TotalAlloc)
+				est := float64(s.cfg.memEstimate(s.stride) - tab.MemBytes())
+				r := est / measured
+				t.Logf("memEstimate %.0f KiB, New allocated %.0f KiB (ratio %.2f)", est/1024, measured/1024, r)
+				if r < 0.5 || r > 1.5 {
+					t.Errorf("memEstimate %.0f KiB vs %.0f KiB allocated by New: ratio %.2f outside [0.5, 1.5]", est/1024, measured/1024, r)
+				}
+			})
+		}
 	}
 }

@@ -1,15 +1,12 @@
 // Allocation-free engine containers: growable ring FIFOs that retain their
-// backing arrays across drains, fixed-horizon timing wheels for delayed
-// events, and dirty-index active sets. Together these turn the per-cycle
-// cost of the engine from O(topology) into O(pending work) while keeping the
-// steady-state loop free of heap allocations.
+// backing arrays across drains, and fixed-horizon timing wheels for delayed
+// events. Together these turn the per-cycle cost of the engine from
+// O(topology) into O(pending work) while keeping the steady-state loop free
+// of heap allocations.
 
 package sim
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // ring is a growable circular FIFO. Unlike an append/reslice queue it keeps
 // its backing array when drained, so a queue that has reached its
@@ -47,7 +44,7 @@ func (r *ring[T]) push(v T) {
 }
 
 // pop deliberately leaves the vacated slot's contents in place: every ring
-// element type in the engine (flit, linkFlit, *packet, *cbPacket) references
+// element type in the engine (flit, *packet, *cbPacket) references
 // only freelist-pooled objects that live for the whole run, so there is
 // nothing for the GC to reclaim and the per-pop clear would be a pure dead
 // store — millions of them per saturated run.
@@ -98,14 +95,17 @@ type wheelEvent[T any] struct {
 }
 
 func newWheel[T any](horizon int64) *wheel[T] {
-	if horizon < 2 {
-		horizon = 2
-	}
+	return &wheel[T]{buckets: make([][]T, wheelSize(horizon))}
+}
+
+// wheelSize is the bucket count of a wheel with the given horizon: the
+// smallest power of two >= max(horizon, 2).
+func wheelSize(horizon int64) int64 {
 	n := int64(2)
 	for n < horizon {
 		n *= 2
 	}
-	return &wheel[T]{buckets: make([][]T, n)}
+	return n
 }
 
 // reset drops every pending event and the depth telemetry, keeping bucket
@@ -216,74 +216,4 @@ func (w *wheel[T]) nextDue(now int64) int64 {
 		}
 	}
 	return next
-}
-
-// activeSet tracks dirty entity indices (routers, links, NICs) with O(1)
-// deduplicated insertion and sorted iteration, so the engine visits entities
-// in the same index order as the original full scan — a requirement of the
-// byte-identical determinism contract.
-type activeSet struct {
-	in   []bool
-	list []int32
-}
-
-func newActiveSet(n int) activeSet {
-	return activeSet{in: make([]bool, n)}
-}
-
-// reset empties the set, keeping the list's capacity; see Sim.reset.
-func (a *activeSet) reset() {
-	clear(a.in)
-	a.list = a.list[:0]
-}
-
-//sim:hot
-func (a *activeSet) add(i int) {
-	if !a.in[i] {
-		a.in[i] = true
-		a.list = append(a.list, int32(i))
-	}
-}
-
-//sim:hot
-func (a *activeSet) size() int { return len(a.list) }
-
-// forEachSorted visits the active indices in ascending order; entries whose
-// step returns false are retired from the set. step must not add entries to
-// this same set (additions to other sets are fine) — the engine's phase
-// structure guarantees that: links activate routers, routers activate links,
-// NIC injection activates routers, never an entity of their own kind.
-//
-// When the set is dense (a quarter or more of the index space is active — the
-// saturated regime) the sort is replaced by an ascending scan of the
-// membership flags, which visits exactly the same indices in exactly the same
-// order without the O(n log n) comparison sort every cycle.
-//
-//sim:hot
-func (a *activeSet) forEachSorted(step func(i int) bool) {
-	if n := len(a.list); n*4 >= len(a.in) {
-		keep := a.list[:0]
-		for i := range a.in {
-			if !a.in[i] {
-				continue
-			}
-			if step(i) {
-				keep = append(keep, int32(i))
-			} else {
-				a.in[i] = false
-			}
-		}
-		a.list = keep
-		return
-	}
-	slices.Sort(a.list)
-	keep := a.list[:0]
-	for _, i := range a.list {
-		if step(int(i)) {
-			keep = append(keep, i)
-		} else {
-			a.in[i] = false
-		}
-	}
-	a.list = keep
 }

@@ -3,8 +3,9 @@
 // of one spatial domain by one cycle; idle routers cost nothing. All state
 // touched here is either owned by the router's domain (SoA slices indexed by
 // the domain's router range, NIC injection queues of attached nodes, the
-// outgoing links' sender side) or staged per domain for the serial merge
-// (timing-wheel events, occupancy decrements, cross-domain link wakes) — see
+// outgoing links' sender side, including the domain's own arrival wheels) or
+// staged per domain for the serial merge (credit and ejection wheel events,
+// occupancy decrements) — see
 // domain.go for the decomposition contract. The 1-domain engine (Sim.single)
 // applies the "staged" effects directly, in the same order the merge would.
 //
@@ -260,7 +261,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 				continue
 			}
 			s.ejUsedAt[slot] = now
-			s.popInj(nc, node)
+			s.popInj(d, nc, node)
 			s.ejectWithDelay(d, r, f)
 			continue
 		}
@@ -280,23 +281,27 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		} else if owner != f.pkt.id {
 			continue
 		}
-		s.popInj(nc, node)
+		s.popInj(d, nc, node)
 		outPort := int(nx >> 16)
 		s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
 	}
 }
 
 // popInj removes the front flit of a NIC injection queue, keeping the dense
-// injNext mirror coherent.
+// injNext mirror coherent. The freed slot is the only thing that lets a NIC
+// with queued packets inject again, so it wakes the NIC here.
 //
 //sim:hot
 //sim:domain
-func (s *Sim) popInj(nc *nic, node int) {
+func (s *Sim) popInj(d *domain, nc *nic, node int) {
 	nc.injQ.pop()
 	if nc.injQ.len() > 0 {
 		s.injNext[node] = nc.injQ.front().next
 	} else {
 		s.injNext[node] = nextNone
+	}
+	if nc.srcQ.len() > 0 {
+		s.nicWake(d, node)
 	}
 }
 
@@ -476,13 +481,13 @@ func (s *Sim) outputReady(p *packet, vi int, head bool) bool {
 }
 
 // sendFlit commits a flit to an output: ownership transitions, readiness
-// consumption, link occupancy, and the traversal itself. The flit leaves
-// the router, so its work counter drops and the link wakes — on its
-// receiving domain's list, via the staged linkActs when that domain is not
-// ours. The link-side writes are safe in the parallel phase because a
-// directed link has exactly one sending router, hence exactly one writing
-// domain; the receiver only touches these fields in the (barrier-separated)
-// link phase.
+// consumption, link occupancy, and the traversal itself — the flit is
+// scheduled on this domain's arrival wheel toward the link's receiving
+// domain, for the cycle it lands. The flit leaves the router, so its work
+// counter drops. The link-side writes are safe in the parallel phase
+// because a directed link has exactly one sending router, hence exactly one
+// writing domain; the receiver only touches these fields in the
+// (barrier-separated) link phase.
 //
 //sim:hot
 //sim:domain
@@ -504,41 +509,21 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	l := &s.links[lid]
 	f.hop++
 	f.next = p.next[f.hop]
-	at := s.now + delay + l.latency
-	l.lanes[outVC].push(linkFlit{f: f, arrive: at})
+	// A flit never lands before the one sent ahead of it on its lane: the
+	// lane is a FIFO, so a CBR bypass flit (2 cycles) queues behind a
+	// buffered one (4 cycles) sent earlier.
+	lane := int(lid)*s.vcs + outVC
+	at := max(s.now+delay+l.latency, s.laneLast[lane])
+	s.laneLast[lane] = at
+	//detlint:allow sharedread sender-exclusive: d.out is this domain's own wheel set, its receivers take from it only in the barrier-separated link phase
+	d.out[s.domOf[l.to]].schedule(s.now, at, arrival{f: f, link: lid, vc: int32(outVC)})
 	//detlint:allow sharedread sender-exclusive: one sending router per directed link, receiver reads only after the phase barrier
 	l.pending++
-	if l.pending == 1 || at < l.nextArrive {
-		// Refresh the link's delivery lower bound: an idle link's stale value
-		// must not mask the new flit, and an earlier arrival tightens it.
-		//detlint:allow sharedread sender-exclusive: one sending router per directed link, the receiver's refresh happens in the barrier-separated link phase
-		l.nextArrive = at
+	if l.pending == 1 {
+		d.linksLive++
 	}
 	//detlint:allow sharedread sender-exclusive increment; the receiver's decrements are staged in domain.occDecs and merged serially
 	l.occupancy++
-	// Calendar dirty tracking: the receiving domain's horizon changed.
-	if td := s.linkDom[lid]; td == d.di {
-		//detlint:allow sharedread own-domain calendar cache: the receiving domain is this one, nobody else touches d's cache during the phase
-		d.calDirty = true
-	} else if !d.touched[td] {
-		//detlint:allow sharedread staged dirty mark in this domain's own buffer, replayed serially by mergeDomains
-		d.touched[td] = true
-		//detlint:allow hotalloc amortised staging growth; capacity is retained across cycles
-		//detlint:allow sharedread staged in this domain's own list, merged serially
-		d.touchedList = append(d.touchedList, td)
-	}
-	if !s.linkIn[lid] {
-		s.linkIn[lid] = true
-		if s.single {
-			// 1-domain engine: the receiving list is ours; append directly
-			// (same next-cycle visibility as the staged merge).
-			//detlint:allow hotalloc amortised active-list growth; capacity is retained across cycles
-			d.linkList = append(d.linkList, lid)
-		} else {
-			//detlint:allow hotalloc amortised staging growth; capacity is retained across cycles
-			d.linkActs = append(d.linkActs, lid)
-		}
-	}
 	s.work[r]--
 }
 

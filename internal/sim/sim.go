@@ -8,15 +8,18 @@
 // (§3.2.2). Packets are source-routed with per-hop VC assignments supplied
 // by internal/routing, which guarantees deadlock freedom (§4.3).
 //
-// The engine is an active-set design: instead of scanning every link,
-// router and NIC each cycle, dirty lists track the entities with pending
-// work, timing wheels deliver credit returns and delayed ejections, static
-// routes come pre-compiled from a routing.RouteTable as one next-hop word
-// per hop (borrowed from an interned table, or walked off a compact one into
-// a recycled per-packet buffer), and packet/buffer freelists make the
-// steady-state cycle loop allocation-free. All of this is behaviour-
-// preserving: results are byte-identical to the original full-scan engine
-// (pinned by the golden-metrics fixture in testdata/golden_results.json).
+// The engine is event-driven: nothing is polled. A flit put on a wire rides
+// a timing wheel to the cycle it lands, so a link costs work only in the
+// cycle a flit arrives; credit returns and delayed ejections ride wheels
+// too; a dirty list tracks the routers with resident flits, and a NIC is
+// visited only when it can inject (a packet was queued, or its injection
+// queue freed room while packets wait). Static routes come pre-compiled
+// from a routing.RouteTable as one next-hop word per hop (borrowed from an
+// interned table, or walked off a compact one into a recycled per-packet
+// buffer), and packet/buffer freelists make the steady-state cycle loop
+// allocation-free. All of this is behaviour-preserving: results are
+// byte-identical to the original full-scan engine (pinned by the
+// golden-metrics fixture in testdata/golden_results.json).
 package sim
 
 import (
@@ -59,7 +62,7 @@ const (
 const maxVCs = 63
 
 // maxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are uint16
-// so rings and link lanes move 16-byte elements. Validated by enqueuePacket
+// so rings and wheels move 16-byte elements. Validated by enqueuePacket
 // (synthetic traffic uses single-digit counts; the bound exists for exotic
 // trace generators).
 const maxPacketFlits = 1<<16 - 1
@@ -128,13 +131,13 @@ type Config struct {
 	CycleStep bool
 
 	// MemBudgetBytes caps the engine's estimated resident footprint (SoA
-	// router state, link lanes, NICs, and the compiled route table). When
-	// nonzero, New refuses with a descriptive error before performing the
-	// heavy allocations if the estimate exceeds the budget — the guard that
-	// lets scale-* sweeps declare "this 100k-endpoint instance needs ~8 GiB"
-	// instead of OOM-killing the host. 0 means no cap. Like EngineJobs and
-	// CycleStep this never changes what a feasible run computes, so it is
-	// NOT part of slimnoc's RunSpec or PointKey.
+	// router state, links and wire state, NICs, and the compiled route
+	// table). When nonzero, New refuses with a descriptive error before
+	// performing the heavy allocations if the estimate exceeds the budget —
+	// the guard that lets scale-* sweeps declare "this 100k-endpoint
+	// instance needs ~8 GiB" instead of OOM-killing the host. 0 means no
+	// cap. Like EngineJobs and CycleStep this never changes what a feasible
+	// run computes, so it is NOT part of slimnoc's RunSpec or PointKey.
 	MemBudgetBytes int64
 
 	WarmupCycles  int64
@@ -297,7 +300,7 @@ type packet struct {
 // The struct is deliberately 16 bytes (idx/hop are uint16, bounded by New's
 // maxPacketFlits and the 255-router-radix path-length cap): flits are copied
 // on every ring push/pop along their life — source queue, injection queue,
-// link lane, input buffer, ejection wheel — so their width is hot-loop
+// arrival wheel, input buffer, ejection wheel — so their width is hot-loop
 // memory bandwidth.
 type flit struct {
 	pkt  *packet
@@ -321,31 +324,31 @@ func (f flit) head() bool { return f.idx == 0 }
 //sim:hot
 func (f flit) tail() bool { return int(f.idx) == f.pkt.flits-1 }
 
-// linkFlit is a flit in flight on a wire.
-type linkFlit struct {
-	f      flit
-	arrive int64
+// arrival is a flit in flight on a wire. The wheel bucket it rides is the
+// cycle it lands in input VC vc at the link's receiving port.
+type arrival struct {
+	f    flit
+	link int32
+	vc   int32
 }
 
-// link is a directed wire between routers. In elastic modes the pipeline
-// registers themselves store flits (per-VC, ElastiStore-style independent
-// handshakes), so in-flight flits are kept per VC lane.
+// link is a directed wire between routers. Its flits are not stored here:
+// each rides an arrival wheel (domain.out) to the cycle it lands. In elastic
+// modes the pipeline registers themselves store flits (per-VC,
+// ElastiStore-style independent handshakes): a flit that lands on a full
+// input latch waits in its lane's stall FIFO (Sim.stall).
 type link struct {
 	from, to int // routers
 	toPort   int // input port index at the destination router
 	latency  int64
-	lanes    []ring[linkFlit] // per VC
-	pending  int              // flits across all lanes (active-set signal)
-	// nextArrive is a lower bound on the earliest cycle the link can deliver
-	// anything: the minimum front-flit arrival over its lanes, or now+1 when
-	// a front is blocked by elastic backpressure. The link phase consults it
-	// to skip the per-lane peeks on links whose flits are all still in
-	// flight; the sender refreshes it on push, the receiver after each drain.
-	nextArrive int64
+	pending  int // flits on the wire or stalled at its end (active-link signal)
 	// sendVB is the sender-side per-VC base index into Sim.space: the link
-	// occupies space[sendVB+vc] slots, returned as its lanes drain (elastic
+	// occupies space[sendVB+vc] slots, returned as its flits land (elastic
 	// schemes; EdgeBuffers returns space through the credit wheel instead).
-	sendVB    int32
+	sendVB int32
+	// recvVB is the receiver-side per-VC base index into the input arrays:
+	// the link delivers into input slot recvVB+vc.
+	recvVB    int32
 	occupancy int // flits on the wire plus downstream (UGAL signal)
 }
 
@@ -388,11 +391,19 @@ type Sim struct {
 	rng    *rng.Stream
 	now    int64
 	links  []link
-	lanes  []ring[linkFlit] // every link's per-VC lanes, one slab ([link*vcs+vc])
 	nics   []nic
 	table  *routing.RouteTable // compiled static routes (nil when adaptive)
 	minTab *routing.RouteTable // memoized minimal candidates for adaptive policies
 	paths  *routing.Paths
+
+	// Per-lane wire state, [link*vcs+vc]. laneLast is the latest arrival
+	// cycle scheduled on the lane: a flit never lands before the one sent
+	// ahead of it (a CBR bypass flit, 2 cycles, could otherwise overtake a
+	// buffered one, 4 cycles). stall holds, in order, the flits that landed
+	// on a full input latch or behind stalled flits; nil under EdgeBuffers,
+	// whose credits guarantee room on arrival.
+	laneLast []int64
+	stall    []ring[flit]
 
 	// SoA router state. Geometry (immutable after New):
 	stride  int // max router radix; per-port index stride
@@ -410,7 +421,7 @@ type Sim struct {
 	// dense arrays so the switch-allocation scan never chases the ring's
 	// backing-array pointer: a failed arbitration probe (the common case at
 	// saturation) costs two contiguous loads. Maintained by the only two
-	// inQ mutators, stepLink (push) and popInput (pop).
+	// inQ mutators, deliver (push) and popInput (pop).
 	inLen   []int32 // [(r*stride+pi)*vcs+vc] == inQ[...].len()
 	inFront []flit  // [(r*stride+pi)*vcs+vc] == inQ[...].front() when inLen > 0
 	// inNext collapses "does this input VC hold a flit" and "where does its
@@ -427,14 +438,14 @@ type Sim struct {
 	// (bits.TrailingZeros64), visiting exactly the non-empty slots the
 	// port-by-port probe loop would have found, in the same order. nil when a
 	// router's slots cannot fit one word (stride*vcs > 64) — the scan then
-	// falls back to probing every slot. Maintained by stepLink (set on
+	// falls back to probing every slot. Maintained by deliver (set on
 	// 0->non-empty) and popInput (clear on ->empty).
 	occIn []uint64 // [r], bit pi*vcs+vc; nil when stride*vcs > 64
 	// space is the per-(port,vc) output readiness word: how many more flits
 	// this output can accept right now. For EdgeBuffers it is the classic
 	// credit count (returned through the credit wheel); for elastic schemes
 	// it is the link pipeline's free slots (latency stages + 1 slave latch,
-	// returned when the receiver pops the lane). outputReady is therefore
+	// returned when a flit lands at the receiver). outputReady is therefore
 	// one compare, with the scheme branch and the pointer chase into the
 	// link struct both gone from the arbitration inner loop.
 	space  []int32           // [(r*stride+pi)*vcs+vc]
@@ -451,18 +462,22 @@ type Sim struct {
 	// the serial engine is simply the 1-domain instance of the same code.
 	doms     []domain
 	domOf    []int32 // [r] owning domain index
-	linkDom  []int32 // [link] domain of the link's receiving router
 	routerIn []bool  // [r] router is on its domain's active list
-	linkIn   []bool  // [link] link is on its receiving domain's active list
 	par      *parRunner
 	// single marks the 1-domain engine: staged cross-domain effects (credit
-	// events, ejections, occupancy decrements, link wakes) are applied
-	// directly instead of buffered and replayed — the apply order is then
-	// trivially the staged replay order, so results stay byte-identical.
+	// events, ejections, occupancy decrements) are applied directly instead
+	// of buffered and replayed — the apply order is then trivially the
+	// staged replay order, so results stay byte-identical.
 	single bool
 
-	// Active NICs (source queues with packets); injection stays serial.
-	activeNICs activeSet
+	// Injection is serial and visits only NICs that can move a flit. After
+	// stepInject every NIC has an empty source queue or a full injection
+	// queue, so one needs a visit only after enqueuePacket, or after popInj
+	// frees room while packets wait: it then goes on its domain's ready list
+	// (domain.ready), once per cycle (nicReady). nicBacklog counts the NICs
+	// whose source queue is non-empty.
+	nicReady   []bool // [node]
+	nicBacklog int
 	// injNext mirrors each NIC injection queue's front next-hop word
 	// (nextNone when empty), exactly like inNext does for the router input
 	// buffers: the per-router injection scan probes one dense uint32 per
@@ -538,7 +553,9 @@ type EngineStats struct {
 	// PacketReuses counts recycled packets.
 	PacketAllocs int64 `json:"packet_allocs"`
 	PacketReuses int64 `json:"packet_reuses"`
-	// Active-set occupancy, sampled at the end of every cycle.
+	// Occupancy, sampled at the end of every cycle: routers holding flits,
+	// links carrying flits (on the wire or stalled at its end), and NICs
+	// with packets queued.
 	AvgActiveRouters  float64 `json:"avg_active_routers"`
 	PeakActiveRouters int     `json:"peak_active_routers"`
 	AvgActiveLinks    float64 `json:"avg_active_links"`
@@ -680,40 +697,32 @@ func New(cfg Config) (*Sim, error) {
 	s.work = make([]int32, nr)
 	s.ejUsedAt = make([]int64, s.net.N())
 	// Build links and wire them into the flat port arrays. One link per
-	// directed edge; their per-VC lanes are sliced out of a single slab.
+	// directed edge; per-lane wire state is one slab each ([link*vcs+vc]).
 	edges := 0
 	for _, kp := range s.kp {
 		edges += int(kp)
 	}
 	s.links = make([]link, 0, edges)
-	s.lanes = make([]ring[linkFlit], edges*cfg.VCs)
+	s.laneLast = make([]int64, edges*cfg.VCs)
+	if cfg.Scheme != EdgeBuffers {
+		s.stall = make([]ring[flit], edges*cfg.VCs)
+	}
 	maxLat := int64(1)
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
 		for pi, nb := range adj {
 			// Input port pi at r receives from nb; find r's position in
 			// nb's adjacency to wire the reverse direction.
-			dist := 1
-			if s.net.Coords != nil {
-				dist = topo.ManhattanDist(s.net.Coords[r], s.net.Coords[nb])
-				if dist < 1 {
-					dist = 1
-				}
-			}
-			lat := int64((dist + cfg.H - 1) / cfg.H)
-			if lat < 1 {
-				lat = 1
-			}
-			if lat > maxLat {
-				maxLat = lat
-			}
+			dist, lat := cfg.wire(r, nb)
+			maxLat = max(maxLat, lat)
 			lid := len(s.links)
+			pos := portIndex(s.net.Adj[nb], r)
+			vb := (r*s.stride + pi) * cfg.VCs
 			s.links = append(s.links, link{
 				from: nb, to: r, toPort: pi, latency: lat,
-				lanes: s.lanes[lid*cfg.VCs : (lid+1)*cfg.VCs : (lid+1)*cfg.VCs],
+				sendVB: int32((nb*s.stride + pos) * cfg.VCs),
+				recvVB: int32(vb),
 			})
-			pos := portIndex(s.net.Adj[nb], r)
-			s.links[lid].sendVB = int32((nb*s.stride + pos) * cfg.VCs)
 			s.outLink[nb*s.stride+pos] = int32(lid)
 			s.inLink[r*s.stride+pi] = int32(lid)
 			s.revPort[r*s.stride+pi] = int32(pos)
@@ -725,7 +734,6 @@ func New(cfg Config) (*Sim, error) {
 					capFlits = 1
 				}
 			}
-			vb := (r*s.stride + pi) * cfg.VCs
 			for v := 0; v < cfg.VCs; v++ {
 				s.inCap[vb+v] = int32(capFlits)
 			}
@@ -765,7 +773,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
-	s.buildDomains(normalizeJobs(cfg.EngineJobs, nr))
+	s.buildDomains(normalizeJobs(cfg.EngineJobs, nr), arrivalHorizon(maxLat))
 	// Event calendar: on unless CycleStep forces classic stepping. The
 	// source's next-fire hint is optional (see NextFirer).
 	s.calendar = !cfg.CycleStep
@@ -773,7 +781,7 @@ func New(cfg Config) (*Sim, error) {
 		s.nextFire = nf
 	}
 	// Engine machinery.
-	s.activeNICs = newActiveSet(s.net.N())
+	s.nicReady = make([]bool, s.net.N())
 	s.creditWheel = newWheel[creditEvent](maxLat + 1)
 	s.ejectWheel = newWheel[flit](routerDelayDirect + 1)
 	s.lat = make([]int64, 0, cfg.LatSampleCap)
@@ -843,11 +851,13 @@ func (s *Sim) reset() {
 			}
 		}
 	}
-	// Links: nothing on any wire.
-	clear(s.lanes)
+	// Links: nothing on any wire (the arrival wheels empty with their
+	// domains, below).
+	clear(s.laneLast)
+	clear(s.stall)
 	for li := range s.links {
 		l := &s.links[li]
-		l.pending, l.nextArrive, l.occupancy = 0, 0, 0
+		l.pending, l.occupancy = 0, 0
 	}
 	// NICs: empty source and injection queues.
 	for v := range s.nics {
@@ -855,13 +865,13 @@ func (s *Sim) reset() {
 		nc.srcQ, nc.injQ = ring[*packet]{}, ring[flit]{}
 		s.injNext[v] = nextNone
 	}
-	s.activeNICs.reset()
-	// Domains: empty active lists and staging, calendar caches stale.
+	clear(s.nicReady)
+	s.nicBacklog = 0
+	// Domains: empty active lists, wheels and staging.
 	for di := range s.doms {
 		s.doms[di].reset()
 	}
 	clear(s.routerIn)
-	clear(s.linkIn)
 	if s.par != nil {
 		s.par.reset()
 	}
@@ -877,6 +887,16 @@ func (s *Sim) reset() {
 	s.bypassFlits, s.bufferedFlits, s.forwardedFlits = 0, 0, 0
 	s.lastEject = 0
 	s.eng = engineCounters{}
+}
+
+// wire returns the Manhattan length of the link between routers a and b (1
+// without a layout) and its latency in cycles at H grid hops per cycle.
+func (c *Config) wire(a, b int) (dist int, lat int64) {
+	dist = 1
+	if c.Net.Coords != nil {
+		dist = max(topo.ManhattanDist(c.Net.Coords[a], c.Net.Coords[b]), 1)
+	}
+	return dist, max(int64((dist+c.H-1)/c.H), 1)
 }
 
 func portIndex(adj []int, target int) int {
@@ -1070,20 +1090,14 @@ func (s *Sim) step() {
 	ar, al := 0, 0
 	for di := range s.doms {
 		ar += len(s.doms[di].routerList)
-		al += len(s.doms[di].linkList)
+		al += s.doms[di].linksLive
 	}
 	s.eng.routerSum += int64(ar)
 	s.eng.linkSum += int64(al)
-	s.eng.nicSum += int64(s.activeNICs.size())
-	if ar > s.eng.routerPeak {
-		s.eng.routerPeak = ar
-	}
-	if al > s.eng.linkPeak {
-		s.eng.linkPeak = al
-	}
-	if n := s.activeNICs.size(); n > s.eng.nicPeak {
-		s.eng.nicPeak = n
-	}
+	s.eng.nicSum += int64(s.nicBacklog)
+	s.eng.routerPeak = max(s.eng.routerPeak, ar)
+	s.eng.linkPeak = max(s.eng.linkPeak, al)
+	s.eng.nicPeak = max(s.eng.nicPeak, s.nicBacklog)
 }
 
 // percentile reports the p-quantile of xs by nearest-rank on the sorted
@@ -1203,8 +1217,25 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	if tracked {
 		s.genMeasured++
 	}
-	s.nics[src].srcQ.push(p)
-	s.activeNICs.add(src)
+	nc := &s.nics[src]
+	if nc.srcQ.len() == 0 {
+		s.nicBacklog++
+	}
+	nc.srcQ.push(p)
+	s.nicWake(&s.doms[s.domOf[srcR]], src)
+}
+
+// nicWake puts a NIC with queued packets on its domain's ready list, once.
+// Callers are the serial phases (enqueuePacket) and the NIC's own router's
+// domain in the router phase (popInj), so the append is single-writer.
+//
+//sim:hot
+//sim:domain
+func (s *Sim) nicWake(d *domain, node int) {
+	if !s.nicReady[node] {
+		s.nicReady[node] = true
+		d.ready = append(d.ready, int32(node))
+	}
 }
 
 // stepCredits applies the credit returns due this cycle (EdgeBuffers: each
@@ -1235,45 +1266,63 @@ func (s *Sim) routerGainsFlit(r int) {
 	}
 }
 
-// stepInject moves flits from source queues into NIC injection buffers.
-// Only NICs with queued packets are visited.
+// stepInject moves flits from source queues into NIC injection buffers,
+// visiting only the NICs on the domains' ready lists. Visit order is not
+// observable: each NIC fills its own queue and wakes its own router, and the
+// router phase visits routers in ascending order whatever order they woke
+// in. Every visit ends with an empty source queue or a full injection queue,
+// so the lists empty completely.
 //
 //sim:hot
 func (s *Sim) stepInject() {
-	s.activeNICs.forEachSorted(func(v int) bool {
-		nc := &s.nics[v]
-		r := s.net.NodeRouter(v)
-		for nc.srcQ.len() > 0 {
-			p := nc.srcQ.front()
-			// Move remaining flits of the head packet while space lasts. The
-			// next-hop word is resolved once per packet visit, and only when a
-			// flit actually moves (a full injection queue is the common case
-			// at saturation).
-			moved := false
-			nx := uint32(0)
-			for p.flitsMoved < p.flits && nc.injQ.len() < nc.injCap {
-				if !moved {
-					nx = p.next[0]
-				}
-				s.flitCountInjected(p)
-				if nc.injQ.len() == 0 {
-					s.injNext[v] = nx
-				}
-				nc.injQ.push(flit{pkt: p, idx: uint16(p.flitsMoved), hop: 0, next: nx})
-				p.flitsMoved++
-				moved = true
-				s.routerGainsFlit(r)
-			}
-			if p.flitsMoved == p.flits {
-				nc.srcQ.pop()
-				continue
-			}
-			if !moved {
-				break
-			}
+	for di := range s.doms {
+		d := &s.doms[di]
+		for _, v := range d.ready {
+			s.nicReady[v] = false
+			s.injectNIC(int(v))
 		}
-		return nc.srcQ.len() > 0
-	})
+		d.ready = d.ready[:0]
+	}
+}
+
+// injectNIC moves the flits of one NIC's queued packets into its injection
+// queue while space lasts.
+//
+//sim:hot
+func (s *Sim) injectNIC(v int) {
+	nc := &s.nics[v]
+	r := s.net.NodeRouter(v)
+	for nc.srcQ.len() > 0 {
+		p := nc.srcQ.front()
+		// Move remaining flits of the head packet while space lasts. The
+		// next-hop word is resolved once per packet visit, and only when a
+		// flit actually moves.
+		moved := false
+		nx := uint32(0)
+		for p.flitsMoved < p.flits && nc.injQ.len() < nc.injCap {
+			if !moved {
+				nx = p.next[0]
+			}
+			s.flitCountInjected(p)
+			if nc.injQ.len() == 0 {
+				s.injNext[v] = nx
+			}
+			nc.injQ.push(flit{pkt: p, idx: uint16(p.flitsMoved), hop: 0, next: nx})
+			p.flitsMoved++
+			moved = true
+			s.routerGainsFlit(r)
+		}
+		if p.flitsMoved == p.flits {
+			nc.srcQ.pop()
+			continue
+		}
+		if !moved {
+			break
+		}
+	}
+	if nc.srcQ.len() == 0 {
+		s.nicBacklog-- // a NIC is only ever woken with packets queued
+	}
 }
 
 //sim:hot
