@@ -194,19 +194,12 @@ func activityGrid(o Options, name string, presets []string) slimnoc.SweepSpec {
 	}
 }
 
-// The scale-* family's per-point engine budgets. The grid baselines keep
-// dense DOR tables, and since the route tables started interning per-hop
-// next-hop words for the arbitration fast path, the long-path 10k
-// instances intern ~390 MiB (t2d10k averages ~18 hops across 1260^2 pairs)
-// — a deliberate table-bytes-for-cycle-loop-speed trade. 512 MiB fits every
-// 10k instance while still rejecting the 100k grid family, whose dense
-// tables run to gigabytes. The SN instances are unaffected: generic-minimal
-// routes compile to the compact one-byte-per-pair form well inside the old
-// budget, so the CI smoke figure keeps the tighter 256 MiB guard.
-const (
-	scaleBudget = int64(1) << 29
-	smokeBudget = int64(1) << 28
-)
+// scaleBudget is the scale-* family's per-point engine budget. Every route
+// table, SN and grid baselines alike, is one next-hop byte per router pair
+// (1.5 MiB for a 1260-router 10k grid or the 1250-router SN), so the budget
+// is engine state: 256 MiB fits every 10k instance with room to spare, for
+// the searches and the CI smoke point alike.
+const scaleBudget = int64(1) << 28
 
 // searchBase is the sat-* and scale-* families' point: one preset under
 // one pattern, SMART.
@@ -261,7 +254,7 @@ func scaleSmoke(o Options) Figure {
 				Loads:   []float64{0.008},
 			},
 		}},
-		MemBudget: smokeBudget,
+		MemBudget: scaleBudget,
 		Notes:     "One low-load point on the q=25 subgroup SN (1250 routers, 10000 endpoints): the idle-heavy regime the event calendar accelerates, run inside a 256 MiB budget the SN's table never strains.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			res, err := r.results(0)

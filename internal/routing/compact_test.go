@@ -24,41 +24,16 @@ func compactNets(t *testing.T) map[string]*topo.Network {
 }
 
 // checkCompactMatchesCompile verifies, for every (src,dst) pair, that the
-// compact table's AppendRoute and AppendNextWords reconstructions are
-// element-for-element identical to the Route/Ports/NextWords views of
-// Compile(MinimalRouting{NewMinimal}) + CompilePorts — the equivalence the
-// simulator's byte-identity under compact tables rests on.
+// compact table walks element for element the routes and next-hop words of
+// MinimalRouting{NewMinimal} — the equivalence the simulator's byte-identity
+// under compact tables rests on.
 func checkCompactMatchesCompile(t *testing.T, net *topo.Network, vcs int) {
 	t.Helper()
-	dense := referenceDense(t, net, vcs)
 	compact, err := CompileCompact(net, vcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compact.Compact() || dense.Compact() {
-		t.Fatalf("Compact() flags: compact=%v dense=%v", compact.Compact(), dense.Compact())
-	}
-	if compact.Nr() != net.Nr || compact.NumVCs() != vcs {
-		t.Fatalf("compact table dims %d/%d, want %d/%d", compact.Nr(), compact.NumVCs(), net.Nr, vcs)
-	}
-	var path []int32
-	var vcb, ports []uint8
-	var next, words []uint32
-	for src := 0; src < net.Nr; src++ {
-		for dst := 0; dst < net.Nr; dst++ {
-			wantPath, wantVCs := dense.Route(src, dst)
-			path, vcb, ports, next = compact.AppendRoute(path[:0], vcb[:0], ports[:0], next[:0], src, dst)
-			words = compact.AppendNextWords(words[:0], src, dst)
-			if !slices.Equal(path, wantPath) || !slices.Equal(vcb, wantVCs) ||
-				!slices.Equal(ports, dense.Ports(src, dst)) || !slices.Equal(next, dense.NextWords(src, dst)) {
-				t.Fatalf("vcs=%d %d->%d: AppendRoute gave path %v vcs %v ports %v next %#x, want %v %v %v %#x",
-					vcs, src, dst, path, vcb, ports, next, wantPath, wantVCs, dense.Ports(src, dst), dense.NextWords(src, dst))
-			}
-			if !slices.Equal(words, next) {
-				t.Fatalf("vcs=%d %d->%d: AppendNextWords gave %#x, want %#x", vcs, src, dst, words, next)
-			}
-		}
-	}
+	checkTableMatchesBuilder(t, compact, net, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
 }
 
 // TestCompactMatchesDense runs the per-pair equivalence on the two small
@@ -70,60 +45,33 @@ func TestCompactMatchesDense(t *testing.T) {
 	}
 }
 
-// TestCompactPathHelpers pins the AppendPath/AppendPathTail walks and the
-// mode accessors on a compact table against the dense equivalents.
+// TestCompactPathHelpers pins the AppendPath/AppendPathTail walks on a
+// compact table against Paths.MinPath.
 func TestCompactPathHelpers(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
-	dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewMinimal(net)
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compact.HasPorts() {
-		t.Fatal("compact table must report HasPorts (its bytes are the ports)")
-	}
-	if got, want := compact.Pairs(), net.Nr*net.Nr; got != want {
-		t.Fatalf("Pairs() = %d, want %d", got, want)
-	}
 	for src := 0; src < net.Nr; src++ {
 		for dst := 0; dst < net.Nr; dst++ {
-			want := dense.AppendPath(nil, src, dst)
-			got := compact.AppendPath(nil, src, dst)
-			wantTail := dense.AppendPathTail([]int{-7}, src, dst)
-			gotTail := compact.AppendPathTail([]int{-7}, src, dst)
-			if len(got) != len(want) || len(gotTail) != len(wantTail) {
-				t.Fatalf("%d->%d: lens %d/%d, want %d/%d", src, dst, len(got), len(gotTail), len(want), len(wantTail))
+			want := p.MinPath(src, dst)
+			if got := compact.AppendPath(nil, src, dst); !slices.Equal(got, want) {
+				t.Fatalf("%d->%d: AppendPath = %v, want %v", src, dst, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%d->%d: AppendPath[%d] = %d, want %d", src, dst, i, got[i], want[i])
-				}
-			}
-			for i := range gotTail {
-				if gotTail[i] != wantTail[i] {
-					t.Fatalf("%d->%d: AppendPathTail[%d] = %d, want %d", src, dst, i, gotTail[i], wantTail[i])
-				}
+			if got := compact.AppendPathTail([]int{-7}, src, dst); !slices.Equal(got, append([]int{-7}, want[1:]...)) {
+				t.Fatalf("%d->%d: AppendPathTail = %v, want [-7] + %v", src, dst, got, want[1:])
 			}
 		}
 	}
 }
 
 // TestCompactMemBytes pins the compact footprint at one byte per pair (plus
-// nothing else that scales with nr^2) and checks the dense/compact ratio on
-// a real SN instance — the compression that brings the paper's 100k-endpoint
-// tables under a 256 MiB budget.
+// nothing else that scales with nr^2) — the size that brings the paper's
+// 100k-endpoint tables under a 256 MiB budget.
 func TestCompactMemBytes(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
-	dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dense.CompilePorts(net.Adj); err != nil {
-		t.Fatal(err)
-	}
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -132,20 +80,11 @@ func TestCompactMemBytes(t *testing.T) {
 	if got := compact.MemBytes(); got != pairs {
 		t.Fatalf("compact MemBytes = %d, want %d (one byte per pair)", got, pairs)
 	}
-	if dense.MemBytes() < 12*pairs {
-		t.Fatalf("dense MemBytes = %d, below its %d offset floor?", dense.MemBytes(), 12*pairs)
-	}
 	// The acceptance arithmetic for the 100k-endpoint preset (q=79 SN:
-	// 2*79^2 = 12482 routers): dense floor over 1.5 GiB, compact under
-	// 256 MiB.
+	// 2*79^2 = 12482 routers).
 	const nr100k = 12482
-	denseFloor := int64(nr100k) * int64(nr100k) * 12
-	compactSize := int64(nr100k) * int64(nr100k)
-	if denseFloor <= 1<<30 {
-		t.Fatalf("dense floor %d unexpectedly under 1 GiB", denseFloor)
-	}
-	if compactSize >= 256<<20 {
-		t.Fatalf("compact size %d not under 256 MiB", compactSize)
+	if size := int64(nr100k) * int64(nr100k); size >= 256<<20 {
+		t.Fatalf("compact size %d not under 256 MiB", size)
 	}
 }
 
@@ -199,28 +138,13 @@ func TestNextHopsMatchScalarBFS(t *testing.T) {
 	}
 }
 
-// referenceDense builds the dense table the generic way — all-pairs Paths,
-// one PathBuilder call per pair, a binary search per hop — which is the
-// reference the single-sweep construction must equal.
-func referenceDense(t testing.TB, net *topo.Network, vcs int) *RouteTable {
-	t.Helper()
-	ref, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.CompilePorts(net.Adj); err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
-
 // TestDenseFromSweepMatchesCompile is the byte-identity contract of the
-// sweep-built table: every route reconstructed from CompileCompact's bytes
-// equals what Compile(MinimalRouting) + CompilePorts interns — on every SN
-// size class and layout, a Dragonfly and a folded Clos, at VC counts below,
-// at and above the diameter. (The name dates from when the sweep's bytes were
-// expanded into a dense table and compared array for array; the dense side is
-// now only this reference.)
+// sweep-built table: every route walked off CompileCompact's bytes equals
+// what MinimalRouting's Route assigns — on every SN size class and layout, a
+// Dragonfly and a folded Clos, at VC counts below, at and above the
+// diameter. (The name dates from when the sweep's bytes were expanded into a
+// dense table and compared array for array; the builder is now the only
+// reference.)
 func TestDenseFromSweepMatchesCompile(t *testing.T) {
 	type namedNet struct {
 		name string
@@ -307,41 +231,18 @@ func TestCompileCompactAllocs(t *testing.T) {
 	runtime.KeepAlive(tab)
 }
 
-// TestCompactRejectsViews verifies the dense-view entry points fail loudly on
-// a compact table instead of silently misrouting.
-func TestCompactRejectsViews(t *testing.T) {
-	net := topo.FBF(3, 3, 1)
-	compact, err := CompileCompact(net, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compact.CompilePorts(net.Adj); err == nil {
-		t.Fatal("CompilePorts on a compact table must error")
-	}
-	if compact.Ports(0, 1) != nil || compact.NextWords(0, 1) != nil {
-		t.Fatal("Ports/NextWords views must be nil on a compact table")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Route on a compact table must panic")
-		}
-	}()
-	compact.Route(0, 1)
-}
-
-// TestCompactSelfAndBounds pins the degenerate pairs: src == dst
-// reconstructs the single-router path with an immediate eject word.
+// TestCompactSelfAndBounds pins the degenerate pairs: src == dst walks the
+// single-router path with an immediate eject word.
 func TestCompactSelfAndBounds(t *testing.T) {
 	net := topo.FBF(3, 3, 1)
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, vcs, ports, next := compact.AppendRoute(nil, nil, nil, nil, 4, 4)
-	if len(path) != 1 || path[0] != 4 || len(vcs) != 0 || len(ports) != 0 {
-		t.Fatalf("self route: path %v vcs %v ports %v", path, vcs, ports)
+	if path := compact.AppendPath(nil, 4, 4); !slices.Equal(path, []int{4}) {
+		t.Fatalf("self route: path %v", path)
 	}
-	if len(next) != 1 || next[0] != NextEject {
+	if next := compact.AppendNextWords(nil, 4, 4); len(next) != 1 || next[0] != NextEject {
 		t.Fatalf("self route next = %v, want [NextEject]", next)
 	}
 	if NextEject != math.MaxUint32 {

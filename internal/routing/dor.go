@@ -1,8 +1,10 @@
 // Dimension-ordered routing for meshes, tori (with dateline VCs) and the
 // XY-phase routing used by flattened butterflies and their partitioned
-// variant. All builders validate their paths against the adjacency at
-// construction time, so a mismatch with the topology constructors fails
-// loudly.
+// variant. Each builder has two faces: Route, the reference that assembles a
+// whole path and its VCs, and next, the per-(current router, destination)
+// step the route table is filled from. The oracle tests hold the table's
+// walks against Route for every pair; compileGrid rejects a next hop that is
+// not a link, so a mismatch with the topology constructors fails loudly.
 
 package routing
 
@@ -22,11 +24,7 @@ type dorMesh struct {
 // NewDORMesh builds XY dimension-order routing for a mesh built by
 // topo.Mesh2D. XY routing on a mesh is deadlock-free with any VC count.
 func NewDORMesh(net *topo.Network, rx, ry, vcs int) (PathBuilder, error) {
-	d := &dorMesh{net: net, rx: rx, ry: ry, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: mesh %dx%d: %v", rx, ry, err)
-	}
-	return d, nil
+	return &dorMesh{net: net, rx: rx, ry: ry, vcs: vcs}, nil
 }
 
 func (d *dorMesh) Route(src, dst int) ([]int, []int) {
@@ -51,9 +49,24 @@ func (d *dorMesh) Route(src, dst int) ([]int, []int) {
 
 func (d *dorMesh) NumVCs() int { return d.vcs }
 
+func (d *dorMesh) grid() (*topo.Network, Kind) {
+	return d.net, Kind{Class: ClassMesh, RX: d.rx, RY: d.ry}
+}
+
+func (d *dorMesh) next(cur, dst int) int {
+	x, y := cur%d.rx, cur/d.rx
+	dx, dy := dst%d.rx, dst/d.rx
+	if x != dx {
+		return y*d.rx + x + sign(dx-x)
+	}
+	return (y+sign(dy-y))*d.rx + x
+}
+
 // dorTorus routes XY on a torus, taking the ring direction with the fewest
-// hops and switching to the second VC class after crossing the dateline
-// (wrap link) in either dimension.
+// hops. Each dimension has its own dateline (wrap link): when a dimension's
+// segment crosses it, every hop of that segment — before the crossing as
+// well as after — uses VC 1, and the other segments use VC 0. On a 3x5
+// torus, 3->12 routes [3 0 12] with VCs [1 1].
 type dorTorus struct {
 	net    *topo.Network
 	rx, ry int
@@ -66,11 +79,7 @@ func NewDORTorus(net *topo.Network, rx, ry, vcs int) (PathBuilder, error) {
 	if vcs < 2 {
 		return nil, fmt.Errorf("routing: torus dateline routing needs >= 2 VCs, got %d", vcs)
 	}
-	d := &dorTorus{net: net, rx: rx, ry: ry, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: torus %dx%d: %v", rx, ry, err)
-	}
-	return d, nil
+	return &dorTorus{net: net, rx: rx, ry: ry, vcs: vcs}, nil
 }
 
 func (d *dorTorus) Route(src, dst int) ([]int, []int) {
@@ -124,6 +133,47 @@ func (d *dorTorus) Route(src, dst int) ([]int, []int) {
 
 func (d *dorTorus) NumVCs() int { return d.vcs }
 
+func (d *dorTorus) grid() (*topo.Network, Kind) {
+	return d.net, Kind{Class: ClassTorus, RX: d.rx, RY: d.ry}
+}
+
+func (d *dorTorus) next(cur, dst int) int {
+	x, y := cur%d.rx, cur/d.rx
+	dx, dy := dst%d.rx, dst/d.rx
+	if x != dx {
+		return y*d.rx + ringStep(x, dx, d.rx)
+	}
+	return ringStep(y, dy, d.ry)*d.rx + x
+}
+
+// ringStep is the first move from cur toward target on a ring of n, in
+// Route's shortest direction (positive wins ties).
+func ringStep(cur, target, n int) int {
+	if fwd := ((target-cur)%n + n) % n; n-fwd < fwd {
+		return (cur - 1 + n) % n
+	}
+	return (cur + 1) % n
+}
+
+// ringWraps reports whether Route's shortest-direction segment from cur to
+// target on a ring of n crosses the wrap link between n-1 and 0. On a
+// two-router ring every move does: its one link joins 0 and n-1.
+//
+//sim:hot
+func ringWraps(cur, target, n int) bool {
+	fwd := ((target-cur)%n + n) % n
+	switch {
+	case fwd == 0:
+		return false
+	case n == 2:
+		return true
+	case n-fwd < fwd: // backward: wraps going below 0
+		return target > cur
+	default: // forward: wraps going past n-1
+		return target < cur
+	}
+}
+
 // xyFBF routes row-first on a flattened butterfly: one hop to the
 // destination column, one hop to the destination row.
 type xyFBF struct {
@@ -134,11 +184,7 @@ type xyFBF struct {
 
 // NewXYFBF builds XY routing for an FBF built by topo.FBF.
 func NewXYFBF(net *topo.Network, cx, cy, vcs int) (PathBuilder, error) {
-	d := &xyFBF{net: net, cx: cx, cy: cy, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: fbf %dx%d: %v", cx, cy, err)
-	}
-	return d, nil
+	return &xyFBF{net: net, cx: cx, cy: cy, vcs: vcs}, nil
 }
 
 func (d *xyFBF) Route(src, dst int) ([]int, []int) {
@@ -156,6 +202,17 @@ func (d *xyFBF) Route(src, dst int) ([]int, []int) {
 
 func (d *xyFBF) NumVCs() int { return d.vcs }
 
+func (d *xyFBF) grid() (*topo.Network, Kind) {
+	return d.net, Kind{Class: ClassFBF, RX: d.cx, RY: d.cy}
+}
+
+func (d *xyFBF) next(cur, dst int) int {
+	if x, dx := cur%d.cx, dst%d.cx; x != dx {
+		return cur - x + dx
+	}
+	return dst
+}
+
 // xyPFBF routes the partitioned FBF hierarchically: X phase (local column
 // adjust, then partition crossing), then Y phase (local row adjust, then
 // partition crossing). VC class 0 covers the X phase and 1 the Y phase,
@@ -172,11 +229,7 @@ func NewXYPFBF(net *topo.Network, px, py, sx, sy, vcs int) (PathBuilder, error) 
 	if vcs < 2 {
 		return nil, fmt.Errorf("routing: pfbf routing needs >= 2 VCs, got %d", vcs)
 	}
-	d := &xyPFBF{net: net, px: px, py: py, sx: sx, sy: sy, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: pfbf %dx%d of %dx%d: %v", px, py, sx, sy, err)
-	}
-	return d, nil
+	return &xyPFBF{net: net, px: px, py: py, sx: sx, sy: sy, vcs: vcs}, nil
 }
 
 func (d *xyPFBF) id(gx, gy, lx, ly int) int {
@@ -227,6 +280,24 @@ func (d *xyPFBF) Route(src, dst int) ([]int, []int) {
 
 func (d *xyPFBF) NumVCs() int { return d.vcs }
 
+func (d *xyPFBF) grid() (*topo.Network, Kind) {
+	return d.net, Kind{Class: ClassPFBF, RX: d.sx, RY: d.sy, PX: d.px, PY: d.py}
+}
+
+func (d *xyPFBF) next(cur, dst int) int {
+	gx, gy, lx, ly := d.split(cur)
+	tgx, _, tlx, tly := d.split(dst)
+	switch {
+	case lx != tlx:
+		return d.id(gx, gy, tlx, ly)
+	case gx != tgx:
+		return d.id((gx+1)%d.px, gy, lx, ly)
+	case ly != tly:
+		return d.id(gx, gy, lx, tly)
+	}
+	return d.id(gx, (gy+1)%d.py, lx, ly)
+}
+
 func sign(x int) int {
 	if x > 0 {
 		return 1
@@ -235,24 +306,4 @@ func sign(x int) int {
 		return -1
 	}
 	return 0
-}
-
-// spotCheck validates that every route produced by the builder uses only
-// real links and terminates at the destination.
-func spotCheck(net *topo.Network, b PathBuilder) error {
-	for src := 0; src < net.Nr; src++ {
-		for dst := 0; dst < net.Nr; dst++ {
-			path, vcs := b.Route(src, dst)
-			if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
-				return fmt.Errorf("route %d->%d has bad endpoints %v", src, dst, path)
-			}
-			if len(vcs) != len(path)-1 {
-				return fmt.Errorf("route %d->%d: %d vcs for %d hops", src, dst, len(vcs), len(path)-1)
-			}
-			if !PathValid(net, path) {
-				return fmt.Errorf("route %d->%d uses a missing link: %v", src, dst, path)
-			}
-		}
-	}
-	return nil
 }

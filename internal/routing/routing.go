@@ -6,25 +6,20 @@
 // network is deadlock-free (ascending VC classes for low-diameter networks,
 // dimension order for meshes, datelines for tori).
 //
-// Static algorithms additionally compile into a RouteTable (table.go): the
-// per-(src,dst) paths and VC assignments are interned once and borrowed by
-// every packet, which removes route construction from the simulation hot
-// path and lets campaigns share one immutable table across concurrent runs
-// of the same (network, algorithm, VC count).
+// Static algorithms compile into one form, the RouteTable (table.go): every
+// static route here is next-hop-consistent, so the table is one output-port
+// byte per (current router, destination) pair, and the engine walks it per
+// packet (AppendNextWords), applying the algorithm's VC rule on the way. That
+// takes route construction out of the simulation hot path and lets campaigns
+// share one immutable table across concurrent runs of the same (network,
+// algorithm, VC count).
 //
-// There are two table forms, one per kind of builder. Deterministic minimal
-// routing — what SN, Dragonfly and Clos use — is next-hop-consistent, so it
-// compiles to one output-port byte per pair (compact.go): CompileCompact
-// fills the bytes from the word-parallel all-pairs sweep (topo.Network.Sweep,
-// 64 destinations per machine word, O(nr) scratch) and the engine walks them
-// per packet (AppendNextWords) — no Paths matrix, no PathBuilder call or
-// allocation per pair, no interned path bytes at any size. Every other
-// builder (DOR, XY, datelines, custom registrations) assigns VCs by geometry
-// and goes through the generic Compile(nr, pb) + CompilePorts, which asks the
-// builder for each pair in turn and interns the answers; on minimal routes it
-// is the reference the compact reconstruction must equal element for element
-// (TestDenseFromSweepMatchesCompile). slimnoc.CompileRouteTable picks the
-// form from the algorithm.
+// NewTable is the one constructor. Deterministic minimal routing — what SN,
+// Dragonfly and Clos use — fills the bytes from the word-parallel all-pairs
+// sweep (compact.go: topo.Network.Sweep, 64 destinations per machine word,
+// O(nr) scratch, no Paths matrix). The mesh, torus, FBF and PFBF builders
+// (dor.go) fill them from their next-hop arithmetic, and their Route methods
+// remain the reference the table's walks are tested against pair by pair.
 package routing
 
 import (
@@ -199,7 +194,7 @@ type MinimalRouting struct {
 }
 
 // Route implements PathBuilder. An unreachable pair has no route: both
-// results are nil, which Compile reports as an error.
+// results are nil.
 func (m *MinimalRouting) Route(src, dst int) ([]int, []int) {
 	path := m.P.MinPath(src, dst)
 	if path == nil {

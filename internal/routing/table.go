@@ -1,58 +1,45 @@
-// Compiled route tables. A RouteTable is the flattened, interned form of a
-// PathBuilder: per-(src,dst) router paths and VC assignments stored in two
-// shared backing arrays, handed out as sub-slice views so the simulator's
-// packets borrow their route instead of copying it. Compiled (eager) tables
-// are immutable and safe to share across any number of concurrent
-// simulations — the campaign engine builds one per distinct
-// (network, routing, VCs) combination and reuses it for every point.
+// Compiled route tables. Every static route this package builds is
+// next-hop-consistent — the path from src is src followed by the path from
+// its next hop — so a RouteTable is one output-port byte per (current router,
+// destination) pair plus a per-class VC rule applied while walking the bytes.
+// The table borrows the network's adjacency for the walk and is immutable
+// once built, so one table may back any number of concurrent simulations —
+// the campaign engine builds one per distinct (network, routing, VCs)
+// combination and reuses it for every point.
+//
+// The VC rules reproduce the builders' assignments exactly (pinned pair by
+// pair against each builder's Route by the oracle tests):
+//   - ascending, min(hop, vcs-1): generic minimal routing (SN, Dragonfly,
+//     Clos, damaged networks) and FBF XY;
+//   - mesh XY: hop % vcs;
+//   - torus DOR: every hop of a dimension whose shortest-direction segment
+//     crosses the wrap link rides VC 1, the others VC 0;
+//   - PFBF: VC 0 while the X phase (local column, then partition ring) is
+//     pending, VC 1 for the Y phase.
 
 package routing
 
-import "fmt"
+import (
+	"fmt"
 
-// RouteTable holds precomputed (or deterministically memoized) routes for
-// one network and one PathBuilder. Paths returned by Route are views into
-// interned storage and must be treated as read-only by callers.
+	"repro/internal/topo"
+)
+
+// RouteTable is the compiled form of a static routing algorithm on one
+// network: cnh[cur*nr+dst] is the output port at cur toward dst (cnhNone
+// when cur == dst), walked through the borrowed adjacency. kind selects the
+// VC rule.
 type RouteTable struct {
-	nr  int
-	vcs int
-	// pb is retained only by memoizing tables; Compile drops it, freezing
-	// the table.
-	pb PathBuilder
-
-	// Interned storage: every compiled path's routers and per-hop VCs,
-	// concatenated. off/voff/plen index it per (src*nr+dst) pair; off < 0
-	// marks a pair not yet compiled (memoizing tables only).
-	routers []int32
-	hopVCs  []uint8
-	off     []int32
-	voff    []int32
-	plen    []int32
-
-	// ports holds the per-hop output-port indices, aligned element for
-	// element with hopVCs (same voff indexing): ports[voff+i] is the output
-	// port at path[i] leading to path[i+1]. Filled by CompilePorts; empty
-	// until then. Precomputing the ports moves the simulator's per-flit
-	// adjacency binary search out of the switch-allocation hot path.
-	ports []uint8
-
-	// nextw holds the per-hop next-hop words (NextWord encoding: output
-	// port and the port*vcs+vc slot offset in one uint32), aligned with
-	// routers (same off indexing, plen entries per pair) and terminated by
-	// NextEject at each path's final hop. Filled by CompilePorts. The
-	// simulator's switch allocation arbitrates on these words alone — one
-	// dense load per probe, no packet or table access until a flit moves.
-	nextw []uint32
-
-	// Compact mode (see compact.go): next-hop-only storage, one output-port
-	// byte per (src,dst) pair, with the network adjacency borrowed for the
-	// reconstruction walks. Mutually exclusive with the interned storage
-	// above: a compact table has no off/voff/plen arrays at all — that is
-	// the point — and serves routes via AppendNextWords/AppendRoute instead
-	// of views.
-	cnh  []uint8 // [src*nr+dst] output port at src toward dst; cnhNone if src == dst
-	cadj [][]int // borrowed adjacency (sorted rows), for next-hop resolution
+	nr   int
+	vcs  int
+	kind Kind
+	cnh  []uint8
+	adj  [][]int
 }
+
+// cnhNone marks the pairs with no next hop, src == dst. Compilation caps
+// the radix at 254 so the sentinel can never be a real port.
+const cnhNone = 0xff
 
 // NextEject is the next-hop word of a path's final hop: the router visit is
 // an ejection, not a traversal. Real encodings never collide with it (or
@@ -70,253 +57,228 @@ func NextWord(port, vc, vcs int) uint32 {
 	return uint32(port)<<16 | uint32(port*vcs+vc)
 }
 
-func newTable(nr int, pb PathBuilder) *RouteTable {
-	t := &RouteTable{
-		nr:   nr,
-		vcs:  pb.NumVCs(),
-		pb:   pb,
-		off:  make([]int32, nr*nr),
-		voff: make([]int32, nr*nr),
-		plen: make([]int32, nr*nr),
+// newTable allocates an nr x nr table over the network's adjacency, after
+// checking what the byte encoding needs: at least one VC and no router
+// radix above 254.
+func newTable(net *topo.Network, kind Kind, vcs int) (*RouteTable, error) {
+	if vcs < 1 {
+		return nil, fmt.Errorf("routing: a route table needs vcs >= 1, got %d", vcs)
 	}
-	for i := range t.off {
-		t.off[i] = -1
-	}
-	return t
-}
-
-// Compile eagerly builds the full nr x nr route table from the builder. The
-// returned table is immutable: it never touches the builder again, and
-// concurrent readers need no synchronisation.
-func Compile(nr int, pb PathBuilder) (*RouteTable, error) {
-	t := newTable(nr, pb)
-	for src := 0; src < nr; src++ {
-		for dst := 0; dst < nr; dst++ {
-			if err := t.fill(src, dst); err != nil {
-				return nil, err
-			}
+	for r := 0; r < net.Nr; r++ {
+		if len(net.Adj[r]) > 254 {
+			return nil, fmt.Errorf("routing: router %d radix %d exceeds the route table's 254-port limit", r, len(net.Adj[r]))
 		}
 	}
-	t.pb = nil // frozen
+	return &RouteTable{nr: net.Nr, vcs: vcs, kind: kind, cnh: make([]uint8, net.Nr*net.Nr), adj: net.Adj}, nil
+}
+
+// NewTable compiles the deadlock-free static routes NewRoutingFor picks for
+// a network of the given kind. Generic networks get the word-parallel sweep
+// (CompileCompact); the four grid classes fill the bytes from their
+// builder's next-hop arithmetic, with no sweep and no per-pair Route call.
+func NewTable(net *topo.Network, kind Kind, vcs int) (*RouteTable, error) {
+	if kind.Class == ClassGeneric {
+		return CompileCompact(net, vcs)
+	}
+	pb, err := NewRoutingFor(net, kind, vcs)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(net.Nr, pb)
+}
+
+// Compile builds the route table of a builder from this package for an
+// nr-router network: the sweep for MinimalRouting, the next-hop arithmetic
+// for the grid builders. Builders defined elsewhere have no next-hop form
+// the table can derive, and are an error.
+func Compile(nr int, pb PathBuilder) (*RouteTable, error) {
+	var t *RouteTable
+	var err error
+	switch b := pb.(type) {
+	case *MinimalRouting:
+		t, err = CompileCompact(b.P.net, b.VCs)
+	case gridBuilder:
+		t, err = compileGrid(b)
+	default:
+		return nil, fmt.Errorf("routing: Compile: %T is not a builder of this package, so its routes have no next-hop table", pb)
+	}
+	if err == nil && t.nr != nr {
+		err = fmt.Errorf("routing: Compile: builder routes %d routers, caller expects %d", t.nr, nr)
+	}
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// NewMemoTable builds a lazily filled table: each (src,dst) pair is compiled
-// on first use and reused afterwards. Because the builder is deterministic,
-// the memoized route is identical to an eagerly compiled one. A memoizing
-// table mutates itself on lookup and is therefore NOT safe for concurrent
-// use; share only tables built with Compile.
-func NewMemoTable(nr int, pb PathBuilder) *RouteTable {
-	return newTable(nr, pb)
+// gridBuilder is a dimension-ordered builder whose next router depends only
+// on (current router, destination).
+type gridBuilder interface {
+	PathBuilder
+	// grid returns the network the builder routes and its geometry.
+	grid() (*topo.Network, Kind)
+	// next returns the router after cur on the route to dst (cur != dst).
+	next(cur, dst int) int
 }
 
-func (t *RouteTable) fill(src, dst int) error {
-	path, vcs := t.pb.Route(src, dst)
-	if len(path) == 0 {
-		return unreachableError(src, dst)
+// compileGrid fills a table from a grid builder's next-hop arithmetic. A
+// next router that is not a neighbour of the current one — a Kind that does
+// not describe the network — is an error, caught without any per-pair
+// search: the neighbours' ports are staged in a scratch row per router.
+func compileGrid(b gridBuilder) (*RouteTable, error) {
+	net, kind := b.grid()
+	routers := kind.RX * kind.RY
+	if kind.Class == ClassPFBF {
+		routers *= kind.PX * kind.PY
 	}
-	if len(vcs) != len(path)-1 {
-		return fmt.Errorf("routing: table compile %d->%d: %d vcs for %d hops",
-			src, dst, len(vcs), len(path)-1)
+	if routers != net.Nr {
+		return nil, fmt.Errorf("routing: %v grid of %d routers does not describe a %d-router network", kind, routers, net.Nr)
 	}
-	pair := src*t.nr + dst
-	t.off[pair] = int32(len(t.routers))
-	t.voff[pair] = int32(len(t.hopVCs))
-	t.plen[pair] = int32(len(path))
-	for _, r := range path {
-		t.routers = append(t.routers, int32(r))
+	t, err := newTable(net, kind, b.NumVCs())
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range vcs {
-		t.hopVCs = append(t.hopVCs, uint8(v))
+	nr := net.Nr
+	port := make([]uint8, nr)
+	for i := range port {
+		port[i] = cnhNone
 	}
-	return nil
-}
-
-// Route returns the router path (inclusive of both endpoints) and per-hop VC
-// assignment for src->dst as borrowed, read-only views into the table's
-// interned storage. On a memoizing table a first-time pair is compiled on
-// the spot; compile errors panic there, since the eager path has already
-// validated the builder in every shared configuration.
-func (t *RouteTable) Route(src, dst int) ([]int32, []uint8) {
-	if t.cnh != nil {
-		panic("routing: Route on a compact table (reconstruct with AppendRoute)")
-	}
-	pair := src*t.nr + dst
-	if t.off[pair] < 0 {
-		if t.pb == nil {
-			panic("routing: frozen RouteTable missing a pair")
+	for cur := 0; cur < nr; cur++ {
+		for p, v := range net.Adj[cur] {
+			port[v] = uint8(p)
 		}
-		if err := t.fill(src, dst); err != nil {
-			panic(err)
-		}
-	}
-	o, n := t.off[pair], t.plen[pair]
-	vo := t.voff[pair]
-	hops := n - 1
-	if hops < 0 {
-		hops = 0
-	}
-	return t.routers[o : o+n : o+n], t.hopVCs[vo : vo+hops : vo+hops]
-}
-
-// CompilePorts resolves every compiled hop to its output-port index in the
-// sender's (sorted) adjacency row, making Ports views available. It may only
-// be called on a frozen table (built with Compile): a memoizing table keeps
-// compiling new pairs, whose port entries would be missing. The adjacency
-// must be the network the table was compiled for; ports are uint8, so router
-// radixes beyond 255 are rejected (no supported topology comes close).
-func (t *RouteTable) CompilePorts(adj [][]int) error {
-	if t.cnh != nil {
-		return fmt.Errorf("routing: CompilePorts on a compact table (its ports come from AppendRoute)")
-	}
-	if t.pb != nil {
-		return fmt.Errorf("routing: CompilePorts requires a frozen table (use Compile, not NewMemoTable)")
-	}
-	if len(adj) != t.nr {
-		return fmt.Errorf("routing: CompilePorts adjacency has %d routers, table compiled for %d", len(adj), t.nr)
-	}
-	for r := range adj {
-		if len(adj[r]) > 255 {
-			return fmt.Errorf("routing: router %d radix %d exceeds the 255-port limit", r, len(adj[r]))
-		}
-	}
-	ports := make([]uint8, len(t.hopVCs))
-	nextw := make([]uint32, len(t.routers))
-	for pair, o := range t.off {
-		if o < 0 {
-			continue
-		}
-		n, vo := int(t.plen[pair]), int(t.voff[pair])
-		path := t.routers[o : int(o)+n]
-		for i := 0; i+1 < n; i++ {
-			pos, ok := searchAdj(adj[path[i]], int(path[i+1]))
-			if !ok {
-				return fmt.Errorf("routing: compiled route %d->%d uses missing link %d->%d",
-					pair/t.nr, pair%t.nr, path[i], path[i+1])
+		row := t.cnh[cur*nr : (cur+1)*nr]
+		for dst := range row {
+			if dst == cur {
+				row[dst] = cnhNone
+				continue
 			}
-			ports[vo+i] = uint8(pos)
-			nextw[int(o)+i] = NextWord(pos, int(t.hopVCs[vo+i]), t.vcs)
+			nxt := b.next(cur, dst)
+			if row[dst] = port[nxt]; row[dst] == cnhNone {
+				return nil, fmt.Errorf("routing: %v route %d->%d steps from %d to non-neighbour %d", kind, cur, dst, cur, nxt)
+			}
 		}
-		if n > 0 {
-			nextw[int(o)+n-1] = NextEject
+		for _, v := range net.Adj[cur] {
+			port[v] = cnhNone
 		}
 	}
-	t.ports = ports
-	t.nextw = nextw
+	return t, nil
+}
+
+// CompilePorts is kept for callers that bake ports into a freshly compiled
+// table: the bytes already are the ports, so it only checks that adj is the
+// adjacency the table walks.
+func (t *RouteTable) CompilePorts(adj [][]int) error {
+	if len(adj) != len(t.adj) || (len(adj) > 0 && &adj[0] != &t.adj[0]) {
+		return fmt.Errorf("routing: CompilePorts: adjacency is not the network the table was compiled for")
+	}
 	return nil
 }
 
-// searchAdj binary-searches a sorted adjacency row for nxt, returning its
-// position (the output-port index).
-func searchAdj(adj []int, nxt int) (int, bool) {
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < nxt {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(adj) || adj[lo] != nxt {
-		return 0, false
-	}
-	return lo, true
-}
-
-// HasPorts reports whether per-hop output ports are available — CompilePorts
-// has run (dense tables) or the table is compact (its bytes are the ports).
-func (t *RouteTable) HasPorts() bool { return t.ports != nil || t.cnh != nil }
-
-// Ports returns the per-hop output ports for src->dst (len(path)-1 entries,
-// aligned with the VC view from Route) as a borrowed read-only view, or nil
-// if CompilePorts has not run. Pairs are never compiled here — callers pair
-// it with Route, which does.
-func (t *RouteTable) Ports(src, dst int) []uint8 {
-	if t.ports == nil {
-		return nil
-	}
-	pair := src*t.nr + dst
-	vo, hops := t.voff[pair], t.plen[pair]-1
-	if hops < 0 {
-		hops = 0
-	}
-	return t.ports[vo : vo+hops : vo+hops]
-}
-
-// NextWords returns the per-hop next-hop words for src->dst (len(path)
-// entries, NextEject-terminated) as a borrowed read-only view, or nil if
-// CompilePorts has not run. Pairs are never compiled here — callers pair it
-// with Route, which does.
-func (t *RouteTable) NextWords(src, dst int) []uint32 {
-	if t.nextw == nil {
-		return nil
-	}
-	pair := src*t.nr + dst
-	o, n := t.off[pair], t.plen[pair]
-	return t.nextw[o : o+n : o+n]
-}
-
-// NumVCs returns the VC count of the compiled builder.
+// NumVCs returns the VC count the table's routes are assigned over.
 func (t *RouteTable) NumVCs() int { return t.vcs }
 
 // Nr returns the router count the table was compiled for.
 func (t *RouteTable) Nr() int { return t.nr }
 
-// MemBytes returns the table's resident footprint: the interned path,
-// VC and port bytes plus the three per-pair offset arrays. Memory-budget
-// enforcement (sim.Config.MemBudgetBytes) uses it to account a shared
-// compiled table against a run's budget without reflection.
-func (t *RouteTable) MemBytes() int64 {
-	return int64(len(t.routers))*4 + int64(len(t.hopVCs)) + int64(len(t.ports)) +
-		int64(len(t.nextw))*4 + int64(len(t.cnh)) +
-		int64(len(t.off))*4 + int64(len(t.voff))*4 + int64(len(t.plen))*4
+// MemBytes returns the table's resident footprint, one byte per router
+// pair. Memory-budget enforcement (sim.Config.MemBudgetBytes) uses it to
+// account a shared table against a run's budget.
+func (t *RouteTable) MemBytes() int64 { return int64(len(t.cnh)) }
+
+// port returns the output port at cur toward dst and the router it leads
+// to, for the hop-th hop of a walk.
+//
+//sim:hot
+func (t *RouteTable) port(cur, dst, hop int) (uint8, int) {
+	if hop >= t.nr {
+		panic("routing: next-hop walk does not terminate (corrupt table or mutated adjacency)")
+	}
+	p := t.cnh[cur*t.nr+dst]
+	return p, t.adj[cur][p]
 }
 
-// Pairs returns the number of compiled (src,dst) pairs (all nr^2 for an
-// eager table).
-func (t *RouteTable) Pairs() int {
-	if t.cnh != nil {
-		return t.nr * t.nr // compact tables cover every pair by construction
-	}
-	n := 0
-	for _, o := range t.off {
-		if o >= 0 {
-			n++
+// AppendNextWords appends the NextEject-terminated next-hop words of the
+// src->dst route to next and returns it — all the simulator reads of a route
+// once a packet is queued (the hop count is len - 1). The VC rule is picked
+// once per route. Allocation-free once the buffer has reached its
+// high-water capacity. src == dst appends the lone NextEject.
+//
+//sim:hot
+func (t *RouteTable) AppendNextWords(next []uint32, src, dst int) []uint32 {
+	switch t.kind.Class {
+	case ClassMesh:
+		for cur, hop := src, 0; cur != dst; hop++ {
+			p, nxt := t.port(cur, dst, hop)
+			next = append(next, NextWord(int(p), hop%t.vcs, t.vcs))
+			cur = nxt
+		}
+	case ClassTorus, ClassPFBF:
+		xHops, xVC, yVC := t.phases(src, dst)
+		for cur, hop := src, 0; cur != dst; hop++ {
+			vc := yVC
+			if hop < xHops {
+				vc = xVC
+			}
+			p, nxt := t.port(cur, dst, hop)
+			next = append(next, NextWord(int(p), vc, t.vcs))
+			cur = nxt
+		}
+	default: // ascending: generic minimal routing, FBF XY
+		for cur, hop := src, 0; cur != dst; hop++ {
+			p, nxt := t.port(cur, dst, hop)
+			next = append(next, NextWord(int(p), min(hop, t.vcs-1), t.vcs))
+			cur = nxt
 		}
 	}
-	return n
+	next = append(next, NextEject)
+	return next
 }
 
-// AppendPath appends the src->dst router path to buf and returns it —
-// the allocation-free counterpart of Paths.MinPath for adaptive policies
-// reusing table candidates.
+// phases splits a two-phase route (torus, PFBF) into its leading X hops and
+// the rest, returning the X hop count and the VC of each phase.
+//
+//sim:hot
+func (t *RouteTable) phases(src, dst int) (xHops, xVC, yVC int) {
+	k := t.kind
+	if k.Class == ClassTorus {
+		// Each dimension has its own dateline: a segment that crosses the
+		// wrap link rides VC 1 for all of its hops. The Y segment starts from
+		// src's row, which the X phase does not change.
+		x, dx := src%k.RX, dst%k.RX
+		fwd := ((dx-x)%k.RX + k.RX) % k.RX
+		return min(fwd, k.RX-fwd), b2i(ringWraps(x, dx, k.RX)), b2i(ringWraps(src/k.RX, dst/k.RX, k.RY))
+	}
+	// PFBF: the local column hop, then the partition ring steps, on VC 0.
+	part := k.RX * k.RY
+	xHops = (dst/part%k.PX - src/part%k.PX + k.PX) % k.PX
+	if src%k.RX != dst%k.RX {
+		xHops++
+	}
+	return xHops, 0, 1
+}
+
+//sim:hot
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// AppendPath appends the src->dst router path (both endpoints included) to
+// buf and returns it — the allocation-free counterpart of Paths.MinPath for
+// adaptive policies reusing table candidates.
 func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
-	if t.cnh != nil {
-		return t.appendPathOnly(buf, src, dst)
-	}
-	path, _ := t.Route(src, dst)
-	for _, r := range path {
-		buf = append(buf, int(r))
-	}
-	return buf
+	return t.AppendPathTail(append(buf, src), src, dst)
 }
 
 // AppendPathTail appends the src->dst path without its first router (used to
 // concatenate Valiant segments without duplicating the intermediate).
 func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
-	if t.cnh != nil {
-		n := len(buf)
-		buf = t.appendPathOnly(buf, src, dst)
-		if len(buf) > n {
-			copy(buf[n:], buf[n+1:])
-			buf = buf[:len(buf)-1]
-		}
-		return buf
-	}
-	path, _ := t.Route(src, dst)
-	for _, r := range path[1:] {
-		buf = append(buf, int(r))
+	for cur, hop := src, 0; cur != dst; hop++ {
+		_, cur = t.port(cur, dst, hop)
+		buf = append(buf, cur)
 	}
 	return buf
 }
@@ -325,11 +287,7 @@ func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
 // given hop count to buf — the allocation-free form of AscendingVCs.
 func AppendAscendingVCs(buf []int, hops, numVCs int) []int {
 	for i := 0; i < hops; i++ {
-		vc := i
-		if vc >= numVCs {
-			vc = numVCs - 1
-		}
-		buf = append(buf, vc)
+		buf = append(buf, min(i, numVCs-1))
 	}
 	return buf
 }

@@ -34,74 +34,34 @@ func tableBuilders(t *testing.T) map[string]struct {
 	}
 }
 
-// TestCompileMatchesBuilder verifies a compiled table reproduces its
-// builder's routes exactly for every pair, through both eager and memoized
-// construction.
+// TestCompileMatchesBuilder verifies a table compiled from a builder walks
+// the builder's routes and VCs exactly for every pair.
 func TestCompileMatchesBuilder(t *testing.T) {
 	for name, tc := range tableBuilders(t) {
-		tc := tc
 		t.Run(name, func(t *testing.T) {
-			eager, err := Compile(tc.net.Nr, tc.pb)
+			tab, err := Compile(tc.net.Nr, tc.pb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			memo := NewMemoTable(tc.net.Nr, tc.pb)
-			if eager.NumVCs() != tc.pb.NumVCs() {
-				t.Fatalf("NumVCs %d != %d", eager.NumVCs(), tc.pb.NumVCs())
+			checkTableMatchesBuilder(t, tab, tc.net, tc.pb)
+			if err := tab.CompilePorts(tc.net.Adj); err != nil {
+				t.Errorf("CompilePorts on the table's own adjacency: %v", err)
 			}
-			for src := 0; src < tc.net.Nr; src++ {
-				for dst := 0; dst < tc.net.Nr; dst++ {
-					wantPath, wantVCs := tc.pb.Route(src, dst)
-					for _, tab := range []*RouteTable{eager, memo} {
-						path, vcs := tab.Route(src, dst)
-						if len(path) != len(wantPath) || len(vcs) != len(wantVCs) {
-							t.Fatalf("%d->%d: table path/vcs lengths %d/%d, want %d/%d",
-								src, dst, len(path), len(vcs), len(wantPath), len(wantVCs))
-						}
-						for i := range path {
-							if int(path[i]) != wantPath[i] {
-								t.Fatalf("%d->%d: path[%d] = %d, want %d", src, dst, i, path[i], wantPath[i])
-							}
-						}
-						for i := range vcs {
-							if int(vcs[i]) != wantVCs[i] {
-								t.Fatalf("%d->%d: vcs[%d] = %d, want %d", src, dst, i, vcs[i], wantVCs[i])
-							}
-						}
-					}
-				}
-			}
-			if got := eager.Pairs(); got != tc.net.Nr*tc.net.Nr {
-				t.Errorf("eager table compiled %d pairs, want %d", got, tc.net.Nr*tc.net.Nr)
+			if err := tab.CompilePorts(topo.FBF(4, 4, 1).Adj); err == nil {
+				t.Error("CompilePorts accepted another network's adjacency")
 			}
 		})
 	}
+	if _, err := Compile(16, foreignBuilder{}); err == nil {
+		t.Error("Compile accepted a builder from outside the package")
+	}
 }
 
-// TestTableBorrowIsolation pins the interning contract: the views handed
-// out by Route are capacity-clipped, so a caller appending to a borrowed
-// path cannot clobber the adjacent pair's storage.
-func TestTableBorrowIsolation(t *testing.T) {
-	net := topo.Mesh2D(3, 3, 1)
-	pb, err := NewDORMesh(net, 3, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := Compile(net.Nr, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path01, _ := tab.Route(0, 1)
-	before, _ := tab.Route(0, 2)
-	snapshot := append([]int32(nil), before...)
-	_ = append(path01, 99) // must reallocate, not overwrite interned storage
-	after, _ := tab.Route(0, 2)
-	for i := range snapshot {
-		if after[i] != snapshot[i] {
-			t.Fatalf("appending to a borrowed path corrupted neighbour storage: %v -> %v", snapshot, after)
-		}
-	}
-}
+// foreignBuilder stands for a PathBuilder defined outside this package.
+type foreignBuilder struct{}
+
+func (foreignBuilder) Route(src, dst int) ([]int, []int) { return []int{src, dst}, []int{0} }
+func (foreignBuilder) NumVCs() int                       { return 1 }
 
 func TestAppendPathHelpers(t *testing.T) {
 	net := topo.FBF(4, 4, 1)

@@ -15,9 +15,9 @@ import (
 // variants see occupancy along the whole path; local variants only at the
 // source router's candidate output (§6).
 //
-// Candidate paths are borrowed from the simulation's memoized minimal route
-// table (Sim.MinRoutes) into reused scratch buffers, so route selection
-// allocates nothing once the table is warm. The returned slices are only
+// Candidate paths are walked off the simulation's minimal route table
+// (Sim.MinRoutes) into reused scratch buffers, so route selection
+// allocates nothing once the table is compiled. The returned slices are only
 // valid until the next Choose call, which the simulator's contract allows;
 // a UGAL value must not be shared by concurrently running simulations.
 type UGAL struct {
@@ -86,15 +86,4 @@ func (m *MinAdaptive) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) 
 	}
 	path := append([]int{srcRouter}, p.MinPath(best, dstRouter)...)
 	return path, routing.AscendingVCs(len(path)-1, m.VCs)
-}
-
-// StaticMin wraps the configured PathBuilder as an AdaptivePolicy (the MIN
-// comparison point in Fig. 20).
-type StaticMin struct {
-	B routing.PathBuilder
-}
-
-// Choose implements AdaptivePolicy.
-func (m *StaticMin) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
-	return m.B.Route(srcRouter, dstRouter)
 }

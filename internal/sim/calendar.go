@@ -97,11 +97,11 @@ func (s *Sim) skipAhead(limit int64) {
 
 // memEstimate predicts the engine's resident footprint in bytes for the
 // MemBudgetBytes guard: the SoA router arrays, the links and their per-lane
-// wire state, the arrival wheels, NICs, and the compiled route table
-// (measured exactly when supplied, floor-estimated when New would compile
-// one). Deliberately computed from the same geometry New allocates from,
-// before it allocates. Queues and wheel buckets count at their construction
-// size; what they grow to depends on the traffic.
+// wire state, the arrival wheels, NICs, and the compiled route table (one
+// byte per router pair, supplied or compiled by New). Deliberately computed
+// from the same geometry New allocates from, before it allocates. Queues
+// and wheel buckets count at their construction size; what they grow to
+// depends on the traffic.
 func (c *Config) memEstimate(stride int) int64 {
 	nr := int64(c.Net.Nr)
 	n := int64(c.Net.N())
@@ -139,10 +139,7 @@ func (c *Config) memEstimate(stride int) int64 {
 		if c.Table != nil {
 			b += c.Table.MemBytes()
 		} else {
-			// Compile stores three int32 offsets per ordered router pair
-			// before any interned path bytes — the footprint floor of the
-			// table New would build.
-			b += nr * nr * 12
+			b += nr * nr // the table New compiles: one byte per router pair
 		}
 	}
 	return b

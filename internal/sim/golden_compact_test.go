@@ -12,11 +12,10 @@ import (
 )
 
 // TestGoldenMetricsCompactTable replays the static-routing golden cases with
-// a compact (next-hop-only) route table supplied in place of the path
-// builder, against the same unmodified fixture: the on-the-fly route
-// reconstruction is required to be a byte-identical re-implementation of the
-// dense interned views, end to end through the engine — at the serial
-// domain count and split across domains. (UGAL cases route per packet and
+// a shared route table supplied in place of the path builder, against the
+// same unmodified fixture: a table compiled once outside the engine must
+// route exactly like the one New compiles from the builder, end to end —
+// at the serial domain count and split across domains. (UGAL cases route per packet and
 // have no compiled table; they are covered by the base golden tests.)
 func TestGoldenMetricsCompactTable(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
@@ -42,9 +41,6 @@ func TestGoldenMetricsCompactTable(t *testing.T) {
 				tab, err := routing.CompileCompact(net, c.VCs)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !tab.Compact() {
-					t.Fatal("CompileCompact built a non-compact table")
 				}
 				cfg := sim.Config{
 					Net:    net,

@@ -14,12 +14,12 @@
 // too; a dirty list tracks the routers with resident flits, and a NIC is
 // visited only when it can inject (a packet was queued, or its injection
 // queue freed room while packets wait). Static routes come pre-compiled
-// from a routing.RouteTable as one next-hop word per hop (borrowed from an
-// interned table, or walked off a compact one into a recycled per-packet
-// buffer), and packet/buffer freelists make the steady-state cycle loop
-// allocation-free. All of this is behaviour-preserving: results are
-// byte-identical to the original full-scan engine (pinned by the
-// golden-metrics fixture in testdata/golden_results.json).
+// as a routing.RouteTable, whose next-hop bytes each packet walks once, at
+// enqueue, into a recycled buffer of one next-hop word per hop, and
+// packet/buffer freelists make the steady-state cycle loop allocation-free.
+// All of this is behaviour-preserving: results are byte-identical to the
+// original full-scan engine (pinned by the golden-metrics fixture in
+// testdata/golden_results.json).
 package sim
 
 import (
@@ -74,9 +74,9 @@ type Config struct {
 	Routing routing.PathBuilder
 	// Table optionally supplies the compiled form of the static routes;
 	// when nil (and no Adaptive policy is set) New compiles one from
-	// Routing. A table built with routing.Compile is immutable, so one
-	// table may back any number of concurrent simulations — the campaign
-	// engine shares one per (network, routing, VCs) combination.
+	// Routing with routing.Compile. Tables are immutable, so one table may
+	// back any number of concurrent simulations — the campaign engine
+	// shares one per (network, routing, VCs) combination.
 	Table *routing.RouteTable
 	VCs   int
 
@@ -268,9 +268,8 @@ type packet struct {
 	// next is the per-hop next-hop word sequence (routing.NextWord encoding,
 	// NextEject-terminated, one entry per router on the path, so the hop count
 	// is len(next)-1) — all the engine reads of a route once the packet is
-	// queued. It is either a dense RouteTable's interned NextWords view or the
-	// packet-owned nextBuf (compact tables, adaptive routes), read-only either
-	// way. Flits copy next[hop] at injection and on every send, so the
+	// queued. The packet owns it and keeps its capacity across freelist
+	// recycles. Flits copy next[hop] at injection and on every send, so the
 	// arbitration loop never touches the packet.
 	next  []uint32
 	flits int
@@ -286,9 +285,6 @@ type packet struct {
 	// by hop because head and tail flits of one packet can occupy
 	// different routers simultaneously.
 	cbState []uint8
-	// nextBuf is the packet-owned storage behind next when the route is
-	// reconstructed per packet; retained across freelist recycles.
-	nextBuf []uint32
 }
 
 // flit references its packet and position. next carries the precomputed
@@ -393,7 +389,7 @@ type Sim struct {
 	links  []link
 	nics   []nic
 	table  *routing.RouteTable // compiled static routes (nil when adaptive)
-	minTab *routing.RouteTable // memoized minimal candidates for adaptive policies
+	minTab *routing.RouteTable // minimal candidates for adaptive policies, compiled on first use
 	paths  *routing.Paths
 
 	// Per-lane wire state, [link*vcs+vc]. laneLast is the latest arrival
@@ -639,6 +635,14 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Net.NodeMap != nil {
 		return nil, fmt.Errorf("sim: indirect networks (node maps) are not simulated")
 	}
+	if cfg.Adaptive != nil {
+		// Adaptive policies route over minimal and Valiant candidates, which
+		// a disconnected network does not have for every pair: refuse it
+		// with the error a static table compile gives.
+		if err := routing.CheckConnected(cfg.Net); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.VCs < 1 || cfg.VCs > maxVCs {
 		// The per-hop VC assignment is a uint8 and central-buffer queue
 		// keys historically packed the VC into 6 bits; beyond 63 VCs keys
@@ -762,13 +766,6 @@ func New(cfg Config) (*Sim, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The table is private to this simulation, so ports can be
-			// compiled in place. Shared tables get theirs from
-			// slimnoc.CompileRouteTable; tables without ports fall back to
-			// per-packet resolution at enqueue.
-			if err := tab.CompilePorts(s.net.Adj); err != nil {
-				return nil, err
-			}
 			s.table = tab
 		}
 	}
@@ -806,8 +803,9 @@ func New(cfg Config) (*Sim, error) {
 // arrays, and scratch slices are truncated, so a long-lived engine's
 // footprint stays at its construction size. Three things survive by design:
 // the packet and central-buffer freelists (a recycled packet is fully
-// reinitialised when allocated), and the memoized minimal paths adaptive
-// policies borrow (paths, minTab), which are pure functions of the network.
+// reinitialised when allocated), and the minimal paths and route table
+// adaptive policies read (paths, minTab), which are pure functions of the
+// network.
 // Domain workers must not be running.
 func (s *Sim) reset() {
 	cfg := &s.cfg
@@ -934,14 +932,18 @@ func (s *Sim) Paths() *routing.Paths {
 	return s.paths
 }
 
-// MinRoutes returns a deterministically memoized route table of the
-// network's BFS-minimal paths (lowest-index tie-break, identical to
-// Paths().MinPath). Adaptive policies borrow their candidate paths from it
-// instead of rebuilding slices per packet. Single-goroutine, like Sim.
+// MinRoutes returns the route table of the network's BFS-minimal paths
+// (lowest-index tie-break, identical to Paths().MinPath), compiled on first
+// use. Adaptive policies walk their candidate paths off it instead of
+// rebuilding slices per packet. New has already refused the networks it
+// cannot be compiled for (disconnected ones).
 func (s *Sim) MinRoutes() *routing.RouteTable {
 	if s.minTab == nil {
-		s.minTab = routing.NewMemoTable(s.net.Nr,
-			&routing.MinimalRouting{P: s.Paths(), VCs: s.cfg.VCs})
+		tab, err := routing.CompileCompact(s.net, s.cfg.VCs)
+		if err != nil {
+			panic(err)
+		}
+		s.minTab = tab
 	}
 	return s.minTab
 }
@@ -1144,24 +1146,22 @@ func (s *Sim) allocPacket() *packet {
 	return p
 }
 
-// freePacket recycles a fully ejected packet. The borrowed route view is
-// dropped; the packet-owned buffers keep their capacity for reuse.
+// freePacket recycles a fully ejected packet; its buffers keep their
+// capacity for reuse.
 //
 //sim:hot
 func (s *Sim) freePacket(p *packet) {
-	p.next = nil
 	s.pktPool = append(s.pktPool, p)
 }
 
-// appendNextWords derives a route's next-hop words from its router path and
-// per-hop VCs, for the routes that arrive in that form (an adaptive policy's
-// choice, a table without compiled ports): the output ports are resolved
-// once here, out of the switch-allocation hot path.
+// appendNextWords derives an adaptive policy's chosen route's next-hop words
+// from its router path and per-hop VCs: the output ports are resolved once
+// here, out of the switch-allocation hot path.
 //
 //sim:hot
-func appendNextWords[R int | int32, V int | uint8](s *Sim, buf []uint32, path []R, vcs []V) []uint32 {
+func (s *Sim) appendNextWords(buf []uint32, path, vcs []int) []uint32 {
 	for i := 0; i+1 < len(path); i++ {
-		buf = append(buf, routing.NextWord(s.portToward(int(path[i]), int(path[i+1])), int(vcs[i]), s.vcs))
+		buf = append(buf, routing.NextWord(s.portToward(path[i], path[i+1]), vcs[i], s.vcs))
 	}
 	buf = append(buf, nextEject)
 	return buf
@@ -1181,25 +1181,13 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	p.src, p.dst = src, dst
 	p.flits, p.class = flits, class
 	p.genTime, p.tracked = s.now, tracked
-	switch {
-	case s.cfg.Adaptive != nil:
+	if s.cfg.Adaptive != nil {
 		path, vcs := s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
-		p.nextBuf = appendNextWords(s, p.nextBuf[:0], path, vcs)
-		p.next = p.nextBuf
-	case s.table.Compact():
-		// Next-hop-only table: walk its bytes into the packet-owned buffer.
-		// Word for word the dense view (pinned by the routing equivalence
-		// tests and the compact golden replay), and allocation-free once the
-		// buffer has reached the longest route's length.
-		p.nextBuf = s.table.AppendNextWords(p.nextBuf[:0], srcR, dstR)
-		p.next = p.nextBuf
-	case s.table.HasPorts():
-		p.next = s.table.NextWords(srcR, dstR)
-	default:
-		// A shared table without compiled ports (routing.Compile alone).
-		path, vcs := s.table.Route(srcR, dstR)
-		p.nextBuf = appendNextWords(s, p.nextBuf[:0], path, vcs)
-		p.next = p.nextBuf
+		p.next = s.appendNextWords(p.next[:0], path, vcs)
+	} else {
+		// Walk the table's bytes into the packet-owned buffer: allocation-free
+		// once the buffer has reached the longest route's length.
+		p.next = s.table.AppendNextWords(p.next[:0], srcR, dstR)
 	}
 	if s.cfg.Scheme == CentralBuffer {
 		// Reset the per-hop bypass decisions, reusing capacity.

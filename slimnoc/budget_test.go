@@ -61,10 +61,10 @@ func TestWithMemBudget(t *testing.T) {
 		t.Errorf("budgeted result %+v != unbudgeted %+v", capped.Raw, free.Raw)
 	}
 
-	// A run that compiles its own interned table: the budget is checked
-	// against the table's nr^2 x 12 offset floor, so the error arrives before
-	// any of it is allocated — the bytes the refused Run allocated stay far
-	// below the table it declined to build.
+	// A run that compiles its own table: the budget is checked against the
+	// table's nr^2 bytes, so the error arrives before any of it is allocated
+	// — the bytes the refused Run allocated stay far below the table it
+	// declined to build.
 	spec := tableBustsBudget()
 	net, kind, err := BuildNetwork(spec.Network)
 	if err != nil {
@@ -79,9 +79,8 @@ func TestWithMemBudget(t *testing.T) {
 		t.Errorf("refused run allocated %d KiB; the table must be rejected before it is laid down", got>>10)
 	}
 
-	// The 512-router SN used to need a 9.9 MiB interned table; its compact
-	// table is 0.25 MiB, so the whole N=4096 point now fits the same 8 MiB
-	// budget — and allocates accordingly.
+	// The 512-router SN's table is 0.25 MiB, so the whole N=4096 point fits
+	// the same 8 MiB budget — and allocates accordingly.
 	spec = compactFitsBudget()
 	if net, kind, err = BuildNetwork(spec.Network); err != nil {
 		t.Fatal(err)
@@ -97,11 +96,11 @@ func TestWithMemBudget(t *testing.T) {
 	}
 }
 
-// tableBustsBudget is a point whose interned DOR route table (18.2 MiB of
-// offsets alone on the 1260-router torus) exceeds tableBudget.
+// tableBustsBudget is a point whose DOR route table (12544^2 bytes, 150 MiB,
+// on the 100k-endpoint torus) exceeds tableBudget.
 func tableBustsBudget() RunSpec {
 	return RunSpec{
-		Network: NetworkSpec{Preset: "t2d10k"},
+		Network: NetworkSpec{Preset: "t2d100k"},
 		Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.008},
 		Sim:     SimSpec{WarmupCycles: 10, MeasureCycles: 20, DrainCycles: 40, Seed: 9},
 	}
@@ -121,7 +120,7 @@ const tableBudget = 8 << 20
 func checkTableBudgetError(t *testing.T, err error) {
 	t.Helper()
 	if err == nil {
-		t.Fatal("an 8 MiB budget accepted an 18 MiB route table")
+		t.Fatal("an 8 MiB budget accepted a 150 MiB route table")
 	}
 	if !strings.Contains(err.Error(), "MemBudgetBytes") || !strings.Contains(err.Error(), "route table") {
 		t.Errorf("error %q does not name the route table and MemBudgetBytes", err)

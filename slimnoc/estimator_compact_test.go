@@ -7,28 +7,20 @@ import (
 	"repro/internal/routing"
 )
 
-// TestEstimatorCompactTable estimates and path-queries on the compact table
-// NewEstimator holds for every SN engine (it has no Route views: deriving hops
-// from them used to panic the serving goroutine after the first episode), and
-// pins every answer equal to the same network on the interned table the
-// generic Compile + CompilePorts builds.
+// TestEstimatorCompactTable estimates and path-queries on the table
+// NewEstimator holds for an SN engine (deriving hops from route views that a
+// next-hop table does not have used to panic the serving goroutine after the
+// first episode). Every estimate must equal the same network's engine
+// compiling its own table from the minimal builder, and every router path
+// the builder's route.
 func TestEstimatorCompactTable(t *testing.T) {
 	e, err := NewEstimator(RunSpec{Network: NetworkSpec{Topology: "sn", Q: 27, Conc: 8, Layout: "subgr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.table.Compact() {
-		t.Fatal("estimator table of an SN engine is not compact")
-	}
-	dense, err := routing.Compile(e.net.Nr, &routing.MinimalRouting{P: routing.NewMinimal(e.net), VCs: e.table.NumVCs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dense.CompilePorts(e.net.Adj); err != nil {
-		t.Fatal(err)
-	}
-	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: dense, cfg: e.cfg}
-	d.cfg.Table = dense
+	builder := &routing.MinimalRouting{P: routing.NewMinimal(e.net), VCs: e.table.NumVCs()}
+	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: e.table, cfg: e.cfg}
+	d.cfg.Table, d.cfg.Routing = nil, builder
 
 	n := e.Nodes()
 	batches := [][]Transfer{
@@ -39,26 +31,23 @@ func TestEstimatorCompactTable(t *testing.T) {
 	for i, b := range batches {
 		got, err := e.Estimate(b)
 		if err != nil {
-			t.Fatalf("batch %d on the compact table: %v", i, err)
+			t.Fatalf("batch %d on the shared table: %v", i, err)
 		}
 		want, err := d.Estimate(b)
 		if err != nil {
-			t.Fatalf("batch %d on the dense table: %v", i, err)
+			t.Fatalf("batch %d from the builder: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d: compact %+v, dense %+v", i, got, want)
+			t.Fatalf("batch %d: shared table %+v, builder %+v", i, got, want)
 		}
 		for _, tr := range b {
 			gp, err := e.RouterPath(tr.Src, tr.Dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wp, err := d.RouterPath(tr.Src, tr.Dst)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wp, _ := builder.Route(e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
 			if !reflect.DeepEqual(gp, wp) {
-				t.Fatalf("RouterPath(%d, %d): compact %v, dense %v", tr.Src, tr.Dst, gp, wp)
+				t.Fatalf("RouterPath(%d, %d): table %v, builder %v", tr.Src, tr.Dst, gp, wp)
 			}
 		}
 	}

@@ -93,8 +93,11 @@ func TestDamagedNetworkRuns(t *testing.T) {
 	}
 }
 
+// TestDisconnectedNetworkFails: every routing algorithm, static or
+// adaptive, refuses a network in pieces with the same named error instead of
+// panicking mid-run.
 func TestDisconnectedNetworkFails(t *testing.T) {
-	for _, alg := range []string{"auto", "minimal"} {
+	for _, alg := range Routings() {
 		spec := damagedSpec(0.9, 1)
 		spec.Routing.Algorithm = alg
 		_, err := Run(context.Background(), spec)

@@ -64,9 +64,10 @@ type TopologyEntry struct {
 	Example NetworkSpec
 }
 
-// RoutingFactory builds the path builder and (optionally) the adaptive
-// policy for a network.
-type RoutingFactory func(net *topo.Network, kind routing.Kind, vcs int) (routing.PathBuilder, sim.AdaptivePolicy, error)
+// RoutingFactory builds one routing algorithm for a network: a static
+// algorithm returns its compiled route table (and a nil policy), an
+// adaptive one its per-packet policy (and a nil table).
+type RoutingFactory func(net *topo.Network, kind routing.Kind, vcs int) (*routing.RouteTable, sim.AdaptivePolicy, error)
 
 // RoutingEntry is one registered routing algorithm.
 type RoutingEntry struct {
@@ -364,18 +365,14 @@ func buildSlimNoC(ns NetworkSpec) (*topo.Network, routing.Kind, error) {
 	return net, routing.Kind{Class: routing.ClassGeneric}, nil
 }
 
-func autoRouting(net *topo.Network, kind routing.Kind, vcs int) (routing.PathBuilder, sim.AdaptivePolicy, error) {
-	pb, err := routing.NewRoutingFor(net, kind, vcs)
-	return pb, nil, err
+func autoRouting(net *topo.Network, kind routing.Kind, vcs int) (*routing.RouteTable, sim.AdaptivePolicy, error) {
+	tab, err := routing.NewTable(net, kind, vcs)
+	return tab, nil, err
 }
 
 func adaptiveRouting(policy func(vcs int) sim.AdaptivePolicy) RoutingFactory {
-	return func(net *topo.Network, kind routing.Kind, vcs int) (routing.PathBuilder, sim.AdaptivePolicy, error) {
-		pb, err := routing.NewRoutingFor(net, kind, vcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return pb, policy(vcs), nil
+	return func(_ *topo.Network, _ routing.Kind, vcs int) (*routing.RouteTable, sim.AdaptivePolicy, error) {
+		return nil, policy(vcs), nil
 	}
 }
 
@@ -601,8 +598,9 @@ func init() {
 		Section: "§4.3, §5.1 (topology-appropriate deadlock-free static minimal)",
 	})
 	RegisterRouting("minimal", RoutingEntry{
-		New: func(net *topo.Network, kind routing.Kind, vcs int) (routing.PathBuilder, sim.AdaptivePolicy, error) {
-			return &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: vcs}, nil, nil
+		New: func(net *topo.Network, _ routing.Kind, vcs int) (*routing.RouteTable, sim.AdaptivePolicy, error) {
+			tab, err := routing.CompileCompact(net, vcs)
+			return tab, nil, err
 		},
 		Section: "§5.1 (generic minimal with ascending VCs)",
 	})

@@ -3,6 +3,8 @@ package slimnoc
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/routing"
 )
 
 // TestTopologyRegistryComplete builds every registered topology from its
@@ -69,7 +71,8 @@ func TestPresetsResolveAndBuild(t *testing.T) {
 }
 
 // TestRoutingRegistryComplete instantiates every routing algorithm on a
-// small torus.
+// small torus: static ones must hand back a route table, adaptive ones a
+// policy.
 func TestRoutingRegistryComplete(t *testing.T) {
 	net, kind, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
 	if err != nil {
@@ -81,18 +84,23 @@ func TestRoutingRegistryComplete(t *testing.T) {
 			t.Errorf("%s: listed but not resolvable", name)
 			continue
 		}
-		pb, _, err := e.New(net, kind, 2)
+		tab, policy, err := e.New(net, kind, 2)
 		if err != nil {
 			t.Errorf("%s: does not build: %v", name, err)
 			continue
 		}
-		if pb == nil {
-			t.Errorf("%s: nil path builder", name)
+		if e.Adaptive {
+			if policy == nil || tab != nil {
+				t.Errorf("%s: adaptive entry built table %v, policy %v", name, tab, policy)
+			}
 			continue
 		}
-		path, vcs := pb.Route(0, net.Nr-1)
-		if len(path) < 2 || len(vcs) != len(path)-1 {
-			t.Errorf("%s: bad route %v / %v", name, path, vcs)
+		if tab == nil || policy != nil {
+			t.Errorf("%s: static entry built table %v, policy %v", name, tab, policy)
+			continue
+		}
+		if words := tab.AppendNextWords(nil, 0, net.Nr-1); len(words) < 2 || words[len(words)-1] != routing.NextEject {
+			t.Errorf("%s: bad route %#x", name, words)
 		}
 	}
 }

@@ -146,25 +146,26 @@ func TestCampaignSharedRouteTableRace(t *testing.T) {
 	}
 }
 
-// TestCompileRouteTableSelection pins the one selection policy: the form
-// follows the algorithm, never the size. Deterministic minimal routing — named
-// directly or picked by "auto" on a generic-class topology — gets the compact
-// next-hop table, one byte per router pair, from the smallest SN to the sizes
-// that used to straddle a dense/compact threshold (q = 25, 27) and the
-// long-path 10k-endpoint torus; grid "auto" (DOR, VCs by geometry) keeps the
-// interned table with compiled ports.
+// TestCompileRouteTableSelection pins the one table form: whatever the
+// algorithm and the size, a compiled table is one next-hop byte per router
+// pair — from the smallest SN to the sizes that used to straddle a
+// dense/compact threshold (q = 25, 27), the long-path 10k-endpoint torus
+// under "minimal", and grid "auto" (DOR, VCs by geometry) at 54 and 10k
+// endpoints.
 func TestCompileRouteTableSelection(t *testing.T) {
 	for _, c := range []struct {
-		name        string
-		ns          NetworkSpec
-		algorithm   string
-		wantCompact bool
+		name      string
+		ns        NetworkSpec
+		algorithm string
 	}{
-		{"sn_q5", NetworkSpec{Topology: "sn", Q: 5, Conc: 4, Layout: "subgr"}, "auto", true},
-		{"sn_q25", NetworkSpec{Topology: "sn", Q: 25, Conc: 4, Layout: "subgr"}, "auto", true},
-		{"sn_q27", NetworkSpec{Topology: "sn", Q: 27, Conc: 4, Layout: "subgr"}, "auto", true},
-		{"t2d10k_minimal", NetworkSpec{Preset: "t2d10k"}, "minimal", true},
-		{"t2d54_auto", NetworkSpec{Preset: "t2d54"}, "auto", false},
+		{"sn_q5", NetworkSpec{Topology: "sn", Q: 5, Conc: 4, Layout: "subgr"}, "auto"},
+		{"sn_q25", NetworkSpec{Topology: "sn", Q: 25, Conc: 4, Layout: "subgr"}, "auto"},
+		{"sn_q27", NetworkSpec{Topology: "sn", Q: 27, Conc: 4, Layout: "subgr"}, "auto"},
+		{"t2d10k_minimal", NetworkSpec{Preset: "t2d10k"}, "minimal"},
+		{"t2d54_auto", NetworkSpec{Preset: "t2d54"}, "auto"},
+		{"t2d10k_auto", NetworkSpec{Preset: "t2d10k"}, "auto"},
+		{"cm10k_auto", NetworkSpec{Preset: "cm10k"}, "auto"},
+		{"fbf10k_auto", NetworkSpec{Preset: "fbf10k"}, "auto"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net, kind, err := BuildNetwork(c.ns)
@@ -175,16 +176,8 @@ func TestCompileRouteTableSelection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tab.Compact() != c.wantCompact {
-				t.Fatalf("Compact() = %v, want %v", tab.Compact(), c.wantCompact)
-			}
-			pairs := int64(net.Nr) * int64(net.Nr)
-			if c.wantCompact {
-				if got := tab.MemBytes(); got != pairs {
-					t.Errorf("compact table holds %d B, want one per pair (%d)", got, pairs)
-				}
-			} else if !tab.HasPorts() || tab.MemBytes() <= 12*pairs {
-				t.Errorf("interned table: HasPorts %v, %d B (offset floor %d)", tab.HasPorts(), tab.MemBytes(), 12*pairs)
+			if got, pairs := tab.MemBytes(), int64(net.Nr)*int64(net.Nr); got != pairs {
+				t.Errorf("table holds %d B, want one per pair (%d)", got, pairs)
 			}
 		})
 	}
@@ -229,6 +222,56 @@ func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 		if got := net.Diameter(); got != int(diam) {
 			t.Errorf("%s: Diameter() = %d, BFS says %d", name, got, diam)
 		}
+	}
+}
+
+// TestGridTablesMatchBuilders is the oracle on every grid preset: each
+// pair's next-hop words from the "auto" table equal the words derived from
+// the dimension-ordered builder's Route plus a search of the adjacency, at 1,
+// 2, 4 and 8 VCs (from 2 where the builder needs it). Under -short it covers
+// the presets of at most 300 routers, otherwise the 10k presets too.
+func TestGridTablesMatchBuilders(t *testing.T) {
+	for _, name := range Presets() {
+		net, kind, err := BuildNetwork(NetworkSpec{Preset: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind.Class == ClassGeneric || net.Nr > 1300 || (testing.Short() && net.Nr > 300) {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			for _, vcs := range []int{1, 2, 4, 8} {
+				if vcs == 1 && (kind.Class == ClassTorus || kind.Class == ClassPFBF) {
+					continue
+				}
+				tab, err := CompileRouteTable(net, kind, "auto", vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := routing.NewRoutingFor(net, kind, vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got, want []uint32
+				for src := 0; src < net.Nr; src++ {
+					for dst := 0; dst < net.Nr; dst++ {
+						path, vc := pb.Route(src, dst)
+						want = want[:0]
+						for i := range vc {
+							port, ok := slices.BinarySearch(net.Adj[path[i]], path[i+1])
+							if !ok {
+								t.Fatalf("vcs=%d: builder route %d->%d uses a missing link: %v", vcs, src, dst, path)
+							}
+							want = append(want, routing.NextWord(port, vc[i], vcs))
+						}
+						want = append(want, routing.NextEject)
+						if got = tab.AppendNextWords(got[:0], src, dst); !slices.Equal(got, want) {
+							t.Fatalf("vcs=%d %d->%d: table words %#x, builder route %v VCs %v gives %#x", vcs, src, dst, got, path, vc, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -33,9 +33,9 @@ type Kind = routing.Kind
 // routing.PathBuilder.
 type PathBuilder = routing.PathBuilder
 
-// RouteTable is the compiled, interned form of a static routing algorithm;
-// see routing.RouteTable. Tables built by CompileRouteTable are immutable
-// and safe to share across concurrent runs.
+// RouteTable is the compiled form of a static routing algorithm, one
+// next-hop byte per router pair; see routing.RouteTable. Tables built by
+// CompileRouteTable are immutable and safe to share across concurrent runs.
 type RouteTable = routing.RouteTable
 
 // EngineStats is the simulator-core telemetry block attached to every
@@ -243,19 +243,14 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
 			spec.Routing.Algorithm, strings.Join(Routings(), ", "))
 	}
-	var pb routing.PathBuilder
-	var policy sim.AdaptivePolicy
-	static := !re.Adaptive && r.policy == nil
-	if !static {
-		// Adaptive routing picks paths per packet from the builder; a
-		// supplied table is ignored.
-		if pb, policy, err = re.New(net, kind, vcs); err != nil {
+	// Adaptive routing picks paths per packet; a supplied table is ignored.
+	policy := r.policy
+	if policy == nil && re.Adaptive {
+		if _, policy, err = re.New(net, kind, vcs); err != nil {
 			return nil, err
 		}
-		if r.policy != nil {
-			policy = r.policy
-		}
 	}
+	static := policy == nil
 
 	h := spec.HopsPerCycle()
 	se, ok := schemes.lookup(spec.Buffering.Scheme)
@@ -298,7 +293,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 
 	cfg := sim.Config{
 		Net:            net,
-		Routing:        pb,
 		Table:          table,
 		VCs:            vcs,
 		Scheme:         sc.Scheme,
@@ -332,22 +326,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
-// compactEligible reports whether the algorithm's routes on this topology
-// are exactly the deterministic minimal next-hop routes that
-// routing.CompileCompact reproduces: the generic minimal builder, either
-// named directly or selected by "auto" on a generic-class topology (SN,
-// Dragonfly, Clos). Grid algorithms (DOR, XY, datelines) assign VCs by
-// geometry rather than hop index and keep interned tables.
-func compactEligible(kind Kind, algorithm string) bool {
-	switch strings.ToLower(algorithm) {
-	case "minimal":
-		return true
-	case "auto":
-		return kind.Class == routing.ClassGeneric
-	}
-	return false
-}
-
 // CompileRouteTable builds the immutable compiled route table for a static
 // routing algorithm on an already built network. The result is safe to
 // share across concurrent runs via WithRouteTable. Adaptive algorithms
@@ -355,21 +333,18 @@ func compactEligible(kind Kind, algorithm string) bool {
 // one place route tables come from: a Run without WithRouteTable, the
 // campaign's shared-table cache and NewEstimator all compile here.
 //
-// Algorithms whose routes are deterministic minimal next-hop routes (see
-// compactEligible) compile, at every size, to routing.CompileCompact's table:
-// one next-hop byte per (src,dst) pair, filled by a single word-parallel
-// all-pairs sweep, from which the engine reconstructs each packet's route
-// byte-identically to an interned table. Every other static algorithm (the
-// grid builders, custom registrations) goes through the generic
-// routing.Compile + CompilePorts.
+// Every static algorithm compiles, at every size, to one next-hop byte per
+// (src,dst) pair, from which the engine walks each packet's route: "minimal"
+// fills it from a single word-parallel all-pairs sweep, and "auto" does the
+// same on generic networks (SN, Dragonfly, Clos) and uses the mesh, torus,
+// FBF and PFBF builders' next-hop arithmetic on the grids.
 func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*RouteTable, error) {
 	return compileRouteTable(net, kind, algorithm, vcs, 0)
 }
 
 // compileRouteTable is CompileRouteTable under a memory budget (0 = none):
-// the table's size is checked against it before the table is allocated —
-// exactly for compact tables (nr^2 bytes), by the nr^2 x 12 offset floor for
-// interned ones — so a point whose table alone busts the budget fails here
+// the table's nr^2 bytes are checked against it before the table is
+// allocated, so a point whose table alone busts the budget fails here
 // instead of allocating first and letting sim.New find out.
 func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budget int64) (*RouteTable, error) {
 	re, ok := routings.lookup(algorithm)
@@ -380,39 +355,13 @@ func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budge
 	if re.Adaptive {
 		return nil, fmt.Errorf("slimnoc: adaptive algorithm %q routes per packet and cannot be compiled", algorithm)
 	}
-	overBudget := func(bytes int64) error {
-		if budget <= 0 || bytes <= budget {
-			return nil
-		}
-		return fmt.Errorf(
-			"slimnoc: route table needs at least %.1f MiB for %d routers, which exceeds MemBudgetBytes = %.1f MiB; raise the budget or pick a smaller instance",
+	if bytes := int64(net.Nr) * int64(net.Nr); budget > 0 && bytes > budget {
+		return nil, fmt.Errorf(
+			"slimnoc: route table needs %.1f MiB for %d routers, which exceeds MemBudgetBytes = %.1f MiB; raise the budget or pick a smaller instance",
 			float64(bytes)/(1<<20), net.Nr, float64(budget)/(1<<20))
 	}
-	pairs := int64(net.Nr) * int64(net.Nr)
-	if compactEligible(kind, algorithm) {
-		if err := overBudget(pairs); err != nil { // one next-hop byte per pair
-			return nil, err
-		}
-		return routing.CompileCompact(net, vcs)
-	}
-	if err := overBudget(pairs * 12); err != nil { // three int32 offsets per pair
-		return nil, err
-	}
-	pb, _, err := re.New(net, kind, vcs)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := routing.Compile(net.Nr, pb)
-	if err != nil {
-		return nil, err
-	}
-	// Bake the per-hop output ports in while the table is still private:
-	// engines sharing the frozen table then skip the per-packet adjacency
-	// searches entirely.
-	if err := tab.CompilePorts(net.Adj); err != nil {
-		return nil, err
-	}
-	return tab, nil
+	tab, _, err := re.New(net, kind, vcs)
+	return tab, err
 }
 
 // Run builds a Runner for the spec and executes it.
