@@ -186,16 +186,15 @@ func (t *RouteTable) Nr() int { return t.nr }
 // account a shared table against a run's budget.
 func (t *RouteTable) MemBytes() int64 { return int64(len(t.cnh)) }
 
-// port returns the output port at cur toward dst and the router it leads
-// to, for the hop-th hop of a walk.
+// port returns the output port at cur toward dst, for the hop-th hop of a
+// walk.
 //
 //sim:hot
-func (t *RouteTable) port(cur, dst, hop int) (uint8, int) {
+func (t *RouteTable) port(cur, dst, hop int) uint8 {
 	if hop >= t.nr {
 		panic("routing: next-hop walk does not terminate (corrupt table or mutated adjacency)")
 	}
-	p := t.cnh[cur*t.nr+dst]
-	return p, t.adj[cur][p]
+	return t.cnh[cur*t.nr+dst]
 }
 
 // AppendNextWords appends the NextEject-terminated next-hop words of the
@@ -207,28 +206,28 @@ func (t *RouteTable) port(cur, dst, hop int) (uint8, int) {
 //sim:hot
 func (t *RouteTable) AppendNextWords(next []uint32, src, dst int) []uint32 {
 	switch t.kind.Class {
+	case ClassGeneric, ClassFBF: // ascending
+		for cur, hop := src, 0; cur != dst; hop++ {
+			p := t.port(cur, dst, hop)
+			next = append(next, NextWord(int(p), min(hop, t.vcs-1), t.vcs))
+			cur = t.adj[cur][p]
+		}
 	case ClassMesh:
 		for cur, hop := src, 0; cur != dst; hop++ {
-			p, nxt := t.port(cur, dst, hop)
+			p := t.port(cur, dst, hop)
 			next = append(next, NextWord(int(p), hop%t.vcs, t.vcs))
-			cur = nxt
+			cur = t.adj[cur][p]
 		}
-	case ClassTorus, ClassPFBF:
+	default: // torus, PFBF
 		xHops, xVC, yVC := t.phases(src, dst)
 		for cur, hop := src, 0; cur != dst; hop++ {
 			vc := yVC
 			if hop < xHops {
 				vc = xVC
 			}
-			p, nxt := t.port(cur, dst, hop)
+			p := t.port(cur, dst, hop)
 			next = append(next, NextWord(int(p), vc, t.vcs))
-			cur = nxt
-		}
-	default: // ascending: generic minimal routing, FBF XY
-		for cur, hop := src, 0; cur != dst; hop++ {
-			p, nxt := t.port(cur, dst, hop)
-			next = append(next, NextWord(int(p), min(hop, t.vcs-1), t.vcs))
-			cur = nxt
+			cur = t.adj[cur][p]
 		}
 	}
 	next = append(next, NextEject)
@@ -277,7 +276,7 @@ func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
 // concatenate Valiant segments without duplicating the intermediate).
 func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
 	for cur, hop := src, 0; cur != dst; hop++ {
-		_, cur = t.port(cur, dst, hop)
+		cur = t.adj[cur][t.port(cur, dst, hop)]
 		buf = append(buf, cur)
 	}
 	return buf
