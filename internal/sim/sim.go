@@ -70,7 +70,8 @@ const maxPacketFlits = 1<<16 - 1
 // Config describes one simulation.
 type Config struct {
 	Net *topo.Network
-	// Routing produces static source routes. Optional when Table is set.
+	// Routing names the static routes by their builder, one of
+	// internal/routing's. Optional when Table is set.
 	Routing routing.PathBuilder
 	// Table optionally supplies the compiled form of the static routes;
 	// when nil (and no Adaptive policy is set) New compiles one from
