@@ -148,16 +148,6 @@ func (p *Paths) RandomIntermediate(rng *rng.Stream, src, dst int) int {
 	}
 }
 
-// PathValid reports whether consecutive routers in the path are adjacent.
-func PathValid(net *topo.Network, path []int) bool {
-	for i := 1; i < len(path); i++ {
-		if !net.Connected(path[i-1], path[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // AscendingVCs returns the deadlock-free VC assignment used by the paper for
 // SN (§4.3): VC0 on the first hop, VC1 on the second, capped at numVCs-1 for
 // longer (e.g. Valiant) paths. With hop classes that never decrease, the

@@ -8,6 +8,16 @@ import (
 	"repro/internal/topo"
 )
 
+// pathValid reports whether consecutive routers in the path are adjacent.
+func pathValid(net *topo.Network, path []int) bool {
+	for i := 1; i < len(path); i++ {
+		if !net.Connected(path[i-1], path[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func snNet(t testing.TB, q, p int, l core.Layout) *topo.Network {
 	t.Helper()
 	s, err := core.New(core.Params{Q: q, P: p})
@@ -40,7 +50,7 @@ func TestMinimalPathsSN(t *testing.T) {
 			if len(path) != d+1 {
 				t.Fatalf("path %v has %d hops, want %d", path, len(path)-1, d)
 			}
-			if !PathValid(n, path) {
+			if !pathValid(n, path) {
 				t.Fatalf("invalid path %v", path)
 			}
 		}
@@ -73,7 +83,7 @@ func TestValiantPath(t *testing.T) {
 	if path[0] != 0 || path[len(path)-1] != 40 {
 		t.Fatalf("bad endpoints: %v", path)
 	}
-	if !PathValid(n, path) {
+	if !pathValid(n, path) {
 		t.Fatalf("invalid valiant path %v", path)
 	}
 	// Must pass through the intermediate.
@@ -125,7 +135,7 @@ func checkBuilder(t *testing.T, net *topo.Network, b PathBuilder, maxHops int) {
 	for src := 0; src < net.Nr; src++ {
 		for dst := 0; dst < net.Nr; dst++ {
 			path, vcs := b.Route(src, dst)
-			if !PathValid(net, path) {
+			if !pathValid(net, path) {
 				t.Fatalf("invalid path %d->%d: %v", src, dst, path)
 			}
 			if path[len(path)-1] != dst {
@@ -249,7 +259,7 @@ func TestMinimalRoutingBuilder(t *testing.T) {
 	n := snNet(t, 5, 1, core.LayoutSubgroup)
 	b := &MinimalRouting{P: NewMinimal(n), VCs: 2}
 	path, vcs := b.Route(0, 49)
-	if !PathValid(n, path) {
+	if !pathValid(n, path) {
 		t.Fatalf("invalid %v", path)
 	}
 	for i, vc := range vcs {

@@ -96,34 +96,36 @@ func (s *Sim) skipAhead(limit int64) {
 }
 
 // memEstimate predicts the engine's resident footprint in bytes for the
-// MemBudgetBytes guard: the SoA router arrays, the links and their per-lane
-// wire state, the arrival wheels, NICs, and the compiled route table (one
-// byte per router pair, supplied or compiled by New). Deliberately computed
-// from the same geometry New allocates from, before it allocates. Queues
-// and wheel buckets count at their construction size; what they grow to
-// depends on the traffic.
+// MemBudgetBytes guard: the SoA router arrays, the input and injection
+// slabs, the links and their per-lane wire state, the arrival wheels, NICs,
+// and the compiled route table (one byte per router pair, supplied or
+// compiled by New). Deliberately computed from the same geometry New
+// allocates from, before it allocates. Growable queues and wheel buckets
+// count at their construction size; what they grow to depends on the
+// traffic.
 func (c *Config) memEstimate(stride int) int64 {
 	nr := int64(c.Net.Nr)
 	n := int64(c.Net.N())
-	var edges int64
+	vcs := int64(c.VCs)
+	var edges, slab int64
 	maxLat := int64(1)
 	for r, adj := range c.Net.Adj {
 		edges += int64(len(adj))
 		for _, nb := range adj {
-			_, lat := c.wire(r, nb)
+			dist, lat := c.wire(r, nb)
 			maxLat = max(maxLat, lat)
+			slab += int64(c.inputCap(dist)) * vcs
 		}
 	}
-	vcs := int64(c.VCs)
 	np := nr * int64(stride)
 	nv := np * vcs
 	lanes := edges * vcs
 	nd := int64(normalizeJobs(c.EngineJobs, c.Net.Nr))
-	const ringBytes = 40                                  // ring[T]: slice header + head + count
-	const flitBytes = 16                                  // flit: pointer + idx + hop + next
-	const linkBytes = 56                                  // link: endpoints, latency, counters, VC bases
-	b := np * (3 * 4)                                     // outLink/inLink/revPort
-	b += nv * (ringBytes + 4 + 8 + 4 + 4 + 4 + flitBytes) // inQ + inCap + outOwner + space + inLen + inNext + inFront
+	const ringBytes = 40                               // ring[T]: slice header + head + count
+	const flitBytes = 16                               // flit: pointer + idx + hop + next
+	const linkBytes = 56                               // link: endpoints, latency, counters, VC bases
+	b := np * (3 * 4)                                  // outLink/inLink/revPort
+	b += nv*(4+4+4+8+4+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inNext + inFront; inBuf
 	if c.Scheme == CentralBuffer {
 		b += nv * ringBytes // cbq
 	}
@@ -131,10 +133,9 @@ func (c *Config) memEstimate(stride int) int64 {
 	if c.Scheme != EdgeBuffers {
 		b += lanes * ringBytes // stall FIFOs
 	}
-	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24 // arrival wheel bucket headers
-	b += n * (2*ringBytes + 16 + 8 + 4 + 1)               // nics (srcQ+injQ+ints) + ejUsedAt + injNext + nicReady
-	b += nr * (4 + 4 + 4 + 4 + 1 + 8)                     // kp/cbFree/work/domOf/routerIn/occIn
-	b += int64(c.LatSampleCap) * 8                        // latency samples
+	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24          // arrival wheel bucket headers
+	b += n * (ringBytes + 24 + 8 + 4 + 1 + int64(c.InjQueueCap)*8) // nics (srcQ+ints) + ejUsedAt + injNext + nicReady + injBuf
+	b += nr * (4 + 4 + 4 + 4 + 1 + 8)                              // kp/cbFree/work/domOf/routerIn/occIn
 	if c.Adaptive == nil {
 		if c.Table != nil {
 			b += c.Table.MemBytes()

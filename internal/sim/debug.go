@@ -27,13 +27,13 @@ func (s *Sim) Stuck() StuckReport {
 		for pi := 0; pi < int(s.kp[r]); pi++ {
 			vb := (r*s.stride + pi) * s.vcs
 			for vc := 0; vc < s.vcs; vc++ {
-				q := &s.inQ[vb+vc]
-				if q.len() > 0 {
-					rep.InInputBuffers += q.len()
-					f := q.front()
+				slot := vb + vc
+				if n := s.inLen[slot]; n > 0 {
+					rep.InInputBuffers += int(n)
+					f := s.inBuf[s.inOff[slot]+s.inHead[slot]]
 					p := f.pkt
 					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d cb=%v)",
-						r, pi, vc, q.len(), p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, p.cbState))
+						r, pi, vc, n, p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, p.cbState))
 				}
 			}
 			for vc := 0; vc < s.vcs && s.cbq != nil; vc++ {
@@ -77,9 +77,9 @@ func (s *Sim) Stuck() StuckReport {
 		}
 	}
 	for v := range s.nics {
-		if n := s.nics[v].injQ.len(); n > 0 {
-			rep.InInjQueues += n
-			f := s.nics[v].injQ.front()
+		if n := s.nics[v].injLen; n > 0 {
+			rep.InInjQueues += int(n)
+			f := s.injFront(v)
 			add(fmt.Sprintf("node %d injQ: %d flits (pkt %d dst %d)", v, n, f.pkt.id, f.pkt.dst))
 		}
 	}

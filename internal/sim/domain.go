@@ -240,8 +240,12 @@ func (s *Sim) drainStall(d *domain, lane int) bool {
 func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 	to := l.to
 	slot := int(l.recvVB) + vc
-	s.inQ[slot].push(f)
-	if s.inLen[slot] == 0 {
+	n := s.inLen[slot]
+	if n >= s.inCap[slot] {
+		panic("sim: input buffer overflow")
+	}
+	s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], n, s.inCap[slot])] = f
+	if n == 0 {
 		s.inFront[slot] = f
 		s.inNext[slot] = f.next
 		if s.occIn != nil {
@@ -249,7 +253,7 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 			s.occIn[to] |= 1 << uint(l.toPort*s.vcs+vc)
 		}
 	}
-	s.inLen[slot]++
+	s.inLen[slot] = n + 1
 	//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, sender writes only after the phase barrier
 	l.pending--
 	if l.pending == 0 {

@@ -1,12 +1,14 @@
 // White-box engine tests: the zero-allocation steady-state contract, the
-// percentile helper, and the engine containers (ring, wheel).
+// latency histogram, and the engine containers (ring, wheel).
 
 package sim
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -52,15 +54,12 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Net:     net,
-		Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2},
-		VCs:     2,
-		Scheme:  scheme,
-		Traffic: &bernoulliSource{n: net.N(), rate: rate, flits: 6},
-		Seed:    211,
-		// Generous sample-capacity hint so latency recording cannot grow
-		// the buffer inside the measured window.
-		LatSampleCap:  1 << 16,
+		Net:           net,
+		Routing:       &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2},
+		VCs:           2,
+		Scheme:        scheme,
+		Traffic:       &bernoulliSource{n: net.N(), rate: rate, flits: 6},
+		Seed:          211,
 		WarmupCycles:  2000,
 		MeasureCycles: 20000,
 		DrainCycles:   4000,
@@ -75,8 +74,9 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 // TestSteadyStateZeroAllocs pins the tentpole contract: once warm, the
 // cycle loop performs zero heap allocations — packets come from the
 // freelist, routes are walked into packet buffers that recycle with them,
-// queues are rings that keep their backing arrays, and credits/ejections
-// ride preallocated timing-wheel buckets.
+// input and injection buffers live in slabs New sized, the other queues are
+// rings that keep their backing arrays, and credits/ejections ride
+// preallocated timing-wheel buckets.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
@@ -144,7 +144,6 @@ func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 		Scheme:        EdgeBuffers,
 		Traffic:       &bernoulliSource{n: net.N(), rate: 0.06, flits: 6},
 		Seed:          211,
-		LatSampleCap:  1 << 16,
 		WarmupCycles:  2000,
 		MeasureCycles: 20000,
 		DrainCycles:   4000,
@@ -382,36 +381,111 @@ func TestSkipAccounting(t *testing.T) {
 }
 
 // TestPercentile pins the nearest-rank floor semantics of the latency
-// percentile on known distributions.
+// histogram's percentile on known distributions.
 func TestPercentile(t *testing.T) {
+	quantile := func(xs []int64, p float64) float64 {
+		var h latHist
+		for _, x := range xs {
+			h.add(x)
+		}
+		return h.quantile(p)
+	}
 	perm := rand.New(rand.NewSource(1)).Perm(100)
 	xs := make([]int64, 100)
 	for i, v := range perm {
 		xs[i] = int64(v + 1) // 1..100 shuffled
 	}
-	if got := percentile(xs, 0.99); got != 99 {
+	if got := quantile(xs, 0.99); got != 99 {
 		// idx = floor(0.99 * 99) = 98 -> sorted[98] = 99.
 		t.Errorf("P99 of 1..100 = %v, want 99", got)
 	}
-	if got := percentile(xs, 1.0); got != 100 {
+	if got := quantile(xs, 1.0); got != 100 {
 		t.Errorf("P100 of 1..100 = %v, want 100", got)
 	}
-	if got := percentile(xs, 0.5); got != 50 {
+	if got := quantile(xs, 0.5); got != 50 {
 		// idx = floor(0.5 * 99) = 49 -> sorted[49] = 50.
 		t.Errorf("P50 of 1..100 = %v, want 50", got)
 	}
-	if got := percentile([]int64{7}, 0.99); got != 7 {
+	if got := quantile([]int64{7}, 0.99); got != 7 {
 		t.Errorf("P99 of a single sample = %v, want 7", got)
 	}
 	skewed := []int64{1000, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	if got := percentile(skewed, 0.99); got != 1 {
+	if got := quantile(skewed, 0.99); got != 1 {
 		// idx = floor(0.99 * 9) = 8 -> sorted[8] = 1: with only ten
 		// samples the nearest-rank floor lands below the outlier.
 		t.Errorf("P99 of ten samples = %v, want 1 (floor semantics)", got)
 	}
-	if got := percentile(skewed, 1.0); got != 1000 {
+	if got := quantile(skewed, 1.0); got != 1000 {
 		t.Errorf("max of skewed = %v, want 1000", got)
 	}
+}
+
+// FuzzLatencyHistogram checks the histogram against the sort-based
+// definition it replaced, on latency multisets decoded from the input as
+// uvarints below 1<<20 cycles: the mean is the exact sum over the count, and
+// each quantile is the nearest-rank sample floor(p*(n-1)) of the sorted
+// latencies.
+func FuzzLatencyHistogram(f *testing.F) {
+	enc := func(xs ...uint64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.AppendUvarint(b, x)
+		}
+		return b
+	}
+	seq := func(n int, x func(i int) uint64) []byte {
+		xs := make([]uint64, n)
+		for i := range xs {
+			xs[i] = x(i)
+		}
+		return enc(xs...)
+	}
+	f.Add(enc(17))                                                        // n = 1
+	f.Add(seq(37, func(int) uint64 { return 23 }))                        // all equal
+	f.Add(seq(101, func(i int) uint64 { return uint64(i * 7919 % 211) })) // n-1 = 100
+	f.Add(seq(201, func(i int) uint64 { return uint64(200 - i) }))        // n-1 = 200
+	f.Add(enc(12, 40, 1<<20-1, 3, 12))                                    // one very large latency
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var xs []int64
+		for len(data) > 0 {
+			x, k := binary.Uvarint(data)
+			if k <= 0 {
+				break
+			}
+			xs = append(xs, int64(x%(1<<20)))
+			data = data[k:]
+		}
+		if len(xs) == 0 {
+			return
+		}
+		var h latHist
+		var sum int64
+		for _, x := range xs {
+			h.add(x)
+			sum += x
+		}
+		sorted := slices.Sorted(slices.Values(xs))
+		if h.n != int64(len(xs)) || h.sum != sum {
+			t.Fatalf("histogram holds %d latencies summing to %d, want %d summing to %d", h.n, h.sum, len(xs), sum)
+		}
+		if got, want := float64(h.sum)/float64(h.n), float64(sum)/float64(len(xs)); got != want {
+			t.Fatalf("mean %v, want %v", got, want)
+		}
+		for _, p := range []float64{0, 0.5, 0.99, 1} {
+			want := float64(sorted[int(p*float64(len(sorted)-1))])
+			if got := h.quantile(p); got != want {
+				t.Fatalf("quantile %v of %d latencies = %v, want %v", p, len(xs), got, want)
+			}
+		}
+		// Reset as Sim.reset does (truncate, keep capacity): no stale count
+		// may survive below the next run's only latency.
+		top := sorted[len(sorted)-1]
+		h = latHist{counts: h.counts[:0]}
+		h.add(top)
+		if h.n != 1 || h.sum != top || h.quantile(0) != float64(top) {
+			t.Fatalf("after reset: n %d, sum %d, p0 %v; want 1, %d, %d", h.n, h.sum, h.quantile(0), top, top)
+		}
+	})
 }
 
 func TestRing(t *testing.T) {

@@ -38,10 +38,11 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 		l := &s.links[li]
 		for vc := 0; vc < s.vcs; vc++ {
 			lane := li*s.vcs + vc
-			q := &s.inQ[int(l.recvVB)+vc]
+			slot := int(l.recvVB) + vc
+			buffered := int(s.inLen[slot])
 			var stream []flit
-			for i := 0; i < q.len(); i++ {
-				stream = append(stream, q.at(i))
+			for i := 0; i < buffered; i++ {
+				stream = append(stream, s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], int32(i), s.inCap[slot])])
 			}
 			if s.stall != nil {
 				for i := 0; i < s.stall[lane].len(); i++ {
@@ -57,7 +58,7 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 				}
 				if !ok {
 					t.Fatalf("cycle %d, link %d->%d vc %d: flit %d of packet %d follows flit %d of packet %d (%d buffered, then %s)",
-						s.now, l.from, l.to, vc, f.idx, f.pkt.id, prev.idx, prev.pkt.id, q.len(), streamString(stream[q.len():]))
+						s.now, l.from, l.to, vc, f.idx, f.pkt.id, prev.idx, prev.pkt.id, buffered, streamString(stream[buffered:]))
 				}
 			}
 		}

@@ -1,12 +1,24 @@
-// Allocation-free engine containers: growable ring FIFOs that retain their
-// backing arrays across drains, and fixed-horizon timing wheels for delayed
-// events. Together these turn the per-cycle cost of the engine from
-// O(topology) into O(pending work) while keeping the steady-state loop free
-// of heap allocations.
+// Allocation-free engine containers: fixed-capacity FIFOs in slabs New sizes
+// once, growable ring FIFOs that retain their backing arrays across drains,
+// and fixed-horizon timing wheels for delayed events. Together these turn
+// the per-cycle cost of the engine from O(topology) into O(pending work)
+// while keeping the steady-state loop free of heap allocations.
 
 package sim
 
 import "math"
+
+// slabPos is the slab index of element i (0 = front) of a fixed-capacity
+// FIFO at slab[off:off+cap] whose front is at off+head. With head and i
+// below cap the wrap is a compare: capacities are not powers of two.
+//
+//sim:hot
+func slabPos(off, head, i, cap int32) int32 {
+	if head += i; head >= cap {
+		head -= cap
+	}
+	return off + head
+}
 
 // ring is a growable circular FIFO. Unlike an append/reslice queue it keeps
 // its backing array when drained, so a queue that has reached its

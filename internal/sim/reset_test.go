@@ -23,7 +23,10 @@ import (
 // central-buffer freelists (recycled objects are reinitialised when taken),
 // and the minimal-path memos adaptive policies build on first use, which are
 // pure functions of the network.
-var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "paths": true, "minTab": true}
+//
+// The input and injection slabs are compared apart, in simDiff: only what
+// their queues hold is state.
+var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "paths": true, "minTab": true, "inBuf": true, "injBuf": true}
 
 var streamType = reflect.TypeOf(rng.Stream{})
 
@@ -114,6 +117,25 @@ func simDiff(t *testing.T, a, b *Sim) []string {
 	for i := 0; i < 4; i++ {
 		if x, y := sa.Uint64(), sb.Uint64(); x != y {
 			diffs = append(diffs, fmt.Sprintf("Sim.rng: draw %d ahead is %d vs %d", i, x, y))
+		}
+	}
+	// Likewise a slab is dead storage outside its queues' live windows,
+	// which reset empties without clearing: compare what the queues hold.
+	// Lengths and heads are ordinary fields, compared above.
+	seen := map[[2]uintptr]bool{}
+	for slot, n := range a.inLen {
+		for i := int32(0); i < min(n, b.inLen[slot]); i++ {
+			fa := a.inBuf[slabPos(a.inOff[slot], a.inHead[slot], i, a.inCap[slot])]
+			fb := b.inBuf[slabPos(b.inOff[slot], b.inHead[slot], i, b.inCap[slot])]
+			stateDiff(t, fmt.Sprintf("Sim.inBuf[slot %d, flit %d]", slot, i), reflect.ValueOf(fa), reflect.ValueOf(fb), seen, &diffs)
+		}
+	}
+	for v := range a.nics {
+		na, nb := &a.nics[v], &b.nics[v]
+		for i := int32(0); i < min(na.injLen, nb.injLen); i++ {
+			pa := a.injBuf[slabPos(int32(v)*a.injCap, na.injHead, i, a.injCap)]
+			pb := b.injBuf[slabPos(int32(v)*b.injCap, nb.injHead, i, b.injCap)]
+			stateDiff(t, fmt.Sprintf("Sim.injBuf[node %d, flit %d]", v, i), reflect.ValueOf(pa), reflect.ValueOf(pb), seen, &diffs)
 		}
 	}
 	return diffs

@@ -245,7 +245,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// 3. Injection: each attached node may insert one flit per cycle.
 	// Nodes attach contiguously (New rejects node maps), matching the
 	// order of Network.RouterNodes without its allocation. Probes read the
-	// dense injNext mirror; the NIC ring is only touched on a move.
+	// dense injNext mirror; the NIC and the slab are only touched on a move.
 	base := r * s.net.P
 	for node := base; node < base+s.net.P; node++ {
 		nx := s.injNext[node]
@@ -255,13 +255,13 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		if nx == nextEject {
 			// Same-router destination: eject directly.
 			nc := &s.nics[node]
-			f := nc.injQ.front()
+			f := s.injFront(node)
 			slot := s.ejSlot(f.pkt.dst)
 			if s.ejUsedAt[slot] == now {
 				continue
 			}
 			s.ejUsedAt[slot] = now
-			s.popInj(d, nc, node)
+			s.popInj(d, nc, node, f)
 			s.ejectWithDelay(d, r, f)
 			continue
 		}
@@ -273,7 +273,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 			continue
 		}
 		nc := &s.nics[node]
-		f := nc.injQ.front()
+		f := s.injFront(node)
 		if owner := s.outOwner[vi]; f.idx == 0 {
 			if owner != -1 {
 				continue
@@ -281,24 +281,43 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		} else if owner != f.pkt.id {
 			continue
 		}
-		s.popInj(d, nc, node)
+		s.popInj(d, nc, node, f)
 		outPort := int(nx >> 16)
 		s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
 	}
 }
 
-// popInj removes the front flit of a NIC injection queue, keeping the dense
-// injNext mirror coherent. The freed slot is the only thing that lets a NIC
-// with queued packets inject again, so it wakes the NIC here.
+// injFront returns the front flit of a non-empty NIC injection queue.
+//
+//sim:hot
+func (s *Sim) injFront(node int) flit {
+	nc := &s.nics[node]
+	return flit{pkt: s.injBuf[int32(node)*s.injCap+nc.injHead], idx: nc.injIdx, next: s.injNext[node]}
+}
+
+// popInj removes the front flit f of a NIC injection queue, keeping the
+// front's index and the dense injNext word coherent. The freed slot is the
+// only thing that lets a NIC with queued packets inject again, so it wakes
+// the NIC here.
 //
 //sim:hot
 //sim:domain
-func (s *Sim) popInj(d *domain, nc *nic, node int) {
-	nc.injQ.pop()
-	if nc.injQ.len() > 0 {
-		s.injNext[node] = nc.injQ.front().next
-	} else {
+func (s *Sim) popInj(d *domain, nc *nic, node int, f flit) {
+	nc.injHead++
+	if nc.injHead == s.injCap {
+		nc.injHead = 0
+	}
+	nc.injLen--
+	switch {
+	case nc.injLen == 0:
 		s.injNext[node] = nextNone
+	case f.tail():
+		// The next packet's head is now in front; the flits behind a
+		// non-tail front share its next-hop word.
+		nc.injIdx = 0
+		s.injNext[node] = s.injBuf[int32(node)*s.injCap+nc.injHead].next[0]
+	default:
+		nc.injIdx++
 	}
 	if nc.srcQ.len() > 0 {
 		s.nicWake(d, node)
@@ -538,12 +557,15 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 //sim:hot
 //sim:domain
 func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
-	q := &s.inQ[vi]
-	q.pop()
+	h := s.inHead[vi] + 1
+	if h == s.inCap[vi] {
+		h = 0
+	}
+	s.inHead[vi] = h
 	n := s.inLen[vi] - 1
 	s.inLen[vi] = n
 	if n > 0 {
-		nf := q.front()
+		nf := s.inBuf[s.inOff[vi]+h]
 		s.inFront[vi] = nf
 		s.inNext[vi] = nf.next
 	} else {

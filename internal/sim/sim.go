@@ -25,7 +25,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/routing"
@@ -97,11 +97,6 @@ type Config struct {
 	PacketFlits int   // flits per packet for synthetic traffic (paper: 6)
 	InjQueueCap int   // NIC injection queue capacity in flits (paper: 20)
 	Seed        int64 // RNG seed (injection processes, adaptive choices)
-
-	// LatSampleCap is the initial capacity of the latency sample buffer, a
-	// hint bounding reallocation churn while the buffer grows toward the
-	// run's tracked-packet count (default 4096).
-	LatSampleCap int
 
 	// Traffic supplies injections; see Source.
 	Traffic Source
@@ -231,9 +226,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CBCap == 0 {
 		c.CBCap = 20
-	}
-	if c.LatSampleCap == 0 {
-		c.LatSampleCap = 4096
 	}
 	if c.WarmupCycles == 0 {
 		c.WarmupCycles = 5000
@@ -368,10 +360,13 @@ type cbPacket struct {
 
 // nic is one node's network interface.
 type nic struct {
-	node   int
-	srcQ   ring[*packet] // unbounded source queue (open-loop measurement)
-	injQ   ring[flit]    // bounded injection buffer (flits)
-	injCap int
+	srcQ ring[*packet] // unbounded source queue (open-loop measurement)
+	// The injection queue: injLen flits from Sim.injBuf[node*injCap+injHead]
+	// on. It stores each flit's packet only: flits enter in index order, a
+	// packet after the previous one's tail, so the front's index injIdx
+	// (and injNext) is all it must keep.
+	injHead, injLen int32
+	injIdx          uint16
 }
 
 // Sim is a runnable simulation instance.
@@ -411,16 +406,17 @@ type Sim struct {
 	inLink  []int32 // [r*stride+pi] link arriving at input pi
 	revPort []int32 // [r*stride+pi] our port index at the upstream router
 	inCap   []int32 // [(r*stride+pi)*vcs+vc] input buffer capacity
+	inOff   []int32 // [(r*stride+pi)*vcs+vc] where the buffer starts in inBuf
+	inBuf   []flit  // every input buffer, inCap flits each (dead beyond inLen)
 	// Mutable per-VC state (initial values written by reset, like every
-	// other mutable field below):
-	inQ []ring[flit] // [(r*stride+pi)*vcs+vc] input buffers
-	// inLen/inFront mirror each input buffer's length and head flit in two
-	// dense arrays so the switch-allocation scan never chases the ring's
-	// backing-array pointer: a failed arbitration probe (the common case at
-	// saturation) costs two contiguous loads. Maintained by the only two
-	// inQ mutators, deliver (push) and popInput (pop).
-	inLen   []int32 // [(r*stride+pi)*vcs+vc] == inQ[...].len()
-	inFront []flit  // [(r*stride+pi)*vcs+vc] == inQ[...].front() when inLen > 0
+	// other mutable field below). inFront mirrors each buffer's front flit
+	// in a dense array so the switch-allocation scan never reaches into the
+	// slab: a failed arbitration probe (the common case at saturation)
+	// costs two contiguous loads. Maintained by the only two input buffer
+	// mutators, deliver (push) and popInput (pop).
+	inHead  []int32 // [(r*stride+pi)*vcs+vc] front position within the buffer
+	inLen   []int32 // [(r*stride+pi)*vcs+vc]
+	inFront []flit  // [(r*stride+pi)*vcs+vc] == inBuf[inOff+inHead] when inLen > 0
 	// inNext collapses "does this input VC hold a flit" and "where does its
 	// front flit want to go" into one dense uint32 per (port,vc): the front
 	// flit's next-hop word, or nextNone when the buffer is empty. A failed
@@ -475,11 +471,14 @@ type Sim struct {
 	// whose source queue is non-empty.
 	nicReady   []bool // [node]
 	nicBacklog int
-	// injNext mirrors each NIC injection queue's front next-hop word
-	// (nextNone when empty), exactly like inNext does for the router input
-	// buffers: the per-router injection scan probes one dense uint32 per
-	// node and only touches the NIC's ring when a flit can actually move.
-	injNext []uint32 // [node]
+	// injBuf holds every NIC's injection queue (see nic). injNext holds each
+	// queue's front next-hop word (nextNone when empty), exactly like inNext
+	// does for the router input buffers: the per-router injection scan
+	// probes one dense uint32 per node and only touches the NIC and the
+	// slab when a flit can actually move.
+	injCap  int32
+	injBuf  []*packet // [node*injCap+i]
+	injNext []uint32  // [node]
 
 	// Timing wheels replacing the per-cycle credit and ejection scans.
 	creditWheel *wheel[creditEvent]
@@ -504,10 +503,10 @@ type Sim struct {
 
 	// Stats.
 	Result        Result
-	lat           []int64
-	genMeasured   int64 // tracked packets generated
-	doneMeasured  int64 // tracked packets delivered
-	flitsEjected  int64 // during measurement window
+	lat           latHist // tracked packets' latencies
+	genMeasured   int64   // tracked packets generated
+	doneMeasured  int64   // tracked packets delivered
+	flitsEjected  int64   // during measurement window
 	flitsInjected int64
 	inFlightFlits int64
 	totalHops     int64
@@ -650,6 +649,9 @@ func New(cfg Config) (*Sim, error) {
 		// would silently collide.
 		return nil, fmt.Errorf("sim: VCs = %d out of range [1, %d]", cfg.VCs, maxVCs)
 	}
+	if cfg.InjQueueCap < 1 {
+		return nil, fmt.Errorf("sim: InjQueueCap = %d, want >= 1 (0 selects the default)", cfg.InjQueueCap)
+	}
 	s := &Sim{
 		cfg:    cfg,
 		net:    cfg.Net,
@@ -685,8 +687,9 @@ func New(cfg Config) (*Sim, error) {
 	s.outLink = make([]int32, np)
 	s.inLink = make([]int32, np)
 	s.revPort = make([]int32, np)
-	s.inQ = make([]ring[flit], nv)
 	s.inCap = make([]int32, nv)
+	s.inOff = make([]int32, nv)
+	s.inHead = make([]int32, nv)
 	s.inLen = make([]int32, nv)
 	s.inFront = make([]flit, nv)
 	s.inNext = make([]uint32, nv)
@@ -713,6 +716,7 @@ func New(cfg Config) (*Sim, error) {
 		s.stall = make([]ring[flit], edges*cfg.VCs)
 	}
 	maxLat := int64(1)
+	slab := 0 // input buffer slab size so far
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
 		for pi, nb := range adj {
@@ -731,25 +735,23 @@ func New(cfg Config) (*Sim, error) {
 			s.outLink[nb*s.stride+pos] = int32(lid)
 			s.inLink[r*s.stride+pi] = int32(lid)
 			s.revPort[r*s.stride+pi] = int32(pos)
-			// Input buffer capacity.
-			capFlits := 1
-			if cfg.Scheme == EdgeBuffers {
-				capFlits = cfg.EdgeBufCap(dist)
-				if capFlits < 1 {
-					capFlits = 1
-				}
-			}
+			capFlits := cfg.inputCap(dist)
 			for v := 0; v < cfg.VCs; v++ {
 				s.inCap[vb+v] = int32(capFlits)
+				s.inOff[vb+v] = int32(slab)
+				slab += capFlits
 			}
 		}
 	}
+	if slab > math.MaxInt32 || int64(s.net.N())*int64(cfg.InjQueueCap) > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: buffer capacities need more than %d flits of input or injection storage", math.MaxInt32)
+	}
+	s.inBuf = make([]flit, slab)
 	// NICs.
 	s.nics = make([]nic, s.net.N())
 	s.injNext = make([]uint32, s.net.N())
-	for v := range s.nics {
-		s.nics[v] = nic{node: v, injCap: cfg.InjQueueCap}
-	}
+	s.injCap = int32(cfg.InjQueueCap)
+	s.injBuf = make([]*packet, s.net.N()*cfg.InjQueueCap)
 	// Compiled static routes: adaptive policies route per packet, everyone
 	// else reads the table (supplied and shared, or compiled here).
 	if cfg.Adaptive == nil {
@@ -782,7 +784,6 @@ func New(cfg Config) (*Sim, error) {
 	s.nicReady = make([]bool, s.net.N())
 	s.creditWheel = newWheel[creditEvent](maxLat + 1)
 	s.ejectWheel = newWheel[flit](routerDelayDirect + 1)
-	s.lat = make([]int64, 0, cfg.LatSampleCap)
 	s.genEmit = func(src, dst, flits, class int) {
 		s.enqueuePacket(src, dst, flits, class, s.now >= s.cfg.WarmupCycles)
 	}
@@ -800,9 +801,14 @@ func New(cfg Config) (*Sim, error) {
 // indistinguishable from one New just returned (pinned field by field by
 // TestResetEqualsFresh — a field added to Sim and forgotten here fails it).
 //
-// Queues go back to their zero value rather than keeping grown backing
-// arrays, and scratch slices are truncated, so a long-lived engine's
-// footprint stays at its construction size. Three things survive by design:
+// The input and injection slabs New sized are not cleared: emptying a queue
+// is zeroing its head and length, and nothing reads a slab outside a
+// queue's live window (clearing them made an estimate episode on a
+// 1296-node network half again as slow). Growable queues go back to their
+// zero value rather than keeping grown backing arrays, and scratch slices
+// and the latency histogram are truncated, so a long-lived engine's
+// footprint stays at its construction size plus its longest latency. Three
+// things survive by design:
 // the packet and central-buffer freelists (a recycled packet is fully
 // reinitialised when allocated), and the minimal paths and route table
 // adaptive policies read (paths, minTab), which are pure functions of the
@@ -820,7 +826,7 @@ func (s *Sim) reset() {
 	// EdgeBuffers outputs start with the peer input buffer's full credit
 	// count, elastic outputs with the link pipeline's slot count (latency
 	// stages + 1).
-	clear(s.inQ)
+	clear(s.inHead)
 	clear(s.inLen)
 	clear(s.inFront)
 	for i := range s.inNext {
@@ -859,9 +865,8 @@ func (s *Sim) reset() {
 		l.pending, l.occupancy = 0, 0
 	}
 	// NICs: empty source and injection queues.
-	for v := range s.nics {
-		nc := &s.nics[v]
-		nc.srcQ, nc.injQ = ring[*packet]{}, ring[flit]{}
+	clear(s.nics)
+	for v := range s.injNext {
 		s.injNext[v] = nextNone
 	}
 	clear(s.nicReady)
@@ -879,13 +884,23 @@ func (s *Sim) reset() {
 	// Statistics.
 	s.nextPktID = 0
 	s.Result = Result{}
-	s.lat = s.lat[:0]
+	s.lat = latHist{counts: s.lat.counts[:0]}
 	s.genMeasured, s.doneMeasured = 0, 0
 	s.flitsEjected, s.flitsInjected, s.inFlightFlits = 0, 0, 0
 	s.totalHops, s.hopPackets = 0, 0
 	s.bypassFlits, s.bufferedFlits, s.forwardedFlits = 0, 0, 0
 	s.lastEject = 0
 	s.eng = engineCounters{}
+}
+
+// inputCap is the per-VC input buffer capacity in flits at the end of a link
+// of Manhattan length dist: EdgeBufCap's (at least 1) under EdgeBuffers, the
+// 1-flit input latch under the elastic schemes.
+func (c *Config) inputCap(dist int) int {
+	if c.Scheme != EdgeBuffers {
+		return 1
+	}
+	return max(c.EdgeBufCap(dist), 1)
 }
 
 // wire returns the Manhattan length of the link between routers a and b (1
@@ -1037,13 +1052,9 @@ func (s *Sim) RunContext(ctx context.Context, every int64, onProgress func(Progr
 	res.DeadlockSuspected = runErr == nil && s.inFlightFlits > 0 && s.lastEject < total-s.cfg.DrainCycles/2
 	res.Generated = s.genMeasured
 	res.Delivered = s.doneMeasured
-	if len(s.lat) > 0 {
-		var sum int64
-		for _, l := range s.lat {
-			sum += l
-		}
-		res.AvgLatency = float64(sum) / float64(len(s.lat))
-		res.P99Latency = percentile(s.lat, 0.99)
+	if s.lat.n > 0 {
+		res.AvgLatency = float64(s.lat.sum) / float64(s.lat.n)
+		res.P99Latency = s.lat.quantile(0.99)
 	}
 	// A cancelled run normalises rates over the measurement cycles that
 	// actually elapsed, and never reports saturation: undelivered packets
@@ -1103,13 +1114,34 @@ func (s *Sim) step() {
 	s.eng.nicPeak = max(s.eng.nicPeak, s.nicBacklog)
 }
 
-// percentile reports the p-quantile of xs by nearest-rank on the sorted
-// samples. It sorts xs in place: callers pass the run's latency buffer,
-// which is not consulted again afterwards.
-func percentile(xs []int64, p float64) float64 {
-	slices.Sort(xs)
-	idx := int(p * float64(len(xs)-1))
-	return float64(xs[idx])
+// latHist is an exact latency histogram: counts[l] packets took l cycles, n
+// in all, sum cycles in total. It grows to the longest latency, not to the
+// packet count, and reset keeps its capacity.
+type latHist struct {
+	counts []int32
+	n, sum int64
+}
+
+//sim:hot
+func (h *latHist) add(l int64) {
+	for int64(len(h.counts)) <= l {
+		h.counts = append(h.counts, 0)
+	}
+	h.counts[l]++
+	h.n++
+	h.sum += l
+}
+
+// quantile is the nearest-rank p-quantile: the floor(p*(n-1))-th smallest
+// latency, counting from 0 (n > 0).
+func (h *latHist) quantile(p float64) float64 {
+	idx := int64(p * float64(h.n-1))
+	for l, c := range h.counts {
+		if idx -= int64(c); idx < 0 {
+			return float64(l)
+		}
+	}
+	panic("sim: latency quantile past the histogram")
 }
 
 // stepGenerate invokes the traffic source and enqueues new packets on source
@@ -1284,19 +1316,17 @@ func (s *Sim) injectNIC(v int) {
 	for nc.srcQ.len() > 0 {
 		p := nc.srcQ.front()
 		// Move remaining flits of the head packet while space lasts. The
-		// next-hop word is resolved once per packet visit, and only when a
-		// flit actually moves.
+		// queue stores only the packet; a flit that lands in front of an
+		// empty queue also sets its index and next-hop word.
 		moved := false
-		nx := uint32(0)
-		for p.flitsMoved < p.flits && nc.injQ.len() < nc.injCap {
-			if !moved {
-				nx = p.next[0]
-			}
+		for p.flitsMoved < p.flits && nc.injLen < s.injCap {
 			s.flitCountInjected(p)
-			if nc.injQ.len() == 0 {
-				s.injNext[v] = nx
+			if nc.injLen == 0 {
+				s.injNext[v] = p.next[0]
+				nc.injIdx = uint16(p.flitsMoved)
 			}
-			nc.injQ.push(flit{pkt: p, idx: uint16(p.flitsMoved), hop: 0, next: nx})
+			s.injBuf[slabPos(int32(v)*s.injCap, nc.injHead, nc.injLen, s.injCap)] = p
+			nc.injLen++
 			p.flitsMoved++
 			moved = true
 			s.routerGainsFlit(r)
@@ -1335,7 +1365,7 @@ func (s *Sim) eject(f flit) {
 	if f.tail() {
 		if p.tracked {
 			s.doneMeasured++
-			s.lat = append(s.lat, s.now-p.genTime)
+			s.lat.add(s.now - p.genTime)
 			s.totalHops += int64(len(p.next) - 1)
 			s.hopPackets++
 		}

@@ -429,6 +429,13 @@ func TestConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("indirect networks must be rejected")
 	}
+	// The injection queues are a slab of InjQueueCap flits per node.
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	if _, err := sim.New(sim.Config{Net: net, Routing: minRouting(t, net, 2), InjQueueCap: -1,
+		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
+	}); err == nil {
+		t.Error("a negative injection queue capacity must be rejected")
+	}
 }
 
 // TestVCCountValidation: VC counts that would overflow the uint8 per-hop
