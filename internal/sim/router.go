@@ -254,14 +254,13 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		}
 		if nx == nextEject {
 			// Same-router destination: eject directly.
-			nc := &s.nics[node]
 			f := s.injFront(node)
 			slot := s.ejSlot(f.pkt.dst)
 			if s.ejUsedAt[slot] == now {
 				continue
 			}
 			s.ejUsedAt[slot] = now
-			s.popInj(d, nc, node, f)
+			s.popInj(d, node, f)
 			s.ejectWithDelay(d, r, f)
 			continue
 		}
@@ -272,7 +271,6 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		if s.space[vi] <= 0 {
 			continue
 		}
-		nc := &s.nics[node]
 		f := s.injFront(node)
 		if owner := s.outOwner[vi]; f.idx == 0 {
 			if owner != -1 {
@@ -281,7 +279,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		} else if owner != f.pkt.id {
 			continue
 		}
-		s.popInj(d, nc, node, f)
+		s.popInj(d, node, f)
 		outPort := int(nx >> 16)
 		s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
 	}
@@ -302,7 +300,8 @@ func (s *Sim) injFront(node int) flit {
 //
 //sim:hot
 //sim:domain
-func (s *Sim) popInj(d *domain, nc *nic, node int, f flit) {
+func (s *Sim) popInj(d *domain, node int, f flit) {
+	nc := &s.nics[node]
 	nc.injHead++
 	if nc.injHead == s.injCap {
 		nc.injHead = 0
