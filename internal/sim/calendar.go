@@ -114,7 +114,7 @@ func (c *Config) memEstimate(stride int) int64 {
 		for _, nb := range adj {
 			dist, lat := c.wire(r, nb)
 			maxLat = max(maxLat, lat)
-			slab += int64(c.inputCap(dist)) * vcs
+			slab += int64(c.inputCap(dist)-1) * vcs
 		}
 	}
 	np := nr * int64(stride)

@@ -30,7 +30,7 @@ func (s *Sim) Stuck() StuckReport {
 				slot := vb + vc
 				if n := s.inLen[slot]; n > 0 {
 					rep.InInputBuffers += int(n)
-					f := s.inBuf[s.inOff[slot]+s.inHead[slot]]
+					f := s.inFront[slot]
 					p := f.pkt
 					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d cb=%v)",
 						r, pi, vc, n, p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, p.cbState))

@@ -232,20 +232,22 @@ func (s *Sim) drainStall(d *domain, lane int) bool {
 }
 
 // deliver pushes a landed flit into input VC vc of the link's receiving
-// port, keeping the dense input mirrors coherent, and returns the pipeline
-// slot to the sender in elastic modes.
+// port (into inFront when the buffer is empty, behind it in the slab
+// otherwise), keeping the dense input mirrors coherent, and returns the
+// pipeline slot to the sender in elastic modes.
 //
 //sim:hot
 //sim:domain
 func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 	to := l.to
 	slot := int(l.recvVB) + vc
-	n := s.inLen[slot]
-	if n >= s.inCap[slot] {
+	n, c := s.inLen[slot], s.inCap[slot]
+	if n >= c {
 		panic("sim: input buffer overflow")
 	}
-	s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], n, s.inCap[slot])] = f
-	if n == 0 {
+	if n > 0 {
+		s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], n-1, c-1)] = f
+	} else {
 		s.inFront[slot] = f
 		s.inNext[slot] = f.next
 		if s.occIn != nil {

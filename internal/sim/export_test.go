@@ -4,16 +4,15 @@ import "fmt"
 
 // CheckBuffers reports the first breach, between cycles, of the bounded
 // buffer invariants, for the external tests that step an engine: every input
-// buffer holds between 0 and inCap flits and every injection queue at most
-// InjQueueCap, and the dense mirrors (inFront, inNext, the occupancy bitmask
-// and injNext) agree with what the slabs actually hold at each queue's front
-// (for an injection queue: its front packet's first next-hop word, and a
-// front flit index the packet has moved into the queue).
+// buffer holds between 0 and inCap flits, in wormhole order, and every
+// injection queue at most InjQueueCap; the dense mirrors (inNext and the
+// occupancy bitmask for an input buffer's front flit, injNext for an
+// injection queue's) agree with what the queues actually hold.
 func (s *Sim) CheckBuffers() error {
 	for slot, n := range s.inLen {
-		c := s.inCap[slot]
-		if n < 0 || n > c || (c > 0 && (s.inHead[slot] < 0 || s.inHead[slot] >= c)) {
-			return fmt.Errorf("input slot %d: %d flits, head %d, capacity %d", slot, n, s.inHead[slot], c)
+		c, h := s.inCap[slot], s.inHead[slot]
+		if n < 0 || n > c || h < 0 || (h > 0 && h >= c-1) {
+			return fmt.Errorf("input slot %d: %d flits, head %d, capacity %d", slot, n, h, c)
 		}
 		if s.occIn != nil {
 			r := slot / (s.stride * s.vcs)
@@ -27,10 +26,20 @@ func (s *Sim) CheckBuffers() error {
 			}
 			continue
 		}
-		f := s.inBuf[s.inOff[slot]+s.inHead[slot]]
-		if s.inFront[slot] != f || s.inNext[slot] != f.next {
-			return fmt.Errorf("input slot %d: mirrors hold flit %d of packet %d (next %#x), slab front is flit %d of packet %d (next %#x)",
-				slot, s.inFront[slot].idx, s.inFront[slot].pkt.id, s.inNext[slot], f.idx, f.pkt.id, f.next)
+		prev := s.inFront[slot]
+		if prev.pkt == nil || s.inNext[slot] != prev.next {
+			return fmt.Errorf("input slot %d: inNext = %#x, front flit %d wants %#x", slot, s.inNext[slot], prev.idx, prev.next)
+		}
+		for i := int32(1); i < n; i++ {
+			f := s.inBuf[slabPos(s.inOff[slot], h, i-1, c-1)]
+			ok := f.head()
+			if !prev.tail() {
+				ok = f.pkt == prev.pkt && f.idx == prev.idx+1
+			}
+			if !ok {
+				return fmt.Errorf("input slot %d: flit %d of packet %d follows flit %d of packet %d", slot, f.idx, f.pkt.id, prev.idx, prev.pkt.id)
+			}
+			prev = f
 		}
 	}
 	for v := range s.nics {

@@ -124,9 +124,9 @@ func simDiff(t *testing.T, a, b *Sim) []string {
 	// Lengths and heads are ordinary fields, compared above.
 	seen := map[[2]uintptr]bool{}
 	for slot, n := range a.inLen {
-		for i := int32(0); i < min(n, b.inLen[slot]); i++ {
-			fa := a.inBuf[slabPos(a.inOff[slot], a.inHead[slot], i, a.inCap[slot])]
-			fb := b.inBuf[slabPos(b.inOff[slot], b.inHead[slot], i, b.inCap[slot])]
+		for i := int32(0); i < min(n, b.inLen[slot])-1; i++ {
+			fa := a.inBuf[slabPos(a.inOff[slot], a.inHead[slot], i, a.inCap[slot]-1)]
+			fb := b.inBuf[slabPos(b.inOff[slot], b.inHead[slot], i, b.inCap[slot]-1)]
 			stateDiff(t, fmt.Sprintf("Sim.inBuf[slot %d, flit %d]", slot, i), reflect.ValueOf(fa), reflect.ValueOf(fb), seen, &diffs)
 		}
 	}

@@ -556,15 +556,16 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 //sim:hot
 //sim:domain
 func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
-	h := s.inHead[vi] + 1
-	if h == s.inCap[vi] {
-		h = 0
-	}
-	s.inHead[vi] = h
 	n := s.inLen[vi] - 1
 	s.inLen[vi] = n
 	if n > 0 {
+		// The slab's first flit moves up to the front.
+		h := s.inHead[vi]
 		nf := s.inBuf[s.inOff[vi]+h]
+		if h++; h == s.inCap[vi]-1 {
+			h = 0
+		}
+		s.inHead[vi] = h
 		s.inFront[vi] = nf
 		s.inNext[vi] = nf.next
 	} else {

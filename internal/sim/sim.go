@@ -406,17 +406,18 @@ type Sim struct {
 	inLink  []int32 // [r*stride+pi] link arriving at input pi
 	revPort []int32 // [r*stride+pi] our port index at the upstream router
 	inCap   []int32 // [(r*stride+pi)*vcs+vc] input buffer capacity
-	inOff   []int32 // [(r*stride+pi)*vcs+vc] where the buffer starts in inBuf
-	inBuf   []flit  // every input buffer, inCap flits each (dead beyond inLen)
+	inOff   []int32 // [(r*stride+pi)*vcs+vc] where the buffer's tail starts in inBuf
+	inBuf   []flit  // every input buffer's tail, inCap-1 flits each (dead beyond inLen-1)
 	// Mutable per-VC state (initial values written by reset, like every
-	// other mutable field below). inFront mirrors each buffer's front flit
-	// in a dense array so the switch-allocation scan never reaches into the
-	// slab: a failed arbitration probe (the common case at saturation)
-	// costs two contiguous loads. Maintained by the only two input buffer
+	// other mutable field below). An input buffer is its front flit in the
+	// dense inFront array, so the switch-allocation scan never reaches into
+	// the slab (a failed arbitration probe, the common case at saturation,
+	// costs two contiguous loads), and the inLen-1 flits behind it in inBuf
+	// from inOff+inHead on. Maintained by the only two input buffer
 	// mutators, deliver (push) and popInput (pop).
-	inHead  []int32 // [(r*stride+pi)*vcs+vc] front position within the buffer
+	inHead  []int32 // [(r*stride+pi)*vcs+vc]
 	inLen   []int32 // [(r*stride+pi)*vcs+vc]
-	inFront []flit  // [(r*stride+pi)*vcs+vc] == inBuf[inOff+inHead] when inLen > 0
+	inFront []flit  // [(r*stride+pi)*vcs+vc] valid when inLen > 0
 	// inNext collapses "does this input VC hold a flit" and "where does its
 	// front flit want to go" into one dense uint32 per (port,vc): the front
 	// flit's next-hop word, or nextNone when the buffer is empty. A failed
@@ -716,7 +717,7 @@ func New(cfg Config) (*Sim, error) {
 		s.stall = make([]ring[flit], edges*cfg.VCs)
 	}
 	maxLat := int64(1)
-	slab := 0 // input buffer slab size so far
+	slab := 0 // input buffer tail slab size so far
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
 		for pi, nb := range adj {
@@ -739,7 +740,7 @@ func New(cfg Config) (*Sim, error) {
 			for v := 0; v < cfg.VCs; v++ {
 				s.inCap[vb+v] = int32(capFlits)
 				s.inOff[vb+v] = int32(slab)
-				slab += capFlits
+				slab += capFlits - 1
 			}
 		}
 	}
