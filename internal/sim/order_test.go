@@ -41,12 +41,11 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 			slot := int(l.recvVB) + vc
 			buffered := int(s.inLen[slot])
 			var stream []flit
-			for i := 0; i < buffered; i++ {
-				if i == 0 {
-					stream = append(stream, s.inFront[slot])
-				} else {
-					stream = append(stream, s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], int32(i-1), s.inCap[slot]-1)])
-				}
+			if buffered > 0 {
+				stream = append(stream, s.inFront[slot])
+			}
+			for i := 1; i < buffered; i++ {
+				stream = append(stream, s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], int32(i-1), s.inCap[slot]-1)])
 			}
 			if s.stall != nil {
 				for i := 0; i < s.stall[lane].len(); i++ {

@@ -62,7 +62,7 @@ const (
 const maxVCs = 63
 
 // maxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are uint16
-// so rings and wheels move 16-byte elements. Validated by enqueuePacket
+// so queues and wheels move 16-byte elements. Validated by enqueuePacket
 // (synthetic traffic uses single-digit counts; the bound exists for exotic
 // trace generators).
 const maxPacketFlits = 1<<16 - 1
@@ -288,9 +288,8 @@ type packet struct {
 // arbitration fast path arbitrates on the word alone.
 // The struct is deliberately 16 bytes (idx/hop are uint16, bounded by New's
 // maxPacketFlits and the 255-router-radix path-length cap): flits are copied
-// on every ring push/pop along their life — source queue, injection queue,
-// arrival wheel, input buffer, ejection wheel — so their width is hot-loop
-// memory bandwidth.
+// on every queue push/pop along their life — arrival wheel, input buffer,
+// ejection wheel — so their width is hot-loop memory bandwidth.
 type flit struct {
 	pkt  *packet
 	idx  uint16 // 0 = head; pkt.flits-1 = tail
