@@ -19,7 +19,8 @@ import (
 // hierarchical PFBF XY) on small presets, across edge and central buffers,
 // two VC counts, two loads and SMART on/off. The other fixtures route SN
 // minimally; this one is the proof that a change to how grid routes are
-// stored or walked moves no flit.
+// stored or walked moves no flit. The wide cases (wideGridCases) pin routers
+// whose input slots (ports x VCs) span more than one 64-bit word.
 //
 // Regenerate (only for an intentional, documented behaviour change):
 //
@@ -82,6 +83,36 @@ func gridCases() []gridCase {
 						})
 					}
 				}
+			}
+		}
+	}
+	return append(cases, wideGridCases()...)
+}
+
+// wideGridCases are saturated runs on routers whose input slots span more
+// than one occupancy word, under every buffer scheme, SMART on and off:
+// fbf54 at 10 VCs (7 ports, 70 slots, the last port's block straddling
+// words 0 and 1), fbf4 at 10 VCs (13 ports, 130 slots, three words) and cm4
+// at 20 VCs (80 slots; mesh routes use VC hop%vcs, so the occupied VCs of
+// port 3's block lie on both sides of the word boundary).
+func wideGridCases() []gridCase {
+	nets := gridNets()
+	fbf4 := gridNet{"fbf4", func() *topo.Network { return topo.FBF(10, 5, 4) },
+		routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}}
+	var cases []gridCase
+	for _, w := range []struct {
+		net gridNet
+		vcs int
+	}{{nets[3], 10}, {fbf4, 10}, {nets[0], 20}} { // fbf54, fbf4, cm4
+		for _, sc := range []struct {
+			tag    string
+			scheme sim.BufferScheme
+		}{{"eb", sim.EdgeBuffers}, {"el", sim.ElasticLinks}, {"cbr", sim.CentralBuffer}} {
+			for _, h := range []int{1, 9} {
+				cases = append(cases, gridCase{
+					Name: fmt.Sprintf("%s_%s_v%d_r0.60_h%d", w.net.name, sc.tag, w.vcs, h),
+					Net:  w.net, Scheme: sc.scheme, VCs: w.vcs, Rate: 0.60, H: h,
+				})
 			}
 		}
 	}
