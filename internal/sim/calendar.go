@@ -1,7 +1,8 @@
 // Event-calendar time advancement. The engine is event-driven already: the
-// routers with resident flits are on dirty lists, NICs are woken only when
-// they can inject, and every delayed event — a flit landing off a wire, a
-// credit return, an ejection — sits in a timing wheel at the cycle it fires.
+// routers with resident flits are marked in per-domain busy sets, NICs are
+// woken only when they can inject, and every delayed event — a flit landing
+// off a wire, a credit return, an ejection — sits in a timing wheel at the
+// cycle it fires.
 // The calendar unifies those views: when no router holds a flit, no NIC has
 // backlog and no lane is stalled, nothing can happen until the earliest of
 // (a) the traffic source's next declared fire, (b) the next credit-wheel
@@ -43,7 +44,7 @@ func (s *Sim) skipAhead(limit int64) {
 		return
 	}
 	for di := range s.doms {
-		if len(s.doms[di].routerList) != 0 || len(s.doms[di].stalled) != 0 {
+		if s.doms[di].nBusy != 0 || len(s.doms[di].stalled) != 0 {
 			return
 		}
 	}
@@ -135,7 +136,8 @@ func (c *Config) memEstimate(stride int) int64 {
 	}
 	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24          // arrival wheel bucket headers
 	b += n * (ringBytes + 24 + 8 + 4 + 1 + int64(c.InjQueueCap)*8) // nics (srcQ+ints) + ejUsedAt + injNext + nicReady + injBuf
-	b += nr * (4 + 4 + 4 + 4 + 1 + 8)                              // kp/cbFree/work/domOf/routerIn/occIn
+	b += nr * (4 + 4 + 4 + 4)                                      // kp/cbFree/work/domOf
+	b += (nr*max(1, (int64(stride)*vcs+63)/64) + nr/64 + nd) * 8   // occIn + domain busy sets
 	if c.Adaptive == nil {
 		if c.Table != nil {
 			b += c.Table.MemBytes()

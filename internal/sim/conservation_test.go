@@ -161,50 +161,69 @@ func TestStuckAccountsEveryFlit(t *testing.T) {
 // TestBufferBoundsEveryCycle checks the bounded-buffer invariants between
 // every two cycles of saturated runs of every buffer scheme, serial and on
 // four domains: no input buffer or injection queue holds more than its
-// capacity, and the dense mirrors the router and injection scans read
+// capacity, the dense mirrors the router and injection scans read
 // (inFront, inNext, the occupancy bitmask, injNext) equal the slabs' front
-// flits. Saturation fills input buffers and injection queues to their
-// bounds, which the test confirms it reached.
+// flits, and the domains' busy sets mark exactly the routers holding flits.
+// Saturation fills input buffers and injection queues to their bounds,
+// which the test confirms it reached. The fbf4 case at 10 VCs has 130 input
+// slots per router, so its occupancy spans three words.
 func TestBufferBoundsEveryCycle(t *testing.T) {
-	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	for _, sc := range []struct {
-		name   string
-		scheme sim.BufferScheme
-	}{{"EB", sim.EdgeBuffers}, {"EL", sim.ElasticLinks}, {"CBR", sim.CentralBuffer}} {
-		for _, jobs := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/jobs%d", sc.name, jobs), func(t *testing.T) {
-				s, err := sim.New(sim.Config{
-					Net:     net,
-					Routing: minRouting(t, net, 2),
-					Scheme:  sc.scheme,
-					H:       9,
-					Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.40, PacketFlits: 6,
-						Pattern: traffic.Uniform{N: net.N()}},
-					Seed:          29,
-					EngineJobs:    jobs,
-					WarmupCycles:  200,
-					MeasureCycles: 600,
-					DrainCycles:   400,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fullInputs, fullInj := 0, 0
-				_, err = s.RunContext(context.Background(), 1, func(p sim.Progress) {
-					if err := s.CheckBuffers(); err != nil {
-						t.Fatalf("cycle %d: %v", p.Cycle, err)
+	sn := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	fbf := topo.FBF(10, 5, 4)
+	fbfRouting, err := routing.NewRoutingFor(fbf, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nc := range []struct {
+		name    string // subtest prefix
+		net     *topo.Network
+		routing routing.PathBuilder
+		vcs     int
+		rate    float64
+	}{
+		{"", sn, minRouting(t, sn, 2), 2, 0.40},
+		{"fbf4_v10/", fbf, fbfRouting, 10, 0.60},
+	} {
+		for _, sc := range []struct {
+			name   string
+			scheme sim.BufferScheme
+		}{{"EB", sim.EdgeBuffers}, {"EL", sim.ElasticLinks}, {"CBR", sim.CentralBuffer}} {
+			for _, jobs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s%s/jobs%d", nc.name, sc.name, jobs), func(t *testing.T) {
+					s, err := sim.New(sim.Config{
+						Net:     nc.net,
+						Routing: nc.routing,
+						VCs:     nc.vcs,
+						Scheme:  sc.scheme,
+						H:       9,
+						Traffic: &traffic.Synthetic{N: nc.net.N(), Rate: nc.rate, PacketFlits: 6,
+							Pattern: traffic.Uniform{N: nc.net.N()}},
+						Seed:          29,
+						EngineJobs:    jobs,
+						WarmupCycles:  200,
+						MeasureCycles: 600,
+						DrainCycles:   400,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-					in, inj := s.FullBuffers()
-					fullInputs += in
-					fullInj += inj
+					fullInputs, fullInj := 0, 0
+					_, err = s.RunContext(context.Background(), 1, func(p sim.Progress) {
+						if err := s.CheckBuffers(); err != nil {
+							t.Fatalf("cycle %d: %v", p.Cycle, err)
+						}
+						in, inj := s.FullBuffers()
+						fullInputs += in
+						fullInj += inj
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fullInputs == 0 || fullInj == 0 {
+						t.Fatalf("input buffers full %d times, injection queues %d times: the run never reached the bounds", fullInputs, fullInj)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fullInputs == 0 || fullInj == 0 {
-					t.Fatalf("input buffers full %d times, injection queues %d times: the run never reached the bounds", fullInputs, fullInj)
-				}
-			})
+			}
 		}
 	}
 }

@@ -26,8 +26,9 @@
 // domain replay reproduces the serial engine's ascending-router-index event
 // order exactly — which is why results are byte-identical at every domain
 // count (pinned by TestDomainParallelIdentity and the golden fixtures). The
-// serial engine is the 1-domain instance of the same code, not a separate
-// path.
+// serial engine is the 1-domain instance of the same phases with one fork:
+// Sim.single applies the staged effects directly, in the order the merge
+// would replay them.
 
 package sim
 
@@ -48,11 +49,11 @@ type stagedCredit struct {
 type domain struct {
 	di       int32 // own index in Sim.doms
 	rlo, rhi int32 // router range [rlo, rhi)
-	// routerList holds the routers in the range with resident flits. The
-	// membership flags live in Sim.routerIn; an element is only ever
-	// written by the router's own domain, so the shared array needs no
-	// synchronisation.
-	routerList []int32
+	// busy has bit r-rlo set while router r holds flits (work[r] > 0), and
+	// nBusy counts the set bits. It is per domain because domain bounds are
+	// not 64-aligned: no word is shared, so it needs no synchronisation.
+	busy  []uint64
+	nBusy int
 	// out[rd] is the arrival wheel of flits sent by this domain's routers
 	// onto links into domain rd: scheduled here in the router phase, taken
 	// by rd in its link phase, with the phase barrier between the two.
@@ -120,6 +121,7 @@ func (s *Sim) buildDomains(nd int, horizon int64) {
 		d.di = int32(di)
 		d.rlo, d.rhi = int32(lo), int32(hi)
 		d.outMask = make([]uint64, maskW)
+		d.busy = make([]uint64, (hi-lo+63)/64)
 		d.out = make([]wheel[arrival], nd)
 		for rd := range d.out {
 			d.out[rd] = *newWheel[arrival](horizon)
@@ -129,7 +131,6 @@ func (s *Sim) buildDomains(nd int, horizon int64) {
 		}
 	}
 	s.single = nd == 1
-	s.routerIn = make([]bool, nr)
 	if nd > 1 {
 		s.par = &parRunner{workers: make([]workerSlot, nd-1)}
 	}
@@ -141,11 +142,12 @@ func (s *Sim) buildDomains(nd int, horizon int64) {
 // an earlier send's landing cycle.
 func arrivalHorizon(maxLat int64) int64 { return maxLat + routerDelayBuffered + 1 }
 
-// reset empties the domain's active lists, arrival wheels and staging
+// reset empties the domain's busy set, lists, arrival wheels and staging
 // buffers (keeping their capacity); see Sim.reset. The central-buffer
 // freelist survives.
 func (d *domain) reset() {
-	d.routerList = d.routerList[:0]
+	clear(d.busy)
+	d.nBusy = 0
 	for rd := range d.out {
 		d.out[rd].reset()
 	}
@@ -250,10 +252,9 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 	} else {
 		s.inFront[slot] = f
 		s.inNext[slot] = f.next
-		if s.occIn != nil {
-			//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the occupancy bit belongs to the receiving router
-			s.occIn[to] |= 1 << uint(l.toPort*s.vcs+vc)
-		}
+		b := l.toPort*s.vcs + vc
+		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, and router to's occupancy words are its own
+		s.occIn[to*s.occW+(b>>6)] |= 1 << uint(b&63)
 	}
 	s.inLen[slot] = n + 1
 	//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, sender writes only after the phase barrier
@@ -266,7 +267,7 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the sending domain reads space only after the phase barrier
 		s.space[int(l.sendVB)+vc]++
 	}
-	s.routerGainsFlit(to)
+	s.routerGainsFlit(d, to)
 }
 
 // mergeDomains replays every domain's staged effects into the shared engine

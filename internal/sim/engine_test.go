@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/routing"
+	"repro/internal/topo"
 )
 
 // bernoulliSource mirrors traffic.Synthetic with a uniform pattern. The
@@ -53,10 +54,27 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newEngineSimOn(t, net, &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2}, 2, scheme, rate)
+}
+
+// newWideEngineSim is newEngineSim on fbf4 at 10 VCs: 13 ports x 10 VCs is
+// 130 input slots per router, three occupancy words.
+func newWideEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
+	t.Helper()
+	net := topo.FBF(10, 5, 4)
+	pb, err := routing.NewRoutingFor(net, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newEngineSimOn(t, net, pb, 10, scheme, rate)
+}
+
+func newEngineSimOn(t testing.TB, net *topo.Network, pb routing.PathBuilder, vcs int, scheme BufferScheme, rate float64) *Sim {
+	t.Helper()
 	cfg := Config{
 		Net:           net,
-		Routing:       &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2},
-		VCs:           2,
+		Routing:       pb,
+		VCs:           vcs,
 		Scheme:        scheme,
 		Traffic:       &bernoulliSource{n: net.N(), rate: rate, flits: 6},
 		Seed:          211,
@@ -81,22 +99,21 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
 		scheme BufferScheme
+		new    func(testing.TB, BufferScheme, float64) *Sim
+		rate   float64
 	}{
-		{"EB", EdgeBuffers},
-		{"CBR", CentralBuffer},
-		{"EL", ElasticLinks},
+		{"EB", EdgeBuffers, newEngineSim, 0.06},
+		{"CBR", CentralBuffer, newEngineSim, 0.06},
+		{"EL", ElasticLinks, newEngineSim, 0.06},
+		// A multi-word occupancy walk, loaded enough to keep many input
+		// VCs of a router occupied at once.
+		{"EB/fbf4_v10", EdgeBuffers, newWideEngineSim, 0.20},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			// New initialises every mutable field through reset(), the same
 			// path a reused episode engine takes between episodes.
-			s := newEngineSim(t, sc.scheme, 0.06)
-			// The golden SN network is narrow enough for the occupancy
-			// bitmask, so these cases pin the bitmask arbitration walk —
-			// the allocation-free fast path the router phase runs on.
-			if s.occIn == nil {
-				t.Fatalf("occupancy bitmask inactive (stride %d x vcs %d); test no longer covers the arbitration fast path", s.stride, s.vcs)
-			}
+			s := sc.new(t, sc.scheme, sc.rate)
 			// Warm up past the warmup phase and into measurement so every
 			// ring, pool and wheel bucket has reached its steady-state
 			// high-water mark.

@@ -1,24 +1,28 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CheckBuffers reports the first breach, between cycles, of the bounded
 // buffer invariants, for the external tests that step an engine: every input
 // buffer holds between 0 and inCap flits, in wormhole order, and every
 // injection queue at most InjQueueCap; the dense mirrors (inNext and the
 // occupancy bitmask for an input buffer's front flit, injNext for an
-// injection queue's) agree with what the queues actually hold.
+// injection queue's) agree with what the queues actually hold; and each
+// domain's busy set marks exactly its routers with resident flits, nBusy of
+// them.
 func (s *Sim) CheckBuffers() error {
 	for slot, n := range s.inLen {
 		c, h := s.inCap[slot], s.inHead[slot]
 		if n < 0 || n > c || h < 0 || (h > 0 && h >= c-1) {
 			return fmt.Errorf("input slot %d: %d flits, head %d, capacity %d", slot, n, h, c)
 		}
-		if s.occIn != nil {
-			r := slot / (s.stride * s.vcs)
-			if bit := s.occIn[r]>>uint(slot-r*s.stride*s.vcs)&1 == 1; bit != (n > 0) {
-				return fmt.Errorf("input slot %d: %d flits but occupancy bit %v", slot, n, bit)
-			}
+		r := slot / (s.stride * s.vcs)
+		b := slot - r*s.stride*s.vcs
+		if bit := s.occIn[r*s.occW+b>>6]>>uint(b&63)&1 == 1; bit != (n > 0) {
+			return fmt.Errorf("input slot %d: %d flits but occupancy bit %v", slot, n, bit)
 		}
 		if n == 0 {
 			if s.inNext[slot] != nextNone {
@@ -57,6 +61,25 @@ func (s *Sim) CheckBuffers() error {
 		}
 		if s.injNext[v] != want {
 			return fmt.Errorf("node %d: injNext = %#x, injection queue front wants %#x", v, s.injNext[v], want)
+		}
+	}
+	for di := range s.doms {
+		d := &s.doms[di]
+		set, busy := 0, 0
+		for _, w := range d.busy {
+			set += bits.OnesCount64(w)
+		}
+		for r := int(d.rlo); r < int(d.rhi); r++ {
+			i := r - int(d.rlo)
+			if bit := d.busy[i>>6]>>uint(i&63)&1 == 1; bit != (s.work[r] > 0) {
+				return fmt.Errorf("router %d: %d flits resident but busy bit %v", r, s.work[r], bit)
+			}
+			if s.work[r] > 0 {
+				busy++
+			}
+		}
+		if d.nBusy != set || set != busy {
+			return fmt.Errorf("domain %d: nBusy = %d, %d busy bits set, %d routers busy", di, d.nBusy, set, busy)
 		}
 	}
 	return nil

@@ -178,7 +178,7 @@ func TestDomainParallelEstimateIdentity(t *testing.T) {
 
 // TestSteadyStateZeroAllocsParallel extends the zero-allocation contract to
 // the domain-parallel cycle loop: once warm, stepping with live workers
-// allocates nothing either — staging buffers and active lists retain their
+// allocates nothing either — staging buffers and ready lists retain their
 // capacity, and the barrier is two atomics.
 func TestSteadyStateZeroAllocsParallel(t *testing.T) {
 	s := newEngineSim(t, EdgeBuffers, 0.06)

@@ -1,5 +1,5 @@
 // Router pipeline: switch allocation, central-buffer management, injection
-// and ejection. One call to stepRoutersDomain advances every active router
+// and ejection. One call to stepRoutersDomain advances every busy router
 // of one spatial domain by one cycle; idle routers cost nothing. All state
 // touched here is either owned by the router's domain (SoA slices indexed by
 // the domain's router range, NIC injection queues of attached nodes, the
@@ -17,10 +17,7 @@
 
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // routerDelay is the router pipeline latency added to every traversal: the
 // paper's 2-stage edge-buffer pipeline and the CBR bypass path both take 2
@@ -31,44 +28,27 @@ const (
 )
 
 // stepRoutersDomain performs ejection, central-buffer reads/writes, switch
-// allocation and injection for every active router of the domain, in
+// allocation and injection for every busy router of the domain, in
 // ascending router index order (matching the original full scan; the
-// ascending order also makes the list append order of the preceding link
-// phase irrelevant). When the active list covers a quarter or more of the
-// domain's range — the saturated regime — the per-cycle sort is replaced by
-// an ascending scan of the membership flags, which visits the same routers
-// in the same order without the O(n log n) comparison sort.
+// ascending order also makes the wake order of the preceding link and
+// injection phases irrelevant). It walks the busy bitset a word at a time
+// and clears a router's bit once its last flit has left. No router gains a
+// flit in this phase, so a word's snapshot sees every router due a visit.
 //
 //sim:hot
 //sim:domain
 func (s *Sim) stepRoutersDomain(d *domain) {
-	if n := len(d.routerList); n*4 >= int(d.rhi-d.rlo) {
-		keep := d.routerList[:0]
-		for r := int(d.rlo); r < int(d.rhi); r++ {
-			if !s.routerIn[r] {
-				continue
-			}
+	for w, m := range d.busy {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			r := int(d.rlo) + i
 			s.stepRouter(d, r)
-			if s.work[r] > 0 {
-				keep = append(keep, int32(r))
-			} else {
-				s.routerIn[r] = false
+			if s.work[r] == 0 {
+				d.busy[w] &^= 1 << uint(i&63)
+				d.nBusy--
 			}
 		}
-		d.routerList = keep
-		return
 	}
-	slices.Sort(d.routerList)
-	keep := d.routerList[:0]
-	for _, r := range d.routerList {
-		s.stepRouter(d, int(r))
-		if s.work[r] > 0 {
-			keep = append(keep, r)
-		} else {
-			s.routerIn[r] = false
-		}
-	}
-	d.routerList = keep
 }
 
 //sim:hot
@@ -86,159 +66,101 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	}
 
 	// 1. Central-buffer read port: drain at most one flit from the CB.
-	// The CBR input scan keeps the flit-carrying slow path (tryAdvanceCBR):
-	// its buffered path must make progress even when the output is blocked,
-	// so readiness cannot gate the probe.
-	if s.scheme == CentralBuffer {
+	cbr := s.scheme == CentralBuffer
+	cbWrote := false
+	if cbr {
 		s.cbDrain(d, r)
-		cbWrote := false
-		if kp > 0 {
-			pi := int(now % int64(kp))
-			vb := (pb + pi) * s.vcs
-			for off := 0; off < kp; off++ {
-				for vc := 0; vc < s.vcs; vc++ {
-					if s.inLen[vb+vc] == 0 {
-						continue
-					}
-					if s.tryAdvanceCBR(d, r, s.inFront[vb+vc], &cbWrote, pi, vc) {
-						break
-					}
-				}
-				pi++
-				vb += s.vcs
-				if pi == kp {
-					pi = 0
-					vb = pb * s.vcs
-				}
+	}
+
+	// 2. Network inputs: visit the non-empty input VCs port by port from a
+	// rotating start port, for fairness, and move at most one flit per
+	// input port. The rotation advances once per cycle whether or not the
+	// router does work, so it is derived from the clock rather than stored
+	// (idle routers are skipped entirely but must arbitrate identically).
+	// The walk reads the router's occupancy words, bits [sb, nb) and then
+	// [0, sb): exactly the rotated port-by-port order, touching only
+	// non-empty slots. After a move it resumes at the next port's first
+	// slot, wherever the port's block sits across word boundaries.
+	//
+	// A probe on the fast path (EdgeBuffers/elastic) reads the input's
+	// next-hop word and tests it against the conflict mask and the
+	// readiness word — all dense scalar arrays; the flit itself is only
+	// loaded for the VC-ownership check and the move. The CBR probe keeps
+	// the flit-carrying slow path (tryAdvanceCBR): its buffered path must
+	// make progress even when the output is blocked, so readiness cannot
+	// gate it.
+	vcs := s.vcs
+	pbv := pb * vcs
+	nb := kp * vcs
+	sb := int(now%int64(max(kp, 1))) * vcs
+	// Local views keep the probe loop free of slice-header reloads: the
+	// callees mutate elements, never the headers.
+	occ := s.occIn[r*s.occW : (r+1)*s.occW]
+	inNext, inFront := s.inNext, s.inFront
+	space, outOwner := s.space, s.outOwner
+	mask := d.outMask
+	for lo, hi := sb, nb; ; lo, hi = 0, sb {
+		for b := lo; b < hi; {
+			m := occ[b>>6] >> uint(b&63)
+			if m == 0 {
+				b = (b | 63) + 1 // rest of the word is empty
+				continue
 			}
-		}
-	} else if kp > 0 {
-		// 2. Network inputs, arbitration fast path (EdgeBuffers/elastic):
-		// iterate ports with a rotating start for fairness. The rotation
-		// advances once per cycle whether or not the router does work, so it
-		// is derived from the clock rather than stored (idle routers are
-		// skipped entirely but must arbitrate identically). A probe reads the
-		// input's next-hop word and tests it against the conflict mask and
-		// the readiness word — all dense scalar arrays; the flit itself is
-		// only loaded for the VC-ownership check and the move.
-		pi := int(now % int64(kp))
-		pbv := pb * s.vcs
-		// Local views keep the probe loop free of slice-header reloads: the
-		// callees mutate elements, never the headers.
-		inNext, inFront := s.inNext, s.inFront
-		space, outOwner := s.space, s.outOwner
-		mask := d.outMask
-		if occ := s.occIn; occ != nil {
-			// Occupancy-bitmask walk: rotate the router's occupancy word by
-			// the cycle's starting port and visit only the set bits, in
-			// ascending rotated order — exactly the non-empty slots the
-			// port-by-port loop below would probe, in the same order. Port
-			// blocks stay contiguous under the rotation (the shift is a
-			// multiple of vcs), so "one move per input port per cycle" is a
-			// vcs-wide bit clear at the moved port's block.
-			m := occ[r]
-			nb := uint(kp * s.vcs)
-			sb := uint(pi * s.vcs)
-			full := ^uint64(0) >> (64 - nb)
-			rm := ((m >> sb) | (m << (nb - sb))) & full
-			for rm != 0 {
-				ro := uint(bits.TrailingZeros64(rm))
-				b := ro + sb
-				if b >= nb {
-					b -= nb
+			if b += bits.TrailingZeros64(m); b >= hi {
+				break
+			}
+			slot := pbv + b
+			if cbr {
+				if s.tryAdvanceCBR(d, r, inFront[slot], &cbWrote, b/vcs, b%vcs) {
+					b += vcs - b%vcs
+				} else {
+					b++
 				}
-				slot := pbv + int(b)
-				nx := inNext[slot]
-				if nx == nextEject {
-					// Ejection: one flit per node ejection port per cycle.
-					f := inFront[slot]
-					eslot := s.ejSlot(f.pkt.dst)
-					if s.ejUsedAt[eslot] == now {
-						rm &= rm - 1
-						continue
-					}
-					s.ejUsedAt[eslot] = now
-					vc := int(b) % s.vcs
-					s.popInput(d, r, pb+int(b)/s.vcs, slot, vc)
-					s.ejectWithDelay(d, r, f)
-					rm &= ^(((uint64(1) << uint(s.vcs)) - 1) << (ro - uint(vc)))
-					continue
-				}
-				if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
-					rm &= rm - 1 // output port claimed this cycle
-					continue
-				}
-				vi := pbv + int(nx&0xffff)
-				if space[vi] <= 0 {
-					rm &= rm - 1 // downstream not ready
-					continue
-				}
+				continue
+			}
+			nx := inNext[slot]
+			if nx == nextEject {
+				// Ejection: one flit per node ejection port per cycle.
 				f := inFront[slot]
-				if owner := outOwner[vi]; f.idx == 0 {
-					if owner != -1 {
-						rm &= rm - 1 // head flit: output VC taken
-						continue
-					}
-				} else if owner != f.pkt.id {
-					rm &= rm - 1 // body flit: not our wormhole
+				if s.ejUsedAt[f.pkt.dst] == now {
+					b++
 					continue
 				}
-				vc := int(b) % s.vcs
-				s.popInput(d, r, pb+int(b)/s.vcs, slot, vc)
-				d.forwarded++
-				outPort := int(nx >> 16)
-				s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
-				rm &= ^(((uint64(1) << uint(s.vcs)) - 1) << (ro - uint(vc)))
+				s.ejUsedAt[f.pkt.dst] = now
+				vc := b % vcs
+				s.popInput(d, r, pb+b/vcs, slot, vc)
+				s.ejectWithDelay(d, r, f)
+				b += vcs - vc
+				continue
 			}
-		} else {
-			// Wide-router fallback (stride*vcs > 64): probe every slot.
-			vb := pbv + pi*s.vcs
-			for off := 0; off < kp; off++ {
-				for vc := 0; vc < s.vcs; vc++ {
-					nx := inNext[vb+vc]
-					if nx >= nextNone {
-						if nx == nextNone {
-							continue // empty input VC
-						}
-						// Ejection: one flit per node ejection port per cycle.
-						f := inFront[vb+vc]
-						slot := s.ejSlot(f.pkt.dst)
-						if s.ejUsedAt[slot] == now {
-							continue
-						}
-						s.ejUsedAt[slot] = now
-						s.popInput(d, r, pb+pi, vb+vc, vc)
-						s.ejectWithDelay(d, r, f)
-						break
-					}
-					if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
-						continue // output port claimed this cycle
-					}
-					vi := pbv + int(nx&0xffff)
-					if space[vi] <= 0 {
-						continue // downstream not ready
-					}
-					f := inFront[vb+vc]
-					if owner := outOwner[vi]; f.idx == 0 {
-						if owner != -1 {
-							continue // head flit: output VC taken
-						}
-					} else if owner != f.pkt.id {
-						continue // body flit: not our wormhole
-					}
-					s.popInput(d, r, pb+pi, vb+vc, vc)
-					d.forwarded++
-					outPort := int(nx >> 16)
-					s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
-					break
-				}
-				pi++
-				vb += s.vcs
-				if pi == kp {
-					pi = 0
-					vb = pbv
-				}
+			if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
+				b++ // output port claimed this cycle
+				continue
 			}
+			vi := pbv + int(nx&0xffff)
+			if space[vi] <= 0 {
+				b++ // downstream not ready
+				continue
+			}
+			f := inFront[slot]
+			if owner := outOwner[vi]; f.idx == 0 {
+				if owner != -1 {
+					b++ // head flit: output VC taken
+					continue
+				}
+			} else if owner != f.pkt.id {
+				b++ // body flit: not our wormhole
+				continue
+			}
+			vc := b % vcs
+			s.popInput(d, r, pb+b/vcs, slot, vc)
+			d.forwarded++
+			outPort := int(nx >> 16)
+			s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*vcs, vi, routerDelayDirect)
+			b += vcs - vc
+		}
+		if lo == 0 {
+			break
 		}
 	}
 
@@ -255,11 +177,10 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		if nx == nextEject {
 			// Same-router destination: eject directly.
 			f := s.injFront(node)
-			slot := s.ejSlot(f.pkt.dst)
-			if s.ejUsedAt[slot] == now {
+			if s.ejUsedAt[f.pkt.dst] == now {
 				continue
 			}
-			s.ejUsedAt[slot] = now
+			s.ejUsedAt[f.pkt.dst] = now
 			s.popInj(d, node, f)
 			s.ejectWithDelay(d, r, f)
 			continue
@@ -335,11 +256,10 @@ func (s *Sim) popInj(d *domain, node int, f flit) {
 func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int) bool {
 	// Ejection.
 	if f.next == nextEject {
-		slot := s.ejSlot(f.pkt.dst)
-		if s.ejUsedAt[slot] == s.now {
+		if s.ejUsedAt[f.pkt.dst] == s.now {
 			return false
 		}
-		s.ejUsedAt[slot] = s.now
+		s.ejUsedAt[f.pkt.dst] = s.now
 		pv := r*s.stride + pi
 		s.popInput(d, r, pv, pv*s.vcs+vc, vc)
 		s.ejectWithDelay(d, r, f)
@@ -437,7 +357,7 @@ func (s *Sim) freeCBPacket(d *domain, cp *cbPacket) {
 //sim:domain
 func (s *Sim) cbDrain(d *domain, r int) {
 	total := int(s.kp[r]) * s.vcs
-	start := int(s.now) % maxi(total, 1)
+	start := int(s.now) % max(total, 1)
 	pb := r * s.stride
 	vb := pb * s.vcs
 	for off := 0; off < total; off++ {
@@ -469,14 +389,6 @@ func (s *Sim) cbDrain(d *domain, r int) {
 		}
 		return // single read port
 	}
-}
-
-//sim:hot
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // outputReady checks VC ownership and downstream readiness for one flit at
@@ -570,10 +482,9 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 		s.inNext[vi] = nf.next
 	} else {
 		s.inNext[vi] = nextNone
-		if s.occIn != nil {
-			//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and the word occIn[r] is only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
-			s.occIn[r] &^= 1 << uint(vi-r*s.stride*s.vcs)
-		}
+		b := vi - r*s.stride*s.vcs
+		//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and r's occupancy words are only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
+		s.occIn[r*s.occW+(b>>6)] &^= 1 << uint(b&63)
 	}
 	lid := s.inLink[pv]
 	if s.single {
@@ -637,11 +548,6 @@ func (s *Sim) portTowardOK(r, nxt int) (int, bool) {
 	}
 	return lo, true
 }
-
-// ejSlot identifies a node's ejection port (one per node).
-//
-//sim:hot
-func (s *Sim) ejSlot(node int) int { return node }
 
 // ejectWithDelay consumes a flit at its destination, accounting for the
 // final router traversal. The wheel insertion is staged: ejection order is

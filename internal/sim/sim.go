@@ -11,12 +11,13 @@
 // The engine is event-driven: nothing is polled. A flit put on a wire rides
 // a timing wheel to the cycle it lands, so a link costs work only in the
 // cycle a flit arrives; credit returns and delayed ejections ride wheels
-// too; a dirty list tracks the routers with resident flits, and a NIC is
-// visited only when it can inject (a packet was queued, or its injection
-// queue freed room while packets wait). Static routes come pre-compiled
-// as a routing.RouteTable, whose next-hop bytes each packet walks once, at
-// enqueue, into a recycled buffer of one next-hop word per hop, and
-// packet/buffer freelists make the steady-state cycle loop allocation-free.
+// too; a per-domain busy bitset marks the routers with resident flits, and
+// a NIC is visited only when it can inject (a packet was queued, or its
+// injection queue freed room while packets wait). Static routes come
+// pre-compiled as a routing.RouteTable, whose next-hop bytes each packet
+// walks once, at enqueue, into a recycled buffer of one next-hop word per
+// hop, and packet/buffer freelists make the steady-state cycle loop
+// allocation-free.
 // All of this is behaviour-preserving: results are byte-identical to the
 // original full-scan engine (pinned by the golden-metrics fixture in
 // testdata/golden_results.json).
@@ -425,15 +426,15 @@ type Sim struct {
 	// touching no flit, packet or ring memory at all.
 	inNext   []uint32 // [(r*stride+pi)*vcs+vc]
 	outOwner []int64  // [(r*stride+pi)*vcs+vc] owning packet id, or -1
-	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc is set
-	// iff input slot (pi, vc) holds at least one flit. The arbitration scan
-	// rotates it by the cycle's starting port and walks only the set bits
-	// (bits.TrailingZeros64), visiting exactly the non-empty slots the
-	// port-by-port probe loop would have found, in the same order. nil when a
-	// router's slots cannot fit one word (stride*vcs > 64) — the scan then
-	// falls back to probing every slot. Maintained by deliver (set on
+	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc of
+	// router r's occW words is set iff input slot (pi, vc) holds at least one
+	// flit. The arbitration walk starts at the cycle's rotating port and
+	// visits only the set bits (bits.TrailingZeros64), which are exactly the
+	// non-empty slots in rotated port-by-port order. A router's words are its
+	// own, so no word is shared across domains. Maintained by deliver (set on
 	// 0->non-empty) and popInput (clear on ->empty).
-	occIn []uint64 // [r], bit pi*vcs+vc; nil when stride*vcs > 64
+	occIn []uint64 // [r*occW+w]
+	occW  int      // ceil(stride*vcs/64): occupancy words per router
 	// space is the per-(port,vc) output readiness word: how many more flits
 	// this output can accept right now. For EdgeBuffers it is the classic
 	// credit count (returned through the credit wheel); for elastic schemes
@@ -444,7 +445,7 @@ type Sim struct {
 	space  []int32           // [(r*stride+pi)*vcs+vc]
 	cbq    []ring[*cbPacket] // [(r*stride+pi)*vcs+vc] CB queues (CentralBuffer only)
 	cbFree []int32           // [r] central-buffer slots free
-	work   []int32           // [r] flits resident at the router (active-set signal)
+	work   []int32           // [r] flits resident at the router (domain.busy signal)
 	// Per-cycle ejection scratch, epoch-marked: a slot is "used this cycle"
 	// iff its entry equals the current cycle number, so there is nothing to
 	// clear. (Output-port conflicts use the per-domain outMask bitmask
@@ -452,11 +453,10 @@ type Sim struct {
 	ejUsedAt []int64 // [node] per-node ejection port budget
 
 	// Domain decomposition (see domain.go). doms always has >= 1 entry;
-	// the serial engine is simply the 1-domain instance of the same code.
-	doms     []domain
-	domOf    []int32 // [r] owning domain index
-	routerIn []bool  // [r] router is on its domain's active list
-	par      *parRunner
+	// the serial engine is the 1-domain instance, with the single fork below.
+	doms  []domain
+	domOf []int32 // [r] owning domain index
+	par   *parRunner
 	// single marks the 1-domain engine: staged cross-domain effects (credit
 	// events, ejections, occupancy decrements) are applied directly instead
 	// of buffered and replayed — the apply order is then trivially the
@@ -693,9 +693,8 @@ func New(cfg Config) (*Sim, error) {
 	s.inLen = make([]int32, nv)
 	s.inFront = make([]flit, nv)
 	s.inNext = make([]uint32, nv)
-	if s.stride*s.vcs <= 64 {
-		s.occIn = make([]uint64, nr)
-	}
+	s.occW = max(1, (s.stride*s.vcs+63)/64)
+	s.occIn = make([]uint64, nr*s.occW)
 	s.outOwner = make([]int64, nv)
 	s.space = make([]int32, nv)
 	if cfg.Scheme == CentralBuffer {
@@ -871,11 +870,10 @@ func (s *Sim) reset() {
 	}
 	clear(s.nicReady)
 	s.nicBacklog = 0
-	// Domains: empty active lists, wheels and staging.
+	// Domains: empty busy sets, lists, wheels and staging.
 	for di := range s.doms {
 		s.doms[di].reset()
 	}
-	clear(s.routerIn)
 	if s.par != nil {
 		s.par.reset()
 	}
@@ -1103,7 +1101,7 @@ func (s *Sim) step() {
 	s.eng.cycles++
 	ar, al := 0, 0
 	for di := range s.doms {
-		ar += len(s.doms[di].routerList)
+		ar += s.doms[di].nBusy
 		al += s.doms[di].linksLive
 	}
 	s.eng.routerSum += int64(ar)
@@ -1270,21 +1268,19 @@ func (s *Sim) stepCredits() {
 	}
 }
 
-// routerGainsFlit accounts a flit arriving at router r and wakes it on its
-// owning domain's active list. Callers are either the r-owning domain's
-// link phase or the serial injection phase, so the list append is always
-// single-writer.
+// routerGainsFlit accounts a flit arriving at router r of domain d and
+// marks the router busy. Callers are either d's link phase or the serial
+// injection phase, so the bit write is always single-writer.
 //
 //sim:hot
 //sim:domain
-func (s *Sim) routerGainsFlit(r int) {
-	s.work[r]++
-	if !s.routerIn[r] {
-		s.routerIn[r] = true
-		d := &s.doms[s.domOf[r]]
-		//detlint:allow hotalloc amortised active-list growth; capacity is retained across cycles
-		d.routerList = append(d.routerList, int32(r))
+func (s *Sim) routerGainsFlit(d *domain, r int) {
+	if s.work[r] == 0 {
+		i := r - int(d.rlo)
+		d.busy[i>>6] |= 1 << uint(i&63)
+		d.nBusy++
 	}
+	s.work[r]++
 }
 
 // stepInject moves flits from source queues into NIC injection buffers,
@@ -1300,17 +1296,17 @@ func (s *Sim) stepInject() {
 		d := &s.doms[di]
 		for _, v := range d.ready {
 			s.nicReady[v] = false
-			s.injectNIC(int(v))
+			s.injectNIC(d, int(v))
 		}
 		d.ready = d.ready[:0]
 	}
 }
 
 // injectNIC moves the flits of one NIC's queued packets into its injection
-// queue while space lasts.
+// queue while space lasts. d owns the NIC's router.
 //
 //sim:hot
-func (s *Sim) injectNIC(v int) {
+func (s *Sim) injectNIC(d *domain, v int) {
 	nc := &s.nics[v]
 	r := s.net.NodeRouter(v)
 	for nc.srcQ.len() > 0 {
@@ -1329,7 +1325,7 @@ func (s *Sim) injectNIC(v int) {
 			nc.injLen++
 			p.flitsMoved++
 			moved = true
-			s.routerGainsFlit(r)
+			s.routerGainsFlit(d, r)
 		}
 		if p.flitsMoved == p.flits {
 			nc.srcQ.pop()
