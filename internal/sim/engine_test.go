@@ -107,7 +107,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"EL", ElasticLinks, newEngineSim, 0.06},
 		// A multi-word occupancy walk, loaded enough to keep many input
 		// VCs of a router occupied at once.
-		{"EB/fbf4_v10", EdgeBuffers, newWideEngineSim, 0.20},
+		{"fbf4_v10/EB", EdgeBuffers, newWideEngineSim, 0.20},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ func (s *Sim) CheckBuffers() error {
 		}
 		r := slot / (s.stride * s.vcs)
 		b := slot - r*s.stride*s.vcs
-		if bit := s.occIn[r*s.occW+b>>6]>>uint(b&63)&1 == 1; bit != (n > 0) {
+		if bit := s.occIn[r*s.occW+(b>>6)]>>uint(b&63)&1 == 1; bit != (n > 0) {
 			return fmt.Errorf("input slot %d: %d flits but occupancy bit %v", slot, n, bit)
 		}
 		if n == 0 {

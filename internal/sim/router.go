@@ -77,10 +77,13 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// input port. The rotation advances once per cycle whether or not the
 	// router does work, so it is derived from the clock rather than stored
 	// (idle routers are skipped entirely but must arbitrate identically).
-	// The walk reads the router's occupancy words, bits [sb, nb) and then
-	// [0, sb): exactly the rotated port-by-port order, touching only
-	// non-empty slots. After a move it resumes at the next port's first
-	// slot, wherever the port's block sits across word boundaries.
+	// The walk reads the router's occupancy words as one rotated stream of
+	// slots sb, sb+1, ..., nb-1, 0, ..., sb-1, 64 at a time, and probes
+	// only its set bits: exactly the non-empty slots in rotated port-by-
+	// port order. Port blocks stay contiguous in the stream (sb is a
+	// multiple of vcs), so "one move per port" clears the rest of the
+	// moved port's block, carrying into the next chunk (skip) when the
+	// block straddles it.
 	//
 	// A probe on the fast path (EdgeBuffers/elastic) reads the input's
 	// next-hop word and tests it against the conflict mask and the
@@ -99,69 +102,83 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	inNext, inFront := s.inNext, s.inFront
 	space, outOwner := s.space, s.outOwner
 	mask := d.outMask
-	for lo, hi := sb, nb; ; lo, hi = 0, sb {
-		for b := lo; b < hi; {
-			m := occ[b>>6] >> uint(b&63)
-			if m == 0 {
-				b = (b | 63) + 1 // rest of the word is empty
-				continue
-			}
-			if b += bits.TrailingZeros64(m); b >= hi {
-				break
+	skip := 0
+	for off := 0; off < nb; off += 64 {
+		// Stream bits [off, off+64) start at slot p: the linear bits from
+		// p, then, past nb, those from slot 0 (bits of slots past nb are
+		// never set). Shifts by 64 or more give 0.
+		p := sb + off
+		if p >= nb {
+			p -= nb
+		}
+		w, sh := p>>6, uint(p&63)
+		rm := occ[w] >> sh
+		if sh != 0 && w+1 < len(occ) {
+			rm |= occ[w+1] << (64 - sh)
+		}
+		if n := nb - p; n < 64 {
+			rm |= occ[0] << uint(n)
+		}
+		rm &= 1<<uint(nb-off) - 1
+		rm &^= 1<<uint(skip) - 1
+		skip = 0
+		for rm != 0 {
+			ro := bits.TrailingZeros64(rm)
+			b := p + ro
+			if b >= nb {
+				b -= nb
 			}
 			slot := pbv + b
+			var vc int
 			if cbr {
-				if s.tryAdvanceCBR(d, r, inFront[slot], &cbWrote, b/vcs, b%vcs) {
-					b += vcs - b%vcs
-				} else {
-					b++
+				vc = b % vcs
+				if !s.tryAdvanceCBR(d, r, inFront[slot], &cbWrote, b/vcs, vc) {
+					rm &= rm - 1
+					continue
 				}
-				continue
-			}
-			nx := inNext[slot]
-			if nx == nextEject {
+			} else if nx := inNext[slot]; nx == nextEject {
 				// Ejection: one flit per node ejection port per cycle.
 				f := inFront[slot]
 				if s.ejUsedAt[f.pkt.dst] == now {
-					b++
+					rm &= rm - 1
 					continue
 				}
 				s.ejUsedAt[f.pkt.dst] = now
-				vc := b % vcs
+				vc = b % vcs
 				s.popInput(d, r, pb+b/vcs, slot, vc)
 				s.ejectWithDelay(d, r, f)
-				b += vcs - vc
-				continue
-			}
-			if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
-				b++ // output port claimed this cycle
-				continue
-			}
-			vi := pbv + int(nx&0xffff)
-			if space[vi] <= 0 {
-				b++ // downstream not ready
-				continue
-			}
-			f := inFront[slot]
-			if owner := outOwner[vi]; f.idx == 0 {
-				if owner != -1 {
-					b++ // head flit: output VC taken
+			} else {
+				if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
+					rm &= rm - 1 // output port claimed this cycle
 					continue
 				}
-			} else if owner != f.pkt.id {
-				b++ // body flit: not our wormhole
-				continue
+				vi := pbv + int(nx&0xffff)
+				if space[vi] <= 0 {
+					rm &= rm - 1 // downstream not ready
+					continue
+				}
+				f := inFront[slot]
+				if owner := outOwner[vi]; f.idx == 0 {
+					if owner != -1 {
+						rm &= rm - 1 // head flit: output VC taken
+						continue
+					}
+				} else if owner != f.pkt.id {
+					rm &= rm - 1 // body flit: not our wormhole
+					continue
+				}
+				vc = b % vcs
+				s.popInput(d, r, pb+b/vcs, slot, vc)
+				d.forwarded++
+				outPort := int(nx >> 16)
+				s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*vcs, vi, routerDelayDirect)
 			}
-			vc := b % vcs
-			s.popInput(d, r, pb+b/vcs, slot, vc)
-			d.forwarded++
-			outPort := int(nx >> 16)
-			s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*vcs, vi, routerDelayDirect)
-			b += vcs - vc
+			// The port moved a flit: skip the rest of its block.
+			end := ro - vc + vcs
+			rm &^= 1<<uint(end) - 1
+			skip = end - 64
 		}
-		if lo == 0 {
-			break
-		}
+		skip = max(skip, 0)
 	}
 
 	// 3. Injection: each attached node may insert one flit per cycle.
