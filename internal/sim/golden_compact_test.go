@@ -15,8 +15,8 @@ import (
 // a shared route table supplied in place of the path builder, against the
 // same unmodified fixture: a table compiled once outside the engine must
 // route exactly like the one New compiles from the builder, end to end —
-// at the serial domain count and split across domains. (UGAL cases route per packet and
-// have no compiled table; they are covered by the base golden tests.)
+// at the serial domain count and split across domains. (Adaptive cases
+// choose their routes per packet; the base golden tests cover them.)
 func TestGoldenMetricsCompactTable(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestGoldenMetricsCompactTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range goldenCases() {
-		if c.UGAL {
+		if c.Policy != "" {
 			continue
 		}
 		c := c

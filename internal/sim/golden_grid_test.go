@@ -20,7 +20,8 @@ import (
 // two VC counts, two loads and SMART on/off. The other fixtures route SN
 // minimally; this one is the proof that a change to how grid routes are
 // stored or walked moves no flit. The wide cases (wideGridCases) pin routers
-// whose input slots (ports x VCs) span more than one 64-bit word.
+// whose input slots (ports x VCs) span more than one 64-bit word, and the
+// adaptive cases (adaptiveGridCases) the §6 policies on FBF.
 //
 // Regenerate (only for an intentional, documented behaviour change):
 //
@@ -65,6 +66,7 @@ type gridCase struct {
 	VCs    int
 	Rate   float64
 	H      int
+	Policy string // adaptive policy (adaptivePolicy's names); "" routes the grid's static routes
 }
 
 func gridCases() []gridCase {
@@ -86,7 +88,30 @@ func gridCases() []gridCase {
 			}
 		}
 	}
-	return append(cases, wideGridCases()...)
+	cases = append(cases, wideGridCases()...)
+	return append(cases, adaptiveGridCases()...)
+}
+
+// adaptiveGridCases route fbf54 per packet with UGAL-L and minimal-adaptive
+// (the paper's XY-ADAPT comparison point) on 4 VCs, under every buffer
+// scheme, lightly and heavily loaded.
+func adaptiveGridCases() []gridCase {
+	fbf54 := gridNets()[3]
+	var cases []gridCase
+	for _, policy := range []string{"ugal-l", "min-adapt"} {
+		for _, sc := range []struct {
+			tag    string
+			scheme sim.BufferScheme
+		}{{"eb", sim.EdgeBuffers}, {"cbr", sim.CentralBuffer}, {"el", sim.ElasticLinks}} {
+			for _, rate := range []float64{0.04, 0.20} {
+				cases = append(cases, gridCase{
+					Name: fmt.Sprintf("%s_%s_%s_v4_r%.2f_h1", fbf54.name, policy, sc.tag, rate),
+					Net:  fbf54, Scheme: sc.scheme, VCs: 4, Rate: rate, H: 1, Policy: policy,
+				})
+			}
+		}
+	}
+	return cases
 }
 
 // wideGridCases are saturated runs on routers whose input slots span more
@@ -127,11 +152,12 @@ func runGridCase(t *testing.T, c gridCase, jobs int) gridRecord {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{
-		Net:     net,
-		Routing: pb,
-		VCs:     c.VCs,
-		Scheme:  c.Scheme,
-		H:       c.H,
+		Net:      net,
+		Routing:  pb,
+		Adaptive: adaptivePolicy(c.Policy, c.VCs),
+		VCs:      c.VCs,
+		Scheme:   c.Scheme,
+		H:        c.H,
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed:          109,

@@ -14,8 +14,8 @@ import (
 )
 
 // The golden fixture pins the simulator's Result — every field — for fixed
-// seeds across all three buffer schemes, both SMART settings, and adaptive
-// routing. It was generated from the pre-active-set cycle-scan engine and
+// seeds across all three buffer schemes, both SMART settings, and the three
+// adaptive policies. It was generated from the pre-active-set cycle-scan engine and
 // must never be regenerated casually: engine optimisations (route tables,
 // freelists, timing wheels, dirty lists) are required to be byte-identical
 // re-implementations of the original semantics, and this test is the proof.
@@ -35,7 +35,7 @@ type goldenCase struct {
 	H      int
 	Rate   float64
 	VCs    int
-	UGAL   bool // UGAL-L adaptive routing instead of static minimal
+	Policy string // adaptive policy (adaptivePolicy's names); "" routes static minimal
 	Seed   int64
 }
 
@@ -62,11 +62,29 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
-	cases = append(cases, goldenCase{
-		Name: "ugal_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10,
-		VCs: 4, UGAL: true, Seed: 103,
-	})
-	return cases
+	return append(cases,
+		goldenCase{Name: "ugal_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-l", Seed: 103},
+		goldenCase{Name: "ugalg_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-g", Seed: 103},
+		goldenCase{Name: "ugalg_cbr_h9_r0.24", Scheme: sim.CentralBuffer, H: 9, Rate: 0.24, VCs: 4, Policy: "ugal-g", Seed: 103},
+		goldenCase{Name: "minadapt_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 2, Policy: "min-adapt", Seed: 103},
+		goldenCase{Name: "minadapt_el_h9_r0.24", Scheme: sim.ElasticLinks, H: 9, Rate: 0.24, VCs: 2, Policy: "min-adapt", Seed: 103},
+	)
+}
+
+// adaptivePolicy returns the named adaptive policy (the slimnoc registry's
+// names) for a run on vcs VCs, or nil for "", static routing.
+func adaptivePolicy(name string, vcs int) sim.AdaptivePolicy {
+	switch name {
+	case "":
+		return nil
+	case "ugal-l":
+		return &sim.UGAL{Global: false, VCs: vcs}
+	case "ugal-g":
+		return &sim.UGAL{Global: true, VCs: vcs}
+	case "min-adapt":
+		return &sim.MinAdaptive{VCs: vcs}
+	}
+	panic("unknown adaptive policy " + name)
 }
 
 func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
@@ -86,9 +104,7 @@ func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
 		MeasureCycles: 3000,
 		DrainCycles:   3000,
 	}
-	if c.UGAL {
-		cfg.Adaptive = &sim.UGAL{Global: false, VCs: c.VCs}
-	}
+	cfg.Adaptive = adaptivePolicy(c.Policy, c.VCs)
 	_, res := runCfg(t, cfg)
 	return res
 }
