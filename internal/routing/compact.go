@@ -62,16 +62,16 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 		}
 	})
 	if !connected {
-		return nil, CheckConnected(net)
+		return nil, checkConnected(net)
 	}
 	return t, nil
 }
 
-// CheckConnected returns nil for a connected network, and otherwise the
-// error every route construction (static tables, adaptive runs) reports for
-// it: adjacency is symmetric, so router 0 already comes up short, and the
+// checkConnected returns nil for a connected network, and otherwise the
+// error every route construction (static tables, the table an adaptive run
+// walks) reports for it: adjacency is symmetric, so router 0 already comes up short, and the
 // lowest router it misses is the first unreachable pair in row-major order.
-func CheckConnected(net *topo.Network) error {
+func checkConnected(net *topo.Network) error {
 	if net.Nr == 0 {
 		return nil
 	}

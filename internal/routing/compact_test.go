@@ -45,8 +45,8 @@ func TestCompactMatchesDense(t *testing.T) {
 	}
 }
 
-// TestCompactPathHelpers pins the AppendPath/AppendPathTail walks on a
-// compact table against Paths.MinPath.
+// TestCompactPathHelpers pins the AppendPath walk on a compact table
+// against Paths.MinPath.
 func TestCompactPathHelpers(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
 	p := NewMinimal(net)
@@ -59,9 +59,6 @@ func TestCompactPathHelpers(t *testing.T) {
 			want := p.MinPath(src, dst)
 			if got := compact.AppendPath(nil, src, dst); !slices.Equal(got, want) {
 				t.Fatalf("%d->%d: AppendPath = %v, want %v", src, dst, got, want)
-			}
-			if got := compact.AppendPathTail([]int{-7}, src, dst); !slices.Equal(got, append([]int{-7}, want[1:]...)) {
-				t.Fatalf("%d->%d: AppendPathTail = %v, want [-7] + %v", src, dst, got, want[1:])
 			}
 		}
 	}

@@ -1,18 +1,20 @@
-// Package routing computes the static routes used by the simulator. The
-// paper evaluates static minimum routing computed with a shortest-path
-// algorithm (§5.1) plus, for the §6 study, UGAL-style adaptive routing built
-// from minimal and Valiant paths. Routes are source routes: a packet carries
-// its full router path and a per-hop VC assignment chosen so that the
-// network is deadlock-free (ascending VC classes for low-diameter networks,
-// dimension order for meshes, datelines for tori).
+// Package routing computes the routes used by the simulator. The paper
+// evaluates static minimum routing computed with a shortest-path algorithm
+// (§5.1) plus, for the §6 study, UGAL-style adaptive routing built from
+// minimal and Valiant paths. A packet's route is fixed when it is queued:
+// one next-hop word per hop, naming the output port and the VC, with VCs
+// assigned so that the network is deadlock-free (ascending VC classes for
+// low-diameter networks, dimension order for meshes, datelines for tori).
 //
-// Static algorithms compile into one form, the RouteTable (table.go): every
-// static route here is next-hop-consistent, so the table is one output-port
-// byte per (current router, destination) pair, and the engine walks it per
-// packet (AppendNextWords), applying the algorithm's VC rule on the way. That
-// takes route construction out of the simulation hot path and lets campaigns
-// share one immutable table across concurrent runs of the same (network,
-// algorithm, VC count).
+// Routes come from one form, the RouteTable (table.go): every route here is
+// next-hop-consistent, so the table is one output-port byte per (current
+// router, destination) pair, and the engine walks it per packet
+// (AppendNextWords), applying the algorithm's VC rule on the way. Adaptive
+// policies walk the generic minimal table the same way (AppendAscending,
+// Hops), once to a random intermediate and once on to the destination for a
+// Valiant route. That takes route construction out of the simulation hot
+// path and lets campaigns share one immutable table across concurrent runs
+// of the same (network, algorithm, VC count).
 //
 // NewTable is the one constructor. Deterministic minimal routing — what SN,
 // Dragonfly and Clos use — fills the bytes from the word-parallel all-pairs
@@ -103,40 +105,12 @@ func (p *Paths) MinPath(src, dst int) []int {
 	return path
 }
 
-// NextHops returns every neighbour of r on a minimal path to dst (used by
-// adaptive schemes that pick among minimal ports).
-func (p *Paths) NextHops(r, dst int) []int {
-	if r == dst {
-		return nil
-	}
-	var out []int
-	for _, v := range p.net.Adj[r] {
-		if p.dist[v][dst] == p.dist[r][dst]-1 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// ValiantPath returns the concatenation of minimal paths src->mid->dst
-// (without duplicating mid). If mid equals src or dst it degenerates to the
-// minimal path.
-func (p *Paths) ValiantPath(src, mid, dst int) []int {
-	if mid == src || mid == dst {
-		return p.MinPath(src, dst)
-	}
-	a := p.MinPath(src, mid)
-	b := p.MinPath(mid, dst)
-	if a == nil || b == nil {
-		return nil
-	}
-	return append(a, b[1:]...)
-}
-
-// RandomIntermediate picks a Valiant intermediate router uniformly,
-// excluding src and dst.
-func (p *Paths) RandomIntermediate(rng *rng.Stream, src, dst int) int {
-	nr := p.net.Nr
+// RandomIntermediate picks a Valiant intermediate among nr routers
+// uniformly, excluding src and dst. With no router to pick (nr <= 2) it
+// returns src without drawing.
+//
+//sim:hot
+func RandomIntermediate(rng *rng.Stream, nr, src, dst int) int {
 	if nr <= 2 {
 		return src
 	}

@@ -76,41 +76,28 @@ func TestMinimalDeterministic(t *testing.T) {
 	}
 }
 
-func TestValiantPath(t *testing.T) {
-	n := snNet(t, 5, 1, core.LayoutSubgroup)
-	p := NewMinimal(n)
-	path := p.ValiantPath(0, 20, 40)
-	if path[0] != 0 || path[len(path)-1] != 40 {
-		t.Fatalf("bad endpoints: %v", path)
-	}
-	if !pathValid(n, path) {
-		t.Fatalf("invalid valiant path %v", path)
-	}
-	// Must pass through the intermediate.
-	found := false
-	for _, r := range path {
-		if r == 20 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("valiant path %v skips intermediate 20", path)
-	}
-	// Degenerate cases.
-	if got := p.ValiantPath(0, 0, 40); len(got) != p.Dist(0, 40)+1 {
-		t.Error("mid==src should be minimal")
-	}
-}
-
+// TestRandomIntermediate pins the Valiant intermediate draw: never an
+// endpoint, exactly one Intn(nr) per try (the stream UGAL's golden results
+// rest on), and no draw where no intermediate exists.
 func TestRandomIntermediate(t *testing.T) {
-	n := snNet(t, 3, 1, core.LayoutBasic)
-	p := NewMinimal(n)
-	rng := rng.New(1)
+	const nr = 18
+	got, want := rng.New(1), rng.New(1)
 	for i := 0; i < 100; i++ {
-		mid := p.RandomIntermediate(rng, 2, 7)
-		if mid == 2 || mid == 7 || mid < 0 || mid >= n.Nr {
+		mid := RandomIntermediate(got, nr, 2, 7)
+		if mid == 2 || mid == 7 || mid < 0 || mid >= nr {
 			t.Fatalf("bad intermediate %d", mid)
 		}
+		for {
+			if m := want.Intn(nr); m != 2 && m != 7 {
+				if m != mid {
+					t.Fatalf("draw %d: intermediate %d, want %d", i, mid, m)
+				}
+				break
+			}
+		}
+	}
+	if mid := RandomIntermediate(got, 2, 0, 1); mid != 0 || got.Uint64() != want.Uint64() {
+		t.Fatalf("nr=2: intermediate %d, or a draw was made", mid)
 	}
 }
 

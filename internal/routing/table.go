@@ -206,12 +206,8 @@ func (t *RouteTable) port(cur, dst, hop int) uint8 {
 //sim:hot
 func (t *RouteTable) AppendNextWords(next []uint32, src, dst int) []uint32 {
 	switch t.kind.Class {
-	case ClassGeneric, ClassFBF: // ascending
-		for cur, hop := src, 0; cur != dst; hop++ {
-			p := t.port(cur, dst, hop)
-			next = append(next, NextWord(int(p), min(hop, t.vcs-1), t.vcs))
-			cur = t.adj[cur][p]
-		}
+	case ClassGeneric, ClassFBF:
+		next = t.AppendAscending(next, src, dst, 0)
 	case ClassMesh:
 		for cur, hop := src, 0; cur != dst; hop++ {
 			p := t.port(cur, dst, hop)
@@ -265,28 +261,42 @@ func b2i(b bool) int {
 	return 0
 }
 
-// AppendPath appends the src->dst router path (both endpoints included) to
-// buf and returns it — the allocation-free counterpart of Paths.MinPath for
-// adaptive policies reusing table candidates.
-func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
-	return t.AppendPathTail(append(buf, src), src, dst)
+// AppendAscending appends the next-hop words of the src->dst route under
+// the ascending VC rule, counting the route's first hop as hop number hop,
+// and returns next. It appends no NextEject, so a caller may join segments:
+// a Valiant route's second segment starts at the first segment's hop count
+// and so continues its VC classes. The walk reads the table's bytes
+// whatever its kind; adaptive policies walk a generic table.
+//
+//sim:hot
+func (t *RouteTable) AppendAscending(next []uint32, src, dst, hop int) []uint32 {
+	for cur, step := src, 0; cur != dst; step++ {
+		p := t.port(cur, dst, step)
+		next = append(next, NextWord(int(p), min(hop+step, t.vcs-1), t.vcs))
+		cur = t.adj[cur][p]
+	}
+	return next
 }
 
-// AppendPathTail appends the src->dst path without its first router (used to
-// concatenate Valiant segments without duplicating the intermediate).
-func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
+// Hops returns the hop count of the src->dst route: the distance, on the
+// minimal tables adaptive policies read.
+//
+//sim:hot
+func (t *RouteTable) Hops(src, dst int) int {
+	hops := 0
+	for cur := src; cur != dst; hops++ {
+		cur = t.adj[cur][t.port(cur, dst, hops)]
+	}
+	return hops
+}
+
+// AppendPath appends the src->dst router path (both endpoints included) to
+// buf and returns it, for callers that want the routers a route visits.
+func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
+	buf = append(buf, src)
 	for cur, hop := src, 0; cur != dst; hop++ {
 		cur = t.adj[cur][t.port(cur, dst, hop)]
 		buf = append(buf, cur)
-	}
-	return buf
-}
-
-// AppendAscendingVCs appends the paper's ascending VC assignment for the
-// given hop count to buf — the allocation-free form of AscendingVCs.
-func AppendAscendingVCs(buf []int, hops, numVCs int) []int {
-	for i := 0; i < hops; i++ {
-		buf = append(buf, min(i, numVCs-1))
 	}
 	return buf
 }

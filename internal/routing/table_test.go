@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topo"
@@ -63,51 +64,44 @@ type foreignBuilder struct{}
 func (foreignBuilder) Route(src, dst int) ([]int, []int) { return []int{src, dst}, []int{0} }
 func (foreignBuilder) NumVCs() int                       { return 1 }
 
+// TestAppendPathHelpers pins the walks adaptive policies and the estimator
+// read off a table against Paths: AppendPath is MinPath, Hops is Dist, and
+// AppendAscending words joined at a Valiant intermediate visit the two
+// minimal paths' routers with the VC classes ascending across the join.
 func TestAppendPathHelpers(t *testing.T) {
 	net := topo.FBF(4, 4, 1)
 	p := NewMinimal(net)
-	tab, err := Compile(net.Nr, &MinimalRouting{P: p, VCs: 2})
+	const vcs = 3
+	tab, err := Compile(net.Nr, &MinimalRouting{P: p, VCs: vcs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]int, 0, 8)
 	buf = tab.AppendPath(buf[:0], 0, 15)
-	want := p.MinPath(0, 15)
-	if len(buf) != len(want) {
+	if want := p.MinPath(0, 15); !slices.Equal(buf, want) {
 		t.Fatalf("AppendPath %v, want %v", buf, want)
 	}
-	for i := range buf {
-		if buf[i] != want[i] {
-			t.Fatalf("AppendPath %v, want %v", buf, want)
+	var words []uint32
+	for src := 0; src < net.Nr; src++ {
+		for dst := 0; dst < net.Nr; dst++ {
+			if got, want := tab.Hops(src, dst), p.Dist(src, dst); got != want {
+				t.Fatalf("Hops(%d, %d) = %d, want %d", src, dst, got, want)
+			}
+			for _, mid := range []int{5, 10} {
+				words = tab.AppendAscending(words[:0], src, mid, 0)
+				words = tab.AppendAscending(words, mid, dst, len(words))
+				path := append(p.MinPath(src, mid), p.MinPath(mid, dst)[1:]...)
+				vcsWant := AscendingVCs(len(path)-1, vcs)
+				if len(words) != len(path)-1 {
+					t.Fatalf("%d->%d->%d: %d words for path %v", src, mid, dst, len(words), path)
+				}
+				for i, w := range words {
+					port := int(w >> 16)
+					if want := NextWord(port, vcsWant[i], vcs); w != want || net.Adj[path[i]][port] != path[i+1] {
+						t.Fatalf("%d->%d->%d hop %d: word %#x, want %#x toward %d on path %v", src, mid, dst, i, w, want, path[i+1], path)
+					}
+				}
+			}
 		}
-	}
-	// Valiant-style concatenation: src->mid then tail of mid->dst equals
-	// Paths.ValiantPath.
-	val := tab.AppendPath(nil, 0, 5)
-	val = tab.AppendPathTail(val, 5, 15)
-	wantVal := p.ValiantPath(0, 5, 15)
-	if len(val) != len(wantVal) {
-		t.Fatalf("valiant concat %v, want %v", val, wantVal)
-	}
-	for i := range val {
-		if val[i] != wantVal[i] {
-			t.Fatalf("valiant concat %v, want %v", val, wantVal)
-		}
-	}
-}
-
-func TestAppendAscendingVCs(t *testing.T) {
-	got := AppendAscendingVCs(nil, 5, 3)
-	want := AscendingVCs(5, 3)
-	if len(got) != len(want) {
-		t.Fatalf("%v != %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%v != %v", got, want)
-		}
-	}
-	if out := AppendAscendingVCs([]int{9}, 2, 4); len(out) != 3 || out[0] != 9 || out[1] != 0 || out[2] != 1 {
-		t.Fatalf("append onto prefix = %v", out)
 	}
 }

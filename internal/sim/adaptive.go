@@ -1,6 +1,14 @@
 // Adaptive routing policies for the §6 study (Fig. 20): UGAL with local and
 // global congestion knowledge, plus a minimal-adaptive scheme corresponding
 // to FBF's XY-ADAPT.
+//
+// A policy writes a route in the form the engine consumes: it appends the
+// route's next-hop words to the packet's recycled buffer, walked off the
+// run's route table — for adaptive runs, the generic minimal table New
+// compiles for the run's VC count. Route choice therefore allocates nothing
+// once packet buffers have reached their high-water length, and the
+// policies hold no state, so one value may serve any number of concurrent
+// simulations.
 
 package sim
 
@@ -10,80 +18,102 @@ import (
 )
 
 // UGAL implements Universal Globally-Adaptive Load-balanced routing: each
-// packet chooses between its minimal path and a Valiant path through a
-// random intermediate, weighting path length by queue occupancy. Global
-// variants see occupancy along the whole path; local variants only at the
-// source router's candidate output (§6).
-//
-// Candidate paths are walked off the simulation's minimal route table
-// (Sim.MinRoutes) into reused scratch buffers, so route selection
-// allocates nothing once the table is compiled. The returned slices are only
-// valid until the next Choose call, which the simulator's contract allows;
-// a UGAL value must not be shared by concurrently running simulations.
+// packet chooses between its minimal route and a Valiant route through a
+// random intermediate, weighting route length by queue occupancy. Global
+// variants see occupancy along the whole route; local variants only at the
+// source router's candidate output (§6). Both routes take ascending VCs,
+// the Valiant route's second segment continuing the classes of its first.
 type UGAL struct {
-	// Global selects UGAL-G (whole-path occupancy); otherwise UGAL-L
+	// Global selects UGAL-G (whole-route occupancy); otherwise UGAL-L
 	// (first-link occupancy only).
 	Global bool
-	// VCs used for the chosen path's ascending VC assignment.
-	VCs int
-
-	minPath, valPath, vcsBuf []int
 }
 
-// Choose implements AdaptivePolicy.
-func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
-	t := s.MinRoutes()
-	u.minPath = t.AppendPath(u.minPath[:0], srcRouter, dstRouter)
-	if len(u.minPath) <= 1 {
-		return u.minPath, nil
+// Choose implements AdaptivePolicy. The minimal route's words are laid down
+// first and the Valiant route's after them; when the Valiant route wins it
+// is moved over the minimal one.
+//
+//sim:hot
+func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32 {
+	t := s.table
+	base := len(next)
+	next = t.AppendAscending(next, srcRouter, dstRouter, 0)
+	val := len(next)
+	if val == base {
+		next = append(next, nextEject)
+		return next
 	}
-	p := s.Paths()
-	mid := p.RandomIntermediate(rng, srcRouter, dstRouter)
-	// Valiant path src->mid->dst without duplicating mid; degenerate
-	// intermediates fall back to the minimal path.
-	if mid == srcRouter || mid == dstRouter {
-		u.valPath = t.AppendPath(u.valPath[:0], srcRouter, dstRouter)
-	} else {
-		u.valPath = t.AppendPath(u.valPath[:0], srcRouter, mid)
-		u.valPath = t.AppendPathTail(u.valPath, mid, dstRouter)
+	// A degenerate intermediate makes the Valiant route the minimal one,
+	// which then wins the tie.
+	if mid := routing.RandomIntermediate(rng, t.Nr(), srcRouter, dstRouter); mid != srcRouter && mid != dstRouter {
+		next = t.AppendAscending(next, srcRouter, mid, 0)
+		next = t.AppendAscending(next, mid, dstRouter, len(next)-val)
+		minW, valW := next[base:val], next[val:]
+		var costMin, costVal int
+		if u.Global {
+			costMin = (s.routeOcc(srcRouter, minW) + 1) * len(minW)
+			costVal = (s.routeOcc(srcRouter, valW) + 1) * len(valW)
+		} else {
+			costMin = (s.portOcc(srcRouter, int(minW[0]>>16)) + 1) * len(minW)
+			costVal = (s.portOcc(srcRouter, int(valW[0]>>16)) + 1) * len(valW)
+		}
+		if costVal < costMin {
+			val = base + copy(next[base:], valW)
+		}
+		next = next[:val]
 	}
-	var costMin, costVal int
-	if u.Global {
-		costMin = (s.PathOccupancy(u.minPath) + 1) * (len(u.minPath) - 1)
-		costVal = (s.PathOccupancy(u.valPath) + 1) * (len(u.valPath) - 1)
-	} else {
-		costMin = (s.LinkOccupancy(u.minPath[0], u.minPath[1]) + 1) * (len(u.minPath) - 1)
-		costVal = (s.LinkOccupancy(u.valPath[0], u.valPath[1]) + 1) * (len(u.valPath) - 1)
-	}
-	path := u.minPath
-	if costVal < costMin {
-		path = u.valPath
-	}
-	u.vcsBuf = routing.AppendAscendingVCs(u.vcsBuf[:0], len(path)-1, u.VCs)
-	return path, u.vcsBuf
+	next = append(next, nextEject)
+	return next
 }
 
 // MinAdaptive picks, per packet, the minimal next hop with the least
-// occupied first link, then follows the deterministic minimal route. On an
-// FBF this selects between the XY and YX quadrature paths, i.e. the paper's
-// XY-ADAPT comparison point.
-type MinAdaptive struct {
-	VCs int
-}
+// occupied first link (the first in adjacency order on a tie), then follows
+// the deterministic minimal route. On an FBF this selects between the XY
+// and YX quadrature paths, i.e. the paper's XY-ADAPT comparison point.
+type MinAdaptive struct{}
 
 // Choose implements AdaptivePolicy.
-func (m *MinAdaptive) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) ([]int, []int) {
-	p := s.Paths()
-	if srcRouter == dstRouter {
-		return []int{srcRouter}, nil
-	}
-	best, bestOcc := -1, 0
-	for _, nh := range p.NextHops(srcRouter, dstRouter) {
-		occ := s.LinkOccupancy(srcRouter, nh)
-		if best < 0 || occ < bestOcc {
-			best, bestOcc = nh, occ
+//
+//sim:hot
+func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32 {
+	if srcRouter != dstRouter {
+		t := s.table
+		adj := s.net.Adj[srcRouter]
+		hops := t.Hops(srcRouter, dstRouter)
+		best, bestOcc := -1, 0
+		for p, v := range adj {
+			if t.Hops(v, dstRouter) != hops-1 {
+				continue
+			}
+			if occ := s.portOcc(srcRouter, p); best < 0 || occ < bestOcc {
+				best, bestOcc = p, occ
+			}
 		}
+		next = append(next, routing.NextWord(best, 0, s.vcs))
+		next = t.AppendAscending(next, adj[best], dstRouter, 1)
 	}
-	path := append([]int{srcRouter}, p.MinPath(best, dstRouter)...)
-	return path, routing.AscendingVCs(len(path)-1, m.VCs)
+	next = append(next, nextEject)
+	return next
+}
+
+// portOcc returns the flit occupancy of the link leaving router r through
+// output port p (the UGAL congestion signal).
+//
+//sim:hot
+func (s *Sim) portOcc(r, p int) int {
+	return s.links[s.outLink[r*s.stride+p]].occupancy
+}
+
+// routeOcc sums the link occupancy along a run of next-hop words starting
+// at router r (the UGAL-G signal).
+//
+//sim:hot
+func (s *Sim) routeOcc(r int, words []uint32) int {
+	occ := 0
+	for _, w := range words {
+		p := int(w >> 16)
+		occ += s.portOcc(r, p)
+		r = s.net.Adj[r][p]
+	}
+	return occ
 }

@@ -138,12 +138,10 @@ func (c *Config) memEstimate(stride int) int64 {
 	b += n * (ringBytes + 24 + 8 + 4 + 1 + int64(c.InjQueueCap)*8) // nics (srcQ+ints) + ejUsedAt + injNext + nicReady + injBuf
 	b += nr * (4 + 4 + 4 + 4)                                      // kp/cbFree/work/domOf
 	b += (nr*max(1, (int64(stride)*vcs+63)/64) + nr/64 + nd) * 8   // occIn + domain busy sets
-	if c.Adaptive == nil {
-		if c.Table != nil {
-			b += c.Table.MemBytes()
-		} else {
-			b += nr * nr // the table New compiles: one byte per router pair
-		}
+	if c.Table != nil && c.Adaptive == nil {
+		b += c.Table.MemBytes()
+	} else {
+		b += nr * nr // the table New compiles: one byte per router pair
 	}
 	return b
 }

@@ -141,7 +141,7 @@ func runDiffSpec(t testing.TB, sp diffSpec, jobs int, cycleStep bool) (sim.Resul
 		DrainCycles:   1500,
 	}
 	if sp.shape == 3 {
-		cfg.Adaptive = &sim.UGAL{Global: false, VCs: sp.vcs}
+		cfg.Adaptive = &sim.UGAL{Global: false}
 	} else {
 		cfg.Routing = minRouting(t, net, sp.vcs)
 	}

@@ -46,6 +46,14 @@ func (b *bernoulliSource) OnDelivered(t int64, src, dst, flits, class int, emit 
 
 func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	t.Helper()
+	net := engineNet(t)
+	return newEngineSimOn(t, Config{Net: net, Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2}, VCs: 2}, scheme, rate)
+}
+
+// engineNet is the SN q=5 subgroup network (50 routers, 200 nodes) the
+// engine tests run on.
+func engineNet(t testing.TB) *topo.Network {
+	t.Helper()
 	sn, err := core.New(core.Params{Q: 5, P: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +62,7 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngineSimOn(t, net, &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2}, 2, scheme, rate)
+	return net
 }
 
 // newWideEngineSim is newEngineSim on fbf4 at 10 VCs: 13 ports x 10 VCs is
@@ -66,22 +74,26 @@ func newWideEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngineSimOn(t, net, pb, 10, scheme, rate)
+	return newEngineSimOn(t, Config{Net: net, Routing: pb, VCs: 10}, scheme, rate)
 }
 
-func newEngineSimOn(t testing.TB, net *topo.Network, pb routing.PathBuilder, vcs int, scheme BufferScheme, rate float64) *Sim {
-	t.Helper()
-	cfg := Config{
-		Net:           net,
-		Routing:       pb,
-		VCs:           vcs,
-		Scheme:        scheme,
-		Traffic:       &bernoulliSource{n: net.N(), rate: rate, flits: 6},
-		Seed:          211,
-		WarmupCycles:  2000,
-		MeasureCycles: 20000,
-		DrainCycles:   4000,
+// newAdaptiveEngineSim returns newEngineSim with every packet routed by
+// policy on vcs VCs.
+func newAdaptiveEngineSim(policy AdaptivePolicy, vcs int) func(testing.TB, BufferScheme, float64) *Sim {
+	return func(t testing.TB, scheme BufferScheme, rate float64) *Sim {
+		t.Helper()
+		return newEngineSimOn(t, Config{Net: engineNet(t), Adaptive: policy, VCs: vcs}, scheme, rate)
 	}
+}
+
+// newEngineSimOn completes a config naming the network, its routes and VC
+// count with the engine tests' traffic, seed and window, and builds it.
+func newEngineSimOn(t testing.TB, cfg Config, scheme BufferScheme, rate float64) *Sim {
+	t.Helper()
+	cfg.Scheme = scheme
+	cfg.Traffic = &bernoulliSource{n: cfg.Net.N(), rate: rate, flits: 6}
+	cfg.Seed = 211
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 2000, 20000, 4000
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +120,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		// A multi-word occupancy walk, loaded enough to keep many input
 		// VCs of a router occupied at once.
 		{"fbf4_v10/EB", EdgeBuffers, newWideEngineSim, 0.20},
+		// Per-packet route choice: the policies append their words into
+		// the recycled packet buffers like the table walk does.
+		{"ugal-l/EB", EdgeBuffers, newAdaptiveEngineSim(&UGAL{Global: false}, 4), 0.06},
+		{"ugal-g/CBR", CentralBuffer, newAdaptiveEngineSim(&UGAL{Global: true}, 4), 0.06},
+		{"min-adapt/EB", EdgeBuffers, newAdaptiveEngineSim(&MinAdaptive{}, 2), 0.06},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -656,7 +673,8 @@ func TestEngineStatsPopulated(t *testing.T) {
 // TestMemEstimateTracksNew keeps the MemBudgetBytes guard honest: for every
 // buffer scheme, on the 200-node and the 4096-node Slim NoC, memEstimate
 // (minus the supplied route table, which New does not allocate) must stay
-// within 0.5x-1.5x of what New actually allocates.
+// within 0.5x-1.5x of what New actually allocates. The adaptive case counts
+// the table in full: New ignores the supplied one and compiles its own.
 func TestMemEstimateTracksNew(t *testing.T) {
 	for _, nc := range []struct {
 		name string
@@ -674,9 +692,18 @@ func TestMemEstimateTracksNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		type estCase struct {
+			name     string
+			scheme   BufferScheme
+			adaptive AdaptivePolicy
+		}
+		cases := []estCase{{"ugal-l", EdgeBuffers, &UGAL{}}}
 		for _, sc := range resetSchemes {
+			cases = append(cases, estCase{sc.name, sc.scheme, nil})
+		}
+		for _, sc := range cases {
 			t.Run(nc.name+"/"+sc.name, func(t *testing.T) {
-				cfg := Config{Net: net, Table: tab, VCs: 2, Scheme: sc.scheme, H: 9,
+				cfg := Config{Net: net, Table: tab, Adaptive: sc.adaptive, VCs: 2, Scheme: sc.scheme, H: 9,
 					Traffic: &bernoulliSource{n: net.N(), rate: 0.1, flits: 6}}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -686,7 +713,16 @@ func TestMemEstimateTracksNew(t *testing.T) {
 					t.Fatal(err)
 				}
 				measured := float64(after.TotalAlloc - before.TotalAlloc)
-				est := float64(s.cfg.memEstimate(s.stride) - tab.MemBytes())
+				est := float64(s.cfg.memEstimate(s.stride))
+				if sc.adaptive == nil {
+					est -= float64(tab.MemBytes())
+				} else {
+					static := s.cfg
+					static.Adaptive = nil
+					if want := static.memEstimate(s.stride); int64(est) != want {
+						t.Errorf("adaptive memEstimate %.0f B, want the static run's %d B: the table New compiles must be priced", est, want)
+					}
+				}
 				r := est / measured
 				t.Logf("memEstimate %.0f KiB, New allocated %.0f KiB (ratio %.2f)", est/1024, measured/1024, r)
 				if r < 0.5 || r > 1.5 {

@@ -154,7 +154,7 @@ func runGridCase(t *testing.T, c gridCase, jobs int) gridRecord {
 	cfg := sim.Config{
 		Net:      net,
 		Routing:  pb,
-		Adaptive: adaptivePolicy(c.Policy, c.VCs),
+		Adaptive: adaptivePolicy(c.Policy),
 		VCs:      c.VCs,
 		Scheme:   c.Scheme,
 		H:        c.H,

@@ -72,17 +72,17 @@ func goldenCases() []goldenCase {
 }
 
 // adaptivePolicy returns the named adaptive policy (the slimnoc registry's
-// names) for a run on vcs VCs, or nil for "", static routing.
-func adaptivePolicy(name string, vcs int) sim.AdaptivePolicy {
+// names), or nil for "", static routing.
+func adaptivePolicy(name string) sim.AdaptivePolicy {
 	switch name {
 	case "":
 		return nil
 	case "ugal-l":
-		return &sim.UGAL{Global: false, VCs: vcs}
+		return &sim.UGAL{Global: false}
 	case "ugal-g":
-		return &sim.UGAL{Global: true, VCs: vcs}
+		return &sim.UGAL{Global: true}
 	case "min-adapt":
-		return &sim.MinAdaptive{VCs: vcs}
+		return &sim.MinAdaptive{}
 	}
 	panic("unknown adaptive policy " + name)
 }
@@ -104,7 +104,7 @@ func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
 		MeasureCycles: 3000,
 		DrainCycles:   3000,
 	}
-	cfg.Adaptive = adaptivePolicy(c.Policy, c.VCs)
+	cfg.Adaptive = adaptivePolicy(c.Policy)
 	_, res := runCfg(t, cfg)
 	return res
 }

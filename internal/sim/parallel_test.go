@@ -45,7 +45,7 @@ func runParallelCase(t *testing.T, scheme BufferScheme, h, vcs, jobs int, mkSrc 
 		DrainCycles:   3000,
 	}
 	if adaptive {
-		cfg.Adaptive = &UGAL{Global: false, VCs: vcs}
+		cfg.Adaptive = &UGAL{Global: false}
 	} else {
 		cfg.Routing = &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: vcs}
 	}

@@ -20,13 +20,11 @@ import (
 )
 
 // resetExempt names the fields reset leaves alone on purpose: the packet and
-// central-buffer freelists (recycled objects are reinitialised when taken),
-// and the minimal-path memos adaptive policies build on first use, which are
-// pure functions of the network.
+// central-buffer freelists (recycled objects are reinitialised when taken).
 //
 // The input and injection slabs are compared apart, in simDiff: only what
 // their queues hold is state.
-var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "paths": true, "minTab": true, "inBuf": true, "injBuf": true}
+var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "inBuf": true, "injBuf": true}
 
 var streamType = reflect.TypeOf(rng.Stream{})
 
@@ -188,7 +186,7 @@ func resetTables(t *testing.T, net *topo.Network) (dense, compact *routing.Route
 // a random intermediate for every packet; static routes never draw), so it is
 // the row that notices a reset that does not reseed.
 func ugalRow(net *topo.Network) Config {
-	return Config{Net: net, Adaptive: &UGAL{VCs: 4}, VCs: 4, Seed: 7}
+	return Config{Net: net, Adaptive: &UGAL{}, VCs: 4, Seed: 7}
 }
 
 // TestResetEqualsFresh is the contract behind engine reuse: after any

@@ -533,39 +533,6 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 	}
 }
 
-// portToward returns the output port index at router r leading to neighbour
-// nxt, panicking if the link does not exist. Route-table ports make this a
-// setup-time (enqueue) concern; the per-flit hot path reads flit.next.
-//
-//sim:hot
-func (s *Sim) portToward(r, nxt int) int {
-	pos, ok := s.portTowardOK(r, nxt)
-	if !ok {
-		panic("sim: route uses a missing link")
-	}
-	return pos
-}
-
-// portTowardOK binary-searches r's sorted adjacency for nxt.
-//
-//sim:hot
-func (s *Sim) portTowardOK(r, nxt int) (int, bool) {
-	adj := s.net.Adj[r]
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < nxt {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(adj) || adj[lo] != nxt {
-		return 0, false
-	}
-	return lo, true
-}
-
 // ejectWithDelay consumes a flit at its destination, accounting for the
 // final router traversal. The wheel insertion is staged: ejection order is
 // observable (latency sample order, OnDelivered reply sequencing), and the

@@ -75,10 +75,10 @@ type Config struct {
 	// internal/routing's. Optional when Table is set.
 	Routing routing.PathBuilder
 	// Table optionally supplies the compiled form of the static routes;
-	// when nil (and no Adaptive policy is set) New compiles one from
-	// Routing with routing.Compile. Tables are immutable, so one table may
-	// back any number of concurrent simulations — the campaign engine
-	// shares one per (network, routing, VCs) combination.
+	// when nil New compiles one from Routing with routing.Compile. Tables
+	// are immutable, so one table may back any number of concurrent
+	// simulations — the campaign engine shares one per (network, routing,
+	// VCs) combination. Adaptive runs ignore Routing and Table.
 	Table *routing.RouteTable
 	VCs   int
 
@@ -102,7 +102,9 @@ type Config struct {
 	// Traffic supplies injections; see Source.
 	Traffic Source
 
-	// Adaptive optionally overrides per-packet path selection (UGAL etc.).
+	// Adaptive optionally chooses every packet's route from live network
+	// state (UGAL etc.), walking the generic minimal table New compiles
+	// for it.
 	Adaptive AdaptivePolicy
 
 	// EngineJobs is the number of spatial domains the per-cycle link and
@@ -201,11 +203,10 @@ type NextFirer interface {
 
 // AdaptivePolicy chooses a packet's route given live network state.
 type AdaptivePolicy interface {
-	// Choose returns the router path and per-hop VCs for a packet from
-	// srcRouter to dstRouter. The simulator copies both slices before the
-	// next Choose call, so implementations may return reused scratch
-	// buffers.
-	Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) (path []int, vcs []int)
+	// Choose appends the NextEject-terminated next-hop words of a route
+	// from srcRouter to dstRouter to next, the packet's recycled buffer,
+	// and returns it.
+	Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32
 }
 
 // Defaults match the paper's evaluation setup (§5.1).
@@ -378,15 +379,13 @@ type nic struct {
 // router radix). The saturated sweep over all routers then walks contiguous
 // memory instead of chasing per-router pointers.
 type Sim struct {
-	cfg    Config
-	net    *topo.Network
-	rng    *rng.Stream
-	now    int64
-	links  []link
-	nics   []nic
-	table  *routing.RouteTable // compiled static routes (nil when adaptive)
-	minTab *routing.RouteTable // minimal candidates for adaptive policies, compiled on first use
-	paths  *routing.Paths
+	cfg   Config
+	net   *topo.Network
+	rng   *rng.Stream
+	now   int64
+	links []link
+	nics  []nic
+	table *routing.RouteTable // static routes, or the minimal table adaptive policies walk
 
 	// Per-lane wire state, [link*vcs+vc]. laneLast is the latest arrival
 	// cycle scheduled on the lane: a flit never lands before the one sent
@@ -635,14 +634,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Net.NodeMap != nil {
 		return nil, fmt.Errorf("sim: indirect networks (node maps) are not simulated")
 	}
-	if cfg.Adaptive != nil {
-		// Adaptive policies route over minimal and Valiant candidates, which
-		// a disconnected network does not have for every pair: refuse it
-		// with the error a static table compile gives.
-		if err := routing.CheckConnected(cfg.Net); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.VCs < 1 || cfg.VCs > maxVCs {
 		// The per-hop VC assignment is a uint8 and central-buffer queue
 		// keys historically packed the VC into 6 bits; beyond 63 VCs keys
@@ -751,25 +742,31 @@ func New(cfg Config) (*Sim, error) {
 	s.injNext = make([]uint32, s.net.N())
 	s.injCap = int32(cfg.InjQueueCap)
 	s.injBuf = make([]*packet, s.net.N()*cfg.InjQueueCap)
-	// Compiled static routes: adaptive policies route per packet, everyone
-	// else reads the table (supplied and shared, or compiled here).
-	if cfg.Adaptive == nil {
-		if cfg.Table != nil {
-			// A mismatched table would route over links this network does
-			// not have (or VCs the buffers do not). Dimensions are the
-			// cheap invariant we can check.
-			if cfg.Table.Nr() != nr || cfg.Table.NumVCs() != cfg.VCs {
-				return nil, fmt.Errorf("sim: route table compiled for %d routers / %d VCs, network has %d routers / %d VCs",
-					cfg.Table.Nr(), cfg.Table.NumVCs(), nr, cfg.VCs)
-			}
-			s.table = cfg.Table
-		} else {
-			tab, err := routing.Compile(nr, cfg.Routing)
-			if err != nil {
-				return nil, err
-			}
-			s.table = tab
+	// The route table: adaptive policies walk the generic minimal one
+	// (its compile error is also how a disconnected network is refused),
+	// static runs read theirs (supplied and shared, or compiled here).
+	switch {
+	case cfg.Adaptive != nil:
+		tab, err := routing.CompileCompact(s.net, cfg.VCs)
+		if err != nil {
+			return nil, err
 		}
+		s.table = tab
+	case cfg.Table != nil:
+		// A mismatched table would route over links this network does not
+		// have (or VCs the buffers do not). Dimensions are the cheap
+		// invariant we can check.
+		if cfg.Table.Nr() != nr || cfg.Table.NumVCs() != cfg.VCs {
+			return nil, fmt.Errorf("sim: route table compiled for %d routers / %d VCs, network has %d routers / %d VCs",
+				cfg.Table.Nr(), cfg.Table.NumVCs(), nr, cfg.VCs)
+		}
+		s.table = cfg.Table
+	default:
+		tab, err := routing.Compile(nr, cfg.Routing)
+		if err != nil {
+			return nil, err
+		}
+		s.table = tab
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
 	s.buildDomains(normalizeJobs(cfg.EngineJobs, nr), arrivalHorizon(maxLat))
@@ -806,12 +803,9 @@ func New(cfg Config) (*Sim, error) {
 // 1296-node network half again as slow). Growable queues go back to their
 // zero value rather than keeping grown backing arrays, and scratch slices
 // and the latency histogram are truncated, so a long-lived engine's
-// footprint stays at its construction size plus its longest latency. Three
-// things survive by design:
-// the packet and central-buffer freelists (a recycled packet is fully
-// reinitialised when allocated), and the minimal paths and route table
-// adaptive policies read (paths, minTab), which are pure functions of the
-// network.
+// footprint stays at its construction size plus its longest latency. The
+// packet and central-buffer freelists survive by design (a recycled packet
+// is fully reinitialised when allocated).
 // Domain workers must not be running.
 func (s *Sim) reset() {
 	cfg := &s.cfg
@@ -937,49 +931,6 @@ func (s *Sim) CBPathStats() (bypass, buffered int64) {
 // the central-buffer scheme this always equals bypass+buffered — the
 // conservation invariant pinned by TestFlitConservation.
 func (s *Sim) ForwardedFlits() int64 { return s.forwardedFlits }
-
-// Paths lazily builds all-pairs shortest paths (used by adaptive policies).
-func (s *Sim) Paths() *routing.Paths {
-	if s.paths == nil {
-		s.paths = routing.NewMinimal(s.net)
-	}
-	return s.paths
-}
-
-// MinRoutes returns the route table of the network's BFS-minimal paths
-// (lowest-index tie-break, identical to Paths().MinPath), compiled on first
-// use. Adaptive policies walk their candidate paths off it instead of
-// rebuilding slices per packet. New has already refused the networks it
-// cannot be compiled for (disconnected ones).
-func (s *Sim) MinRoutes() *routing.RouteTable {
-	if s.minTab == nil {
-		tab, err := routing.CompileCompact(s.net, s.cfg.VCs)
-		if err != nil {
-			panic(err)
-		}
-		s.minTab = tab
-	}
-	return s.minTab
-}
-
-// LinkOccupancy returns the current flit occupancy of the directed link from
-// router a toward router b (UGAL congestion signal), or 0 if absent.
-func (s *Sim) LinkOccupancy(a, b int) int {
-	pos, ok := s.portTowardOK(a, b)
-	if !ok {
-		return 0
-	}
-	return s.links[s.outLink[a*s.stride+pos]].occupancy
-}
-
-// PathOccupancy sums link occupancy along a router path (UGAL-G signal).
-func (s *Sim) PathOccupancy(path []int) int {
-	total := 0
-	for i := 1; i < len(path); i++ {
-		total += s.LinkOccupancy(path[i-1], path[i])
-	}
-	return total
-}
 
 // Progress is the periodic telemetry snapshot emitted during a run.
 type Progress struct {
@@ -1185,19 +1136,6 @@ func (s *Sim) freePacket(p *packet) {
 	s.pktPool = append(s.pktPool, p)
 }
 
-// appendNextWords derives an adaptive policy's chosen route's next-hop words
-// from its router path and per-hop VCs: the output ports are resolved once
-// here, out of the switch-allocation hot path.
-//
-//sim:hot
-func (s *Sim) appendNextWords(buf []uint32, path, vcs []int) []uint32 {
-	for i := 0; i+1 < len(path); i++ {
-		buf = append(buf, routing.NextWord(s.portToward(path[i], path[i+1]), vcs[i], s.vcs))
-	}
-	buf = append(buf, nextEject)
-	return buf
-}
-
 //sim:hot
 func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	if flits <= 0 {
@@ -1212,12 +1150,11 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	p.src, p.dst = src, dst
 	p.flits, p.class = flits, class
 	p.genTime, p.tracked = s.now, tracked
+	// Write the route into the packet-owned buffer: allocation-free once
+	// the buffer has reached the longest route's length.
 	if s.cfg.Adaptive != nil {
-		path, vcs := s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
-		p.next = s.appendNextWords(p.next[:0], path, vcs)
+		p.next = s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR, p.next[:0])
 	} else {
-		// Walk the table's bytes into the packet-owned buffer: allocation-free
-		// once the buffer has reached the longest route's length.
 		p.next = s.table.AppendNextWords(p.next[:0], srcR, dstR)
 	}
 	if s.cfg.Scheme == CentralBuffer {

@@ -295,7 +295,7 @@ func TestUGALDelivers(t *testing.T) {
 			Net:      net,
 			Routing:  minRouting(t, net, 4),
 			VCs:      4,
-			Adaptive: &sim.UGAL{Global: global, VCs: 4},
+			Adaptive: &sim.UGAL{Global: global},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Asymmetric{N: net.N()}},
 			Seed: 31,
@@ -321,7 +321,7 @@ func TestMinAdaptiveDelivers(t *testing.T) {
 	cfg := sim.Config{
 		Net:      net,
 		Routing:  rt,
-		Adaptive: &sim.MinAdaptive{VCs: 2},
+		Adaptive: &sim.MinAdaptive{},
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 37,
@@ -516,7 +516,7 @@ func TestUGALDivertsUnderAdversarialLoad(t *testing.T) {
 		return res.Throughput
 	}
 	static := run(nil)
-	ugalG := run(&sim.UGAL{Global: true, VCs: 4})
+	ugalG := run(&sim.UGAL{Global: true})
 	if ugalG <= static*1.02 {
 		t.Errorf("UGAL-G throughput %.4f should clearly beat static %.4f on adversarial traffic",
 			ugalG, static)

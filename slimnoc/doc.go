@@ -21,8 +21,8 @@
 // functional options for everything the declarative spec cannot express:
 // WithProgress streams telemetry during long sweeps, WithSource injects a
 // custom traffic generator, WithNetwork reuses one built network across a
-// sweep, and WithAdaptivePolicy / WithEdgeBufferSizing override the
-// registry-provided routing policy and buffer sizing.
+// sweep, and WithEdgeBufferSizing overrides the registry-provided buffer
+// sizing.
 //
 // Whole evaluation grids are campaigns: a SweepSpec declares axes (presets,
 // patterns, schemes, VC counts, loads, seeds) that expand into a

@@ -370,9 +370,11 @@ func autoRouting(net *topo.Network, kind routing.Kind, vcs int) (*routing.RouteT
 	return tab, nil, err
 }
 
-func adaptiveRouting(policy func(vcs int) sim.AdaptivePolicy) RoutingFactory {
-	return func(_ *topo.Network, _ routing.Kind, vcs int) (*routing.RouteTable, sim.AdaptivePolicy, error) {
-		return nil, policy(vcs), nil
+// adaptiveRouting registers a stateless policy: the run's engine supplies
+// its route table and VC count, so one value serves every run.
+func adaptiveRouting(policy sim.AdaptivePolicy) RoutingFactory {
+	return func(*topo.Network, routing.Kind, int) (*routing.RouteTable, sim.AdaptivePolicy, error) {
+		return nil, policy, nil
 	}
 }
 
@@ -605,23 +607,17 @@ func init() {
 		Section: "§5.1 (generic minimal with ascending VCs)",
 	})
 	RegisterRouting("ugal-l", RoutingEntry{
-		New: adaptiveRouting(func(vcs int) sim.AdaptivePolicy {
-			return &sim.UGAL{Global: false, VCs: vcs}
-		}),
+		New:      adaptiveRouting(&sim.UGAL{Global: false}),
 		Section:  "§6, Fig. 20 (UGAL, local congestion knowledge)",
 		Adaptive: true,
 	})
 	RegisterRouting("ugal-g", RoutingEntry{
-		New: adaptiveRouting(func(vcs int) sim.AdaptivePolicy {
-			return &sim.UGAL{Global: true, VCs: vcs}
-		}),
+		New:      adaptiveRouting(&sim.UGAL{Global: true}),
 		Section:  "§6, Fig. 20 (UGAL, global congestion knowledge)",
 		Adaptive: true,
 	})
 	RegisterRouting("min-adapt", RoutingEntry{
-		New: adaptiveRouting(func(vcs int) sim.AdaptivePolicy {
-			return &sim.MinAdaptive{VCs: vcs}
-		}),
+		New:      adaptiveRouting(&sim.MinAdaptive{}),
 		Section:  "§6, Fig. 20 (minimal adaptive, XY-ADAPT analogue)",
 		Adaptive: true,
 	})

@@ -15,10 +15,6 @@ import (
 // so callers of the facade never import internal/sim.
 type Source = sim.Source
 
-// AdaptivePolicy chooses packet routes from live network state; see
-// sim.AdaptivePolicy.
-type AdaptivePolicy = sim.AdaptivePolicy
-
 // Progress is the periodic telemetry snapshot streamed during a run.
 type Progress = sim.Progress
 
@@ -63,7 +59,6 @@ type Runner struct {
 	haveNet bool
 
 	source        sim.Source
-	policy        sim.AdaptivePolicy
 	table         *routing.RouteTable
 	bufCap        func(dist int) int
 	progress      func(Progress)
@@ -98,8 +93,8 @@ func WithNetwork(net *Network, kind routing.Kind) Option {
 // concurrent Runners — the Campaign engine shares one per distinct
 // (network, routing, VCs) combination, and
 // TestCampaignSharedRouteTableRace pins the contract under -race. The
-// table is ignored when the spec names an adaptive algorithm or a
-// WithAdaptivePolicy override is installed, since those route per packet.
+// table is ignored when the spec names an adaptive algorithm, which routes
+// per packet.
 func WithRouteTable(t *RouteTable) Option {
 	return func(r *Runner) { r.table = t }
 }
@@ -108,11 +103,6 @@ func WithRouteTable(t *RouteTable) Option {
 // generator (e.g. a recorded trace replay).
 func WithSource(src Source) Option {
 	return func(r *Runner) { r.source = src }
-}
-
-// WithAdaptivePolicy overrides the routing algorithm's adaptive policy.
-func WithAdaptivePolicy(p AdaptivePolicy) Option {
-	return func(r *Runner) { r.policy = p }
 }
 
 // WithEdgeBufferSizing overrides the per-VC edge-buffer capacity as a
@@ -244,13 +234,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			spec.Routing.Algorithm, strings.Join(Routings(), ", "))
 	}
 	// Adaptive routing picks paths per packet; a supplied table is ignored.
-	policy := r.policy
-	if policy == nil && re.Adaptive {
+	var policy sim.AdaptivePolicy
+	if re.Adaptive {
 		if _, policy, err = re.New(net, kind, vcs); err != nil {
 			return nil, err
 		}
 	}
-	static := policy == nil
 
 	h := spec.HopsPerCycle()
 	se, ok := schemes.lookup(spec.Buffering.Scheme)
@@ -282,7 +271,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	// (WithRouteTable) or, compiled last so that every cheaper spec error
 	// surfaces first, the one CompileRouteTable would hand out.
 	var table *routing.RouteTable
-	if static {
+	if !re.Adaptive {
 		if table = r.table; table == nil {
 			table, err = compileRouteTable(net, kind, spec.Routing.Algorithm, vcs, r.memBudget)
 			if err != nil {
