@@ -15,10 +15,11 @@ import (
 
 // The golden fixture pins the simulator's Result — every field — for fixed
 // seeds across all three buffer schemes, both SMART settings, and the three
-// adaptive policies. It was generated from the pre-active-set cycle-scan engine and
-// must never be regenerated casually: engine optimisations (route tables,
-// freelists, timing wheels, dirty lists) are required to be byte-identical
-// re-implementations of the original semantics, and this test is the proof.
+// adaptive policies. It was generated from the pre-active-set cycle-scan
+// engine and must never be regenerated casually: engine optimisations (route
+// tables, freelists, timing wheels, dirty lists) are required to be
+// byte-identical re-implementations of the original semantics, and this test
+// is the proof.
 //
 // Regenerate (only for an intentional, documented behaviour change):
 //
