@@ -1,7 +1,11 @@
 // Command snrepro is the paper-reproduction driver: it runs any subset of
 // the evaluation's figures and tables from the machine-readable manifest,
 // against a content-addressed result store, and renders one Markdown and
-// one CSV report per figure under docs/results/.
+// one CSV report per figure under docs/results/. For a figure with derived
+// tables it appends those tables and the verdicts of the paper's claims to
+// the Markdown report, writes the tables' CSV to <id>-tables.csv, and ends
+// with one verdict table over every claim it judged. Verdicts never change
+// the exit code.
 //
 // The store makes every campaign restartable: each simulated point is
 // durably appended under its content address (the hash of its expanded
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -33,46 +38,58 @@ import (
 	"strings"
 
 	"repro/internal/exp"
+	"repro/internal/stats"
 	"repro/slimnoc"
 	"repro/slimnoc/store"
 )
 
 func main() {
-	var (
-		list     = flag.Bool("list", false, "list the reproducible figures and exit")
-		figsFlag = flag.String("figs", "", "comma-separated figure IDs to reproduce (e.g. fig12,tab5)")
-		all      = flag.Bool("all", false, "reproduce every manifest figure")
-		storeDir = flag.String("store", "results", "result-store directory (holds store.jsonl; reruns resume from it)")
-		outDir   = flag.String("out", filepath.Join("docs", "results"), "directory for the per-figure Markdown and CSV reports")
-		short    = flag.Bool("short", false, "quick mode: shrunken grids and cycle counts (alias of -quick)")
-		quick    = flag.Bool("quick", false, "quick mode: shrunken grids and cycle counts")
-		full     = flag.Bool("full", false, "paper methodology: full grids and cycle counts (default)")
-		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = NumCPU, 1 = serial)")
-		ejobs    = flag.Int("engine-jobs", 0, "parallel engine domains per point (0/1 = serial, -1 = NumCPU); results are byte-identical at every value")
-		memCap   = flag.Int64("mem-budget", 0, "per-point engine memory budget in bytes (0 = each figure's declared budget, -1 = no cap); oversized points fail fast instead of allocating")
-		seed     = flag.Int64("seed", 1, "base seed every per-point seed derives from")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// `snrepro fig12` would otherwise silently fall into -list mode and
-		// exit 0 having reproduced nothing.
-		fmt.Fprintf(os.Stderr, "snrepro: unexpected argument %q — figures are selected with -figs (e.g. -figs %s)\n",
-			flag.Arg(0), flag.Arg(0))
-		os.Exit(2)
-	}
-	os.Exit(run(*list, *figsFlag, *all, *storeDir, *outDir,
-		(*short || *quick) && !*full, *jobs, *ejobs, *memCap, *seed))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run executes the driver and returns the process exit code: 0 on success,
-// 1 on failure, 130 when interrupted (with the store holding everything
-// completed so far).
-func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bool, jobs, engineJobs int, memBudget, seed int64) int {
-	opts := exp.Options{Quick: quick, Seed: seed, Jobs: jobs, EngineJobs: engineJobs, MemBudget: memBudget}
+// run executes the driver on the command-line arguments and returns the
+// process exit code: 0 on success, 1 on failure, 2 on a usage error, 130
+// when interrupted (with the store holding everything completed so far).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snrepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		list     = fs.Bool("list", false, "list the reproducible figures and exit")
+		figsFlag = fs.String("figs", "", "comma-separated figure IDs to reproduce (e.g. fig12,tab5)")
+		all      = fs.Bool("all", false, "reproduce every manifest figure")
+		storeDir = fs.String("store", "results", "result-store directory (holds store.jsonl; reruns resume from it)")
+		outDir   = fs.String("out", filepath.Join("docs", "results"), "directory for the per-figure Markdown and CSV reports")
+		short    = fs.Bool("short", false, "quick mode: shrunken grids and cycle counts (alias of -quick)")
+		quick    = fs.Bool("quick", false, "quick mode: shrunken grids and cycle counts")
+		full     = fs.Bool("full", false, "paper methodology: full grids and cycle counts (default)")
+		jobs     = fs.Int("jobs", 0, "parallel simulation workers (0 = NumCPU, 1 = serial)")
+		ejobs    = fs.Int("engine-jobs", 0, "parallel engine domains per point (0/1 = serial, -1 = NumCPU); results are byte-identical at every value")
+		memCap   = fs.Int64("mem-budget", 0, "per-point engine memory budget in bytes (0 = each figure's declared budget, -1 = no cap); oversized points fail fast instead of allocating")
+		seed     = fs.Int64("seed", 1, "base seed every per-point seed derives from")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		// `snrepro fig12` would otherwise silently fall into -list mode and
+		// exit 0 having reproduced nothing.
+		fmt.Fprintf(stderr, "snrepro: unexpected argument %q — figures are selected with -figs (e.g. -figs %s)\n",
+			fs.Arg(0), fs.Arg(0))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "snrepro:", err)
+		return 1
+	}
+
+	opts := exp.Options{Quick: (*short || *quick) && !*full, Seed: *seed, Jobs: *jobs, EngineJobs: *ejobs, MemBudget: *memCap}
 	manifest := exp.Manifest(opts)
 
-	if list || (figsFlag == "" && !all) {
-		fmt.Println("Reproducible figures (snrepro -figs <id,...>):")
+	if *list || (*figsFlag == "" && !*all) {
+		fmt.Fprintln(stdout, "Reproducible figures (snrepro -figs <id,...>):")
 		for _, f := range manifest {
 			kind := fmt.Sprintf("%d sweep(s)", len(f.Sweeps))
 			switch {
@@ -81,38 +98,42 @@ func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bo
 			case len(f.Sats) > 0:
 				kind = fmt.Sprintf("%d search(es)", len(f.Sats))
 			}
-			fmt.Printf("  %-11s %-11s %s (%s)\n", f.ID, kind, f.Title, f.Section)
+			fmt.Fprintf(stdout, "  %-11s %-11s %s (%s)\n", f.ID, kind, f.Title, f.Section)
 		}
 		return 0
 	}
 
-	figures, err := selectFigures(manifest, figsFlag, all)
+	figures, err := selectFigures(manifest, *figsFlag, *all)
 	if err != nil {
 		return fail(err)
 	}
 
-	st, err := store.Open(filepath.Join(storeDir, "store.jsonl"))
+	st, err := store.Open(filepath.Join(*storeDir, "store.jsonl"))
 	if err != nil {
 		return fail(err)
 	}
 	defer st.Close()
 	if n := st.Recovered(); n > 0 {
-		fmt.Fprintf(os.Stderr, "snrepro: store recovered: dropped %d unreadable line(s), %d result(s) kept\n", n, st.Len())
+		fmt.Fprintf(stderr, "snrepro: store recovered: dropped %d unreadable line(s), %d result(s) kept\n", n, st.Len())
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fail(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	write := func(name, data string) error {
+		return os.WriteFile(filepath.Join(*outDir, name), []byte(data), 0o644)
+	}
+	var verdicts []exp.Verdict
 	for _, f := range figures {
-		fmt.Printf("== %s: %s (%s)\n", f.ID, f.Title, f.Section)
+		fmt.Fprintf(stdout, "== %s: %s (%s)\n", f.ID, f.Title, f.Section)
 		run, err := exp.RunFigure(ctx, f, opts, slimnoc.WithStore(st))
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				cached, fresh := run.CachedCount()
-				fmt.Fprintf(os.Stderr,
+				fmt.Fprintf(stderr,
 					"snrepro: interrupted during %s (%d cached + %d fresh points done); rerun the same command to resume from %s\n",
 					f.ID, cached, fresh, st.Path())
 				return 130
@@ -124,24 +145,57 @@ func run(list bool, figsFlag string, all bool, storeDir, outDir string, quick bo
 		}
 		cached, fresh := run.CachedCount()
 		if !f.Simulates() {
-			fmt.Printf("   analytic artifact — see `snexp -exp %s` for the derived tables\n", f.ID)
+			fmt.Fprintln(stdout, "   analytic artifact")
 		} else {
-			fmt.Printf("   %d points (%d from store, %d simulated)\n", cached+fresh, cached, fresh)
+			fmt.Fprintf(stdout, "   %d points (%d from store, %d simulated)\n", cached+fresh, cached, fresh)
 		}
-		mdPath := filepath.Join(outDir, f.ID+".md")
-		if err := os.WriteFile(mdPath, []byte(run.Markdown()), 0o644); err != nil {
-			return fail(err)
-		}
-		if f.Simulates() {
-			csvPath := filepath.Join(outDir, f.ID+".csv")
-			if err := os.WriteFile(csvPath, []byte(run.CSV()), 0o644); err != nil {
-				return fail(err)
+		md, tablesCSV := run.Markdown(), ""
+		if f.Derive != nil {
+			tables, err := f.Derive(run)
+			if err != nil {
+				return fail(fmt.Errorf("%s: %w", f.ID, err))
+			}
+			judged := f.Judge(tables)
+			verdicts = append(verdicts, judged...)
+			md = strings.TrimRight(md, "\n") + "\n\n" + derivedMarkdown(tables, judged)
+			for _, t := range tables {
+				tablesCSV += t.CSV() + "\n"
 			}
 		}
-		fmt.Printf("   wrote %s\n", mdPath)
+		err = write(f.ID+".md", md)
+		if err == nil && f.Simulates() {
+			err = write(f.ID+".csv", run.CSV())
+		}
+		if err == nil && f.Derive != nil {
+			err = write(f.ID+"-tables.csv", tablesCSV)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "   wrote %s\n", filepath.Join(*outDir, f.ID+".md"))
 	}
-	fmt.Printf("done: %d figure(s); store %s holds %d result(s)\n", len(figures), st.Path(), st.Len())
+	fmt.Fprintf(stdout, "done: %d figure(s); store %s holds %d result(s)\n", len(figures), st.Path(), st.Len())
+	if len(verdicts) > 0 {
+		fmt.Fprint(stdout, "\n"+exp.VerdictTable(verdicts).Markdown())
+	}
 	return 0
+}
+
+// derivedMarkdown renders a figure's derived tables and its claims'
+// verdicts as the sections appended to its report.
+func derivedMarkdown(tables []*stats.Table, verdicts []exp.Verdict) string {
+	var b strings.Builder
+	b.WriteString("## Derived tables\n\n")
+	for _, t := range tables {
+		b.WriteString(t.Markdown() + "\n")
+	}
+	b.WriteString("## Claims\n\n")
+	if len(verdicts) == 0 {
+		b.WriteString("No claims are declared on this figure's tables.\n")
+	} else {
+		b.WriteString(exp.VerdictTable(verdicts).Markdown())
+	}
+	return b.String()
 }
 
 // selectFigures resolves the -figs/-all selection against the manifest,
@@ -190,10 +244,4 @@ func firstPointError(run exp.FigureRun) error {
 		}
 	}
 	return nil
-}
-
-// fail reports an error and returns the generic failure exit code.
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "snrepro:", err)
-	return 1
 }

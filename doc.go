@@ -21,12 +21,12 @@
 // RouteTable interns per-pair paths that packets borrow and campaigns
 // share), the DSENT-substitute power models in internal/power, and the
 // reproduction manifest in internal/exp, which declares every figure once:
-// its declarative sweeps plus the derivation of its tables (consumed by
-// cmd/snrepro, the resumable paper-reproduction driver, and cmd/snexp; see
-// docs/REPRODUCING.md). The root package holds the benchmark harness
-// (bench_test.go) that regenerates every table and figure of the paper's
-// evaluation plus local engine/campaign profiling benchmarks; `go run
-// ./benchmark` is the measurement of record. Run `go run ./cmd/snexp -list`
-// for the derived-table index and `go run ./cmd/snrepro -list` for the
+// its declarative sweeps, the derivation of its tables and the paper's
+// claims about them (consumed by cmd/snrepro, the resumable
+// paper-reproduction driver; see docs/REPRODUCING.md). The root package
+// holds the benchmark harness (bench_test.go) that regenerates every
+// derived table of the paper's evaluation and reports its claims' values,
+// plus local engine/campaign profiling benchmarks; `go run ./benchmark` is
+// the measurement of record. Run `go run ./cmd/snrepro -list` for the
 // reproducible-figure manifest.
 package repro

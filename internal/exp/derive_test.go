@@ -21,9 +21,10 @@ type tableShape struct {
 	Labels []string `json:"labels"` // first column of every row
 }
 
-// shortFigures are the figures derived under -short: the analytic ones
-// plus one cheap grid per kind of derivation (latency and area/power
-// panels, per-benchmark rows, per-network studies, damaged networks).
+// shortFigures are the figures derived, and whose claims TestClaims
+// judges, under -short: the analytic ones plus one cheap grid per kind of
+// derivation (latency and area/power panels, per-benchmark rows,
+// per-network studies, damaged networks).
 var shortFigures = map[string]bool{
 	"tab2": true, "tab3": true, "tab4": true, "fig3": true, "fig5": true,
 	"fig6": true, "fig15": true, "sec55": true, "fig19": true, "fig10b": true,

@@ -2,9 +2,10 @@
 // Every table and figure is one manifest entry (Figure): the declarative
 // simulation grids that generate its points, plus an optional Derive that
 // renders the paper's exact tables from those points and the analytical
-// area/power/layout models. One driver (RunFigure) executes the grids;
-// cmd/snrepro renders every figure's per-point reports against a result
-// store, and cmd/snexp prints the derived tables.
+// area/power/layout models, and the paper's claims about those tables as
+// code (Claims). One driver (RunFigure) executes the grids; cmd/snrepro
+// renders every figure's per-point reports, derived tables and claim
+// verdicts against a result store.
 package exp
 
 import (

@@ -5,6 +5,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/gf"
@@ -166,6 +167,26 @@ func fig5Tables(o Options) ([]*stats.Table, error) {
 		wt.AddRowF(wrow...)
 	}
 	return []*stats.Table{mt, bt, st, wt}, nil
+}
+
+// fig5Claims are Fig. 5's layout-cost claims.
+var fig5Claims = []Claim{
+	lowerInRow("subgr-cuts-m",
+		"The subgroup layout cuts the average wire length M versus a random layout (~25%; Fig. 5a, §3.3)",
+		"fig5a", "9", "sn_subgr", "sn_rand"),
+	{
+		ID:    "wires-within-22nm-bound",
+		Paper: "Every layout's wiring over a router stays within the 22 nm bound W (Eq. 3; Fig. 5d, §3.3)",
+		Eval: func(r *Reader) (float64, bool) {
+			worst := 0.0
+			for _, q := range r.Labels("fig5d") {
+				for _, l := range core.Layouts() {
+					worst = math.Max(worst, r.Num("fig5d", q, "sn_"+string(l))/r.Num("fig5d", q, "W_bound_22nm"))
+				}
+			}
+			return worst, worst <= 1
+		},
+	},
 }
 
 // fig6Tables renders Fig. 6: the distribution of link Manhattan distances for the

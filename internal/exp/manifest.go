@@ -2,10 +2,10 @@
 // paper's evaluation. A Figure carries the declarative SweepSpecs and
 // saturation searches that generate its simulation points and, where the
 // paper reports more than per-point metrics, a Derive that renders its
-// exact tables (power models, EDP, gain percentages) from those points.
-// cmd/snrepro runs any subset against a content-addressed result store
-// (resumable, deduplicated across figures); cmd/snexp prints the derived
-// tables.
+// exact tables (power models, EDP, gain percentages) from those points,
+// plus the paper's Claims about those tables. cmd/snrepro runs any subset
+// against a content-addressed result store (resumable, deduplicated across
+// figures) and renders the derived tables and claim verdicts.
 
 package exp
 
@@ -54,6 +54,9 @@ type Figure struct {
 	// Raw, which is zero for points served from a result store — so warm
 	// and cold runs derive byte-identical tables.
 	Derive func(FigureRun) ([]*stats.Table, error) `json:"-"`
+	// Claims are the paper's ordinal statements about the figure, judged
+	// on the tables Derive renders (Judge).
+	Claims []Claim
 }
 
 // Simulates reports whether the figure has a simulation grid or search;
@@ -70,7 +73,7 @@ var figures = []struct {
 	{"fig1bc", fig1bc},
 	{"fig3", func(o Options) Figure {
 		return analytic("Slim Fly and Dragonfly straight on-chip", "Fig. 3",
-			func() ([]*stats.Table, error) { return fig3Tables(o) })
+			func() ([]*stats.Table, error) { return fig3Tables(o) }, fig3Claim)
 	}},
 	{"tab2", func(Options) Figure {
 		return analytic("Slim NoC configurations, N<=1300", "Table 2", tab2Tables)
@@ -79,7 +82,7 @@ var figures = []struct {
 	{"tab4", func(Options) Figure { return analytic("Compared configurations", "Table 4", tab4Tables) }},
 	{"fig5", func(o Options) Figure {
 		return analytic("Layout cost analysis: M, buffers, wiring", "Fig. 5",
-			func() ([]*stats.Table, error) { return fig5Tables(o) })
+			func() ([]*stats.Table, error) { return fig5Tables(o) }, fig5Claims...)
 	}},
 	{"fig6", func(Options) Figure { return analytic("Link distance distributions", "Fig. 6", fig6Tables) }},
 	{"fig10a", fig10a},
@@ -97,7 +100,7 @@ var figures = []struct {
 	{"tab6", tab6},
 	{"fig20", fig20},
 	{"sec55", func(Options) Figure {
-		return analytic("Folded Clos comparison", "§5.5", sec55Tables)
+		return analytic("Folded Clos comparison", "§5.5", sec55Tables, sec55Claim)
 	}},
 	{"sens-sizes", sensSizes},
 	{"sens-conc", sensConc},
@@ -115,10 +118,11 @@ var figures = []struct {
 
 // analytic declares a figure with no simulation grid: its tables come from
 // the analytical models alone.
-func analytic(title, section string, tables func() ([]*stats.Table, error)) Figure {
+func analytic(title, section string, tables func() ([]*stats.Table, error), claims ...Claim) Figure {
 	return Figure{
 		Title: title, Section: section,
 		Derive: func(FigureRun) ([]*stats.Table, error) { return tables() },
+		Claims: claims,
 	}
 }
 
@@ -232,10 +236,10 @@ func scaleNets(o Options) Figure {
 		MemBudget: scaleBudget,
 		Notes: "Each search brackets the load where the topology's throughput collapses. " +
 			"The cm100k/t2d100k/fbf100k presets and sn_subgr_99856 extend the family to ~100k endpoints " +
-			"but are deliberately absent: the SN's minimal routes now compress to one next-hop byte per pair " +
-			"(12482^2 ~ 149 MiB, inside even the smoke budget) but one saturated probe on 12k routers is hours " +
-			"of engine work, and the grid baselines keep dense DOR tables in the gigabytes; " +
-			"run them explicitly with patience (and, for the grids, a raised -mem-budget).",
+			"but are deliberately absent: every route table, SN and grid alike, is one next-hop byte per router pair " +
+			"(12482^2 ~ 149 MiB for the SN, 12544^2 ~ 150 MiB for a grid, inside even the smoke budget), " +
+			"but one saturated probe on 12k routers is hours of engine work; " +
+			"run them explicitly with patience (and a raised -mem-budget if a point outgrows the budget).",
 	}
 }
 

@@ -22,8 +22,9 @@ func manifestOptions() Options {
 
 // TestManifestExpandsAndValidates expands every manifest sweep: every
 // figure must contribute a grid whose points all validate, a search, or
-// derived tables; IDs must be unique; and every figure without saturation
-// searches must have a Derive, so `snexp -exp <id>` always renders it.
+// derived tables; figure and claim IDs must be unique; every figure
+// without saturation searches must have a Derive, so snrepro always
+// renders its tables; and only a figure with a Derive may declare claims.
 func TestManifestExpandsAndValidates(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		o := manifestOptions()
@@ -36,6 +37,15 @@ func TestManifestExpandsAndValidates(t *testing.T) {
 			seen[f.ID] = true
 			if len(f.Sats) == 0 && f.Derive == nil {
 				t.Errorf("%s: figure without searches has no Derive", f.ID)
+			}
+			if len(f.Claims) > 0 && f.Derive == nil {
+				t.Errorf("%s: claims without derived tables to judge them on", f.ID)
+			}
+			for _, c := range f.Claims {
+				if seen[f.ID+"/"+c.ID] {
+					t.Errorf("duplicate claim ID %s/%s", f.ID, c.ID)
+				}
+				seen[f.ID+"/"+c.ID] = true
 			}
 			for _, s := range f.Sweeps {
 				points, err := s.Points()

@@ -27,6 +27,9 @@ func fig1a(o Options) Figure {
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return latencyTables(r, 0, "fig1a", "Average packet latency [cycles], %s, N=1296, SMART (Fig. 1a)")
 		},
+		Claims: []Claim{lowerInRow("sn-below-torus",
+			"Under adversarial traffic SN's latency is far below the torus's (~64% lower; Fig. 1a, §1)",
+			"fig1a", "0.008", "sn_gr_1296", "t2d9")},
 	}
 }
 
@@ -43,6 +46,9 @@ func fig10a(o Options) Figure {
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return latencyTables(r, 0, "fig10a", "Latency per SN layout, %s, N=200, no SMART (Fig. 10a)")
 		},
+		Claims: []Claim{lowerInRow("subgr-below-basic",
+			"The subgroup layout's shorter wires give lower latency than the basic layout (~5%; Fig. 10a, §3.3)",
+			"fig10a-RND", "0.008", "sn_subgr_200", "sn_basic_200")},
 	}
 }
 
@@ -55,6 +61,13 @@ func fig12(o Options) Figure {
 			[]string{"cm3", "t2d3", "pfbf3", "pfbf4", "sn_subgr_200", "fbf3"}, synthPatterns, true)},
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return latencyTables(r, 0, "fig12", "Latency, %s, N in {192,200}, SMART (Fig. 12)")
+		},
+		Claims: []Claim{
+			lowerInRow("sn-below-cm-t2d",
+				"With SMART, SN's RND latency at low load is below the mesh's and the torus's (71% / 86% of them; Fig. 12, §5)",
+				"fig12-RND", "0.008", "sn_subgr_200", "cm3", "t2d3"),
+			snMatchesFBF("fig12-RND", "sn_subgr_200", "fbf3", "Fig. 12"),
+			snSaturatesLater("fig12-RND", "sn_subgr_200", "cm3", "t2d3", "Fig. 12"),
 		},
 	}
 }
@@ -69,6 +82,13 @@ func fig13(o Options) Figure {
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return latencyTables(r, 0, "fig13", "Latency, %s, N=1296, SMART (Fig. 13)")
 		},
+		Claims: []Claim{
+			lowerInRow("sn-below-cm",
+				"At N=1296 with SMART, SN's RND latency at low load is below the mesh's (54% of it; Fig. 13, §5)",
+				"fig13-RND", "0.008", "sn_gr_1296", "cm9"),
+			snMatchesFBF("fig13-RND", "sn_gr_1296", "fbf9", "Fig. 13"),
+			snSaturatesLater("fig13-RND", "sn_gr_1296", "cm9", "t2d9", "Fig. 13"),
+		},
 	}
 }
 
@@ -82,7 +102,25 @@ func fig14(o Options) Figure {
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return latencyTables(r, 0, "fig14", "Latency, %s, N in {192,200}, no SMART (Fig. 14)")
 		},
+		Claims: []Claim{
+			snMatchesFBF("fig14-RND", "sn_subgr_200", "fbf3", "Fig. 14"),
+			snSaturatesLater("fig14-RND", "sn_subgr_200", "cm3", "t2d3", "Fig. 14"),
+		},
 	}
+}
+
+// snMatchesFBF is the Figs. 12-14 claim against FBF, read at the lowest
+// load of a latency table: SN's latency is at most FBF's.
+func snMatchesFBF(table, sn, fbf, fig string) Claim {
+	return atMostInRow("sn-matches-fbf", "SN matches or beats FBF latency ("+fig+", §5)", table, "0.008", sn, fbf)
+}
+
+// snSaturatesLater is the Figs. 12-14 saturation claim, read at the
+// highest quick-mode load of a latency table: SN's latency is below both
+// the mesh's and the torus's.
+func snSaturatesLater(table, sn, cm, t2d, fig string) Claim {
+	return lowerInRow("sn-saturates-after-cm-t2d", "SN saturates later than the mesh and the torus ("+fig+", §5)",
+		table, "0.240", sn, cm, t2d)
 }
 
 // fig11 is Fig. 11: the impact of buffering strategies on SN latency, for
@@ -234,6 +272,9 @@ func fig20(o Options) Figure {
 			}
 			return out, nil
 		},
+		Claims: []Claim{atMostInRow("sn-min-beats-fbf-min",
+			"Under minimal routing SN's RND latency is at or below FBF's (Fig. 20, §6)",
+			"fig20-RND", "0.008", "SN_MIN", "FBF_MIN")},
 	}
 }
 
@@ -292,7 +333,17 @@ func ablCBSize(o Options) Figure {
 			}
 			return out, nil
 		},
+		Claims: []Claim{cb6BeatsCB100("sn_subgr_200"), cb6BeatsCB100("sn_gr_1296")},
 	}
+}
+
+// cb6BeatsCB100 is the §5.2.1 central-buffer claim on one network's
+// capacity sweep: at the high load, CB-6 has lower latency than CB-100,
+// the largest capacity swept.
+func cb6BeatsCB100(net string) Claim {
+	return lowerInCol("cb6-beats-cb100-"+net,
+		"Central buffers of small capacity (CBR-6) beat larger ones at high load (Fig. 11, §5.2.1)",
+		"abl-cbsize-"+net, "lat@0.30", "6", "100")
 }
 
 // ablVCs sweeps the virtual channel count on SN-S: 2 VCs suffice for
@@ -368,5 +419,8 @@ func ablSmartH(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{lowerInCol("smart-helps-long-wires",
+			"SMART links (H=9) cut latency on the long-wire basic layout (§3.2.2)",
+			"abl-smarth", "latency_cycles", "9", "1")},
 	}
 }

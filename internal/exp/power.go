@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/power"
@@ -86,6 +87,11 @@ func fig3Tables(o Options) ([]*stats.Table, error) {
 	}
 	return []*stats.Table{wire, area, pow}, nil
 }
+
+// fig3Claim is Fig. 3's motivating observation.
+var fig3Claim = lowerInCol("sf-area-above-pfbf",
+	"Slim Fly used straight on-chip takes more area than PFBF (Fig. 3b, §2.2)",
+	"fig3b", "total", "PFBF", "SF")
 
 type fig3Nets struct {
 	torus, fbf, slim, dragonfly *topo.Network
@@ -187,8 +193,10 @@ func bothTechs(r FigureRun, id, title string) ([]*stats.Table, error) {
 // fig15 is Fig. 15: area per SN layout, and area + static power for the
 // N=200 networks, no SMART — entirely from the analytical models.
 func fig15(Options) Figure {
-	f := analytic("Area and static power, N=200, no SMART", "Fig. 15", fig15Tables)
-	f.Notes = "Computed entirely from the analytical area/power models; run `snexp -exp fig15`."
+	f := analytic("Area and static power, N=200, no SMART", "Fig. 15", fig15Tables,
+		lowerInCol("sn-area-below-fbf", "SN takes less area than FBF (34% less; Fig. 15b, §5.4)",
+			"fig15b", "total", "sn_subgr_200", "fbf4"))
+	f.Notes = "Computed entirely from the analytical area/power models."
 	return f
 }
 
@@ -238,10 +246,13 @@ func fig16(o Options) Figure {
 		Sweeps: []slimnoc.SweepSpec{
 			activityGrid(o, "fig16", []string{"fbf3", "fbf4", "pfbf3", "sn_subgr_200", "t2d4", "cm4"}),
 		},
-		Notes: "The grid provides the dynamic-power activity runs; area and static power are analytical. `snexp -exp fig16` renders the full per-node tables.",
+		Notes: "The grid provides the dynamic-power activity runs; area and static power are analytical. The derived tables give the full per-node breakdown.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return bothTechs(r, "fig16", "N in {192,200}, SMART, %s (Fig. 16)")
 		},
+		Claims: []Claim{lowerInCol("sn-static-below-fbf",
+			"SN's static power per node is below FBF's (46% less; Fig. 16, §5.4)",
+			"fig16-45nm-static", "total", "sn_subgr_200", "fbf3")},
 	}
 }
 
@@ -252,10 +263,13 @@ func fig17(o Options) Figure {
 		Sweeps: []slimnoc.SweepSpec{
 			activityGrid(o, "fig17", []string{"fbf8", "fbf9", "pfbf9", "sn_gr_1296", "t2d9", "cm9"}),
 		},
-		Notes: "As fig16; `snexp -exp fig17` renders the derived tables.",
+		Notes: "As fig16.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			return bothTechs(r, "fig17", "N=1296, SMART, %s (Fig. 17)")
 		},
+		Claims: []Claim{lowerInCol("sn-static-below-fbf",
+			"At N=1296, SN's static power per node is below FBF's (41-44% less; Fig. 17, §5.4)",
+			"fig17-45nm-static", "total", "sn_gr_1296", "fbf8")},
 	}
 }
 
@@ -268,7 +282,7 @@ func fig19(o Options) Figure {
 			latencyGrid(o, "fig19a", []string{"fbf54", "pfbf54", "sn_subgr_54", "t2d54"}, []string{"rnd"}, true),
 			activityGrid(o, "fig19bc", []string{"sn_subgr_54", "fbf54", "pfbf54", "t2d54"}),
 		},
-		Notes: "fig19a is the latency panel; fig19bc feeds the area/power panels (`snexp -exp fig19` for the derived tables).",
+		Notes: "fig19a is the latency panel; fig19bc feeds the area/power panels of the derived tables.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			lat, err := latencyTables(r, 0, "fig19a", "Latency, %s, N=54, SMART (Fig. 19a)")
 			if err != nil {
@@ -281,6 +295,8 @@ func fig19(o Options) Figure {
 			pow, err := areaPowerTables(res, "fig19bc", "N=54, SMART, 45nm (Fig. 19b/c)", power.Tech45())
 			return append(lat, pow...), err
 		},
+		Claims: []Claim{lowerInRow("sn-below-t2d", "At N=54 SN's latency is below the torus's (~15% lower; Fig. 19a, §5.6)",
+			"fig19a", "0.008", "sn_subgr_54", "t2d54")},
 	}
 }
 
@@ -327,6 +343,9 @@ func fig1bc(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{lowerInCol("sn-above-torus",
+			"SN's throughput per power beats the torus's (by >150%; Fig. 1b/c, §1)",
+			"fig1bc", "45nm", "t2d9", "sn_gr_1296")},
 	}
 }
 
@@ -341,7 +360,7 @@ func tab5(o Options) Figure {
 	return Figure{
 		Title: "SN throughput/power advantage (RND)", Section: "Table 5",
 		Sweeps: []slimnoc.SweepSpec{activityGrid(o, "tab5", append(groups[0], groups[1]...))},
-		Notes:  "Gain percentages divide throughput/power pairs per tech node; `snexp -exp tab5` renders them from the same runs.",
+		Notes:  "Gain percentages divide throughput/power pairs per tech node of the same runs.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			res, err := r.results(0)
 			if err != nil {
@@ -376,6 +395,16 @@ func tab5(o Options) Figure {
 			return []*stats.Table{t}, nil
 		},
 	}
+}
+
+// sec55Claim is the §5.5 folded-Clos claim, at both size classes.
+var sec55Claim = Claim{
+	ID:    "sn-area-below-clos",
+	Paper: "SN takes less area than a folded Clos (~24-26% less; §5.5)",
+	Eval: func(r *Reader) (float64, bool) {
+		least := math.Min(r.Num("sec55", "200", "sn_smaller_by_%"), r.Num("sec55", "1296", "sn_smaller_by_%"))
+		return least, least > 0
+	},
 }
 
 // sec55Tables renders the §5.5 hierarchical-NoC comparison: SN's total area

@@ -50,7 +50,7 @@ func sensSizes(o Options) Figure {
 	return Figure{
 		Title: "Other network sizes: N in {588, 686, 1024}", Section: "§5.5",
 		Sweeps: sweeps,
-		Notes:  "Area columns are analytical; `snexp -exp sens-sizes` renders them alongside the latencies.",
+		Notes:  "Area columns are analytical; the derived table renders them alongside the latencies.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			t := &stats.Table{
 				ID:    "sens-sizes",
@@ -77,6 +77,9 @@ func sensSizes(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{lowerInCol("sn-below-torus-1024",
+			"SN's latency advantage over the torus holds at other network sizes (§5.5)",
+			"sens-sizes", "latency_ns", "1024/sn_subgr_1024", "1024/t2d_1024")},
 	}
 }
 
@@ -120,6 +123,14 @@ func sensConc(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{{
+			ID:    "throughput-flat-in-p",
+			Paper: "Raising concentration at a fixed per-node load adds network pressure, so per-node throughput does not grow with p (within 10%; §5.5 / §2.1)",
+			Eval: func(r *Reader) (float64, bool) {
+				ratio := r.Num("sens-conc", "8", "throughput") / r.Num("sens-conc", "4", "throughput")
+				return ratio, ratio <= 1.1
+			},
+		}},
 	}
 }
 
@@ -137,7 +148,7 @@ func sensCycle(o Options) Figure {
 			Base: base,
 			Axes: slimnoc.SweepAxes{Presets: []string{"cm3", "t2d3", "pfbf3", "sn_subgr_200", "fbf3"}},
 		}},
-		Notes: "Nanosecond conversions under per-topology vs uniform clocks are derived; `snexp -exp sens-cycle` renders them.",
+		Notes: "The derived table converts each latency to nanoseconds under per-topology and uniform clocks.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			res, err := r.results(0)
 			if err != nil {
@@ -213,7 +224,7 @@ func resil(o Options) Figure {
 		Title: "Link-failure resilience, N=200-class networks", Section: "§2.1",
 		Sweeps: sweeps,
 		Notes: "Each simulable damaged network (connected, diameter at most 6) is one single-point sweep; " +
-			"`snexp -exp resil` adds the connectivity, diameter and path-length columns of every network.",
+			"the derived table adds the connectivity, diameter and path-length columns of every network.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			if buildErr != nil {
 				return nil, buildErr
@@ -237,5 +248,14 @@ func resil(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{{
+			ID: "sn-survives-10pct",
+			Paper: "As an expander, SN with 10% of its links failed stays connected with a small diameter (at most 4), " +
+				"so it still routes deadlock-free and is simulated (§2.1)",
+			Eval: func(r *Reader) (float64, bool) {
+				conn, diam := r.Num("resil", "10/sn_subgr_200", "connectivity"), r.Num("resil", "10/sn_subgr_200", "diameter")
+				return diam, conn >= 0.99 && diam <= 4 && r.Cell("resil", "10/sn_subgr_200", "latency_cycles") != "n/a"
+			},
+		}},
 	}
 }

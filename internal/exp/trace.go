@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -95,6 +96,9 @@ func fig10b(o Options) Figure {
 			})
 			return []*stats.Table{t}, err
 		},
+		Claims: []Claim{lowerInRow("subgr-wins-n200",
+			"The subgroup layout has the lowest latency at N=200 (Figs. 10a/10b, §3.3)",
+			"fig10b", "geomean", "sn_subgr_200", "sn_basic_200", "sn_gr_200")},
 	}
 }
 
@@ -105,7 +109,7 @@ func fig18(o Options) Figure {
 	return Figure{
 		Title: "Energy-delay product on PARSEC/SPLASH, SMART", Section: "Fig. 18",
 		Sweeps: traceGrids(o, "fig18", names, true),
-		Notes:  "EDP normalisation against FBF is derived post-processing; `snexp -exp fig18` renders it from the same runs.",
+		Notes:  "EDP normalisation against FBF is derived post-processing of the same runs.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			t := &stats.Table{
 				ID:     "fig18",
@@ -127,6 +131,8 @@ func fig18(o Options) Figure {
 			})
 			return []*stats.Table{t}, err
 		},
+		Claims: []Claim{lowerInRow("sn-edp-below-fbf", "SN's energy-delay product is below FBF's (~0.45 of it; Fig. 18, §5.4)",
+			"fig18", "geomean", "sn_subgr_200", "fbf3")},
 	}
 }
 
@@ -141,7 +147,7 @@ func tab6(o Options) Figure {
 	return Figure{
 		Title: "Latency decrease from SMART, PARSEC/SPLASH", Section: "Table 6",
 		Sweeps: sweeps,
-		Notes:  "The percentage gain pairs each benchmark's SMART and no-SMART runs; `snexp -exp tab6` renders it.",
+		Notes:  "The percentage gain pairs each benchmark's SMART and no-SMART runs.",
 		Derive: func(r FigureRun) ([]*stats.Table, error) {
 			t := &stats.Table{
 				ID:     "tab6",
@@ -175,5 +181,16 @@ func tab6(o Options) Figure {
 			}
 			return []*stats.Table{t}, nil
 		},
+		Claims: []Claim{{
+			ID:    "smart-helps-sn-more-than-cm",
+			Paper: "SMART cuts SN's long-wire latency more than the mesh's single-cycle-wire latency, on every benchmark (~10-13%; Table 6)",
+			Eval: func(r *Reader) (float64, bool) {
+				least := math.Inf(1)
+				for _, b := range benches {
+					least = math.Min(least, r.Num("tab6", "sn_subgr_200", b.Name)-r.Num("tab6", "cm3", b.Name))
+				}
+				return least, least > 0
+			},
+		}},
 	}
 }
