@@ -116,6 +116,27 @@ func read(t *testing.T, id string) *Reader {
 	return r
 }
 
+func TestTable2Experiment(t *testing.T) {
+	tables := derive(t, "tab2", quick())
+	if len(tables) != 1 {
+		t.Fatal("Table2 should emit one table")
+	}
+	if len(tables[0].Rows) != 24 {
+		t.Errorf("Table 2 has %d rows, paper has 24", len(tables[0].Rows))
+	}
+}
+
+func TestTable3Experiment(t *testing.T) {
+	tables := derive(t, "tab3", quick())
+	if len(tables) != 6 {
+		t.Fatalf("Table3 should emit 6 tables (add/mul/neg for F9 and F8), got %d", len(tables))
+	}
+	// F9 addition table: 9 rows of 10 cells.
+	if len(tables[0].Rows) != 9 || len(tables[0].Rows[0]) != 10 {
+		t.Errorf("F9 addition table shape wrong: %dx%d", len(tables[0].Rows), len(tables[0].Rows[0]))
+	}
+}
+
 func TestTable4Experiment(t *testing.T) {
 	r := read(t, "tab4")
 	// The SN row shows D=2, k'=7, k=11 for N=200.
@@ -170,5 +191,25 @@ func TestResilienceExperiment(t *testing.T) {
 		if conn := r.Num("resil", "0/"+net, "connectivity"); conn != 1 {
 			t.Errorf("undamaged %s connectivity = %v", net, conn)
 		}
+	}
+}
+
+func TestAblCBSizeExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping central-buffer ablation in short mode")
+	}
+	tables := derive(t, "abl-cbsize", quick())
+	if len(tables) != 2 {
+		t.Fatalf("want 2 tables, got %d", len(tables))
+	}
+	if len(tables[0].Rows) != 4 {
+		t.Fatalf("quick mode should sweep 4 CB sizes, got %d", len(tables[0].Rows))
+	}
+}
+
+func TestAblVCsExperiment(t *testing.T) {
+	tbl := derive(t, "abl-vcs", quick())[0]
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("want 3 VC rows, got %d", len(tbl.Rows))
 	}
 }
