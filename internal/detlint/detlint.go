@@ -152,7 +152,6 @@ func DefaultConfig() *Config {
 		SharedTypes: []string{
 			"repro/internal/topo.Network",
 			"repro/internal/routing.RouteTable",
-			"repro/internal/routing.Paths",
 		},
 		SharedWriters: []string{
 			"repro/internal/topo",

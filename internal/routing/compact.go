@@ -1,14 +1,14 @@
-// The generic table fill: deterministic minimal routing (MinimalRouting /
-// NewMinimal — what SN, Dragonfly and Clos use) compiled from the all-pairs
-// sweep. Those routes are next-hop-consistent by construction, because
-// MinPath itself walks the per-pair next-hop function, so the table's one
-// byte per pair reproduces them exactly with the ascending VC rule.
+// The generic table fill: deterministic minimal routing (what SN, Dragonfly
+// and Clos use) compiled from the all-pairs sweep. Minimal routes with a
+// per-(router, destination) tie-break are next-hop-consistent by
+// construction, so the table's one byte per pair is the whole route, and the
+// ascending VC rule is applied while walking it.
 //
 // CompileCompact fills the bytes from topo.Network.Sweep, the word-parallel
 // all-pairs BFS: 64 destinations advance one level per pass over the
 // adjacency, and each router reads its next hop toward all of them off its
-// neighbours' frontier words. Scratch is O(nr); the all-pairs Paths matrix
-// (6 bytes per pair) is never materialised.
+// neighbours' frontier words. Scratch is O(nr); no all-pairs distance
+// matrix is materialised.
 
 package routing
 
@@ -21,12 +21,11 @@ import (
 )
 
 // CompileCompact builds the route table of deterministic minimal routing
-// with ascending VCs — the same routes MinimalRouting{NewMinimal(net)}
-// produces, from one byte per (src,dst) pair. The adjacency is retained
+// with ascending VCs, one byte per (src,dst) pair. The adjacency is retained
 // (not copied) and must not be mutated afterwards — the same immutability
 // contract WithNetwork already demands.
 //
-// The next hop is NewMinimal's deterministic tie-break: the first adjacency
+// The next hop is the deterministic tie-break: the first adjacency
 // position (rows are sorted, so the lowest-index neighbour) one step closer
 // to the destination. Being positional, it cannot depend on how the sweep
 // batches destinations or orders bits. A disconnected network is an error

@@ -12,51 +12,61 @@ import (
 	"repro/internal/topo"
 )
 
-// compactNets returns the networks the compact form must reproduce exactly:
-// an SN instance (the topology class the auto-selection targets) and an FBF
-// grid (generic minimal routes over a different structure).
-func compactNets(t *testing.T) map[string]*topo.Network {
-	t.Helper()
-	return map[string]*topo.Network{
+// TestCompactMatchesDense pins that the compile paths agree byte for byte on
+// an SN instance and an FBF grid (generic minimal routes over a different
+// structure): NewTable, Compile of the builder NewRoutingFor picks, and the
+// sweep (CompileCompact) itself, at VC counts below, at and above the
+// diameter.
+func TestCompactMatchesDense(t *testing.T) {
+	for name, net := range map[string]*topo.Network{
 		"sn":  snNet(t, 5, 4, core.LayoutSubgroup),
 		"fbf": topo.FBF(4, 4, 1),
-	}
-}
-
-// checkCompactMatchesCompile verifies, for every (src,dst) pair, that the
-// compact table walks element for element the routes and next-hop words of
-// MinimalRouting{NewMinimal} — the equivalence the simulator's byte-identity
-// under compact tables rests on.
-func checkCompactMatchesCompile(t *testing.T, net *topo.Network, vcs int) {
-	t.Helper()
-	compact, err := CompileCompact(net, vcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTableMatchesBuilder(t, compact, net, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
-}
-
-// TestCompactMatchesDense runs the per-pair equivalence on the two small
-// structures: an SN instance and an FBF grid (generic minimal routes over a
-// different graph).
-func TestCompactMatchesDense(t *testing.T) {
-	for name, net := range compactNets(t) {
-		t.Run(name, func(t *testing.T) { checkCompactMatchesCompile(t, net, 2) })
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, vcs := range []int{1, 2, 4} {
+				sweep, err := CompileCompact(net, vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := NewTable(net, Kind{Class: ClassGeneric}, vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := NewRoutingFor(net, Kind{Class: ClassGeneric}, vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compiled, err := Compile(net.Nr, pb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, other := range []*RouteTable{tab, compiled} {
+					if !slices.Equal(other.cnh, sweep.cnh) || other.NumVCs() != vcs || other.kind != sweep.kind {
+						t.Fatalf("vcs=%d: the compile paths give different tables", vcs)
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestCompactPathHelpers pins the AppendPath walk on a compact table
-// against Paths.MinPath.
+// against the scalar construction: from each router, the first neighbour in
+// adjacency order that one BFS from the destination puts a hop closer.
 func TestCompactPathHelpers(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
-	p := NewMinimal(net)
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for src := 0; src < net.Nr; src++ {
-		for dst := 0; dst < net.Nr; dst++ {
-			want := p.MinPath(src, dst)
+	dist := make([]int32, net.Nr)
+	for dst := 0; dst < net.Nr; dst++ {
+		net.BFS(dst, dist, nil)
+		for src := 0; src < net.Nr; src++ {
+			want := []int{src}
+			for cur := src; cur != dst; want = append(want, cur) {
+				cur = net.Adj[cur][slices.IndexFunc(net.Adj[cur], func(v int) bool { return dist[v] == dist[cur]-1 })]
+			}
 			if got := compact.AppendPath(nil, src, dst); !slices.Equal(got, want) {
 				t.Fatalf("%d->%d: AppendPath = %v, want %v", src, dst, got, want)
 			}
@@ -85,12 +95,12 @@ func TestCompactMemBytes(t *testing.T) {
 	}
 }
 
-// TestNextHopsMatchScalarBFS anchors both sweep consumers to a construction
-// that shares no code with the sweep — the scalar loop they replaced, one
+// TestNextHopsMatchScalarBFS anchors the sweep to a construction that
+// shares no code with it — the scalar loop it replaced, one
 // topo.Network.BFS per destination and the first adjacency position one hop
-// closer: every NewMinimal distance and next hop, and every byte of the
-// compact table, on the structures the compact form serves, a long-path torus
-// and an SN in pieces (where only NewMinimal has an answer).
+// closer: every byte of the compact table, on the structures the compact
+// form serves, a long-path torus, and an SN in pieces (which the compile
+// must refuse).
 func TestNextHopsMatchScalarBFS(t *testing.T) {
 	df, err := topo.Dragonfly(5, 2, 10, 4)
 	if err != nil {
@@ -105,43 +115,41 @@ func TestNextHopsMatchScalarBFS(t *testing.T) {
 		sn, damaged, snNet(t, 5, 4, core.LayoutRand), df,
 		topo.FoldedClos(25, 7, 8), topo.FBF(4, 4, 1), topo.Torus2D(8, 9, 1),
 	} {
-		t.Run(net.Name, func(t *testing.T) {
-			nr := net.Nr
-			p := NewMinimal(net)
-			compact, cerr := CompileCompact(net, 2)
-			dist, queue := make([]int32, nr), make([]int32, 0, nr)
-			for dst := 0; dst < nr; dst++ {
-				connected := len(net.BFS(dst, dist, queue)) == nr
-				if connected != (cerr == nil) {
-					t.Fatalf("BFS from %d reaches everyone: %v, but CompileCompact said %v", dst, connected, cerr)
-				}
-				for r := 0; r < nr; r++ {
-					next, port := -1, cnhNone
-					for pos, v := range net.Adj[r] {
-						if dist[r] > 0 && dist[v] == dist[r]-1 {
-							next, port = v, pos
-							break
-						}
-					}
-					if p.Dist(r, dst) != int(dist[r]) || int(p.next[r][dst]) != next {
-						t.Fatalf("%d->%d: NewMinimal has distance %d via %d, BFS %d via %d", r, dst, p.Dist(r, dst), p.next[r][dst], dist[r], next)
-					}
-					if cerr == nil && int(compact.cnh[r*nr+dst]) != port {
-						t.Fatalf("%d->%d: compact table byte %d, BFS says port %d", r, dst, compact.cnh[r*nr+dst], port)
-					}
-				}
-			}
-		})
+		t.Run(net.Name, func(t *testing.T) { checkNextHopsMatchBFS(t, net) })
 	}
 }
 
-// TestDenseFromSweepMatchesCompile is the byte-identity contract of the
-// sweep-built table: every route walked off CompileCompact's bytes equals
-// what MinimalRouting's Route assigns — on every SN size class and layout, a
-// Dragonfly and a folded Clos, at VC counts below, at and above the
-// diameter. (The name dates from when the sweep's bytes were expanded into a
-// dense table and compared array for array; the builder is now the only
-// reference.)
+// checkNextHopsMatchBFS holds CompileCompact's bytes for net against one
+// scalar BFS per destination; a disconnected net must fail the compile.
+func checkNextHopsMatchBFS(t *testing.T, net *topo.Network) {
+	t.Helper()
+	nr := net.Nr
+	compact, cerr := CompileCompact(net, 2)
+	dist, queue := make([]int32, nr), make([]int32, 0, nr)
+	for dst := 0; dst < nr; dst++ {
+		connected := len(net.BFS(dst, dist, queue)) == nr
+		if connected != (cerr == nil) {
+			t.Fatalf("BFS from %d reaches everyone: %v, but CompileCompact said %v", dst, connected, cerr)
+		}
+		if cerr != nil {
+			continue
+		}
+		for r := 0; r < nr; r++ {
+			port := slices.IndexFunc(net.Adj[r], func(v int) bool { return dist[r] > 0 && dist[v] == dist[r]-1 })
+			if port < 0 {
+				port = cnhNone
+			}
+			if int(compact.cnh[r*nr+dst]) != port {
+				t.Fatalf("%d->%d: compact table byte %d, BFS says port %d", r, dst, compact.cnh[r*nr+dst], port)
+			}
+		}
+	}
+}
+
+// TestDenseFromSweepMatchesCompile runs the scalar-BFS oracle on every SN
+// size class and layout the figures use, a Dragonfly and a folded Clos. (The
+// name dates from when the sweep's bytes were expanded into a dense table;
+// the scalar BFS is now the only reference.)
 func TestDenseFromSweepMatchesCompile(t *testing.T) {
 	type namedNet struct {
 		name string
@@ -162,17 +170,13 @@ func TestDenseFromSweepMatchesCompile(t *testing.T) {
 	}
 	nets = append(nets, namedNet{"dragonfly", df}, namedNet{"clos", topo.FoldedClos(25, 7, 8)})
 	for _, c := range nets {
-		t.Run(c.name, func(t *testing.T) {
-			for _, vcs := range []int{1, 2, 4, 8} {
-				checkCompactMatchesCompile(t, c.net, vcs)
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { checkNextHopsMatchBFS(t, c.net) })
 	}
 }
 
 // TestCompileDisconnected: a network in two components has no route table.
-// Both constructions must say so with an error naming the first unreachable
-// pair — the generic path used to die in makeslice (AscendingVCs(-1)).
+// Both entry points must say so with an error naming the first unreachable
+// pair.
 func TestCompileDisconnected(t *testing.T) {
 	two := &topo.Network{Name: "two-islands", Nr: 4, P: 1,
 		Adj: [][]int{{1}, {0}, {3}, {2}}}
@@ -181,20 +185,16 @@ func TestCompileDisconnected(t *testing.T) {
 	if damaged.Diameter() != -1 {
 		t.Fatal("fixture: 85% link removal left the SN connected")
 	}
-	first := -1 // lowest router that router 0 cannot reach
-	p := NewMinimal(damaged)
-	for r := 0; r < damaged.Nr && first < 0; r++ {
-		if p.Dist(0, r) < 0 {
-			first = r
-		}
-	}
+	dist := make([]int32, damaged.Nr)
+	damaged.BFS(0, dist, nil)
+	first := slices.Index(dist, -1) // lowest router that router 0 cannot reach
 	for _, c := range []struct {
 		net  *topo.Network
 		pair string
 	}{{two, "0->2"}, {damaged, fmt.Sprintf("0->%d", first)}} {
-		_, gerr := Compile(c.net.Nr, &MinimalRouting{P: NewMinimal(c.net), VCs: 2})
+		_, gerr := NewTable(c.net, Kind{Class: ClassGeneric}, 2)
 		_, serr := CompileCompact(c.net, 2)
-		for which, err := range map[string]error{"Compile": gerr, "CompileCompact": serr} {
+		for which, err := range map[string]error{"NewTable": gerr, "CompileCompact": serr} {
 			if err == nil {
 				t.Fatalf("%s: %s accepted a disconnected network", c.net.Name, which)
 			}

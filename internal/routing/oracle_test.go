@@ -9,61 +9,61 @@ import (
 )
 
 // builderWords derives the NextEject-terminated next-hop words of the
-// builder's src->dst route the long way: Route's path and VCs, and a search
-// of the sender's adjacency row per hop. It fails the test on a route with
+// builder's src->dst route over vcs VCs the long way: Route's path and VCs,
+// and a search of the sender's adjacency row per hop. It fails the test on a route with
 // the wrong endpoints, a VC count that does not match the hops, a VC out of
 // range, or a hop over a missing link.
-func builderWords(t testing.TB, net *topo.Network, pb PathBuilder, src, dst int) ([]uint32, []int) {
+func builderWords(t testing.TB, net *topo.Network, pb router, vcs, src, dst int) ([]uint32, []int) {
 	t.Helper()
-	path, vcs := pb.Route(src, dst)
+	path, vc := pb.Route(src, dst)
 	if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
 		t.Fatalf("route %d->%d has bad endpoints %v", src, dst, path)
 	}
-	if len(vcs) != len(path)-1 {
-		t.Fatalf("route %d->%d: %d vcs for %d hops", src, dst, len(vcs), len(path)-1)
+	if len(vc) != len(path)-1 {
+		t.Fatalf("route %d->%d: %d vcs for %d hops", src, dst, len(vc), len(path)-1)
 	}
 	words := make([]uint32, 0, len(path))
-	for i, vc := range vcs {
+	for i, vc := range vc {
 		port, ok := slices.BinarySearch(net.Adj[path[i]], path[i+1])
 		if !ok {
 			t.Fatalf("route %d->%d uses a missing link: %v", src, dst, path)
 		}
-		if vc < 0 || vc >= pb.NumVCs() {
-			t.Fatalf("route %d->%d: vc %d out of range [0, %d)", src, dst, vc, pb.NumVCs())
+		if vc < 0 || vc >= vcs {
+			t.Fatalf("route %d->%d: vc %d out of range [0, %d)", src, dst, vc, vcs)
 		}
-		words = append(words, NextWord(port, vc, pb.NumVCs()))
+		words = append(words, NextWord(port, vc, vcs))
 	}
 	return append(words, NextEject), path
 }
 
 // checkTableMatchesBuilder holds every pair of a compiled table against its
-// builder: AppendNextWords equals the words derived from Route, and
-// AppendPath equals Route's path.
-func checkTableMatchesBuilder(t testing.TB, tab *RouteTable, net *topo.Network, pb PathBuilder) {
+// builder's reference route: AppendNextWords equals the words derived from
+// Route, and AppendPath equals Route's path.
+func checkTableMatchesBuilder(t testing.TB, tab *RouteTable, net *topo.Network, pb router) {
 	t.Helper()
-	if tab.Nr() != net.Nr || tab.NumVCs() != pb.NumVCs() {
-		t.Fatalf("table dims %d/%d, want %d/%d", tab.Nr(), tab.NumVCs(), net.Nr, pb.NumVCs())
+	if tab.Nr() != net.Nr {
+		t.Fatalf("table routes %d routers, want %d", tab.Nr(), net.Nr)
 	}
 	var words []uint32
 	var path []int
 	for src := 0; src < net.Nr; src++ {
 		for dst := 0; dst < net.Nr; dst++ {
-			want, wantPath := builderWords(t, net, pb, src, dst)
+			want, wantPath := builderWords(t, net, pb, tab.NumVCs(), src, dst)
 			words = tab.AppendNextWords(words[:0], src, dst)
 			path = tab.AppendPath(path[:0], src, dst)
 			if !slices.Equal(words, want) || !slices.Equal(path, wantPath) {
 				t.Fatalf("vcs=%d %d->%d: table walks %v with words %#x, builder routes %v with %#x",
-					pb.NumVCs(), src, dst, path, words, wantPath, want)
+					tab.NumVCs(), src, dst, path, words, wantPath, want)
 			}
 		}
 	}
 }
 
 // TestGridTablesMatchRoute is the oracle for the grid fills and VC rules:
-// on every mesh, torus and FBF from 1x1 to 8x8 and a set of PFBF shapes, at
-// every VC count from 1 to 8 (from 2 where the builder needs it), the table
-// NewTable compiles walks exactly the routes and VCs the builder's Route
-// assigns. Two-router rings (every move crosses the dateline) and
+// on every mesh, torus and FBF from 1x1 to 8x8, the larger preset grids and
+// a set of PFBF shapes, at every VC count from 1 to 8 (from 2 where the
+// builder needs it), the table NewTable compiles walks exactly the routes and
+// VCs the builder's Route assigns. Two-router rings (every move crosses the dateline) and
 // one-router dimensions are in the sweep.
 func TestGridTablesMatchRoute(t *testing.T) {
 	type shape struct {
@@ -80,14 +80,28 @@ func TestGridTablesMatchRoute(t *testing.T) {
 				shape{fmt.Sprintf("fbf%dx%d", x, y), topo.FBF(x, y, 1), Kind{Class: ClassFBF, RX: x, RY: y}})
 		}
 	}
-	for _, p := range [][4]int{{2, 1, 3, 3}, {2, 2, 4, 4}, {2, 1, 5, 5}, {3, 2, 2, 3}, {1, 3, 3, 2}} {
+	// The grids of the registered presets beyond 8x8 (slimnoc's Table 4
+	// set); the 1260-router 35x36 ones only outside -short, and at 2 VCs
+	// only, as the VC rules do not depend on the grid's size.
+	grids := [][2]int{{10, 5}, {12, 12}, {18, 9}}
+	if !testing.Short() {
+		grids = append(grids, [2]int{35, 36})
+	}
+	for _, g := range grids {
+		x, y := g[0], g[1]
+		shapes = append(shapes,
+			shape{fmt.Sprintf("mesh%dx%d", x, y), topo.Mesh2D(x, y, 1), Kind{Class: ClassMesh, RX: x, RY: y}},
+			shape{fmt.Sprintf("torus%dx%d", x, y), topo.Torus2D(x, y, 1), Kind{Class: ClassTorus, RX: x, RY: y}},
+			shape{fmt.Sprintf("fbf%dx%d", x, y), topo.FBF(x, y, 1), Kind{Class: ClassFBF, RX: x, RY: y}})
+	}
+	for _, p := range [][4]int{{2, 1, 3, 3}, {2, 2, 4, 4}, {2, 1, 5, 5}, {3, 2, 2, 3}, {1, 3, 3, 2}, {2, 2, 6, 6}, {2, 1, 9, 9}} {
 		shapes = append(shapes, shape{fmt.Sprintf("pfbf%dx%d_of_%dx%d", p[0], p[1], p[2], p[3]),
 			topo.PFBF(p[0], p[1], p[2], p[3], 1), Kind{Class: ClassPFBF, PX: p[0], PY: p[1], RX: p[2], RY: p[3]}})
 	}
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {
 			for vcs := 1; vcs <= 8; vcs++ {
-				if vcs == 1 && (s.kind.Class == ClassTorus || s.kind.Class == ClassPFBF) {
+				if vcs == 1 && (s.kind.Class == ClassTorus || s.kind.Class == ClassPFBF) || s.net.Nr > 1000 && vcs != 2 {
 					continue
 				}
 				pb, err := NewRoutingFor(s.net, s.kind, vcs)
@@ -98,10 +112,10 @@ func TestGridTablesMatchRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := tab.MemBytes(), int64(s.net.Nr*s.net.Nr); got != want {
-					t.Fatalf("MemBytes = %d, want one byte per pair (%d)", got, want)
+				if got, want := tab.MemBytes(), int64(s.net.Nr*s.net.Nr); got != want || tab.NumVCs() != vcs {
+					t.Fatalf("MemBytes = %d over %d VCs, want one byte per pair (%d) over %d", got, tab.NumVCs(), want, vcs)
 				}
-				checkTableMatchesBuilder(t, tab, s.net, pb)
+				checkTableMatchesBuilder(t, tab, s.net, pb.(router))
 			}
 		})
 	}
@@ -117,7 +131,7 @@ func TestTorusDatelineVCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path, vcs := pb.Route(3, 12); !slices.Equal(path, []int{3, 0, 12}) || !slices.Equal(vcs, []int{1, 1}) {
+	if path, vcs := pb.(router).Route(3, 12); !slices.Equal(path, []int{3, 0, 12}) || !slices.Equal(vcs, []int{1, 1}) {
 		t.Fatalf("Route(3, 12) = %v %v, want [3 0 12] [1 1]", path, vcs)
 	}
 	tab, err := NewTable(net, kind, 2)

@@ -16,94 +16,23 @@
 // path and lets campaigns share one immutable table across concurrent runs
 // of the same (network, algorithm, VC count).
 //
-// NewTable is the one constructor. Deterministic minimal routing — what SN,
-// Dragonfly and Clos use — fills the bytes from the word-parallel all-pairs
-// sweep (compact.go: topo.Network.Sweep, 64 destinations per machine word,
-// O(nr) scratch, no Paths matrix). The mesh, torus, FBF and PFBF builders
-// (dor.go) fill them from their next-hop arithmetic, and their Route methods
-// remain the reference the table's walks are tested against pair by pair.
+// NewTable is the one constructor: it compiles the PathBuilder
+// NewRoutingFor picks, and every run's static table comes through it.
+// Deterministic minimal routing — what SN, Dragonfly and Clos use — fills
+// the bytes from the word-parallel all-pairs sweep (compact.go:
+// topo.Network.Sweep, 64 destinations per machine word, O(nr) scratch). The
+// mesh, torus, FBF and PFBF builders (dor.go) fill them from their next-hop
+// arithmetic. The tests check the generic bytes against a scalar BFS per
+// destination, and the grid tables against whole-path reference routes kept
+// in dor_route_test.go.
 package routing
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/rng"
 	"repro/internal/topo"
 )
-
-// Paths holds all-pairs shortest-path state for one network.
-type Paths struct {
-	net  *topo.Network
-	dist [][]int16
-	next [][]int32 // deterministic minimal next hop (lowest-index tie-break)
-}
-
-// NewMinimal builds all-pairs shortest paths from the word-parallel sweep
-// (topo.Network.Sweep). Ties are broken toward the lowest-numbered next hop,
-// making routes deterministic as in the paper's Dijkstra-based setup.
-// Unreachable pairs keep distance and next hop -1.
-func NewMinimal(net *topo.Network) *Paths {
-	nr := net.Nr
-	p := &Paths{
-		net:  net,
-		dist: make([][]int16, nr),
-		next: make([][]int32, nr),
-	}
-	for i := range p.dist {
-		p.dist[i] = make([]int16, nr)
-		p.next[i] = make([]int32, nr)
-		for j := range p.dist[i] {
-			p.dist[i][j], p.next[i][j] = -1, -1
-		}
-	}
-	net.Sweep(func(base, _, level int, prev, cur []uint64) {
-		for r, todo := range cur {
-			if todo == 0 {
-				continue
-			}
-			// Bit j of todo: r is level hops from destination base+j.
-			dist, next := p.dist[r][base:], p.next[r][base:]
-			for w := todo; w != 0; w &= w - 1 {
-				dist[bits.TrailingZeros64(w)] = int16(level)
-			}
-			if level == 0 {
-				continue
-			}
-			// The same positional tie-break CompileCompact records as a port
-			// byte: the first neighbour in the sorted row that is one hop
-			// closer, i.e. carries the destination's bit in prev.
-			for _, v := range net.Adj[r] {
-				for hit := prev[v] & todo; hit != 0; hit &= hit - 1 {
-					next[bits.TrailingZeros64(hit)] = int32(v)
-				}
-				if todo &^= prev[v]; todo == 0 {
-					break
-				}
-			}
-		}
-	})
-	return p
-}
-
-// Dist returns the hop distance between routers a and b (-1 if unreachable).
-func (p *Paths) Dist(a, b int) int { return int(p.dist[a][b]) }
-
-// MinPath returns the deterministic minimal router path from src to dst,
-// inclusive of both endpoints.
-func (p *Paths) MinPath(src, dst int) []int {
-	if p.dist[src][dst] < 0 {
-		return nil
-	}
-	path := make([]int, 0, p.dist[src][dst]+1)
-	cur := src
-	path = append(path, cur)
-	for cur != dst {
-		cur = int(p.next[cur][dst])
-		path = append(path, cur)
-	}
-	return path
-}
 
 // RandomIntermediate picks a Valiant intermediate among nr routers
 // uniformly, excluding src and dst. With no router to pick (nr <= 2) it
@@ -122,70 +51,47 @@ func RandomIntermediate(rng *rng.Stream, nr, src, dst int) int {
 	}
 }
 
-// AscendingVCs returns the deadlock-free VC assignment used by the paper for
-// SN (§4.3): VC0 on the first hop, VC1 on the second, capped at numVCs-1 for
-// longer (e.g. Valiant) paths. With hop classes that never decrease, the
-// channel dependency graph is acyclic provided path length <= numVCs; for
-// longer paths the cap is safe only on topologies whose capped class is
-// itself acyclic (diameter-2 networks and XY-ordered grids).
-func AscendingVCs(hops, numVCs int) []int {
-	out := make([]int, hops)
-	for i := range out {
-		vc := i
-		if vc >= numVCs {
-			vc = numVCs - 1
-		}
-		out[i] = vc
-	}
-	return out
-}
-
-// PathBuilder produces a router path and per-hop VCs for one packet.
+// PathBuilder is a static routing algorithm bound to one network: the
+// compile input Compile turns into a RouteTable. NewRoutingFor is its only
+// constructor.
 type PathBuilder interface {
-	// Route returns the router path (inclusive of src and dst routers) and
-	// the VC used on each hop (len(path)-1 entries).
-	Route(src, dst int) (path []int, vcs []int)
-	// NumVCs returns how many VCs the builder's assignments require.
-	NumVCs() int
+	// compile builds the algorithm's route table.
+	compile() (*RouteTable, error)
 }
 
-// MinimalRouting is the default PathBuilder: deterministic minimal paths
-// with ascending VCs. Suitable as-is for diameter-2 networks (SN, FBF) and
-// any topology whose minimal deterministic routes are acyclic.
-type MinimalRouting struct {
-	P   *Paths
-	VCs int
+// minimal is generic deterministic minimal routing with ascending VCs — what
+// SN, Dragonfly and Clos use — compiled by the all-pairs sweep
+// (CompileCompact).
+type minimal struct {
+	net *topo.Network
+	vcs int
 }
 
-// Route implements PathBuilder. An unreachable pair has no route: both
-// results are nil.
-func (m *MinimalRouting) Route(src, dst int) ([]int, []int) {
-	path := m.P.MinPath(src, dst)
-	if path == nil {
-		return nil, nil
-	}
-	return path, AscendingVCs(len(path)-1, m.VCs)
-}
+func (m minimal) compile() (*RouteTable, error) { return CompileCompact(m.net, m.vcs) }
 
-// NumVCs implements PathBuilder.
-func (m *MinimalRouting) NumVCs() int { return m.VCs }
-
-// NewRoutingFor picks the deadlock-free PathBuilder appropriate to a
-// network constructed by this repository: DOR for meshes, dateline DOR for
-// tori, XY for FBF/PFBF, and generic minimal+ascending-VC for everything
-// else (SN, Clos, Dragonfly).
+// NewRoutingFor picks the deadlock-free routing appropriate to a network
+// constructed by this repository: DOR for meshes, dateline DOR for tori
+// (at least 2 VCs), XY for FBF, hierarchical XY for PFBF (at least 2 VCs),
+// and generic minimal routing with ascending VCs for everything else (SN,
+// Clos, Dragonfly).
 func NewRoutingFor(net *topo.Network, kind Kind, vcs int) (PathBuilder, error) {
 	switch kind.Class {
 	case ClassMesh:
-		return NewDORMesh(net, kind.RX, kind.RY, vcs)
+		return &dorMesh{net: net, rx: kind.RX, ry: kind.RY, vcs: vcs}, nil
 	case ClassTorus:
-		return NewDORTorus(net, kind.RX, kind.RY, vcs)
+		if vcs < 2 {
+			return nil, fmt.Errorf("routing: torus dateline routing needs >= 2 VCs, got %d", vcs)
+		}
+		return &dorTorus{net: net, rx: kind.RX, ry: kind.RY, vcs: vcs}, nil
 	case ClassFBF:
-		return NewXYFBF(net, kind.RX, kind.RY, vcs)
+		return &xyFBF{net: net, cx: kind.RX, cy: kind.RY, vcs: vcs}, nil
 	case ClassPFBF:
-		return NewXYPFBF(net, kind.PX, kind.PY, kind.RX, kind.RY, vcs)
+		if vcs < 2 {
+			return nil, fmt.Errorf("routing: pfbf routing needs >= 2 VCs, got %d", vcs)
+		}
+		return &xyPFBF{net: net, px: kind.PX, py: kind.PY, sx: kind.RX, sy: kind.RY, vcs: vcs}, nil
 	case ClassGeneric:
-		return &MinimalRouting{P: NewMinimal(net), VCs: vcs}, nil
+		return minimal{net: net, vcs: vcs}, nil
 	}
 	return nil, fmt.Errorf("routing: unknown topology class %v", kind.Class)
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -33,20 +34,23 @@ func snNet(t testing.TB, q, p int, l core.Layout) *topo.Network {
 
 func TestMinimalPathsSN(t *testing.T) {
 	n := snNet(t, 5, 4, core.LayoutSubgroup)
-	p := NewMinimal(n)
+	tab, err := NewTable(n, Kind{Class: ClassGeneric}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for src := 0; src < n.Nr; src++ {
 		for dst := 0; dst < n.Nr; dst++ {
-			d := p.Dist(src, dst)
+			d := tab.Hops(src, dst)
 			if src == dst {
 				if d != 0 {
-					t.Fatalf("Dist(%d,%d) = %d, want 0", src, dst, d)
+					t.Fatalf("Hops(%d,%d) = %d, want 0", src, dst, d)
 				}
 				continue
 			}
 			if d < 1 || d > 2 {
 				t.Fatalf("SN distance %d->%d = %d, want 1..2", src, dst, d)
 			}
-			path := p.MinPath(src, dst)
+			path := tab.AppendPath(nil, src, dst)
 			if len(path) != d+1 {
 				t.Fatalf("path %v has %d hops, want %d", path, len(path)-1, d)
 			}
@@ -59,20 +63,16 @@ func TestMinimalPathsSN(t *testing.T) {
 
 func TestMinimalDeterministic(t *testing.T) {
 	n := snNet(t, 5, 4, core.LayoutSubgroup)
-	p1 := NewMinimal(n)
-	p2 := NewMinimal(n)
-	for trial := 0; trial < 100; trial++ {
-		src, dst := trial%n.Nr, (trial*7+3)%n.Nr
-		a := p1.MinPath(src, dst)
-		b := p2.MinPath(src, dst)
-		if len(a) != len(b) {
-			t.Fatal("non-deterministic path length")
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("non-deterministic path")
-			}
-		}
+	t1, err := NewTable(n, Kind{Class: ClassGeneric}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := NewTable(n, Kind{Class: ClassGeneric}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(t1.cnh, t2.cnh) {
+		t.Fatal("non-deterministic route table")
 	}
 }
 
@@ -101,25 +101,47 @@ func TestRandomIntermediate(t *testing.T) {
 	}
 }
 
+// TestAscendingVCs pins the generic VC rule on a route longer than the VC
+// count: VC0 on the first hop, VC1 on the second, capped at vcs-1 after
+// that — here 0->4 on an 8-router ring, four hops over 2 VCs.
 func TestAscendingVCs(t *testing.T) {
-	got := AscendingVCs(4, 2)
-	want := []int{0, 1, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AscendingVCs(4,2) = %v, want %v", got, want)
-		}
+	ring := topo.Torus2D(8, 1, 1)
+	tab, err := NewTable(ring, Kind{Class: ClassGeneric}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(AscendingVCs(0, 2)) != 0 {
-		t.Error("zero hops should give empty VC list")
+	words := tab.AppendNextWords(nil, 0, 4)
+	var vcs []int
+	for _, w := range words[:len(words)-1] {
+		vcs = append(vcs, int(w&0xffff)%2)
+	}
+	if want := []int{0, 1, 1, 1}; !slices.Equal(vcs, want) {
+		t.Fatalf("0->4 rides VCs %v, want %v", vcs, want)
+	}
+	if words := tab.AppendNextWords(nil, 3, 3); len(words) != 1 || words[0] != NextEject {
+		t.Errorf("a zero-hop route should be the lone eject word, got %#x", words)
 	}
 }
 
-// checkBuilder exercises a PathBuilder over all pairs, verifying validity,
-// minimality bound, and VC sanity.
-func checkBuilder(t *testing.T, net *topo.Network, b PathBuilder, maxHops int) {
+// gridRouter returns the reference router of the grid builder NewRoutingFor
+// picks for kind.
+func gridRouter(t *testing.T, net *topo.Network, kind Kind, vcs int) router {
 	t.Helper()
-	p := NewMinimal(net)
+	pb, err := NewRoutingFor(net, kind, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pb.(router)
+}
+
+// checkBuilder exercises a grid builder's reference route over all pairs,
+// verifying validity, minimality (against one BFS per source), the hop bound
+// and VC range.
+func checkBuilder(t *testing.T, net *topo.Network, b router, vcsMax, maxHops int) {
+	t.Helper()
+	dist := make([]int32, net.Nr)
 	for src := 0; src < net.Nr; src++ {
+		net.BFS(src, dist, nil)
 		for dst := 0; dst < net.Nr; dst++ {
 			path, vcs := b.Route(src, dst)
 			if !pathValid(net, path) {
@@ -131,11 +153,11 @@ func checkBuilder(t *testing.T, net *topo.Network, b PathBuilder, maxHops int) {
 			if len(path)-1 > maxHops {
 				t.Fatalf("path %d->%d uses %d hops, max %d", src, dst, len(path)-1, maxHops)
 			}
-			if min := p.Dist(src, dst); len(path)-1 != min {
+			if min := int(dist[dst]); len(path)-1 != min {
 				t.Fatalf("path %d->%d not minimal: %d vs %d", src, dst, len(path)-1, min)
 			}
 			for _, vc := range vcs {
-				if vc < 0 || vc >= b.NumVCs() {
+				if vc < 0 || vc >= vcsMax {
 					t.Fatalf("vc %d out of range", vc)
 				}
 			}
@@ -145,20 +167,14 @@ func checkBuilder(t *testing.T, net *topo.Network, b PathBuilder, maxHops int) {
 
 func TestDORMesh(t *testing.T) {
 	net := topo.Mesh2D(8, 8, 3)
-	b, err := NewDORMesh(net, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 14)
+	checkBuilder(t, net, gridRouter(t, net, Kind{Class: ClassMesh, RX: 8, RY: 8}, 2), 2, 14)
 }
 
 func TestDORTorus(t *testing.T) {
 	net := topo.Torus2D(8, 8, 3)
-	b, err := NewDORTorus(net, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 8)
+	kind := Kind{Class: ClassTorus, RX: 8, RY: 8}
+	b := gridRouter(t, net, kind, 2)
+	checkBuilder(t, net, b, 2, 8)
 	// Dateline: a path crossing the X wrap must switch to VC1.
 	// Router 7 -> router 1 goes 7->0->1 crossing the wrap.
 	_, vcs := b.Route(7, 1)
@@ -172,36 +188,26 @@ func TestDORTorus(t *testing.T) {
 			t.Errorf("non-wrapping path should stay on VC0, got %v", vcs)
 		}
 	}
-	if _, err := NewDORTorus(net, 8, 8, 1); err == nil {
+	if _, err := NewRoutingFor(net, kind, 1); err == nil {
 		t.Error("torus routing with 1 VC should be rejected")
 	}
 }
 
 func TestDORTorusOdd(t *testing.T) {
 	net := topo.Torus2D(5, 3, 1)
-	b, err := NewDORTorus(net, 5, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 3)
+	checkBuilder(t, net, gridRouter(t, net, Kind{Class: ClassTorus, RX: 5, RY: 3}, 2), 2, 3)
 }
 
 func TestXYFBF(t *testing.T) {
 	net := topo.FBF(8, 8, 3)
-	b, err := NewXYFBF(net, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 2)
+	checkBuilder(t, net, gridRouter(t, net, Kind{Class: ClassFBF, RX: 8, RY: 8}, 2), 2, 2)
 }
 
 func TestXYPFBF(t *testing.T) {
 	net := topo.PFBF(2, 2, 4, 4, 3)
-	b, err := NewXYPFBF(net, 2, 2, 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 4)
+	kind := Kind{Class: ClassPFBF, PX: 2, PY: 2, RX: 4, RY: 4}
+	b := gridRouter(t, net, kind, 2)
+	checkBuilder(t, net, b, 2, 4)
 	// X-phase hops use VC0, Y-phase hops VC1.
 	_, vcs := b.Route(0, net.Nr-1)
 	seenY := false
@@ -212,24 +218,28 @@ func TestXYPFBF(t *testing.T) {
 			t.Fatalf("VC0 hop after VC1 phase: %v", vcs)
 		}
 	}
+	if _, err := NewRoutingFor(net, kind, 1); err == nil {
+		t.Error("pfbf routing with 1 VC should be rejected")
+	}
 }
 
 func TestXYPFBFSinglePartitionDim(t *testing.T) {
 	net := topo.PFBF(2, 1, 5, 5, 4) // pfbf4
-	b, err := NewXYPFBF(net, 2, 1, 5, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuilder(t, net, b, 3)
+	checkBuilder(t, net, gridRouter(t, net, Kind{Class: ClassPFBF, PX: 2, PY: 1, RX: 5, RY: 5}, 2), 2, 3)
 }
 
 func TestNewRoutingFor(t *testing.T) {
 	sn := snNet(t, 3, 1, core.LayoutSubgroup)
-	b, err := NewRoutingFor(sn, Kind{Class: ClassGeneric}, 2)
+	pb, err := NewRoutingFor(sn, Kind{Class: ClassGeneric}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBuilder(t, sn, b, 2)
+	if _, err := Compile(sn.Nr, pb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(sn.Nr+1, pb); err == nil {
+		t.Error("Compile accepted a builder for a network of another size")
+	}
 
 	mesh := topo.Mesh2D(4, 4, 1)
 	if _, err := NewRoutingFor(mesh, Kind{Class: ClassMesh, RX: 4, RY: 4}, 2); err != nil {
@@ -240,27 +250,31 @@ func TestNewRoutingFor(t *testing.T) {
 	}
 }
 
-// TestMinimalRoutingBuilder: the generic builder produces min paths with
+// TestMinimalRoutingBuilder: the generic table walks minimal paths with
 // ascending VCs for SN.
 func TestMinimalRoutingBuilder(t *testing.T) {
 	n := snNet(t, 5, 1, core.LayoutSubgroup)
-	b := &MinimalRouting{P: NewMinimal(n), VCs: 2}
-	path, vcs := b.Route(0, 49)
+	tab, err := NewTable(n, Kind{Class: ClassGeneric}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tab.AppendPath(nil, 0, 49)
 	if !pathValid(n, path) {
 		t.Fatalf("invalid %v", path)
 	}
-	for i, vc := range vcs {
-		want := i
-		if want > 1 {
-			want = 1
-		}
-		if vc != want {
-			t.Fatalf("vcs = %v", vcs)
+	words := tab.AppendNextWords(nil, 0, 49)
+	if len(words) != len(path) {
+		t.Fatalf("%d words for path %v", len(words), path)
+	}
+	for i, w := range words[:len(words)-1] {
+		port := int(w >> 16)
+		if want := NextWord(port, min(i, 1), 2); w != want || n.Adj[path[i]][port] != path[i+1] {
+			t.Fatalf("hop %d: word %#x, want %#x toward %d on path %v", i, w, want, path[i+1], path)
 		}
 	}
 }
 
-func BenchmarkNewMinimalSNL(b *testing.B) {
+func BenchmarkNewTableSNL(b *testing.B) {
 	s, err := core.New(core.Params{Q: 9, P: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -268,67 +282,8 @@ func BenchmarkNewMinimalSNL(b *testing.B) {
 	n, _ := s.Network(core.LayoutGroup, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewMinimal(n)
-	}
-}
-
-func TestCountMinPathsFBF(t *testing.T) {
-	// FBF: same row or column -> exactly 1 minimal path (direct link);
-	// diagonal pairs -> exactly 2 (XY and YX).
-	net := topo.FBF(4, 4, 1)
-	p := NewMinimal(net)
-	// Routers 0 (0,0) and 1 (1,0): same row.
-	if got := p.CountMinPaths(0, 1); got != 1 {
-		t.Errorf("same-row pairs should have 1 minimal path, got %d", got)
-	}
-	// Routers 0 (0,0) and 5 (1,1): diagonal.
-	if got := p.CountMinPaths(0, 5); got != 2 {
-		t.Errorf("diagonal pairs should have 2 minimal paths, got %d", got)
-	}
-	if got := p.CountMinPaths(3, 3); got != 1 {
-		t.Errorf("self pair should count 1, got %d", got)
-	}
-}
-
-func TestPathDiversityHistogram(t *testing.T) {
-	net := topo.FBF(3, 3, 1)
-	p := NewMinimal(net)
-	hist := p.PathDiversity()
-	pairs := 0
-	for _, n := range hist {
-		pairs += n
-	}
-	if pairs != 9*8 {
-		t.Fatalf("histogram covers %d pairs, want 72", pairs)
-	}
-	// 3x3 FBF: each router has 4 same-row/col peers (1 path) and 4
-	// diagonal peers (2 paths).
-	if hist[1] != 36 || hist[2] != 36 {
-		t.Errorf("histogram = %v, want 36 pairs each of 1 and 2 paths", hist)
-	}
-}
-
-// TestSNPathDiversity documents a structural property of near-Moore-bound
-// MMS graphs: for q=5 every router pair has EXACTLY one minimal path
-// (non-adjacent pairs share exactly one common neighbour, like a Moore
-// graph's μ=1). This is why the paper's adaptive-routing study (§6) uses
-// non-minimal UGAL/Valiant paths for SN rather than minimal-adaptive
-// schemes — there is no minimal diversity to exploit.
-func TestSNPathDiversity(t *testing.T) {
-	n := snNet(t, 5, 1, core.LayoutSubgroup)
-	p := NewMinimal(n)
-	if avg := p.AvgPathDiversity(); avg != 1.0 {
-		t.Errorf("SN q=5 average path diversity = %.3f, want exactly 1 (μ=1)", avg)
-	}
-	// Adjacent pairs have exactly one minimal path.
-	nb := n.Adj[0][0]
-	if got := p.CountMinPaths(0, nb); got != 1 {
-		t.Errorf("adjacent pair diversity = %d, want 1", got)
-	}
-	// FBF, by contrast, offers 2 minimal paths on diagonals — the basis of
-	// its XY-ADAPT scheme.
-	fbf := NewMinimal(topo.FBF(4, 4, 1))
-	if avg := fbf.AvgPathDiversity(); avg <= 1.0 {
-		t.Errorf("FBF average diversity = %.2f, want > 1", avg)
+		if _, err := NewTable(n, Kind{Class: ClassGeneric}, 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,8 +7,8 @@
 // the campaign engine builds one per distinct (network, routing, VCs)
 // combination and reuses it for every point.
 //
-// The VC rules reproduce the builders' assignments exactly (pinned pair by
-// pair against each builder's Route by the oracle tests):
+// The VC rules (pinned pair by pair against the grid builders' reference
+// routes by the oracle tests):
 //   - ascending, min(hop, vcs-1): generic minimal routing (SN, Dragonfly,
 //     Clos, damaged networks) and FBF XY;
 //   - mesh XY: hop % vcs;
@@ -73,13 +73,8 @@ func newTable(net *topo.Network, kind Kind, vcs int) (*RouteTable, error) {
 }
 
 // NewTable compiles the deadlock-free static routes NewRoutingFor picks for
-// a network of the given kind. Generic networks get the word-parallel sweep
-// (CompileCompact); the four grid classes fill the bytes from their
-// builder's next-hop arithmetic, with no sweep and no per-pair Route call.
+// a network of the given kind.
 func NewTable(net *topo.Network, kind Kind, vcs int) (*RouteTable, error) {
-	if kind.Class == ClassGeneric {
-		return CompileCompact(net, vcs)
-	}
 	pb, err := NewRoutingFor(net, kind, vcs)
 	if err != nil {
 		return nil, err
@@ -87,21 +82,11 @@ func NewTable(net *topo.Network, kind Kind, vcs int) (*RouteTable, error) {
 	return Compile(net.Nr, pb)
 }
 
-// Compile builds the route table of a builder from this package for an
-// nr-router network: the sweep for MinimalRouting, the next-hop arithmetic
-// for the grid builders. Builders defined elsewhere have no next-hop form
-// the table can derive, and are an error.
+// Compile builds the route table of a PathBuilder for an nr-router network:
+// the all-pairs sweep for generic minimal routing, the next-hop arithmetic
+// for the grid builders.
 func Compile(nr int, pb PathBuilder) (*RouteTable, error) {
-	var t *RouteTable
-	var err error
-	switch b := pb.(type) {
-	case *MinimalRouting:
-		t, err = CompileCompact(b.P.net, b.VCs)
-	case gridBuilder:
-		t, err = compileGrid(b)
-	default:
-		return nil, fmt.Errorf("routing: Compile: %T is not a builder of this package, so its routes have no next-hop table", pb)
-	}
+	t, err := pb.compile()
 	if err == nil && t.nr != nr {
 		err = fmt.Errorf("routing: Compile: builder routes %d routers, caller expects %d", t.nr, nr)
 	}
@@ -111,22 +96,13 @@ func Compile(nr int, pb PathBuilder) (*RouteTable, error) {
 	return t, nil
 }
 
-// gridBuilder is a dimension-ordered builder whose next router depends only
-// on (current router, destination).
-type gridBuilder interface {
-	PathBuilder
-	// grid returns the network the builder routes and its geometry.
-	grid() (*topo.Network, Kind)
-	// next returns the router after cur on the route to dst (cur != dst).
-	next(cur, dst int) int
-}
-
-// compileGrid fills a table from a grid builder's next-hop arithmetic. A
-// next router that is not a neighbour of the current one — a Kind that does
-// not describe the network — is an error, caught without any per-pair
-// search: the neighbours' ports are staged in a scratch row per router.
-func compileGrid(b gridBuilder) (*RouteTable, error) {
-	net, kind := b.grid()
+// compileGrid fills a table from a dimension-ordered builder's next-hop
+// arithmetic: next returns the router after cur on the route to dst
+// (cur != dst), a function of those two alone. A next router that is not a
+// neighbour of the current one — a Kind that does not describe the network —
+// is an error, caught without any per-pair search: the neighbours' ports are
+// staged in a scratch row per router.
+func compileGrid(net *topo.Network, kind Kind, vcs int, next func(cur, dst int) int) (*RouteTable, error) {
 	routers := kind.RX * kind.RY
 	if kind.Class == ClassPFBF {
 		routers *= kind.PX * kind.PY
@@ -134,7 +110,7 @@ func compileGrid(b gridBuilder) (*RouteTable, error) {
 	if routers != net.Nr {
 		return nil, fmt.Errorf("routing: %v grid of %d routers does not describe a %d-router network", kind, routers, net.Nr)
 	}
-	t, err := newTable(net, kind, b.NumVCs())
+	t, err := newTable(net, kind, vcs)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +129,7 @@ func compileGrid(b gridBuilder) (*RouteTable, error) {
 				row[dst] = cnhNone
 				continue
 			}
-			nxt := b.next(cur, dst)
+			nxt := next(cur, dst)
 			if row[dst] = port[nxt]; row[dst] == cnhNone {
 				return nil, fmt.Errorf("routing: %v route %d->%d steps from %d to non-neighbour %d", kind, cur, dst, cur, nxt)
 			}
@@ -165,9 +141,11 @@ func compileGrid(b gridBuilder) (*RouteTable, error) {
 	return t, nil
 }
 
-// CompilePorts is kept for callers that bake ports into a freshly compiled
-// table: the bytes already are the ports, so it only checks that adj is the
-// adjacency the table walks.
+// CompilePorts checks that adj is the adjacency the table walks — the same
+// slice, not an equal copy. The bytes are ports into those rows, so a table
+// compiled for another network (even one with the same router count) would
+// route over links adj does not have; sim.New refuses such a table with
+// this check.
 func (t *RouteTable) CompilePorts(adj [][]int) error {
 	if len(adj) != len(t.adj) || (len(adj) > 0 && &adj[0] != &t.adj[0]) {
 		return fmt.Errorf("routing: CompilePorts: adjacency is not the network the table was compiled for")

@@ -21,7 +21,7 @@ import (
 type conservingSource struct {
 	inner *traffic.Synthetic
 	net   *topo.Network
-	pb    routing.PathBuilder
+	tab   *routing.RouteTable
 
 	emitted         int64
 	delivered       int64
@@ -30,12 +30,11 @@ type conservingSource struct {
 
 func (c *conservingSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	c.inner.Generate(t, rng, func(src, dst, flits, class int) {
-		path, _ := c.pb.Route(c.net.NodeRouter(src), c.net.NodeRouter(dst))
 		// A flit is forwarded at every router except the injection router
 		// (where it enters from the NIC) and the destination (where it
-		// ejects): len(path)-2 forwardings per flit.
-		if hops := len(path) - 2; hops > 0 {
-			c.expectForwarded += int64(flits) * int64(hops)
+		// ejects): hops-1 forwardings per flit.
+		if fwd := c.tab.Hops(c.net.NodeRouter(src), c.net.NodeRouter(dst)) - 1; fwd > 0 {
+			c.expectForwarded += int64(flits) * int64(fwd)
 		}
 		c.emitted++
 		emit(src, dst, flits, class)
@@ -64,16 +63,16 @@ func TestFlitConservation(t *testing.T) {
 		for _, h := range []int{1, 9} {
 			sc, h := sc, h
 			t.Run(sc.name+"_H"+string(rune('0'+h)), func(t *testing.T) {
-				pb := minRouting(t, net, 2)
+				tab := minTable(t, net, 2)
 				src := &conservingSource{
 					inner: &traffic.Synthetic{N: net.N(), Rate: 0.05, PacketFlits: 6,
 						Pattern: traffic.Uniform{N: net.N()}},
 					net: net,
-					pb:  pb,
+					tab: tab,
 				}
 				cfg := sim.Config{
 					Net:     net,
-					Routing: pb,
+					Table:   tab,
 					Scheme:  sc.scheme,
 					H:       h,
 					Traffic: src,
@@ -122,9 +121,9 @@ func TestStuckAccountsEveryFlit(t *testing.T) {
 		for _, jobs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/jobs%d", sc.name, jobs), func(t *testing.T) {
 				s, err := sim.New(sim.Config{
-					Net:     net,
-					Routing: minRouting(t, net, 2),
-					Scheme:  sc.scheme,
+					Net:    net,
+					Table:  minTable(t, net, 2),
+					Scheme: sc.scheme,
 					Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.40, PacketFlits: 6,
 						Pattern: traffic.Uniform{N: net.N()}},
 					Seed:          83,
@@ -170,19 +169,19 @@ func TestStuckAccountsEveryFlit(t *testing.T) {
 func TestBufferBoundsEveryCycle(t *testing.T) {
 	sn := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	fbf := topo.FBF(10, 5, 4)
-	fbfRouting, err := routing.NewRoutingFor(fbf, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
+	fbfTable, err := routing.NewTable(fbf, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nc := range []struct {
-		name    string // subtest prefix
-		net     *topo.Network
-		routing routing.PathBuilder
-		vcs     int
-		rate    float64
+		name  string // subtest prefix
+		net   *topo.Network
+		table *routing.RouteTable
+		vcs   int
+		rate  float64
 	}{
-		{"", sn, minRouting(t, sn, 2), 2, 0.40},
-		{"fbf4_v10/", fbf, fbfRouting, 10, 0.60},
+		{"", sn, minTable(t, sn, 2), 2, 0.40},
+		{"fbf4_v10/", fbf, fbfTable, 10, 0.60},
 	} {
 		for _, sc := range []struct {
 			name   string
@@ -191,11 +190,11 @@ func TestBufferBoundsEveryCycle(t *testing.T) {
 			for _, jobs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s%s/jobs%d", nc.name, sc.name, jobs), func(t *testing.T) {
 					s, err := sim.New(sim.Config{
-						Net:     nc.net,
-						Routing: nc.routing,
-						VCs:     nc.vcs,
-						Scheme:  sc.scheme,
-						H:       9,
+						Net:    nc.net,
+						Table:  nc.table,
+						VCs:    nc.vcs,
+						Scheme: sc.scheme,
+						H:      9,
 						Traffic: &traffic.Synthetic{N: nc.net.N(), Rate: nc.rate, PacketFlits: 6,
 							Pattern: traffic.Uniform{N: nc.net.N()}},
 						Seed:          29,

@@ -143,7 +143,7 @@ func runDiffSpec(t testing.TB, sp diffSpec, jobs int, cycleStep bool) (sim.Resul
 	if sp.shape == 3 {
 		cfg.Adaptive = &sim.UGAL{Global: false}
 	} else {
-		cfg.Routing = minRouting(t, net, sp.vcs)
+		cfg.Table = minTable(t, net, sp.vcs)
 	}
 	s, err := sim.New(cfg)
 	if err != nil {

@@ -44,10 +44,20 @@ func (b *bernoulliSource) Generate(t int64, rng *rng.Stream, emit func(src, dst,
 func (b *bernoulliSource) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 }
 
+// minTable compiles the generic minimal route table of net over vcs VCs.
+func minTable(t testing.TB, net *topo.Network, vcs int) *routing.RouteTable {
+	t.Helper()
+	tab, err := routing.NewTable(net, routing.Kind{Class: routing.ClassGeneric}, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	t.Helper()
 	net := engineNet(t)
-	return newEngineSimOn(t, Config{Net: net, Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2}, VCs: 2}, scheme, rate)
+	return newEngineSimOn(t, Config{Net: net, Table: minTable(t, net, 2), VCs: 2}, scheme, rate)
 }
 
 // engineNet is the SN q=5 subgroup network (50 routers, 200 nodes) the
@@ -70,11 +80,11 @@ func engineNet(t testing.TB) *topo.Network {
 func newWideEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	t.Helper()
 	net := topo.FBF(10, 5, 4)
-	pb, err := routing.NewRoutingFor(net, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
+	tab, err := routing.NewTable(net, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngineSimOn(t, Config{Net: net, Routing: pb, VCs: 10}, scheme, rate)
+	return newEngineSimOn(t, Config{Net: net, Table: tab, VCs: 10}, scheme, rate)
 }
 
 // newAdaptiveEngineSim returns newEngineSim with every packet routed by
@@ -153,11 +163,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocsCompactTable is the zero-allocation contract on
-// a shared table supplied through Config.Table (TestSteadyStateZeroAllocs
-// above compiles its own from Config.Routing): the next-hop walk at enqueue
-// time appends into a per-packet buffer that recycles through the freelist,
-// so once every pooled packet's buffer has reached the network diameter the
-// cycle loop allocates nothing.
+// a table built straight from the sweep (CompileCompact;
+// TestSteadyStateZeroAllocs above goes through NewTable): the next-hop walk
+// at enqueue time appends into a per-packet buffer that recycles through the
+// freelist, so once every pooled packet's buffer has reached the network
+// diameter the cycle loop allocates nothing.
 func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 	sn, err := core.New(core.Params{Q: 5, P: 4})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
-	"repro/internal/routing"
 	"repro/internal/sim"
 )
 
@@ -15,11 +14,7 @@ import (
 func estimateCfg(t testing.TB) sim.Config {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	table, err := routing.Compile(net.Nr, minRouting(t, net, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.Config{Net: net, Table: table, VCs: 2}
+	return sim.Config{Net: net, Table: minTable(t, net, 2), VCs: 2}
 }
 
 func TestEstimateLatenciesDeterministic(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/routing"
@@ -147,13 +146,13 @@ func wideGridCases() []gridCase {
 func runGridCase(t *testing.T, c gridCase, jobs int) gridRecord {
 	t.Helper()
 	net := c.Net.build()
-	pb, err := routing.NewRoutingFor(net, c.Net.kind, c.VCs)
+	tab, err := routing.NewTable(net, c.Net.kind, c.VCs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{
 		Net:      net,
-		Routing:  pb,
+		Table:    tab,
 		Adaptive: adaptivePolicy(c.Policy),
 		VCs:      c.VCs,
 		Scheme:   c.Scheme,
@@ -181,17 +180,7 @@ func TestGoldenGrid(t *testing.T) {
 		})
 	}
 	if *updateGoldenGrid {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenGridPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenGridPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d grid results to %s", len(got), goldenGridPath)
+		writeGolden(t, goldenGridPath, got)
 		return
 	}
 

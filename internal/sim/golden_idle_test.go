@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -90,7 +89,7 @@ func runGoldenIdleCase(t *testing.T, c goldenIdleCase, jobs int, cycleStep bool)
 	src := idleSource(t, net.N(), c.Shape)
 	cfg := sim.Config{
 		Net:           net,
-		Routing:       minRouting(t, net, 2),
+		Table:         minTable(t, net, 2),
 		VCs:           2,
 		Scheme:        c.Scheme,
 		H:             1,
@@ -122,17 +121,7 @@ func TestGoldenIdle(t *testing.T) {
 	}
 
 	if *updateGoldenIdle {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenIdlePath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenIdlePath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden results to %s", len(got), goldenIdlePath)
+		writeGolden(t, goldenIdlePath, got)
 		return
 	}
 

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -92,11 +91,11 @@ func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, c.VCs),
-		VCs:     c.VCs,
-		Scheme:  c.Scheme,
-		H:       c.H,
+		Net:    net,
+		Table:  minTable(t, net, c.VCs),
+		VCs:    c.VCs,
+		Scheme: c.Scheme,
+		H:      c.H,
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed:          c.Seed,
@@ -123,17 +122,7 @@ func TestGoldenMetrics(t *testing.T) {
 	}
 
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden results to %s", len(got), goldenPath)
+		writeGolden(t, goldenPath, got)
 		return
 	}
 

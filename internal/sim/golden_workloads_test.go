@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -58,7 +57,7 @@ func TestGoldenWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := sim.Config{
 				Net:           net,
-				Routing:       minRouting(t, net, 2),
+				Table:         minTable(t, net, 2),
 				VCs:           2,
 				Scheme:        sim.EdgeBuffers,
 				Traffic:       src,
@@ -76,17 +75,7 @@ func TestGoldenWorkloads(t *testing.T) {
 	}
 
 	if *updateWorkloads {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(workloadsPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(workloadsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d workload results to %s", len(got), workloadsPath)
+		writeGolden(t, workloadsPath, got)
 		return
 	}
 

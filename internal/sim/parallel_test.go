@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/routing"
 )
 
 // domainCounts covers serial (1), even splits (2), a split where 50 routers
@@ -47,7 +46,7 @@ func runParallelCase(t *testing.T, scheme BufferScheme, h, vcs, jobs int, mkSrc 
 	if adaptive {
 		cfg.Adaptive = &UGAL{Global: false}
 	} else {
-		cfg.Routing = &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: vcs}
+		cfg.Table = minTable(t, net, vcs)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -153,10 +152,10 @@ func TestDomainParallelEstimateIdentity(t *testing.T) {
 		transfers = append(transfers, Transfer{Src: (i * 7) % n, Dst: (i*13 + 5) % n, Flits: 2 + i%6})
 	}
 	cfg := Config{
-		Net:     net,
-		Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2},
-		VCs:     2,
-		Scheme:  EdgeBuffers,
+		Net:    net,
+		Table:  minTable(t, net, 2),
+		VCs:    2,
+		Scheme: EdgeBuffers,
 	}
 	want, err := EstimateLatencies(cfg, transfers, 0)
 	if err != nil {

@@ -165,8 +165,9 @@ var resetSchemes = []struct {
 	scheme BufferScheme
 }{{"eb", EdgeBuffers}, {"el", ElasticLinks}, {"cbr", CentralBuffer}}
 
-// resetTables returns the minimal routes' table compiled two ways: from the
-// builder (routing.Compile) and straight from the sweep (CompileCompact).
+// resetTables returns the minimal routes' table compiled two ways: through
+// the builder (routing.NewTable) and straight from the sweep
+// (CompileCompact).
 // The row labels compact=false/true name the two constructions; since grid
 // and minimal routes share one table form, both are the same bytes.
 func resetTables(t *testing.T, net *topo.Network) (dense, compact *routing.RouteTable) {
@@ -175,7 +176,7 @@ func resetTables(t *testing.T, net *topo.Network) (dense, compact *routing.Route
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err = routing.Compile(net.Nr, &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2})
+	dense, err = routing.NewTable(net, routing.Kind{Class: routing.ClassGeneric}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

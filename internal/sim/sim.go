@@ -71,14 +71,12 @@ const maxPacketFlits = 1<<16 - 1
 // Config describes one simulation.
 type Config struct {
 	Net *topo.Network
-	// Routing names the static routes by their builder, one of
-	// internal/routing's. Optional when Table is set.
-	Routing routing.PathBuilder
-	// Table optionally supplies the compiled form of the static routes;
-	// when nil New compiles one from Routing with routing.Compile. Tables
-	// are immutable, so one table may back any number of concurrent
+	// Table is the compiled static routing (routing.NewTable), required
+	// unless Adaptive is set. It must be compiled over Net itself — New
+	// checks that it walks Net's adjacency — and for VCs. Tables are
+	// immutable, so one table may back any number of concurrent
 	// simulations — the campaign engine shares one per (network, routing,
-	// VCs) combination. Adaptive runs ignore Routing and Table.
+	// VCs) combination. Adaptive runs ignore Table.
 	Table *routing.RouteTable
 	VCs   int
 
@@ -628,8 +626,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Net == nil || cfg.Traffic == nil {
 		return nil, fmt.Errorf("sim: Net and Traffic are required")
 	}
-	if cfg.Routing == nil && cfg.Table == nil && cfg.Adaptive == nil {
-		return nil, fmt.Errorf("sim: one of Routing, Table or Adaptive is required")
+	if cfg.Table == nil && cfg.Adaptive == nil {
+		return nil, fmt.Errorf("sim: one of Table or Adaptive is required")
 	}
 	if cfg.Net.NodeMap != nil {
 		return nil, fmt.Errorf("sim: indirect networks (node maps) are not simulated")
@@ -744,29 +742,25 @@ func New(cfg Config) (*Sim, error) {
 	s.injBuf = make([]*packet, s.net.N()*cfg.InjQueueCap)
 	// The route table: adaptive policies walk the generic minimal one
 	// (its compile error is also how a disconnected network is refused),
-	// static runs read theirs (supplied and shared, or compiled here).
-	switch {
-	case cfg.Adaptive != nil:
+	// static runs read the supplied one.
+	if cfg.Adaptive != nil {
 		tab, err := routing.CompileCompact(s.net, cfg.VCs)
 		if err != nil {
 			return nil, err
 		}
 		s.table = tab
-	case cfg.Table != nil:
+	} else {
 		// A mismatched table would route over links this network does not
-		// have (or VCs the buffers do not). Dimensions are the cheap
-		// invariant we can check.
+		// have (or VCs the buffers do not): it must walk this very
+		// adjacency, not one of the same size.
 		if cfg.Table.Nr() != nr || cfg.Table.NumVCs() != cfg.VCs {
 			return nil, fmt.Errorf("sim: route table compiled for %d routers / %d VCs, network has %d routers / %d VCs",
 				cfg.Table.Nr(), cfg.Table.NumVCs(), nr, cfg.VCs)
 		}
-		s.table = cfg.Table
-	default:
-		tab, err := routing.Compile(nr, cfg.Routing)
-		if err != nil {
-			return nil, err
+		if err := cfg.Table.CompilePorts(s.net.Adj); err != nil {
+			return nil, fmt.Errorf("sim: route table was compiled for another network than %s: %w", s.net.Name, err)
 		}
-		s.table = tab
+		s.table = cfg.Table
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
 	s.buildDomains(normalizeJobs(cfg.EngineJobs, nr), arrivalHorizon(maxLat))

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -24,9 +25,14 @@ func snNetwork(t testing.TB, q, p int, l core.Layout) *topo.Network {
 	return n
 }
 
-func minRouting(t testing.TB, net *topo.Network, vcs int) routing.PathBuilder {
+// minTable compiles the generic minimal route table of net over vcs VCs.
+func minTable(t testing.TB, net *topo.Network, vcs int) *routing.RouteTable {
 	t.Helper()
-	return &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: vcs}
+	tab, err := routing.NewTable(net, routing.Kind{Class: routing.ClassGeneric}, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 // runCfg builds and runs a short simulation.
@@ -48,8 +54,8 @@ func shortWindow(cfg *sim.Config) {
 func TestConservationLowLoad(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.05, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 3,
@@ -73,8 +79,8 @@ func TestConservationLowLoad(t *testing.T) {
 func TestZeroLoadLatencySN(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.008, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 7,
@@ -95,8 +101,8 @@ func TestDeterminism(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	make := func() sim.Result {
 		cfg := sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
+			Net:   net,
+			Table: minTable(t, net, 2),
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 11,
@@ -114,8 +120,8 @@ func TestDeterminism(t *testing.T) {
 func TestSaturationDetection(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		// Far beyond capacity.
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 2.0, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
@@ -138,8 +144,8 @@ func TestLatencyIncreasesWithLoad(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	lat := func(rate float64) float64 {
 		cfg := sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
+			Net:   net,
+			Table: minTable(t, net, 2),
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: rate, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 13,
@@ -160,9 +166,9 @@ func TestSMARTReducesLatency(t *testing.T) {
 	net := snNetwork(t, 9, 8, core.LayoutBasic) // long wires
 	run := func(h int) float64 {
 		cfg := sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
-			H:       h,
+			Net:   net,
+			Table: minTable(t, net, 2),
+			H:     h,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.02, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 17,
@@ -192,9 +198,9 @@ func TestAllSchemesDeliver(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sim.Config{
-				Net:     net,
-				Routing: minRouting(t, net, 2),
-				Scheme:  sc.scheme,
+				Net:    net,
+				Table:  minTable(t, net, 2),
+				Scheme: sc.scheme,
 				Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 					Pattern: traffic.Uniform{N: net.N()}},
 				Seed: 19,
@@ -214,38 +220,27 @@ func TestAllSchemesDeliver(t *testing.T) {
 // TestAllTopologiesDeliver: the simulator handles every baseline topology
 // with its deadlock-free routing.
 func TestAllTopologiesDeliver(t *testing.T) {
-	type tc struct {
+	cases := []struct {
 		name string
 		net  *topo.Network
-		mk   func(net *topo.Network) (routing.PathBuilder, error)
-	}
-	cases := []tc{
-		{"mesh", topo.Mesh2D(8, 8, 3), func(n *topo.Network) (routing.PathBuilder, error) {
-			return routing.NewDORMesh(n, 8, 8, 2)
-		}},
-		{"torus", topo.Torus2D(8, 8, 3), func(n *topo.Network) (routing.PathBuilder, error) {
-			return routing.NewDORTorus(n, 8, 8, 2)
-		}},
-		{"fbf", topo.FBF(8, 8, 3), func(n *topo.Network) (routing.PathBuilder, error) {
-			return routing.NewXYFBF(n, 8, 8, 2)
-		}},
-		{"pfbf", topo.PFBF(2, 2, 4, 4, 3), func(n *topo.Network) (routing.PathBuilder, error) {
-			return routing.NewXYPFBF(n, 2, 2, 4, 4, 2)
-		}},
-		{"sn", snNetwork(t, 5, 4, core.LayoutSubgroup), func(n *topo.Network) (routing.PathBuilder, error) {
-			return minRouting(t, n, 2), nil
-		}},
+		kind routing.Kind
+	}{
+		{"mesh", topo.Mesh2D(8, 8, 3), routing.Kind{Class: routing.ClassMesh, RX: 8, RY: 8}},
+		{"torus", topo.Torus2D(8, 8, 3), routing.Kind{Class: routing.ClassTorus, RX: 8, RY: 8}},
+		{"fbf", topo.FBF(8, 8, 3), routing.Kind{Class: routing.ClassFBF, RX: 8, RY: 8}},
+		{"pfbf", topo.PFBF(2, 2, 4, 4, 3), routing.Kind{Class: routing.ClassPFBF, PX: 2, PY: 2, RX: 4, RY: 4}},
+		{"sn", snNetwork(t, 5, 4, core.LayoutSubgroup), routing.Kind{Class: routing.ClassGeneric}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			rt, err := c.mk(c.net)
+			tab, err := routing.NewTable(c.net, c.kind, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := sim.Config{
-				Net:     c.net,
-				Routing: rt,
+				Net:   c.net,
+				Table: tab,
 				Traffic: &traffic.Synthetic{N: c.net.N(), Rate: 0.05, PacketFlits: 6,
 					Pattern: traffic.Uniform{N: c.net.N()}},
 				Seed: 23,
@@ -269,8 +264,8 @@ func TestAdversarialPatternsDeliver(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := sim.Config{
-				Net:     net,
-				Routing: minRouting(t, net, 2),
+				Net:   net,
+				Table: minTable(t, net, 2),
 				Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.05, PacketFlits: 6,
 					Pattern: traffic.PatternByName(name, net)},
 				Seed: 29,
@@ -293,7 +288,6 @@ func TestUGALDelivers(t *testing.T) {
 	for _, global := range []bool{false, true} {
 		cfg := sim.Config{
 			Net:      net,
-			Routing:  minRouting(t, net, 4),
 			VCs:      4,
 			Adaptive: &sim.UGAL{Global: global},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
@@ -314,13 +308,8 @@ func TestUGALDelivers(t *testing.T) {
 // TestMinAdaptiveDelivers: XY-ADAPT-style minimal-adaptive on FBF.
 func TestMinAdaptiveDelivers(t *testing.T) {
 	net := topo.FBF(10, 5, 4)
-	rt, err := routing.NewXYFBF(net, 10, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := sim.Config{
 		Net:      net,
-		Routing:  rt,
 		Adaptive: &sim.MinAdaptive{},
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
@@ -363,7 +352,7 @@ func TestReplyGeneration(t *testing.T) {
 	src := &replySource{n: net.N()}
 	cfg := sim.Config{
 		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Table:   minTable(t, net, 2),
 		Traffic: src,
 		Seed:    41,
 	}
@@ -383,9 +372,9 @@ func TestCBRBypassLatency(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	run := func(scheme sim.BufferScheme) float64 {
 		cfg := sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
-			Scheme:  scheme,
+			Net:    net,
+			Table:  minTable(t, net, 2),
+			Scheme: scheme,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.008, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 43,
@@ -405,8 +394,8 @@ func TestCBRBypassLatency(t *testing.T) {
 func TestThroughputMatchesOfferedAtLowLoad(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.05, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 47,
@@ -418,20 +407,41 @@ func TestThroughputMatchesOfferedAtLowLoad(t *testing.T) {
 	}
 }
 
+// TestTableForAnotherNetwork: a route table walks the adjacency it was
+// compiled over, so New refuses one compiled for another network even when
+// the router and VC counts match — here the healthy SN's table on a copy
+// with a tenth of its links removed, whose routes would cross missing links.
+func TestTableForAnotherNetwork(t *testing.T) {
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	healthy := minTable(t, net, 2)
+	damaged := net.RemoveRandomLinks(0.1, 7)
+	_, err := sim.New(sim.Config{Net: damaged, Table: healthy,
+		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "another network") {
+		t.Fatalf("New with the healthy network's table on the damaged one: err = %v, want a refusal naming another network", err)
+	}
+	if _, err := sim.New(sim.Config{Net: damaged, Table: minTable(t, damaged, 2),
+		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
+	}); err != nil {
+		t.Fatalf("New with the damaged network's own table: %v", err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := sim.New(sim.Config{}); err == nil {
 		t.Error("empty config must fail")
 	}
 	clos := topo.FoldedClos(4, 2, 2)
 	if _, err := sim.New(sim.Config{Net: clos,
-		Routing: &routing.MinimalRouting{P: routing.NewMinimal(clos), VCs: 2},
+		Table:   minTable(t, clos, 2),
 		Traffic: &traffic.Synthetic{N: 8, Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: 8}},
 	}); err == nil {
 		t.Error("indirect networks must be rejected")
 	}
 	// The injection queues are a slab of InjQueueCap flits per node.
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	if _, err := sim.New(sim.Config{Net: net, Routing: minRouting(t, net, 2), InjQueueCap: -1,
+	if _, err := sim.New(sim.Config{Net: net, Table: minTable(t, net, 2), InjQueueCap: -1,
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
 	}); err == nil {
 		t.Error("a negative injection queue capacity must be rejected")
@@ -445,9 +455,11 @@ func TestVCCountValidation(t *testing.T) {
 	net := snNetwork(t, 3, 3, core.LayoutSubgroup)
 	mk := func(vcs int) error {
 		_, err := sim.New(sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
-			VCs:     vcs,
+			Net: net,
+			// The table is compiled over the VC count under test (over 1
+			// for the negative count, which New refuses before the table).
+			Table: minTable(t, net, max(vcs, 1)),
+			VCs:   vcs,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 		})
@@ -470,9 +482,9 @@ func TestCBRPathStats(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	run := func(rate float64) (bypass, buffered int64) {
 		cfg := sim.Config{
-			Net:     net,
-			Routing: minRouting(t, net, 2),
-			Scheme:  sim.CentralBuffer,
+			Net:    net,
+			Table:  minTable(t, net, 2),
+			Scheme: sim.CentralBuffer,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: rate, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 53,
@@ -504,7 +516,7 @@ func TestUGALDivertsUnderAdversarialLoad(t *testing.T) {
 	run := func(policy sim.AdaptivePolicy) float64 {
 		cfg := sim.Config{
 			Net:      net,
-			Routing:  minRouting(t, net, 4),
+			Table:    minTable(t, net, 4),
 			VCs:      4,
 			Adaptive: policy,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.5, PacketFlits: 6,
@@ -528,8 +540,8 @@ func TestUGALDivertsUnderAdversarialLoad(t *testing.T) {
 func TestSmallestSN(t *testing.T) {
 	net := snNetwork(t, 2, 2, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 61,
@@ -551,7 +563,7 @@ func TestVariablePacketSizes(t *testing.T) {
 	src := &mixedSource{n: net.N()}
 	cfg := sim.Config{
 		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Table:   minTable(t, net, 2),
 		Traffic: src,
 		Seed:    67,
 	}
@@ -597,7 +609,7 @@ func TestEBVarBeatsEBSmallAtHighLoad(t *testing.T) {
 	run := func(cap func(int) int) float64 {
 		cfg := sim.Config{
 			Net:        net,
-			Routing:    minRouting(t, net, 2),
+			Table:      minTable(t, net, 2),
 			EdgeBufCap: cap,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.4, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
@@ -618,8 +630,8 @@ func TestEBVarBeatsEBSmallAtHighLoad(t *testing.T) {
 func TestP99AtLeastMean(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:     net,
-		Routing: minRouting(t, net, 2),
+		Net:   net,
+		Table: minTable(t, net, 2),
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.2, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed: 73,

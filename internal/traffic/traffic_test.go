@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
-	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -141,7 +140,7 @@ func TestAdversarialPermutation(t *testing.T) {
 
 // TestAdversarialMatchesAllPairs pins the batched ADV1 construction against
 // the matrix it replaced: the same greedy farthest-partner matching run over
-// a full routing.Paths distance matrix must give the same partner of every
+// one scalar BFS per router must give the same partner of every
 // router — on sn_subgr_200, t2d54 (many distance ties) and a Dragonfly, on a
 // 98-router SN that spans two 64-source batches, and on that SN with most
 // links removed (unreachable routers are nobody's partner).
@@ -156,13 +155,14 @@ func TestAdversarialMatchesAllPairs(t *testing.T) {
 		t.Fatal("fixture: 80% link removal left the SN connected")
 	}
 	for _, net := range []*topo.Network{snNet(t, 5, 4), topo.Torus2D(6, 3, 3), df, sn98, damaged} {
-		p := routing.NewMinimal(net)
 		want := make([]int, net.Nr)
 		taken := make([]bool, net.Nr)
+		dist := make([]int32, net.Nr)
 		for r := range want {
-			best, bestD := -1, -1
+			net.BFS(r, dist, nil)
+			best, bestD := -1, int32(-1)
 			for o := 0; o < net.Nr; o++ {
-				if d := p.Dist(r, o); o != r && !taken[o] && d > bestD {
+				if d := dist[o]; o != r && !taken[o] && d > bestD {
 					best, bestD = o, d
 				}
 			}

@@ -10,17 +10,20 @@ import (
 // TestEstimatorCompactTable estimates and path-queries on the table
 // NewEstimator holds for an SN engine (deriving hops from route views that a
 // next-hop table does not have used to panic the serving goroutine after the
-// first episode). Every estimate must equal the same network's engine
-// compiling its own table from the minimal builder, and every router path
-// the builder's route.
+// first episode). Every estimate and router path must equal those of an
+// estimator over a table compiled separately through routing.NewTable: the
+// facade's compile path and the routing package's agree.
 func TestEstimatorCompactTable(t *testing.T) {
 	e, err := NewEstimator(RunSpec{Network: NetworkSpec{Topology: "sn", Q: 27, Conc: 8, Layout: "subgr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	builder := &routing.MinimalRouting{P: routing.NewMinimal(e.net), VCs: e.table.NumVCs()}
-	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: e.table, cfg: e.cfg}
-	d.cfg.Table, d.cfg.Routing = nil, builder
+	tab, err := routing.NewTable(e.net, e.kind, e.table.NumVCs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: tab, cfg: e.cfg}
+	d.cfg.Table = tab
 
 	n := e.Nodes()
 	batches := [][]Transfer{
@@ -35,19 +38,22 @@ func TestEstimatorCompactTable(t *testing.T) {
 		}
 		want, err := d.Estimate(b)
 		if err != nil {
-			t.Fatalf("batch %d from the builder: %v", i, err)
+			t.Fatalf("batch %d on the separate table: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d: shared table %+v, builder %+v", i, got, want)
+			t.Fatalf("batch %d: shared table %+v, separate table %+v", i, got, want)
 		}
 		for _, tr := range b {
 			gp, err := e.RouterPath(tr.Src, tr.Dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wp, _ := builder.Route(e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
+			wp, err := d.RouterPath(tr.Src, tr.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(gp, wp) {
-				t.Fatalf("RouterPath(%d, %d): table %v, builder %v", tr.Src, tr.Dst, gp, wp)
+				t.Fatalf("RouterPath(%d, %d): shared table %v, separate table %v", tr.Src, tr.Dst, gp, wp)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/routing"
@@ -46,9 +47,10 @@ func TestRunnerWithRouteTable(t *testing.T) {
 }
 
 // TestRouteTableNetworkMismatch: a table compiled for one network must not
-// silently route a different one — the simulator rejects mismatched
-// dimensions, and a campaign point whose options swap the network drops
-// the cached table and recompiles instead of failing.
+// silently route a different one — the simulator rejects a table compiled
+// for another network, of another size or of the same size with links
+// removed, and a campaign point whose options swap the network drops the
+// cached table and recompiles instead of failing.
 func TestRouteTableNetworkMismatch(t *testing.T) {
 	netA, kindA, err := BuildNetwork(NetworkSpec{Preset: "sn_subgr_200"})
 	if err != nil {
@@ -68,6 +70,11 @@ func TestRouteTableNetworkMismatch(t *testing.T) {
 	}
 	if _, err := Run(t.Context(), spec, WithNetwork(netB, kindB), WithRouteTable(tabA)); err == nil {
 		t.Fatal("running network B with a table compiled for network A must fail")
+	}
+	damaged := netA.RemoveRandomLinks(0.1, 7)
+	_, err = Run(t.Context(), spec, WithNetwork(damaged, kindA), WithRouteTable(tabA))
+	if err == nil || !strings.Contains(err.Error(), "another network") {
+		t.Fatalf("running a damaged network on the healthy network's table: err = %v, want a refusal naming another network", err)
 	}
 	// The campaign path: the internal cache attaches a table for the
 	// spec's network, then point options substitute another network. The
@@ -225,18 +232,23 @@ func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 	}
 }
 
-// TestGridTablesMatchBuilders is the oracle on every grid preset: each
-// pair's next-hop words from the "auto" table equal the words derived from
-// the dimension-ordered builder's Route plus a search of the adjacency, at 1,
-// 2, 4 and 8 VCs (from 2 where the builder needs it). Under -short it covers
-// the presets of at most 300 routers, otherwise the 10k presets too.
+// TestGridTablesMatchBuilders pins that the compile paths agree on every
+// registered preset (and the SN sizes the figures use) of up to 1300
+// routers: the "auto" table Run compiles (CompileRouteTable),
+// routing.NewTable, and routing.Compile of the builder NewRoutingFor picks
+// walk the same next-hop words for every pair — so the same bytes under the
+// same VC rule — at 1, 2, 4 and 8 VCs (from 2 where the builder needs it).
+// The builders' own routes are checked pair by pair in internal/routing
+// (TestGridTablesMatchRoute on the same grid shapes, the scalar-BFS oracle
+// for generic minimal routing). Under -short it covers the presets of at
+// most 300 routers.
 func TestGridTablesMatchBuilders(t *testing.T) {
-	for _, name := range Presets() {
+	for _, name := range append(Presets(), "sn_subgr_200", "sn_gr_1296") {
 		net, kind, err := BuildNetwork(NetworkSpec{Preset: name})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind.Class == ClassGeneric || net.Nr > 1300 || (testing.Short() && net.Nr > 300) {
+		if net.Nr > 1300 || (testing.Short() && net.Nr > 300) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
@@ -244,7 +256,11 @@ func TestGridTablesMatchBuilders(t *testing.T) {
 				if vcs == 1 && (kind.Class == ClassTorus || kind.Class == ClassPFBF) {
 					continue
 				}
-				tab, err := CompileRouteTable(net, kind, "auto", vcs)
+				auto, err := CompileRouteTable(net, kind, "auto", vcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := routing.NewTable(net, kind, vcs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -252,21 +268,18 @@ func TestGridTablesMatchBuilders(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got, want []uint32
+				compiled, err := routing.Compile(net.Nr, pb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want, got []uint32
 				for src := 0; src < net.Nr; src++ {
 					for dst := 0; dst < net.Nr; dst++ {
-						path, vc := pb.Route(src, dst)
-						want = want[:0]
-						for i := range vc {
-							port, ok := slices.BinarySearch(net.Adj[path[i]], path[i+1])
-							if !ok {
-								t.Fatalf("vcs=%d: builder route %d->%d uses a missing link: %v", vcs, src, dst, path)
+						want = auto.AppendNextWords(want[:0], src, dst)
+						for i, other := range []*RouteTable{tab, compiled} {
+							if got = other.AppendNextWords(got[:0], src, dst); !slices.Equal(got, want) {
+								t.Fatalf("vcs=%d %d->%d: %s walks %#x, CompileRouteTable %#x", vcs, src, dst, [...]string{"NewTable", "Compile"}[i], got, want)
 							}
-							want = append(want, routing.NextWord(port, vc[i], vcs))
-						}
-						want = append(want, routing.NextEject)
-						if got = tab.AppendNextWords(got[:0], src, dst); !slices.Equal(got, want) {
-							t.Fatalf("vcs=%d %d->%d: table words %#x, builder route %v VCs %v gives %#x", vcs, src, dst, got, path, vc, want)
 						}
 					}
 				}

@@ -25,8 +25,8 @@ type Network = topo.Network
 // deadlock-free routing appropriate to it can be derived; see routing.Kind.
 type Kind = routing.Kind
 
-// PathBuilder produces a router path and per-hop VCs for one packet; see
-// routing.PathBuilder.
+// PathBuilder is a static routing algorithm bound to one network, the input
+// routing.Compile turns into a RouteTable; see routing.PathBuilder.
 type PathBuilder = routing.PathBuilder
 
 // RouteTable is the compiled form of a static routing algorithm, one
@@ -87,10 +87,11 @@ func WithNetwork(net *Network, kind routing.Kind) Option {
 
 // WithRouteTable supplies a precompiled route table for the spec's static
 // routing algorithm, skipping the CompileRouteTable call Run would otherwise
-// make itself. The table must come from CompileRouteTable (or
-// routing.Compile) for the same network, algorithm and VC count as the
-// spec. Compiled tables are immutable, so one table may back any number of
-// concurrent Runners — the Campaign engine shares one per distinct
+// make itself. The table must come from CompileRouteTable for the same
+// algorithm and VC count as the spec, and for the very network the run
+// uses: Run fails on a table compiled over any other network, even one of
+// the same size. Compiled tables are immutable, so one table may back any
+// number of concurrent Runners — the Campaign engine shares one per distinct
 // (network, routing, VCs) combination, and
 // TestCampaignSharedRouteTableRace pins the contract under -race. The
 // table is ignored when the spec names an adaptive algorithm, which routes
