@@ -97,18 +97,17 @@ func (s *Sim) skipAhead(limit int64) {
 }
 
 // memEstimate predicts the engine's resident footprint in bytes for the
-// MemBudgetBytes guard: the SoA router arrays, the input and injection
-// slabs, the links and their per-lane wire state, the arrival wheels, NICs,
-// and the compiled route table (one byte per router pair, supplied or
-// compiled by New). Deliberately computed from the same geometry New
-// allocates from, before it allocates. Growable queues and wheel buckets
-// count at their construction size; what they grow to depends on the
-// traffic.
+// MemBudgetBytes guard: the SoA router arrays and central-buffer heads, the
+// input and stall slabs, the links and their per-lane wire state, the
+// arrival wheels, NICs, and the compiled route table (one byte per router
+// pair, supplied or compiled by New). Deliberately computed from the same
+// geometry New allocates from, before it allocates. Wheel buckets count at
+// their construction size; what they grow to depends on the traffic.
 func (c *Config) memEstimate(stride int) int64 {
 	nr := int64(c.Net.Nr)
 	n := int64(c.Net.N())
 	vcs := int64(c.VCs)
-	var edges, slab int64
+	var edges, slab, stallSlab int64
 	maxLat := int64(1)
 	for r, adj := range c.Net.Adj {
 		edges += int64(len(adj))
@@ -116,28 +115,28 @@ func (c *Config) memEstimate(stride int) int64 {
 			dist, lat := c.wire(r, nb)
 			maxLat = max(maxLat, lat)
 			slab += int64(c.inputCap(dist)-1) * vcs
+			stallSlab += (lat + 1) * vcs
 		}
 	}
 	np := nr * int64(stride)
 	nv := np * vcs
 	lanes := edges * vcs
 	nd := int64(normalizeJobs(c.EngineJobs, c.Net.Nr))
-	const ringBytes = 40                               // ring[T]: slice header + head + count
 	const flitBytes = 16                               // flit: pointer + idx + hop + next
 	const linkBytes = 56                               // link: endpoints, latency, counters, VC bases
 	b := np * (3 * 4)                                  // outLink/inLink/revPort
 	b += nv*(4+4+4+8+4+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inNext + inFront; inBuf
 	if c.Scheme == CentralBuffer {
-		b += nv * ringBytes // cbq
+		b += nv * (16 + 8) // cbq heads and tails + cbIn
 	}
 	b += edges*linkBytes + lanes*8 // links + laneLast
 	if c.Scheme != EdgeBuffers {
-		b += lanes * ringBytes // stall FIFOs
+		b += lanes*16 + stallSlab*flitBytes // stall FIFOs + stallBuf
 	}
-	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24          // arrival wheel bucket headers
-	b += n * (ringBytes + 24 + 8 + 4 + 1 + int64(c.InjQueueCap)*8) // nics (srcQ+ints) + ejUsedAt + injNext + nicReady + injBuf
-	b += nr * (4 + 4 + 4 + 4)                                      // kp/cbFree/work/domOf
-	b += (nr*max(1, (int64(stride)*vcs+63)/64) + nr/64 + nd) * 8   // occIn + domain busy sets
+	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24        // arrival wheel bucket headers
+	b += n * (32 + 8 + 4 + 1)                                    // nics + ejUsedAt + injNext + nicReady
+	b += nr * (4 + 4 + 4 + 4)                                    // kp/cbFree/work/domOf
+	b += (nr*max(1, (int64(stride)*vcs+63)/64) + nr/64 + nd) * 8 // occIn + domain busy sets
 	if c.Table != nil && c.Adaptive == nil {
 		b += c.Table.MemBytes()
 	} else {

@@ -32,19 +32,15 @@ func (s *Sim) Stuck() StuckReport {
 					rep.InInputBuffers += int(n)
 					f := s.inFront[slot]
 					p := f.pkt
-					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d cb=%v)",
-						r, pi, vc, n, p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, p.cbState))
+					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d%s)",
+						r, pi, vc, n, p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, s.cbDecision(slot)))
 				}
 			}
 			for vc := 0; vc < s.vcs && s.cbq != nil; vc++ {
-				q := &s.cbq[vb+vc]
-				for i := 0; i < q.len(); i++ {
-					cp := q.at(i)
-					if cp.stored.len() > 0 || cp.expected > 0 {
-						rep.InCB += cp.stored.len()
-						add(fmt.Sprintf("router %d CB (port %d vc %d): pkt %d stored %d expected %d",
-							r, pi, vc, cp.pkt.id, cp.stored.len(), cp.expected))
-					}
+				for cp := s.cbq[vb+vc].head; cp != nil; cp = cp.qnext {
+					rep.InCB += int(cp.stored)
+					add(fmt.Sprintf("router %d CB (port %d vc %d): pkt %d stored %d expected %d",
+						r, pi, vc, cp.pkt.id, cp.stored, cp.expected))
 				}
 			}
 		}
@@ -67,7 +63,7 @@ func (s *Sim) Stuck() StuckReport {
 	for lane, n := range onLane {
 		stalled := 0
 		if s.stall != nil {
-			stalled = s.stall[lane].len()
+			stalled = int(s.stall[lane].n)
 		}
 		if n += stalled; n > 0 {
 			rep.OnLinks += n
@@ -85,4 +81,19 @@ func (s *Sim) Stuck() StuckReport {
 	}
 	rep.PendingEject = s.ejectWheel.pending
 	return rep
+}
+
+// cbDecision describes a central-buffer router input's decision for the
+// packet at its front ("" on other schemes).
+func (s *Sim) cbDecision(slot int) string {
+	if s.cbIn == nil {
+		return ""
+	}
+	switch s.cbIn[slot] {
+	case nil:
+		return "; cb undecided"
+	case cbBypass:
+		return "; cb bypass"
+	}
+	return "; cb buffered"
 }

@@ -205,12 +205,12 @@ func (s *Sim) land(d *domain, a arrival) {
 	if s.stall != nil {
 		lane := int(a.link)*s.vcs + vc
 		slot := int(l.recvVB) + vc
-		if s.stall[lane].len() > 0 || s.inLen[slot] >= s.inCap[slot] {
-			if s.stall[lane].len() == 0 {
+		if st := &s.stall[lane]; st.n > 0 || s.inLen[slot] >= s.inCap[slot] {
+			if st.n == 0 {
 				//detlint:allow sharedread own-domain list: the lane leads into this domain, so only its link phase touches the entry
 				d.stalled = append(d.stalled, int32(lane))
 			}
-			s.stall[lane].push(a.f)
+			st.push(s.stallBuf, a.f)
 			return
 		}
 	}
@@ -227,10 +227,10 @@ func (s *Sim) drainStall(d *domain, lane int) bool {
 	vc := lane % s.vcs
 	slot := int(l.recvVB) + vc
 	st := &s.stall[lane]
-	for st.len() > 0 && s.inLen[slot] < s.inCap[slot] {
-		s.deliver(d, l, vc, st.pop())
+	for st.n > 0 && s.inLen[slot] < s.inCap[slot] {
+		s.deliver(d, l, vc, st.pop(s.stallBuf))
 	}
-	return st.len() > 0
+	return st.n > 0
 }
 
 // deliver pushes a landed flit into input VC vc of the link's receiving

@@ -1,5 +1,5 @@
 // White-box engine tests: the zero-allocation steady-state contract, the
-// latency histogram, and the engine containers (ring, wheel).
+// latency histogram, and the engine containers (stall FIFO, wheel).
 
 package sim
 
@@ -532,38 +532,35 @@ func FuzzLatencyHistogram(f *testing.F) {
 	})
 }
 
-func TestRing(t *testing.T) {
-	var r ring[int]
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 20; i++ {
-			r.push(i)
+// TestStallFIFO: a fifo wraps inside its own window of the slab, leaves
+// its neighbours alone, and panics on a push past capacity.
+func TestStallFIFO(t *testing.T) {
+	slab := make([]flit, 7)
+	q := fifo{off: 2, size: 3}
+	for i := 0; i < 10; i++ {
+		q.push(slab, flit{idx: uint16(i)})
+		q.push(slab, flit{idx: uint16(100 + i)})
+		if got := q.pop(slab).idx; got != uint16(i) {
+			t.Fatalf("pop %d = %d", i, got)
 		}
-		if r.len() != 20 {
-			t.Fatalf("len = %d", r.len())
-		}
-		for i := 0; i < 20; i++ {
-			if got := r.at(i); got != i {
-				t.Fatalf("at(%d) = %d", i, got)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			if got := r.pop(); got != i {
-				t.Fatalf("pop %d = %d", i, got)
-			}
-		}
-		if !r.empty() {
-			t.Fatal("not empty after drain")
+		if got := q.pop(slab).idx; got != uint16(100+i) {
+			t.Fatalf("pop %d = %d", 100+i, got)
 		}
 	}
-	// Interleaved push/pop wraps the head around the backing array.
-	for i := 0; i < 100; i++ {
-		r.push(i)
-		r.push(i + 1000)
-		if got := r.pop(); got != i && i > 0 {
-			t.Fatalf("interleaved pop = %d at %d", got, i)
-		}
-		r.pop()
+	for i := 0; i < 3; i++ {
+		q.push(slab, flit{idx: uint16(i)})
 	}
+	for i, f := range slab {
+		if (i < 2 || i >= 5) && f != (flit{}) {
+			t.Fatalf("slab[%d] = %+v outside the window [2, 5)", i, f)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push past capacity did not panic")
+		}
+	}()
+	q.push(slab, flit{})
 }
 
 func TestWheel(t *testing.T) {

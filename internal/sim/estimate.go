@@ -133,8 +133,8 @@ func (e *EpisodeEngine) Latencies(transfers []Transfer, maxCycles int64) ([]int6
 			return nil, fmt.Errorf("sim: estimate: transfer %d endpoints (%d -> %d) out of node range [0, %d)",
 				i, tr.Src, tr.Dst, n)
 		}
-		if tr.Flits < 1 {
-			return nil, fmt.Errorf("sim: estimate: transfer %d has %d flits, want >= 1", i, tr.Flits)
+		if tr.Flits < 1 || tr.Flits > maxPacketFlits {
+			return nil, fmt.Errorf("sim: estimate: transfer %d (%d -> %d) has %d flits, want in [1, %d]", i, tr.Src, tr.Dst, tr.Flits, maxPacketFlits)
 		}
 	}
 	if maxCycles <= 0 {

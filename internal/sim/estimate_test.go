@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -138,6 +139,28 @@ func TestEstimateValidation(t *testing.T) {
 	}
 	if _, err := sim.EstimateLatencies(cfg, []sim.Transfer{{Src: 0, Dst: 137, Flits: 6}}, 3); err == nil {
 		t.Error("tiny maxCycles: no undelivered error")
+	}
+}
+
+// TestEstimateRejectsOversizedTransfer: a transfer with more flits than a
+// flit index can count is refused with an error naming it, instead of
+// panicking inside the episode, and the engine answers the next batch.
+func TestEstimateRejectsOversizedTransfer(t *testing.T) {
+	cfg := estimateCfg(t)
+	batch := []sim.Transfer{{Src: 0, Dst: 3, Flits: 6}, {Src: 0, Dst: 53, Flits: 70000}}
+	_, err := sim.EstimateLatencies(cfg, batch, 0)
+	if err == nil || !strings.Contains(err.Error(), "transfer 1 (0 -> 53) has 70000 flits") {
+		t.Fatalf("oversized transfer: error %v, want one naming transfer 1", err)
+	}
+	e, err := sim.NewEpisodeEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Latencies(batch, 0); err == nil {
+		t.Fatal("episode engine accepted a 70000-flit transfer")
+	}
+	if lat, err := e.Latencies(batch[:1], 0); err != nil || lat[0] <= 0 {
+		t.Fatalf("after the refusal: latencies %v, error %v", lat, err)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 
 // CheckBuffers reports the first breach, between cycles, of the bounded
 // buffer invariants, for the external tests that step an engine: every input
-// buffer holds between 0 and inCap flits, in wormhole order, and every
-// injection queue at most InjQueueCap; the dense mirrors (inNext and the
-// occupancy bitmask for an input buffer's front flit, injNext for an
-// injection queue's) agree with what the queues actually hold; and each
+// buffer holds between 0 and inCap flits, in wormhole order, every
+// injection queue at most InjQueueCap, and every stall FIFO at most its
+// lane's latency+1; the dense mirrors (inNext and the occupancy bitmask for
+// an input buffer's front flit, injNext for an injection queue's) agree
+// with what the queues actually hold; each NIC's packet list accounts for
+// exactly its injection queue, and nicBacklog counts the NICs with unmoved
+// flits; the central buffers keep the checkCB invariants; and each
 // domain's busy set marks exactly its routers with resident flits, nBusy of
 // them.
 func (s *Sim) CheckBuffers() error {
@@ -46,22 +49,60 @@ func (s *Sim) CheckBuffers() error {
 			prev = f
 		}
 	}
+	backlog := 0
 	for v := range s.nics {
 		nc := &s.nics[v]
-		if nc.injLen < 0 || nc.injLen > s.injCap || nc.injHead < 0 || nc.injHead >= s.injCap {
-			return fmt.Errorf("node %d: injection queue holds %d flits, head %d, capacity %d", v, nc.injLen, nc.injHead, s.injCap)
+		if nc.injLen < 0 || nc.injLen > s.injCap {
+			return fmt.Errorf("node %d: injection queue holds %d flits, capacity %d", v, nc.injLen, s.injCap)
+		}
+		// The injection queue is the moved-but-uninjected flits of the
+		// packet list, from flit injIdx of front on; src is the first
+		// packet with unmoved flits.
+		queued, src := 0, (*packet)(nil)
+		for p := nc.front; p != nil; p = p.qnext {
+			moved := p.flitsMoved
+			if p == nc.front {
+				if int(nc.injIdx) > moved || moved > p.flits {
+					return fmt.Errorf("node %d: front packet %d at flit %d, %d of %d moved", v, p.id, nc.injIdx, moved, p.flits)
+				}
+				moved -= int(nc.injIdx)
+			}
+			queued += moved
+			if src == nil && p.flitsMoved < p.flits {
+				src = p
+			}
+			if p.qnext == nil && p != nc.last {
+				return fmt.Errorf("node %d: packet list ends at packet %d, last is packet %d", v, p.id, nc.last.id)
+			}
+		}
+		if nc.front == nil && nc.injIdx != 0 {
+			return fmt.Errorf("node %d: empty packet list but front flit %d", v, nc.injIdx)
+		}
+		if queued != int(nc.injLen) || src != nc.src {
+			return fmt.Errorf("node %d: packet list holds %d moved flits and its first unmoved packet is %p; injLen %d, src %p", v, queued, src, nc.injLen, nc.src)
+		}
+		if nc.src != nil {
+			backlog++
 		}
 		want := uint32(nextNone)
 		if nc.injLen > 0 {
-			p := s.injBuf[int32(v)*s.injCap+nc.injHead]
-			if int(nc.injIdx) >= p.flits || int(nc.injIdx) >= p.flitsMoved {
-				return fmt.Errorf("node %d: front flit %d of packet %d, which has %d flits, %d moved", v, nc.injIdx, p.id, p.flits, p.flitsMoved)
-			}
-			want = p.next[0]
+			want = nc.front.next[0]
 		}
 		if s.injNext[v] != want {
 			return fmt.Errorf("node %d: injNext = %#x, injection queue front wants %#x", v, s.injNext[v], want)
 		}
+	}
+	if backlog != s.nicBacklog {
+		return fmt.Errorf("nicBacklog = %d, %d NICs have unmoved flits", s.nicBacklog, backlog)
+	}
+	for lane := range s.stall {
+		l := &s.links[lane/s.vcs]
+		if n := s.stall[lane].n; n < 0 || int64(n) > l.latency+1 {
+			return fmt.Errorf("lane %d: %d flits stalled, over the lane's %d pipeline slots", lane, n, l.latency+1)
+		}
+	}
+	if err := s.checkCB(); err != nil {
+		return err
 	}
 	for di := range s.doms {
 		d := &s.doms[di]
@@ -80,6 +121,53 @@ func (s *Sim) CheckBuffers() error {
 		}
 		if d.nBusy != set || set != busy {
 			return fmt.Errorf("domain %d: nBusy = %d, %d busy bits set, %d routers busy", di, d.nBusy, set, busy)
+		}
+	}
+	return nil
+}
+
+// checkCB checks the central-buffer state: per router, the free slots plus
+// the slots every queued record still holds or expects make up CBCap; and
+// every input's decision belongs to the packet at its front — none for a
+// head before it decides (or for a packet ejecting here, which never
+// decides), the bypass mark only behind a head that took it, a record only
+// for the packet it queued, at the flit it expects next.
+func (s *Sim) checkCB() error {
+	if s.cbq == nil {
+		return nil
+	}
+	nvr := s.stride * s.vcs
+	for r, free := range s.cbFree {
+		held := int32(0)
+		for _, q := range s.cbq[r*nvr : (r+1)*nvr] {
+			for cp := q.head; cp != nil; cp = cp.qnext {
+				if cp.stored < 0 || cp.expected < 0 || cp.stored+cp.expected == 0 {
+					return fmt.Errorf("router %d: CB record of packet %d holds %d flits, expects %d", r, cp.pkt.id, cp.stored, cp.expected)
+				}
+				held += cp.stored + cp.expected
+			}
+		}
+		if free+held != int32(s.cfg.CBCap) {
+			return fmt.Errorf("router %d: %d CB slots free and %d held, capacity %d", r, free, held, s.cfg.CBCap)
+		}
+	}
+	for slot, cp := range s.cbIn {
+		if cp == nil {
+			if f := s.inFront[slot]; s.inLen[slot] > 0 && !f.head() && f.next != nextEject {
+				return fmt.Errorf("input slot %d: body flit %d of packet %d in front of an undecided input", slot, f.idx, f.pkt.id)
+			}
+			continue
+		}
+		if s.inLen[slot] == 0 {
+			continue // the rest of the packet is still on the wire
+		}
+		f := s.inFront[slot]
+		if cp == cbBypass {
+			if f.head() {
+				return fmt.Errorf("input slot %d: head of packet %d behind a bypass decision", slot, f.pkt.id)
+			}
+		} else if f.pkt != cp.pkt || int32(f.idx) != int32(cp.pkt.flits)-cp.expected {
+			return fmt.Errorf("input slot %d: flit %d of packet %d in front of the CB record of packet %d expecting %d more", slot, f.idx, f.pkt.id, cp.pkt.id, cp.expected)
 		}
 	}
 	return nil

@@ -48,8 +48,9 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 				stream = append(stream, s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], int32(i-1), s.inCap[slot]-1)])
 			}
 			if s.stall != nil {
-				for i := 0; i < s.stall[lane].len(); i++ {
-					stream = append(stream, s.stall[lane].at(i))
+				st := s.stall[lane]
+				for i := int32(0); i < st.n; i++ {
+					stream = append(stream, s.stallBuf[slabPos(st.off, st.head, i, st.size)])
 				}
 			}
 			stream = append(stream, wire[lane]...)

@@ -1,8 +1,10 @@
-// Allocation-free engine containers: fixed-capacity FIFOs in slabs New sizes
-// once, growable ring FIFOs that retain their backing arrays across drains,
-// and fixed-horizon timing wheels for delayed events. Together these turn
-// the per-cycle cost of the engine from O(topology) into O(pending work)
-// while keeping the steady-state loop free of heap allocations.
+// Allocation-free engine containers: fixed-capacity flit FIFOs in slabs New
+// sizes once, each to the bound of the hardware queue it models, and
+// fixed-horizon timing wheels for delayed events. Together these turn the
+// per-cycle cost of the engine from O(topology) into O(pending work) while
+// keeping the steady-state loop free of heap allocations. The queues whose
+// elements are packets thread them instead: a NIC's packets link through
+// packet.qnext and a central buffer's records through cbPacket.qnext.
 
 package sim
 
@@ -20,66 +22,33 @@ func slabPos(off, head, i, cap int32) int32 {
 	return off + head
 }
 
-// ring is a growable circular FIFO. Unlike an append/reslice queue it keeps
-// its backing array when drained, so a queue that has reached its
-// steady-state high-water mark never allocates again. The backing array is
-// always a power of two (grow doubles from 8), so index wrapping is a mask
-// instead of a modulo — integer division was a top-five line in the
-// saturated-load profile before the switch.
-type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
+// fifo is a fixed-capacity flit FIFO at slab[off:off+size] whose front is
+// at off+head: an elastic lane's stall FIFO (Sim.stall), sized by New to the
+// lane's pipeline slots. A push past capacity panics, like deliver's input
+// buffer overflow check: the slots are the lane's whole flow-control budget,
+// so an overflow is an engine bug, not backpressure.
+type fifo struct {
+	off, size int32 // fixed by New
+	head, n   int32
 }
 
 //sim:hot
-func (r *ring[T]) len() int { return r.n }
-
-//sim:hot
-func (r *ring[T]) empty() bool { return r.n == 0 }
-
-//sim:hot
-func (r *ring[T]) front() T { return r.buf[r.head] }
-
-// at returns the i-th element from the front (0 = front).
-//
-//sim:hot
-func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-//sim:hot
-func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
-		r.grow()
+func (q *fifo) push(slab []flit, f flit) {
+	if q.n == q.size {
+		panic("sim: stall FIFO overflow")
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-// pop deliberately leaves the vacated slot's contents in place: every ring
-// element type in the engine (flit, *packet, *cbPacket) references
-// only freelist-pooled objects that live for the whole run, so there is
-// nothing for the GC to reclaim and the per-pop clear would be a pure dead
-// store — millions of them per saturated run.
-//
-//sim:hot
-func (r *ring[T]) pop() T {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	if r.n == 0 {
-		r.head = 0
-	}
-	return v
+	slab[slabPos(q.off, q.head, q.n, q.size)] = f
+	q.n++
 }
 
 //sim:hot
-func (r *ring[T]) grow() {
-	//detlint:allow hotalloc amortised doubling; capacity is retained for the run and steady state never grows
-	nb := make([]T, max(2*len(r.buf), 8)) // always a power of two: wrap stays mask-friendly
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+func (q *fifo) pop(slab []flit) flit {
+	f := slab[q.off+q.head]
+	if q.head++; q.head == q.size {
+		q.head = 0
 	}
-	r.buf, r.head = nb, 0
+	q.n--
+	return f
 }
 
 // wheel is a timing wheel with an overflow list: an event scheduled for
@@ -92,7 +61,7 @@ func (r *ring[T]) grow() {
 // panicking or silently wrapping one horizon early. schedule still panics on
 // events at or before `now`: those are bugs, not long delays. Bucket slices
 // retain capacity across reuse. The bucket count is rounded up to a power of
-// two so the per-event bucket map is a mask, like the rings.
+// two so the per-event bucket map is a mask.
 type wheel[T any] struct {
 	buckets  [][]T
 	overflow []wheelEvent[T]
@@ -142,7 +111,7 @@ func (w *wheel[T]) schedule(now, at int64, v T) {
 		w.peak = w.pending
 	}
 	if at >= now+int64(len(w.buckets)) {
-		//detlint:allow hotalloc overflow list is amortised like a ring; the per-run horizon fast path never reaches it
+		//detlint:allow hotalloc overflow list is amortised self-append; the per-run horizon fast path never reaches it
 		w.overflow = append(w.overflow, wheelEvent[T]{at: at, v: v})
 		return
 	}

@@ -22,9 +22,9 @@ import (
 // resetExempt names the fields reset leaves alone on purpose: the packet and
 // central-buffer freelists (recycled objects are reinitialised when taken).
 //
-// The input and injection slabs are compared apart, in simDiff: only what
-// their queues hold is state.
-var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "inBuf": true, "injBuf": true}
+// The input and stall slabs are compared apart, in simDiff: only what their
+// queues hold is state.
+var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "inBuf": true, "stallBuf": true}
 
 var streamType = reflect.TypeOf(rng.Stream{})
 
@@ -128,12 +128,12 @@ func simDiff(t *testing.T, a, b *Sim) []string {
 			stateDiff(t, fmt.Sprintf("Sim.inBuf[slot %d, flit %d]", slot, i), reflect.ValueOf(fa), reflect.ValueOf(fb), seen, &diffs)
 		}
 	}
-	for v := range a.nics {
-		na, nb := &a.nics[v], &b.nics[v]
-		for i := int32(0); i < min(na.injLen, nb.injLen); i++ {
-			pa := a.injBuf[slabPos(int32(v)*a.injCap, na.injHead, i, a.injCap)]
-			pb := b.injBuf[slabPos(int32(v)*b.injCap, nb.injHead, i, b.injCap)]
-			stateDiff(t, fmt.Sprintf("Sim.injBuf[node %d, flit %d]", v, i), reflect.ValueOf(pa), reflect.ValueOf(pb), seen, &diffs)
+	for lane := range a.stall {
+		qa, qb := a.stall[lane], b.stall[lane]
+		for i := int32(0); i < min(qa.n, qb.n); i++ {
+			fa := a.stallBuf[slabPos(qa.off, qa.head, i, qa.size)]
+			fb := b.stallBuf[slabPos(qb.off, qb.head, i, qb.size)]
+			stateDiff(t, fmt.Sprintf("Sim.stallBuf[lane %d, flit %d]", lane, i), reflect.ValueOf(fa), reflect.ValueOf(fb), seen, &diffs)
 		}
 	}
 	return diffs

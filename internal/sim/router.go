@@ -184,7 +184,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// 3. Injection: each attached node may insert one flit per cycle.
 	// Nodes attach contiguously (New rejects node maps), matching the
 	// order of Network.RouterNodes without its allocation. Probes read the
-	// dense injNext mirror; the NIC and the slab are only touched on a move.
+	// dense injNext mirror; the NIC is only touched on a move.
 	base := r * s.net.P
 	for node := base; node < base+s.net.P; node++ {
 		nx := s.injNext[node]
@@ -228,35 +228,33 @@ func (s *Sim) stepRouter(d *domain, r int) {
 //sim:hot
 func (s *Sim) injFront(node int) flit {
 	nc := &s.nics[node]
-	return flit{pkt: s.injBuf[int32(node)*s.injCap+nc.injHead], idx: nc.injIdx, next: s.injNext[node]}
+	return flit{pkt: nc.front, idx: nc.injIdx, next: s.injNext[node]}
 }
 
 // popInj removes the front flit f of a NIC injection queue, keeping the
-// front's index and the dense injNext word coherent. The freed slot is the
-// only thing that lets a NIC with queued packets inject again, so it wakes
-// the NIC here.
+// front packet, its flit index and the dense injNext word coherent. A tail
+// takes its packet off the NIC's list here, before it can eject. The freed
+// slot is the only thing that lets a NIC with unmoved flits inject again,
+// so it wakes the NIC here.
 //
 //sim:hot
 //sim:domain
 func (s *Sim) popInj(d *domain, node int, f flit) {
 	nc := &s.nics[node]
-	nc.injHead++
-	if nc.injHead == s.injCap {
-		nc.injHead = 0
-	}
 	nc.injLen--
-	switch {
-	case nc.injLen == 0:
-		s.injNext[node] = nextNone
-	case f.tail():
-		// The next packet's head is now in front; the flits behind a
-		// non-tail front share its next-hop word.
-		nc.injIdx = 0
-		s.injNext[node] = s.injBuf[int32(node)*s.injCap+nc.injHead].next[0]
-	default:
+	if f.tail() {
+		nc.front, nc.injIdx = nc.front.qnext, 0
+	} else {
 		nc.injIdx++
 	}
-	if nc.srcQ.len() > 0 {
+	if nc.injLen == 0 {
+		s.injNext[node] = nextNone
+	} else if f.tail() {
+		// The next packet's head is now in front; the flits behind a
+		// non-tail front share its next-hop word.
+		s.injNext[node] = nc.front.next[0]
+	}
+	if nc.src != nil {
 		s.nicWake(d, node)
 	}
 }
@@ -284,58 +282,55 @@ func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int)
 	}
 	p := f.pkt
 	pb := r * s.stride
+	pv := pb + pi
+	in := pv*s.vcs + vc
 	outPort := int(f.next >> 16)
-	outVC := int(f.next&0xffff) - outPort*s.vcs
 	vi := pb*s.vcs + int(f.next&0xffff)
-	q := &s.cbq[vi]
-	if f.head() && p.cbState[f.hop] == 0 {
-		// Decide once per router visit.
-		if q.empty() && s.outOwner[vi] == -1 &&
+	cp := s.cbIn[in]
+	if cp == nil {
+		// An undecided input has a head in front: it decides once per
+		// router visit.
+		q := &s.cbq[vi]
+		if q.head == nil && s.outOwner[vi] == -1 &&
 			d.outMask[outPort>>6]&(1<<(outPort&63)) == 0 && s.space[vi] > 0 {
-			p.cbState[f.hop] = 1 // bypass
+			cp = cbBypass
 		} else if s.cbFree[r] >= int32(p.flits) {
 			s.cbFree[r] -= int32(p.flits)
-			p.cbState[f.hop] = 2 // buffered
-			cp := s.allocCBPacket(d)
-			cp.pkt, cp.outPort, cp.outVC, cp.expected = p, outPort, outVC, p.flits
-			q.push(cp)
+			cp = s.allocCBPacket(d)
+			cp.pkt, cp.qnext, cp.hop = p, nil, f.hop
+			cp.stored, cp.expected = 0, int32(p.flits)
+			if q.head == nil {
+				q.head = cp
+			} else {
+				q.tail.qnext = cp
+			}
+			q.tail = cp
 		} else {
 			return false // wait for CB space or the output
 		}
+		s.cbIn[in] = cp
 	}
-	if p.cbState[f.hop] == 0 {
-		// Body flit ahead of its head's decision: cannot happen in FIFO
-		// order; treat as a stall defensively.
-		return false
-	}
-	if p.cbState[f.hop] == 2 {
-		// CB write port: one flit per router per cycle.
-		if *cbWrote {
+	if cp == cbBypass {
+		// Bypass path: behaves like a direct wormhole traversal.
+		if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 || !s.outputReady(p, vi, f.head()) {
 			return false
 		}
-		for i := 0; i < q.len(); i++ {
-			cp := q.at(i)
-			if cp.pkt == p {
-				s.popInput(d, r, pb+pi, (pb+pi)*s.vcs+vc, vc)
-				cp.stored.push(f)
-				cp.expected--
-				*cbWrote = true
-				return true
-			}
-		}
-		return false
+	} else if *cbWrote {
+		return false // CB write port: one flit per router per cycle
 	}
-	// Bypass path: behaves like a direct wormhole traversal.
-	if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 {
-		return false
+	s.popInput(d, r, pv, in, vc)
+	if f.tail() {
+		s.cbIn[in] = nil // the next packet's head decides afresh
 	}
-	if !s.outputReady(p, vi, f.head()) {
-		return false
+	if cp != cbBypass {
+		cp.stored++
+		cp.expected--
+		*cbWrote = true
+		return true
 	}
-	s.popInput(d, r, pb+pi, (pb+pi)*s.vcs+vc, vc)
 	d.bypass++
 	d.forwarded++
-	s.sendFlit(d, r, f, outPort, outVC, vi, routerDelayDirect)
+	s.sendFlit(d, r, f, outPort, int(f.next&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
 	return true
 }
 
@@ -355,8 +350,7 @@ func (s *Sim) allocCBPacket(d *domain) *cbPacket {
 	return &cbPacket{}
 }
 
-// freeCBPacket recycles a drained CB packet record, keeping its ring's
-// capacity.
+// freeCBPacket recycles a drained CB packet record.
 //
 //sim:hot
 //sim:domain
@@ -379,29 +373,27 @@ func (s *Sim) cbDrain(d *domain, r int) {
 	vb := pb * s.vcs
 	for off := 0; off < total; off++ {
 		slot := (start + off) % total
-		outPort, outVC := slot/s.vcs, slot%s.vcs
 		q := &s.cbq[vb+slot]
-		if q.empty() {
+		cp := q.head
+		if cp == nil || cp.stored == 0 {
 			continue
 		}
-		cp := q.front()
-		if cp.stored.empty() {
-			continue
-		}
+		outPort, outVC := slot/s.vcs, slot%s.vcs
 		if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 {
 			continue
 		}
-		f := cp.stored.front()
-		if !s.outputReady(cp.pkt, vb+slot, f.head()) {
+		p := cp.pkt
+		f := flit{pkt: p, idx: uint16(int32(p.flits) - cp.expected - cp.stored), hop: cp.hop, next: p.next[cp.hop]}
+		if !s.outputReady(p, vb+slot, f.head()) {
 			continue
 		}
-		cp.stored.pop()
+		cp.stored--
 		s.cbFree[r]++
 		d.buffered++
 		d.forwarded++
 		s.sendFlit(d, r, f, outPort, outVC, vb+slot, routerDelayBuffered)
 		if f.tail() {
-			q.pop()
+			q.head = cp.qnext
 			s.freeCBPacket(d, cp)
 		}
 		return // single read port

@@ -63,9 +63,10 @@ const (
 const maxVCs = 63
 
 // maxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are uint16
-// so queues and wheels move 16-byte elements. Validated by enqueuePacket
-// (synthetic traffic uses single-digit counts; the bound exists for exotic
-// trace generators).
+// so queues and wheels move 16-byte elements. New validates PacketFlits
+// against it and EpisodeEngine.Latencies every transfer's size; a source
+// emitting more still panics in enqueuePacket (synthetic traffic uses
+// single-digit counts).
 const maxPacketFlits = 1<<16 - 1
 
 // Config describes one simulation.
@@ -270,14 +271,10 @@ type packet struct {
 
 	genTime int64
 	tracked bool
-	// flitsMoved counts flits transferred from the source queue into the
-	// NIC injection buffer.
+	// flitsMoved counts flits moved into the source NIC's injection queue.
 	flitsMoved int
-	// cbState records the central-buffer router's bypass-vs-buffered
-	// decision per hop (§4.1): 0 undecided, 1 bypass, 2 buffered. Indexed
-	// by hop because head and tail flits of one packet can occupy
-	// different routers simultaneously.
-	cbState []uint8
+	// qnext links the packet into its source NIC's packet list (see nic).
+	qnext *packet
 }
 
 // flit references its packet and position. next carries the precomputed
@@ -347,25 +344,43 @@ type creditEvent struct {
 	port, vc int32
 }
 
-// cbPacket is a packet resident in (or streaming through) a central buffer.
-// Recycled through a freelist when its tail flit drains.
+// cbPacket is a packet buffered at a central-buffer router on its way to
+// one output VC (§4.1). The buffer reserved all of the packet's flits when
+// its head arrived: expected of them are still to be written, stored are in
+// the buffer. A packet's flits stream through in order, so the stored ones
+// are consecutive, the front one being flit flits-expected-stored, and all
+// sit at hop hop: counts are all the record keeps. Records queue per output
+// VC through qnext and recycle through the domain's freelist once their
+// tail drains.
 type cbPacket struct {
-	pkt      *packet
-	outPort  int
-	outVC    int
-	stored   ring[flit] // flits currently in the CB
-	expected int        // flits still to arrive into the CB
+	pkt              *packet
+	qnext            *cbPacket
+	stored, expected int32
+	hop              uint16
 }
 
-// nic is one node's network interface.
+// cbBypass is the Sim.cbIn mark of a packet on the central-buffer router's
+// bypass path; it is never queued.
+var cbBypass = &cbPacket{}
+
+// cbQueue is one output VC's FIFO of buffered packets, linked through
+// cbPacket.qnext (tail is meaningful only while head != nil).
+type cbQueue struct {
+	head, tail *cbPacket
+}
+
+// nic is one node's network interface: the packets it has still to inject,
+// in order, linked through packet.qnext from front to last (last is valid
+// only while front != nil). Flits enter the injection queue packet by
+// packet, so the queue is a window over the list: injLen flits from flit
+// injIdx of front on, through the moved flits of the packets behind it up
+// to src, the first packet with unmoved flits (nil if none). A packet
+// leaves the list as its tail leaves the queue, before it can eject and be
+// recycled.
 type nic struct {
-	srcQ ring[*packet] // unbounded source queue (open-loop measurement)
-	// The injection queue: injLen flits from Sim.injBuf[node*injCap+injHead]
-	// on. It stores each flit's packet only: flits enter in index order, a
-	// packet after the previous one's tail, so the front's index injIdx
-	// (and injNext) is all it must keep.
-	injHead, injLen int32
-	injIdx          uint16
+	front, src, last *packet
+	injLen           int32
+	injIdx           uint16
 }
 
 // Sim is a runnable simulation instance.
@@ -388,11 +403,15 @@ type Sim struct {
 	// Per-lane wire state, [link*vcs+vc]. laneLast is the latest arrival
 	// cycle scheduled on the lane: a flit never lands before the one sent
 	// ahead of it (a CBR bypass flit, 2 cycles, could otherwise overtake a
-	// buffered one, 4 cycles). stall holds, in order, the flits that landed
-	// on a full input latch or behind stalled flits; nil under EdgeBuffers,
+	// buffered one, 4 cycles). stall is the lane's FIFO, in stallBuf, of the
+	// flits that landed on a full input latch or behind stalled flits. Its
+	// capacity is the lane's latency+1 pipeline slots: the sender's space
+	// word starts there and a slot returns only at deliver, so the flits on
+	// the wire and stalled never exceed it. Both are nil under EdgeBuffers,
 	// whose credits guarantee room on arrival.
 	laneLast []int64
-	stall    []ring[flit]
+	stall    []fifo
+	stallBuf []flit
 
 	// SoA router state. Geometry (immutable after New):
 	stride  int // max router radix; per-port index stride
@@ -439,10 +458,16 @@ type Sim struct {
 	// returned when a flit lands at the receiver). outputReady is therefore
 	// one compare, with the scheme branch and the pointer chase into the
 	// link struct both gone from the arbitration inner loop.
-	space  []int32           // [(r*stride+pi)*vcs+vc]
-	cbq    []ring[*cbPacket] // [(r*stride+pi)*vcs+vc] CB queues (CentralBuffer only)
-	cbFree []int32           // [r] central-buffer slots free
-	work   []int32           // [r] flits resident at the router (domain.busy signal)
+	space []int32 // [(r*stride+pi)*vcs+vc]
+	// Central-buffer state (CentralBuffer only): each output VC's queue of
+	// buffered packets, and each input VC's decision for the packet at its
+	// front (§4.1), nil until its head decides. Wormhole order puts one
+	// packet at a time at an input's front, so the head sets the decision
+	// and the tail's pop clears it.
+	cbq    []cbQueue   // [(r*stride+pi)*vcs+vc] output VCs
+	cbIn   []*cbPacket // [(r*stride+pi)*vcs+vc] input VCs
+	cbFree []int32     // [r] central-buffer slots free
+	work   []int32     // [r] flits resident at the router (domain.busy signal)
 	// Per-cycle ejection scratch, epoch-marked: a slot is "used this cycle"
 	// iff its entry equals the current cycle number, so there is nothing to
 	// clear. (Output-port conflicts use the per-domain outMask bitmask
@@ -461,21 +486,20 @@ type Sim struct {
 	single bool
 
 	// Injection is serial and visits only NICs that can move a flit. After
-	// stepInject every NIC has an empty source queue or a full injection
-	// queue, so one needs a visit only after enqueuePacket, or after popInj
-	// frees room while packets wait: it then goes on its domain's ready list
-	// (domain.ready), once per cycle (nicReady). nicBacklog counts the NICs
-	// whose source queue is non-empty.
+	// stepInject every NIC has no unmoved flits (src == nil) or a full
+	// injection queue, so one needs a visit only after enqueuePacket, or
+	// after popInj frees room while packets wait: it then goes on its
+	// domain's ready list (domain.ready), once per cycle (nicReady).
+	// nicBacklog counts the NICs with src != nil.
 	nicReady   []bool // [node]
 	nicBacklog int
-	// injBuf holds every NIC's injection queue (see nic). injNext holds each
+	// injCap is every NIC's injection queue capacity. injNext holds each
 	// queue's front next-hop word (nextNone when empty), exactly like inNext
 	// does for the router input buffers: the per-router injection scan
-	// probes one dense uint32 per node and only touches the NIC and the
-	// slab when a flit can actually move.
+	// probes one dense uint32 per node and only touches the NIC when a flit
+	// can actually move.
 	injCap  int32
-	injBuf  []*packet // [node*injCap+i]
-	injNext []uint32  // [node]
+	injNext []uint32 // [node]
 
 	// Timing wheels replacing the per-cycle credit and ejection scans.
 	creditWheel *wheel[creditEvent]
@@ -638,8 +662,13 @@ func New(cfg Config) (*Sim, error) {
 		// would silently collide.
 		return nil, fmt.Errorf("sim: VCs = %d out of range [1, %d]", cfg.VCs, maxVCs)
 	}
-	if cfg.InjQueueCap < 1 {
-		return nil, fmt.Errorf("sim: InjQueueCap = %d, want >= 1 (0 selects the default)", cfg.InjQueueCap)
+	if cfg.InjQueueCap < 1 || cfg.InjQueueCap > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: InjQueueCap = %d out of range [1, %d] (0 selects the default)", cfg.InjQueueCap, math.MaxInt32)
+	}
+	if cfg.PacketFlits < 1 || cfg.PacketFlits > maxPacketFlits {
+		// Flit indices are uint16; a negative size would queue packets
+		// that never inject.
+		return nil, fmt.Errorf("sim: PacketFlits = %d out of range [1, %d] (0 selects the default)", cfg.PacketFlits, maxPacketFlits)
 	}
 	s := &Sim{
 		cfg:    cfg,
@@ -687,7 +716,8 @@ func New(cfg Config) (*Sim, error) {
 	s.outOwner = make([]int64, nv)
 	s.space = make([]int32, nv)
 	if cfg.Scheme == CentralBuffer {
-		s.cbq = make([]ring[*cbPacket], nv)
+		s.cbq = make([]cbQueue, nv)
+		s.cbIn = make([]*cbPacket, nv)
 	}
 	s.cbFree = make([]int32, nr)
 	s.work = make([]int32, nr)
@@ -701,10 +731,11 @@ func New(cfg Config) (*Sim, error) {
 	s.links = make([]link, 0, edges)
 	s.laneLast = make([]int64, edges*cfg.VCs)
 	if cfg.Scheme != EdgeBuffers {
-		s.stall = make([]ring[flit], edges*cfg.VCs)
+		s.stall = make([]fifo, edges*cfg.VCs)
 	}
 	maxLat := int64(1)
-	slab := 0 // input buffer tail slab size so far
+	slab := 0      // input buffer tail slab size so far
+	stallSlab := 0 // stall FIFO slab size so far
 	for r := 0; r < nr; r++ {
 		adj := s.net.Adj[r]
 		for pi, nb := range adj {
@@ -728,18 +759,24 @@ func New(cfg Config) (*Sim, error) {
 				s.inCap[vb+v] = int32(capFlits)
 				s.inOff[vb+v] = int32(slab)
 				slab += capFlits - 1
+				if s.stall != nil {
+					s.stall[lid*cfg.VCs+v] = fifo{off: int32(stallSlab), size: int32(lat) + 1}
+					stallSlab += int(lat) + 1
+				}
 			}
 		}
 	}
-	if slab > math.MaxInt32 || int64(s.net.N())*int64(cfg.InjQueueCap) > math.MaxInt32 {
-		return nil, fmt.Errorf("sim: buffer capacities need more than %d flits of input or injection storage", math.MaxInt32)
+	if slab > math.MaxInt32 || stallSlab > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: buffer capacities need more than %d flits of input or link storage", math.MaxInt32)
 	}
 	s.inBuf = make([]flit, slab)
+	if s.stall != nil {
+		s.stallBuf = make([]flit, stallSlab)
+	}
 	// NICs.
 	s.nics = make([]nic, s.net.N())
 	s.injNext = make([]uint32, s.net.N())
 	s.injCap = int32(cfg.InjQueueCap)
-	s.injBuf = make([]*packet, s.net.N()*cfg.InjQueueCap)
 	// The route table: adaptive policies walk the generic minimal one
 	// (its compile error is also how a disconnected network is refused),
 	// static runs read the supplied one.
@@ -791,15 +828,14 @@ func New(cfg Config) (*Sim, error) {
 // indistinguishable from one New just returned (pinned field by field by
 // TestResetEqualsFresh — a field added to Sim and forgotten here fails it).
 //
-// The input and injection slabs New sized are not cleared: emptying a queue
-// is zeroing its head and length, and nothing reads a slab outside a
-// queue's live window (clearing them made an estimate episode on a
-// 1296-node network half again as slow). Growable queues go back to their
-// zero value rather than keeping grown backing arrays, and scratch slices
-// and the latency histogram are truncated, so a long-lived engine's
-// footprint stays at its construction size plus its longest latency. The
-// packet and central-buffer freelists survive by design (a recycled packet
-// is fully reinitialised when allocated).
+// The input and stall slabs New sized are not cleared: emptying a queue is
+// zeroing its head and length, and nothing reads a slab outside a queue's
+// live window (clearing them made an estimate episode on a 1296-node
+// network half again as slow). Scratch slices and the latency histogram
+// are truncated, so a long-lived engine's footprint stays at its
+// construction size plus its longest latency. The packet and
+// central-buffer freelists survive by design (a recycled packet is fully
+// reinitialised when allocated).
 // Domain workers must not be running.
 func (s *Sim) reset() {
 	cfg := &s.cfg
@@ -821,6 +857,7 @@ func (s *Sim) reset() {
 	}
 	clear(s.occIn)
 	clear(s.cbq)
+	clear(s.cbIn)
 	for r := range s.cbFree {
 		s.cbFree[r] = int32(cfg.CBCap)
 	}
@@ -846,12 +883,14 @@ func (s *Sim) reset() {
 	// Links: nothing on any wire (the arrival wheels empty with their
 	// domains, below).
 	clear(s.laneLast)
-	clear(s.stall)
+	for i := range s.stall {
+		s.stall[i].head, s.stall[i].n = 0, 0
+	}
 	for li := range s.links {
 		l := &s.links[li]
 		l.pending, l.occupancy = 0, 0
 	}
-	// NICs: empty source and injection queues.
+	// NICs: no packets, empty injection queues.
 	clear(s.nics)
 	for v := range s.injNext {
 		s.injNext[v] = nextNone
@@ -1087,8 +1126,8 @@ func (h *latHist) quantile(p float64) float64 {
 	panic("sim: latency quantile past the histogram")
 }
 
-// stepGenerate invokes the traffic source and enqueues new packets on source
-// queues. Generation stops at the end of the measurement window so the drain
+// stepGenerate invokes the traffic source and enqueues new packets on their
+// NICs. Generation stops at the end of the measurement window so the drain
 // phase empties the network; a non-zero InFlight after Run therefore
 // indicates a deadlock or livelock.
 //
@@ -1119,6 +1158,7 @@ func (s *Sim) allocPacket() *packet {
 	p.id = s.nextPktID
 	s.nextPktID++
 	p.flitsMoved = 0
+	p.qnext = nil
 	return p
 }
 
@@ -1151,16 +1191,6 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	} else {
 		p.next = s.table.AppendNextWords(p.next[:0], srcR, dstR)
 	}
-	if s.cfg.Scheme == CentralBuffer {
-		// Reset the per-hop bypass decisions, reusing capacity.
-		if cap(p.cbState) < len(p.next) {
-			//detlint:allow hotalloc capacity growth only; recycled packets reuse cbState backing at steady state
-			p.cbState = make([]uint8, len(p.next))
-		} else {
-			p.cbState = p.cbState[:len(p.next)]
-			clear(p.cbState)
-		}
-	}
 	if len(p.next) > maxPacketFlits {
 		panic("sim: route exceeds maxPacketFlits hops (flit hop indices are uint16)")
 	}
@@ -1168,10 +1198,16 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 		s.genMeasured++
 	}
 	nc := &s.nics[src]
-	if nc.srcQ.len() == 0 {
+	if nc.front == nil {
+		nc.front = p
+	} else {
+		nc.last.qnext = p
+	}
+	nc.last = p
+	if nc.src == nil {
+		nc.src = p
 		s.nicBacklog++
 	}
-	nc.srcQ.push(p)
 	s.nicWake(&s.doms[s.domOf[srcR]], src)
 }
 
@@ -1214,12 +1250,12 @@ func (s *Sim) routerGainsFlit(d *domain, r int) {
 	s.work[r]++
 }
 
-// stepInject moves flits from source queues into NIC injection buffers,
+// stepInject moves flits of queued packets into NIC injection queues,
 // visiting only the NICs on the domains' ready lists. Visit order is not
 // observable: each NIC fills its own queue and wakes its own router, and the
 // router phase visits routers in ascending order whatever order they woke
-// in. Every visit ends with an empty source queue or a full injection queue,
-// so the lists empty completely.
+// in. Every visit ends with no unmoved flits or a full injection queue, so
+// the lists empty completely.
 //
 //sim:hot
 func (s *Sim) stepInject() {
@@ -1233,41 +1269,30 @@ func (s *Sim) stepInject() {
 	}
 }
 
-// injectNIC moves the flits of one NIC's queued packets into its injection
-// queue while space lasts. d owns the NIC's router.
+// injectNIC moves the flits of one NIC's queued packets, from src on, into
+// its injection queue while space lasts. d owns the NIC's router.
 //
 //sim:hot
 func (s *Sim) injectNIC(d *domain, v int) {
 	nc := &s.nics[v]
 	r := s.net.NodeRouter(v)
-	for nc.srcQ.len() > 0 {
-		p := nc.srcQ.front()
-		// Move remaining flits of the head packet while space lasts. The
-		// queue stores only the packet; a flit that lands in front of an
-		// empty queue also sets its index and next-hop word.
-		moved := false
-		for p.flitsMoved < p.flits && nc.injLen < s.injCap {
-			s.flitCountInjected(p)
-			if nc.injLen == 0 {
-				s.injNext[v] = p.next[0]
-				nc.injIdx = uint16(p.flitsMoved)
-			}
-			s.injBuf[slabPos(int32(v)*s.injCap, nc.injHead, nc.injLen, s.injCap)] = p
-			nc.injLen++
-			p.flitsMoved++
-			moved = true
-			s.routerGainsFlit(d, r)
+	for p := nc.src; p != nil && nc.injLen < s.injCap; {
+		s.flitCountInjected(p)
+		if nc.injLen == 0 {
+			// The flit lands in front of an empty queue, so p is front
+			// and injIdx already names the flit (see popInj).
+			s.injNext[v] = p.next[0]
 		}
+		nc.injLen++
+		p.flitsMoved++
+		s.routerGainsFlit(d, r)
 		if p.flitsMoved == p.flits {
-			nc.srcQ.pop()
-			continue
-		}
-		if !moved {
-			break
+			p = p.qnext
+			nc.src = p
 		}
 	}
-	if nc.srcQ.len() == 0 {
-		s.nicBacklog-- // a NIC is only ever woken with packets queued
+	if nc.src == nil {
+		s.nicBacklog-- // a NIC is only ever woken with unmoved flits
 	}
 }
 

@@ -439,12 +439,19 @@ func TestConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("indirect networks must be rejected")
 	}
-	// The injection queues are a slab of InjQueueCap flits per node.
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	if _, err := sim.New(sim.Config{Net: net, Table: minTable(t, net, 2), InjQueueCap: -1,
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
 	}); err == nil {
 		t.Error("a negative injection queue capacity must be rejected")
+	}
+	// Flit indices are uint16, and a negative size never injects.
+	for _, flits := range []int{-3, 70000} {
+		if _, err := sim.New(sim.Config{Net: net, Table: minTable(t, net, 2), PacketFlits: flits,
+			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}},
+		}); err == nil || !strings.Contains(err.Error(), "PacketFlits") {
+			t.Errorf("PacketFlits = %d: error %v, want a PacketFlits range error", flits, err)
+		}
 	}
 }
 

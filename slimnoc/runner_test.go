@@ -3,6 +3,7 @@ package slimnoc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -135,5 +136,23 @@ func TestRunnerErrors(t *testing.T) {
 	bad.Network = NetworkSpec{Preset: "nope"}
 	if _, err := Run(t.Context(), bad); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestRunRejectsPacketSizeOutOfRange: a packet size the engine cannot
+// simulate is a spec error. 70000 flits overflows the 16-bit flit index
+// (the run used to panic), and a negative size never injects (the run used
+// to report zero packets and zero latency).
+func TestRunRejectsPacketSizeOutOfRange(t *testing.T) {
+	for _, flits := range []int{70000, -3} {
+		spec := RunSpec{
+			Network: NetworkSpec{Preset: "sn_subgr_54"},
+			Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.9, PacketFlits: flits},
+			Sim:     SimSpec{MeasureCycles: 20000, Seed: 1},
+		}
+		res, err := Run(context.Background(), spec)
+		if err == nil || !strings.Contains(err.Error(), "packet_flits") {
+			t.Errorf("packet_flits %d: result %+v, error %v; want a packet_flits range error", flits, res, err)
+		}
 	}
 }

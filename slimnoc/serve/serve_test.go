@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,6 +311,28 @@ func TestServeRequiresHello(t *testing.T) {
 	}
 	if !raw[1].OK || raw[1].Protocol != serve.ProtocolVersion {
 		t.Fatalf("hello after error failed: %+v", raw[1])
+	}
+}
+
+// TestServeSurvivesOversizedTransfer: a transfer too large for the engine's
+// 16-bit flit index is answered with an error line, and the session (and
+// with it the server) goes on to serve the next request.
+func TestServeSurvivesOversizedTransfer(t *testing.T) {
+	srv := serve.NewServer()
+	cc := startServer(t, srv)
+	raw := rawSession(t, cc, []string{
+		`{"op":"hello","id":1,"spec":{"network":{"preset":"t2d54"}}}`,
+		`{"op":"estimate","id":2,"src":0,"dst":53,"flits":70000}`,
+		`{"op":"estimate","id":3,"src":0,"dst":53,"flits":6}`,
+	})
+	if !raw[0].OK {
+		t.Fatalf("hello failed: %+v", raw[0])
+	}
+	if raw[1].OK || !strings.Contains(raw[1].Error, "70000 flits") {
+		t.Fatalf("oversized estimate: %+v, want an error naming its 70000 flits", raw[1])
+	}
+	if !raw[2].OK || raw[2].Result == nil || raw[2].Result.LatencyCycles <= 0 {
+		t.Fatalf("estimate after the error: %+v", raw[2])
 	}
 }
 

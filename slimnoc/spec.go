@@ -321,6 +321,10 @@ func (s RunSpec) Validate() error {
 	return s.Traffic.validate()
 }
 
+// maxPacketFlits is the largest packet the engine simulates: its flit
+// indices are 16-bit.
+const maxPacketFlits = 1<<16 - 1
+
 // validate checks the workload-axis fields of an already normalized
 // TrafficSpec: registry membership of the process, and parameter ranges
 // (zero always means "use the default" and is valid).
@@ -330,6 +334,9 @@ func (ts TrafficSpec) validate() error {
 			return fmt.Errorf("slimnoc: unknown traffic process %q (have %s)",
 				ts.Process, strings.Join(Processes(), ", "))
 		}
+	}
+	if ts.PacketFlits < 0 || ts.PacketFlits > maxPacketFlits {
+		return fmt.Errorf("slimnoc: traffic.packet_flits = %d out of range [1, %d]", ts.PacketFlits, maxPacketFlits)
 	}
 	if ts.BurstLen != 0 && ts.BurstLen < 1 {
 		return fmt.Errorf("slimnoc: traffic.burst_len = %g, want >= 1", ts.BurstLen)
