@@ -1,7 +1,7 @@
 // Command snlayout analyses Slim NoC physical layouts: average wire length,
 // buffer budgets, wiring constraints and distance distributions (the §3.3
 // analyses behind Figs. 5 and 6). The network comes from the shared spec
-// flags (-q/-p or a -spec file); every registered layout is compared.
+// flags (-q/-p or a -spec file); every layout is compared.
 //
 // Usage:
 //

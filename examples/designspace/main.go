@@ -1,5 +1,5 @@
 // Design-space exploration: walks Table 2 to pick a Slim NoC for a target
-// core count, compares all registered layouts with the §3.2 cost models,
+// core count, compares all the layouts with the §3.2 cost models,
 // verifies the Eq. 3 wiring constraints, budgets the chip at 22 nm, and
 // validates the chosen design with a short simulation through the slimnoc
 // facade — the §3.4 workflow a chip architect would follow.

@@ -80,7 +80,7 @@ func TestGridTablesMatchRoute(t *testing.T) {
 				shape{fmt.Sprintf("fbf%dx%d", x, y), topo.FBF(x, y, 1), Kind{Class: ClassFBF, RX: x, RY: y}})
 		}
 	}
-	// The grids of the registered presets beyond 8x8 (slimnoc's Table 4
+	// The grids of the static presets beyond 8x8 (slimnoc's Table 4
 	// set); the 1260-router 35x36 ones only outside -short, and at 2 VCs
 	// only, as the VC rules do not depend on the grid's size.
 	grids := [][2]int{{10, 5}, {12, 12}, {18, 9}}

@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 	)
 }
 
-// adaptivePolicy returns the named adaptive policy (the slimnoc registry's
+// adaptivePolicy returns the named adaptive policy (slimnoc's routing
 // names), or nil for "", static routing.
 func adaptivePolicy(name string) sim.AdaptivePolicy {
 	switch name {

@@ -239,18 +239,15 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// EdgeBufVar returns the EB-Var sizing function: the minimal per-VC buffer
-// for 100% utilisation of a wire of the given length (δij/|VC| from §3.2.2).
-func EdgeBufVar(h, vcs int) func(dist int) int {
-	if h < 1 {
-		h = 1
-	}
-	return func(dist int) int {
-		if dist < 1 {
-			dist = 1
-		}
-		return 2*((dist+h-1)/h) + 3
-	}
+// EdgeBufVar returns the EB-Var sizing function at h grid hops per cycle:
+// the minimal per-VC buffer for 100% utilisation of a wire of the given
+// length, δij/|VC| from §3.2.2. δij is Tij·|VC| flits at one flit per
+// cycle, so the VC count cancels and the per-VC share is the round trip
+// Tij = 2⌈dist/h⌉ + 3 itself (core.BufferModel.RTT). The engine passes
+// dist ≥ 1: it rounds a zero-length wire up to one hop.
+func EdgeBufVar(h int) func(dist int) int {
+	h = max(h, 1)
+	return func(dist int) int { return 2*((dist+h-1)/h) + 3 }
 }
 
 // packet is one in-flight packet. Packets are recycled through a freelist

@@ -605,6 +605,19 @@ func (m *mixedSource) Generate(tt int64, rng *rng.Stream, emit func(src, dst, fl
 func (m *mixedSource) OnDelivered(tt int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 }
 
+// TestEdgeBufVarIsRTT: the engine's EB-Var sizing and the §3.2.3 cost
+// model's round trip Tij are one formula.
+func TestEdgeBufVarIsRTT(t *testing.T) {
+	for _, h := range []int{1, 3, 9} {
+		size, m := sim.EdgeBufVar(h), core.BufferModel{H: h}
+		for d := 0; d <= 40; d++ {
+			if got, want := size(d), m.RTT(d); got != want {
+				t.Errorf("h=%d dist=%d: EdgeBufVar %d, RTT %d", h, d, got, want)
+			}
+		}
+	}
+}
+
 // TestEBVarBeatsEBSmallAtHighLoad: on long-wire layouts without SMART,
 // buffers sized for full utilisation (EB-Var) should reach at least the
 // throughput of 5-flit buffers (Fig. 11's EB-Small penalty).
@@ -627,7 +640,7 @@ func TestEBVarBeatsEBSmallAtHighLoad(t *testing.T) {
 		return res.Throughput
 	}
 	small := run(func(int) int { return 5 })
-	varSized := run(sim.EdgeBufVar(1, 2))
+	varSized := run(sim.EdgeBufVar(1))
 	if varSized < small*0.98 {
 		t.Errorf("EB-Var throughput %.4f should not trail EB-Small %.4f", varSized, small)
 	}

@@ -431,15 +431,13 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 		opts = append(opts, WithNetwork(net, kind))
 		// Static routing compiles once per (network, algorithm, VCs) and is
 		// shared read-only by every point using it; adaptive algorithms
-		// route per packet and have no compiled form. The compile runs under
-		// the point budget, so a table that alone would bust it is refused
-		// before it is allocated. Any compile error is left for Runner.Run
-		// to rediscover and report.
-		if re, ok := routings.lookup(spec.Routing.Algorithm); ok && !re.Adaptive {
-			if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); terr == nil {
-				cachedTab = tab
-				opts = append(opts, WithRouteTable(tab))
-			}
+		// route per packet, have no compiled form and fail to compile. The
+		// compile runs under the point budget, so a table that alone would
+		// bust it is refused before it is allocated. Any compile error is
+		// left for Runner.Run to rediscover and report.
+		if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); terr == nil {
+			cachedTab = tab
+			opts = append(opts, WithRouteTable(tab))
 		}
 	}
 	if c.engineJobs > 1 {

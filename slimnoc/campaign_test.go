@@ -9,10 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/topo"
 )
 
 // campaignSweep returns a quick multi-point sweep exercising two networks,
@@ -88,37 +85,54 @@ func TestCampaignResultsOrderedAndComplete(t *testing.T) {
 }
 
 // TestCampaignNetworkCacheSharing checks the engine builds each distinct
-// network spec exactly once per Run, however many points share it.
+// network once per Campaign, however many points share it: a preset and its
+// explicit parameters are one network, the cache holds one entry per
+// distinct network, and every point runs on its entry's build.
 func TestCampaignNetworkCacheSharing(t *testing.T) {
-	var builds atomic.Int32
-	RegisterTopology("cachecount", TopologyEntry{
-		Build: func(ns NetworkSpec) (*Network, Kind, error) {
-			builds.Add(1)
-			return topo.Mesh2D(3, 3, 2), Kind{Class: ClassMesh, RX: 3, RY: 3}, nil
-		},
-		Section: "test-only (campaign network cache)",
-		Example: NetworkSpec{Topology: "cachecount"},
-	})
+	explicit, err := ExpandNetwork(NetworkSpec{Preset: "t2d54"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []NetworkSpec{{Preset: "t2d54"}, explicit, {Preset: "fbf54"}}
 	var points []RunSpec
 	for i := 0; i < 6; i++ {
 		points = append(points, RunSpec{
-			Network: NetworkSpec{Topology: "cachecount"},
+			Network: nets[i%len(nets)],
 			Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.05},
 			Sim:     SimSpec{WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 400, Seed: int64(i + 1)},
 		})
 	}
-	results, err := RunCampaign(t.Context(), points, WithJobs(3))
+	ran := make([]*Network, len(points)) // the network each point ran on
+	c := NewCampaign(WithJobs(3), WithPointOptions(func(i int, _ RunSpec) []Option {
+		return []Option{func(r *Runner) { ran[i] = r.net }}
+	}))
+	results, err := c.Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range results {
 		if p.Err != nil {
-			t.Fatalf("point %d: %v", i, p.Err)
+			t.Errorf("point %d: %v", i, p.Err)
 		}
 	}
-	if n := builds.Load(); n != 1 {
-		t.Errorf("network built %d times, want 1", n)
+	if n := len(c.cache.entries); n != 2 {
+		t.Errorf("cache holds %d networks, want 2", n)
 	}
+	for i, p := range points {
+		e, ok := c.cache.entries[mustNetworkKey(t, p.Network)]
+		if !ok || e.net == nil || ran[i] != e.net {
+			t.Errorf("point %d (%+v) did not run on its cached network", i, p.Network)
+		}
+	}
+}
+
+func mustNetworkKey(t *testing.T, ns NetworkSpec) string {
+	t.Helper()
+	key, err := networkKey(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 // TestCampaignPartialResultsOnCancel cancels mid-campaign and checks the

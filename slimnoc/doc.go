@@ -5,9 +5,12 @@
 // A run is described declaratively by a RunSpec — a JSON-serializable,
 // round-trippable document naming a topology, physical layout, routing
 // algorithm, buffering scheme, traffic generator and simulation phases.
-// Every name in a spec resolves through a string-keyed registry
-// (RegisterTopology, RegisterRouting, RegisterTraffic, RegisterScheme,
-// RegisterLayout), so new variants plug in without touching any caller:
+// Every name in a spec resolves, case-insensitively, through a fixed table
+// per axis: the design space the paper evaluates (Slim NoC and its Table 4,
+// §2.2 and §5.5 baselines, the §3.3 layouts, the §4.3 and §6 routings, the
+// §4-5.1 buffer schemes and the workload axes). The tables are built once
+// and never change, so a name in a stored spec always means the code that
+// ran it; an unknown name fails with the list of accepted ones:
 //
 //	spec := slimnoc.RunSpec{
 //		Network: slimnoc.NetworkSpec{Topology: "sn", Q: 5, Conc: 4, Layout: "subgr"},
@@ -21,7 +24,7 @@
 // functional options for everything the declarative spec cannot express:
 // WithProgress streams telemetry during long sweeps, WithSource injects a
 // custom traffic generator, WithNetwork reuses one built network across a
-// sweep, and WithEdgeBufferSizing overrides the registry-provided buffer
+// sweep, and WithEdgeBufferSizing overrides the buffer scheme's edge-buffer
 // sizing.
 //
 // Whole evaluation grids are campaigns: a SweepSpec declares axes (presets,
@@ -66,7 +69,7 @@
 // TrafficSpec composes a workload from three orthogonal axes plus two
 // extras, mirroring the internal/traffic decomposition. The spatial Pattern
 // (rnd, shf, rev, adv1, adv2, asym) decides where packets go; the temporal
-// Process (RegisterProcess: bernoulli, burst, mmpp, reqreply) decides when
+// Process (bernoulli, burst, mmpp, reqreply) decides when
 // nodes inject; the size mix (fixed, bimodal) decides packet lengths; the
 // hotspot overlay (HotspotFraction/HotspotCount) concentrates a share of
 // any pattern's traffic on a few hot nodes; and the closed-loop reqreply

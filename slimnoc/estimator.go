@@ -2,7 +2,6 @@ package slimnoc
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/routing"
@@ -53,7 +52,6 @@ type EstimateResult struct {
 type Estimator struct {
 	spec  RunSpec
 	net   *Network
-	kind  routing.Kind
 	table *routing.RouteTable
 	cfg   sim.Config // template: Net/Table/VCs/scheme fields set, Traffic nil
 	// MaxCycles bounds one episode (0 = the engine default); exceeding it
@@ -108,12 +106,11 @@ func NewEstimator(spec RunSpec) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	re, ok := routings.lookup(canon.Routing.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
-			canon.Routing.Algorithm, strings.Join(Routings(), ", "))
+	cfg, err := engineConfig(canon)
+	if err != nil {
+		return nil, err
 	}
-	if re.Adaptive {
+	if cfg.Adaptive != nil {
 		return nil, fmt.Errorf("slimnoc: estimator requires compiled (static) routes; adaptive algorithm %q routes per packet",
 			canon.Routing.Algorithm)
 	}
@@ -121,36 +118,12 @@ func NewEstimator(spec RunSpec) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	vcs := canon.Routing.VCs
-	table, err := CompileRouteTable(net, kind, canon.Routing.Algorithm, vcs)
+	table, err := CompileRouteTable(net, kind, canon.Routing.Algorithm, cfg.VCs)
 	if err != nil {
 		return nil, err
 	}
-	h := canon.HopsPerCycle()
-	se, ok := schemes.lookup(canon.Buffering.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("slimnoc: unknown buffer scheme %q (have %s)",
-			canon.Buffering.Scheme, strings.Join(Schemes(), ", "))
-	}
-	sc, err := se.New(canon.Buffering, h, vcs)
-	if err != nil {
-		return nil, err
-	}
-	return &Estimator{
-		spec:  canon,
-		net:   net,
-		kind:  kind,
-		table: table,
-		cfg: sim.Config{
-			Net:        net,
-			Table:      table,
-			VCs:        vcs,
-			Scheme:     sc.Scheme,
-			EdgeBufCap: sc.BufCap,
-			CBCap:      sc.CBCap,
-			H:          h,
-		},
-	}, nil
+	cfg.Net, cfg.Table = net, table
+	return &Estimator{spec: canon, net: net, table: table, cfg: cfg}, nil
 }
 
 // Spec returns the estimator's canonical spec (see EstimatorSpec) — the

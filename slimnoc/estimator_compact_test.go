@@ -18,11 +18,11 @@ func TestEstimatorCompactTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := routing.NewTable(e.net, e.kind, e.table.NumVCs())
+	tab, err := routing.NewTable(e.net, routing.Kind{Class: routing.ClassGeneric}, e.table.NumVCs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &Estimator{spec: e.spec, net: e.net, kind: e.kind, table: tab, cfg: e.cfg}
+	d := &Estimator{spec: e.spec, net: e.net, table: tab, cfg: e.cfg}
 	d.cfg.Table = tab
 
 	n := e.Nodes()

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/routing"
 )
 
 // damagedSpec is a quick point on a damaged t2d54.
@@ -65,7 +67,7 @@ func TestDamagedNetworkRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind.Class != ClassGeneric || net.Name != "t2d54_fail10%" {
+	if kind.Class != routing.ClassGeneric || net.Name != "t2d54_fail10%" {
 		t.Errorf("damaged network: class %v, name %q", kind.Class, net.Name)
 	}
 	links := func(n *Network) (l int) {
@@ -97,7 +99,7 @@ func TestDamagedNetworkRuns(t *testing.T) {
 // adaptive, refuses a network in pieces with the same named error instead of
 // panicking mid-run.
 func TestDisconnectedNetworkFails(t *testing.T) {
-	for _, alg := range Routings() {
+	for _, alg := range routings.names {
 		spec := damagedSpec(0.9, 1)
 		spec.Routing.Algorithm = alg
 		_, err := Run(context.Background(), spec)

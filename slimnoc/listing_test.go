@@ -1,11 +1,10 @@
 package slimnoc
 
-// Regression pins for listing order: every enumeration the facade exposes
-// (registries, presets) is backed by a map, so an accidental switch to raw
-// map iteration would make listing order — and anything rendered from it,
-// like report columns or campaign expansion order — vary per process. The
-// detlint maporder analyzer guards the implementation; these tests pin the
-// observable contract: sorted, duplicate-free, and stable across calls.
+// Regression pins for listing order: every name list the facade shows
+// (flag help, unknown-name errors, sweep expansion) is backed by a map, so
+// an accidental switch to raw map iteration would make its order vary per
+// process. The detlint maporder analyzer guards the implementation; this
+// test pins the observable contract: sorted and duplicate-free.
 
 import (
 	"sort"
@@ -13,44 +12,29 @@ import (
 )
 
 func TestListingsSortedAndStable(t *testing.T) {
-	listings := map[string]func() []string{
-		"Topologies": Topologies,
-		"Routings":   Routings,
-		"Traffics":   Traffics,
-		"Processes":  Processes,
-		"Schemes":    Schemes,
-		"Layouts":    Layouts,
-		"Presets":    Presets,
+	listings := []struct {
+		name string
+		list []string
+	}{
+		{"topologies", topologies.names},
+		{"routings", routings.names},
+		{"traffics", traffics.names},
+		{"processes", processes.names},
+		{"schemes", schemes.names},
+		{"layouts", Layouts()},
+		{"presets", sortedKeys(presetTable)},
 	}
-	names := make([]string, 0, len(listings))
-	for name := range listings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		list := listings[name]
-		got := list()
-		if len(got) == 0 {
-			t.Errorf("%s() is empty; registration did not run", name)
+	for _, l := range listings {
+		if len(l.list) == 0 {
+			t.Errorf("%s is empty", l.name)
 			continue
 		}
-		if !sort.StringsAreSorted(got) {
-			t.Errorf("%s() is not sorted: %q", name, got)
+		if !sort.StringsAreSorted(l.list) {
+			t.Errorf("%s is not sorted: %q", l.name, l.list)
 		}
-		for i := 1; i < len(got); i++ {
-			if got[i] == got[i-1] {
-				t.Errorf("%s() contains duplicate %q", name, got[i])
-			}
-		}
-		for call := 0; call < 3; call++ {
-			again := list()
-			if len(again) != len(got) {
-				t.Fatalf("%s() length changed between calls: %d then %d", name, len(got), len(again))
-			}
-			for i := range got {
-				if again[i] != got[i] {
-					t.Errorf("%s() order changed between calls at %d: %q then %q", name, i, got[i], again[i])
-				}
+		for i := 1; i < len(l.list); i++ {
+			if l.list[i] == l.list[i-1] {
+				t.Errorf("%s contains duplicate %q", l.name, l.list[i])
 			}
 		}
 	}

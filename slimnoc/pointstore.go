@@ -25,7 +25,7 @@ const pointKeySalt = "slimnoc.Result/v1|engine=" + EngineVersion
 // expanded (ExpandNetwork, like the campaign's own network cache), salted
 // with the store schema and engine versions. Two specs that describe the
 // same run — regardless of JSON field order, defaulted fields spelled out
-// or omitted, registry-name casing, or a preset versus its explicit
+// or omitted, name casing or alias, or a preset versus its explicit
 // parameters — share one key. The Name label is excluded from the hash: it
 // never affects execution, so a store computed by one sweep serves every
 // later sweep or figure that contains the same physical point under a

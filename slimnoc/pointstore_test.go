@@ -14,7 +14,7 @@ import (
 )
 
 // TestPointKeyNormalizes pins the content-address equivalences: defaulted
-// fields spelled out or omitted, registry-name casing, and the Name label
+// fields spelled out or omitted, name casing and aliases, and the Name label
 // must not change a point's key, while any execution-relevant field must.
 func TestPointKeyNormalizes(t *testing.T) {
 	terse := RunSpec{
@@ -75,6 +75,24 @@ func TestPointKeyNormalizes(t *testing.T) {
 	}
 	if kp != ke {
 		t.Errorf("preset and explicit equivalents hash differently: %s vs %s", kp, ke)
+	}
+
+	// The historical scheme spellings name the same scheme as the canonical
+	// ones, so they must share its key.
+	for alias, scheme := range map[string]string{"eblarge": "eb-large", "EBVAR": "eb-var"} {
+		a, c := terse, terse
+		a.Buffering.Scheme, c.Buffering.Scheme = alias, scheme
+		ka, err := PointKey(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kc, err := PointKey(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ka != kc {
+			t.Errorf("scheme %q and %q hash differently: %s vs %s", alias, scheme, ka, kc)
+		}
 	}
 
 	// An unresolvable network cannot be content-addressed.

@@ -2,17 +2,12 @@ package slimnoc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // presetTable holds the static Table 4 configurations. Slim NoC presets of
 // the form sn_<layout>_<N> are resolved dynamically by ResolvePreset.
-var presetTable = struct {
-	mu sync.RWMutex
-	m  map[string]NetworkSpec
-}{m: map[string]NetworkSpec{
+var presetTable = map[string]NetworkSpec{
 	// N in {192, 200}.
 	"cm3":   {Topology: "mesh", X: 8, Y: 8, Conc: 3},
 	"cm4":   {Topology: "mesh", X: 10, Y: 5, Conc: 4},
@@ -44,49 +39,21 @@ var presetTable = struct {
 	"cm100k":  {Topology: "mesh", X: 112, Y: 112, Conc: 8},
 	"t2d100k": {Topology: "torus", X: 112, Y: 112, Conc: 8},
 	"fbf100k": {Topology: "flatfly", X: 112, Y: 112, Conc: 8},
-}}
-
-// RegisterPreset adds (or replaces) a named network configuration.
-func RegisterPreset(name string, ns NetworkSpec) {
-	presetTable.mu.Lock()
-	defer presetTable.mu.Unlock()
-	presetTable.m[strings.ToLower(name)] = ns
-}
-
-// Presets lists the static preset names (sorted). Dynamic sn_<layout>_<N>
-// names resolve through ResolvePreset but are not enumerated here.
-func Presets() []string {
-	presetTable.mu.RLock()
-	defer presetTable.mu.RUnlock()
-	out := make([]string, 0, len(presetTable.m))
-	for k := range presetTable.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ResolvePreset expands a preset name (Table 4 shorthand like cm3 or fbf9,
 // or the dynamic sn_<layout>_<N> form) into a full NetworkSpec.
 func ResolvePreset(name string) (NetworkSpec, error) {
 	key := strings.ToLower(name)
-	presetTable.mu.RLock()
-	ns, ok := presetTable.m[key]
-	presetTable.mu.RUnlock()
-	if ok {
+	if ns, ok := presetTable[key]; ok {
 		return ns, nil
 	}
 	// Slim NoCs: sn_<layout>_<N>.
-	var layoutName string
 	var n int
-	for _, l := range Layouts() {
+	for _, l := range layouts.names {
 		if _, err := fmt.Sscanf(key, "sn_"+l+"_%d", &n); err == nil {
-			layoutName = l
-			break
+			return NetworkSpec{Topology: "sn", Nodes: n, Layout: l}, nil
 		}
 	}
-	if layoutName == "" {
-		return NetworkSpec{}, fmt.Errorf("slimnoc: unknown network preset %q", name)
-	}
-	return NetworkSpec{Topology: "sn", Nodes: n, Layout: layoutName}, nil
+	return NetworkSpec{}, fmt.Errorf("slimnoc: unknown network preset %q", name)
 }

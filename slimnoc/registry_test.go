@@ -7,26 +7,26 @@ import (
 	"repro/internal/routing"
 )
 
-// TestTopologyRegistryComplete builds every registered topology from its
-// example spec and validates the resulting network.
+// TestTopologyRegistryComplete builds every topology in the name table from
+// its example spec and validates the resulting network.
 func TestTopologyRegistryComplete(t *testing.T) {
-	names := Topologies()
+	names := topologies.names
 	if len(names) < 5 {
 		t.Fatalf("expected at least 5 topologies, have %v", names)
 	}
 	for _, name := range names {
-		e, ok := TopologyByName(name)
-		if !ok {
-			t.Errorf("%s: listed but not resolvable", name)
+		e, err := topologies.lookup(name)
+		if err != nil {
+			t.Errorf("%s: listed but not resolvable: %v", name, err)
 			continue
 		}
-		if e.Section == "" {
+		if e.section == "" {
 			t.Errorf("%s: no paper section recorded", name)
 		}
-		if e.Example.Topology != name {
-			t.Errorf("%s: example names topology %q", name, e.Example.Topology)
+		if e.example.Topology != name {
+			t.Errorf("%s: example names topology %q", name, e.example.Topology)
 		}
-		net, _, err := BuildNetwork(e.Example)
+		net, _, err := BuildNetwork(e.example)
 		if err != nil {
 			t.Errorf("%s: example does not build: %v", name, err)
 			continue
@@ -40,15 +40,15 @@ func TestTopologyRegistryComplete(t *testing.T) {
 // TestPresetsResolveAndBuild checks every static preset plus the dynamic
 // Slim NoC forms.
 func TestPresetsResolveAndBuild(t *testing.T) {
-	names := append(Presets(), "sn_basic_54", "sn_subgr_200", "sn_gr_200", "sn_rand_54")
+	names := append(sortedKeys(presetTable), "sn_basic_54", "sn_subgr_200", "sn_gr_200", "sn_rand_54")
 	for _, name := range names {
 		ns, err := ResolvePreset(name)
 		if err != nil {
 			t.Errorf("%s: does not resolve: %v", name, err)
 			continue
 		}
-		if _, ok := TopologyByName(ns.Topology); !ok {
-			t.Errorf("%s: resolves to unregistered topology %q", name, ns.Topology)
+		if _, err := topologies.lookup(ns.Topology); err != nil {
+			t.Errorf("%s: resolves to an unknown topology: %v", name, err)
 		}
 		net, _, err := BuildNetwork(NetworkSpec{Preset: name})
 		if err != nil {
@@ -71,32 +71,32 @@ func TestPresetsResolveAndBuild(t *testing.T) {
 }
 
 // TestRoutingRegistryComplete instantiates every routing algorithm on a
-// small torus: static ones must hand back a route table, adaptive ones a
-// policy.
+// small torus: static ones must compile a route table, adaptive ones carry
+// a policy.
 func TestRoutingRegistryComplete(t *testing.T) {
 	net, kind, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Routings() {
-		e, ok := routings.lookup(name)
-		if !ok {
-			t.Errorf("%s: listed but not resolvable", name)
+	for _, name := range routings.names {
+		e, err := routings.lookup(name)
+		if err != nil {
+			t.Errorf("%s: listed but not resolvable: %v", name, err)
 			continue
 		}
-		tab, policy, err := e.New(net, kind, 2)
+		if e.section == "" {
+			t.Errorf("%s: no paper section recorded", name)
+		}
+		if (e.compile == nil) == (e.policy == nil) {
+			t.Errorf("%s: wants exactly one of a compiler and a policy", name)
+			continue
+		}
+		if e.policy != nil {
+			continue
+		}
+		tab, err := e.compile(net, kind, 2)
 		if err != nil {
 			t.Errorf("%s: does not build: %v", name, err)
-			continue
-		}
-		if e.Adaptive {
-			if policy == nil || tab != nil {
-				t.Errorf("%s: adaptive entry built table %v, policy %v", name, tab, policy)
-			}
-			continue
-		}
-		if tab == nil || policy != nil {
-			t.Errorf("%s: static entry built table %v, policy %v", name, tab, policy)
 			continue
 		}
 		if words := tab.AppendNextWords(nil, 0, net.Nr-1); len(words) < 2 || words[len(words)-1] != routing.NextEject {
@@ -112,16 +112,19 @@ func TestTrafficRegistryComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Traffics() {
-		e, ok := TrafficByName(name)
-		if !ok {
-			t.Errorf("%s: listed but not resolvable", name)
+	for _, name := range traffics.names {
+		e, err := traffics.lookup(name)
+		if err != nil {
+			t.Errorf("%s: listed but not resolvable: %v", name, err)
 			continue
 		}
-		if e.Example.Pattern != name {
-			t.Errorf("%s: example names pattern %q", name, e.Example.Pattern)
+		if e.section == "" {
+			t.Errorf("%s: no paper section recorded", name)
 		}
-		src, err := e.New(net, e.Example)
+		if e.example.Pattern != name {
+			t.Errorf("%s: example names pattern %q", name, e.example.Pattern)
+		}
+		src, err := e.source(net, e.example)
 		if err != nil {
 			t.Errorf("%s: example does not build: %v", name, err)
 			continue
@@ -132,20 +135,25 @@ func TestTrafficRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestSchemeRegistryComplete resolves every buffering scheme.
+// TestSchemeRegistryComplete resolves every buffering scheme, aliases
+// included.
 func TestSchemeRegistryComplete(t *testing.T) {
-	for _, name := range Schemes() {
-		e, ok := schemes.lookup(name)
-		if !ok {
-			t.Errorf("%s: listed but not resolvable", name)
-			continue
-		}
-		cfg, err := e.New(BufferingSpec{Scheme: name, CBCap: 10, EdgeCap: 4}, 9, 2)
+	if len(schemes.entries) != 5 {
+		t.Errorf("%d scheme entries, want the 5 of §4-5.1", len(schemes.entries))
+	}
+	for _, name := range schemes.names {
+		e, err := schemes.lookup(name)
 		if err != nil {
-			t.Errorf("%s: does not resolve: %v", name, err)
+			t.Errorf("%s: listed but not resolvable: %v", name, err)
 			continue
 		}
-		if cfg.BufCap != nil && cfg.BufCap(5) < 1 {
+		if e.section == "" {
+			t.Errorf("%s: no paper section recorded", name)
+		}
+		if e.edgeCap == nil {
+			continue
+		}
+		if c := e.edgeCap(BufferingSpec{Scheme: name, CBCap: 10, EdgeCap: 4}, 9); c != nil && c(5) < 1 {
 			t.Errorf("%s: non-positive buffer capacity", name)
 		}
 	}
@@ -153,7 +161,7 @@ func TestSchemeRegistryComplete(t *testing.T) {
 
 // TestLayoutRegistryComplete builds the smallest Slim NoC in every layout.
 func TestLayoutRegistryComplete(t *testing.T) {
-	for _, name := range Layouts() {
+	for _, name := range layouts.names {
 		net, _, err := BuildNetwork(NetworkSpec{Topology: "sn", Q: 3, Conc: 3, Layout: name})
 		if err != nil {
 			t.Errorf("%s: does not build: %v", name, err)
@@ -188,35 +196,5 @@ func TestPresetOverrides(t *testing.T) {
 	}
 	if ns.Q != 5 || ns.Conc != 4 || ns.Layout != "gr" {
 		t.Errorf("ExpandNetwork: %+v, want q=5 conc=4 layout=gr", ns)
-	}
-}
-
-// TestRegisterCustomTopology exercises the extension point end to end: a
-// user-registered topology becomes runnable by name with zero caller
-// changes.
-func TestRegisterCustomTopology(t *testing.T) {
-	base, _ := TopologyByName("torus")
-	RegisterTopology("test-ring", TopologyEntry{
-		Build: func(ns NetworkSpec) (*Network, Kind, error) {
-			ns.X, ns.Y, ns.Conc = 6, 1, 2
-			return base.Build(ns)
-		},
-		Section: "test",
-		Example: NetworkSpec{Topology: "test-ring"},
-	})
-	spec := RunSpec{
-		Network: NetworkSpec{Topology: "test-ring"},
-		Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.05},
-		Sim:     SimSpec{WarmupCycles: 100, MeasureCycles: 400, DrainCycles: 1000, Seed: 3},
-	}
-	res, err := Run(t.Context(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Network.Nodes != 12 {
-		t.Errorf("custom topology has %d nodes, want 12", res.Network.Nodes)
-	}
-	if res.Metrics.Delivered == 0 {
-		t.Error("custom topology delivered nothing")
 	}
 }

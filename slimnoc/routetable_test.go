@@ -191,13 +191,13 @@ func TestCompileRouteTableSelection(t *testing.T) {
 }
 
 // TestCompactTableMatchesBFSOnPresets holds the sweep-built table against the
-// scalar construction it replaced on every registered preset (and the SN
+// scalar construction it replaced on every static preset (and the SN
 // sizes the figures use) of up to 1300 routers: for each pair the first
 // next-hop word carries the port of the first neighbour, in adjacency order,
 // that one BFS from the destination puts a hop closer; and the network's
 // memoized diameter is the largest BFS distance.
 func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
-	for _, name := range append(Presets(), "sn_subgr_200", "sn_gr_1296", "sn_subgr_10000") {
+	for _, name := range append(sortedKeys(presetTable), "sn_subgr_200", "sn_gr_1296", "sn_subgr_10000") {
 		net, _, err := BuildNetwork(NetworkSpec{Preset: name})
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 }
 
 // TestGridTablesMatchBuilders pins that the compile paths agree on every
-// registered preset (and the SN sizes the figures use) of up to 1300
+// static preset (and the SN sizes the figures use) of up to 1300
 // routers: the "auto" table Run compiles (CompileRouteTable),
 // routing.NewTable, and routing.Compile of the builder NewRoutingFor picks
 // walk the same next-hop words for every pair — so the same bytes under the
@@ -243,7 +243,7 @@ func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 // for generic minimal routing). Under -short it covers the presets of at
 // most 300 routers.
 func TestGridTablesMatchBuilders(t *testing.T) {
-	for _, name := range append(Presets(), "sn_subgr_200", "sn_gr_1296") {
+	for _, name := range append(sortedKeys(presetTable), "sn_subgr_200", "sn_gr_1296") {
 		net, kind, err := BuildNetwork(NetworkSpec{Preset: name})
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func TestGridTablesMatchBuilders(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, vcs := range []int{1, 2, 4, 8} {
-				if vcs == 1 && (kind.Class == ClassTorus || kind.Class == ClassPFBF) {
+				if vcs == 1 && (kind.Class == routing.ClassTorus || kind.Class == routing.ClassPFBF) {
 					continue
 				}
 				auto, err := CompileRouteTable(net, kind, "auto", vcs)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -39,16 +38,6 @@ type RouteTable = routing.RouteTable
 // see sim.EngineStats.
 type EngineStats = sim.EngineStats
 
-// Topology classes understood by the "auto" routing algorithm, re-exported
-// for custom TopologyBuilder implementations.
-const (
-	ClassGeneric = routing.ClassGeneric
-	ClassMesh    = routing.ClassMesh
-	ClassTorus   = routing.ClassTorus
-	ClassFBF     = routing.ClassFBF
-	ClassPFBF    = routing.ClassPFBF
-)
-
 // Runner executes one RunSpec. A Runner is single-use: build it with
 // NewRunner (or use the package-level Run convenience) and call Run once.
 type Runner struct {
@@ -71,16 +60,16 @@ type Runner struct {
 // Option customises a Runner beyond what the declarative spec expresses.
 type Option func(*Runner)
 
-// WithNetwork supplies an already built network, bypassing the topology
-// registry (sweeps that reuse one network across many runs). The network is
-// treated as read-only from here on: neither sim.New nor Run mutates a
-// supplied topo.Network, so one network may back any number of concurrent
-// Runners (the Campaign engine relies on this; TestCampaignSharedNetworkRace
-// pins it under -race). Callers must likewise stop mutating the network
-// once it is shared — also because the network memoizes its own Diameter
-// (reported in every Result.Network) on first request, behind a sync.Once:
-// points sharing a network pay that all-pairs sweep once between them, and
-// a later mutation would leave the memo stale.
+// WithNetwork supplies an already built network in place of the one the
+// spec's network section names (sweeps that reuse one network across many
+// runs). The network is treated as read-only from here on: neither sim.New
+// nor Run mutates a supplied topo.Network, so one network may back any
+// number of concurrent Runners (the Campaign engine relies on this;
+// TestCampaignSharedNetworkRace pins it under -race). Callers must likewise
+// stop mutating the network once it is shared — also because the network
+// memoizes its own Diameter (reported in every Result.Network) on first
+// request, behind a sync.Once: points sharing a network pay that all-pairs
+// sweep once between them, and a later mutation would leave the memo stale.
 func WithNetwork(net *Network, kind routing.Kind) Option {
 	return func(r *Runner) { r.net, r.kind, r.haveNet = net, kind, true }
 }
@@ -218,6 +207,32 @@ func (r *Runner) Network() (*Network, routing.Kind, error) {
 	return r.net, r.kind, nil
 }
 
+// engineConfig resolves a normalized spec's routing algorithm and buffer
+// scheme into the sim.Config that Runner.Run and NewEstimator both start
+// from: VCs, hop factor, buffering and, for an adaptive algorithm, its
+// policy. The network, route table, traffic and phases are the caller's.
+func engineConfig(spec RunSpec) (sim.Config, error) {
+	alg, err := routings.lookup(spec.Routing.Algorithm)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	bs, err := schemes.lookup(spec.Buffering.Scheme)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.Config{
+		VCs:      spec.Routing.VCs,
+		Scheme:   bs.kind,
+		CBCap:    spec.Buffering.CBCap,
+		H:        spec.HopsPerCycle(),
+		Adaptive: alg.policy,
+	}
+	if bs.edgeCap != nil {
+		cfg.EdgeBufCap = bs.edgeCap(spec.Buffering, cfg.H)
+	}
+	return cfg, nil
+}
+
 // Run executes the spec. Cancelling the context stops the simulation at the
 // next poll point; the returned Result then holds the metrics accumulated
 // so far alongside an error wrapping ctx.Err().
@@ -227,80 +242,49 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	vcs := spec.Routing.VCs
-	re, ok := routings.lookup(spec.Routing.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
-			spec.Routing.Algorithm, strings.Join(Routings(), ", "))
-	}
-	// Adaptive routing picks paths per packet; a supplied table is ignored.
-	var policy sim.AdaptivePolicy
-	if re.Adaptive {
-		if _, policy, err = re.New(net, kind, vcs); err != nil {
-			return nil, err
-		}
-	}
-
-	h := spec.HopsPerCycle()
-	se, ok := schemes.lookup(spec.Buffering.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("slimnoc: unknown buffer scheme %q (have %s)",
-			spec.Buffering.Scheme, strings.Join(Schemes(), ", "))
-	}
-	sc, err := se.New(spec.Buffering, h, vcs)
+	cfg, err := engineConfig(spec)
 	if err != nil {
 		return nil, err
 	}
 	if r.bufCap != nil {
-		sc.BufCap = r.bufCap
+		cfg.EdgeBufCap = r.bufCap
 	}
 
 	src := r.source
 	if src == nil {
-		te, ok := traffics.lookup(spec.Traffic.Pattern)
-		if !ok {
-			return nil, fmt.Errorf("slimnoc: unknown traffic pattern %q (have %s)",
-				spec.Traffic.Pattern, strings.Join(Traffics(), ", "))
+		gen, err := traffics.lookup(spec.Traffic.Pattern)
+		if err != nil {
+			return nil, err
 		}
-		if src, err = te.New(net, spec.Traffic); err != nil {
+		if src, err = gen.source(net, spec.Traffic); err != nil {
 			return nil, err
 		}
 	}
 
 	// Static routing always runs from a compiled table: a shared one
 	// (WithRouteTable) or, compiled last so that every cheaper spec error
-	// surfaces first, the one CompileRouteTable would hand out.
-	var table *routing.RouteTable
-	if !re.Adaptive {
-		if table = r.table; table == nil {
-			table, err = compileRouteTable(net, kind, spec.Routing.Algorithm, vcs, r.memBudget)
+	// surfaces first, the one CompileRouteTable would hand out. Adaptive
+	// routing picks paths per packet; a supplied table is ignored.
+	if cfg.Adaptive == nil {
+		if cfg.Table = r.table; cfg.Table == nil {
+			cfg.Table, err = compileRouteTable(net, kind, spec.Routing.Algorithm, cfg.VCs, r.memBudget)
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	cfg := sim.Config{
-		Net:            net,
-		Table:          table,
-		VCs:            vcs,
-		Scheme:         sc.Scheme,
-		EdgeBufCap:     sc.BufCap,
-		CBCap:          sc.CBCap,
-		H:              h,
-		PacketFlits:    spec.Traffic.PacketFlits,
-		InjQueueCap:    spec.Sim.InjQueueCap,
-		Seed:           spec.Sim.Seed,
-		Traffic:        src,
-		Adaptive:       policy,
-		WarmupCycles:   spec.Sim.WarmupCycles,
-		MeasureCycles:  spec.Sim.MeasureCycles,
-		DrainCycles:    spec.Sim.DrainCycles,
-		EngineJobs:     r.engineJobs,
-		CycleStep:      r.cycleStep,
-		MemBudgetBytes: r.memBudget,
-	}
+	cfg.Net = net
+	cfg.Traffic = src
+	cfg.PacketFlits = spec.Traffic.PacketFlits
+	cfg.InjQueueCap = spec.Sim.InjQueueCap
+	cfg.Seed = spec.Sim.Seed
+	cfg.WarmupCycles = spec.Sim.WarmupCycles
+	cfg.MeasureCycles = spec.Sim.MeasureCycles
+	cfg.DrainCycles = spec.Sim.DrainCycles
+	cfg.EngineJobs = r.engineJobs
+	cfg.CycleStep = r.cycleStep
+	cfg.MemBudgetBytes = r.memBudget
 	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -319,7 +303,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // CompileRouteTable builds the immutable compiled route table for a static
 // routing algorithm on an already built network. The result is safe to
 // share across concurrent runs via WithRouteTable. Adaptive algorithms
-// (RoutingEntry.Adaptive) have no compiled form and are rejected. It is the
+// (ugal-l, ugal-g, min-adapt) have no compiled form and are rejected. It is the
 // one place route tables come from: a Run without WithRouteTable, the
 // campaign's shared-table cache and NewEstimator all compile here.
 //
@@ -337,12 +321,11 @@ func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*Rou
 // allocated, so a point whose table alone busts the budget fails here
 // instead of allocating first and letting sim.New find out.
 func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budget int64) (*RouteTable, error) {
-	re, ok := routings.lookup(algorithm)
-	if !ok {
-		return nil, fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
-			algorithm, strings.Join(Routings(), ", "))
+	alg, err := routings.lookup(algorithm)
+	if err != nil {
+		return nil, err
 	}
-	if re.Adaptive {
+	if alg.compile == nil {
 		return nil, fmt.Errorf("slimnoc: adaptive algorithm %q routes per packet and cannot be compiled", algorithm)
 	}
 	if bytes := int64(net.Nr) * int64(net.Nr); budget > 0 && bytes > budget {
@@ -350,8 +333,7 @@ func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budge
 			"slimnoc: route table needs %.1f MiB for %d routers, which exceeds MemBudgetBytes = %.1f MiB; raise the budget or pick a smaller instance",
 			float64(bytes)/(1<<20), net.Nr, float64(budget)/(1<<20))
 	}
-	tab, _, err := re.New(net, kind, vcs)
-	return tab, err
+	return alg.compile(net, kind, vcs)
 }
 
 // Run builds a Runner for the spec and executes it.

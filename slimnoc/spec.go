@@ -2,6 +2,7 @@ package slimnoc
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -28,16 +29,15 @@ type RunSpec struct {
 	Sim       SimSpec `json:"sim,omitempty"`
 }
 
-// NetworkSpec selects and parameterises a topology from the topology
-// registry. Either Preset names a ready-made configuration (the Table 4
-// shorthand: cm3, t2d9, fbf8, pfbf4, sn_subgr_200, ...) or Topology names a
-// registered family with explicit parameters.
+// NetworkSpec selects and parameterises a topology. Either Preset names a
+// ready-made configuration (the Table 4 shorthand: cm3, t2d9, fbf8, pfbf4,
+// sn_subgr_200, ...) or Topology names a family with explicit parameters.
 type NetworkSpec struct {
 	// Preset expands to a full NetworkSpec via ResolvePreset; explicitly
 	// set fields below then override the preset's values.
 	Preset string `json:"preset,omitempty"`
-	// Topology is a topology registry key: sn, mesh, torus, flatfly,
-	// pflatfly, dragonfly, clos.
+	// Topology names the family: sn, mesh, torus, flatfly, pflatfly,
+	// dragonfly, clos.
 	Topology string `json:"topology,omitempty"`
 	// X, Y are the router grid dimensions (mesh, torus, flatfly; the
 	// per-partition grid for pflatfly).
@@ -52,7 +52,7 @@ type NetworkSpec struct {
 	// alternative: the target node count, resolved via Table 2.
 	Q     int `json:"q,omitempty"`
 	Nodes int `json:"nodes,omitempty"`
-	// Layout is a layout registry key (sn only): basic, subgr, gr, rand.
+	// Layout names the Slim NoC layout (sn only): basic, subgr, gr, rand.
 	Layout string `json:"layout,omitempty"`
 	// LayoutSeed seeds randomized layouts (sn rand; default 1).
 	LayoutSeed int64 `json:"layout_seed,omitempty"`
@@ -75,18 +75,19 @@ func (ns NetworkSpec) validateFailures() error {
 	return nil
 }
 
-// RoutingSpec selects a routing algorithm from the routing registry.
+// RoutingSpec selects a routing algorithm.
 type RoutingSpec struct {
-	// Algorithm is a routing registry key: auto (topology-appropriate
+	// Algorithm names the algorithm: auto (topology-appropriate
 	// deadlock-free default), minimal, ugal-l, ugal-g, min-adapt.
 	Algorithm string `json:"algorithm,omitempty"`
 	// VCs is the virtual-channel count (default 2).
 	VCs int `json:"vcs,omitempty"`
 }
 
-// BufferingSpec selects a buffer organisation from the scheme registry.
+// BufferingSpec selects a buffer organisation.
 type BufferingSpec struct {
-	// Scheme is a scheme registry key: eb, eb-large, eb-var, el, cbr.
+	// Scheme names the scheme: eb, eb-large, eb-var, el, cbr (eblarge and
+	// ebvar are accepted spellings of eb-large and eb-var).
 	Scheme string `json:"scheme,omitempty"`
 	// EdgeCap overrides the per-VC edge-buffer capacity in flits (eb only;
 	// 0 = the scheme's default).
@@ -102,7 +103,7 @@ type BufferingSpec struct {
 // value, so specs written before the decomposition keep their exact
 // canonical bytes and stored results.
 type TrafficSpec struct {
-	// Pattern is a traffic registry key: rnd, shf, rev, adv1, adv2, asym,
+	// Pattern names the traffic generator: rnd, shf, rev, adv1, adv2, asym,
 	// or trace.
 	Pattern string `json:"pattern,omitempty"`
 	// Rate is the offered load in flits/node/cycle (open-loop processes;
@@ -115,10 +116,9 @@ type TrafficSpec struct {
 	// barnes, fft, lu, radix, water-n, water-s.
 	Trace string `json:"trace,omitempty"`
 
-	// Process is a process registry key selecting the temporal injection
-	// process: bernoulli (the default; canonicalized to the empty string so
-	// pre-decomposition specs hash identically), burst, mmpp, or the
-	// closed-loop reqreply.
+	// Process names the temporal injection process: bernoulli (the
+	// default; canonicalized to the empty string so pre-decomposition specs
+	// hash identically), burst, mmpp, or the closed-loop reqreply.
 	Process string `json:"process,omitempty"`
 	// BurstLen is the mean burst length in cycles for process burst
 	// (default 8).
@@ -191,9 +191,10 @@ func DefaultSpec() RunSpec {
 	return spec.Normalized()
 }
 
-// Normalized returns a copy with every defaultable field filled in, so that
-// two specs that configure the same run compare equal and a normalized spec
-// survives a JSON round trip unchanged.
+// Normalized returns a copy with every defaultable field filled in and every
+// name in its canonical spelling (lower case; a scheme alias replaced by
+// its scheme's name), so that two specs that configure the same run compare
+// equal and a normalized spec survives a JSON round trip unchanged.
 func (s RunSpec) Normalized() RunSpec {
 	if s.Routing.Algorithm == "" {
 		s.Routing.Algorithm = "auto"
@@ -202,10 +203,7 @@ func (s RunSpec) Normalized() RunSpec {
 	if s.Routing.VCs == 0 {
 		s.Routing.VCs = 2
 	}
-	if s.Buffering.Scheme == "" {
-		s.Buffering.Scheme = "eb"
-	}
-	s.Buffering.Scheme = strings.ToLower(s.Buffering.Scheme)
+	s.Buffering.Scheme = schemes.canonical(cmp.Or(s.Buffering.Scheme, "eb"))
 	if s.Traffic.Pattern == "" && s.Traffic.Trace == "" {
 		s.Traffic.Pattern = "rnd"
 	}
@@ -299,24 +297,17 @@ func (s RunSpec) Validate() error {
 		if _, err := ResolvePreset(s.Network.Preset); err != nil {
 			return err
 		}
-	} else if _, ok := topologies.lookup(s.Network.Topology); !ok {
-		return fmt.Errorf("slimnoc: unknown topology %q (have %s)",
-			s.Network.Topology, strings.Join(Topologies(), ", "))
+	} else if _, err := topologies.lookup(s.Network.Topology); err != nil {
+		return err
 	}
 	if err := s.Network.validateFailures(); err != nil {
 		return err
 	}
-	if _, ok := routings.lookup(s.Routing.Algorithm); !ok {
-		return fmt.Errorf("slimnoc: unknown routing algorithm %q (have %s)",
-			s.Routing.Algorithm, strings.Join(Routings(), ", "))
+	if _, err := engineConfig(s); err != nil {
+		return err
 	}
-	if _, ok := schemes.lookup(s.Buffering.Scheme); !ok {
-		return fmt.Errorf("slimnoc: unknown buffer scheme %q (have %s)",
-			s.Buffering.Scheme, strings.Join(Schemes(), ", "))
-	}
-	if _, ok := traffics.lookup(s.Traffic.Pattern); !ok {
-		return fmt.Errorf("slimnoc: unknown traffic pattern %q (have %s)",
-			s.Traffic.Pattern, strings.Join(Traffics(), ", "))
+	if _, err := traffics.lookup(s.Traffic.Pattern); err != nil {
+		return err
 	}
 	return s.Traffic.validate()
 }
@@ -326,14 +317,11 @@ func (s RunSpec) Validate() error {
 const maxPacketFlits = 1<<16 - 1
 
 // validate checks the workload-axis fields of an already normalized
-// TrafficSpec: registry membership of the process, and parameter ranges
-// (zero always means "use the default" and is valid).
+// TrafficSpec: the process name, and parameter ranges (zero always means
+// "use the default" and is valid).
 func (ts TrafficSpec) validate() error {
-	if ts.Process != "" {
-		if _, ok := processes.lookup(ts.Process); !ok {
-			return fmt.Errorf("slimnoc: unknown traffic process %q (have %s)",
-				ts.Process, strings.Join(Processes(), ", "))
-		}
+	if _, err := processes.lookup(cmp.Or(ts.Process, "bernoulli")); err != nil {
+		return err
 	}
 	if ts.PacketFlits < 0 || ts.PacketFlits > maxPacketFlits {
 		return fmt.Errorf("slimnoc: traffic.packet_flits = %d out of range [1, %d]", ts.PacketFlits, maxPacketFlits)

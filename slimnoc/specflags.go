@@ -78,7 +78,7 @@ func (s *SpecFlags) BindNetwork(fs *flag.FlagSet) *SpecFlags {
 	fs.StringVar(&s.Net, "net", "", "network preset (Table 4 names or sn_<layout>_<N>)")
 	fs.IntVar(&s.Q, "q", 0, "Slim NoC parameter q (builds topology sn instead of -net)")
 	fs.IntVar(&s.Conc, "p", 0, "concentration: nodes per router (default ideal)")
-	fs.StringVar(&s.Layout, "layout", "", "Slim NoC layout: "+strings.Join(Layouts(), ", "))
+	fs.StringVar(&s.Layout, "layout", "", "Slim NoC layout: "+strings.Join(layouts.names, ", "))
 	fs.Int64Var(&s.LayoutSeed, "layout-seed", 0, "seed for randomized layouts")
 	fs.BoolVar(&s.SMART, "smart", false, "enable SMART links (H=9)")
 	s.track(fs, "net", "q", "p", "layout", "layout-seed", "smart")
@@ -87,17 +87,17 @@ func (s *SpecFlags) BindNetwork(fs *flag.FlagSet) *SpecFlags {
 
 // BindRun registers the traffic, routing, buffering and cycle-count flags.
 func (s *SpecFlags) BindRun(fs *flag.FlagSet) *SpecFlags {
-	fs.StringVar(&s.Pattern, "pattern", "", "traffic pattern: "+strings.Join(Traffics(), ", "))
+	fs.StringVar(&s.Pattern, "pattern", "", "traffic pattern: "+strings.Join(traffics.names, ", "))
 	fs.StringVar(&s.Trace, "trace", "", "trace benchmark for -pattern trace")
 	fs.Float64Var(&s.Rate, "rate", 0, "offered load in flits/node/cycle")
 	fs.IntVar(&s.VCs, "vcs", 0, "virtual channels")
-	fs.StringVar(&s.Scheme, "scheme", "", "buffering: "+strings.Join(Schemes(), ", "))
+	fs.StringVar(&s.Scheme, "scheme", "", "buffering: "+strings.Join(schemes.names, ", "))
 	fs.IntVar(&s.EdgeCap, "edge-cap", 0, "per-VC edge buffer capacity override in flits")
 	fs.IntVar(&s.CBCap, "cb", 0, "central buffer capacity in flits (cbr scheme)")
 	fs.IntVar(&s.H, "hop-factor", 0, "explicit SMART hop factor H")
 	fs.StringVar(&s.Adaptive, "adaptive", "", "adaptive routing: ugal-l, ugal-g, min-adapt")
 	fs.Int64Var(&s.Cycles, "cycles", 0, "measurement cycles (0 = mode default)")
-	fs.StringVar(&s.Process, "process", "", "temporal injection process: "+strings.Join(Processes(), ", "))
+	fs.StringVar(&s.Process, "process", "", "temporal injection process: "+strings.Join(processes.names, ", "))
 	fs.Float64Var(&s.BurstLen, "burst-len", 0, "mean burst length in cycles (process burst; default 8)")
 	fs.Float64Var(&s.Duty, "duty", 0, "burst on-fraction in (0,1] (process burst; default 0.25)")
 	fs.Float64Var(&s.ModFact, "mod-factor", 0, "high-state rate multiplier in [1,2] (process mmpp; default 1.8)")

@@ -30,12 +30,12 @@ type SweepAxes struct {
 	// explicit specs. Both feed one network axis, presets first.
 	Presets  []string      `json:"presets,omitempty"`
 	Networks []NetworkSpec `json:"networks,omitempty"`
-	// Patterns are traffic registry keys (rnd, shf, adv1, ...).
+	// Patterns are traffic pattern names (rnd, shf, adv1, ...).
 	Patterns []string `json:"patterns,omitempty"`
-	// Processes are temporal-process registry keys (bernoulli, burst, mmpp,
+	// Processes are temporal-process names (bernoulli, burst, mmpp,
 	// reqreply), overriding the base spec's traffic.process per point.
 	Processes []string `json:"processes,omitempty"`
-	// Schemes are buffer-scheme registry keys (eb, eb-large, el, cbr, ...).
+	// Schemes are buffer-scheme names (eb, eb-large, el, cbr, ...).
 	Schemes []string `json:"schemes,omitempty"`
 	// VCs are virtual-channel counts.
 	VCs []int `json:"vcs,omitempty"`

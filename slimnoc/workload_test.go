@@ -1,5 +1,5 @@
 // Tests for the workload axes at the facade layer: spec validation, the
-// process registry, sweep expansion and labelling, point-key stability, and
+// process table, sweep expansion and labelling, point-key stability, and
 // end-to-end campaign determinism for mixed-process grids.
 
 package slimnoc
@@ -108,33 +108,33 @@ func TestTrafficSpecValidation(t *testing.T) {
 	}
 }
 
-// TestProcessRegistryComplete builds every registered process's example spec
-// into a source, mirroring the other registry completeness tests.
+// TestProcessRegistryComplete builds every process.s example spec
+// into a source, mirroring the other name-table completeness tests.
 func TestProcessRegistryComplete(t *testing.T) {
 	net, _, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := Processes()
+	names := processes.names
 	if len(names) < 4 {
 		t.Fatalf("expected at least 4 processes, have %v", names)
 	}
 	for _, name := range names {
-		e, ok := ProcessByName(name)
-		if !ok {
-			t.Errorf("%s: listed but not resolvable", name)
+		e, err := processes.lookup(name)
+		if err != nil {
+			t.Errorf("%s: listed but not resolvable: %v", name, err)
 			continue
 		}
-		if e.Section == "" {
+		if e.section == "" {
 			t.Errorf("%s: no section recorded", name)
 		}
-		ex := e.Example.normalizedExampleFor(name)
-		te, ok := TrafficByName(ex.Pattern)
-		if !ok {
-			t.Errorf("%s: example pattern %q unregistered", name, ex.Pattern)
+		ex := e.example.normalizedExampleFor(name)
+		te, err := traffics.lookup(ex.Pattern)
+		if err != nil {
+			t.Errorf("%s: example pattern: %v", name, err)
 			continue
 		}
-		src, err := te.New(net, ex)
+		src, err := te.source(net, ex)
 		if err != nil {
 			t.Errorf("%s: example does not build: %v", name, err)
 			continue
@@ -154,7 +154,7 @@ func (ts TrafficSpec) normalizedExampleFor(name string) TrafficSpec {
 		got = "bernoulli"
 	}
 	if got != name {
-		panic("example process " + got + " does not match registry name " + name)
+		panic("example process " + got + " does not match table name " + name)
 	}
 	return spec.Traffic
 }
@@ -421,7 +421,7 @@ func TestCSVSinkWorkloadColumns(t *testing.T) {
 }
 
 // TestTrafficMatrixNeverPanics is the first row of the robustness matrix:
-// every registered traffic pattern x temporal process, on the degenerate
+// every traffic pattern x temporal process, on the degenerate
 // one-node network and on a small Slim NoC, for about a hundred cycles. A
 // run may fail with an error or produce a result; it must not panic (the
 // asym pattern used to divide by zero on a one-node network).
@@ -431,11 +431,11 @@ func TestTrafficMatrixNeverPanics(t *testing.T) {
 		"sn_subgr_54": {Preset: "sn_subgr_54"},
 	}
 	for netName, ns := range nets {
-		for _, pattern := range Traffics() {
-			entry, _ := TrafficByName(pattern)
-			for _, process := range Processes() {
+		for _, pattern := range traffics.names {
+			entry := traffics.entries[pattern]
+			for _, process := range processes.names {
 				t.Run(netName+"/"+pattern+"/"+process, func(t *testing.T) {
-					ts := entry.Example
+					ts := entry.example
 					ts.Rate, ts.Process = 0.5, process
 					spec := RunSpec{Network: ns, Traffic: ts,
 						Sim: SimSpec{WarmupCycles: 20, MeasureCycles: 60, DrainCycles: 20, Seed: 1}}
