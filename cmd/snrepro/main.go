@@ -16,6 +16,14 @@
 // (the same network, pattern, load and seed) are computed once and served
 // to every figure that contains them.
 //
+// Two subcommands run one figure family's analysis on any single network
+// given by the shared spec flags (-net, -q/-p, -smart, -scheme, -cb, -rate,
+// -spec, ...) and print the tables those figures' builders render for it:
+// power simulates the spec and prices it (area, static and dynamic power,
+// throughput per power: Figs. 1b/c, 15-17, 19), and layout compares every
+// Slim NoC layout at the spec's size (wire length, buffers, Eq. 3 wiring
+// bounds, and with -dist the link-distance bins: Figs. 5-6).
+//
 // Usage:
 //
 //	snrepro -list
@@ -23,6 +31,9 @@
 //	snrepro -all -full -jobs 8
 //	snrepro -figs fig12 -short     # quick mode: CI-sized grids and cycles
 //	snrepro -figs sat-nets,sat-schemes,sat-process   # saturation searches
+//	snrepro power -net sn_subgr_200 -smart -tech 22nm
+//	snrepro power -net sn_subgr_200 -smart -scheme cbr -cb 20
+//	snrepro layout -q 5 -p 4 -dist
 package main
 
 import (
@@ -51,6 +62,9 @@ func main() {
 // process exit code: 0 on success, 1 on failure, 2 on a usage error, 130
 // when interrupted (with the store holding everything completed so far).
 func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		return analyze(args[0], args[1:], stdout, stderr)
+	}
 	fs := flag.NewFlagSet("snrepro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -74,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		// `snrepro fig12` would otherwise silently fall into -list mode and
-		// exit 0 having reproduced nothing.
+		// `snrepro -short fig12` would otherwise silently fall into -list
+		// mode and exit 0 having reproduced nothing.
 		fmt.Fprintf(stderr, "snrepro: unexpected argument %q — figures are selected with -figs (e.g. -figs %s)\n",
 			fs.Arg(0), fs.Arg(0))
 		return 2
@@ -177,6 +191,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "done: %d figure(s); store %s holds %d result(s)\n", len(figures), st.Path(), st.Len())
 	if len(verdicts) > 0 {
 		fmt.Fprint(stdout, "\n"+exp.VerdictTable(verdicts).Markdown())
+	}
+	return 0
+}
+
+// analyze runs the power or layout subcommand on its arguments and prints
+// its tables; the exit codes are run's.
+func analyze(cmd string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snrepro "+cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sf := slimnoc.NewSpecFlags().BindCommon(fs).BindNetwork(fs)
+	defaults := slimnoc.DefaultSpec()
+	var tables func(slimnoc.RunSpec) ([]*stats.Table, error)
+	switch cmd {
+	case "power":
+		sf.BindRun(fs)
+		tech := fs.String("tech", "45nm", "technology node: 45nm or 22nm")
+		defaults.Traffic.Rate = 0.24
+		tables = func(spec slimnoc.RunSpec) ([]*stats.Table, error) {
+			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+			defer stop()
+			return exp.PowerTables(ctx, spec, *tech)
+		}
+	case "layout":
+		dist := fs.Bool("dist", false, "also print the link-distance distributions (Fig. 6)")
+		defaults.Network = slimnoc.NetworkSpec{Topology: "sn", Q: 5}
+		tables = func(spec slimnoc.RunSpec) ([]*stats.Table, error) {
+			return exp.LayoutTables(spec.Network, *dist)
+		}
+	default:
+		fmt.Fprintf(stderr, "snrepro: unknown subcommand %q (have layout, power; figures are selected with -figs)\n", cmd)
+		return 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "snrepro %s: unexpected argument %q\n", cmd, fs.Arg(0))
+		return 2
+	}
+	spec, err := sf.Spec(defaults)
+	var ts []*stats.Table
+	if err == nil {
+		ts, err = tables(spec)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "snrepro %s: %v\n", cmd, err)
+		return 1
+	}
+	for i, t := range ts {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		fmt.Fprint(stdout, t.String())
 	}
 	return 0
 }

@@ -37,32 +37,49 @@ import (
 	"repro/slimnoc/store"
 )
 
-// stdio adapts the process's stdin/stdout to the ServeConn transport.
+// stdio adapts a reader and a writer to the ServeConn transport.
 type stdio struct {
 	io.Reader
 	io.Writer
 }
 
 func main() {
-	var (
-		listen   = flag.String("listen", "", "TCP address to serve on (empty = one stdio session)")
-		storeDir = flag.String("store", "", "result-store directory for the response cache (empty = no cache; reruns re-simulate)")
-		pool     = flag.Int("pool", 0, "concurrent engine-activation bound (0 = NumCPU)")
-		ejobs    = flag.Int("engine-jobs", 0, "parallel engine domains per episode (0/1 = serial, -1 = NumCPU); responses are byte-identical at every value")
-		maxBatch = flag.Int("max-batch", serve.DefaultMaxBatch, "largest accepted batch request")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "snserve: unexpected argument %q (requests arrive on stdin or -listen, not argv)\n", flag.Arg(0))
-		os.Exit(2)
-	}
-	if err := run(*listen, *storeDir, *pool, *ejobs, *maxBatch); err != nil {
-		fmt.Fprintf(os.Stderr, "snserve: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run(listen, storeDir string, pool, engineJobs, maxBatch int) error {
+// run serves on the command-line arguments and returns the process exit
+// code: 0 on a clean shutdown, 1 on failure, 2 on a usage error. Without
+// -listen the one session reads requests from stdin and answers on stdout.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		listen   = fs.String("listen", "", "TCP address to serve on (empty = one stdio session)")
+		storeDir = fs.String("store", "", "result-store directory for the response cache (empty = no cache; reruns re-simulate)")
+		pool     = fs.Int("pool", 0, "concurrent engine-activation bound (0 = NumCPU)")
+		ejobs    = fs.Int("engine-jobs", 0, "parallel engine domains per episode (0/1 = serial, -1 = NumCPU); responses are byte-identical at every value")
+		maxBatch = fs.Int("max-batch", serve.DefaultMaxBatch, "largest accepted batch request")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "snserve: unexpected argument %q (requests arrive on stdin or -listen, not argv)\n", fs.Arg(0))
+		return 2
+	}
+	if err := serveOn(*listen, *storeDir, *pool, *ejobs, *maxBatch, stdio{stdin, stdout}, stderr); err != nil {
+		fmt.Fprintf(stderr, "snserve: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// serveOn runs the server until shutdown: one session over conn, or one
+// per TCP connection with a listen address.
+func serveOn(listen, storeDir string, pool, engineJobs, maxBatch int, conn io.ReadWriter, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -82,31 +99,31 @@ func run(listen, storeDir string, pool, engineJobs, maxBatch int) error {
 		}
 		defer st.Close()
 		if st.Recovered() > 0 {
-			fmt.Fprintf(os.Stderr, "snserve: store recovered (%d unreadable lines dropped)\n", st.Recovered())
+			fmt.Fprintf(stderr, "snserve: store recovered (%d unreadable lines dropped)\n", st.Recovered())
 		}
-		fmt.Fprintf(os.Stderr, "snserve: response cache %s (%d records)\n", st.Path(), st.Len())
+		fmt.Fprintf(stderr, "snserve: response cache %s (%d records)\n", st.Path(), st.Len())
 		opts = append(opts, serve.WithCache(serve.NewCache(st)))
 	}
 	srv := serve.NewServer(opts...)
 
 	if listen == "" {
-		err := srv.ServeConn(ctx, stdio{os.Stdin, os.Stdout})
+		err := srv.ServeConn(ctx, conn)
 		if errors.Is(err, serve.ErrShutdown) {
 			err = nil
 		}
-		report(srv)
+		report(srv, stderr)
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "snserve: listening on %s\n", listen)
+	fmt.Fprintf(stderr, "snserve: listening on %s\n", listen)
 	err := srv.ListenAndServe(ctx, listen)
-	report(srv)
+	report(srv, stderr)
 	return err
 }
 
 // report prints the deterministic service counters to stderr on exit, so a
 // scripted run can assert cache effectiveness without a stats request.
-func report(srv *serve.Server) {
+func report(srv *serve.Server, stderr io.Writer) {
 	st := srv.Stats()
-	fmt.Fprintf(os.Stderr, "snserve: %d sessions, %d requests, %d estimates (%d simulated, %d cache hits)\n",
+	fmt.Fprintf(stderr, "snserve: %d sessions, %d requests, %d estimates (%d simulated, %d cache hits)\n",
 		st.Sessions, st.Requests, st.Estimates, st.Simulated, st.CacheHits)
 }

@@ -161,13 +161,6 @@ func (w WiringConstraint) MaxWires() int {
 	return int(w.WiresPerMM * w.CoreSideMM)
 }
 
-// SatisfiesConstraint reports whether the placed network respects Eq. 3 for
-// the given technology, and returns the observed maximum crossing count.
-func SatisfiesConstraint(n *topo.Network, w WiringConstraint) (bool, int) {
-	got := MaxWireCrossing(n)
-	return got <= w.MaxWires(), got
-}
-
 // DistanceDistribution returns the histogram of link Manhattan distances in
 // 2-wide bins as in Fig. 6: bin i covers distances {2i+1, 2i+2}. Values are
 // probabilities (they sum to 1 unless the network has no links).

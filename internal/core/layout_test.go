@@ -142,8 +142,7 @@ func TestWiringConstraintsSatisfied(t *testing.T) {
 		for _, l := range Layouts() {
 			n := mustNet(t, s, l)
 			for _, wc := range WiringConstraints() {
-				ok, got := SatisfiesConstraint(n, wc)
-				if !ok {
+				if got := MaxWireCrossing(n); got > wc.MaxWires() {
 					t.Errorf("%s %s at %s: max crossings %d exceed W=%d",
 						d.Name, l, wc.Node, got, wc.MaxWires())
 				}

@@ -72,24 +72,3 @@ func (m BufferModel) TotalCentralBuffers(n *topo.Network, cbFlits int) int {
 func (m BufferModel) PerRouterCentralBuffers(n *topo.Network, cbFlits int) float64 {
 	return float64(m.TotalCentralBuffers(n, cbFlits)) / float64(n.Nr)
 }
-
-// Cost summarises the §3.2.3 cost model for one placed network: the average
-// wire length M (Eq. 4) and the total buffer sizes under edge and central
-// buffering.
-type Cost struct {
-	M        float64 // average Manhattan wire length, grid hops
-	TotalEB  int     // Δeb, flits
-	TotalCB  int     // Δcb, flits
-	MaxWires int     // max W over grid cells (Eq. 3 left side)
-}
-
-// CostOf evaluates the cost model on a placed network. cbFlits is the
-// central-buffer capacity used for Δcb (the paper analyses 20 and 40).
-func CostOf(n *topo.Network, m BufferModel, cbFlits int) Cost {
-	return Cost{
-		M:        n.AvgWireLength(),
-		TotalEB:  m.TotalEdgeBuffers(n),
-		TotalCB:  m.TotalCentralBuffers(n, cbFlits),
-		MaxWires: MaxWireCrossing(n),
-	}
-}

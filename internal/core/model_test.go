@@ -109,15 +109,6 @@ func TestCBBeatsEBForLargeNets(t *testing.T) {
 	}
 }
 
-func TestCostOf(t *testing.T) {
-	s := mustSN(t, 5, 4)
-	n := mustNet(t, s, LayoutSubgroup)
-	c := CostOf(n, DefaultBufferModel(), 20)
-	if c.M <= 0 || c.TotalEB <= 0 || c.TotalCB <= 0 || c.MaxWires <= 0 {
-		t.Errorf("degenerate cost: %+v", c)
-	}
-}
-
 // TestDeltaScaling checks Δeb = Θ(N·∛N) from Theorem 1: the exponent of Δeb
 // growth between successive sizes should be near 4/3.
 func TestDeltaScaling(t *testing.T) {

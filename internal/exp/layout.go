@@ -1,15 +1,19 @@
 // Analytic artifacts from the construction and layout models: Table 2,
-// Table 3, Table 4, Fig. 5 and Fig. 6. None of them simulates.
+// Table 3, Table 4, Fig. 5 and Fig. 6, and the same layout analysis for any
+// one Slim NoC (LayoutTables). None of them simulates.
 
 package exp
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/stats"
+	"repro/internal/topo"
+	"repro/slimnoc"
 )
 
 // tab2Tables renders Table 2: every Slim NoC configuration with N <= 1300.
@@ -111,63 +115,93 @@ func fig5Tables(o Options) ([]*stats.Table, error) {
 	if o.Quick {
 		qs = []int{3, 5, 9}
 	}
-	m := core.DefaultBufferModel()
-	sm := m.WithSMART()
-
-	mt := &stats.Table{ID: "fig5a", Title: "Average wire length M vs N per layout (Fig. 5a)",
-		Header: []string{"q", "N_ideal"}}
-	bt := &stats.Table{ID: "fig5b", Title: "Per-router buffer size, no SMART (Fig. 5b) [flits]",
-		Header: []string{"q", "N_ideal"}}
-	st := &stats.Table{ID: "fig5c", Title: "Per-router buffer size, SMART (Fig. 5c) [flits]",
-		Header: []string{"q", "N_ideal"}}
-	wt := &stats.Table{ID: "fig5d", Title: "Max wires over a router vs W bound, 22nm (Fig. 5d)",
-		Header: []string{"q", "N_ideal"}}
-	for _, l := range core.Layouts() {
-		name := "sn_" + string(l)
-		mt.Header = append(mt.Header, name)
-		bt.Header = append(bt.Header, name)
-		st.Header = append(st.Header, name)
-		wt.Header = append(wt.Header, name)
-	}
-	bt.Header = append(bt.Header, "CBR20", "CBR40")
-	st.Header = append(st.Header, "CBR20", "CBR40")
-	wt.Header = append(wt.Header, "W_bound_22nm")
-
-	w22 := core.WiringConstraints()[1]
+	f := newFig5("N_ideal", core.WiringConstraints()[1:2])
 	for _, q := range qs {
 		kp, _ := core.KPrimeFor(q)
-		p := (kp + 1) / 2
-		s, err := core.New(core.Params{Q: q, P: p})
+		s, err := core.New(core.Params{Q: q, P: (kp + 1) / 2})
 		if err != nil {
 			return nil, err
 		}
-		mrow := []interface{}{q, s.N()}
-		brow := []interface{}{q, s.N()}
-		srow := []interface{}{q, s.N()}
-		wrow := []interface{}{q, s.N()}
-		var cb20, cb40 float64
+		nets := map[core.Layout]*topo.Network{}
 		for _, l := range core.Layouts() {
-			net, err := s.Network(l, o.Seed+7)
-			if err != nil {
+			if nets[l], err = s.Network(l, o.Seed+7); err != nil {
 				return nil, err
 			}
-			mrow = append(mrow, net.AvgWireLength())
-			brow = append(brow, m.PerRouterEdgeBuffers(net))
-			srow = append(srow, sm.PerRouterEdgeBuffers(net))
-			wrow = append(wrow, core.MaxWireCrossing(net))
-			cb20 = m.PerRouterCentralBuffers(net, 20)
-			cb40 = m.PerRouterCentralBuffers(net, 40)
 		}
-		brow = append(brow, cb20, cb40)
-		srow = append(srow, cb20, cb40)
-		wrow = append(wrow, w22.MaxWires())
-		mt.AddRowF(mrow...)
-		bt.AddRowF(brow...)
-		st.AddRowF(srow...)
-		wt.AddRowF(wrow...)
+		f.add(q, s.N(), nets)
 	}
-	return []*stats.Table{mt, bt, st, wt}, nil
+	return f.tables(), nil
 }
+
+// fig5 accumulates Fig. 5's four tables, one row per Slim NoC and one
+// column per layout: average wire length M, per-router buffers without
+// and with SMART (plus CBR-20/40 for reference), and the maximum wire
+// crossing count against the given Eq. 3 bounds.
+type fig5 struct {
+	m, eb, smart, wires *stats.Table
+	bounds              []core.WiringConstraint
+}
+
+// newFig5 starts Fig. 5's tables; nCol names the column after q that
+// holds each row's node count.
+func newFig5(nCol string, bounds []core.WiringConstraint) *fig5 {
+	header := func(extra ...string) []string {
+		h := []string{"q", nCol}
+		for _, l := range core.Layouts() {
+			h = append(h, "sn_"+string(l))
+		}
+		return append(h, extra...)
+	}
+	var nodes, wCols []string
+	for _, wc := range bounds {
+		nodes = append(nodes, wc.Node)
+		wCols = append(wCols, "W_bound_"+wc.Node)
+	}
+	return &fig5{
+		m: &stats.Table{ID: "fig5a", Title: "Average wire length M vs N per layout (Fig. 5a)",
+			Header: header()},
+		eb: &stats.Table{ID: "fig5b", Title: "Per-router buffer size, no SMART (Fig. 5b) [flits]",
+			Header: header("CBR20", "CBR40")},
+		smart: &stats.Table{ID: "fig5c", Title: "Per-router buffer size, SMART (Fig. 5c) [flits]",
+			Header: header("CBR20", "CBR40")},
+		wires: &stats.Table{ID: "fig5d",
+			Title:  fmt.Sprintf("Max wires over a router vs W bound, %s (Fig. 5d)", strings.Join(nodes, "/")),
+			Header: header(wCols...)},
+		bounds: bounds,
+	}
+}
+
+// add appends the rows of a Slim NoC of parameter q and n nodes, given
+// its network under every layout.
+func (f *fig5) add(q, n int, nets map[core.Layout]*topo.Network) {
+	m := core.DefaultBufferModel()
+	sm := m.WithSMART()
+	mrow := []interface{}{q, n}
+	brow := []interface{}{q, n}
+	srow := []interface{}{q, n}
+	wrow := []interface{}{q, n}
+	for _, l := range core.Layouts() {
+		net := nets[l]
+		mrow = append(mrow, net.AvgWireLength())
+		brow = append(brow, m.PerRouterEdgeBuffers(net))
+		srow = append(srow, sm.PerRouterEdgeBuffers(net))
+		wrow = append(wrow, core.MaxWireCrossing(net))
+	}
+	// Central buffers do not depend on the layout.
+	ref := nets[core.LayoutSubgroup]
+	cb20, cb40 := m.PerRouterCentralBuffers(ref, 20), m.PerRouterCentralBuffers(ref, 40)
+	brow = append(brow, cb20, cb40)
+	srow = append(srow, cb20, cb40)
+	for _, wc := range f.bounds {
+		wrow = append(wrow, wc.MaxWires())
+	}
+	f.m.AddRowF(mrow...)
+	f.eb.AddRowF(brow...)
+	f.smart.AddRowF(srow...)
+	f.wires.AddRowF(wrow...)
+}
+
+func (f *fig5) tables() []*stats.Table { return []*stats.Table{f.m, f.eb, f.smart, f.wires} }
 
 // fig5Claims are Fig. 5's layout-cost claims.
 var fig5Claims = []Claim{
@@ -202,11 +236,6 @@ func fig6Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := &stats.Table{
-			ID:     fmt.Sprintf("fig6-N%d", n),
-			Title:  fmt.Sprintf("Link distance distribution, N=%d (Fig. 6)", n),
-			Header: []string{"distance_range", "sn_gr", "sn_subgr"},
-		}
 		gr, err := s.Network(core.LayoutGroup, 1)
 		if err != nil {
 			return nil, err
@@ -215,16 +244,62 @@ func fig6Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dg := core.DistanceDistribution(gr)
-		ds := core.DistanceDistribution(sg)
-		bins := len(dg)
-		if len(ds) > bins {
-			bins = len(ds)
+		out = append(out, fig6Table(n, gr, sg))
+	}
+	return out, nil
+}
+
+// fig6Table is one Fig. 6 panel: the link-distance distributions of an
+// n-node Slim NoC under the group (gr) and subgroup (sg) layouts, in
+// 2-wide bins.
+func fig6Table(n int, gr, sg *topo.Network) *stats.Table {
+	t := &stats.Table{
+		ID:     fmt.Sprintf("fig6-N%d", n),
+		Title:  fmt.Sprintf("Link distance distribution, N=%d (Fig. 6)", n),
+		Header: []string{"distance_range", "sn_gr", "sn_subgr"},
+	}
+	dg := core.DistanceDistribution(gr)
+	ds := core.DistanceDistribution(sg)
+	for b := 0; b < max(len(dg), len(ds)); b++ {
+		t.AddRowF(fmt.Sprintf("%d-%d", 2*b+1, 2*b+2), at(dg, b), at(ds, b))
+	}
+	return t
+}
+
+// LayoutTables renders the §3.3 layout analysis of the Slim NoC a network
+// spec names, under every layout at the spec's q and concentration: each
+// layout's router grid and size, Fig. 5's row for it (with every Eq. 3
+// bound) and, with dist, its Fig. 6 link-distance distribution.
+func LayoutTables(ns slimnoc.NetworkSpec, dist bool) ([]*stats.Table, error) {
+	ns, err := slimnoc.ExpandNetwork(ns)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
+	}
+	if ns.Topology != "sn" {
+		return nil, fmt.Errorf("exp: layout analysis covers Slim NoC layouts only, got topology %q", ns.Topology)
+	}
+	grid := &stats.Table{
+		ID:     "layouts",
+		Title:  fmt.Sprintf("Slim NoC q=%d layouts", ns.Q),
+		Header: []string{"network", "die", "Nr", "N", "k'"},
+	}
+	nets := map[core.Layout]*topo.Network{}
+	for _, l := range core.Layouts() {
+		ns.Layout = string(l)
+		net, _, err := slimnoc.BuildNetwork(ns)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
 		}
-		for b := 0; b < bins; b++ {
-			t.AddRowF(fmt.Sprintf("%d-%d", 2*b+1, 2*b+2), at(dg, b), at(ds, b))
-		}
-		out = append(out, t)
+		x, y := net.GridDims()
+		grid.AddRowF("sn_"+ns.Layout, fmt.Sprintf("%dx%d", x, y), net.Nr, net.N(), net.NetworkRadix())
+		nets[l] = net
+	}
+	n := nets[core.LayoutSubgroup].N()
+	f := newFig5("N", core.WiringConstraints())
+	f.add(ns.Q, n, nets)
+	out := append([]*stats.Table{grid}, f.tables()...)
+	if dist {
+		out = append(out, fig6Table(n, nets[core.LayoutGroup], nets[core.LayoutSubgroup]))
 	}
 	return out, nil
 }

@@ -2,13 +2,18 @@
 // Figs. 15-17, Fig. 19, Table 5, and the §5.5 folded-Clos comparison. The
 // area and static power come from the analytical models; the dynamic power
 // and throughput come from each figure's activity runs (RND at the paper's
-// 0.24 comparison load, SMART).
+// 0.24 comparison load, SMART). PowerTables renders the same analysis for
+// any one spec.
 
 package exp
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/power"
@@ -19,15 +24,28 @@ import (
 
 const flitBits = 128
 
-// bufferFor sizes network buffers for the area/power models: EB-Var sizing
-// (full wire utilisation) as the paper's default edge-buffer design.
-func bufferFor(n *topo.Network, smart bool) power.BufferConfig {
+// bufferFor sizes a design's buffers for the area/power models, following
+// its spec: central buffers of the spec's capacity (the engine's 20 flits
+// by default) for the cbr scheme, otherwise EB-Var edge buffers (full wire
+// utilisation), the paper's default edge-buffer design; SMART shortens
+// both.
+func bufferFor(n *topo.Network, spec slimnoc.RunSpec) power.BufferConfig {
 	m := core.DefaultBufferModel()
-	if smart {
+	if spec.SMART {
 		m = m.WithSMART()
+	}
+	if spec.Buffering.Scheme == "cbr" {
+		return power.CentralBufferConfig(n, m, cmp.Or(spec.Buffering.CBCap, 20), flitBits)
 	}
 	return power.EdgeBufferConfig(n, m, flitBits)
 }
+
+// The analytic figures price the default edge-buffer design, without and
+// with SMART.
+var plainEB, smartEB = slimnoc.RunSpec{}, slimnoc.RunSpec{SMART: true}
+
+// techs are the two technology nodes the paper evaluates.
+var techs = []power.Tech{power.Tech45(), power.Tech22()}
 
 // fig3Tables renders Fig. 3: Slim Fly and Dragonfly used directly as NoCs.
 // 3a: average wire length versus core count; 3b/3c: area and static power
@@ -78,7 +96,7 @@ func fig3Tables(o Options) ([]*stats.Table, error) {
 	}
 	t45 := power.Tech45()
 	for i, n := range nets {
-		buf := bufferFor(n, false)
+		buf := bufferFor(n, plainEB)
 		a := power.Area(n, buf, 2, t45).PerNodeCM2(n.N())
 		s := power.Static(n, buf, 2, t45)
 		area.AddRowF(labels[i], a.IRouters, a.ARouters, a.RRWires+a.RNWires, a.Total())
@@ -136,7 +154,8 @@ func fig3Point(n int) *fig3Nets {
 }
 
 // areaPowerTables renders per-node area / static / dynamic power for an
-// activity grid's networks under one tech node.
+// activity grid's networks under one tech node, each priced as its run's
+// spec built it (bufferFor). The runs share one traffic pattern and load.
 func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech) ([]*stats.Table, error) {
 	area := &stats.Table{
 		ID:     idPrefix + "-area",
@@ -149,8 +168,9 @@ func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech
 		Header: []string{"network", "routers", "wires", "total"},
 	}
 	dyn := &stats.Table{
-		ID:     idPrefix + "-dynamic",
-		Title:  title + " — dynamic power/node [W] (RND, load 0.24)",
+		ID: idPrefix + "-dynamic",
+		Title: fmt.Sprintf("%s — dynamic power/node [W] (%s, load %g)", title,
+			strings.ToUpper(res[0].Spec.Traffic.Pattern), res[0].Spec.Traffic.Rate),
 		Header: []string{"network", "buffers", "crossbars", "wires", "total"},
 	}
 	for _, r := range res {
@@ -158,8 +178,8 @@ func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech
 		if err != nil {
 			return nil, err
 		}
-		name := r.Spec.Network.Preset
-		buf := bufferFor(n, r.Spec.SMART)
+		name := cmp.Or(r.Spec.Network.Preset, n.Name)
+		buf := bufferFor(n, r.Spec)
 		a := power.Area(n, buf, 2, t).PerNodeCM2(n.N())
 		area.AddRowF(name, a.IRouters, a.ARouters, a.RRWires, a.RNWires, a.Total())
 		s := power.Static(n, buf, 2, t)
@@ -179,7 +199,7 @@ func bothTechs(r FigureRun, id, title string) ([]*stats.Table, error) {
 		return nil, err
 	}
 	var out []*stats.Table
-	for _, t := range []power.Tech{power.Tech45(), power.Tech22()} {
+	for _, t := range techs {
 		tables, err := areaPowerTables(res, fmt.Sprintf("%s-%s", id, t.Name),
 			fmt.Sprintf(title, t.Name), t)
 		if err != nil {
@@ -212,7 +232,7 @@ func fig15Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		layouts.AddRowF(l, power.Area(n, bufferFor(n, false), 2, t45).Total())
+		layouts.AddRowF(l, power.Area(n, bufferFor(n, plainEB), 2, t45).Total())
 	}
 	nets := &stats.Table{
 		ID:     "fig15b",
@@ -229,7 +249,7 @@ func fig15Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := bufferFor(n, false)
+		buf := bufferFor(n, plainEB)
 		a := power.Area(n, buf, 2, t45)
 		nets.AddRowF(name, a.IRouters, a.ARouters, a.RRWires, a.RNWires, a.Total())
 		s := power.Static(n, buf, 2, t45)
@@ -301,13 +321,14 @@ func fig19(o Options) Figure {
 }
 
 // throughputPerPower computes the §5.4 metric of one activity run: the
-// flits delivered per joule at the run's accepted throughput.
+// flits delivered per joule at the run's accepted throughput, with static
+// power priced as the run's spec built it (bufferFor).
 func throughputPerPower(r *slimnoc.Result, t power.Tech) (float64, error) {
 	n, err := network(r)
 	if err != nil {
 		return 0, err
 	}
-	st := power.Static(n, bufferFor(n, true), 2, t)
+	st := power.Static(n, bufferFor(n, r.Spec), 2, t)
 	act := power.ActivityOf(n, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
 	dy := power.Dynamic(act, t)
 	return power.ThroughputPerPower(act.FlitsPerCycle, n.CycleTimeNs, st, dy), nil
@@ -371,7 +392,7 @@ func tab5(o Options) Figure {
 				Title:  "SN throughput/power advantage (RND) (Table 5)",
 				Header: []string{"tech", "vs", "SN_gain_%"},
 			}
-			for _, tech := range []power.Tech{power.Tech45(), power.Tech22()} {
+			for _, tech := range techs {
 				first := 0
 				for _, g := range groups {
 					sn, err := throughputPerPower(res[first], tech)
@@ -429,9 +450,46 @@ func sec55Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		snArea := power.Area(sn, bufferFor(sn, true), 2, t45).Total()
-		closArea := power.Area(c.clos, bufferFor(c.clos, true), 2, t45).Total()
+		snArea := power.Area(sn, bufferFor(sn, smartEB), 2, t45).Total()
+		closArea := power.Area(c.clos, bufferFor(c.clos, smartEB), 2, t45).Total()
 		t.AddRowF(c.n, snArea, closArea, (1-snArea/closArea)*100)
 	}
 	return []*stats.Table{t}, nil
+}
+
+// PowerTables simulates one spec and renders its §5.4 analysis at a tech
+// node (45nm or 22nm) through the builders the figures use: the network's
+// size, buffer storage, accepted throughput and throughput per power, then
+// its per-node area, static power and dynamic power (areaPowerTables).
+func PowerTables(ctx context.Context, spec slimnoc.RunSpec, tech string) ([]*stats.Table, error) {
+	i := slices.IndexFunc(techs, func(t power.Tech) bool { return t.Name == tech })
+	if i < 0 {
+		return nil, fmt.Errorf("exp: unknown tech %q (have 45nm, 22nm)", tech)
+	}
+	t := techs[i]
+	r, err := slimnoc.Run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	n, err := network(r)
+	if err != nil {
+		return nil, err
+	}
+	tpp, err := throughputPerPower(r, t)
+	if err != nil {
+		return nil, err
+	}
+	name := cmp.Or(r.Spec.Network.Preset, n.Name)
+	title := fmt.Sprintf("%s, %s", name, t.Name)
+	if r.Spec.SMART {
+		title += ", SMART"
+	}
+	sum := &stats.Table{
+		ID:     "power",
+		Title:  title + " — network and throughput/power",
+		Header: []string{"network", "Nr", "N", "k'", "buffer_flits", "accepted", "flits_per_J"},
+	}
+	sum.AddRowF(name, n.Nr, n.N(), n.NetworkRadix(), bufferFor(n, r.Spec).TotalFlits, r.Metrics.Throughput, tpp)
+	tables, err := areaPowerTables([]*slimnoc.Result{r}, "power", title, t)
+	return append([]*stats.Table{sum}, tables...), err
 }

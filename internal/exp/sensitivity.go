@@ -70,7 +70,7 @@ func sensSizes(o Options) Figure {
 					if err != nil {
 						return nil, err
 					}
-					area := power.Area(n, bufferFor(n, true), 2, t45).Total()
+					area := power.Area(n, bufferFor(n, p.Spec), 2, t45).Total()
 					t.AddRowF(s.n, names[i], p.Network.NetworkRadix, p.Metrics.AvgLatencyCycles,
 						p.Metrics.AvgLatencyNs, area)
 				}

@@ -122,7 +122,7 @@ func fig18(o Options) Figure {
 				if err != nil {
 					return 0, err
 				}
-				st := power.Static(n, bufferFor(n, true), 2, t45)
+				st := power.Static(n, bufferFor(n, p.Spec), 2, t45)
 				act := power.ActivityOf(n, p.Metrics.Throughput, p.Metrics.AvgHops, t45, flitBits)
 				dy := power.Dynamic(act, t45)
 				runSec := float64(p.Spec.Sim.MeasureCycles) * n.CycleTimeNs * 1e-9

@@ -19,7 +19,7 @@ import (
 // PointResult is the outcome of one campaign point. A completed point has
 // Result set and Err nil; a failed point has Err set; a point cancelled
 // mid-run has both — the partial metrics accumulated up to cancellation
-// alongside an error wrapping ctx.Err() (mirroring Runner.Run). Points
+// alongside an error wrapping ctx.Err() (mirroring Run). Points
 // never started before cancellation carry the context error and a nil
 // Result. Only Err == nil marks a complete, trustworthy result.
 type PointResult struct {
@@ -178,7 +178,7 @@ func WithJobs(n int) CampaignOption {
 }
 
 // WithPointEngineJobs steps every point's engine across n parallel spatial
-// domains (the campaign form of the Runner's WithEngineJobs; n < 0 selects
+// domains (the campaign form of Run's WithEngineJobs; n < 0 selects
 // runtime.NumCPU()). Orthogonal to WithJobs: that parallelises across
 // points, this parallelises inside each one — a few huge points want engine
 // jobs, many small points want campaign jobs. Engine results are
@@ -195,7 +195,7 @@ func WithPointEngineJobs(n int) CampaignOption {
 }
 
 // WithPointMemBudget caps every point's estimated engine footprint at bytes
-// (the campaign form of the Runner's WithMemBudget; 0 = no cap). Oversized
+// (the campaign form of Run's WithMemBudget; 0 = no cap). Oversized
 // points fail fast with a sizing error in their PointResult instead of
 // allocating — including the campaign's shared route-table compile, which is
 // skipped when the table alone would bust the budget. The budget never
@@ -217,7 +217,7 @@ func WithOnPoint(fn func(PointResult)) CampaignOption {
 	return func(c *Campaign) { c.onPoint = fn }
 }
 
-// WithPointOptions supplies per-point Runner options that the declarative
+// WithPointOptions supplies per-point Run options that the declarative
 // spec cannot express (prebuilt networks, custom sources, adaptive
 // policies). The returned options are applied after the campaign's own
 // network-cache option, so a WithNetwork here overrides the cache. Options
@@ -256,7 +256,7 @@ type tableCacheEntry struct {
 // netCache builds each distinct (expanded) NetworkSpec once per Campaign —
 // a multi-sweep reproduction reuses one build across sequential Run calls —
 // and shares the resulting Network read-only across workers: sim.New and
-// Runner.Run never mutate a supplied network (see WithNetwork). It likewise
+// Run never mutate a supplied network (see WithNetwork). It likewise
 // compiles each distinct (network, static routing algorithm, VCs)
 // combination into one immutable routing.RouteTable shared by every point
 // using it (see WithRouteTable).
@@ -434,7 +434,7 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 		// route per packet, have no compiled form and fail to compile. The
 		// compile runs under the point budget, so a table that alone would
 		// bust it is refused before it is allocated. Any compile error is
-		// left for Runner.Run to rediscover and report.
+		// left for the run to rediscover and report.
 		if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); terr == nil {
 			cachedTab = tab
 			opts = append(opts, WithRouteTable(tab))
@@ -451,7 +451,7 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 	if c.pointOpts != nil {
 		opts = append(opts, c.pointOpts(i, spec)...)
 	}
-	r := NewRunner(spec, opts...)
+	r := newRunner(spec, opts...)
 	if !r.haveNet && err != nil {
 		return nil, err
 	}
@@ -461,7 +461,7 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 	if r.table == cachedTab && cachedTab != nil && r.net != net {
 		r.table = nil
 	}
-	return r.Run(ctx)
+	return r.run(ctx)
 }
 
 // RunSweep expands the sweep and executes its points.

@@ -104,7 +104,7 @@ func TestCampaignNetworkCacheSharing(t *testing.T) {
 	}
 	ran := make([]*Network, len(points)) // the network each point ran on
 	c := NewCampaign(WithJobs(3), WithPointOptions(func(i int, _ RunSpec) []Option {
-		return []Option{func(r *Runner) { ran[i] = r.net }}
+		return []Option{func(r *runner) { ran[i] = r.net }}
 	}))
 	results, err := c.Run(t.Context(), points)
 	if err != nil {

@@ -33,7 +33,7 @@
 // on a worker pool — each distinct network built once and shared read-only,
 // each distinct (network, static routing, VCs) combination compiled once
 // into an immutable RouteTable shared the same way (CompileRouteTable /
-// WithRouteTable expose this to direct Runner use; a Run given no table
+// WithRouteTable hand such a table to a single Run; a Run given no table
 // compiles its own through the same CompileRouteTable), per-point seeds fixed
 // at expansion time (DeriveSeed) so results are byte-identical at any job
 // count, results streaming to pluggable Sinks (Collector, NewJSONLSink,

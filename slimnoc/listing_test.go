@@ -21,7 +21,7 @@ func TestListingsSortedAndStable(t *testing.T) {
 		{"traffics", traffics.names},
 		{"processes", processes.names},
 		{"schemes", schemes.names},
-		{"layouts", Layouts()},
+		{"layouts", layouts.names},
 		{"presets", sortedKeys(presetTable)},
 	}
 	for _, l := range listings {

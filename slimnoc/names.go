@@ -3,7 +3,6 @@ package slimnoc
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -199,9 +198,6 @@ var processes = newNameTable("traffic process", map[string]process{
 		section: "related work (closed-loop memory traffic, cf. §5.1 read/reply sizes)",
 		example: TrafficSpec{Pattern: "rnd", Process: "reqreply", Window: 4}},
 }, nil)
-
-// Layouts lists the Slim NoC layout names (sorted).
-func Layouts() []string { return slices.Clone(layouts.names) }
 
 // hasOverrides reports whether any explicit parameter accompanies the
 // spec's preset name.

@@ -21,7 +21,7 @@ func casings(name string) []string {
 // normalized first), as Run does.
 func specNetwork(t *testing.T, ns NetworkSpec) (*Network, routing.Kind) {
 	t.Helper()
-	net, kind, err := NewRunner(RunSpec{Network: ns}).Network()
+	net, kind, err := BuildNetwork(RunSpec{Network: ns}.Normalized().Network)
 	if err != nil {
 		t.Fatalf("%+v: %v", ns, err)
 	}

@@ -38,9 +38,9 @@ type RouteTable = routing.RouteTable
 // see sim.EngineStats.
 type EngineStats = sim.EngineStats
 
-// Runner executes one RunSpec. A Runner is single-use: build it with
-// NewRunner (or use the package-level Run convenience) and call Run once.
-type Runner struct {
+// runner executes one RunSpec once: the spec plus the options Run and the
+// Campaign's points apply to it.
+type runner struct {
 	spec RunSpec
 
 	net     *topo.Network
@@ -57,21 +57,21 @@ type Runner struct {
 	memBudget     int64
 }
 
-// Option customises a Runner beyond what the declarative spec expresses.
-type Option func(*Runner)
+// Option customises a run beyond what the declarative spec expresses.
+type Option func(*runner)
 
 // WithNetwork supplies an already built network in place of the one the
 // spec's network section names (sweeps that reuse one network across many
 // runs). The network is treated as read-only from here on: neither sim.New
 // nor Run mutates a supplied topo.Network, so one network may back any
-// number of concurrent Runners (the Campaign engine relies on this;
+// number of concurrent runs (the Campaign engine relies on this;
 // TestCampaignSharedNetworkRace pins it under -race). Callers must likewise
 // stop mutating the network once it is shared — also because the network
 // memoizes its own Diameter (reported in every Result.Network) on first
 // request, behind a sync.Once: points sharing a network pay that all-pairs
 // sweep once between them, and a later mutation would leave the memo stale.
 func WithNetwork(net *Network, kind routing.Kind) Option {
-	return func(r *Runner) { r.net, r.kind, r.haveNet = net, kind, true }
+	return func(r *runner) { r.net, r.kind, r.haveNet = net, kind, true }
 }
 
 // WithRouteTable supplies a precompiled route table for the spec's static
@@ -80,37 +80,37 @@ func WithNetwork(net *Network, kind routing.Kind) Option {
 // algorithm and VC count as the spec, and for the very network the run
 // uses: Run fails on a table compiled over any other network, even one of
 // the same size. Compiled tables are immutable, so one table may back any
-// number of concurrent Runners — the Campaign engine shares one per distinct
+// number of concurrent runs — the Campaign engine shares one per distinct
 // (network, routing, VCs) combination, and
 // TestCampaignSharedRouteTableRace pins the contract under -race. The
 // table is ignored when the spec names an adaptive algorithm, which routes
 // per packet.
 func WithRouteTable(t *RouteTable) Option {
-	return func(r *Runner) { r.table = t }
+	return func(r *runner) { r.table = t }
 }
 
 // WithSource overrides the traffic section of the spec with a custom
 // generator (e.g. a recorded trace replay).
 func WithSource(src Source) Option {
-	return func(r *Runner) { r.source = src }
+	return func(r *runner) { r.source = src }
 }
 
 // WithEdgeBufferSizing overrides the per-VC edge-buffer capacity as a
 // function of wire length (edge-buffer schemes only).
 func WithEdgeBufferSizing(f func(dist int) int) Option {
-	return func(r *Runner) { r.bufCap = f }
+	return func(r *runner) { r.bufCap = f }
 }
 
 // WithProgress streams a telemetry snapshot every `every` cycles (0 = the
 // simulator default of 1024) to fn during the run.
 func WithProgress(every int64, fn func(Progress)) Option {
-	return func(r *Runner) { r.progress, r.progressEvery = fn, every }
+	return func(r *runner) { r.progress, r.progressEvery = fn, every }
 }
 
 // WithEngineJobs steps the engine's spatial router domains on n parallel
 // workers (n < 0 selects runtime.NumCPU()). Results are byte-identical at
 // every value — domain parallelism is an execution strategy, not a model
-// parameter — which is also why this is a Runner option rather than a
+// parameter — which is also why this is a run option rather than a
 // RunSpec field: it must not enter the spec's canonical bytes or the
 // PointKey derived from them. 0 and 1 mean serial; values above the router
 // count are clamped.
@@ -118,7 +118,7 @@ func WithEngineJobs(n int) Option {
 	if n < 0 {
 		n = runtime.NumCPU()
 	}
-	return func(r *Runner) { r.engineJobs = n }
+	return func(r *runner) { r.engineJobs = n }
 }
 
 // WithCycleStep forces the classic cycle-by-cycle stepping loop, disabling
@@ -128,7 +128,7 @@ func WithEngineJobs(n int) Option {
 // stays out of the spec's canonical bytes and PointKey. Useful for
 // differential debugging and for benchmarking the calendar's speedup.
 func WithCycleStep() Option {
-	return func(r *Runner) { r.cycleStep = true }
+	return func(r *runner) { r.cycleStep = true }
 }
 
 // WithMemBudget caps the engine's estimated steady-state memory footprint at
@@ -136,14 +136,14 @@ func WithCycleStep() Option {
 // and per-edge state plus the compiled route table; a spec whose instance
 // exceeds the budget fails fast in Run with a sizing error instead of
 // allocating. The budget never alters results — runs that fit behave
-// identically at any budget — so it is a Runner option, not a RunSpec field.
+// identically at any budget — so it is a run option, not a RunSpec field.
 func WithMemBudget(bytes int64) Option {
-	return func(r *Runner) { r.memBudget = bytes }
+	return func(r *runner) { r.memBudget = bytes }
 }
 
-// NewRunner prepares a Runner for the spec.
-func NewRunner(spec RunSpec, opts ...Option) *Runner {
-	r := &Runner{spec: spec.Normalized()}
+// newRunner prepares a run of the spec.
+func newRunner(spec RunSpec, opts ...Option) *runner {
+	r := &runner{spec: spec.Normalized()}
 	for _, o := range opts {
 		o(r)
 	}
@@ -193,22 +193,8 @@ type Result struct {
 	Raw     sim.Result  `json:"-"`
 }
 
-// Network resolves (building if necessary) the spec's network. Exposed so
-// analyses that need the graph itself (power models, layout costs) share
-// the run's exact topology.
-func (r *Runner) Network() (*Network, routing.Kind, error) {
-	if !r.haveNet {
-		net, kind, err := BuildNetwork(r.spec.Network)
-		if err != nil {
-			return nil, routing.Kind{}, err
-		}
-		r.net, r.kind, r.haveNet = net, kind, true
-	}
-	return r.net, r.kind, nil
-}
-
 // engineConfig resolves a normalized spec's routing algorithm and buffer
-// scheme into the sim.Config that Runner.Run and NewEstimator both start
+// scheme into the sim.Config that Run and NewEstimator both start
 // from: VCs, hop factor, buffering and, for an adaptive algorithm, its
 // policy. The network, route table, traffic and phases are the caller's.
 func engineConfig(spec RunSpec) (sim.Config, error) {
@@ -233,14 +219,16 @@ func engineConfig(spec RunSpec) (sim.Config, error) {
 	return cfg, nil
 }
 
-// Run executes the spec. Cancelling the context stops the simulation at the
-// next poll point; the returned Result then holds the metrics accumulated
-// so far alongside an error wrapping ctx.Err().
-func (r *Runner) Run(ctx context.Context) (*Result, error) {
+// run executes the spec on the supplied network, or on the one the spec
+// names.
+func (r *runner) run(ctx context.Context) (*Result, error) {
 	spec := r.spec
-	net, kind, err := r.Network()
-	if err != nil {
-		return nil, err
+	net, kind := r.net, r.kind
+	if !r.haveNet {
+		var err error
+		if net, kind, err = BuildNetwork(spec.Network); err != nil {
+			return nil, err
+		}
 	}
 	cfg, err := engineConfig(spec)
 	if err != nil {
@@ -336,9 +324,11 @@ func compileRouteTable(net *Network, kind Kind, algorithm string, vcs int, budge
 	return alg.compile(net, kind, vcs)
 }
 
-// Run builds a Runner for the spec and executes it.
+// Run executes the spec. Cancelling the context stops the simulation at the
+// next poll point; the returned Result then holds the metrics accumulated
+// so far alongside an error wrapping ctx.Err().
 func Run(ctx context.Context, spec RunSpec, opts ...Option) (*Result, error) {
-	return NewRunner(spec, opts...).Run(ctx)
+	return newRunner(spec, opts...).run(ctx)
 }
 
 func networkInfo(net *topo.Network) NetworkInfo {
