@@ -58,9 +58,9 @@ func BenchmarkFigures(b *testing.B) {
 // at low, mid and high load, with and without SMART. Low and mid load are
 // where idle-scan waste dominated the pre-active-set engine; high and
 // saturated load are where per-flit router work dominates, which the SoA
-// state layout plus domain-parallel stepping attack (every run here uses
-// WithEngineJobs(-1), all cores — results are byte-identical to serial, so
-// the numbers stay comparable across machine shapes).
+// state layout attacks. The engine picks its own domain count, which for
+// this 50-router network is one on any machine, so the numbers stay
+// comparable across machine shapes.
 func BenchmarkEngine(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -87,12 +87,12 @@ func BenchmarkEngine(b *testing.B) {
 			// let CPU frequency settle, so with -benchtime 1x -count=N
 			// the recorded samples measure the engine rather than
 			// first-run effects (mid-load spread was 0.33 without it).
-			if _, err := slimnoc.Run(context.Background(), spec, slimnoc.WithEngineJobs(-1)); err != nil {
+			if _, err := slimnoc.Run(context.Background(), spec); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := slimnoc.Run(context.Background(), spec, slimnoc.WithEngineJobs(-1))
+				res, err := slimnoc.Run(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}

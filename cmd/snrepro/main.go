@@ -76,8 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		short    = fs.Bool("short", false, "quick mode: shrunken grids and cycle counts (alias of -quick)")
 		quick    = fs.Bool("quick", false, "quick mode: shrunken grids and cycle counts")
 		full     = fs.Bool("full", false, "paper methodology: full grids and cycle counts (default)")
-		jobs     = fs.Int("jobs", 0, "parallel simulation workers (0 = NumCPU, 1 = serial)")
-		ejobs    = fs.Int("engine-jobs", 0, "parallel engine domains per point (0/1 = serial, -1 = NumCPU); results are byte-identical at every value")
+		jobs     = fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 		memCap   = fs.Int64("mem-budget", 0, "per-point engine memory budget in bytes (0 = each figure's declared budget, -1 = no cap); oversized points fail fast instead of allocating")
 		seed     = fs.Int64("seed", 1, "base seed every per-point seed derives from")
 	)
@@ -99,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opts := exp.Options{Quick: (*short || *quick) && !*full, Seed: *seed, Jobs: *jobs, EngineJobs: *ejobs, MemBudget: *memCap}
+	opts := exp.Options{Quick: (*short || *quick) && !*full, Seed: *seed, Jobs: *jobs, MemBudget: *memCap}
 	manifest := exp.Manifest(opts)
 
 	if *list || (*figsFlag == "" && !*all) {

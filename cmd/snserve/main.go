@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 
 	"repro/slimnoc/serve"
@@ -56,8 +55,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		listen   = fs.String("listen", "", "TCP address to serve on (empty = one stdio session)")
 		storeDir = fs.String("store", "", "result-store directory for the response cache (empty = no cache; reruns re-simulate)")
-		pool     = fs.Int("pool", 0, "concurrent engine-activation bound (0 = NumCPU)")
-		ejobs    = fs.Int("engine-jobs", 0, "parallel engine domains per episode (0/1 = serial, -1 = NumCPU); responses are byte-identical at every value")
+		pool     = fs.Int("pool", 0, "concurrent engine-activation bound (0 = GOMAXPROCS)")
 		maxBatch = fs.Int("max-batch", serve.DefaultMaxBatch, "largest accepted batch request")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +68,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "snserve: unexpected argument %q (requests arrive on stdin or -listen, not argv)\n", fs.Arg(0))
 		return 2
 	}
-	if err := serveOn(*listen, *storeDir, *pool, *ejobs, *maxBatch, stdio{stdin, stdout}, stderr); err != nil {
+	if err := serveOn(*listen, *storeDir, *pool, *maxBatch, stdio{stdin, stdout}, stderr); err != nil {
 		fmt.Fprintf(stderr, "snserve: %v\n", err)
 		return 1
 	}
@@ -79,17 +77,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // serveOn runs the server until shutdown: one session over conn, or one
 // per TCP connection with a listen address.
-func serveOn(listen, storeDir string, pool, engineJobs, maxBatch int, conn io.ReadWriter, stderr io.Writer) error {
+func serveOn(listen, storeDir string, pool, maxBatch int, conn io.ReadWriter, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if engineJobs < 0 {
-		engineJobs = runtime.NumCPU()
-	}
-	p := serve.NewPool(pool)
-	p.EngineJobs = engineJobs
 	opts := []serve.ServerOption{
-		serve.WithPool(p),
+		serve.WithPool(serve.NewPool(pool)),
 		serve.WithMaxBatch(maxBatch),
 	}
 	if storeDir != "" {

@@ -18,7 +18,6 @@
 //	snsim -spec run.json
 //	snsim -net t2d9 -rate 0.12 -save-spec run.json
 //	snsim -sweep sweep.json -jobs 8 -out results.jsonl
-//	snsim -net sn_subgr_200 -rate 0.40 -engine-jobs -1
 //	snsim -net sn_subgr_200 -rate 0.24 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -42,8 +41,7 @@ func main() {
 		BindRun(flag.CommandLine)
 	progress := flag.Bool("progress", false, "print periodic progress during the run")
 	sweepPath := flag.String("sweep", "", "run a sweep campaign from this JSON file instead of a single point")
-	jobs := flag.Int("jobs", 0, "campaign workers (0 = NumCPU, 1 = serial); -sweep only")
-	engineJobs := flag.Int("engine-jobs", 0, "parallel engine domains per run (0/1 = serial, -1 = NumCPU); results are byte-identical at every value")
+	jobs := flag.Int("jobs", 0, "campaign workers (0 = GOMAXPROCS, 1 = serial); -sweep only")
 	outPath := flag.String("out", "", "write campaign results as JSONL to this file; -sweep only")
 	csvPath := flag.String("csv-out", "", "write campaign results as CSV to this file; -sweep only")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -52,14 +50,14 @@ func main() {
 
 	// Profile teardown must run before exiting, so the exit code travels
 	// back out of run() instead of os.Exit firing mid-defer.
-	os.Exit(run(sf, *progress, *sweepPath, *jobs, *engineJobs, *outPath, *csvPath, *cpuProfile, *memProfile))
+	os.Exit(run(sf, *progress, *sweepPath, *jobs, *outPath, *csvPath, *cpuProfile, *memProfile))
 }
 
 // run executes the selected mode with profiling wrapped around it and
 // returns the process exit code. A failed profile write turns an otherwise
 // successful run into a failure, so scripts never consume a missing or
 // truncated profile.
-func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs, engineJobs int, outPath, csvPath, cpuProfile, memProfile string) (code int) {
+func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs int, outPath, csvPath, cpuProfile, memProfile string) (code int) {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -83,8 +81,8 @@ func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs, engineJob
 		// The single-run spec flags do not apply to a campaign: its points
 		// come entirely from the sweep file. Reject them loudly instead of
 		// silently running a different configuration than requested.
-		sweepFlags := map[string]bool{"sweep": true, "jobs": true, "engine-jobs": true,
-			"out": true, "csv-out": true, "cpuprofile": true, "memprofile": true}
+		sweepFlags := map[string]bool{"sweep": true, "jobs": true, "out": true,
+			"csv-out": true, "cpuprofile": true, "memprofile": true}
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			if !sweepFlags[f.Name] {
@@ -95,7 +93,7 @@ func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs, engineJob
 			return fail(fmt.Errorf("%s do(es) not apply to -sweep mode; set those fields in the sweep file's base spec",
 				strings.Join(conflicts, ", ")))
 		}
-		return runSweep(sweepPath, jobs, engineJobs, outPath, csvPath)
+		return runSweep(sweepPath, jobs, outPath, csvPath)
 	}
 
 	spec, err := sf.Spec(slimnoc.DefaultSpec())
@@ -103,9 +101,6 @@ func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs, engineJob
 		return fail(err)
 	}
 	var opts []slimnoc.Option
-	if engineJobs != 0 {
-		opts = append(opts, slimnoc.WithEngineJobs(engineJobs))
-	}
 	if progress {
 		opts = append(opts, slimnoc.WithProgress(0, func(p slimnoc.Progress) {
 			fmt.Fprintf(os.Stderr, "cycle %d/%d: %d/%d packets delivered, %d flits in flight\n",
@@ -140,7 +135,7 @@ func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs, engineJob
 }
 
 // runSweep executes a declarative sweep campaign and returns the exit code.
-func runSweep(path string, jobs, engineJobs int, outPath, csvPath string) int {
+func runSweep(path string, jobs int, outPath, csvPath string) int {
 	sweep, err := slimnoc.LoadSweep(path)
 	if err != nil {
 		return fail(err)
@@ -153,7 +148,6 @@ func runSweep(path string, jobs, engineJobs int, outPath, csvPath string) int {
 
 	copts := []slimnoc.CampaignOption{
 		slimnoc.WithJobs(jobs),
-		slimnoc.WithPointEngineJobs(engineJobs),
 		slimnoc.WithOnPoint(func(p slimnoc.PointResult) {
 			if p.Err != nil {
 				fmt.Printf("  [%3d] %-40s ERROR %v\n", p.Index, p.Spec.Name, p.Err)

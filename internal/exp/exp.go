@@ -24,17 +24,10 @@ type Options struct {
 	Seed  int64
 
 	// Jobs is the simulation worker count for a figure's points: 1 forces
-	// serial execution, 0 (the default) uses every CPU. Results are
+	// serial execution, 0 (the default) uses GOMAXPROCS. Results are
 	// identical at any job count — each point's seed is fixed up front — so
 	// Jobs trades wall-clock only.
 	Jobs int
-
-	// EngineJobs steps each point's engine across that many parallel
-	// spatial domains (0 or 1 = serial, < 0 = every CPU; see
-	// slimnoc.WithEngineJobs). Byte-identical results at every value.
-	// Complements Jobs: a dense grid wants point parallelism, a handful of
-	// big saturated points wants engine parallelism.
-	EngineJobs int
 
 	// MemBudget caps each point's estimated engine footprint in bytes
 	// (slimnoc.WithPointMemBudget). 0 defers to the figure's declared

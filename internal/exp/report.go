@@ -39,9 +39,7 @@ func RunFigure(ctx context.Context, f Figure, o Options, copts ...slimnoc.Campai
 	if o.MemBudget != 0 {
 		budget = o.MemBudget
 	}
-	base := []slimnoc.CampaignOption{
-		slimnoc.WithJobs(o.Jobs), slimnoc.WithPointEngineJobs(o.EngineJobs),
-	}
+	base := []slimnoc.CampaignOption{slimnoc.WithJobs(o.Jobs)}
 	if budget > 0 {
 		base = append(base, slimnoc.WithPointMemBudget(budget))
 	}

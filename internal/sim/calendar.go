@@ -121,7 +121,7 @@ func (c *Config) memEstimate(stride int) int64 {
 	np := nr * int64(stride)
 	nv := np * vcs
 	lanes := edges * vcs
-	nd := int64(normalizeJobs(c.EngineJobs, c.Net.Nr))
+	nd := int64(c.domains())
 	const flitBytes = 16                               // flit: pointer + idx + hop + next
 	const linkBytes = 56                               // link: endpoints, latency, counters, VC bases
 	b := np * (3 * 4)                                  // outLink/inLink/revPort

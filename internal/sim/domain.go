@@ -1,8 +1,8 @@
 // Deterministic domain-parallel stepping. The routers are partitioned into
 // contiguous index ranges ("domains"); each cycle the link-delivery phase
 // and the router phase run once per domain — on a pool of worker goroutines
-// with a per-cycle spin barrier when EngineJobs > 1, inline in ascending
-// domain order otherwise. Everything a domain writes is either exclusively
+// with a per-cycle spin barrier when there is more than one, inline in
+// ascending domain order otherwise. Everything a domain writes is either exclusively
 // owned by it:
 //
 //   - SoA router state of routers in [rlo, rhi), the NIC injection queues of
@@ -92,15 +92,34 @@ type domain struct {
 	_ [64]byte
 }
 
-// normalizeJobs clamps a Config.EngineJobs value to a valid domain count.
-func normalizeJobs(jobs, nr int) int {
-	if jobs > nr {
-		jobs = nr
-	}
-	if jobs < 1 {
+// minDomainRouters is the fewest routers a domain holds when New picks the
+// domain count itself (Config.EngineJobs 0). Measured on a 2-vCPU box at rnd
+// 0.30 with SMART: the 1250-router sn_subgr_10000 took 10.6 s and 11.4 s
+// serial and 7.8 s and 7.9 s on two domains (3000 cycles); 512 routers took
+// 1.69 s and 1.83 s serial and 1.25 s and 1.59 s on two; the 162-router
+// sn_gr_1296 lost (614 ms and 627 ms serial, 636 ms and 737 ms on two). So
+// the largest networks split, while 512 routers and every benchmark workload
+// stay on the serial path until a loaded large workload measures lower.
+const minDomainRouters = 600
+
+// domainCount is the number of spatial domains New steps nr routers across
+// with procs Ps available (runtime.GOMAXPROCS). A set Config.EngineJobs is
+// taken as given, clamped to [1, nr]; 0 lets the engine choose one domain
+// per minDomainRouters routers, at most one per P.
+func domainCount(jobs, nr, procs int) int {
+	if jobs == 0 {
 		jobs = 1
+		if nr >= minDomainRouters && procs > 1 {
+			jobs = min(procs, nr/minDomainRouters)
+		}
 	}
-	return jobs
+	return max(1, min(jobs, nr))
+}
+
+// domains is the domain count New builds for this config and memEstimate
+// charges for.
+func (c *Config) domains() int {
+	return domainCount(c.EngineJobs, c.Net.Nr, runtime.GOMAXPROCS(0))
 }
 
 // buildDomains splits the routers into nd contiguous ranges, sizes the
@@ -314,11 +333,11 @@ type workerSlot struct {
 	_   [64]byte
 }
 
-// parRunner is the per-cycle barrier for EngineJobs > 1: the main goroutine
-// publishes a command by incrementing epoch (workers spin on it), steps
-// domain 0 itself, then spins until every worker has acknowledged the epoch.
-// cmd is written strictly before the epoch increment and read after the
-// epoch load, so the two atomics carry all ordering (and give the race
+// parRunner is the per-cycle barrier for more than one domain: the main
+// goroutine publishes a command by incrementing epoch (workers spin on it),
+// steps domain 0 itself, then spins until every worker has acknowledged the
+// epoch. cmd is written strictly before the epoch increment and read after
+// the epoch load, so the two atomics carry all ordering (and give the race
 // detector its happens-before edges).
 type parRunner struct {
 	cmd     uint32

@@ -90,6 +90,8 @@ type EpisodeEngine struct {
 // nil — episodes supply their own source. The expensive inputs, cfg.Net and
 // cfg.Table, are read-only here like everywhere else in the engine, so any
 // number of engines may share one network and one compiled route table.
+// An episode engine steps one domain unless cfg.EngineJobs sets a count:
+// episodes are short, and a serving pool already runs them side by side.
 func NewEpisodeEngine(cfg Config) (*EpisodeEngine, error) {
 	if cfg.Traffic != nil {
 		return nil, fmt.Errorf("sim: estimate: cfg.Traffic must be nil (the episode supplies its own source)")
@@ -99,6 +101,9 @@ func NewEpisodeEngine(cfg Config) (*EpisodeEngine, error) {
 	}
 	src := &oneshotSource{}
 	cfg.Traffic = src
+	if cfg.EngineJobs == 0 {
+		cfg.EngineJobs = 1
+	}
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -154,7 +159,7 @@ func (e *EpisodeEngine) Latencies(transfers []Transfer, maxCycles int64) ([]int6
 	// Drive the cycle loop directly: unlike Run there are no phases — the
 	// episode ends the moment the batch is fully delivered. Delayed
 	// ejections ride the ejection wheel and complete inside step, so no
-	// final flush is needed. Domain workers (cfg.EngineJobs > 1) run for
+	// final flush is needed. Domain workers (more than one domain) run for
 	// the episode like they do for a full run.
 	s.startWorkers()
 	defer s.stopWorkers()

@@ -188,3 +188,9 @@ func (s *Sim) FullBuffers() (inputs, injection int) {
 	}
 	return inputs, injection
 }
+
+// Domains returns the number of spatial domains the engine steps.
+func (s *Sim) Domains() int { return len(s.doms) }
+
+// Domains returns the number of spatial domains the episode engine steps.
+func (e *EpisodeEngine) Domains() int { return e.s.Domains() }

@@ -108,12 +108,14 @@ type Config struct {
 
 	// EngineJobs is the number of spatial domains the per-cycle link and
 	// router phases are stepped across, each on its own goroutine with a
-	// per-cycle barrier. 0 or 1 runs the classic serial loop; n > 1 is
-	// capped at the router count. Results are byte-identical at every
-	// value: domains are contiguous router-index ranges, cross-domain
+	// per-cycle barrier. 0 lets New choose from the router count and
+	// runtime.GOMAXPROCS (see domainCount), which keeps small networks and
+	// single-P processes serial. n >= 1 forces n domains, capped at the
+	// router count; tests and the benchmark's fork probe set it. Results
+	// are byte-identical at every value: domains are contiguous router-index ranges, cross-domain
 	// effects are staged per domain and merged in ascending domain order,
 	// which reproduces the serial engine's ascending-router-index order
-	// exactly (see docs/DETERMINISM.md). Because of that identity the knob
+	// exactly (see docs/DETERMINISM.md). Because of that identity the count
 	// is engine tuning, not simulation semantics — it is deliberately NOT
 	// part of slimnoc's RunSpec or PointKey.
 	EngineJobs int
@@ -797,7 +799,7 @@ func New(cfg Config) (*Sim, error) {
 		s.table = cfg.Table
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
-	s.buildDomains(normalizeJobs(cfg.EngineJobs, nr), arrivalHorizon(maxLat))
+	s.buildDomains(cfg.domains(), arrivalHorizon(maxLat))
 	// Event calendar: on unless CycleStep forces classic stepping. The
 	// source's next-fire hint is optional (see NextFirer).
 	s.calendar = !cfg.CycleStep

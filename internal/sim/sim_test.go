@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -660,5 +661,49 @@ func TestP99AtLeastMean(t *testing.T) {
 	_, res := runCfg(t, cfg)
 	if res.P99Latency < res.AvgLatency {
 		t.Errorf("p99 %.1f below mean %.1f", res.P99Latency, res.AvgLatency)
+	}
+}
+
+// TestDefaultDomains checks what New and NewEpisodeEngine build when
+// EngineJobs is left at 0: New follows the domain-count rule (two domains
+// for the 1250-router sn_subgr_10000 on two Ps, one for a 50-router network
+// and for any network on one P), while an episode engine stays on one domain.
+func TestDefaultDomains(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	small := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	large := snNetwork(t, 25, 8, core.LayoutSubgroup)
+	largeTab := minTable(t, large, 2)
+	for _, c := range []struct {
+		name  string
+		net   *topo.Network
+		tab   *routing.RouteTable
+		procs int
+		want  int
+	}{
+		{"sn_subgr_200", small, minTable(t, small, 2), 2, 1},
+		{"sn_subgr_10000", large, largeTab, 2, 2},
+		{"sn_subgr_10000/one-P", large, largeTab, 1, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(c.procs)
+			cfg := sim.Config{Net: c.net, Table: c.tab, VCs: 2,
+				Traffic: &traffic.Synthetic{N: c.net.N(), Rate: 0.01, PacketFlits: 6,
+					Pattern: traffic.Uniform{N: c.net.N()}}}
+			s, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Domains(); got != c.want {
+				t.Errorf("New: %d domains, want %d", got, c.want)
+			}
+			cfg.Traffic = nil
+			e, err := sim.NewEpisodeEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Domains(); got != 1 {
+				t.Errorf("NewEpisodeEngine: %d domains, want 1", got)
+			}
+		})
 	}
 }

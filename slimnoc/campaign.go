@@ -156,42 +156,24 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 // sequential sweeps builds each distinct network once, not once per sweep.
 // One Run call executes at a time per Campaign value.
 type Campaign struct {
-	jobs       int
-	engineJobs int
-	memBudget  int64
-	sinks      []Sink
-	onPoint    func(PointResult)
-	pointOpts  func(i int, spec RunSpec) []Option
-	store      *store.Store
-	cache      *netCache
+	jobs      int
+	memBudget int64
+	sinks     []Sink
+	onPoint   func(PointResult)
+	pointOpts func(i int, spec RunSpec) []Option
+	store     *store.Store
+	cache     *netCache
 }
 
 // CampaignOption configures a Campaign.
 type CampaignOption func(*Campaign)
 
 // WithJobs sets the worker count: 1 executes serially, 0 (the default) uses
-// runtime.NumCPU(). Per-point metrics are independent of the job count —
+// runtime.GOMAXPROCS(0). Per-point metrics are independent of the job count —
 // every point's seed is fixed at expansion time — so parallelism changes
 // wall-clock only, never results.
 func WithJobs(n int) CampaignOption {
 	return func(c *Campaign) { c.jobs = n }
-}
-
-// WithPointEngineJobs steps every point's engine across n parallel spatial
-// domains (the campaign form of Run's WithEngineJobs; n < 0 selects
-// runtime.NumCPU()). Orthogonal to WithJobs: that parallelises across
-// points, this parallelises inside each one — a few huge points want engine
-// jobs, many small points want campaign jobs. Engine results are
-// byte-identical at every value, so unlike WithPointOptions this does NOT
-// bypass an attached result store: a cached point and a re-simulated one
-// agree exactly.
-func WithPointEngineJobs(n int) CampaignOption {
-	return func(c *Campaign) {
-		if n < 0 {
-			n = runtime.NumCPU()
-		}
-		c.engineJobs = n
-	}
 }
 
 // WithPointMemBudget caps every point's estimated engine footprint at bytes
@@ -199,7 +181,7 @@ func WithPointEngineJobs(n int) CampaignOption {
 // points fail fast with a sizing error in their PointResult instead of
 // allocating — including the campaign's shared route-table compile, which is
 // skipped when the table alone would bust the budget. The budget never
-// alters the results of runs that fit, so like WithPointEngineJobs it does
+// alters the results of runs that fit, so unlike WithPointOptions it does
 // not bypass an attached result store.
 func WithPointMemBudget(bytes int64) CampaignOption {
 	return func(c *Campaign) { c.memBudget = bytes }
@@ -340,13 +322,21 @@ func (c *Campaign) Run(ctx context.Context, points []RunSpec) ([]PointResult, er
 	}
 	jobs := c.jobs
 	if jobs <= 0 {
-		jobs = runtime.NumCPU()
+		jobs = runtime.GOMAXPROCS(0)
 	}
 	if jobs > len(points) {
 		jobs = len(points)
 	}
 	if jobs < 1 {
 		jobs = 1
+	}
+	// Points that run beside each other step one domain each: the workers
+	// already fill the Ps, and two loaded 1250-router points took 2-3x as
+	// long on two domains each as serially. A lone worker leaves the count
+	// to the engine, which splits only large networks.
+	engineJobs := 0
+	if jobs > 1 {
+		engineJobs = 1
 	}
 
 	c.ensureCache()
@@ -360,7 +350,7 @@ func (c *Campaign) Run(ctx context.Context, points []RunSpec) ([]PointResult, er
 			defer wg.Done()
 			for i := range idxCh {
 				p := &results[i]
-				p.Result, p.Cached, p.Err = c.execPoint(ctx, i, p.Spec, cache)
+				p.Result, p.Cached, p.Err = c.execPoint(ctx, i, p.Spec, cache, engineJobs)
 				if p.Err != nil {
 					p.Error = p.Err.Error()
 				}
@@ -422,8 +412,8 @@ func (c *Campaign) emitPoint(p *PointResult) {
 }
 
 // runPoint executes one spec with the shared-network cache plus any
-// per-point options.
-func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *netCache) (*Result, error) {
+// per-point options, on engineJobs domains (0 = the engine's choice).
+func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *netCache, engineJobs int) (*Result, error) {
 	net, kind, err := cache.get(spec.Network)
 	opts := make([]Option, 0, 4)
 	var cachedTab *routing.RouteTable
@@ -440,9 +430,7 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 			opts = append(opts, WithRouteTable(tab))
 		}
 	}
-	if c.engineJobs > 1 {
-		opts = append(opts, WithEngineJobs(c.engineJobs))
-	}
+	opts = append(opts, WithEngineJobs(engineJobs))
 	if c.memBudget > 0 {
 		opts = append(opts, WithMemBudget(c.memBudget))
 	}

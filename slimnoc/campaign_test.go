@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -309,5 +310,104 @@ func TestCampaignSharedNetworkRace(t *testing.T) {
 	}
 	if err := net.Validate(); err != nil {
 		t.Errorf("shared network mutated: %v", err)
+	}
+}
+
+// TestCampaignPointDomains pins the campaign's domain rule: when more than
+// one worker is busy at once every point is forced onto one domain, so
+// points and domains never oversubscribe the Ps; a lone worker, and the
+// saturation search's one-at-a-time probes, leave the count to the engine
+// (EngineJobs 0).
+func TestCampaignPointDomains(t *testing.T) {
+	points, err := campaignSweep().Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seen records the domain count the campaign handed each point: a
+	// point option runs after the campaign's own options.
+	run := func(jobs int, points []RunSpec) map[int]bool {
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		c := NewCampaign(WithJobs(jobs), WithPointOptions(func(int, RunSpec) []Option {
+			return []Option{func(r *runner) {
+				mu.Lock()
+				seen[r.engineJobs] = true
+				mu.Unlock()
+			}}
+		}))
+		if _, err := c.Run(t.Context(), points); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	for _, c := range []struct {
+		name   string
+		jobs   int
+		points []RunSpec
+		want   int
+	}{
+		{"two-workers", 2, points, 1},
+		{"one-worker", 1, points, 0},
+		{"one-point", 4, points[:1], 0},
+	} {
+		if seen := run(c.jobs, c.points); len(seen) != 1 || !seen[c.want] {
+			t.Errorf("%s: points ran with EngineJobs %v, want only %d", c.name, seen, c.want)
+		}
+	}
+
+	var probes []int
+	c := NewCampaign(WithJobs(2), WithPointOptions(func(int, RunSpec) []Option {
+		return []Option{func(r *runner) { probes = append(probes, r.engineJobs) }}
+	}))
+	sat := SaturationSpec{Base: points[0], MinLoad: 0.05, MaxLoad: 0.4, Step: 0.1}
+	if _, err := c.SaturationSearch(t.Context(), sat); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range probes {
+		if n != 0 {
+			t.Errorf("saturation probes ran with EngineJobs %v, want 0", probes)
+			break
+		}
+	}
+	if len(probes) == 0 {
+		t.Error("saturation search ran no probes")
+	}
+}
+
+// TestCampaignDefaultJobsFollowGOMAXPROCS runs a default campaign on one P:
+// its worker count must follow GOMAXPROCS, not the CPU count, so no two
+// points are ever in flight at once (a point counts from its options hook
+// until it is reported).
+func TestCampaignDefaultJobsFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var points []RunSpec
+	for i := 0; i < 6; i++ {
+		points = append(points, RunSpec{
+			Network: NetworkSpec{Preset: "sn_subgr_200"},
+			Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.3},
+			Sim:     SimSpec{WarmupCycles: 200, MeasureCycles: 1000, DrainCycles: 1000, Seed: int64(i + 1)},
+		})
+	}
+	var inFlight, peak atomic.Int32
+	c := NewCampaign(
+		WithPointOptions(func(int, RunSpec) []Option {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			return nil
+		}),
+		WithOnPoint(func(PointResult) { inFlight.Add(-1) }),
+	)
+	results, err := c.Run(t.Context(), points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range results {
+		if p.Err != nil {
+			t.Fatalf("point %d: %v", i, p.Err)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("%d points in flight at once on one P, want 1", p)
 	}
 }

@@ -23,9 +23,9 @@
 // run returns its partial metrics with an error wrapping ctx.Err()) and
 // functional options for everything the declarative spec cannot express:
 // WithProgress streams telemetry during long sweeps, WithSource injects a
-// custom traffic generator, WithNetwork reuses one built network across a
-// sweep, and WithEdgeBufferSizing overrides the buffer scheme's edge-buffer
-// sizing.
+// custom traffic generator, and WithNetwork reuses one built network across
+// a sweep. The engine picks how many parallel domains it steps; no result
+// byte depends on the count.
 //
 // Whole evaluation grids are campaigns: a SweepSpec declares axes (presets,
 // patterns, schemes, VC counts, loads, seeds) that expand into a
@@ -101,8 +101,8 @@
 // campaigns rely on, and the simulator instances episodes run on are
 // recycled — reset in full before every episode, at most one per
 // concurrently running episode, each no larger than the engine sim.New
-// builds for the network. Set MaxCycles and EngineJobs before the first
-// Estimate call. Package slimnoc/serve exposes estimators as a
+// builds for the network, stepped on one domain. Set MaxCycles before the
+// first Estimate call. Package slimnoc/serve exposes estimators as a
 // co-simulation oracle service (JSON-line protocol, engine pool,
 // store-backed response cache) consumed by the snserve binary; see
 // docs/SERVING.md.

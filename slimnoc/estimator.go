@@ -58,12 +58,6 @@ type Estimator struct {
 	// means an undeliverable transfer and fails the episode. Set it before
 	// the first Estimate call.
 	MaxCycles int64
-	// EngineJobs steps each episode's engine across that many parallel
-	// spatial domains (0 or 1 = serial; see sim.Config.EngineJobs).
-	// Latencies are byte-identical at every value, so it is not part of the
-	// estimator's cache identity. Engines are built with the value current
-	// at the time, so like MaxCycles set it before the first Estimate call.
-	EngineJobs int
 
 	mu   sync.Mutex
 	idle []*episode // LIFO: the most recently used engine is the cache-warm one
@@ -163,9 +157,7 @@ func (e *Estimator) acquire() (*episode, error) {
 		return ep, nil
 	}
 	e.mu.Unlock()
-	cfg := e.cfg
-	cfg.EngineJobs = e.EngineJobs
-	eng, err := sim.NewEpisodeEngine(cfg)
+	eng, err := sim.NewEpisodeEngine(e.cfg)
 	if err != nil {
 		return nil, err
 	}

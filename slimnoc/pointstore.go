@@ -76,7 +76,7 @@ func WithStore(st *store.Store) CampaignOption {
 // execPoint runs one point through the store, when attached: a hit is
 // served as-is, a miss is simulated and persisted. Undecodable stored
 // values (schema drift) are treated as misses and superseded.
-func (c *Campaign) execPoint(ctx context.Context, i int, spec RunSpec, cache *netCache) (*Result, bool, error) {
+func (c *Campaign) execPoint(ctx context.Context, i int, spec RunSpec, cache *netCache, engineJobs int) (*Result, bool, error) {
 	var key store.Key
 	if c.store != nil && c.pointOpts == nil {
 		k, kerr := PointKey(spec)
@@ -99,7 +99,7 @@ func (c *Campaign) execPoint(ctx context.Context, i int, spec RunSpec, cache *ne
 			}
 		}
 	}
-	res, err := c.runPoint(ctx, i, spec, cache)
+	res, err := c.runPoint(ctx, i, spec, cache, engineJobs)
 	if err == nil && key != "" {
 		raw, serr := json.Marshal(res)
 		if serr == nil {

@@ -3,7 +3,6 @@ package slimnoc
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -49,7 +48,6 @@ type runner struct {
 
 	source        sim.Source
 	table         *routing.RouteTable
-	bufCap        func(dist int) int
 	progress      func(Progress)
 	progressEvery int64
 	engineJobs    int
@@ -95,36 +93,25 @@ func WithSource(src Source) Option {
 	return func(r *runner) { r.source = src }
 }
 
-// WithEdgeBufferSizing overrides the per-VC edge-buffer capacity as a
-// function of wire length (edge-buffer schemes only).
-func WithEdgeBufferSizing(f func(dist int) int) Option {
-	return func(r *runner) { r.bufCap = f }
-}
-
 // WithProgress streams a telemetry snapshot every `every` cycles (0 = the
 // simulator default of 1024) to fn during the run.
 func WithProgress(every int64, fn func(Progress)) Option {
 	return func(r *runner) { r.progress, r.progressEvery = fn, every }
 }
 
-// WithEngineJobs steps the engine's spatial router domains on n parallel
-// workers (n < 0 selects runtime.NumCPU()). Results are byte-identical at
-// every value — domain parallelism is an execution strategy, not a model
-// parameter — which is also why this is a run option rather than a
-// RunSpec field: it must not enter the spec's canonical bytes or the
-// PointKey derived from them. 0 and 1 mean serial; values above the router
-// count are clamped.
+// WithEngineJobs forces the engine onto n spatial router domains (see
+// sim.Config.EngineJobs) instead of the count it picks from the router
+// count and GOMAXPROCS. Results are byte-identical at every count, so no
+// caller needs to choose one: it is exported only for the benchmark's
+// sim.run_jobs2 fork probe.
 func WithEngineJobs(n int) Option {
-	if n < 0 {
-		n = runtime.NumCPU()
-	}
 	return func(r *runner) { r.engineJobs = n }
 }
 
 // WithCycleStep forces the classic cycle-by-cycle stepping loop, disabling
 // the event calendar's dead-cycle skipping. Results are byte-identical with
 // or without it — the calendar is exact-equivalent by contract — so like
-// WithEngineJobs this is an execution strategy, not a model parameter, and
+// the domain count this is an execution strategy, not a model parameter, and
 // stays out of the spec's canonical bytes and PointKey. Useful for
 // differential debugging and for benchmarking the calendar's speedup.
 func WithCycleStep() Option {
@@ -233,9 +220,6 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 	cfg, err := engineConfig(spec)
 	if err != nil {
 		return nil, err
-	}
-	if r.bufCap != nil {
-		cfg.EdgeBufCap = r.bufCap
 	}
 
 	src := r.source

@@ -1,8 +1,11 @@
 package slimnoc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -154,5 +157,37 @@ func TestRunRejectsPacketSizeOutOfRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "packet_flits") {
 			t.Errorf("packet_flits %d: result %+v, error %v; want a packet_flits range error", flits, res, err)
 		}
+	}
+}
+
+// TestDefaultDomainsIdentity runs the 1250-router sn_subgr_10000 through
+// Run on the count the engine picks (two domains with two Ps) and forced
+// onto one domain, and requires byte-identical Result JSON: the facade's
+// default path is the multi-domain one at this size.
+func TestDefaultDomainsIdentity(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	spec := RunSpec{
+		Network: NetworkSpec{Preset: "sn_subgr_10000"},
+		Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.008},
+		SMART:   true,
+		Sim:     SimSpec{WarmupCycles: 100, MeasureCycles: 300, DrainCycles: 600, Seed: 3},
+	}
+	var out [2][]byte
+	for i, opts := range [][]Option{nil, {WithEngineJobs(1)}} {
+		res, err := Run(t.Context(), spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.Delivered == 0 {
+			t.Fatal("nothing delivered")
+		}
+		if out[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Errorf("default domains:\n%s\none domain:\n%s", out[0], out[1])
 	}
 }

@@ -175,7 +175,8 @@ func (c *Campaign) SaturationSearch(ctx context.Context, spec SaturationSpec) (S
 		if err := ctx.Err(); err != nil {
 			return Metrics{}, err
 		}
-		pr.Result, pr.Cached, pr.Err = c.execPoint(ctx, pr.Index, p, c.cache)
+		// Probes run one at a time, so the engine picks its domain count.
+		pr.Result, pr.Cached, pr.Err = c.execPoint(ctx, pr.Index, p, c.cache, 0)
 		if pr.Err != nil {
 			pr.Error = pr.Err.Error()
 		}

@@ -24,18 +24,12 @@ import (
 //     sessions than slots simply queue, which is how server-side
 //     backpressure reaches clients without dropping requests. Because an
 //     estimator keeps one simulator per concurrently running episode, Size
-//     is also the most simulators any one engine ever holds.
+//     is also the most simulators any one engine ever holds. Episodes
+//     step one domain each, so the slots are the server's parallelism.
 //
 // A Pool is safe for concurrent use by any number of sessions.
 type Pool struct {
 	slots chan struct{}
-
-	// EngineJobs is copied onto every estimator the pool builds (see
-	// slimnoc.Estimator.EngineJobs): each episode's engine steps across
-	// that many parallel spatial domains, with byte-identical latencies at
-	// every value — so it does not enter the engine key or the response
-	// cache identity. Set before the pool serves sessions.
-	EngineJobs int
 
 	mu      sync.Mutex
 	engines map[string]*poolEntry
@@ -49,10 +43,10 @@ type poolEntry struct {
 }
 
 // NewPool builds a pool with the given number of activation slots
-// (<= 0 selects runtime.NumCPU()).
+// (<= 0 selects runtime.GOMAXPROCS(0)).
 func NewPool(size int) *Pool {
 	if size <= 0 {
-		size = runtime.NumCPU()
+		size = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{
 		slots:   make(chan struct{}, size),
@@ -86,9 +80,6 @@ func (p *Pool) Engine(spec slimnoc.RunSpec) (*slimnoc.Estimator, error) {
 	p.mu.Unlock()
 	e.once.Do(func() {
 		e.est, e.err = slimnoc.NewEstimator(canon)
-		if e.err == nil {
-			e.est.EngineJobs = p.EngineJobs
-		}
 	})
 	return e.est, e.err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -344,5 +345,15 @@ func TestServeRejectsWrongProtocolVersion(t *testing.T) {
 	})
 	if raw[0].OK {
 		t.Fatalf("version 99 accepted: %+v", raw[0])
+	}
+}
+
+// TestPoolDefaultSizeFollowsGOMAXPROCS pins the default slot count to the
+// Ps the process may use, not the CPU count: on one P a default pool runs
+// one episode at a time.
+func TestPoolDefaultSizeFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := serve.NewPool(0).Size(); got != 1 {
+		t.Errorf("NewPool(0) on one P has %d slots, want 1", got)
 	}
 }

@@ -2,7 +2,6 @@ package slimnoc
 
 import (
 	"flag"
-	"fmt"
 	"strings"
 )
 
@@ -252,14 +251,4 @@ func (s *SpecFlags) Spec(defaults RunSpec) (RunSpec, error) {
 		}
 	}
 	return spec, nil
-}
-
-// MustSpec is Spec with a panic on error, for binaries that have already
-// validated their flags.
-func (s *SpecFlags) MustSpec(defaults RunSpec) RunSpec {
-	spec, err := s.Spec(defaults)
-	if err != nil {
-		panic(fmt.Sprintf("slimnoc: resolving flags: %v", err))
-	}
-	return spec
 }
