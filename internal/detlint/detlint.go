@@ -29,11 +29,10 @@
 //     (code that runs concurrently across router domains each cycle),
 //     writes to the configured cross-domain shared fields
 //     (Config.DomainSharedFields — link handshake state, the timing
-//     wheels, the Sim counters) are flagged — assignments, and calls of
-//     pointer-receiver methods on them — unless waived in place with
-//     the reason the write is race-free (sender-/receiver-exclusive
-//     sides of a directed link, or effects staged per domain and merged
-//     serially).
+//     wheels) are flagged — assignments, and calls of pointer-receiver
+//     methods on them — unless waived in place with the reason the write
+//     is race-free (sender-/receiver-exclusive sides of a directed link,
+//     or a list only the writing domain touches).
 //   - floatkey:   no floating-point map keys, and no `==`/`!=` on
 //     float-bearing structs, anywhere near canonical encoding or PointKey
 //     derivation (floats make key identity platform- and history-dependent).
@@ -132,7 +131,8 @@ type Config struct {
 	// sharedread flags writes to them inside //sim:domain functions —
 	// assignments, and calls of pointer-receiver methods; each
 	// legitimate write site carries a waiver explaining why it is race-free
-	// (exclusive link side, or staged-and-merged effect).
+	// (exclusive link side or domain-owned list). An entry naming no field
+	// of its package, when that package is loaded, is itself a finding.
 	DomainSharedFields []string
 	// HotPackages lists package paths that must declare at least one
 	// //sim:hot function (hotcover): the engine cycle loop lives there.
@@ -160,22 +160,17 @@ func DefaultConfig() *Config {
 		},
 		LabelFields: []string{"Name"},
 		// The cross-domain surface of the parallel engine: link handshake
-		// and occupancy state (written by exactly one side per phase), the
-		// input-stage readiness mirrors filled at link delivery, the
-		// shared timing wheels, the Sim-level counters (updated only
-		// through per-domain staging merged serially), the arrival wheels
-		// (scheduled by the sending domain, taken by the receiving one)
-		// and the stalled-lane lists of the link phase.
+		// state (written by exactly one side per phase), the input-stage
+		// occupancy words filled at link delivery, the timing wheels'
+		// contents, the arrival wheels (scheduled by the sending domain,
+		// taken by the receiving one) and the stalled-lane lists of the
+		// link phase. Everything else a domain writes it owns, its credit
+		// and ejection wheels and counters included.
 		DomainSharedFields: []string{
 			"repro/internal/sim.link.pending",
-			"repro/internal/sim.link.occupancy",
 			"repro/internal/sim.Sim.occIn",
 			"repro/internal/sim.wheel.buckets",
 			"repro/internal/sim.wheel.pending",
-			"repro/internal/sim.wheel.peak",
-			"repro/internal/sim.Sim.forwardedFlits",
-			"repro/internal/sim.Sim.bypassFlits",
-			"repro/internal/sim.Sim.bufferedFlits",
 			"repro/internal/sim.domain.out",
 			"repro/internal/sim.domain.stalled",
 		},

@@ -273,6 +273,48 @@ func TestDomainSharedGolden(t *testing.T) {
 	runGolden(t, SharedRead, cfg, "sharedread/dompkg")
 }
 
+// TestDomainSharedStaleEntries pins that a DomainSharedFields entry naming
+// a loaded package but no field of it — a deleted or renamed field, or a
+// missing type — is a finding at the package clause, while an entry for a
+// package outside the run is not judged.
+func TestDomainSharedStaleEntries(t *testing.T) {
+	pkg, err := newLoader(t).load("sharedread/dompkg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{
+		DomainSharedFields: []string{
+			"sharedread/dompkg.link.pending",
+			"sharedread/dompkg.link.gone",
+			"sharedread/dompkg.nosuch.pending",
+			"sharedread/other.link.pending",
+		},
+	}
+	diags, err := Run(cfg, []*Package{pkg}, []*Analyzer{SharedRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale []string
+	for _, d := range diags {
+		if strings.Contains(d.Message, "names no field") {
+			if d.Pos.Line != 6 {
+				t.Errorf("stale-entry finding at line %d, want the package clause (line 6): %s", d.Pos.Line, d)
+			}
+			stale = append(stale, d.Message)
+		}
+	}
+	sort.Strings(stale)
+	want := []string{"sharedread/dompkg.link.gone", "sharedread/dompkg.nosuch.pending"}
+	if len(stale) != len(want) {
+		t.Fatalf("stale-entry findings %q, want one each for %q", stale, want)
+	}
+	for i, e := range want {
+		if !strings.Contains(stale[i], "entry "+e+" ") {
+			t.Errorf("finding %q does not name entry %s", stale[i], e)
+		}
+	}
+}
+
 func TestFloatKeyGolden(t *testing.T) {
 	runGolden(t, FloatKey, &Config{}, "floatkey")
 }

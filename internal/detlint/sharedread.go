@@ -3,6 +3,7 @@ package detlint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // SharedRead enforces two read-only/exclusive-write sharing contracts.
@@ -20,13 +21,14 @@ import (
 // Cross-domain: the engine's domain-parallel phases run //sim:domain
 // functions concurrently, one per router domain, against engine state that
 // is mostly partitioned but not entirely — link handshake state, the
-// timing wheels and the Sim counters are reachable from every domain
-// (Config.DomainSharedFields). A write to one of those fields inside a
-// //sim:domain function — an assignment, or a call of a pointer-receiver
+// arrival wheels and the input-occupancy words are reachable from every
+// domain (Config.DomainSharedFields). A write to one of those fields inside
+// a //sim:domain function — an assignment, or a call of a pointer-receiver
 // method on it (a wheel's schedule or take) — is flagged unless the site
 // carries a waiver stating why it is race-free: the write is on a link
-// side owned exclusively by this domain in this phase, or the effect is
-// staged in the domain's buffers and merged serially.
+// side or a list owned exclusively by this domain in this phase. An entry
+// naming no field of the package it names, once that package is loaded, is
+// reported too: a stale entry guards nothing.
 var SharedRead = &Analyzer{
 	Name: "sharedread",
 	Doc:  "no writes to shared network/route-table state outside constructors, nor to cross-domain engine state inside //sim:domain functions",
@@ -75,6 +77,11 @@ func runDomainShared(pass *Pass) {
 	fields := make(map[string]bool, len(pass.Cfg.DomainSharedFields))
 	for _, f := range pass.Cfg.DomainSharedFields {
 		fields[f] = true
+		rest, field, _ := cutLast(f, ".")
+		pkg, typ, _ := cutLast(rest, ".")
+		if pkg == pass.Pkg.Path && !hasField(pass.Pkg.Types, typ, field) {
+			pass.Reportf(pass.Pkg.Files[0].Package, "DomainSharedFields entry %s names no field of package %s: a stale entry guards nothing — drop it or fix its name", f, pkg)
+		}
 	}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -99,6 +106,33 @@ func runDomainShared(pass *Pass) {
 			})
 		}
 	}
+}
+
+// cutLast splits s around the last instance of sep.
+func cutLast(s, sep string) (before, after string, found bool) {
+	if i := strings.LastIndex(s, sep); i >= 0 {
+		return s[:i], s[i+len(sep):], true
+	}
+	return s, "", false
+}
+
+// hasField reports whether pkg declares a struct type typ with a field
+// named field.
+func hasField(pkg *types.Package, typ, field string) bool {
+	tn, ok := pkg.Scope().Lookup(typ).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == field {
+			return true
+		}
+	}
+	return false
 }
 
 // pointerMethod reports whether sel selects a method with a pointer
@@ -134,7 +168,7 @@ func checkDomainWrite(pass *Pass, fields map[string]bool, lhs ast.Expr) {
 			}
 			key := qualifiedName(named) + "." + x.Sel.Name
 			if fields[key] {
-				pass.Reportf(x.Pos(), "write to cross-domain shared field %s inside a %s function: domains run this phase concurrently — stage the effect per domain and merge serially, or waive with the exclusivity argument", key, DomainAnnotation)
+				pass.Reportf(x.Pos(), "write to cross-domain shared field %s inside a %s function: domains run this phase concurrently — keep the effect in state the domain owns, or waive with the exclusivity argument", key, DomainAnnotation)
 				return
 			}
 			lhs = x.X

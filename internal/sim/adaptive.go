@@ -97,11 +97,18 @@ func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int, ne
 }
 
 // portOcc returns the flit occupancy of the link leaving router r through
-// output port p (the UGAL congestion signal).
+// output port p (the UGAL congestion signal): its flits on the wire or
+// stalled at its end, plus those in the input buffers it feeds. Policies
+// read it between cycles, from the serial phases.
 //
 //sim:hot
 func (s *Sim) portOcc(r, p int) int {
-	return s.links[s.outLink[r*s.stride+p]].occupancy
+	l := &s.links[s.outLink[r*s.stride+p]]
+	occ := l.pending
+	for _, n := range s.inLen[l.recvVB : int(l.recvVB)+s.vcs] {
+		occ += int(n)
+	}
+	return occ
 }
 
 // routeOcc sums the link occupancy along a run of next-hop words starting

@@ -66,14 +66,15 @@ func (s *Sim) skipAhead(limit int64) {
 			wake = nf
 		}
 	}
-	wake = min(wake, s.creditWheel.nextDue(s.now), s.ejectWheel.nextDue(s.now))
-	// Link deliveries: every flit on a wire sits in an arrival wheel at the
-	// cycle it lands. backlog doubles as the calendar-depth sample.
-	backlog := s.creditWheel.pending + s.ejectWheel.pending
-	al := 0
+	// Credit returns, ejections and link deliveries: every delayed event
+	// sits in one of the domains' wheels at the cycle it fires. backlog
+	// doubles as the calendar-depth sample.
+	backlog, al := 0, 0
 	for di := range s.doms {
 		d := &s.doms[di]
 		al += d.linksLive
+		backlog += d.credit.pending + d.ejection.pending
+		wake = min(wake, d.credit.nextDue(s.now), d.ejection.nextDue(s.now))
 		for rd := range d.out {
 			backlog += d.out[rd].pending
 			wake = min(wake, d.out[rd].nextDue(s.now))
@@ -122,10 +123,10 @@ func (c *Config) memEstimate(stride int) int64 {
 	nv := np * vcs
 	lanes := edges * vcs
 	nd := int64(c.domains())
-	const flitBytes = 16                               // flit: pointer + idx + hop + next
-	const linkBytes = 56                               // link: endpoints, latency, counters, VC bases
-	b := np * (3 * 4)                                  // outLink/inLink/revPort
-	b += nv*(4+4+4+8+4+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inNext + inFront; inBuf
+	const flitBytes = 16                             // flit: pointer + idx + hop + next
+	const linkBytes = 48                             // link: endpoints, latency, pending, VC bases
+	b := np * (3 * 4)                                // outLink/inLink/revPort
+	b += nv*(4+4+4+8+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inFront; inBuf
 	if c.Scheme == CentralBuffer {
 		b += nv * (16 + 8) // cbq heads and tails + cbIn
 	}

@@ -161,7 +161,7 @@ func TestStuckAccountsEveryFlit(t *testing.T) {
 // every two cycles of saturated runs of every buffer scheme, serial and on
 // four domains: no input buffer or injection queue holds more than its
 // capacity, the dense mirrors the router and injection scans read
-// (inFront, inNext, the occupancy bitmask, injNext) equal the slabs' front
+// (inFront, the occupancy bitmask, injNext) equal the slabs' front
 // flits, and the domains' busy sets mark exactly the routers holding flits.
 // Saturation fills input buffers and injection queues to their bounds,
 // which the test confirms it reached. The fbf4 case at 10 VCs has 130 input

@@ -55,9 +55,6 @@ func (s *Sim) Stuck() StuckReport {
 					onLane[int(a.link)*s.vcs+int(a.vc)]++
 				}
 			}
-			for _, e := range w.overflow {
-				onLane[int(e.v.link)*s.vcs+int(e.v.vc)]++
-			}
 		}
 	}
 	for lane, n := range onLane {
@@ -79,7 +76,9 @@ func (s *Sim) Stuck() StuckReport {
 			add(fmt.Sprintf("node %d injQ: %d flits (pkt %d dst %d)", v, n, f.pkt.id, f.pkt.dst))
 		}
 	}
-	rep.PendingEject = s.ejectWheel.pending
+	for di := range s.doms {
+		rep.PendingEject += s.doms[di].ejection.pending
+	}
 	return rep
 }
 

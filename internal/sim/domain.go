@@ -2,8 +2,8 @@
 // contiguous index ranges ("domains"); each cycle the link-delivery phase
 // and the router phase run once per domain — on a pool of worker goroutines
 // with a per-cycle spin barrier when there is more than one, inline in
-// ascending domain order otherwise. Everything a domain writes is either exclusively
-// owned by it:
+// ascending domain order otherwise. Everything a domain writes in those
+// phases is owned by it:
 //
 //   - SoA router state of routers in [rlo, rhi), the NIC injection queues of
 //     their attached nodes, their ready-list marks, and the per-node
@@ -14,21 +14,22 @@
 //     readiness words;
 //   - the sender side of links out of the domain during the router phase:
 //     its own arrival wheels (schedule), the lanes' last-arrival words,
-//     pending, space decrements, occupancy increments — a directed link has
-//     exactly one sending router, and the phase barrier separates
-//     sender-phase writes from receiver-phase writes;
+//     pending and space decrements — a directed link has exactly one
+//     sending router, and the phase barrier separates sender-phase writes
+//     from receiver-phase writes;
+//   - its credit and ejection wheels and its forwarding counters. A credit
+//     may return to a router of another domain, but the wheel is taken in
+//     the serial credit phase, where the order of returns is not observable
+//     (each is one space increment).
 //
-// or staged in per-domain buffers (credit-wheel events, delayed ejections,
-// occupancy decrements, counter deltas) and replayed by mergeDomains on the
-// main goroutine in ascending domain order.
-// Domains are contiguous ascending router ranges and each domain appends its
-// staged events in its own ascending-router visit order, so the ascending-
-// domain replay reproduces the serial engine's ascending-router-index event
-// order exactly — which is why results are byte-identical at every domain
-// count (pinned by TestDomainParallelIdentity and the golden fixtures). The
-// serial engine is the 1-domain instance of the same phases with one fork:
-// Sim.single applies the staged effects directly, in the order the merge
-// would replay them.
+// Ejection order is observable (latency sample order, OnDelivered reply
+// sequencing), so flushEjections takes the domains' ejection wheels in
+// ascending domain order. Domains are contiguous ascending router ranges
+// and each schedules in its own ascending-router visit order, so that take
+// order reproduces the ascending-router-index order of one domain exactly —
+// which is why results are byte-identical at every domain count (pinned by
+// TestDomainParallelIdentity, TestEjectionOrderAcrossDomains and the golden
+// fixtures). The 1-domain engine runs the same code.
 
 package sim
 
@@ -37,13 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// stagedCredit is a credit-wheel event recorded by a domain during the
-// router phase and replayed into the shared wheel at merge time.
-type stagedCredit struct {
-	at int64
-	ev creditEvent
-}
 
 // domain is one contiguous router-index range stepped as a unit.
 type domain struct {
@@ -78,13 +72,13 @@ type domain struct {
 	// cbPool is the domain-local central-buffer freelist (a cbPacket lives
 	// and dies at one router, so pools never cross domains).
 	cbPool []*cbPacket
-	// Staging of effects that target shared engine state — appended during
-	// the parallel phases, replayed serially by mergeDomains. The 1-domain
-	// engine bypasses these (Sim.single) and applies effects directly.
-	credits []stagedCredit // credit-wheel schedules (upstream may be foreign)
-	ejects  []flit         // delayed ejections (order observable)
-	occDecs []int32        // link occupancy decrements (sender may be foreign)
-	// Counter deltas folded into the Sim totals at merge.
+	// credit and ejection are the domain's delayed credit returns and
+	// ejections, scheduled by its router phase and taken by the serial
+	// credit and ejection phases (see the package comment above).
+	credit   wheel[creditEvent]
+	ejection wheel[flit]
+	// Flits forwarded out of an input stage, and of those the CBR bypass
+	// and buffered ones (Sim.ForwardedFlits, Sim.CBPathStats sum them).
 	forwarded int64
 	bypass    int64
 	buffered  int64
@@ -124,9 +118,11 @@ func (c *Config) domains() int {
 
 // buildDomains splits the routers into nd contiguous ranges, sizes the
 // ownership lookups and gives every (sending, receiving) domain pair an
-// arrival wheel of the given horizon. Called once from New; the domains'
-// mutable state gets its initial values from domain.reset.
-func (s *Sim) buildDomains(nd int, horizon int64) {
+// arrival wheel and every domain its credit and ejection wheels, each wheel
+// sized to the longest delay its events have on wires of at most maxLat
+// cycles. Called once from New; the domains' mutable state gets its initial
+// values from domain.reset.
+func (s *Sim) buildDomains(nd int, maxLat int64) {
 	nr := s.net.Nr
 	s.doms = make([]domain, nd)
 	s.domOf = make([]int32, nr)
@@ -143,26 +139,26 @@ func (s *Sim) buildDomains(nd int, horizon int64) {
 		d.busy = make([]uint64, (hi-lo+63)/64)
 		d.out = make([]wheel[arrival], nd)
 		for rd := range d.out {
-			d.out[rd] = *newWheel[arrival](horizon)
+			d.out[rd] = *newWheel[arrival](arrivalHorizon(maxLat))
 		}
+		d.credit = *newWheel[creditEvent](maxLat + 1)
+		d.ejection = *newWheel[flit](routerDelayDirect + 1)
 		for r := lo; r < hi; r++ {
 			s.domOf[r] = int32(di)
 		}
 	}
-	s.single = nd == 1
 	if nd > 1 {
 		s.par = &parRunner{workers: make([]workerSlot, nd-1)}
 	}
 }
 
-// arrivalHorizon sizes the arrival wheels so no flit ever reaches the
-// overflow list: a send lands at most the buffered router delay plus the
-// longest wire after now, and the per-lane FIFO rule only ever delays it to
-// an earlier send's landing cycle.
+// arrivalHorizon sizes the arrival wheels: a send lands at most the buffered
+// router delay plus the longest wire after now, and the per-lane FIFO rule
+// only ever delays it to an earlier send's landing cycle.
 func arrivalHorizon(maxLat int64) int64 { return maxLat + routerDelayBuffered + 1 }
 
-// reset empties the domain's busy set, lists, arrival wheels and staging
-// buffers (keeping their capacity); see Sim.reset. The central-buffer
+// reset empties the domain's busy set, lists and wheels (keeping their
+// capacity) and zeroes its counters; see Sim.reset. The central-buffer
 // freelist survives.
 func (d *domain) reset() {
 	clear(d.busy)
@@ -174,10 +170,8 @@ func (d *domain) reset() {
 	d.linksLive = 0
 	d.ready = d.ready[:0]
 	clear(d.outMask)
-	d.credits = d.credits[:0]
-	clear(d.ejects) // release packet references before truncating
-	d.ejects = d.ejects[:0]
-	d.occDecs = d.occDecs[:0]
+	d.credit.reset()
+	d.ejection.reset()
 	d.forwarded, d.bypass, d.buffered = 0, 0, 0
 }
 
@@ -270,7 +264,6 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 		s.inBuf[slabPos(s.inOff[slot], s.inHead[slot], n-1, c-1)] = f
 	} else {
 		s.inFront[slot] = f
-		s.inNext[slot] = f.next
 		b := l.toPort*s.vcs + vc
 		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, and router to's occupancy words are its own
 		s.occIn[to*s.occW+(b>>6)] |= 1 << uint(b&63)
@@ -287,35 +280,6 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 		s.space[int(l.sendVB)+vc]++
 	}
 	s.routerGainsFlit(d, to)
-}
-
-// mergeDomains replays every domain's staged effects into the shared engine
-// state, in ascending domain order, on the main goroutine after the router
-// phase. This is the serialisation point that makes the parallel engine
-// byte-identical to the serial one.
-//
-//sim:hot
-func (s *Sim) mergeDomains() {
-	for di := range s.doms {
-		d := &s.doms[di]
-		for _, sc := range d.credits {
-			s.creditWheel.schedule(s.now, sc.at, sc.ev)
-		}
-		d.credits = d.credits[:0]
-		for _, f := range d.ejects {
-			s.ejectWheel.schedule(s.now, s.now+routerDelayDirect, f)
-		}
-		clear(d.ejects) // release packet references before truncating
-		d.ejects = d.ejects[:0]
-		for _, lid := range d.occDecs {
-			s.links[lid].occupancy--
-		}
-		d.occDecs = d.occDecs[:0]
-		s.forwardedFlits += d.forwarded
-		s.bypassFlits += d.bypass
-		s.bufferedFlits += d.buffered
-		d.forwarded, d.bypass, d.buffered = 0, 0, 0
-	}
 }
 
 // Worker commands, published through parRunner.cmd.

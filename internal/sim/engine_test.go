@@ -577,9 +577,6 @@ func TestWheel(t *testing.T) {
 	if w.pending != 0 {
 		t.Fatalf("pending = %d", w.pending)
 	}
-	if w.peak != 3 {
-		t.Fatalf("peak = %d", w.peak)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling at or before now must panic")
@@ -588,46 +585,28 @@ func TestWheel(t *testing.T) {
 	w.schedule(10, 10, 1)
 }
 
-// TestWheelOverflow pins the overflow path: an event scheduled beyond the
-// horizon used to panic ("wheel event outside horizon"); it now parks in the
-// overflow list and still fires at exactly its due cycle — including when
-// the clock jumps straight there, as the calendar's skip does.
-func TestWheelOverflow(t *testing.T) {
-	w := newWheel[int](5)
-	w.schedule(10, 30, 1) // far beyond the 5-cycle horizon
-	w.schedule(10, 12, 2) // in-horizon neighbour stays on the fast path
-	if w.pending != 2 || w.peak != 2 {
-		t.Fatalf("pending/peak = %d/%d, want 2/2", w.pending, w.peak)
+// TestWheelPastHorizonPanics pins the horizon contract: every wheel is
+// sized to the longest delay its events can have, so an event at or past
+// now+len(buckets) — which would wrap into an earlier cycle's bucket — is
+// an engine bug and panics, like one at or before now.
+func TestWheelPastHorizonPanics(t *testing.T) {
+	w := newWheel[int](5) // 8 buckets
+	w.schedule(10, 17, 1) // the last cycle within the horizon
+	if got := w.take(17); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("take(17) = %v, want [1]", got)
 	}
-	if got := w.nextDue(10); got != 12 {
-		t.Fatalf("nextDue(10) = %d, want 12", got)
-	}
-	if got := w.take(12); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("take(12) = %v", got)
-	}
-	if got := w.nextDue(12); got != 30 {
-		t.Fatalf("nextDue(12) = %d, want 30", got)
-	}
-	// Cycle-by-cycle arrival at the due cycle.
-	for now := int64(13); now < 30; now++ {
-		if got := w.take(now); len(got) != 0 {
-			t.Fatalf("take(%d) = %v, want empty", now, got)
-		}
-	}
-	if got := w.take(30); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("take(30) = %v, want [1]", got)
+	for _, at := range []int64{18, 30} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("schedule(10, %d) on an 8-bucket wheel did not panic", at)
+				}
+			}()
+			w.schedule(10, at, 2)
+		}()
 	}
 	if w.pending != 0 {
-		t.Fatalf("pending = %d after drain", w.pending)
-	}
-	// A skip-style jump: schedule beyond the horizon, then take at the due
-	// cycle without visiting the cycles in between.
-	w.schedule(30, 95, 7)
-	if got := w.nextDue(30); got != 95 {
-		t.Fatalf("nextDue(30) = %d, want 95", got)
-	}
-	if got := w.take(95); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("take(95) after jump = %v, want [7]", got)
+		t.Fatalf("pending = %d after refused schedules, want 0", w.pending)
 	}
 }
 

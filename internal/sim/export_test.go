@@ -9,8 +9,8 @@ import (
 // buffer invariants, for the external tests that step an engine: every input
 // buffer holds between 0 and inCap flits, in wormhole order, every
 // injection queue at most InjQueueCap, and every stall FIFO at most its
-// lane's latency+1; the dense mirrors (inNext and the occupancy bitmask for
-// an input buffer's front flit, injNext for an injection queue's) agree
+// lane's latency+1; the dense mirrors (the occupancy bitmask for an input
+// buffer, injNext for an injection queue's front flit) agree
 // with what the queues actually hold; each NIC's packet list accounts for
 // exactly its injection queue, and nicBacklog counts the NICs with unmoved
 // flits; the central buffers keep the checkCB invariants; and each
@@ -28,14 +28,11 @@ func (s *Sim) CheckBuffers() error {
 			return fmt.Errorf("input slot %d: %d flits but occupancy bit %v", slot, n, bit)
 		}
 		if n == 0 {
-			if s.inNext[slot] != nextNone {
-				return fmt.Errorf("input slot %d: empty but inNext = %#x", slot, s.inNext[slot])
-			}
 			continue
 		}
 		prev := s.inFront[slot]
-		if prev.pkt == nil || s.inNext[slot] != prev.next {
-			return fmt.Errorf("input slot %d: inNext = %#x, front flit %d wants %#x", slot, s.inNext[slot], prev.idx, prev.next)
+		if prev.pkt == nil {
+			return fmt.Errorf("input slot %d: %d flits but no front flit", slot, n)
 		}
 		for i := int32(1); i < n; i++ {
 			f := s.inBuf[slabPos(s.inOff[slot], h, i-1, c-1)]

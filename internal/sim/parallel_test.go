@@ -1,8 +1,8 @@
 // Domain-parallel identity tests: the deterministic-parallelism contract
 // says a run's every observable output — Result, EngineStats, estimate
-// latencies — is byte-identical at every domain count, because cross-domain
-// effects are staged per domain and merged in ascending domain order (see
-// domain.go). These tests pin that across buffer schemes, workload shapes
+// latencies — is byte-identical at every domain count, because each domain
+// owns the wheels it schedules into and the observable ejections are taken
+// in ascending domain order (see domain.go). These tests pin that across buffer schemes, workload shapes
 // (the PR 5 source taxonomy: Bernoulli, bursty on/off, request-reply),
 // SMART links, and adaptive routing. CI runs them under -race without
 // -short, which doubles them as the data-race proof for the worker pool.
@@ -117,9 +117,9 @@ func TestDomainParallelIdentitySMART(t *testing.T) {
 }
 
 // TestDomainParallelIdentityAdaptive pins the adaptive path: UGAL reads
-// live link occupancy (merged at end of the previous cycle) during the
-// serial generate phase, so its RNG draw sequence and route choices must
-// be unaffected by the domain count.
+// live link occupancy (wire and input-buffer counts, settled at the end of
+// the previous cycle) during the serial generate phase, so its RNG draw
+// sequence and route choices must be unaffected by the domain count.
 func TestDomainParallelIdentityAdaptive(t *testing.T) {
 	mk := func(n int) Source { return &bernoulliSource{n: n, rate: 0.10, flits: 6} }
 	wantRes, wantEng := runParallelCase(t, EdgeBuffers, 1, 4, 1, mk, true)
@@ -130,6 +130,66 @@ func TestDomainParallelIdentityAdaptive(t *testing.T) {
 		}
 		if gotEng != wantEng {
 			t.Errorf("jobs=%d: EngineStats diverged from serial\n got %+v\nwant %+v", jobs, gotEng, wantEng)
+		}
+	}
+}
+
+// delivery is one OnDelivered call, as orderSource records it.
+type delivery struct {
+	t                      int64
+	src, dst, flits, class int
+}
+
+// orderSource issues Bernoulli requests and records every OnDelivered call
+// in call order. Each delivered request is answered by a 1-flit reply from
+// node 0, so the order of same-cycle ejections also decides the order the
+// replies queue at node 0's NIC, and with it their injection.
+type orderSource struct {
+	bernoulliSource
+	log []delivery
+}
+
+func (o *orderSource) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
+	o.log = append(o.log, delivery{t, src, dst, flits, class})
+	if class == 0 && src != 0 {
+		emit(0, src, 1, 1)
+	}
+}
+
+// TestEjectionOrderAcrossDomains pins the ascending-domain ejection order
+// the determinism contract promises: the sequence of OnDelivered calls,
+// including the order of calls within one cycle, is the same at every
+// domain count. Result equality alone does not show it, as most statistics
+// do not depend on the order of same-cycle ejections.
+func TestEjectionOrderAcrossDomains(t *testing.T) {
+	var want []delivery
+	for _, jobs := range domainCounts {
+		var src *orderSource
+		mk := func(n int) Source {
+			src = &orderSource{bernoulliSource: bernoulliSource{n: n, rate: 0.02, flits: 6}}
+			return src
+		}
+		runParallelCase(t, EdgeBuffers, 1, 2, jobs, mk, false)
+		if want == nil {
+			want = src.log
+			sameCycle := 0
+			for i := 1; i < len(want); i++ {
+				if want[i].t == want[i-1].t {
+					sameCycle++
+				}
+			}
+			if sameCycle == 0 {
+				t.Fatalf("%d deliveries, none sharing a cycle: the run cannot show ejection order", len(want))
+			}
+			continue
+		}
+		if len(src.log) != len(want) {
+			t.Fatalf("jobs=%d: %d deliveries, serial %d", jobs, len(src.log), len(want))
+		}
+		for i := range want {
+			if src.log[i] != want[i] {
+				t.Fatalf("jobs=%d: delivery %d is %+v, serial %+v", jobs, i, src.log[i], want[i])
+			}
 		}
 	}
 }
@@ -177,8 +237,8 @@ func TestDomainParallelEstimateIdentity(t *testing.T) {
 
 // TestSteadyStateZeroAllocsParallel extends the zero-allocation contract to
 // the domain-parallel cycle loop: once warm, stepping with live workers
-// allocates nothing either — staging buffers and ready lists retain their
-// capacity, and the barrier is two atomics.
+// allocates nothing either — wheels and ready lists retain their capacity,
+// and the barrier is two atomics.
 func TestSteadyStateZeroAllocsParallel(t *testing.T) {
 	s := newEngineSim(t, EdgeBuffers, 0.06)
 	// Rebuild with 4 domains on the same config.

@@ -51,28 +51,18 @@ func (q *fifo) pop(slab []flit) flit {
 	return f
 }
 
-// wheel is a timing wheel with an overflow list: an event scheduled for
-// absolute cycle `at` within the horizon lands in bucket at%len(buckets) and
-// is drained when the clock reaches it; an event at or beyond the horizon is
-// parked in the overflow list and migrated into its bucket once the clock
-// gets close enough. The horizon is therefore a fast-path size hint, not a
-// correctness bound — long delays (reconfiguration, failure injection, a
-// skip landing far in the future) degrade to a small linear scan instead of
-// panicking or silently wrapping one horizon early. schedule still panics on
-// events at or before `now`: those are bugs, not long delays. Bucket slices
-// retain capacity across reuse. The bucket count is rounded up to a power of
-// two so the per-event bucket map is a mask.
+// wheel is a fixed-horizon timing wheel: an event scheduled for absolute
+// cycle `at` lands in bucket at%len(buckets) and is drained when the clock
+// reaches it. Every wheel is sized to the longest delay its events can
+// have (credit returns: the longest wire; ejections: the direct router
+// delay; arrivals: arrivalHorizon), so schedule panics on an event at or
+// beyond the horizon, as it does on one at or before `now`: both are
+// engine bugs. Bucket slices retain capacity across reuse. The bucket
+// count is rounded up to a power of two so the per-event bucket map is a
+// mask.
 type wheel[T any] struct {
-	buckets  [][]T
-	overflow []wheelEvent[T]
-	pending  int
-	peak     int
-}
-
-// wheelEvent is an overflow entry: an event plus its absolute due cycle.
-type wheelEvent[T any] struct {
-	at int64
-	v  T
+	buckets [][]T
+	pending int
 }
 
 func newWheel[T any](horizon int64) *wheel[T] {
@@ -89,16 +79,13 @@ func wheelSize(horizon int64) int64 {
 	return n
 }
 
-// reset drops every pending event and the depth telemetry, keeping bucket
-// capacity; see Sim.reset.
+// reset drops every pending event, keeping bucket capacity; see Sim.reset.
 func (w *wheel[T]) reset() {
 	for b := range w.buckets {
 		clear(w.buckets[b]) // release references held by undelivered events
 		w.buckets[b] = w.buckets[b][:0]
 	}
-	clear(w.overflow)
-	w.overflow = w.overflow[:0]
-	w.pending, w.peak = 0, 0
+	w.pending = 0
 }
 
 //sim:hot
@@ -106,15 +93,10 @@ func (w *wheel[T]) schedule(now, at int64, v T) {
 	if at <= now {
 		panic("sim: wheel event scheduled at or before now")
 	}
-	w.pending++
-	if w.pending > w.peak {
-		w.peak = w.pending
-	}
 	if at >= now+int64(len(w.buckets)) {
-		//detlint:allow hotalloc overflow list is amortised self-append; the per-run horizon fast path never reaches it
-		w.overflow = append(w.overflow, wheelEvent[T]{at: at, v: v})
-		return
+		panic("sim: wheel event scheduled beyond the horizon")
 	}
+	w.pending++
 	b := at & int64(len(w.buckets)-1)
 	w.buckets[b] = append(w.buckets[b], v)
 }
@@ -123,17 +105,12 @@ func (w *wheel[T]) schedule(now, at int64, v T) {
 // aliases the bucket's backing array, which is immediately reusable for
 // future cycles — callers must finish iterating (and clear element
 // references) before the wheel can revisit the same bucket, which is
-// guaranteed within one cycle's processing. Overflow entries that have come
-// within the horizon are migrated to their buckets first (entries due
-// exactly now are appended to the returned slice), so a clock that jumps
-// forward — the calendar's skip — still observes every event at its due
-// cycle.
+// guaranteed within one cycle's processing. A clock that jumps forward —
+// the calendar's skip — still observes every event at its due cycle: it
+// never jumps past a wheel's nextDue.
 //
 //sim:hot
 func (w *wheel[T]) take(now int64) []T {
-	if len(w.overflow) > 0 {
-		w.migrate(now)
-	}
 	b := now & int64(len(w.buckets)-1)
 	evs := w.buckets[b]
 	w.buckets[b] = evs[:0]
@@ -141,38 +118,10 @@ func (w *wheel[T]) take(now int64) []T {
 	return evs
 }
 
-// migrate moves overflow entries that are now within the horizon into their
-// buckets. Cold path: only reached while overflow entries exist, but it sits
-// on take's call graph so it keeps the zero-alloc contract (self-append
-// recycling only).
-//
-//sim:hot
-func (w *wheel[T]) migrate(now int64) {
-	h := int64(len(w.buckets))
-	keep := w.overflow[:0]
-	for _, e := range w.overflow {
-		if e.at < now {
-			panic("sim: wheel overflow event expired undelivered")
-		}
-		if e.at < now+h {
-			b := e.at & (h - 1)
-			w.buckets[b] = append(w.buckets[b], e.v)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	tail := w.overflow[len(keep):]
-	for i := range tail {
-		var zero wheelEvent[T]
-		tail[i] = zero // release references held by migrated slots
-	}
-	w.overflow = keep
-}
-
 // nextDue returns the earliest cycle strictly after `now` at which a pending
-// event fires, or math.MaxInt64 when the wheel is empty. O(horizon +
-// overflow) and allocation-free; called only at skip decisions, when the
-// rest of the engine is idle.
+// event fires, or math.MaxInt64 when the wheel is empty. O(horizon) and
+// allocation-free; called only at skip decisions, when the rest of the
+// engine is idle.
 //
 //sim:hot
 func (w *wheel[T]) nextDue(now int64) int64 {
@@ -189,11 +138,6 @@ func (w *wheel[T]) nextDue(now int64) int64 {
 		at := now + 1 + (((b-(now+1))%h)+h)%h
 		if at < next {
 			next = at
-		}
-	}
-	for _, e := range w.overflow {
-		if e.at < next {
-			next = e.at
 		}
 	}
 	return next

@@ -1,13 +1,11 @@
 // Router pipeline: switch allocation, central-buffer management, injection
 // and ejection. One call to stepRoutersDomain advances every busy router
 // of one spatial domain by one cycle; idle routers cost nothing. All state
-// touched here is either owned by the router's domain (SoA slices indexed by
-// the domain's router range, NIC injection queues of attached nodes, the
-// outgoing links' sender side, including the domain's own arrival wheels) or
-// staged per domain for the serial merge (credit and ejection wheel events,
-// occupancy decrements) — see
-// domain.go for the decomposition contract. The 1-domain engine (Sim.single)
-// applies the "staged" effects directly, in the same order the merge would.
+// written here is owned by the router's domain: SoA slices indexed by the
+// domain's router range, NIC injection queues of attached nodes, the
+// outgoing links' sender side including the domain's own arrival wheels,
+// and the domain's credit and ejection wheels — see domain.go for the
+// decomposition contract.
 //
 // The arbitration fast path re-derives nothing per flit: the next-hop
 // decision rides in the flit (flit.next), output conflicts are one bitmask
@@ -85,10 +83,10 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// moved port's block, carrying into the next chunk (skip) when the
 	// block straddles it.
 	//
-	// A probe on the fast path (EdgeBuffers/elastic) reads the input's
+	// A probe on the fast path (EdgeBuffers/elastic) reads the front flit's
 	// next-hop word and tests it against the conflict mask and the
-	// readiness word — all dense scalar arrays; the flit itself is only
-	// loaded for the VC-ownership check and the move. The CBR probe keeps
+	// readiness word — dense scalar arrays; the rest of the flit is only
+	// read for the VC-ownership check and the move. The CBR probe keeps
 	// the flit-carrying slow path (tryAdvanceCBR): its buffered path must
 	// make progress even when the output is blocked, so readiness cannot
 	// gate it.
@@ -99,7 +97,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// Local views keep the probe loop free of slice-header reloads: the
 	// callees mutate elements, never the headers.
 	occ := s.occIn[r*s.occW : (r+1)*s.occW]
-	inNext, inFront := s.inNext, s.inFront
+	inFront := s.inFront
 	space, outOwner := s.space, s.outOwner
 	mask := d.outMask
 	skip := 0
@@ -136,7 +134,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 					rm &= rm - 1
 					continue
 				}
-			} else if nx := inNext[slot]; nx == nextEject {
+			} else if nx := inFront[slot].next; nx == nextEject {
 				// Ejection: one flit per node ejection port per cycle.
 				f := inFront[slot]
 				if s.ejUsedAt[f.pkt.dst] == now {
@@ -420,7 +418,7 @@ func (s *Sim) outputReady(p *packet, vi int, head bool) bool {
 }
 
 // sendFlit commits a flit to an output: ownership transitions, readiness
-// consumption, link occupancy, and the traversal itself — the flit is
+// consumption, and the traversal itself — the flit is
 // scheduled on this domain's arrival wheel toward the link's receiving
 // domain, for the cycle it lands. The flit leaves the router, so its work
 // counter drops. The link-side writes are safe in the parallel phase
@@ -461,18 +459,13 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	if l.pending == 1 {
 		d.linksLive++
 	}
-	//detlint:allow sharedread sender-exclusive increment; the receiver's decrements are staged in domain.occDecs and merged serially
-	l.occupancy++
 	s.work[r]--
 }
 
 // popInput removes the head flit from input slot vi (= pv*vcs+vc, where pv =
 // r*stride+pi is the flat port index). Callers pass the indices they already
-// hold from the probe, so the pop recomputes nothing. The upstream credit
-// return and the UGAL occupancy decrement both target state shared with
-// other domains (the credit wheel; the sender-side occupancy counter), so
-// they are staged per domain and replayed at the merge — except on the
-// 1-domain engine, which applies them directly in the identical order.
+// hold from the probe, so the pop recomputes nothing. Under EdgeBuffers the
+// freed slot returns a credit upstream through the domain's credit wheel.
 //
 //sim:hot
 //sim:domain
@@ -488,82 +481,51 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 		}
 		s.inHead[vi] = h
 		s.inFront[vi] = nf
-		s.inNext[vi] = nf.next
 	} else {
-		s.inNext[vi] = nextNone
 		b := vi - r*s.stride*s.vcs
 		//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and r's occupancy words are only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
 		s.occIn[r*s.occW+(b>>6)] &^= 1 << uint(b&63)
 	}
-	lid := s.inLink[pv]
-	if s.single {
-		//detlint:allow sharedread 1-domain engine only: no other domain exists to race with
-		s.links[lid].occupancy--
-		if s.scheme == EdgeBuffers {
-			l := &s.links[lid]
-			s.creditWheel.schedule(s.now, s.now+l.latency, creditEvent{
-				router: int32(l.from),
-				port:   s.revPort[pv],
-				vc:     int32(vc),
-			})
-		}
-		return
-	}
-	//detlint:allow hotalloc amortised staging growth; capacity is retained across cycles
-	d.occDecs = append(d.occDecs, lid)
 	if s.scheme == EdgeBuffers {
-		l := &s.links[lid]
-		//detlint:allow hotalloc amortised staging growth; capacity is retained across cycles
-		d.credits = append(d.credits, stagedCredit{
-			at: s.now + l.latency,
-			ev: creditEvent{
-				router: int32(l.from),
-				port:   s.revPort[pv],
-				vc:     int32(vc),
-			},
+		l := &s.links[s.inLink[pv]]
+		d.credit.schedule(s.now, s.now+l.latency, creditEvent{
+			router: int32(l.from),
+			port:   s.revPort[pv],
+			vc:     int32(vc),
 		})
 	}
 }
 
 // ejectWithDelay consumes a flit at its destination, accounting for the
-// final router traversal. The wheel insertion is staged: ejection order is
-// observable (latency sample order, OnDelivered reply sequencing), and the
-// ascending-domain merge reproduces the serial engine's ascending-router
-// order exactly. The 1-domain engine schedules directly — its visit order
-// is the staged replay order.
+// final router traversal on the domain's ejection wheel.
 //
 //sim:hot
 //sim:domain
 func (s *Sim) ejectWithDelay(d *domain, r int, f flit) {
-	if s.single {
-		s.ejectWheel.schedule(s.now, s.now+routerDelayDirect, f)
-	} else {
-		//detlint:allow hotalloc amortised staging growth; capacity is retained across cycles
-		d.ejects = append(d.ejects, f)
-	}
+	d.ejection.schedule(s.now, s.now+routerDelayDirect, f)
 	s.work[r]--
 }
 
-// flushEjections completes delayed ejections whose router traversal is done.
+// flushEjections completes the delayed ejections due at cycle t, taking the
+// domains' wheels in ascending domain order: the 1-domain engine's
+// ascending-router order (see domain.go).
 //
 //sim:hot
-func (s *Sim) flushEjections() {
-	evs := s.ejectWheel.take(s.now)
-	for _, f := range evs {
-		s.eject(f)
+func (s *Sim) flushEjections(t int64) {
+	for di := range s.doms {
+		evs := s.doms[di].ejection.take(t)
+		for _, f := range evs {
+			s.eject(f)
+		}
+		clear(evs)
 	}
-	clear(evs)
 }
 
 // flushAllEjections drains every pending ejection after the main loop, in
 // arrival order (the wheel horizon covers the maximum residual delay).
 func (s *Sim) flushAllEjections(stop int64) {
-	horizon := int64(len(s.ejectWheel.buckets))
+	horizon := int64(len(s.doms[0].ejection.buckets))
 	for t := stop; t <= stop+horizon; t++ {
-		evs := s.ejectWheel.take(t)
-		for _, f := range evs {
-			s.eject(f)
-		}
-		clear(evs)
+		s.flushEjections(t)
 	}
 }

@@ -112,10 +112,11 @@ type Config struct {
 	// runtime.GOMAXPROCS (see domainCount), which keeps small networks and
 	// single-P processes serial. n >= 1 forces n domains, capped at the
 	// router count; tests and the benchmark's fork probe set it. Results
-	// are byte-identical at every value: domains are contiguous router-index ranges, cross-domain
-	// effects are staged per domain and merged in ascending domain order,
-	// which reproduces the serial engine's ascending-router-index order
-	// exactly (see docs/DETERMINISM.md). Because of that identity the count
+	// are byte-identical at every value: domains are contiguous router-index
+	// ranges, each owns the wheels it schedules into, and the observable
+	// ejections are taken in ascending domain order, which reproduces the
+	// 1-domain ascending-router-index order exactly (see
+	// docs/DETERMINISM.md). Because of that identity the count
 	// is engine tuning, not simulation semantics — it is deliberately NOT
 	// part of slimnoc's RunSpec or PointKey.
 	EngineJobs int
@@ -294,9 +295,10 @@ type flit struct {
 }
 
 // nextEject marks a flit whose current hop is the last: its router visit is
-// an ejection, not a traversal. nextNone is the Sim.inNext idle sentinel: the
-// input VC holds no flit. Valid encodings never collide with either (ports
-// are capped at 255 and VCs at 63, so a real word is at most 0x00fe3efe).
+// an ejection, not a traversal. nextNone is the Sim.injNext idle sentinel:
+// the injection queue holds no flit. Valid encodings never collide with
+// either (ports are capped at 255 and VCs at 63, so a real word is at most
+// 0x00fe3efe).
 const (
 	nextEject = routing.NextEject
 	nextNone  = routing.NextEject - 1
@@ -332,8 +334,7 @@ type link struct {
 	sendVB int32
 	// recvVB is the receiver-side per-VC base index into the input arrays:
 	// the link delivers into input slot recvVB+vc.
-	recvVB    int32
-	occupancy int // flits on the wire plus downstream (UGAL signal)
+	recvVB int32
 }
 
 // creditEvent returns a credit to (router, port, vc); its due cycle is the
@@ -430,17 +431,10 @@ type Sim struct {
 	// costs two contiguous loads), and the inLen-1 flits behind it in inBuf
 	// from inOff+inHead on. Maintained by the only two input buffer
 	// mutators, deliver (push) and popInput (pop).
-	inHead  []int32 // [(r*stride+pi)*vcs+vc]
-	inLen   []int32 // [(r*stride+pi)*vcs+vc]
-	inFront []flit  // [(r*stride+pi)*vcs+vc] valid when inLen > 0
-	// inNext collapses "does this input VC hold a flit" and "where does its
-	// front flit want to go" into one dense uint32 per (port,vc): the front
-	// flit's next-hop word, or nextNone when the buffer is empty. A failed
-	// arbitration probe — the overwhelmingly common case at saturation — is
-	// then one load plus one or two compares against per-domain scratch,
-	// touching no flit, packet or ring memory at all.
-	inNext   []uint32 // [(r*stride+pi)*vcs+vc]
-	outOwner []int64  // [(r*stride+pi)*vcs+vc] owning packet id, or -1
+	inHead   []int32 // [(r*stride+pi)*vcs+vc]
+	inLen    []int32 // [(r*stride+pi)*vcs+vc]
+	inFront  []flit  // [(r*stride+pi)*vcs+vc] valid when inLen > 0
+	outOwner []int64 // [(r*stride+pi)*vcs+vc] owning packet id, or -1
 	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc of
 	// router r's occW words is set iff input slot (pi, vc) holds at least one
 	// flit. The arbitration walk starts at the cycle's rotating port and
@@ -474,15 +468,10 @@ type Sim struct {
 	ejUsedAt []int64 // [node] per-node ejection port budget
 
 	// Domain decomposition (see domain.go). doms always has >= 1 entry;
-	// the serial engine is the 1-domain instance, with the single fork below.
+	// the serial engine is the 1-domain instance.
 	doms  []domain
 	domOf []int32 // [r] owning domain index
 	par   *parRunner
-	// single marks the 1-domain engine: staged cross-domain effects (credit
-	// events, ejections, occupancy decrements) are applied directly instead
-	// of buffered and replayed — the apply order is then trivially the
-	// staged replay order, so results stay byte-identical.
-	single bool
 
 	// Injection is serial and visits only NICs that can move a flit. After
 	// stepInject every NIC has no unmoved flits (src == nil) or a full
@@ -493,16 +482,11 @@ type Sim struct {
 	nicReady   []bool // [node]
 	nicBacklog int
 	// injCap is every NIC's injection queue capacity. injNext holds each
-	// queue's front next-hop word (nextNone when empty), exactly like inNext
-	// does for the router input buffers: the per-router injection scan
-	// probes one dense uint32 per node and only touches the NIC when a flit
-	// can actually move.
+	// queue's front next-hop word (nextNone when empty): the per-router
+	// injection scan probes one dense uint32 per node and only touches the
+	// NIC when a flit can actually move.
 	injCap  int32
 	injNext []uint32 // [node]
-
-	// Timing wheels replacing the per-cycle credit and ejection scans.
-	creditWheel *wheel[creditEvent]
-	ejectWheel  *wheel[flit]
 
 	// Event calendar (calendar.go): when true (the default), the stepping
 	// loop consults skipAhead after each cycle and jumps the clock over
@@ -531,15 +515,7 @@ type Sim struct {
 	inFlightFlits int64
 	totalHops     int64
 	hopPackets    int64
-	// CBR path statistics: flits forwarded on the 2-cycle bypass vs the
-	// 4-cycle buffered path (§4.1).
-	bypassFlits   int64
-	bufferedFlits int64
-	// forwardedFlits counts every flit forwarded out of an input stage at
-	// an intermediate router (conservation invariant: for CentralBuffer it
-	// equals bypassFlits+bufferedFlits).
-	forwardedFlits int64
-	lastEject      int64 // cycle of the most recent ejection (deadlock watchdog)
+	lastEject     int64 // cycle of the most recent ejection (deadlock watchdog)
 
 	eng engineCounters
 }
@@ -557,6 +533,11 @@ type engineCounters struct {
 	nicPeak       int
 	cyclesSkipped int64
 	calendarPeak  int
+	// Timing-wheel depth peaks, sampled at the end of every stepped cycle:
+	// the wheels are taken only before the router phase and scheduled only
+	// in it, so that is when they are deepest.
+	creditPeak int
+	ejectPeak  int
 }
 
 // EngineStats reports engine-internal telemetry: freelist behaviour (a
@@ -602,14 +583,10 @@ func (s *Sim) EngineStats() EngineStats {
 		PeakActiveRouters: s.eng.routerPeak,
 		PeakActiveLinks:   s.eng.linkPeak,
 		PeakActiveNICs:    s.eng.nicPeak,
+		PeakCreditEvents:  s.eng.creditPeak,
+		PeakEjectEvents:   s.eng.ejectPeak,
 		CyclesSkipped:     s.eng.cyclesSkipped,
 		CalendarPeak:      s.eng.calendarPeak,
-	}
-	if s.creditWheel != nil {
-		st.PeakCreditEvents = s.creditWheel.peak
-	}
-	if s.ejectWheel != nil {
-		st.PeakEjectEvents = s.ejectWheel.peak
 	}
 	if s.eng.cycles > 0 {
 		c := float64(s.eng.cycles)
@@ -709,7 +686,6 @@ func New(cfg Config) (*Sim, error) {
 	s.inHead = make([]int32, nv)
 	s.inLen = make([]int32, nv)
 	s.inFront = make([]flit, nv)
-	s.inNext = make([]uint32, nv)
 	s.occW = max(1, (s.stride*s.vcs+63)/64)
 	s.occIn = make([]uint64, nr*s.occW)
 	s.outOwner = make([]int64, nv)
@@ -799,7 +775,7 @@ func New(cfg Config) (*Sim, error) {
 		s.table = cfg.Table
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
-	s.buildDomains(cfg.domains(), arrivalHorizon(maxLat))
+	s.buildDomains(cfg.domains(), maxLat)
 	// Event calendar: on unless CycleStep forces classic stepping. The
 	// source's next-fire hint is optional (see NextFirer).
 	s.calendar = !cfg.CycleStep
@@ -808,8 +784,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	// Engine machinery.
 	s.nicReady = make([]bool, s.net.N())
-	s.creditWheel = newWheel[creditEvent](maxLat + 1)
-	s.ejectWheel = newWheel[flit](routerDelayDirect + 1)
 	s.genEmit = func(src, dst, flits, class int) {
 		s.enqueuePacket(src, dst, flits, class, s.now >= s.cfg.WarmupCycles)
 	}
@@ -851,9 +825,6 @@ func (s *Sim) reset() {
 	clear(s.inHead)
 	clear(s.inLen)
 	clear(s.inFront)
-	for i := range s.inNext {
-		s.inNext[i] = nextNone
-	}
 	clear(s.occIn)
 	clear(s.cbq)
 	clear(s.cbIn)
@@ -886,8 +857,7 @@ func (s *Sim) reset() {
 		s.stall[i].head, s.stall[i].n = 0, 0
 	}
 	for li := range s.links {
-		l := &s.links[li]
-		l.pending, l.occupancy = 0, 0
+		s.links[li].pending = 0
 	}
 	// NICs: no packets, empty injection queues.
 	clear(s.nics)
@@ -896,15 +866,13 @@ func (s *Sim) reset() {
 	}
 	clear(s.nicReady)
 	s.nicBacklog = 0
-	// Domains: empty busy sets, lists, wheels and staging.
+	// Domains: empty busy sets, lists and wheels, zero counters.
 	for di := range s.doms {
 		s.doms[di].reset()
 	}
 	if s.par != nil {
 		s.par.reset()
 	}
-	s.creditWheel.reset()
-	s.ejectWheel.reset()
 	// Statistics.
 	s.nextPktID = 0
 	s.Result = Result{}
@@ -912,7 +880,6 @@ func (s *Sim) reset() {
 	s.genMeasured, s.doneMeasured = 0, 0
 	s.flitsEjected, s.flitsInjected, s.inFlightFlits = 0, 0, 0
 	s.totalHops, s.hopPackets = 0, 0
-	s.bypassFlits, s.bufferedFlits, s.forwardedFlits = 0, 0, 0
 	s.lastEject = 0
 	s.eng = engineCounters{}
 }
@@ -955,14 +922,23 @@ func (s *Sim) InFlight() int64 { return s.inFlightFlits }
 // router's bypass path versus its buffered path (meaningful only for
 // Scheme == CentralBuffer).
 func (s *Sim) CBPathStats() (bypass, buffered int64) {
-	return s.bypassFlits, s.bufferedFlits
+	for di := range s.doms {
+		bypass += s.doms[di].bypass
+		buffered += s.doms[di].buffered
+	}
+	return bypass, buffered
 }
 
 // ForwardedFlits returns the number of flits forwarded out of an input
 // stage at an intermediate router (injections and ejections excluded). For
 // the central-buffer scheme this always equals bypass+buffered — the
 // conservation invariant pinned by TestFlitConservation.
-func (s *Sim) ForwardedFlits() int64 { return s.forwardedFlits }
+func (s *Sim) ForwardedFlits() (n int64) {
+	for di := range s.doms {
+		n += s.doms[di].forwarded
+	}
+	return n
+}
 
 // Progress is the periodic telemetry snapshot emitted during a run.
 type Progress struct {
@@ -1059,14 +1035,13 @@ func (s *Sim) RunContext(ctx context.Context, every int64, onProgress func(Progr
 // step advances the simulation by one cycle. The phase order matches the
 // original full-scan engine exactly; only the iteration strategy changed.
 // The link and router phases run per domain — in parallel when workers are
-// live, inline in ascending domain order otherwise — with cross-domain
-// effects staged and merged in ascending domain order (see domain.go).
+// live, inline in ascending domain order otherwise (see domain.go).
 //
 //sim:hot
 func (s *Sim) step() {
 	s.stepGenerate()
 	s.stepCredits()
-	s.flushEjections()
+	s.flushEjections(s.now)
 	if s.par != nil && s.par.started {
 		s.parPhase(cmdLinks)
 		s.parPhase(cmdRouters)
@@ -1078,15 +1053,19 @@ func (s *Sim) step() {
 			s.stepRoutersDomain(&s.doms[di])
 		}
 	}
-	s.mergeDomains()
 	s.stepInject()
-	// Occupancy telemetry, sampled at end of cycle.
+	// Occupancy and wheel-depth telemetry, sampled at end of cycle.
 	s.eng.cycles++
-	ar, al := 0, 0
+	ar, al, credits, ejects := 0, 0, 0, 0
 	for di := range s.doms {
-		ar += s.doms[di].nBusy
-		al += s.doms[di].linksLive
+		d := &s.doms[di]
+		ar += d.nBusy
+		al += d.linksLive
+		credits += d.credit.pending
+		ejects += d.ejection.pending
 	}
+	s.eng.creditPeak = max(s.eng.creditPeak, credits)
+	s.eng.ejectPeak = max(s.eng.ejectPeak, ejects)
 	s.eng.routerSum += int64(ar)
 	s.eng.linkSum += int64(al)
 	s.eng.nicSum += int64(s.nicBacklog)
@@ -1223,14 +1202,16 @@ func (s *Sim) nicWake(d *domain, node int) {
 	}
 }
 
-// stepCredits applies the credit returns due this cycle (EdgeBuffers: each
-// event restores one unit of output readiness at the upstream router).
+// stepCredits applies the credit returns due this cycle from every domain's
+// wheel (EdgeBuffers: each event restores one unit of output readiness at
+// the upstream router, so the order of returns does not matter).
 //
 //sim:hot
 func (s *Sim) stepCredits() {
-	evs := s.creditWheel.take(s.now)
-	for _, ev := range evs {
-		s.space[(int(ev.router)*s.stride+int(ev.port))*s.vcs+int(ev.vc)]++
+	for di := range s.doms {
+		for _, ev := range s.doms[di].credit.take(s.now) {
+			s.space[(int(ev.router)*s.stride+int(ev.port))*s.vcs+int(ev.vc)]++
+		}
 	}
 }
 
