@@ -207,9 +207,11 @@ func TestLayoutSubcommand(t *testing.T) {
 
 // TestPowerSubcommand pins snrepro power on sn_subgr_200 with SMART against
 // the values the standalone power tool printed (totals; the tables print
-// per node, to four significant digits), and checks that a central-buffer
-// run is priced with its 2400 central-buffer flits rather than the 3508
-// edge-buffer flits of the default design.
+// per node, to four significant digits), and checks that each run is
+// priced at the buffers its engine allocated: 3500 flits for EB-Small's 5
+// per VC on 350 links × 2 VCs, and 3104 for a central-buffer run (50 × 20
+// central-buffer flits, plus 2 VCs × (1-flit input latch + 2 or 3 elastic
+// pipeline slots) on each link).
 func TestPowerSubcommand(t *testing.T) {
 	code, out, errOut := analysis("power", "-net", "sn_subgr_200", "-smart")
 	if code != 0 {
@@ -217,7 +219,7 @@ func TestPowerSubcommand(t *testing.T) {
 	}
 	cells := tableCells(t, out)
 	row := cells["power"]["sn_subgr_200"]
-	if row["buffer_flits"] != "3508" || row["N"] != "200" {
+	if row["buffer_flits"] != "3500" || row["N"] != "200" {
 		t.Errorf("power row = %v", row)
 	}
 	for _, c := range []struct {
@@ -239,8 +241,8 @@ func TestPowerSubcommand(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("cbr exit %d:\n%s", code, errOut)
 	}
-	if got := tableCells(t, out)["power"]["sn_subgr_200"]["buffer_flits"]; got != "2400" {
-		t.Errorf("cbr-20 run priced %s buffer flits, want 2400", got)
+	if got := tableCells(t, out)["power"]["sn_subgr_200"]["buffer_flits"]; got != "3104" {
+		t.Errorf("cbr-20 run priced %s buffer flits, want 3104", got)
 	}
 }
 

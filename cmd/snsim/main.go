@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -111,27 +112,59 @@ func run(sf *slimnoc.SpecFlags, progress bool, sweepPath string, jobs int, outPa
 	if err != nil {
 		return fail(err)
 	}
+	printRun(os.Stdout, spec, res)
+	return 0
+}
+
+// printRun prints the result of a run of spec. A run whose drain stalled with flits in
+// flight (Metrics.DeadlockSuspected) measured no latency: it says so in
+// place of the latency and names the deadlock in its state line.
+func printRun(w io.Writer, spec slimnoc.RunSpec, res *slimnoc.Result) {
 	n, m := res.Network, res.Metrics
-	fmt.Printf("network     %s (Nr=%d, N=%d, k'=%d, D=%d, cycle %.1fns)\n",
+	fmt.Fprintf(w, "network     %s (Nr=%d, N=%d, k'=%d, D=%d, cycle %.1fns)\n",
 		n.Name, n.Routers, n.Nodes, n.NetworkRadix, n.Diameter, n.CycleTimeNs)
 	desc := spec.Traffic.Pattern
 	if toks := slimnoc.TrafficLabel(spec.Traffic); len(toks) > 0 {
 		desc += " [" + strings.Join(toks, " ") + "]"
 	}
 	if spec.Traffic.Process == "reqreply" {
-		fmt.Printf("traffic     %s closed-loop (load self-throttles; offered below)\n", desc)
+		fmt.Fprintf(w, "traffic     %s closed-loop (load self-throttles; offered below)\n", desc)
 	} else {
-		fmt.Printf("traffic     %s at %.3f flits/node/cycle\n", desc, spec.Traffic.Rate)
+		fmt.Fprintf(w, "traffic     %s at %.3f flits/node/cycle\n", desc, spec.Traffic.Rate)
 	}
-	fmt.Printf("latency     %.2f cycles (%.1f ns), p99 %.0f cycles\n",
-		m.AvgLatencyCycles, m.AvgLatencyNs, m.P99LatencyCycles)
-	fmt.Printf("throughput  %.4f flits/node/cycle (offered %.4f)\n", m.Throughput, m.OfferedLoad)
-	fmt.Printf("hops        %.2f avg\n", m.AvgHops)
-	fmt.Printf("packets     %d delivered of %d tracked\n", m.Delivered, m.Generated)
-	if m.Saturated {
-		fmt.Println("state       SATURATED")
+	if m.DeadlockSuspected {
+		fmt.Fprintln(w, "latency     not measured (deadlock suspected)")
+	} else {
+		fmt.Fprintf(w, "latency     %.2f cycles (%.1f ns), p99 %.0f cycles\n",
+			m.AvgLatencyCycles, m.AvgLatencyNs, m.P99LatencyCycles)
 	}
-	return 0
+	fmt.Fprintf(w, "throughput  %.4f flits/node/cycle (offered %.4f)\n", m.Throughput, m.OfferedLoad)
+	fmt.Fprintf(w, "hops        %.2f avg\n", m.AvgHops)
+	fmt.Fprintf(w, "packets     %d delivered of %d tracked\n", m.Delivered, m.Generated)
+	switch {
+	case m.DeadlockSuspected:
+		fmt.Fprintf(w, "state       deadlock suspected: %d of %d tracked packets delivered, flits stalled through the drain\n",
+			m.Delivered, m.Generated)
+	case m.Saturated:
+		fmt.Fprintln(w, "state       SATURATED")
+	}
+}
+
+// sweepLine is one campaign point's progress line.
+func sweepLine(p slimnoc.PointResult) string {
+	if p.Err != nil {
+		return fmt.Sprintf("  [%3d] %-40s ERROR %v", p.Index, p.Spec.Name, p.Err)
+	}
+	m := p.Result.Metrics
+	lat, state := fmt.Sprintf("%8.2f", m.AvgLatencyCycles), ""
+	switch {
+	case m.DeadlockSuspected:
+		lat = fmt.Sprintf("%8s", "--")
+		state = fmt.Sprintf("  DEADLOCK SUSPECTED (%d of %d delivered)", m.Delivered, m.Generated)
+	case m.Saturated:
+		state = "  SATURATED"
+	}
+	return fmt.Sprintf("  [%3d] %-40s lat %s cyc  thr %.4f%s", p.Index, p.Spec.Name, lat, m.Throughput, state)
 }
 
 // runSweep executes a declarative sweep campaign and returns the exit code.
@@ -148,19 +181,7 @@ func runSweep(path string, jobs int, outPath, csvPath string) int {
 
 	copts := []slimnoc.CampaignOption{
 		slimnoc.WithJobs(jobs),
-		slimnoc.WithOnPoint(func(p slimnoc.PointResult) {
-			if p.Err != nil {
-				fmt.Printf("  [%3d] %-40s ERROR %v\n", p.Index, p.Spec.Name, p.Err)
-				return
-			}
-			m := p.Result.Metrics
-			state := ""
-			if m.Saturated {
-				state = "  SATURATED"
-			}
-			fmt.Printf("  [%3d] %-40s lat %8.2f cyc  thr %.4f%s\n",
-				p.Index, p.Spec.Name, m.AvgLatencyCycles, m.Throughput, state)
-		}),
+		slimnoc.WithOnPoint(func(p slimnoc.PointResult) { fmt.Println(sweepLine(p)) }),
 	}
 	var files []*os.File
 	for _, sink := range []struct {

@@ -174,8 +174,6 @@ func newFig5(nCol string, bounds []core.WiringConstraint) *fig5 {
 // add appends the rows of a Slim NoC of parameter q and n nodes, given
 // its network under every layout.
 func (f *fig5) add(q, n int, nets map[core.Layout]*topo.Network) {
-	m := core.DefaultBufferModel()
-	sm := m.WithSMART()
 	mrow := []interface{}{q, n}
 	brow := []interface{}{q, n}
 	srow := []interface{}{q, n}
@@ -183,13 +181,14 @@ func (f *fig5) add(q, n int, nets map[core.Layout]*topo.Network) {
 	for _, l := range core.Layouts() {
 		net := nets[l]
 		mrow = append(mrow, net.AvgWireLength())
-		brow = append(brow, m.PerRouterEdgeBuffers(net))
-		srow = append(srow, sm.PerRouterEdgeBuffers(net))
+		brow = append(brow, float64(plainEB.Flits(net))/float64(net.Nr))
+		srow = append(srow, float64(smartEB.Flits(net))/float64(net.Nr))
 		wrow = append(wrow, core.MaxWireCrossing(net))
 	}
-	// Central buffers do not depend on the layout.
+	// Central buffers (Eq. 6) do not depend on the layout.
 	ref := nets[core.LayoutSubgroup]
-	cb20, cb40 := m.PerRouterCentralBuffers(ref, 20), m.PerRouterCentralBuffers(ref, 40)
+	cb20 := float64(core.Buffers{Scheme: core.CBR, VCs: 2, CBCap: 20}.Eq6Flits(ref)) / float64(ref.Nr)
+	cb40 := float64(core.Buffers{Scheme: core.CBR, VCs: 2, CBCap: 40}.Eq6Flits(ref)) / float64(ref.Nr)
 	brow = append(brow, cb20, cb40)
 	srow = append(srow, cb20, cb40)
 	for _, wc := range f.bounds {

@@ -24,25 +24,25 @@ import (
 
 const flitBits = 128
 
-// bufferFor sizes a design's buffers for the area/power models, following
-// its spec: central buffers of the spec's capacity (the engine's 20 flits
-// by default) for the cbr scheme, otherwise EB-Var edge buffers (full wire
-// utilisation), the paper's default edge-buffer design; SMART shortens
-// both.
-func bufferFor(n *topo.Network, spec slimnoc.RunSpec) power.BufferConfig {
-	m := core.DefaultBufferModel()
-	if spec.SMART {
-		m = m.WithSMART()
+// priced returns a run's network and its buffer storage as the power model
+// prices it: the flits and VCs of the buffer plan the run's engine allocated
+// (slimnoc.RunSpec.BufferPlan).
+func priced(r *slimnoc.Result) (*topo.Network, power.BufferConfig, error) {
+	n, err := network(r)
+	if err != nil {
+		return nil, power.BufferConfig{}, err
 	}
-	if spec.Buffering.Scheme == "cbr" {
-		return power.CentralBufferConfig(n, m, cmp.Or(spec.Buffering.CBCap, 20), flitBits)
-	}
-	return power.EdgeBufferConfig(n, m, flitBits)
+	b, err := r.Spec.BufferPlan()
+	return n, power.Buffers(n, b, flitBits), err
 }
 
-// The analytic figures price the default edge-buffer design, without and
-// with SMART.
-var plainEB, smartEB = slimnoc.RunSpec{}, slimnoc.RunSpec{SMART: true}
+// The analytic figures (Figs. 3, 5 and 15, §5.5) price the §3.2.2 EB-Var
+// design, full wire utilisation at the paper's 2 VCs, without and with
+// SMART (H = 9).
+var (
+	plainEB = core.Buffers{Scheme: core.EBVar, VCs: 2, H: 1}
+	smartEB = core.Buffers{Scheme: core.EBVar, VCs: 2, H: 9}
+)
 
 // techs are the two technology nodes the paper evaluates.
 var techs = []power.Tech{power.Tech45(), power.Tech22()}
@@ -96,9 +96,9 @@ func fig3Tables(o Options) ([]*stats.Table, error) {
 	}
 	t45 := power.Tech45()
 	for i, n := range nets {
-		buf := bufferFor(n, plainEB)
-		a := power.Area(n, buf, 2, t45).PerNodeCM2(n.N())
-		s := power.Static(n, buf, 2, t45)
+		buf := power.Buffers(n, plainEB, flitBits)
+		a := power.Area(n, buf, t45).PerNodeCM2(n.N())
+		s := power.Static(n, buf, t45)
 		area.AddRowF(labels[i], a.IRouters, a.ARouters, a.RRWires+a.RNWires, a.Total())
 		pow.AddRowF(labels[i], s.Routers/float64(n.N()), s.Wires/float64(n.N()),
 			s.Total()/float64(n.N()))
@@ -154,8 +154,8 @@ func fig3Point(n int) *fig3Nets {
 }
 
 // areaPowerTables renders per-node area / static / dynamic power for an
-// activity grid's networks under one tech node, each priced as its run's
-// spec built it (bufferFor). The runs share one traffic pattern and load.
+// activity grid's networks under one tech node, each priced as its run was
+// simulated (priced). The runs share one traffic pattern and load.
 func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech) ([]*stats.Table, error) {
 	area := &stats.Table{
 		ID:     idPrefix + "-area",
@@ -174,15 +174,14 @@ func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech
 		Header: []string{"network", "buffers", "crossbars", "wires", "total"},
 	}
 	for _, r := range res {
-		n, err := network(r)
+		n, buf, err := priced(r)
 		if err != nil {
 			return nil, err
 		}
 		name := cmp.Or(r.Spec.Network.Preset, n.Name)
-		buf := bufferFor(n, r.Spec)
-		a := power.Area(n, buf, 2, t).PerNodeCM2(n.N())
+		a := power.Area(n, buf, t).PerNodeCM2(n.N())
 		area.AddRowF(name, a.IRouters, a.ARouters, a.RRWires, a.RNWires, a.Total())
-		s := power.Static(n, buf, 2, t)
+		s := power.Static(n, buf, t)
 		nn := float64(n.N())
 		stat.AddRowF(name, s.Routers/nn, s.Wires/nn, s.Total()/nn)
 		act := power.ActivityOf(n, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
@@ -232,7 +231,7 @@ func fig15Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		layouts.AddRowF(l, power.Area(n, bufferFor(n, plainEB), 2, t45).Total())
+		layouts.AddRowF(l, power.Area(n, power.Buffers(n, plainEB, flitBits), t45).Total())
 	}
 	nets := &stats.Table{
 		ID:     "fig15b",
@@ -249,10 +248,10 @@ func fig15Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := bufferFor(n, plainEB)
-		a := power.Area(n, buf, 2, t45)
+		buf := power.Buffers(n, plainEB, flitBits)
+		a := power.Area(n, buf, t45)
 		nets.AddRowF(name, a.IRouters, a.ARouters, a.RRWires, a.RNWires, a.Total())
-		s := power.Static(n, buf, 2, t45)
+		s := power.Static(n, buf, t45)
 		pow.AddRowF(name, s.Routers, s.Wires, s.Total())
 	}
 	return []*stats.Table{layouts, nets, pow}, nil
@@ -322,13 +321,13 @@ func fig19(o Options) Figure {
 
 // throughputPerPower computes the §5.4 metric of one activity run: the
 // flits delivered per joule at the run's accepted throughput, with static
-// power priced as the run's spec built it (bufferFor).
+// power priced as the run was simulated (priced).
 func throughputPerPower(r *slimnoc.Result, t power.Tech) (float64, error) {
-	n, err := network(r)
+	n, buf, err := priced(r)
 	if err != nil {
 		return 0, err
 	}
-	st := power.Static(n, bufferFor(n, r.Spec), 2, t)
+	st := power.Static(n, buf, t)
 	act := power.ActivityOf(n, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
 	dy := power.Dynamic(act, t)
 	return power.ThroughputPerPower(act.FlitsPerCycle, n.CycleTimeNs, st, dy), nil
@@ -450,8 +449,8 @@ func sec55Tables() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		snArea := power.Area(sn, bufferFor(sn, smartEB), 2, t45).Total()
-		closArea := power.Area(c.clos, bufferFor(c.clos, smartEB), 2, t45).Total()
+		snArea := power.Area(sn, power.Buffers(sn, smartEB, flitBits), t45).Total()
+		closArea := power.Area(c.clos, power.Buffers(c.clos, smartEB, flitBits), t45).Total()
 		t.AddRowF(c.n, snArea, closArea, (1-snArea/closArea)*100)
 	}
 	return []*stats.Table{t}, nil
@@ -471,7 +470,7 @@ func PowerTables(ctx context.Context, spec slimnoc.RunSpec, tech string) ([]*sta
 	if err != nil {
 		return nil, err
 	}
-	n, err := network(r)
+	n, buf, err := priced(r)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +488,7 @@ func PowerTables(ctx context.Context, spec slimnoc.RunSpec, tech string) ([]*sta
 		Title:  title + " — network and throughput/power",
 		Header: []string{"network", "Nr", "N", "k'", "buffer_flits", "accepted", "flits_per_J"},
 	}
-	sum.AddRowF(name, n.Nr, n.N(), n.NetworkRadix(), bufferFor(n, r.Spec).TotalFlits, r.Metrics.Throughput, tpp)
+	sum.AddRowF(name, n.Nr, n.N(), n.NetworkRadix(), buf.TotalFlits, r.Metrics.Throughput, tpp)
 	tables, err := areaPowerTables([]*slimnoc.Result{r}, "power", title, t)
 	return append([]*stats.Table{sum}, tables...), err
 }

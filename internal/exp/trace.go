@@ -118,11 +118,11 @@ func fig18(o Options) Figure {
 			}
 			t45 := power.Tech45()
 			err := perBenchmark(r, t, true, func(p *slimnoc.Result) (float64, error) {
-				n, err := network(p)
+				n, buf, err := priced(p)
 				if err != nil {
 					return 0, err
 				}
-				st := power.Static(n, bufferFor(n, p.Spec), 2, t45)
+				st := power.Static(n, buf, t45)
 				act := power.ActivityOf(n, p.Metrics.Throughput, p.Metrics.AvgHops, t45, flitBits)
 				dy := power.Dynamic(act, t45)
 				runSec := float64(p.Spec.Sim.MeasureCycles) * n.CycleTimeNs * 1e-9

@@ -92,22 +92,19 @@ func (t Tech) TileSideMM(p int) float64 {
 	return math.Sqrt(t.CoreAreaMM2 * float64(p))
 }
 
-// BufferConfig describes the storage a router carries.
+// BufferConfig is the buffer storage a design is priced at.
 type BufferConfig struct {
-	// TotalFlits is the network-wide buffer storage in flits (Δeb or Δcb
-	// from §3.2.2); per-router storage is TotalFlits / Nr.
+	// TotalFlits is the network-wide buffer storage in flits;
+	// per-router storage is TotalFlits / Nr.
 	TotalFlits float64
+	VCs        int // virtual channels per link, which size the allocators
 	FlitBits   int
 }
 
-// EdgeBufferConfig computes Δeb for a placed network under the given model.
-func EdgeBufferConfig(n *topo.Network, m core.BufferModel, flitBits int) BufferConfig {
-	return BufferConfig{TotalFlits: float64(m.TotalEdgeBuffers(n)), FlitBits: flitBits}
-}
-
-// CentralBufferConfig computes Δcb for a placed network.
-func CentralBufferConfig(n *topo.Network, m core.BufferModel, cbFlits, flitBits int) BufferConfig {
-	return BufferConfig{TotalFlits: float64(m.TotalCentralBuffers(n, cbFlits)), FlitBits: flitBits}
+// Buffers prices a buffer plan on a placed network: the flits and VC count
+// the simulator allocates for it (core.Buffers.Flits).
+func Buffers(n *topo.Network, b core.Buffers, flitBits int) BufferConfig {
+	return BufferConfig{TotalFlits: float64(b.Flits(n)), VCs: b.VCs, FlitBits: flitBits}
 }
 
 // AreaReport splits network area by component, in cm^2, following the
@@ -134,13 +131,13 @@ const mm2PerCM2 = 100.0
 
 // Area computes the area report for a placed network with the given buffer
 // configuration.
-func Area(n *topo.Network, buf BufferConfig, vcs int, t Tech) AreaReport {
+func Area(n *topo.Network, buf BufferConfig, t Tech) AreaReport {
 	k := float64(n.RouterRadix())
 	w := float64(buf.FlitBits)
 	nr := float64(n.Nr)
 
 	bufBits := buf.TotalFlits * w
-	aRouters := bufBits*t.BufBitAreaMM2 + nr*k*k*float64(vcs)*t.AllocCellMM2
+	aRouters := bufBits*t.BufBitAreaMM2 + nr*k*k*float64(buf.VCs)*t.AllocCellMM2
 	iRouters := nr * k * k * w * t.XbarCellMM2
 
 	tile := t.TileSideMM(n.P)
@@ -168,7 +165,7 @@ type StaticReport struct {
 func (s StaticReport) Total() float64 { return s.Routers + s.Wires }
 
 // Static computes leakage power.
-func Static(n *topo.Network, buf BufferConfig, vcs int, t Tech) StaticReport {
+func Static(n *topo.Network, buf BufferConfig, t Tech) StaticReport {
 	k := float64(n.RouterRadix())
 	w := float64(buf.FlitBits)
 	nr := float64(n.Nr)

@@ -7,6 +7,9 @@ import (
 	"repro/internal/topo"
 )
 
+// ebVar is the §3.2.2 EB-Var design at the paper's 2 VCs, without SMART.
+var ebVar = core.Buffers{Scheme: core.EBVar, VCs: 2, H: 1}
+
 func buildSN(t testing.TB, q, p int, l core.Layout) *topo.Network {
 	t.Helper()
 	s, err := core.New(core.Params{Q: q, P: p})
@@ -22,8 +25,8 @@ func buildSN(t testing.TB, q, p int, l core.Layout) *topo.Network {
 
 func TestAreaPositiveAndDecomposed(t *testing.T) {
 	n := buildSN(t, 5, 4, core.LayoutSubgroup)
-	buf := EdgeBufferConfig(n, core.DefaultBufferModel(), 128)
-	a := Area(n, buf, 2, Tech45())
+	buf := Buffers(n, ebVar, 128)
+	a := Area(n, buf, Tech45())
 	if a.ARouters <= 0 || a.IRouters <= 0 || a.RRWires <= 0 || a.RNWires <= 0 {
 		t.Fatalf("area components must be positive: %+v", a)
 	}
@@ -41,13 +44,13 @@ func TestAreaPositiveAndDecomposed(t *testing.T) {
 // full-bandwidth FBF. We accept broad bands since constants are calibrated,
 // not fitted.
 func TestSNBeatsFBFInAreaAndPower(t *testing.T) {
-	m := core.DefaultBufferModel()
+	m := ebVar
 	sn := buildSN(t, 5, 4, core.LayoutSubgroup)
 	fbf := topo.FBF(10, 5, 4) // fbf4: same Nr=50, N=200
 	t45 := Tech45()
 
-	snArea := Area(sn, EdgeBufferConfig(sn, m, 128), 2, t45).Total()
-	fbfArea := Area(fbf, EdgeBufferConfig(fbf, m, 128), 2, t45).Total()
+	snArea := Area(sn, Buffers(sn, m, 128), t45).Total()
+	fbfArea := Area(fbf, Buffers(fbf, m, 128), t45).Total()
 	if snArea >= fbfArea {
 		t.Errorf("SN area %.4f should be below FBF %.4f", snArea, fbfArea)
 	}
@@ -56,8 +59,8 @@ func TestSNBeatsFBFInAreaAndPower(t *testing.T) {
 		t.Errorf("SN area reduction vs FBF = %.0f%%, expected roughly 30-50%%", red*100)
 	}
 
-	snStat := Static(sn, EdgeBufferConfig(sn, m, 128), 2, t45).Total()
-	fbfStat := Static(fbf, EdgeBufferConfig(fbf, m, 128), 2, t45).Total()
+	snStat := Static(sn, Buffers(sn, m, 128), t45).Total()
+	fbfStat := Static(fbf, Buffers(fbf, m, 128), t45).Total()
 	if snStat >= fbfStat {
 		t.Errorf("SN static %.4f should be below FBF %.4f", snStat, fbfStat)
 	}
@@ -67,12 +70,12 @@ func TestSNBeatsFBFInAreaAndPower(t *testing.T) {
 // static power than T2D/CM (§6) — the model must reproduce that direction
 // too.
 func TestSNUsesMoreThanLowRadix(t *testing.T) {
-	m := core.DefaultBufferModel()
+	m := ebVar
 	sn := buildSN(t, 5, 4, core.LayoutSubgroup)
 	t2d := topo.Torus2D(10, 5, 4)
 	t45 := Tech45()
-	snArea := Area(sn, EdgeBufferConfig(sn, m, 128), 2, t45).Total()
-	t2dArea := Area(t2d, EdgeBufferConfig(t2d, m, 128), 2, t45).Total()
+	snArea := Area(sn, Buffers(sn, m, 128), t45).Total()
+	t2dArea := Area(t2d, Buffers(t2d, m, 128), t45).Total()
 	if snArea <= t2dArea {
 		t.Errorf("SN area %.4f should exceed torus %.4f", snArea, t2dArea)
 	}
@@ -81,17 +84,18 @@ func TestSNUsesMoreThanLowRadix(t *testing.T) {
 // TestLargeScaleSNvsFBF: at N=1296 the paper reports SN cutting area by up
 // to ~33% and static power by up to ~55% vs FBF.
 func TestLargeScaleSNvsFBF(t *testing.T) {
-	m := core.DefaultBufferModel().WithSMART()
+	m := ebVar
+	m.H = 9
 	sn := buildSN(t, 9, 8, core.LayoutGroup)
 	fbf := topo.FBF(18, 9, 8) // fbf8
 	t45 := Tech45()
-	snArea := Area(sn, EdgeBufferConfig(sn, m, 128), 2, t45).Total()
-	fbfArea := Area(fbf, EdgeBufferConfig(fbf, m, 128), 2, t45).Total()
+	snArea := Area(sn, Buffers(sn, m, 128), t45).Total()
+	fbfArea := Area(fbf, Buffers(fbf, m, 128), t45).Total()
 	if snArea >= fbfArea {
 		t.Errorf("SN-L area %.4f should be below fbf8 %.4f", snArea, fbfArea)
 	}
-	snStat := Static(sn, EdgeBufferConfig(sn, m, 128), 2, t45).Total()
-	fbfStat := Static(fbf, EdgeBufferConfig(fbf, m, 128), 2, t45).Total()
+	snStat := Static(sn, Buffers(sn, m, 128), t45).Total()
+	fbfStat := Static(fbf, Buffers(fbf, m, 128), t45).Total()
 	red := 1 - snStat/fbfStat
 	if red < 0.2 {
 		t.Errorf("SN-L static reduction vs fbf8 = %.0f%%, paper reports ~41-55%%", red*100)
@@ -101,11 +105,11 @@ func TestLargeScaleSNvsFBF(t *testing.T) {
 // TestCentralBufferCutsBufferArea: CBR-20 must reduce the buffer (active
 // router) area versus EB-Var sizing for SN-L, one of §4's selling points.
 func TestCentralBufferCutsBufferArea(t *testing.T) {
-	m := core.DefaultBufferModel()
+	m := ebVar
 	sn := buildSN(t, 9, 8, core.LayoutGroup)
 	t45 := Tech45()
-	eb := Area(sn, EdgeBufferConfig(sn, m, 128), 2, t45)
-	cb := Area(sn, CentralBufferConfig(sn, m, 20, 128), 2, t45)
+	eb := Area(sn, Buffers(sn, m, 128), t45)
+	cb := Area(sn, Buffers(sn, core.Buffers{Scheme: core.CBR, VCs: 2, H: 1}, 128), t45)
 	if cb.ARouters >= eb.ARouters {
 		t.Errorf("CBR active area %.4f should be below EB %.4f", cb.ARouters, eb.ARouters)
 	}
@@ -114,8 +118,8 @@ func TestCentralBufferCutsBufferArea(t *testing.T) {
 func TestStaticScalesWithBuffers(t *testing.T) {
 	n := buildSN(t, 5, 4, core.LayoutSubgroup)
 	t45 := Tech45()
-	small := Static(n, BufferConfig{TotalFlits: 100, FlitBits: 128}, 2, t45).Total()
-	big := Static(n, BufferConfig{TotalFlits: 10000, FlitBits: 128}, 2, t45).Total()
+	small := Static(n, BufferConfig{TotalFlits: 100, FlitBits: 128}, t45).Total()
+	big := Static(n, BufferConfig{TotalFlits: 10000, FlitBits: 128}, t45).Total()
 	if big <= small {
 		t.Error("leakage must grow with buffer storage")
 	}
@@ -138,16 +142,16 @@ func TestDynamicScalesWithActivity(t *testing.T) {
 
 func Test22nmShrinksAreaAndEnergy(t *testing.T) {
 	n := buildSN(t, 5, 4, core.LayoutSubgroup)
-	m := core.DefaultBufferModel()
-	buf := EdgeBufferConfig(n, m, 128)
-	a45 := Area(n, buf, 2, Tech45()).Total()
-	a22 := Area(n, buf, 2, Tech22()).Total()
+	m := ebVar
+	buf := Buffers(n, m, 128)
+	a45 := Area(n, buf, Tech45()).Total()
+	a22 := Area(n, buf, Tech22()).Total()
 	if a22 >= a45 {
 		t.Error("22nm area should shrink")
 	}
 	// Wires shrink less than logic: wire share grows at 22nm (§5.5).
-	r45 := Area(n, buf, 2, Tech45())
-	r22 := Area(n, buf, 2, Tech22())
+	r45 := Area(n, buf, Tech45())
+	r22 := Area(n, buf, Tech22())
 	share45 := (r45.RRWires + r45.RNWires) / r45.Total()
 	share22 := (r22.RRWires + r22.RNWires) / r22.Total()
 	if share22 <= share45 {

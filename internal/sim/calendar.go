@@ -25,6 +25,8 @@
 // costs O(wheels x horizon) whatever the network's size or activity pattern.
 package sim
 
+import "repro/internal/core"
+
 // skipAhead jumps the clock over cycles that provably change nothing. limit
 // is exclusive-of-skipping: the first cycle the caller must step normally
 // (a context-poll boundary, the run's total, or an estimate episode's cycle
@@ -113,10 +115,10 @@ func (c *Config) memEstimate(stride int) int64 {
 	for r, adj := range c.Net.Adj {
 		edges += int64(len(adj))
 		for _, nb := range adj {
-			dist, lat := c.wire(r, nb)
-			maxLat = max(maxLat, lat)
-			slab += int64(c.inputCap(dist)-1) * vcs
-			stallSlab += (lat + 1) * vcs
+			dist := core.WireLength(c.Net, r, nb)
+			maxLat = max(maxLat, int64(c.LinkCycles(dist)))
+			slab += int64(c.InputCap(dist)-1) * vcs
+			stallSlab += int64(c.LatchCap(dist)) * vcs
 		}
 	}
 	np := nr * int64(stride)
@@ -127,11 +129,11 @@ func (c *Config) memEstimate(stride int) int64 {
 	const linkBytes = 48                             // link: endpoints, latency, pending, VC bases
 	b := np * (3 * 4)                                // outLink/inLink/revPort
 	b += nv*(4+4+4+8+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inFront; inBuf
-	if c.Scheme == CentralBuffer {
+	if c.Scheme == core.CBR {
 		b += nv * (16 + 8) // cbq heads and tails + cbIn
 	}
 	b += edges*linkBytes + lanes*8 // links + laneLast
-	if c.Scheme != EdgeBuffers {
+	if !c.Scheme.EdgeBuffers() {
 		b += lanes*16 + stallSlab*flitBytes // stall FIFOs + stallBuf
 	}
 	b += nd * nd * wheelSize(arrivalHorizon(maxLat)) * 24        // arrival wheel bucket headers

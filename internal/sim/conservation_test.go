@@ -54,11 +54,11 @@ func TestFlitConservation(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	for _, sc := range []struct {
 		name   string
-		scheme sim.BufferScheme
+		scheme core.Scheme
 	}{
-		{"EB", sim.EdgeBuffers},
-		{"CBR", sim.CentralBuffer},
-		{"EL", sim.ElasticLinks},
+		{"EB", core.EB},
+		{"CBR", core.CBR},
+		{"EL", core.EL},
 	} {
 		for _, h := range []int{1, 9} {
 			sc, h := sc, h
@@ -73,8 +73,7 @@ func TestFlitConservation(t *testing.T) {
 				cfg := sim.Config{
 					Net:     net,
 					Table:   tab,
-					Scheme:  sc.scheme,
-					H:       h,
+					Buffers: core.Buffers{Scheme: sc.scheme, H: h},
 					Traffic: src,
 					Seed:    83,
 				}
@@ -90,7 +89,7 @@ func TestFlitConservation(t *testing.T) {
 					t.Errorf("engine forwarded %d flits, routes demand %d", got, src.expectForwarded)
 				}
 				bypass, buffered := s.CBPathStats()
-				if sc.scheme == sim.CentralBuffer {
+				if sc.scheme == core.CBR {
 					if bypass+buffered != s.ForwardedFlits() {
 						t.Errorf("bypass %d + buffered %d != forwarded %d",
 							bypass, buffered, s.ForwardedFlits())
@@ -116,14 +115,14 @@ func TestStuckAccountsEveryFlit(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	for _, sc := range []struct {
 		name   string
-		scheme sim.BufferScheme
-	}{{"EB", sim.EdgeBuffers}, {"EL", sim.ElasticLinks}, {"CBR", sim.CentralBuffer}} {
+		scheme core.Scheme
+	}{{"EB", core.EB}, {"EL", core.EL}, {"CBR", core.CBR}} {
 		for _, jobs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/jobs%d", sc.name, jobs), func(t *testing.T) {
 				s, err := sim.New(sim.Config{
-					Net:    net,
-					Table:  minTable(t, net, 2),
-					Scheme: sc.scheme,
+					Net:     net,
+					Table:   minTable(t, net, 2),
+					Buffers: core.Buffers{Scheme: sc.scheme},
 					Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.40, PacketFlits: 6,
 						Pattern: traffic.Uniform{N: net.N()}},
 					Seed:          83,
@@ -185,16 +184,14 @@ func TestBufferBoundsEveryCycle(t *testing.T) {
 	} {
 		for _, sc := range []struct {
 			name   string
-			scheme sim.BufferScheme
-		}{{"EB", sim.EdgeBuffers}, {"EL", sim.ElasticLinks}, {"CBR", sim.CentralBuffer}} {
+			scheme core.Scheme
+		}{{"EB", core.EB}, {"EL", core.EL}, {"CBR", core.CBR}} {
 			for _, jobs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s%s/jobs%d", nc.name, sc.name, jobs), func(t *testing.T) {
 					s, err := sim.New(sim.Config{
-						Net:    nc.net,
-						Table:  nc.table,
-						VCs:    nc.vcs,
-						Scheme: sc.scheme,
-						H:      9,
+						Net:     nc.net,
+						Table:   nc.table,
+						Buffers: core.Buffers{VCs: nc.vcs, Scheme: sc.scheme, H: 9},
 						Traffic: &traffic.Synthetic{N: nc.net.N(), Rate: nc.rate, PacketFlits: 6,
 							Pattern: traffic.Uniform{N: nc.net.N()}},
 						Seed:          29,

@@ -22,7 +22,7 @@ import (
 // corpus RNG so a spec is reproducible from its draw sequence alone.
 type diffSpec struct {
 	q, p     int
-	scheme   sim.BufferScheme
+	scheme   core.Scheme
 	h        int
 	vcs      int
 	shape    int // 0 bernoulli, 1 onoff, 2 reqreply, 3 ugal-adaptive, 4 hot-region
@@ -68,7 +68,7 @@ func drawDiffSpec(r *rand.Rand) diffSpec {
 	sp := diffSpec{
 		q:      []int{3, 5}[r.Intn(2)],
 		p:      3,
-		scheme: []sim.BufferScheme{sim.EdgeBuffers, sim.CentralBuffer, sim.ElasticLinks}[r.Intn(3)],
+		scheme: []core.Scheme{core.EB, core.CBR, core.EL}[r.Intn(3)],
 		h:      []int{1, 9}[r.Intn(2)],
 		vcs:    2,
 		shape:  r.Intn(5),
@@ -129,9 +129,7 @@ func runDiffSpec(t testing.TB, sp diffSpec, jobs int, cycleStep bool) (sim.Resul
 	}
 	cfg := sim.Config{
 		Net:           net,
-		VCs:           sp.vcs,
-		Scheme:        sp.scheme,
-		H:             sp.h,
+		Buffers:       core.Buffers{VCs: sp.vcs, Scheme: sp.scheme, H: sp.h},
 		Traffic:       src,
 		Seed:          sp.seed,
 		EngineJobs:    jobs,
@@ -199,9 +197,9 @@ func TestCalendarDifferential(t *testing.T) {
 	// the per-domain calendar must fast-forward idle domains of a busy
 	// network without drifting from cycle-stepping.
 	pinned := []diffSpec{
-		{q: 5, p: 4, scheme: sim.EdgeBuffers, h: 1, vcs: 2, shape: 4, hotRate: 0.40, seed: 501},
-		{q: 5, p: 4, scheme: sim.CentralBuffer, h: 9, vcs: 2, shape: 4, hotRate: 0.24, seed: 502},
-		{q: 3, p: 3, scheme: sim.ElasticLinks, h: 1, vcs: 2, shape: 4, hotRate: 0.40, seed: 503},
+		{q: 5, p: 4, scheme: core.EB, h: 1, vcs: 2, shape: 4, hotRate: 0.40, seed: 501},
+		{q: 5, p: 4, scheme: core.CBR, h: 9, vcs: 2, shape: 4, hotRate: 0.24, seed: 502},
+		{q: 3, p: 3, scheme: core.EL, h: 1, vcs: 2, shape: 4, hotRate: 0.40, seed: 503},
 	}
 	if testing.Short() {
 		pinned = pinned[:1]
@@ -211,8 +209,8 @@ func TestCalendarDifferential(t *testing.T) {
 	// link phase — the one path where a landing waits on the receiver, and
 	// where CBR's 2- and 4-cycle router paths share a lane.
 	pinned = append(pinned,
-		diffSpec{q: 5, p: 4, scheme: sim.CentralBuffer, h: 1, vcs: 2, rate: 0.40, seed: 504},
-		diffSpec{q: 5, p: 4, scheme: sim.ElasticLinks, h: 9, vcs: 2, rate: 0.40, seed: 505},
+		diffSpec{q: 5, p: 4, scheme: core.CBR, h: 1, vcs: 2, rate: 0.40, seed: 504},
+		diffSpec{q: 5, p: 4, scheme: core.EL, h: 9, vcs: 2, rate: 0.40, seed: 505},
 	)
 	for i, sp := range pinned {
 		totalSkipped += assertDiffEquivalence(t, sp)
@@ -225,7 +223,7 @@ func TestCalendarDifferential(t *testing.T) {
 
 func diffName(sp diffSpec) string {
 	tag := []string{"bern", "onoff", "reqreply", "ugal", "hotregion"}[sp.shape]
-	return []string{"eb", "cbr", "el"}[sp.scheme] + "_" + tag
+	return map[core.Scheme]string{core.EB: "eb", core.CBR: "cbr", core.EL: "el"}[sp.scheme] + "_" + tag
 }
 
 // FuzzCalendarEquivalence exposes the differential oracle to go's fuzzer:

@@ -205,7 +205,7 @@ func (s *Sim) stepLinksDomain(d *domain) {
 	}
 }
 
-// land takes one flit off its wire. Under EdgeBuffers the credit it was
+// land takes one flit off its wire. Under edge buffers the credit it was
 // sent on guarantees room; an elastic input latch may be full, or the lane
 // may hold stalled flits the new one must not overtake, and then the flit
 // waits in the lane's stall FIFO (backpressure into the link pipeline).

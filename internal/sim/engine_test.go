@@ -54,10 +54,10 @@ func minTable(t testing.TB, net *topo.Network, vcs int) *routing.RouteTable {
 	return tab
 }
 
-func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
+func newEngineSim(t testing.TB, scheme core.Scheme, rate float64) *Sim {
 	t.Helper()
 	net := engineNet(t)
-	return newEngineSimOn(t, Config{Net: net, Table: minTable(t, net, 2), VCs: 2}, scheme, rate)
+	return newEngineSimOn(t, Config{Net: net, Table: minTable(t, net, 2), Buffers: core.Buffers{VCs: 2}}, scheme, rate)
 }
 
 // engineNet is the SN q=5 subgroup network (50 routers, 200 nodes) the
@@ -77,28 +77,28 @@ func engineNet(t testing.TB) *topo.Network {
 
 // newWideEngineSim is newEngineSim on fbf4 at 10 VCs: 13 ports x 10 VCs is
 // 130 input slots per router, three occupancy words.
-func newWideEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
+func newWideEngineSim(t testing.TB, scheme core.Scheme, rate float64) *Sim {
 	t.Helper()
 	net := topo.FBF(10, 5, 4)
 	tab, err := routing.NewTable(net, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngineSimOn(t, Config{Net: net, Table: tab, VCs: 10}, scheme, rate)
+	return newEngineSimOn(t, Config{Net: net, Table: tab, Buffers: core.Buffers{VCs: 10}}, scheme, rate)
 }
 
 // newAdaptiveEngineSim returns newEngineSim with every packet routed by
 // policy on vcs VCs.
-func newAdaptiveEngineSim(policy AdaptivePolicy, vcs int) func(testing.TB, BufferScheme, float64) *Sim {
-	return func(t testing.TB, scheme BufferScheme, rate float64) *Sim {
+func newAdaptiveEngineSim(policy AdaptivePolicy, vcs int) func(testing.TB, core.Scheme, float64) *Sim {
+	return func(t testing.TB, scheme core.Scheme, rate float64) *Sim {
 		t.Helper()
-		return newEngineSimOn(t, Config{Net: engineNet(t), Adaptive: policy, VCs: vcs}, scheme, rate)
+		return newEngineSimOn(t, Config{Net: engineNet(t), Adaptive: policy, Buffers: core.Buffers{VCs: vcs}}, scheme, rate)
 	}
 }
 
 // newEngineSimOn completes a config naming the network, its routes and VC
 // count with the engine tests' traffic, seed and window, and builds it.
-func newEngineSimOn(t testing.TB, cfg Config, scheme BufferScheme, rate float64) *Sim {
+func newEngineSimOn(t testing.TB, cfg Config, scheme core.Scheme, rate float64) *Sim {
 	t.Helper()
 	cfg.Scheme = scheme
 	cfg.Traffic = &bernoulliSource{n: cfg.Net.N(), rate: rate, flits: 6}
@@ -120,21 +120,21 @@ func newEngineSimOn(t testing.TB, cfg Config, scheme BufferScheme, rate float64)
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
-		scheme BufferScheme
-		new    func(testing.TB, BufferScheme, float64) *Sim
+		scheme core.Scheme
+		new    func(testing.TB, core.Scheme, float64) *Sim
 		rate   float64
 	}{
-		{"EB", EdgeBuffers, newEngineSim, 0.06},
-		{"CBR", CentralBuffer, newEngineSim, 0.06},
-		{"EL", ElasticLinks, newEngineSim, 0.06},
+		{"EB", core.EB, newEngineSim, 0.06},
+		{"CBR", core.CBR, newEngineSim, 0.06},
+		{"EL", core.EL, newEngineSim, 0.06},
 		// A multi-word occupancy walk, loaded enough to keep many input
 		// VCs of a router occupied at once.
-		{"fbf4_v10/EB", EdgeBuffers, newWideEngineSim, 0.20},
+		{"fbf4_v10/EB", core.EB, newWideEngineSim, 0.20},
 		// Per-packet route choice: the policies append their words into
 		// the recycled packet buffers like the table walk does.
-		{"ugal-l/EB", EdgeBuffers, newAdaptiveEngineSim(&UGAL{Global: false}, 4), 0.06},
-		{"ugal-g/CBR", CentralBuffer, newAdaptiveEngineSim(&UGAL{Global: true}, 4), 0.06},
-		{"min-adapt/EB", EdgeBuffers, newAdaptiveEngineSim(&MinAdaptive{}, 2), 0.06},
+		{"ugal-l/EB", core.EB, newAdaptiveEngineSim(&UGAL{Global: false}, 4), 0.06},
+		{"ugal-g/CBR", core.CBR, newAdaptiveEngineSim(&UGAL{Global: true}, 4), 0.06},
+		{"min-adapt/EB", core.EB, newAdaptiveEngineSim(&MinAdaptive{}, 2), 0.06},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -184,8 +184,7 @@ func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 	cfg := Config{
 		Net:           net,
 		Table:         tab,
-		VCs:           2,
-		Scheme:        EdgeBuffers,
+		Buffers:       core.Buffers{VCs: 2, Scheme: core.EB},
 		Traffic:       &bernoulliSource{n: net.N(), rate: 0.06, flits: 6},
 		Seed:          211,
 		WarmupCycles:  2000,
@@ -320,7 +319,7 @@ func TestSteadyStateZeroAllocsWorkloads(t *testing.T) {
 	for _, src := range sources {
 		src := src
 		t.Run(src.name, func(t *testing.T) {
-			s := newEngineSim(t, EdgeBuffers, 0.06)
+			s := newEngineSim(t, core.EB, 0.06)
 			s.cfg.Traffic = src.mk(s.net.N())
 			warm := s.cfg.WarmupCycles + 2000
 			for s.now = 0; s.now < warm; s.now++ {
@@ -348,11 +347,11 @@ func TestSteadyStateZeroAllocsWorkloads(t *testing.T) {
 func TestSteadyStateZeroAllocsCalendar(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
-		scheme BufferScheme
+		scheme core.Scheme
 	}{
-		{"EB", EdgeBuffers},
-		{"CBR", CentralBuffer},
-		{"EL", ElasticLinks},
+		{"EB", core.EB},
+		{"CBR", core.CBR},
+		{"EL", core.EL},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -386,7 +385,7 @@ func TestSteadyStateZeroAllocsCalendar(t *testing.T) {
 // calendar never gets a skip), and exactly zero under Config.CycleStep.
 func TestSkipAccounting(t *testing.T) {
 	t.Run("IdleSkips", func(t *testing.T) {
-		s := newEngineSim(t, EdgeBuffers, 0.002)
+		s := newEngineSim(t, core.EB, 0.002)
 		s.cfg.Traffic = &reqReplySource{n: s.net.N(), window: 1}
 		s.Run()
 		st := s.EngineStats()
@@ -401,7 +400,7 @@ func TestSkipAccounting(t *testing.T) {
 		}
 	})
 	t.Run("SaturationNeverSkips", func(t *testing.T) {
-		s := newEngineSim(t, EdgeBuffers, 0.40)
+		s := newEngineSim(t, core.EB, 0.40)
 		s.cfg.DrainCycles = 500 // keep the saturated drain bounded
 		s.Run()
 		st := s.EngineStats()
@@ -413,7 +412,7 @@ func TestSkipAccounting(t *testing.T) {
 		}
 	})
 	t.Run("CycleStepNeverSkips", func(t *testing.T) {
-		s := newEngineSim(t, EdgeBuffers, 0.002)
+		s := newEngineSim(t, core.EB, 0.002)
 		s.cfg.CycleStep = true
 		s.calendar = false
 		s.Run()
@@ -636,7 +635,7 @@ func TestWheelNextDue(t *testing.T) {
 // packets recycle through the freelist and active sets stay well below the
 // topology size at low load.
 func TestEngineStatsPopulated(t *testing.T) {
-	s := newEngineSim(t, EdgeBuffers, 0.02)
+	s := newEngineSim(t, core.EB, 0.02)
 	s.Run()
 	st := s.EngineStats()
 	if st.Cycles == 0 || st.PacketAllocs == 0 {
@@ -649,7 +648,7 @@ func TestEngineStatsPopulated(t *testing.T) {
 		t.Errorf("avg active routers %.1f out of (0, %d)", st.AvgActiveRouters, s.net.Nr)
 	}
 	if st.PeakCreditEvents == 0 {
-		t.Error("credit wheel never held an event under EdgeBuffers")
+		t.Error("credit wheel never held an event under edge buffers")
 	}
 	if st.PeakEjectEvents == 0 {
 		t.Error("ejection wheel never held an event")
@@ -680,16 +679,16 @@ func TestMemEstimateTracksNew(t *testing.T) {
 		}
 		type estCase struct {
 			name     string
-			scheme   BufferScheme
+			scheme   core.Scheme
 			adaptive AdaptivePolicy
 		}
-		cases := []estCase{{"ugal-l", EdgeBuffers, &UGAL{}}}
+		cases := []estCase{{"ugal-l", core.EB, &UGAL{}}}
 		for _, sc := range resetSchemes {
 			cases = append(cases, estCase{sc.name, sc.scheme, nil})
 		}
 		for _, sc := range cases {
 			t.Run(nc.name+"/"+sc.name, func(t *testing.T) {
-				cfg := Config{Net: net, Table: tab, Adaptive: sc.adaptive, VCs: 2, Scheme: sc.scheme, H: 9,
+				cfg := Config{Net: net, Table: tab, Adaptive: sc.adaptive, Buffers: core.Buffers{VCs: 2, Scheme: sc.scheme, H: 9},
 					Traffic: &bernoulliSource{n: net.N(), rate: 0.1, flits: 6}}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

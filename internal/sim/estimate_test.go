@@ -15,7 +15,7 @@ import (
 func estimateCfg(t testing.TB) sim.Config {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	return sim.Config{Net: net, Table: minTable(t, net, 2), VCs: 2}
+	return sim.Config{Net: net, Table: minTable(t, net, 2), Buffers: core.Buffers{VCs: 2}}
 }
 
 func TestEstimateLatenciesDeterministic(t *testing.T) {

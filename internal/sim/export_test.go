@@ -124,7 +124,8 @@ func (s *Sim) CheckBuffers() error {
 }
 
 // checkCB checks the central-buffer state: per router, the free slots plus
-// the slots every queued record still holds or expects make up CBCap; and
+// the slots every queued record still holds or expects make up its central
+// buffer; and
 // every input's decision belongs to the packet at its front — none for a
 // head before it decides (or for a packet ejecting here, which never
 // decides), the bypass mark only behind a head that took it, a record only
@@ -144,8 +145,8 @@ func (s *Sim) checkCB() error {
 				held += cp.stored + cp.expected
 			}
 		}
-		if free+held != int32(s.cfg.CBCap) {
-			return fmt.Errorf("router %d: %d CB slots free and %d held, capacity %d", r, free, held, s.cfg.CBCap)
+		if c := s.cfg.CentralCap(); free+held != int32(c) {
+			return fmt.Errorf("router %d: %d CB slots free and %d held, capacity %d", r, free, held, c)
 		}
 	}
 	for slot, cp := range s.cbIn {
@@ -184,6 +185,25 @@ func (s *Sim) FullBuffers() (inputs, injection int) {
 		}
 	}
 	return inputs, injection
+}
+
+// StorageFlits returns the flit storage New allocated for the routers and
+// links and the VC count it was allocated for: every input buffer's
+// capacity, every elastic lane's stall FIFO (its pipeline slots), and the
+// central buffers of a CBR network, read from a fresh or reset engine.
+func (s *Sim) StorageFlits() (flits, vcs int) {
+	for _, c := range s.inCap {
+		flits += int(c)
+	}
+	for _, f := range s.stall {
+		flits += int(f.size)
+	}
+	if s.cbq != nil {
+		for _, free := range s.cbFree {
+			flits += int(free)
+		}
+	}
+	return flits, s.vcs
 }
 
 // Domains returns the number of spatial domains the engine steps.

@@ -43,11 +43,9 @@ func TestGoldenMetricsCompactTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := sim.Config{
-					Net:    net,
-					Table:  tab,
-					VCs:    c.VCs,
-					Scheme: c.Scheme,
-					H:      c.H,
+					Net:     net,
+					Table:   tab,
+					Buffers: core.Buffers{VCs: c.VCs, Scheme: c.Scheme, H: c.H},
 					Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
 						Pattern: traffic.Uniform{N: net.N()}},
 					Seed:          c.Seed,
@@ -93,8 +91,7 @@ func TestGoldenWorkloadsCompactTable(t *testing.T) {
 			cfg := sim.Config{
 				Net:           net,
 				Table:         tab,
-				VCs:           2,
-				Scheme:        sim.EdgeBuffers,
+				Buffers:       core.Buffers{VCs: 2, Scheme: core.EB},
 				Traffic:       src,
 				Seed:          107,
 				WarmupCycles:  1000,
@@ -136,9 +133,7 @@ func TestGoldenIdleCompactTable(t *testing.T) {
 			cfg := sim.Config{
 				Net:           net,
 				Table:         tab,
-				VCs:           2,
-				Scheme:        c.Scheme,
-				H:             1,
+				Buffers:       core.Buffers{VCs: 2, Scheme: c.Scheme, H: 1},
 				Traffic:       idleSource(t, net.N(), c.Shape),
 				Seed:          107,
 				WarmupCycles:  500,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -61,7 +62,7 @@ func gridNets() []gridNet {
 type gridCase struct {
 	Name   string
 	Net    gridNet
-	Scheme sim.BufferScheme
+	Scheme core.Scheme
 	VCs    int
 	Rate   float64
 	H      int
@@ -73,8 +74,8 @@ func gridCases() []gridCase {
 	for _, gn := range gridNets() {
 		for _, sc := range []struct {
 			tag    string
-			scheme sim.BufferScheme
-		}{{"eb", sim.EdgeBuffers}, {"cbr", sim.CentralBuffer}} {
+			scheme core.Scheme
+		}{{"eb", core.EB}, {"cbr", core.CBR}} {
 			for _, vcs := range []int{2, 4} {
 				for _, rate := range []float64{0.04, 0.20} {
 					for _, h := range []int{1, 9} {
@@ -100,8 +101,8 @@ func adaptiveGridCases() []gridCase {
 	for _, policy := range []string{"ugal-l", "min-adapt"} {
 		for _, sc := range []struct {
 			tag    string
-			scheme sim.BufferScheme
-		}{{"eb", sim.EdgeBuffers}, {"cbr", sim.CentralBuffer}, {"el", sim.ElasticLinks}} {
+			scheme core.Scheme
+		}{{"eb", core.EB}, {"cbr", core.CBR}, {"el", core.EL}} {
 			for _, rate := range []float64{0.04, 0.20} {
 				cases = append(cases, gridCase{
 					Name: fmt.Sprintf("%s_%s_%s_v4_r%.2f_h1", fbf54.name, policy, sc.tag, rate),
@@ -130,8 +131,8 @@ func wideGridCases() []gridCase {
 	}{{nets[3], 10}, {fbf4, 10}, {nets[0], 20}} { // fbf54, fbf4, cm4
 		for _, sc := range []struct {
 			tag    string
-			scheme sim.BufferScheme
-		}{{"eb", sim.EdgeBuffers}, {"el", sim.ElasticLinks}, {"cbr", sim.CentralBuffer}} {
+			scheme core.Scheme
+		}{{"eb", core.EB}, {"el", core.EL}, {"cbr", core.CBR}} {
 			for _, h := range []int{1, 9} {
 				cases = append(cases, gridCase{
 					Name: fmt.Sprintf("%s_%s_v%d_r0.60_h%d", w.net.name, sc.tag, w.vcs, h),
@@ -154,9 +155,7 @@ func runGridCase(t *testing.T, c gridCase, jobs int) gridRecord {
 		Net:      net,
 		Table:    tab,
 		Adaptive: adaptivePolicy(c.Policy),
-		VCs:      c.VCs,
-		Scheme:   c.Scheme,
-		H:        c.H,
+		Buffers:  core.Buffers{VCs: c.VCs, Scheme: c.Scheme, H: c.H},
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed:          109,

@@ -32,7 +32,7 @@ const goldenIdlePath = "testdata/golden_idle.json"
 // an idle-heavy workload shape, on the SN q=5 p=4 subgroup network.
 type goldenIdleCase struct {
 	Name   string
-	Scheme sim.BufferScheme
+	Scheme core.Scheme
 	Shape  string // lowload | longoff | reqreply
 }
 
@@ -40,11 +40,11 @@ func goldenIdleCases() []goldenIdleCase {
 	var cases []goldenIdleCase
 	for _, sc := range []struct {
 		tag    string
-		scheme sim.BufferScheme
+		scheme core.Scheme
 	}{
-		{"eb", sim.EdgeBuffers},
-		{"cbr", sim.CentralBuffer},
-		{"el", sim.ElasticLinks},
+		{"eb", core.EB},
+		{"cbr", core.CBR},
+		{"el", core.EL},
 	} {
 		for _, shape := range []string{"lowload", "longoff", "reqreply"} {
 			cases = append(cases, goldenIdleCase{
@@ -90,9 +90,7 @@ func runGoldenIdleCase(t *testing.T, c goldenIdleCase, jobs int, cycleStep bool)
 	cfg := sim.Config{
 		Net:           net,
 		Table:         minTable(t, net, 2),
-		VCs:           2,
-		Scheme:        c.Scheme,
-		H:             1,
+		Buffers:       core.Buffers{VCs: 2, Scheme: c.Scheme, H: 1},
 		Traffic:       src,
 		Seed:          107,
 		EngineJobs:    jobs,

@@ -31,7 +31,7 @@ const goldenPath = "testdata/golden_results.json"
 // subgroup network (50 routers, 200 nodes) so fixture generation stays fast.
 type goldenCase struct {
 	Name   string
-	Scheme sim.BufferScheme
+	Scheme core.Scheme
 	H      int
 	Rate   float64
 	VCs    int
@@ -43,11 +43,11 @@ func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, sc := range []struct {
 		tag    string
-		scheme sim.BufferScheme
+		scheme core.Scheme
 	}{
-		{"eb", sim.EdgeBuffers},
-		{"cbr", sim.CentralBuffer},
-		{"el", sim.ElasticLinks},
+		{"eb", core.EB},
+		{"cbr", core.CBR},
+		{"el", core.EL},
 	} {
 		for _, h := range []int{1, 9} {
 			for _, rate := range []float64{0.05, 0.24} {
@@ -63,11 +63,11 @@ func goldenCases() []goldenCase {
 		}
 	}
 	return append(cases,
-		goldenCase{Name: "ugal_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-l", Seed: 103},
-		goldenCase{Name: "ugalg_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-g", Seed: 103},
-		goldenCase{Name: "ugalg_cbr_h9_r0.24", Scheme: sim.CentralBuffer, H: 9, Rate: 0.24, VCs: 4, Policy: "ugal-g", Seed: 103},
-		goldenCase{Name: "minadapt_h1_r0.10", Scheme: sim.EdgeBuffers, H: 1, Rate: 0.10, VCs: 2, Policy: "min-adapt", Seed: 103},
-		goldenCase{Name: "minadapt_el_h9_r0.24", Scheme: sim.ElasticLinks, H: 9, Rate: 0.24, VCs: 2, Policy: "min-adapt", Seed: 103},
+		goldenCase{Name: "ugal_h1_r0.10", Scheme: core.EB, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-l", Seed: 103},
+		goldenCase{Name: "ugalg_h1_r0.10", Scheme: core.EB, H: 1, Rate: 0.10, VCs: 4, Policy: "ugal-g", Seed: 103},
+		goldenCase{Name: "ugalg_cbr_h9_r0.24", Scheme: core.CBR, H: 9, Rate: 0.24, VCs: 4, Policy: "ugal-g", Seed: 103},
+		goldenCase{Name: "minadapt_h1_r0.10", Scheme: core.EB, H: 1, Rate: 0.10, VCs: 2, Policy: "min-adapt", Seed: 103},
+		goldenCase{Name: "minadapt_el_h9_r0.24", Scheme: core.EL, H: 9, Rate: 0.24, VCs: 2, Policy: "min-adapt", Seed: 103},
 	)
 }
 
@@ -91,11 +91,9 @@ func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	cfg := sim.Config{
-		Net:    net,
-		Table:  minTable(t, net, c.VCs),
-		VCs:    c.VCs,
-		Scheme: c.Scheme,
-		H:      c.H,
+		Net:     net,
+		Table:   minTable(t, net, c.VCs),
+		Buffers: core.Buffers{VCs: c.VCs, Scheme: c.Scheme, H: c.H},
 		Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
 			Pattern: traffic.Uniform{N: net.N()}},
 		Seed:          c.Seed,

@@ -58,8 +58,7 @@ func TestGoldenWorkloads(t *testing.T) {
 			cfg := sim.Config{
 				Net:           net,
 				Table:         minTable(t, net, 2),
-				VCs:           2,
-				Scheme:        sim.EdgeBuffers,
+				Buffers:       core.Buffers{VCs: 2, Scheme: core.EB},
 				Traffic:       src,
 				Seed:          107,
 				WarmupCycles:  1000,

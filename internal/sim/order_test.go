@@ -10,6 +10,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // checkLaneOrder asserts, between cycles, that every input VC's stream is in
@@ -81,8 +83,8 @@ func streamString(fs []flit) string {
 func TestLaneWormholeOrder(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
-		scheme BufferScheme
-	}{{"CBR", CentralBuffer}, {"EL", ElasticLinks}} {
+		scheme core.Scheme
+	}{{"CBR", core.CBR}, {"EL", core.EL}} {
 		for _, h := range []int{1, 9} {
 			t.Run(fmt.Sprintf("%s/H%d", sc.name, h), func(t *testing.T) {
 				cfg := newEngineSim(t, sc.scheme, 0.40).cfg

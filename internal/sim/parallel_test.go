@@ -21,7 +21,7 @@ var domainCounts = []int{1, 2, 4, 7}
 
 // runParallelCase builds the standard SN q=5 p=4 engine test network and
 // runs it to completion with the given domain count.
-func runParallelCase(t *testing.T, scheme BufferScheme, h, vcs, jobs int, mkSrc func(n int) Source, adaptive bool) (Result, EngineStats) {
+func runParallelCase(t *testing.T, scheme core.Scheme, h, vcs, jobs int, mkSrc func(n int) Source, adaptive bool) (Result, EngineStats) {
 	t.Helper()
 	sn, err := core.New(core.Params{Q: 5, P: 4})
 	if err != nil {
@@ -33,9 +33,7 @@ func runParallelCase(t *testing.T, scheme BufferScheme, h, vcs, jobs int, mkSrc 
 	}
 	cfg := Config{
 		Net:           net,
-		VCs:           vcs,
-		Scheme:        scheme,
-		H:             h,
+		Buffers:       core.Buffers{VCs: vcs, Scheme: scheme, H: h},
 		Traffic:       mkSrc(net.N()),
 		Seed:          211,
 		EngineJobs:    jobs,
@@ -71,16 +69,16 @@ func TestDomainParallelIdentity(t *testing.T) {
 	}
 	schemes := []struct {
 		name   string
-		scheme BufferScheme
+		scheme core.Scheme
 	}{
-		{"EB", EdgeBuffers},
-		{"CBR", CentralBuffer},
-		{"EL", ElasticLinks},
+		{"EB", core.EB},
+		{"CBR", core.CBR},
+		{"EL", core.EL},
 	}
 	for _, sc := range schemes {
 		for _, src := range sources {
 			sc, src := sc, src
-			if testing.Short() && (sc.scheme != EdgeBuffers && src.name != "bernoulli") {
+			if testing.Short() && (sc.scheme != core.EB && src.name != "bernoulli") {
 				continue // -short: EB x all sources, all schemes x bernoulli
 			}
 			t.Run(sc.name+"/"+src.name, func(t *testing.T) {
@@ -104,9 +102,9 @@ func TestDomainParallelIdentity(t *testing.T) {
 // maximise per-cycle cross-domain handoffs.
 func TestDomainParallelIdentitySMART(t *testing.T) {
 	mk := func(n int) Source { return &bernoulliSource{n: n, rate: 0.24, flits: 6} }
-	wantRes, wantEng := runParallelCase(t, EdgeBuffers, 9, 2, 1, mk, false)
+	wantRes, wantEng := runParallelCase(t, core.EB, 9, 2, 1, mk, false)
 	for _, jobs := range domainCounts[1:] {
-		gotRes, gotEng := runParallelCase(t, EdgeBuffers, 9, 2, jobs, mk, false)
+		gotRes, gotEng := runParallelCase(t, core.EB, 9, 2, jobs, mk, false)
 		if gotRes != wantRes {
 			t.Errorf("jobs=%d: Result diverged from serial\n got %+v\nwant %+v", jobs, gotRes, wantRes)
 		}
@@ -122,9 +120,9 @@ func TestDomainParallelIdentitySMART(t *testing.T) {
 // sequence and route choices must be unaffected by the domain count.
 func TestDomainParallelIdentityAdaptive(t *testing.T) {
 	mk := func(n int) Source { return &bernoulliSource{n: n, rate: 0.10, flits: 6} }
-	wantRes, wantEng := runParallelCase(t, EdgeBuffers, 1, 4, 1, mk, true)
+	wantRes, wantEng := runParallelCase(t, core.EB, 1, 4, 1, mk, true)
 	for _, jobs := range domainCounts[1:] {
-		gotRes, gotEng := runParallelCase(t, EdgeBuffers, 1, 4, jobs, mk, true)
+		gotRes, gotEng := runParallelCase(t, core.EB, 1, 4, jobs, mk, true)
 		if gotRes != wantRes {
 			t.Errorf("jobs=%d: Result diverged from serial\n got %+v\nwant %+v", jobs, gotRes, wantRes)
 		}
@@ -169,7 +167,7 @@ func TestEjectionOrderAcrossDomains(t *testing.T) {
 			src = &orderSource{bernoulliSource: bernoulliSource{n: n, rate: 0.02, flits: 6}}
 			return src
 		}
-		runParallelCase(t, EdgeBuffers, 1, 2, jobs, mk, false)
+		runParallelCase(t, core.EB, 1, 2, jobs, mk, false)
 		if want == nil {
 			want = src.log
 			sameCycle := 0
@@ -212,10 +210,9 @@ func TestDomainParallelEstimateIdentity(t *testing.T) {
 		transfers = append(transfers, Transfer{Src: (i * 7) % n, Dst: (i*13 + 5) % n, Flits: 2 + i%6})
 	}
 	cfg := Config{
-		Net:    net,
-		Table:  minTable(t, net, 2),
-		VCs:    2,
-		Scheme: EdgeBuffers,
+		Net:     net,
+		Table:   minTable(t, net, 2),
+		Buffers: core.Buffers{VCs: 2, Scheme: core.EB},
 	}
 	want, err := EstimateLatencies(cfg, transfers, 0)
 	if err != nil {
@@ -240,7 +237,7 @@ func TestDomainParallelEstimateIdentity(t *testing.T) {
 // allocates nothing either — wheels and ready lists retain their capacity,
 // and the barrier is two atomics.
 func TestSteadyStateZeroAllocsParallel(t *testing.T) {
-	s := newEngineSim(t, EdgeBuffers, 0.06)
+	s := newEngineSim(t, core.EB, 0.06)
 	// Rebuild with 4 domains on the same config.
 	cfg := s.cfg
 	cfg.EngineJobs = 4

@@ -162,8 +162,8 @@ func randomBatch(rng *rand.Rand, nodes, n int) []Transfer {
 
 var resetSchemes = []struct {
 	name   string
-	scheme BufferScheme
-}{{"eb", EdgeBuffers}, {"el", ElasticLinks}, {"cbr", CentralBuffer}}
+	scheme core.Scheme
+}{{"eb", core.EB}, {"el", core.EL}, {"cbr", core.CBR}}
 
 // resetTables returns the minimal routes' table compiled two ways: through
 // the builder (routing.NewTable) and straight from the sweep
@@ -187,7 +187,7 @@ func resetTables(t *testing.T, net *topo.Network) (dense, compact *routing.Route
 // a random intermediate for every packet; static routes never draw), so it is
 // the row that notices a reset that does not reseed.
 func ugalRow(net *topo.Network) Config {
-	return Config{Net: net, Adaptive: &UGAL{}, VCs: 4, Seed: 7}
+	return Config{Net: net, Adaptive: &UGAL{}, Buffers: core.Buffers{VCs: 4}, Seed: 7}
 }
 
 // TestResetEqualsFresh is the contract behind engine reuse: after any
@@ -203,7 +203,7 @@ func TestResetEqualsFresh(t *testing.T) {
 		for _, jobs := range []int{0, 4} {
 			for i, tab := range []*routing.RouteTable{dense, compact} {
 				rows[fmt.Sprintf("%s/jobs%d/compact=%v", sc.name, jobs, i == 1)] =
-					Config{Net: net, Table: tab, VCs: 2, Scheme: sc.scheme, EngineJobs: jobs, Seed: 7}
+					Config{Net: net, Table: tab, Buffers: core.Buffers{VCs: 2, Scheme: sc.scheme}, EngineJobs: jobs, Seed: 7}
 			}
 		}
 	}
@@ -258,7 +258,7 @@ func TestEpisodeEngineReuse(t *testing.T) {
 		for _, h := range []int{1, 9} {
 			for _, jobs := range []int{0, 3} {
 				rows[fmt.Sprintf("%s/H%d/jobs%d", sc.name, h, jobs)] =
-					Config{Net: net, Table: dense, VCs: 2, Scheme: sc.scheme, H: h, EngineJobs: jobs}
+					Config{Net: net, Table: dense, Buffers: core.Buffers{VCs: 2, Scheme: sc.scheme, H: h}, EngineJobs: jobs}
 			}
 		}
 	}

@@ -15,7 +15,11 @@
 
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/core"
+)
 
 // routerDelay is the router pipeline latency added to every traversal: the
 // paper's 2-stage edge-buffer pipeline and the CBR bypass path both take 2
@@ -64,7 +68,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	}
 
 	// 1. Central-buffer read port: drain at most one flit from the CB.
-	cbr := s.scheme == CentralBuffer
+	cbr := s.scheme == core.CBR
 	cbWrote := false
 	if cbr {
 		s.cbDrain(d, r)
@@ -83,7 +87,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// moved port's block, carrying into the next chunk (skip) when the
 	// block straddles it.
 	//
-	// A probe on the fast path (EdgeBuffers/elastic) reads the front flit's
+	// A probe on the fast path (edge buffers/elastic) reads the front flit's
 	// next-hop word and tests it against the conflict mask and the
 	// readiness word — dense scalar arrays; the rest of the flit is only
 	// read for the VC-ownership check and the move. The CBR probe keeps
@@ -400,7 +404,7 @@ func (s *Sim) cbDrain(d *domain, r int) {
 
 // outputReady checks VC ownership and downstream readiness for one flit at
 // per-VC output index vi. space already encodes the scheme (credits for
-// EdgeBuffers, link pipeline slots for elastic modes), so the check is two
+// edge buffers, link pipeline slots for elastic modes), so the check is two
 // contiguous loads and two compares.
 //
 //sim:hot
@@ -436,7 +440,7 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	if f.tail() {
 		s.outOwner[vi] = -1
 	}
-	//detlint:allow sharedread sender-exclusive decrement; the receiver's slot returns happen in the barrier-separated link phase (elastic) or the serial credit phase (EdgeBuffers)
+	//detlint:allow sharedread sender-exclusive decrement; the receiver's slot returns happen in the barrier-separated link phase (elastic) or the serial credit phase (edge buffers)
 	s.space[vi]--
 	if s.space[vi] < 0 {
 		panic("sim: negative output readiness")
@@ -464,7 +468,7 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 
 // popInput removes the head flit from input slot vi (= pv*vcs+vc, where pv =
 // r*stride+pi is the flat port index). Callers pass the indices they already
-// hold from the probe, so the pop recomputes nothing. Under EdgeBuffers the
+// hold from the probe, so the pop recomputes nothing. Under edge buffers the
 // freed slot returns a credit upstream through the domain's credit wheel.
 //
 //sim:hot
@@ -486,7 +490,7 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 		//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and r's occupancy words are only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
 		s.occIn[r*s.occW+(b>>6)] &^= 1 << uint(b&63)
 	}
-	if s.scheme == EdgeBuffers {
+	if s.scheme.EdgeBuffers() {
 		l := &s.links[s.inLink[pv]]
 		d.credit.schedule(s.now, s.now+l.latency, creditEvent{
 			router: int32(l.from),

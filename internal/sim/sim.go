@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -41,21 +42,6 @@ import (
 // tables; its outputs are pinned against generation 2 by the golden fixture
 // in testdata/golden_results.json.
 const EngineVersion = "sim-v3"
-
-// BufferScheme selects the router/link storage organisation (§5.1).
-type BufferScheme int
-
-// Buffering strategies evaluated in Fig. 11.
-const (
-	// EdgeBuffers: per-VC multi-flit input buffers, credit flow control.
-	EdgeBuffers BufferScheme = iota
-	// CentralBuffer: 1-flit input staging per VC plus a shared central
-	// buffer; elastic links provide in-flight storage.
-	CentralBuffer
-	// ElasticLinks: no input buffers beyond a 1-flit staging latch per VC;
-	// the link pipeline registers hold in-flight flits.
-	ElasticLinks
-)
 
 // maxVCs bounds Config.VCs: VC indices are packed into uint8 per-hop
 // assignments and historically into 6-bit central-buffer queue keys, so a
@@ -79,20 +65,14 @@ type Config struct {
 	// simulations — the campaign engine shares one per (network, routing,
 	// VCs) combination. Adaptive runs ignore Table.
 	Table *routing.RouteTable
-	VCs   int
 
-	Scheme BufferScheme
-	// EdgeBufCap returns the per-VC input-buffer capacity in flits for a
-	// link of the given Manhattan length (EdgeBuffers only). The paper's
-	// EB-Small/EB-Large use constants 5/15; EB-Var sizes each buffer for
-	// 100% utilisation of its wire.
-	EdgeBufCap func(dist int) int
-	// CBCap is the central-buffer capacity in flits (CentralBuffer only).
-	CBCap int
-
-	// H is the number of grid hops a flit traverses per link cycle: 1
-	// without SMART, ~9 with SMART at 45 nm (§5.1).
-	H int
+	// Buffers is the buffer plan New allocates from: the scheme, the VC
+	// count (0 selects 2), the grid hops H a flit traverses per link cycle
+	// (0 selects 1; ~9 with SMART at 45 nm, §5.1) and the capacity
+	// overrides. The 5-, 15- and RTT(d)-flit edge buffers and the 20-flit
+	// central buffer are core.Buffers' sizes; the power model prices the
+	// same plan.
+	core.Buffers
 
 	PacketFlits int   // flits per packet for synthetic traffic (paper: 6)
 	InjQueueCap int   // NIC injection queue capacity in flits (paper: 20)
@@ -216,20 +196,11 @@ func (c *Config) setDefaults() {
 	if c.VCs == 0 {
 		c.VCs = 2
 	}
-	if c.H == 0 {
-		c.H = 1
-	}
 	if c.PacketFlits == 0 {
 		c.PacketFlits = 6
 	}
 	if c.InjQueueCap == 0 {
 		c.InjQueueCap = 20
-	}
-	if c.EdgeBufCap == nil {
-		c.EdgeBufCap = func(int) int { return 5 }
-	}
-	if c.CBCap == 0 {
-		c.CBCap = 20
 	}
 	if c.WarmupCycles == 0 {
 		c.WarmupCycles = 5000
@@ -240,17 +211,6 @@ func (c *Config) setDefaults() {
 	if c.DrainCycles == 0 {
 		c.DrainCycles = 20000
 	}
-}
-
-// EdgeBufVar returns the EB-Var sizing function at h grid hops per cycle:
-// the minimal per-VC buffer for 100% utilisation of a wire of the given
-// length, δij/|VC| from §3.2.2. δij is Tij·|VC| flits at one flit per
-// cycle, so the VC count cancels and the per-VC share is the round trip
-// Tij = 2⌈dist/h⌉ + 3 itself (core.BufferModel.RTT). The engine passes
-// dist ≥ 1: it rounds a zero-length wire up to one hop.
-func EdgeBufVar(h int) func(dist int) int {
-	h = max(h, 1)
-	return func(dist int) int { return 2*((dist+h-1)/h) + 3 }
 }
 
 // packet is one in-flight packet. Packets are recycled through a freelist
@@ -330,7 +290,7 @@ type link struct {
 	pending  int // flits on the wire or stalled at its end (active-link signal)
 	// sendVB is the sender-side per-VC base index into Sim.space: the link
 	// occupies space[sendVB+vc] slots, returned as its flits land (elastic
-	// schemes; EdgeBuffers returns space through the credit wheel instead).
+	// schemes; edge buffers return space through the credit wheel instead).
 	sendVB int32
 	// recvVB is the receiver-side per-VC base index into the input arrays:
 	// the link delivers into input slot recvVB+vc.
@@ -407,7 +367,7 @@ type Sim struct {
 	// flits that landed on a full input latch or behind stalled flits. Its
 	// capacity is the lane's latency+1 pipeline slots: the sender's space
 	// word starts there and a slot returns only at deliver, so the flits on
-	// the wire and stalled never exceed it. Both are nil under EdgeBuffers,
+	// the wire and stalled never exceed it. Both are nil under edge buffers,
 	// whose credits guarantee room on arrival.
 	laneLast []int64
 	stall    []fifo
@@ -416,7 +376,7 @@ type Sim struct {
 	// SoA router state. Geometry (immutable after New):
 	stride  int // max router radix; per-port index stride
 	vcs     int // cfg.VCs, hoisted
-	scheme  BufferScheme
+	scheme  core.Scheme
 	kp      []int32 // [r] network port count
 	outLink []int32 // [r*stride+pi] link index of output pi
 	inLink  []int32 // [r*stride+pi] link arriving at input pi
@@ -445,14 +405,14 @@ type Sim struct {
 	occIn []uint64 // [r*occW+w]
 	occW  int      // ceil(stride*vcs/64): occupancy words per router
 	// space is the per-(port,vc) output readiness word: how many more flits
-	// this output can accept right now. For EdgeBuffers it is the classic
+	// this output can accept right now. For edge buffers it is the classic
 	// credit count (returned through the credit wheel); for elastic schemes
 	// it is the link pipeline's free slots (latency stages + 1 slave latch,
 	// returned when a flit lands at the receiver). outputReady is therefore
 	// one compare, with the scheme branch and the pointer chase into the
 	// link struct both gone from the arbitration inner loop.
 	space []int32 // [(r*stride+pi)*vcs+vc]
-	// Central-buffer state (CentralBuffer only): each output VC's queue of
+	// Central-buffer state (core.CBR only): each output VC's queue of
 	// buffered packets, and each input VC's decision for the packet at its
 	// front (§4.1), nil until its head decides. Wormhole order puts one
 	// packet at a time at an input's front, so the head sets the decision
@@ -690,7 +650,7 @@ func New(cfg Config) (*Sim, error) {
 	s.occIn = make([]uint64, nr*s.occW)
 	s.outOwner = make([]int64, nv)
 	s.space = make([]int32, nv)
-	if cfg.Scheme == CentralBuffer {
+	if cfg.Scheme == core.CBR {
 		s.cbq = make([]cbQueue, nv)
 		s.cbIn = make([]*cbPacket, nv)
 	}
@@ -705,7 +665,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.links = make([]link, 0, edges)
 	s.laneLast = make([]int64, edges*cfg.VCs)
-	if cfg.Scheme != EdgeBuffers {
+	if !cfg.Scheme.EdgeBuffers() {
 		s.stall = make([]fifo, edges*cfg.VCs)
 	}
 	maxLat := int64(1)
@@ -716,7 +676,8 @@ func New(cfg Config) (*Sim, error) {
 		for pi, nb := range adj {
 			// Input port pi at r receives from nb; find r's position in
 			// nb's adjacency to wire the reverse direction.
-			dist, lat := cfg.wire(r, nb)
+			dist := core.WireLength(s.net, r, nb)
+			lat := int64(cfg.LinkCycles(dist))
 			maxLat = max(maxLat, lat)
 			lid := len(s.links)
 			pos := portIndex(s.net.Adj[nb], r)
@@ -729,14 +690,14 @@ func New(cfg Config) (*Sim, error) {
 			s.outLink[nb*s.stride+pos] = int32(lid)
 			s.inLink[r*s.stride+pi] = int32(lid)
 			s.revPort[r*s.stride+pi] = int32(pos)
-			capFlits := cfg.inputCap(dist)
+			capFlits, latches := cfg.InputCap(dist), cfg.LatchCap(dist)
 			for v := 0; v < cfg.VCs; v++ {
 				s.inCap[vb+v] = int32(capFlits)
 				s.inOff[vb+v] = int32(slab)
 				slab += capFlits - 1
 				if s.stall != nil {
-					s.stall[lid*cfg.VCs+v] = fifo{off: int32(stallSlab), size: int32(lat) + 1}
-					stallSlab += int(lat) + 1
+					s.stall[lid*cfg.VCs+v] = fifo{off: int32(stallSlab), size: int32(latches)}
+					stallSlab += latches
 				}
 			}
 		}
@@ -819,9 +780,9 @@ func (s *Sim) reset() {
 	}
 	s.now = 0
 	// Router state: empty buffers, no wormhole owners, full readiness.
-	// EdgeBuffers outputs start with the peer input buffer's full credit
-	// count, elastic outputs with the link pipeline's slot count (latency
-	// stages + 1).
+	// Edge-buffer outputs start with the peer input buffer's full credit
+	// count, elastic outputs with the lane's pipeline slots (its stall
+	// FIFO's capacity, the plan's LatchCap).
 	clear(s.inHead)
 	clear(s.inLen)
 	clear(s.inFront)
@@ -829,7 +790,7 @@ func (s *Sim) reset() {
 	clear(s.cbq)
 	clear(s.cbIn)
 	for r := range s.cbFree {
-		s.cbFree[r] = int32(cfg.CBCap)
+		s.cbFree[r] = int32(cfg.CentralCap())
 	}
 	clear(s.work)
 	for i := range s.ejUsedAt {
@@ -838,14 +799,15 @@ func (s *Sim) reset() {
 	for r := range s.kp {
 		for pi := 0; pi < int(s.kp[r]); pi++ {
 			vb := (r*s.stride + pi) * s.vcs
-			l := &s.links[s.outLink[r*s.stride+pi]]
+			lid := int(s.outLink[r*s.stride+pi])
+			l := &s.links[lid]
 			peer := (l.to*s.stride + l.toPort) * s.vcs
 			for v := 0; v < s.vcs; v++ {
 				s.outOwner[vb+v] = -1
-				if s.scheme == EdgeBuffers {
+				if s.stall == nil {
 					s.space[vb+v] = s.inCap[peer+v]
 				} else {
-					s.space[vb+v] = int32(l.latency) + 1
+					s.space[vb+v] = s.stall[lid*s.vcs+v].size
 				}
 			}
 		}
@@ -884,26 +846,6 @@ func (s *Sim) reset() {
 	s.eng = engineCounters{}
 }
 
-// inputCap is the per-VC input buffer capacity in flits at the end of a link
-// of Manhattan length dist: EdgeBufCap's (at least 1) under EdgeBuffers, the
-// 1-flit input latch under the elastic schemes.
-func (c *Config) inputCap(dist int) int {
-	if c.Scheme != EdgeBuffers {
-		return 1
-	}
-	return max(c.EdgeBufCap(dist), 1)
-}
-
-// wire returns the Manhattan length of the link between routers a and b (1
-// without a layout) and its latency in cycles at H grid hops per cycle.
-func (c *Config) wire(a, b int) (dist int, lat int64) {
-	dist = 1
-	if c.Net.Coords != nil {
-		dist = max(topo.ManhattanDist(c.Net.Coords[a], c.Net.Coords[b]), 1)
-	}
-	return dist, max(int64((dist+c.H-1)/c.H), 1)
-}
-
 func portIndex(adj []int, target int) int {
 	for i, v := range adj {
 		if v == target {
@@ -920,7 +862,7 @@ func (s *Sim) InFlight() int64 { return s.inFlightFlits }
 
 // CBPathStats returns the number of flits that took the central-buffer
 // router's bypass path versus its buffered path (meaningful only for
-// Scheme == CentralBuffer).
+// Scheme == core.CBR).
 func (s *Sim) CBPathStats() (bypass, buffered int64) {
 	for di := range s.doms {
 		bypass += s.doms[di].bypass
@@ -1203,7 +1145,7 @@ func (s *Sim) nicWake(d *domain, node int) {
 }
 
 // stepCredits applies the credit returns due this cycle from every domain's
-// wheel (EdgeBuffers: each event restores one unit of output readiness at
+// wheel (edge buffers: each event restores one unit of output readiness at
 // the upstream router, so the order of returns does not matter).
 //
 //sim:hot

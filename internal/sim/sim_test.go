@@ -167,9 +167,9 @@ func TestSMARTReducesLatency(t *testing.T) {
 	net := snNetwork(t, 9, 8, core.LayoutBasic) // long wires
 	run := func(h int) float64 {
 		cfg := sim.Config{
-			Net:   net,
-			Table: minTable(t, net, 2),
-			H:     h,
+			Net:     net,
+			Table:   minTable(t, net, 2),
+			Buffers: core.Buffers{H: h},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.02, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 17,
@@ -190,18 +190,18 @@ func TestAllSchemesDeliver(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	for _, sc := range []struct {
 		name   string
-		scheme sim.BufferScheme
+		scheme core.Scheme
 	}{
-		{"EB", sim.EdgeBuffers},
-		{"CBR", sim.CentralBuffer},
-		{"EL", sim.ElasticLinks},
+		{"EB", core.EB},
+		{"CBR", core.CBR},
+		{"EL", core.EL},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sim.Config{
-				Net:    net,
-				Table:  minTable(t, net, 2),
-				Scheme: sc.scheme,
+				Net:     net,
+				Table:   minTable(t, net, 2),
+				Buffers: core.Buffers{Scheme: sc.scheme},
 				Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 					Pattern: traffic.Uniform{N: net.N()}},
 				Seed: 19,
@@ -289,7 +289,7 @@ func TestUGALDelivers(t *testing.T) {
 	for _, global := range []bool{false, true} {
 		cfg := sim.Config{
 			Net:      net,
-			VCs:      4,
+			Buffers:  core.Buffers{VCs: 4},
 			Adaptive: &sim.UGAL{Global: global},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Asymmetric{N: net.N()}},
@@ -371,11 +371,11 @@ func TestReplyGeneration(t *testing.T) {
 // latency comparable to edge buffers (within a few cycles).
 func TestCBRBypassLatency(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	run := func(scheme sim.BufferScheme) float64 {
+	run := func(scheme core.Scheme) float64 {
 		cfg := sim.Config{
-			Net:    net,
-			Table:  minTable(t, net, 2),
-			Scheme: scheme,
+			Net:     net,
+			Table:   minTable(t, net, 2),
+			Buffers: core.Buffers{Scheme: scheme},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.008, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 43,
@@ -384,7 +384,7 @@ func TestCBRBypassLatency(t *testing.T) {
 		_, res := runCfg(t, cfg)
 		return res.AvgLatency
 	}
-	eb, cbr := run(sim.EdgeBuffers), run(sim.CentralBuffer)
+	eb, cbr := run(core.EB), run(core.CBR)
 	if cbr > eb+6 {
 		t.Errorf("CBR zero-load latency %.1f too far above EB %.1f", cbr, eb)
 	}
@@ -466,8 +466,8 @@ func TestVCCountValidation(t *testing.T) {
 			Net: net,
 			// The table is compiled over the VC count under test (over 1
 			// for the negative count, which New refuses before the table).
-			Table: minTable(t, net, max(vcs, 1)),
-			VCs:   vcs,
+			Table:   minTable(t, net, max(vcs, 1)),
+			Buffers: core.Buffers{VCs: vcs},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 		})
@@ -490,9 +490,9 @@ func TestCBRPathStats(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	run := func(rate float64) (bypass, buffered int64) {
 		cfg := sim.Config{
-			Net:    net,
-			Table:  minTable(t, net, 2),
-			Scheme: sim.CentralBuffer,
+			Net:     net,
+			Table:   minTable(t, net, 2),
+			Buffers: core.Buffers{Scheme: core.CBR},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: rate, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 53,
@@ -525,7 +525,7 @@ func TestUGALDivertsUnderAdversarialLoad(t *testing.T) {
 		cfg := sim.Config{
 			Net:      net,
 			Table:    minTable(t, net, 4),
-			VCs:      4,
+			Buffers:  core.Buffers{VCs: 4},
 			Adaptive: policy,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.5, PacketFlits: 6,
 				Pattern: traffic.PatternByName("ADV2", net)},
@@ -606,19 +606,6 @@ func (m *mixedSource) Generate(tt int64, rng *rng.Stream, emit func(src, dst, fl
 func (m *mixedSource) OnDelivered(tt int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 }
 
-// TestEdgeBufVarIsRTT: the engine's EB-Var sizing and the §3.2.3 cost
-// model's round trip Tij are one formula.
-func TestEdgeBufVarIsRTT(t *testing.T) {
-	for _, h := range []int{1, 3, 9} {
-		size, m := sim.EdgeBufVar(h), core.BufferModel{H: h}
-		for d := 0; d <= 40; d++ {
-			if got, want := size(d), m.RTT(d); got != want {
-				t.Errorf("h=%d dist=%d: EdgeBufVar %d, RTT %d", h, d, got, want)
-			}
-		}
-	}
-}
-
 // TestEBVarBeatsEBSmallAtHighLoad: on long-wire layouts without SMART,
 // buffers sized for full utilisation (EB-Var) should reach at least the
 // throughput of 5-flit buffers (Fig. 11's EB-Small penalty).
@@ -627,11 +614,11 @@ func TestEBVarBeatsEBSmallAtHighLoad(t *testing.T) {
 		t.Skip("skipping SN-L high-load sweep in short mode")
 	}
 	net := snNetwork(t, 9, 8, core.LayoutBasic)
-	run := func(cap func(int) int) float64 {
+	run := func(scheme core.Scheme) float64 {
 		cfg := sim.Config{
-			Net:        net,
-			Table:      minTable(t, net, 2),
-			EdgeBufCap: cap,
+			Net:     net,
+			Table:   minTable(t, net, 2),
+			Buffers: core.Buffers{Scheme: scheme},
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.4, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
 			Seed: 71,
@@ -640,8 +627,8 @@ func TestEBVarBeatsEBSmallAtHighLoad(t *testing.T) {
 		_, res := runCfg(t, cfg)
 		return res.Throughput
 	}
-	small := run(func(int) int { return 5 })
-	varSized := run(sim.EdgeBufVar(1))
+	small := run(core.EB)
+	varSized := run(core.EBVar)
 	if varSized < small*0.98 {
 		t.Errorf("EB-Var throughput %.4f should not trail EB-Small %.4f", varSized, small)
 	}
@@ -686,7 +673,7 @@ func TestDefaultDomains(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(c.procs)
-			cfg := sim.Config{Net: c.net, Table: c.tab, VCs: 2,
+			cfg := sim.Config{Net: c.net, Table: c.tab, Buffers: core.Buffers{VCs: 2},
 				Traffic: &traffic.Synthetic{N: c.net.N(), Rate: 0.01, PacketFlits: 6,
 					Pattern: traffic.Uniform{N: c.net.N()}}}
 			s, err := sim.New(cfg)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/topo"
 	"repro/slimnoc"
 )
 
@@ -190,5 +191,60 @@ func TestEstimateWarmAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Fatalf("warm single-transfer Estimate allocates %.0f times, want <= 3", allocs)
+	}
+}
+
+// TestOneHopZeroLoad pins the zero-load cost of one hop on sn_subgr_200
+// without SMART, per wire length d (the network has no d = 10 link): a
+// 6-flit packet under EB-Small, whose 5-flit credit loop stalls the tail
+// once the wire's round trip exceeds it, and under the elastic schemes,
+// whose input latch adds no stall; and a 1-flit packet, which costs 5 + d
+// cycles under all three.
+func TestOneHopZeroLoad(t *testing.T) {
+	dists := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11}
+	sixFlits := map[string][]int64{
+		"eb":  {11, 13, 16, 19, 22, 25, 28, 31, 34, 40},
+		"el":  {13, 13, 14, 15, 15, 16, 17, 18, 19, 21},
+		"cbr": {13, 13, 14, 15, 15, 16, 17, 18, 19, 21},
+	}
+	net, _, err := slimnoc.BuildNetwork(slimnoc.NetworkSpec{Preset: "sn_subgr_200"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One router pair per wire length: the first link of that length.
+	pairs := map[int][2]int{}
+	for a, adj := range net.Adj {
+		for _, b := range adj {
+			d := topo.ManhattanDist(net.Coords[a], net.Coords[b])
+			if _, ok := pairs[d]; !ok {
+				pairs[d] = [2]int{a, b}
+			}
+		}
+	}
+	for scheme, want := range sixFlits {
+		e, err := slimnoc.NewEstimator(slimnoc.RunSpec{
+			Network:   slimnoc.NetworkSpec{Preset: "sn_subgr_200"},
+			Buffering: slimnoc.BufferingSpec{Scheme: scheme},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range dists {
+			p, ok := pairs[d]
+			if !ok {
+				t.Fatalf("no link of length %d", d)
+			}
+			src, dst := net.RouterNodes(p[0])[0], net.RouterNodes(p[1])[0]
+			res, err := e.Estimate([]slimnoc.Transfer{{Src: src, Dst: dst, Flits: 6}, {Src: dst, Dst: src, Flits: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Hops != 1 || res[0].LatencyCycles != want[i] {
+				t.Errorf("%s d=%d: 6 flits take %d cycles over %d hops, want %d over 1", scheme, d, res[0].LatencyCycles, res[0].Hops, want[i])
+			}
+			if res[1].Hops != 1 || res[1].LatencyCycles != int64(5+d) {
+				t.Errorf("%s d=%d: 1 flit takes %d cycles over %d hops, want %d over 1", scheme, d, res[1].LatencyCycles, res[1].Hops, 5+d)
+			}
+		}
 	}
 }

@@ -79,12 +79,10 @@ type routingAlg struct {
 	section string
 }
 
-// bufScheme is one buffer organisation a BufferingSpec can name.
+// bufScheme is one buffer organisation a BufferingSpec can name; its sizes
+// are the buffer plan's (core.Buffers).
 type bufScheme struct {
-	kind sim.BufferScheme
-	// edgeCap sizes the per-VC edge buffers by wire length for a spec at
-	// SMART hop factor h. Nil, or a nil result, keeps the engine default.
-	edgeCap func(b BufferingSpec, h int) func(dist int) int
+	scheme  core.Scheme
 	section string
 }
 
@@ -144,22 +142,12 @@ var routings = newNameTable("routing algorithm", map[string]routingAlg{
 	"min-adapt": {policy: &sim.MinAdaptive{}, section: "§6, Fig. 20 (minimal adaptive, XY-ADAPT analogue)"},
 }, nil)
 
-// fixedCap sizes every edge buffer at c flits.
-func fixedCap(c int) func(int) int { return func(int) int { return c } }
-
 var schemes = newNameTable("buffer scheme", map[string]bufScheme{
-	"eb": {sim.EdgeBuffers, func(b BufferingSpec, _ int) func(int) int {
-		if b.EdgeCap > 0 {
-			return fixedCap(b.EdgeCap)
-		}
-		return nil
-	}, "§5.1 (EB-Small: 5-flit per-VC edge buffers)"},
-	"eb-large": {sim.EdgeBuffers, func(BufferingSpec, int) func(int) int { return fixedCap(15) },
-		"§5.1 (EB-Large: 15-flit per-VC edge buffers)"},
-	"eb-var": {sim.EdgeBuffers, func(_ BufferingSpec, h int) func(int) int { return sim.EdgeBufVar(h) },
-		"§3.2.2 (EB-Var: wire-length-proportional buffers)"},
-	"el":  {sim.ElasticLinks, nil, "§4.2 (ElastiStore-style elastic links)"},
-	"cbr": {sim.CentralBuffer, nil, "§4.1 (central-buffer router, 2-cycle bypass)"},
+	"eb":       {core.EB, "§5.1 (EB-Small: 5-flit per-VC edge buffers)"},
+	"eb-large": {core.EBLarge, "§5.1 (EB-Large: 15-flit per-VC edge buffers)"},
+	"eb-var":   {core.EBVar, "§3.2.2 (EB-Var: wire-length-proportional buffers)"},
+	"el":       {core.EL, "§4.2 (ElastiStore-style elastic links)"},
+	"cbr":      {core.CBR, "§4.1 (central-buffer router, 2-cycle bypass)"},
 }, map[string]string{ // the historical snsim spellings
 	"eblarge": "eb-large",
 	"ebvar":   "eb-var",

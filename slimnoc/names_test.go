@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/routing"
-	"repro/internal/sim"
 )
 
 // casings returns a name in lower and upper case.
@@ -132,17 +132,17 @@ func TestNameResolutionSchemes(t *testing.T) {
 	cases := []struct {
 		scheme  string
 		edgeCap int
-		kind    sim.BufferScheme
-		caps    []int // per dists; nil = the engine default
+		kind    core.Scheme
+		caps    []int // per-VC input capacity per dists
 	}{
-		{"eb", 0, sim.EdgeBuffers, nil},
-		{"eb", 4, sim.EdgeBuffers, []int{4, 4, 4, 4, 4}},
-		{"eb-large", 0, sim.EdgeBuffers, []int{15, 15, 15, 15, 15}},
-		{"eblarge", 0, sim.EdgeBuffers, []int{15, 15, 15, 15, 15}},
-		{"eb-var", 0, sim.EdgeBuffers, []int{5, 5, 5, 9, 17}},
-		{"ebvar", 0, sim.EdgeBuffers, []int{5, 5, 5, 9, 17}},
-		{"el", 0, sim.ElasticLinks, nil},
-		{"cbr", 0, sim.CentralBuffer, nil},
+		{"eb", 0, core.EB, []int{5, 5, 5, 5, 5}},
+		{"eb", 4, core.EB, []int{4, 4, 4, 4, 4}},
+		{"eb-large", 0, core.EBLarge, []int{15, 15, 15, 15, 15}},
+		{"eblarge", 0, core.EBLarge, []int{15, 15, 15, 15, 15}},
+		{"eb-var", 0, core.EBVar, []int{5, 5, 5, 9, 17}},
+		{"ebvar", 0, core.EBVar, []int{5, 5, 5, 9, 17}},
+		{"el", 0, core.EL, []int{1, 1, 1, 1, 1}},
+		{"cbr", 0, core.CBR, []int{1, 1, 1, 1, 1}},
 	}
 	for _, c := range cases {
 		for _, s := range casings(c.scheme) {
@@ -160,14 +160,13 @@ func TestNameResolutionSchemes(t *testing.T) {
 				continue
 			}
 			var caps []int
-			if e.cfg.EdgeBufCap != nil {
-				for _, d := range dists {
-					caps = append(caps, e.cfg.EdgeBufCap(d))
-				}
+			for _, d := range dists {
+				caps = append(caps, e.cfg.InputCap(d))
 			}
-			if e.cfg.Scheme != c.kind || e.cfg.CBCap != 10 || !equalInts(caps, c.caps) {
-				t.Errorf("scheme %q edge_cap %d: kind %v caps %v cb %d, want %v %v 10",
-					s, c.edgeCap, e.cfg.Scheme, caps, e.cfg.CBCap, c.kind, c.caps)
+			want := core.Buffers{Scheme: c.kind, VCs: 2, H: 3, EdgeCap: c.edgeCap, CBCap: 10}
+			if e.cfg.Buffers != want || !equalInts(caps, c.caps) {
+				t.Errorf("scheme %q edge_cap %d: plan %+v caps %v, want %+v %v",
+					s, c.edgeCap, e.cfg.Buffers, caps, want, c.caps)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 )
 
@@ -150,10 +151,8 @@ func TestSchemeRegistryComplete(t *testing.T) {
 		if e.section == "" {
 			t.Errorf("%s: no paper section recorded", name)
 		}
-		if e.edgeCap == nil {
-			continue
-		}
-		if c := e.edgeCap(BufferingSpec{Scheme: name, CBCap: 10, EdgeCap: 4}, 9); c != nil && c(5) < 1 {
+		b := core.Buffers{Scheme: e.scheme, VCs: 2, H: 9}
+		if b.InputCap(5) < 1 || (!e.scheme.EdgeBuffers() && b.LatchCap(5) < 1) {
 			t.Errorf("%s: non-positive buffer capacity", name)
 		}
 	}

@@ -180,30 +180,19 @@ type Result struct {
 	Raw     sim.Result  `json:"-"`
 }
 
-// engineConfig resolves a normalized spec's routing algorithm and buffer
-// scheme into the sim.Config that Run and NewEstimator both start
-// from: VCs, hop factor, buffering and, for an adaptive algorithm, its
-// policy. The network, route table, traffic and phases are the caller's.
+// engineConfig resolves a normalized spec's buffer plan and routing
+// algorithm into the sim.Config that Run and NewEstimator both start from.
+// The network, route table, traffic and phases are the caller's.
 func engineConfig(spec RunSpec) (sim.Config, error) {
 	alg, err := routings.lookup(spec.Routing.Algorithm)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	bs, err := schemes.lookup(spec.Buffering.Scheme)
+	b, err := spec.BufferPlan()
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := sim.Config{
-		VCs:      spec.Routing.VCs,
-		Scheme:   bs.kind,
-		CBCap:    spec.Buffering.CBCap,
-		H:        spec.HopsPerCycle(),
-		Adaptive: alg.policy,
-	}
-	if bs.edgeCap != nil {
-		cfg.EdgeBufCap = bs.edgeCap(spec.Buffering, cfg.H)
-	}
-	return cfg, nil
+	return sim.Config{Buffers: b, Adaptive: alg.policy}, nil
 }
 
 // run executes the spec on the supplied network, or on the one the spec

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // RunSpec is the declarative description of one simulation run. It is
@@ -90,9 +92,11 @@ type BufferingSpec struct {
 	// ebvar are accepted spellings of eb-large and eb-var).
 	Scheme string `json:"scheme,omitempty"`
 	// EdgeCap overrides the per-VC edge-buffer capacity in flits (eb only;
-	// 0 = the scheme's default).
+	// 0 = EB-Small's 5 flits, the default of the buffer plan core.Buffers,
+	// see BufferPlan).
 	EdgeCap int `json:"edge_cap,omitempty"`
-	// CBCap is the central-buffer capacity in flits (cbr only; default 20).
+	// CBCap is the central-buffer capacity in flits (cbr only; 0 = the
+	// buffer plan's default of 20).
 	CBCap int `json:"cb_cap,omitempty"`
 }
 
@@ -284,6 +288,23 @@ func (s RunSpec) HopsPerCycle() int {
 		h = s.HopFactor
 	}
 	return h
+}
+
+// BufferPlan resolves the spec's buffer plan: its scheme, VC count, SMART
+// hop factor and capacity overrides. The engine allocates its buffers from
+// this plan and the power model prices its flits (core.Buffers), so a run
+// is priced as it was simulated. A negative capacity is an error.
+func (s RunSpec) BufferPlan() (core.Buffers, error) {
+	s = s.Normalized()
+	bs, err := schemes.lookup(s.Buffering.Scheme)
+	if err != nil {
+		return core.Buffers{}, err
+	}
+	if b := s.Buffering; b.EdgeCap < 0 || b.CBCap < 0 {
+		return core.Buffers{}, fmt.Errorf("slimnoc: buffering.edge_cap = %d, cb_cap = %d: capacities must be >= 0 (0 selects the default)", b.EdgeCap, b.CBCap)
+	}
+	return core.Buffers{Scheme: bs.scheme, VCs: s.Routing.VCs, H: s.HopsPerCycle(),
+		EdgeCap: s.Buffering.EdgeCap, CBCap: s.Buffering.CBCap}, nil
 }
 
 // Validate reports the first structural problem with the spec without

@@ -83,6 +83,8 @@ func TestValidate(t *testing.T) {
 		{"bad topology", func(s *RunSpec) { s.Network = NetworkSpec{Topology: "hypercube"} }, "topology"},
 		{"bad routing", func(s *RunSpec) { s.Routing.Algorithm = "magic" }, "routing"},
 		{"bad scheme", func(s *RunSpec) { s.Buffering.Scheme = "infinite" }, "scheme"},
+		{"negative cb_cap", func(s *RunSpec) { s.Buffering.CBCap = -3 }, "cb_cap = -3"},
+		{"negative edge_cap", func(s *RunSpec) { s.Buffering.EdgeCap = -1 }, "edge_cap = -1"},
 		{"bad pattern", func(s *RunSpec) { s.Traffic.Pattern = "xxx" }, "pattern"},
 	}
 	for _, c := range cases {
