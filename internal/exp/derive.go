@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/stats"
-	"repro/internal/topo"
 	"repro/slimnoc"
 )
 
@@ -30,15 +29,6 @@ func (r FigureRun) results(si int) ([]*slimnoc.Result, error) {
 		out[i] = p.Result
 	}
 	return out, nil
-}
-
-// network rebuilds a point's network for the analytical models.
-func network(res *slimnoc.Result) (*topo.Network, error) {
-	net, _, err := slimnoc.BuildNetwork(res.Spec.Network)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	return net, nil
 }
 
 // fmtLoad renders a load value compactly for row labels.

@@ -24,16 +24,39 @@ import (
 
 const flitBits = 128
 
-// priced returns a run's network and its buffer storage as the power model
-// prices it: the flits and VCs of the buffer plan the run's engine allocated
-// (slimnoc.RunSpec.BufferPlan).
-func priced(r *slimnoc.Result) (*topo.Network, power.BufferConfig, error) {
-	n, err := network(r)
+// pricedRun is one run with its network and its buffer storage as the
+// power model prices it: the flits and VCs of the buffer plan the run's
+// engine allocated (slimnoc.RunSpec.BufferPlan). A Derive prices each
+// result once and hands the pricedRun to every table and tech node.
+type pricedRun struct {
+	*slimnoc.Result
+	net *topo.Network
+	buf power.BufferConfig
+}
+
+// priced rebuilds a run's network and prices its buffers.
+func priced(r *slimnoc.Result) (pricedRun, error) {
+	n, _, err := slimnoc.BuildNetwork(r.Spec.Network)
 	if err != nil {
-		return nil, power.BufferConfig{}, err
+		return pricedRun{}, fmt.Errorf("exp: %w", err)
 	}
 	b, err := r.Spec.BufferPlan()
-	return n, power.Buffers(n, b, flitBits), err
+	if err != nil {
+		return pricedRun{}, err
+	}
+	return pricedRun{Result: r, net: n, buf: power.Buffers(n, b, flitBits)}, nil
+}
+
+// pricedAll prices every run of a sweep.
+func pricedAll(res []*slimnoc.Result) ([]pricedRun, error) {
+	out := make([]pricedRun, len(res))
+	for i, r := range res {
+		var err error
+		if out[i], err = priced(r); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // The analytic figures (Figs. 3, 5 and 15, §5.5) price the §3.2.2 EB-Var
@@ -156,7 +179,7 @@ func fig3Point(n int) *fig3Nets {
 // areaPowerTables renders per-node area / static / dynamic power for an
 // activity grid's networks under one tech node, each priced as its run was
 // simulated (priced). The runs share one traffic pattern and load.
-func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech) ([]*stats.Table, error) {
+func areaPowerTables(runs []pricedRun, idPrefix, title string, t power.Tech) []*stats.Table {
 	area := &stats.Table{
 		ID:     idPrefix + "-area",
 		Title:  title + " — area/node [cm^2]",
@@ -170,25 +193,22 @@ func areaPowerTables(res []*slimnoc.Result, idPrefix, title string, t power.Tech
 	dyn := &stats.Table{
 		ID: idPrefix + "-dynamic",
 		Title: fmt.Sprintf("%s — dynamic power/node [W] (%s, load %g)", title,
-			strings.ToUpper(res[0].Spec.Traffic.Pattern), res[0].Spec.Traffic.Rate),
+			strings.ToUpper(runs[0].Spec.Traffic.Pattern), runs[0].Spec.Traffic.Rate),
 		Header: []string{"network", "buffers", "crossbars", "wires", "total"},
 	}
-	for _, r := range res {
-		n, buf, err := priced(r)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range runs {
+		n := r.net
 		name := cmp.Or(r.Spec.Network.Preset, n.Name)
-		a := power.Area(n, buf, t).PerNodeCM2(n.N())
+		a := power.Area(n, r.buf, t).PerNodeCM2(n.N())
 		area.AddRowF(name, a.IRouters, a.ARouters, a.RRWires, a.RNWires, a.Total())
-		s := power.Static(n, buf, t)
+		s := power.Static(n, r.buf, t)
 		nn := float64(n.N())
 		stat.AddRowF(name, s.Routers/nn, s.Wires/nn, s.Total()/nn)
 		act := power.ActivityOf(n, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
 		d := power.Dynamic(act, t)
 		dyn.AddRowF(name, d.Buffers/nn, d.Crossbars/nn, d.Wires/nn, d.Total()/nn)
 	}
-	return []*stats.Table{area, stat, dyn}, nil
+	return []*stats.Table{area, stat, dyn}
 }
 
 // bothTechs renders an activity grid's area/power tables at 45 and 22 nm.
@@ -197,14 +217,14 @@ func bothTechs(r FigureRun, id, title string) ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	runs, err := pricedAll(res)
+	if err != nil {
+		return nil, err
+	}
 	var out []*stats.Table
 	for _, t := range techs {
-		tables, err := areaPowerTables(res, fmt.Sprintf("%s-%s", id, t.Name),
-			fmt.Sprintf(title, t.Name), t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tables...)
+		out = append(out, areaPowerTables(runs, fmt.Sprintf("%s-%s", id, t.Name),
+			fmt.Sprintf(title, t.Name), t)...)
 	}
 	return out, nil
 }
@@ -311,8 +331,11 @@ func fig19(o Options) Figure {
 			if err != nil {
 				return nil, err
 			}
-			pow, err := areaPowerTables(res, "fig19bc", "N=54, SMART, 45nm (Fig. 19b/c)", power.Tech45())
-			return append(lat, pow...), err
+			runs, err := pricedAll(res)
+			if err != nil {
+				return nil, err
+			}
+			return append(lat, areaPowerTables(runs, "fig19bc", "N=54, SMART, 45nm (Fig. 19b/c)", power.Tech45())...), nil
 		},
 		Claims: []Claim{lowerInRow("sn-below-t2d", "At N=54 SN's latency is below the torus's (~15% lower; Fig. 19a, §5.6)",
 			"fig19a", "0.008", "sn_subgr_54", "t2d54")},
@@ -322,15 +345,11 @@ func fig19(o Options) Figure {
 // throughputPerPower computes the §5.4 metric of one activity run: the
 // flits delivered per joule at the run's accepted throughput, with static
 // power priced as the run was simulated (priced).
-func throughputPerPower(r *slimnoc.Result, t power.Tech) (float64, error) {
-	n, buf, err := priced(r)
-	if err != nil {
-		return 0, err
-	}
-	st := power.Static(n, buf, t)
-	act := power.ActivityOf(n, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
+func throughputPerPower(r pricedRun, t power.Tech) float64 {
+	st := power.Static(r.net, r.buf, t)
+	act := power.ActivityOf(r.net, r.Metrics.Throughput, r.Metrics.AvgHops, t, flitBits)
 	dy := power.Dynamic(act, t)
-	return power.ThroughputPerPower(act.FlitsPerCycle, n.CycleTimeNs, st, dy), nil
+	return power.ThroughputPerPower(act.FlitsPerCycle, r.net.CycleTimeNs, st, dy)
 }
 
 // fig1bc is Fig. 1b/c: throughput per power at N = 1296 for 45 and 22 nm.
@@ -350,16 +369,12 @@ func fig1bc(o Options) Figure {
 				Title:  "Throughput/Power [flits/J], RND at saturation, N=1296 (Fig. 1b/c)",
 				Header: []string{"network", "45nm", "22nm"},
 			}
-			for _, p := range res {
-				tp45, err := throughputPerPower(p, power.Tech45())
-				if err != nil {
-					return nil, err
-				}
-				tp22, err := throughputPerPower(p, power.Tech22())
-				if err != nil {
-					return nil, err
-				}
-				t.AddRowF(p.Spec.Network.Preset, tp45, tp22)
+			runs, err := pricedAll(res)
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range runs {
+				t.AddRowF(p.Spec.Network.Preset, throughputPerPower(p, power.Tech45()), throughputPerPower(p, power.Tech22()))
 			}
 			return []*stats.Table{t}, nil
 		},
@@ -391,18 +406,16 @@ func tab5(o Options) Figure {
 				Title:  "SN throughput/power advantage (RND) (Table 5)",
 				Header: []string{"tech", "vs", "SN_gain_%"},
 			}
+			runs, err := pricedAll(res)
+			if err != nil {
+				return nil, err
+			}
 			for _, tech := range techs {
 				first := 0
 				for _, g := range groups {
-					sn, err := throughputPerPower(res[first], tech)
-					if err != nil {
-						return nil, err
-					}
+					sn := throughputPerPower(runs[first], tech)
 					for i, b := range g[1:] {
-						base, err := throughputPerPower(res[first+1+i], tech)
-						if err != nil {
-							return nil, err
-						}
+						base := throughputPerPower(runs[first+1+i], tech)
 						gain := 0.0
 						if base > 0 {
 							gain = (sn/base - 1) * 100
@@ -466,18 +479,15 @@ func PowerTables(ctx context.Context, spec slimnoc.RunSpec, tech string) ([]*sta
 		return nil, fmt.Errorf("exp: unknown tech %q (have 45nm, 22nm)", tech)
 	}
 	t := techs[i]
-	r, err := slimnoc.Run(ctx, spec)
+	res, err := slimnoc.Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	n, buf, err := priced(r)
+	r, err := priced(res)
 	if err != nil {
 		return nil, err
 	}
-	tpp, err := throughputPerPower(r, t)
-	if err != nil {
-		return nil, err
-	}
+	n := r.net
 	name := cmp.Or(r.Spec.Network.Preset, n.Name)
 	title := fmt.Sprintf("%s, %s", name, t.Name)
 	if r.Spec.SMART {
@@ -488,7 +498,6 @@ func PowerTables(ctx context.Context, spec slimnoc.RunSpec, tech string) ([]*sta
 		Title:  title + " — network and throughput/power",
 		Header: []string{"network", "Nr", "N", "k'", "buffer_flits", "accepted", "flits_per_J"},
 	}
-	sum.AddRowF(name, n.Nr, n.N(), n.NetworkRadix(), buf.TotalFlits, r.Metrics.Throughput, tpp)
-	tables, err := areaPowerTables([]*slimnoc.Result{r}, "power", title, t)
-	return append([]*stats.Table{sum}, tables...), err
+	sum.AddRowF(name, n.Nr, n.N(), n.NetworkRadix(), r.buf.TotalFlits, r.Metrics.Throughput, throughputPerPower(r, t))
+	return append([]*stats.Table{sum}, areaPowerTables([]pricedRun{r}, "power", title, t)...), nil
 }

@@ -49,17 +49,14 @@ func TestPricesTheSimulatedDesign(t *testing.T) {
 				Metrics: slimnoc.Metrics{Throughput: 0.2, AvgHops: 2.5},
 			}
 			buf := power.Buffers(n, c.want, flitBits)
-			if _, got, err := priced(r); err != nil || got != buf {
-				t.Errorf("priced = %+v, %v; want %+v", got, err, buf)
+			p, err := priced(r)
+			if err != nil || p.buf != buf {
+				t.Fatalf("priced = %+v, %v; want %+v", p.buf, err, buf)
 			}
 			act := power.ActivityOf(n, 0.2, 2.5, t45, flitBits)
 			want := power.ThroughputPerPower(act.FlitsPerCycle, n.CycleTimeNs,
 				power.Static(n, buf, t45), power.Dynamic(act, t45))
-			got, err := throughputPerPower(r, t45)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
+			if got := throughputPerPower(p, t45); got != want {
 				t.Errorf("throughputPerPower = %g, want %g", got, want)
 			}
 		})

@@ -66,11 +66,11 @@ func sensSizes(o Options) Figure {
 				}
 				names := []string{s.sn, fmt.Sprintf("t2d_%d", s.n), fmt.Sprintf("fbf_%d", s.n)}
 				for i, p := range res {
-					n, buf, err := priced(p)
+					pr, err := priced(p)
 					if err != nil {
 						return nil, err
 					}
-					area := power.Area(n, buf, t45).Total()
+					area := power.Area(pr.net, pr.buf, t45).Total()
 					t.AddRowF(s.n, names[i], p.Network.NetworkRadix, p.Metrics.AvgLatencyCycles,
 						p.Metrics.AvgLatencyNs, area)
 				}

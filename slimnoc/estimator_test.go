@@ -1,6 +1,7 @@
 package slimnoc_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -194,6 +195,26 @@ func TestEstimateWarmAllocs(t *testing.T) {
 	}
 }
 
+// oneHopPairs returns, per wire length d of sn_subgr_200, one pair of
+// nodes whose routers are joined by the first link of that length.
+func oneHopPairs(t *testing.T) map[int][2]int {
+	t.Helper()
+	net, _, err := slimnoc.BuildNetwork(slimnoc.NetworkSpec{Preset: "sn_subgr_200"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[int][2]int{}
+	for a, adj := range net.Adj {
+		for _, b := range adj {
+			d := topo.ManhattanDist(net.Coords[a], net.Coords[b])
+			if _, ok := pairs[d]; !ok {
+				pairs[d] = [2]int{net.RouterNodes(a)[0], net.RouterNodes(b)[0]}
+			}
+		}
+	}
+	return pairs
+}
+
 // TestOneHopZeroLoad pins the zero-load cost of one hop on sn_subgr_200
 // without SMART, per wire length d (the network has no d = 10 link): a
 // 6-flit packet under EB-Small, whose 5-flit credit loop stalls the tail
@@ -207,20 +228,7 @@ func TestOneHopZeroLoad(t *testing.T) {
 		"el":  {13, 13, 14, 15, 15, 16, 17, 18, 19, 21},
 		"cbr": {13, 13, 14, 15, 15, 16, 17, 18, 19, 21},
 	}
-	net, _, err := slimnoc.BuildNetwork(slimnoc.NetworkSpec{Preset: "sn_subgr_200"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One router pair per wire length: the first link of that length.
-	pairs := map[int][2]int{}
-	for a, adj := range net.Adj {
-		for _, b := range adj {
-			d := topo.ManhattanDist(net.Coords[a], net.Coords[b])
-			if _, ok := pairs[d]; !ok {
-				pairs[d] = [2]int{a, b}
-			}
-		}
-	}
+	pairs := oneHopPairs(t)
 	for scheme, want := range sixFlits {
 		e, err := slimnoc.NewEstimator(slimnoc.RunSpec{
 			Network:   slimnoc.NetworkSpec{Preset: "sn_subgr_200"},
@@ -234,8 +242,7 @@ func TestOneHopZeroLoad(t *testing.T) {
 			if !ok {
 				t.Fatalf("no link of length %d", d)
 			}
-			src, dst := net.RouterNodes(p[0])[0], net.RouterNodes(p[1])[0]
-			res, err := e.Estimate([]slimnoc.Transfer{{Src: src, Dst: dst, Flits: 6}, {Src: dst, Dst: src, Flits: 1}})
+			res, err := e.Estimate([]slimnoc.Transfer{{Src: p[0], Dst: p[1], Flits: 6}, {Src: p[1], Dst: p[0], Flits: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,6 +251,90 @@ func TestOneHopZeroLoad(t *testing.T) {
 			}
 			if res[1].Hops != 1 || res[1].LatencyCycles != int64(5+d) {
 				t.Errorf("%s d=%d: 1 flit takes %d cycles over %d hops, want %d over 1", scheme, d, res[1].LatencyCycles, res[1].Hops, 5+d)
+			}
+		}
+	}
+}
+
+// TestFlitDoubling is the metamorphic companion of TestOneHopZeroLoad:
+// doubling a packet from f to 2f flits must delay its arrival by exactly
+// f cycles, one per added flit, wherever no credit stall intervenes. EB-Var
+// sizes every input buffer to its wire's credit round trip, so under it the
+// rule holds on every one-hop wire length and on multi-hop routes, with and
+// without SMART. Under the elastic schemes it does not: the increments
+// pinned below (found, not intended) run near 1.5 cycles per added flit on
+// the shortest wire, as if the elastic credit window were shorter than its
+// round trip there.
+func TestFlitDoubling(t *testing.T) {
+	flits := []int{1, 2, 3, 4, 6, 8, 12, 16}
+	pairs := oneHopPairs(t)
+	estimator := func(scheme string, smart bool) *slimnoc.Estimator {
+		e, err := slimnoc.NewEstimator(slimnoc.RunSpec{
+			Network:   slimnoc.NetworkSpec{Preset: "sn_subgr_200"},
+			Buffering: slimnoc.BufferingSpec{Scheme: scheme},
+			SMART:     smart,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// increments returns latency(2f) − latency(f) for each f, each packet
+	// alone on the idle network.
+	increments := func(e *slimnoc.Estimator, src, dst int, fs []int) []int64 {
+		latency := func(f int) int64 {
+			res, err := e.Estimate([]slimnoc.Transfer{{Src: src, Dst: dst, Flits: f}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res[0].LatencyCycles
+		}
+		inc := make([]int64, len(fs))
+		for i, f := range fs {
+			inc[i] = latency(2*f) - latency(f)
+		}
+		return inc
+	}
+	for _, smart := range []bool{false, true} {
+		e := estimator("eb-var", smart)
+		for _, d := range []int{1, 2, 3, 5, 8, 11} {
+			p := pairs[d]
+			for i, inc := range increments(e, p[0], p[1], flits) {
+				if inc != int64(flits[i]) {
+					t.Errorf("eb-var smart=%v d=%d: %d → %d flits adds %d cycles, want %d", smart, d, flits[i], 2*flits[i], inc, flits[i])
+				}
+			}
+		}
+		for dst := 7; dst < 200; dst += 7 {
+			fs := []int{1, 3, 6}
+			for i, inc := range increments(e, 0, dst, fs) {
+				if inc != int64(fs[i]) {
+					t.Errorf("eb-var smart=%v 0→%d: %d → %d flits adds %d cycles, want %d", smart, dst, fs[i], 2*fs[i], inc, fs[i])
+				}
+			}
+		}
+	}
+
+	found := []struct {
+		d     int
+		smart bool
+		want  []int64
+	}{
+		{1, false, []int64{1, 3, 4, 6, 9, 12, 18, 24}},
+		{1, true, []int64{1, 3, 4, 6, 9, 12, 18, 24}},
+		{11, false, []int64{1, 2, 3, 4, 6, 9, 13, 17}},
+	}
+	for _, scheme := range []string{"el", "cbr"} {
+		for _, smart := range []bool{false, true} {
+			e := estimator(scheme, smart)
+			for _, fr := range found {
+				if fr.smart != smart {
+					continue
+				}
+				p := pairs[fr.d]
+				if got := increments(e, p[0], p[1], flits); !slices.Equal(got, fr.want) {
+					t.Errorf("%s smart=%v d=%d: doubling f = %v adds %v cycles, pinned as found %v", scheme, smart, fr.d, flits, got, fr.want)
+				}
 			}
 		}
 	}

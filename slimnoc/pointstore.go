@@ -58,7 +58,9 @@ func PointKey(spec RunSpec) (store.Key, error) {
 //
 // Cached results are decoded from JSON, so their Raw simulator block
 // (Result.Raw, excluded from serialization) is zero; consumers of Raw
-// should run without a store. A store may be shared across campaigns and
+// should run without a store. A hit decodes every stored member except the
+// spec, which is never read: the hit carries the requested spec, whose
+// label may differ from the stored one. A store may be shared across campaigns and
 // sweeps: keys hash the full point identity, so only genuinely identical
 // points are deduplicated. Failed or cancelled points are never stored.
 //
@@ -72,6 +74,19 @@ func PointKey(spec RunSpec) (store.Key, error) {
 func WithStore(st *store.Store) CampaignOption {
 	return func(c *Campaign) { c.store = st }
 }
+
+// storedResult decodes a stored Result into a Result whose Spec is already
+// set: its spec member shadows Result.Spec and skips the stored bytes, and
+// every other member decodes into the embedded Result.
+type storedResult struct {
+	*Result
+	Spec skipJSON `json:"spec"`
+}
+
+// skipJSON accepts any JSON value and keeps nothing of it.
+type skipJSON struct{}
+
+func (skipJSON) UnmarshalJSON([]byte) error { return nil }
 
 // execPoint runs one point through the store, when attached: a hit is
 // served as-is, a miss is simulated and persisted. Undecodable stored
@@ -88,14 +103,12 @@ func (c *Campaign) execPoint(ctx context.Context, i int, spec RunSpec, cache *ne
 		}
 		key = k
 		if raw, ok := c.store.Get(k); ok {
-			var res Result
-			if jerr := json.Unmarshal(raw, &res); jerr == nil {
-				// The stored Spec carries the label of whichever sweep
-				// computed the point first; restore the requested one so a
-				// resumed or cross-sweep hit is indistinguishable from a
-				// fresh run.
-				res.Spec = spec
-				return &res, true, nil
+			// The stored Spec carries the label of whichever sweep computed
+			// the point first; the hit keeps the requested one so a resumed
+			// or cross-sweep hit is indistinguishable from a fresh run.
+			res := &Result{Spec: spec}
+			if jerr := json.Unmarshal(raw, &storedResult{Result: res}); jerr == nil {
+				return res, true, nil
 			}
 		}
 	}

@@ -14,6 +14,21 @@
 // from an incompatible engine generation never collide with current ones
 // (the engine version participates in the hash).
 //
+// # Replay
+//
+// Put writes each record as the line
+//
+//	{"key":"<key>","value":<value>}
+//
+// with the value compacted by encoding/json. Open reads a line of exactly
+// that shape in one pass over the file, without a decoder: it slices out
+// the key and the value and checks the value with json.Valid. Any other
+// line — extra whitespace, reordered or extra members, an escaped key — is
+// handed to the generic decoder, so a hand-edited or foreign line is read
+// as before; a line is dropped only when both readers reject it. The
+// values Get returns after Open alias the replayed file's bytes, which the
+// Store keeps for its lifetime.
+//
 // # Concurrency
 //
 // A Store is safe for concurrent use by any number of goroutines: every
@@ -28,7 +43,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -89,73 +103,126 @@ type Store struct {
 // into memory. Lines that fail to parse — a tail torn by a crash mid-append,
 // or corruption — are dropped and counted in Recovered, and the file is
 // compacted to its valid records so subsequent appends stay readable. When
-// the same key appears on multiple lines the last one wins.
+// the same key appears on multiple lines the last one wins. Replay is one
+// pass over the file's bytes (see the package doc): lines are split in place
+// on '\n', and a trailing '\r' is dropped as bufio.ScanLines does.
 func Open(path string) (*Store, error) {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", path, err)
 		}
 	}
-	s := &Store{path: path, index: make(map[Key]json.RawMessage)}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	var valid bytes.Buffer
-	if len(data) > 0 {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(nil, 64<<20)
-		complete := bytes.HasSuffix(data, []byte{'\n'})
-		var lines [][]byte
-		for sc.Scan() {
-			lines = append(lines, append([]byte(nil), sc.Bytes()...))
+	s := &Store{path: path, index: make(map[Key]json.RawMessage, bytes.Count(data, newline))}
+	// valid is the compacted file, built only once a line is dropped: the
+	// lines before the first drop are all kept, so it starts as their
+	// non-blank copy and grows by each later kept line.
+	var valid []byte
+	for start := 0; start < len(data); {
+		line, _, terminated := bytes.Cut(data[start:], newline)
+		lineStart := start
+		start += len(line) + 1
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", path, err)
+		key, value, ok := parseRecord(line)
+		if !ok || !terminated {
+			// An unreadable line is dropped. So is a final line without its
+			// newline: a torn append, whose bytes may be a prefix of a longer
+			// record that happens to parse. The point is simply recomputed.
+			if s.recovered == 0 {
+				valid = keptLines(data[:lineStart])
+			}
+			s.recovered++
+			continue
 		}
-		for i, line := range lines {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var r record
-			if err := json.Unmarshal(line, &r); err != nil || r.Key == "" || len(r.Value) == 0 {
-				s.recovered++
-				continue
-			}
-			if i == len(lines)-1 && !complete {
-				// A final line without its newline is a torn append: the
-				// bytes may be a prefix of a longer record that happens to
-				// parse. Drop it; the point is simply recomputed.
-				s.recovered++
-				continue
-			}
-			s.index[r.Key] = r.Value
-			valid.Write(line)
-			valid.WriteByte('\n')
+		s.index[key] = value
+		if s.recovered > 0 {
+			valid = append(append(valid, line...), '\n')
 		}
 	}
+	s.size = int64(len(data))
 	if s.recovered > 0 {
 		// Compact away the unreadable lines so the next reader sees a clean
 		// file. Write-then-rename keeps the store valid even if this
 		// recovery itself is interrupted.
 		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, valid.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(tmp, valid, 0o644); err != nil {
 			return nil, fmt.Errorf("store: recovering %s: %w", path, err)
 		}
 		if err := os.Rename(tmp, path); err != nil {
 			return nil, fmt.Errorf("store: recovering %s: %w", path, err)
 		}
+		s.size = int64(len(valid))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	s.f = f
-	s.size = int64(valid.Len())
-	if s.recovered == 0 {
-		s.size = int64(len(data))
-	}
 	return s, nil
+}
+
+var newline = []byte{'\n'}
+
+// parseRecord reads one non-blank line, with its '\r' already dropped. A
+// line of Put's shape whose value is one JSON document is sliced apart; any
+// other line goes to json.Unmarshal, so both readers accept the same lines
+// and return the same key and value.
+func parseRecord(line []byte) (Key, json.RawMessage, bool) {
+	if key, v, ok := cutPutLine(line); ok && json.Valid(v) {
+		return Key(key), v[:len(v):len(v)], true
+	}
+	var r record
+	if err := json.Unmarshal(line, &r); err != nil || r.Key == "" || len(r.Value) == 0 {
+		return "", nil, false
+	}
+	return r.Key, r.Value, true
+}
+
+// cutPutLine splits a line of the exact shape Put writes,
+// {"key":"<key>","value":<value>}, into its key and value. It accepts only a
+// non-empty key of printable ASCII without '"' or '\\', whose bytes are its
+// decoded form, and a value that neither starts nor ends with whitespace,
+// which, if it is one JSON document, is byte for byte what the decoder
+// returns.
+func cutPutLine(line []byte) (key, value []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	n := 0
+	for n < len(rest) && rest[n] >= 0x20 && rest[n] <= 0x7e && rest[n] != '"' && rest[n] != '\\' {
+		n++
+	}
+	if !ok || n == 0 {
+		return nil, nil, false
+	}
+	value, ok = bytes.CutPrefix(rest[n:], []byte(`","value":`))
+	if ok {
+		value, ok = bytes.CutSuffix(value, []byte{'}'})
+	}
+	if !ok || len(value) == 0 || isSpace(value[0]) || isSpace(value[len(value)-1]) {
+		return nil, nil, false
+	}
+	return rest[:n], value, true
+}
+
+// isSpace reports whether c is JSON insignificant whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// keptLines returns the non-blank lines of data, each with its '\r' dropped
+// and ended by '\n': the compacted form of lines that replay all kept.
+func keptLines(data []byte) []byte {
+	var out []byte
+	for line := range bytes.Lines(data) {
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, newline), []byte{'\r'})
+		if len(bytes.TrimSpace(line)) > 0 {
+			out = append(append(out, line...), '\n')
+		}
+	}
+	return out
 }
 
 // Get returns the stored value for key, if present. The returned bytes are
