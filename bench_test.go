@@ -58,25 +58,30 @@ func BenchmarkFigures(b *testing.B) {
 // at low, mid and high load, with and without SMART. Low and mid load are
 // where idle-scan waste dominated the pre-active-set engine; high and
 // saturated load are where per-flit router work dominates, which the SoA
-// state layout attacks. The engine picks its own domain count, which for
+// state layout attacks. sat-load-ugal runs the saturated point under
+// UGAL-L at 4 VCs, the one timing of adaptive routing's waypoint routes.
+// The engine picks its own domain count, which for
 // this 50-router network is one on any machine, so the numbers stay
 // comparable across machine shapes.
 func BenchmarkEngine(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		rate  float64
-		smart bool
+		name    string
+		rate    float64
+		smart   bool
+		routing slimnoc.RoutingSpec
 	}{
-		{"low-load", 0.008, true},
-		{"mid-load", 0.06, true},
-		{"high-load", 0.24, true},
-		{"sat-load", 0.40, true},
-		{"low-load-nosmart", 0.008, false},
+		{"low-load", 0.008, true, slimnoc.RoutingSpec{}},
+		{"mid-load", 0.06, true, slimnoc.RoutingSpec{}},
+		{"high-load", 0.24, true, slimnoc.RoutingSpec{}},
+		{"sat-load", 0.40, true, slimnoc.RoutingSpec{}},
+		{"sat-load-ugal", 0.40, true, slimnoc.RoutingSpec{Algorithm: "ugal-l", VCs: 4}},
+		{"low-load-nosmart", 0.008, false, slimnoc.RoutingSpec{}},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			spec := slimnoc.RunSpec{
 				Network: slimnoc.NetworkSpec{Preset: "sn_subgr_200"},
+				Routing: bc.routing,
 				Traffic: slimnoc.TrafficSpec{Pattern: "rnd", Rate: bc.rate},
 				SMART:   bc.smart,
 				Sim:     slimnoc.QuickSim(),

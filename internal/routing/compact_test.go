@@ -239,7 +239,7 @@ func TestCompactSelfAndBounds(t *testing.T) {
 	if path := compact.AppendPath(nil, 4, 4); !slices.Equal(path, []int{4}) {
 		t.Fatalf("self route: path %v", path)
 	}
-	if next := compact.AppendNextWords(nil, 4, 4); len(next) != 1 || next[0] != NextEject {
+	if next := walkWords(compact, nil, 4, 4, 0, 0); len(next) != 1 || next[0] != NextEject {
 		t.Fatalf("self route next = %v, want [NextEject]", next)
 	}
 	if NextEject != math.MaxUint32 {

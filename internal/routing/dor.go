@@ -64,12 +64,12 @@ func ringStep(cur, target, n int) int {
 }
 
 // ringWraps reports whether the shortest-direction segment from cur to
-// target on a ring of n crosses the wrap link between n-1 and 0. On a
-// two-router ring every move does: its one link joins 0 and n-1.
+// target, both in [0, n), on a ring of n crosses the wrap link between n-1
+// and 0. On a two-router ring every move does: its one link joins 0 and n-1.
 //
 //sim:hot
 func ringWraps(cur, target, n int) bool {
-	fwd := ((target-cur)%n + n) % n
+	fwd := (target - cur + n) % n
 	switch {
 	case fwd == 0:
 		return false

@@ -37,8 +37,8 @@ func builderWords(t testing.TB, net *topo.Network, pb router, vcs, src, dst int)
 }
 
 // checkTableMatchesBuilder holds every pair of a compiled table against its
-// builder's reference route: AppendNextWords equals the words derived from
-// Route, and AppendPath equals Route's path.
+// builder's reference route: the per-hop words (walkWords) equal the words
+// derived from Route, and AppendPath equals Route's path.
 func checkTableMatchesBuilder(t testing.TB, tab *RouteTable, net *topo.Network, pb router) {
 	t.Helper()
 	if tab.Nr() != net.Nr {
@@ -49,7 +49,7 @@ func checkTableMatchesBuilder(t testing.TB, tab *RouteTable, net *topo.Network, 
 	for src := 0; src < net.Nr; src++ {
 		for dst := 0; dst < net.Nr; dst++ {
 			want, wantPath := builderWords(t, net, pb, tab.NumVCs(), src, dst)
-			words = tab.AppendNextWords(words[:0], src, dst)
+			words = walkWords(tab, words[:0], src, dst, 0, 0)
 			path = tab.AppendPath(path[:0], src, dst)
 			if !slices.Equal(words, want) || !slices.Equal(path, wantPath) {
 				t.Fatalf("vcs=%d %d->%d: table walks %v with words %#x, builder routes %v with %#x",
@@ -138,7 +138,7 @@ func TestTorusDatelineVCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := tab.AppendNextWords(nil, 3, 12)
+	words := walkWords(tab, nil, 3, 12, 0, 0)
 	for i, w := range words[:len(words)-1] {
 		if vc := int(w&0xffff) % 2; vc != 1 {
 			t.Errorf("hop %d of 3->12 rides VC %d, want 1", i, vc)

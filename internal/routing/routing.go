@@ -1,20 +1,23 @@
 // Package routing computes the routes used by the simulator. The paper
 // evaluates static minimum routing computed with a shortest-path algorithm
 // (§5.1) plus, for the §6 study, UGAL-style adaptive routing built from
-// minimal and Valiant paths. A packet's route is fixed when it is queued:
-// one next-hop word per hop, naming the output port and the VC, with VCs
-// assigned so that the network is deadlock-free (ascending VC classes for
-// low-diameter networks, dimension order for meshes, datelines for tori).
+// minimal and Valiant paths. Each hop of a route is one next-hop word,
+// naming the output port and the VC, with VCs assigned so that the network
+// is deadlock-free (ascending VC classes for low-diameter networks,
+// dimension order for meshes, datelines for tori).
 //
 // Routes come from one form, the RouteTable (table.go): every route here is
 // next-hop-consistent, so the table is one output-port byte per (current
-// router, destination) pair, and the engine walks it per packet
-// (AppendNextWords), applying the algorithm's VC rule on the way. Adaptive
-// policies walk the generic minimal table the same way (AppendAscending,
-// Hops), once to a random intermediate and once on to the destination for a
-// Valiant route. That takes route construction out of the simulation hot
-// path and lets campaigns share one immutable table across concurrent runs
-// of the same (network, algorithm, VC count).
+// router, destination) pair, and a route is the table, its destination and
+// at most one waypoint. The engine asks the table for each hop's word when
+// the hop is taken (Next), which applies the algorithm's VC rule; nothing
+// per packet is stored. Adaptive policies read the generic minimal table:
+// a Valiant route heads for a random intermediate and then for the
+// destination, its VC classes ascending across the switch, and UGAL prices
+// its candidates by walking the table without storing them. That
+// takes route construction out of the simulation hot path and lets
+// campaigns share one immutable table across concurrent runs of the same
+// (network, algorithm, VC count).
 //
 // NewTable is the one constructor: it compiles the PathBuilder
 // NewRoutingFor picks, and every run's static table comes through it.

@@ -110,7 +110,7 @@ func TestAscendingVCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := tab.AppendNextWords(nil, 0, 4)
+	words := walkWords(tab, nil, 0, 4, 0, 0)
 	var vcs []int
 	for _, w := range words[:len(words)-1] {
 		vcs = append(vcs, int(w&0xffff)%2)
@@ -118,7 +118,7 @@ func TestAscendingVCs(t *testing.T) {
 	if want := []int{0, 1, 1, 1}; !slices.Equal(vcs, want) {
 		t.Fatalf("0->4 rides VCs %v, want %v", vcs, want)
 	}
-	if words := tab.AppendNextWords(nil, 3, 3); len(words) != 1 || words[0] != NextEject {
+	if words := walkWords(tab, nil, 3, 3, 0, 0); len(words) != 1 || words[0] != NextEject {
 		t.Errorf("a zero-hop route should be the lone eject word, got %#x", words)
 	}
 }
@@ -262,7 +262,7 @@ func TestMinimalRoutingBuilder(t *testing.T) {
 	if !pathValid(n, path) {
 		t.Fatalf("invalid %v", path)
 	}
-	words := tab.AppendNextWords(nil, 0, 49)
+	words := walkWords(tab, nil, 0, 49, 0, 0)
 	if len(words) != len(path) {
 		t.Fatalf("%d words for path %v", len(words), path)
 	}

@@ -1,16 +1,18 @@
 // Compiled route tables. Every static route this package builds is
 // next-hop-consistent — the path from src is src followed by the path from
 // its next hop — so a RouteTable is one output-port byte per (current router,
-// destination) pair plus a per-class VC rule applied while walking the bytes.
-// The table borrows the network's adjacency for the walk and is immutable
-// once built, so one table may back any number of concurrent simulations —
-// the campaign engine builds one per distinct (network, routing, VCs)
-// combination and reuses it for every point.
+// destination) pair plus a per-class VC rule. A route is the table, its
+// destination and at most one waypoint: Next computes each hop's word from
+// (current router, target, hop) when the hop is taken, and nothing per
+// packet is stored. The table borrows the network's adjacency for its walks
+// and is immutable once built, so one table may back any number of
+// concurrent simulations — the campaign engine builds one per distinct
+// (network, routing, VCs) combination and reuses it for every point.
 //
 // The VC rules (pinned pair by pair against the grid builders' reference
 // routes by the oracle tests):
 //   - ascending, min(hop, vcs-1): generic minimal routing (SN, Dragonfly,
-//     Clos, damaged networks) and FBF XY;
+//     Clos, damaged networks, the adaptive policies' routes) and FBF XY;
 //   - mesh XY: hop % vcs;
 //   - torus DOR: every hop of a dimension whose shortest-direction segment
 //     crosses the wrap link rides VC 1, the others VC 0;
@@ -28,13 +30,16 @@ import (
 // RouteTable is the compiled form of a static routing algorithm on one
 // network: cnh[cur*nr+dst] is the output port at cur toward dst (cnhNone
 // when cur == dst), walked through the borrowed adjacency. kind selects the
-// VC rule.
+// VC rule. at holds the routers' grid coordinates for the torus rule (x, y)
+// and the PFBF rule (column, partition column), which Next reads on every
+// hop instead of dividing router indices; nil for the other classes.
 type RouteTable struct {
 	nr   int
 	vcs  int
 	kind Kind
 	cnh  []uint8
 	adj  [][]int
+	at   [][2]int32
 }
 
 // cnhNone marks the pairs with no next hop, src == dst. Compilation caps
@@ -115,6 +120,15 @@ func compileGrid(net *topo.Network, kind Kind, vcs int, next func(cur, dst int) 
 		return nil, err
 	}
 	nr := net.Nr
+	if kind.Class == ClassTorus || kind.Class == ClassPFBF {
+		t.at = make([][2]int32, nr)
+		for r := range t.at {
+			t.at[r] = [2]int32{int32(r % kind.RX), int32(r / kind.RX)}
+			if kind.Class == ClassPFBF {
+				t.at[r][1] = int32(r / (kind.RX * kind.RY) % kind.PX)
+			}
+		}
+	}
 	port := make([]uint8, nr)
 	for i := range port {
 		port[i] = cnhNone
@@ -160,52 +174,50 @@ func (t *RouteTable) NumVCs() int { return t.vcs }
 func (t *RouteTable) Nr() int { return t.nr }
 
 // MemBytes returns the table's resident footprint, one byte per router
-// pair. Memory-budget enforcement (sim.Config.MemBudgetBytes) uses it to
-// account a shared table against a run's budget.
+// pair (a torus or PFBF table's coordinates add a negligible 8 bytes per
+// router). Memory-budget enforcement (sim.Config.MemBudgetBytes) uses it
+// to account a shared table against a run's budget.
 func (t *RouteTable) MemBytes() int64 { return int64(len(t.cnh)) }
 
-// port returns the output port at cur toward dst, for the hop-th hop of a
-// walk.
+// Port returns the output port at cur toward dst (cur != dst), the port of
+// Next's word, for the hop-th hop of a walk that reads only ports (Hops,
+// AppendPath, UGAL's pricing).
 //
 //sim:hot
-func (t *RouteTable) port(cur, dst, hop int) uint8 {
+func (t *RouteTable) Port(cur, dst, hop int) int {
 	if hop >= t.nr {
 		panic("routing: next-hop walk does not terminate (corrupt table or mutated adjacency)")
 	}
-	return t.cnh[cur*t.nr+dst]
+	return int(t.cnh[cur*t.nr+dst])
 }
 
-// AppendNextWords appends the NextEject-terminated next-hop words of the
-// src->dst route to next and returns it — all the simulator reads of a route
-// once a packet is queued (the hop count is len - 1). The VC rule is picked
-// once per route. Allocation-free once the buffer has reached its
-// high-water capacity. src == dst appends the lone NextEject.
+// Next returns the next-hop word of hop hop of the src->dst route at router
+// cur, NextEject when cur == dst: the table's port at cur toward dst and the
+// VC its class rule gives hop hop of a route from src. The word is a
+// function of those four alone, so the engine computes it at send time
+// instead of storing a route per packet; a waypoint route calls it toward
+// the waypoint first and toward the destination after, the hop count
+// running on across the switch.
 //
 //sim:hot
-func (t *RouteTable) AppendNextWords(next []uint32, src, dst int) []uint32 {
+func (t *RouteTable) Next(src, cur, dst, hop int) uint32 {
+	if cur == dst {
+		return NextEject
+	}
+	var vc int
 	switch t.kind.Class {
 	case ClassGeneric, ClassFBF:
-		next = t.AppendAscending(next, src, dst, 0)
+		vc = min(hop, t.vcs-1)
 	case ClassMesh:
-		for cur, hop := src, 0; cur != dst; hop++ {
-			p := t.port(cur, dst, hop)
-			next = append(next, NextWord(int(p), hop%t.vcs, t.vcs))
-			cur = t.adj[cur][p]
-		}
+		vc = hop % t.vcs
 	default: // torus, PFBF
 		xHops, xVC, yVC := t.phases(src, dst)
-		for cur, hop := src, 0; cur != dst; hop++ {
-			vc := yVC
-			if hop < xHops {
-				vc = xVC
-			}
-			p := t.port(cur, dst, hop)
-			next = append(next, NextWord(int(p), vc, t.vcs))
-			cur = t.adj[cur][p]
+		vc = yVC
+		if hop < xHops {
+			vc = xVC
 		}
 	}
-	next = append(next, NextEject)
-	return next
+	return NextWord(int(t.cnh[cur*t.nr+dst]), vc, t.vcs)
 }
 
 // phases splits a two-phase route (torus, PFBF) into its leading X hops and
@@ -213,22 +225,17 @@ func (t *RouteTable) AppendNextWords(next []uint32, src, dst int) []uint32 {
 //
 //sim:hot
 func (t *RouteTable) phases(src, dst int) (xHops, xVC, yVC int) {
-	k := t.kind
+	k, s, d := t.kind, t.at[src], t.at[dst]
+	x, dx := int(s[0]), int(d[0])
 	if k.Class == ClassTorus {
 		// Each dimension has its own dateline: a segment that crosses the
 		// wrap link rides VC 1 for all of its hops. The Y segment starts from
 		// src's row, which the X phase does not change.
-		x, dx := src%k.RX, dst%k.RX
-		fwd := ((dx-x)%k.RX + k.RX) % k.RX
-		return min(fwd, k.RX-fwd), b2i(ringWraps(x, dx, k.RX)), b2i(ringWraps(src/k.RX, dst/k.RX, k.RY))
+		fwd := (dx - x + k.RX) % k.RX
+		return min(fwd, k.RX-fwd), b2i(ringWraps(x, dx, k.RX)), b2i(ringWraps(int(s[1]), int(d[1]), k.RY))
 	}
 	// PFBF: the local column hop, then the partition ring steps, on VC 0.
-	part := k.RX * k.RY
-	xHops = (dst/part%k.PX - src/part%k.PX + k.PX) % k.PX
-	if src%k.RX != dst%k.RX {
-		xHops++
-	}
-	return xHops, 0, 1
+	return (int(d[1])-int(s[1])+k.PX)%k.PX + b2i(x != dx), 0, 1
 }
 
 //sim:hot
@@ -239,23 +246,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// AppendAscending appends the next-hop words of the src->dst route under
-// the ascending VC rule, counting the route's first hop as hop number hop,
-// and returns next. It appends no NextEject, so a caller may join segments:
-// a Valiant route's second segment starts at the first segment's hop count
-// and so continues its VC classes. The walk reads the table's bytes
-// whatever its kind; adaptive policies walk a generic table.
-//
-//sim:hot
-func (t *RouteTable) AppendAscending(next []uint32, src, dst, hop int) []uint32 {
-	for cur, step := src, 0; cur != dst; step++ {
-		p := t.port(cur, dst, step)
-		next = append(next, NextWord(int(p), min(hop+step, t.vcs-1), t.vcs))
-		cur = t.adj[cur][p]
-	}
-	return next
-}
-
 // Hops returns the hop count of the src->dst route: the distance, on the
 // minimal tables adaptive policies read.
 //
@@ -263,7 +253,7 @@ func (t *RouteTable) AppendAscending(next []uint32, src, dst, hop int) []uint32 
 func (t *RouteTable) Hops(src, dst int) int {
 	hops := 0
 	for cur := src; cur != dst; hops++ {
-		cur = t.adj[cur][t.port(cur, dst, hops)]
+		cur = t.adj[cur][t.Port(cur, dst, hops)]
 	}
 	return hops
 }
@@ -273,7 +263,7 @@ func (t *RouteTable) Hops(src, dst int) int {
 func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
 	buf = append(buf, src)
 	for cur, hop := src, 0; cur != dst; hop++ {
-		cur = t.adj[cur][t.port(cur, dst, hop)]
+		cur = t.adj[cur][t.Port(cur, dst, hop)]
 		buf = append(buf, cur)
 	}
 	return buf

@@ -45,9 +45,9 @@ func TestCompileMatchesBuilder(t *testing.T) {
 
 // TestAppendPathHelpers pins the walks adaptive policies and the estimator
 // read off a table against one BFS per source: Hops is the distance,
-// AppendPath a path of that many links, and AppendAscending words joined at
-// a Valiant intermediate visit the two minimal paths' routers with the VC
-// classes ascending across the join.
+// AppendPath a path of that many links, and a route through a Valiant
+// waypoint visits the two minimal paths' routers with the VC classes
+// ascending across the switch.
 func TestAppendPathHelpers(t *testing.T) {
 	net := topo.FBF(4, 4, 1)
 	const vcs = 3
@@ -67,13 +67,12 @@ func TestAppendPathHelpers(t *testing.T) {
 				t.Fatalf("AppendPath(%d, %d) = %v, want a %d-hop path", src, dst, path, dist[dst])
 			}
 			for _, mid := range []int{5, 10} {
-				words = tab.AppendAscending(words[:0], src, mid, 0)
-				words = tab.AppendAscending(words, mid, dst, len(words))
+				words = walkWords(tab, words[:0], src, dst, mid, tab.Hops(src, mid))
 				path := append(tab.AppendPath(nil, src, mid), tab.AppendPath(nil, mid, dst)[1:]...)
-				if len(words) != len(path)-1 {
-					t.Fatalf("%d->%d->%d: %d words for path %v", src, mid, dst, len(words), path)
+				if len(words) != len(path) || words[len(words)-1] != NextEject {
+					t.Fatalf("%d->%d->%d: words %#x for path %v", src, mid, dst, words, path)
 				}
-				for i, w := range words {
+				for i, w := range words[:len(words)-1] {
 					port := int(w >> 16)
 					if want := NextWord(port, min(i, vcs-1), vcs); w != want || net.Adj[path[i]][port] != path[i+1] {
 						t.Fatalf("%d->%d->%d hop %d: word %#x, want %#x toward %d on path %v", src, mid, dst, i, w, want, path[i+1], path)

@@ -2,13 +2,11 @@
 // global congestion knowledge, plus a minimal-adaptive scheme corresponding
 // to FBF's XY-ADAPT.
 //
-// A policy writes a route in the form the engine consumes: it appends the
-// route's next-hop words to the packet's recycled buffer, walked off the
-// run's route table — for adaptive runs, the generic minimal table New
-// compiles for the run's VC count. Route choice therefore allocates nothing
-// once packet buffers have reached their high-water length, and the
-// policies hold no state, so one value may serve any number of concurrent
-// simulations.
+// A route is the run's table (the generic minimal one New compiles for
+// adaptive runs), the destination and at most one waypoint, and the engine
+// computes each hop's word from them as the hop is taken (nextWord). A
+// policy chooses only the waypoint and holds no state, so route choice
+// allocates nothing and one value may serve any number of simulations.
 
 package sim
 
@@ -29,41 +27,29 @@ type UGAL struct {
 	Global bool
 }
 
-// Choose implements AdaptivePolicy. The minimal route's words are laid down
-// first and the Valiant route's after them; when the Valiant route wins it
-// is moved over the minimal one.
+// Choose implements AdaptivePolicy. The Valiant route wins only if strictly
+// cheaper; a degenerate intermediate (none to pick) keeps the minimal route.
 //
 //sim:hot
-func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32 {
-	t := s.table
-	base := len(next)
-	next = t.AppendAscending(next, srcRouter, dstRouter, 0)
-	val := len(next)
-	if val == base {
-		next = append(next, nextEject)
-		return next
+func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) (via, viaHops int) {
+	if srcRouter == dstRouter {
+		return 0, 0
 	}
-	// A degenerate intermediate makes the Valiant route the minimal one,
-	// which then wins the tie.
-	if mid := routing.RandomIntermediate(rng, t.Nr(), srcRouter, dstRouter); mid != srcRouter && mid != dstRouter {
-		next = t.AppendAscending(next, srcRouter, mid, 0)
-		next = t.AppendAscending(next, mid, dstRouter, len(next)-val)
-		minW, valW := next[base:val], next[val:]
-		var costMin, costVal int
-		if u.Global {
-			costMin = (s.routeOcc(srcRouter, minW) + 1) * len(minW)
-			costVal = (s.routeOcc(srcRouter, valW) + 1) * len(valW)
-		} else {
-			costMin = (s.portOcc(srcRouter, int(minW[0]>>16)) + 1) * len(minW)
-			costVal = (s.portOcc(srcRouter, int(valW[0]>>16)) + 1) * len(valW)
-		}
-		if costVal < costMin {
-			val = base + copy(next[base:], valW)
-		}
-		next = next[:val]
+	mid := routing.RandomIntermediate(rng, s.table.Nr(), srcRouter, dstRouter)
+	if mid == srcRouter || mid == dstRouter {
+		return 0, 0
 	}
-	next = append(next, nextEject)
-	return next
+	links := s.table.Nr() // every link of a route (UGAL-G), or the first
+	if !u.Global {
+		links = 1
+	}
+	minHops, minOcc := s.routeLoad(srcRouter, dstRouter, links)
+	viaHops, viaOcc := s.routeLoad(srcRouter, mid, links)
+	restHops, restOcc := s.routeLoad(mid, dstRouter, links-1)
+	if (viaOcc+restOcc+1)*(viaHops+restHops) < (minOcc+1)*minHops {
+		return mid, viaHops
+	}
+	return 0, 0
 }
 
 // MinAdaptive picks, per packet, the minimal next hop with the least
@@ -72,28 +58,28 @@ func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int, next []
 // and YX quadrature paths, i.e. the paper's XY-ADAPT comparison point.
 type MinAdaptive struct{}
 
-// Choose implements AdaptivePolicy.
+// Choose implements AdaptivePolicy. The chosen neighbour is a one-hop
+// waypoint: New wires one link per neighbour, so the table's port toward it
+// is its adjacency position.
 //
 //sim:hot
-func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32 {
-	if srcRouter != dstRouter {
-		t := s.table
-		adj := s.net.Adj[srcRouter]
-		hops := t.Hops(srcRouter, dstRouter)
-		best, bestOcc := -1, 0
-		for p, v := range adj {
-			if t.Hops(v, dstRouter) != hops-1 {
-				continue
-			}
-			if occ := s.portOcc(srcRouter, p); best < 0 || occ < bestOcc {
-				best, bestOcc = p, occ
-			}
-		}
-		next = append(next, routing.NextWord(best, 0, s.vcs))
-		next = t.AppendAscending(next, adj[best], dstRouter, 1)
+func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int) (via, viaHops int) {
+	if srcRouter == dstRouter {
+		return 0, 0
 	}
-	next = append(next, nextEject)
-	return next
+	t := s.table
+	adj := s.net.Adj[srcRouter]
+	hops := t.Hops(srcRouter, dstRouter)
+	best, bestOcc := -1, 0
+	for p, v := range adj {
+		if t.Hops(v, dstRouter) != hops-1 {
+			continue
+		}
+		if occ := s.portOcc(srcRouter, p); best < 0 || occ < bestOcc {
+			best, bestOcc = p, occ
+		}
+	}
+	return adj[best], 1
 }
 
 // portOcc returns the flit occupancy of the link leaving router r through
@@ -111,16 +97,18 @@ func (s *Sim) portOcc(r, p int) int {
 	return occ
 }
 
-// routeOcc sums the link occupancy along a run of next-hop words starting
-// at router r (the UGAL-G signal).
+// routeLoad walks the table's route from router r to dst and returns its hop
+// count and the summed occupancy (portOcc) of its first n links: UGAL-L
+// prices one link, UGAL-G all of them.
 //
 //sim:hot
-func (s *Sim) routeOcc(r int, words []uint32) int {
-	occ := 0
-	for _, w := range words {
-		p := int(w >> 16)
-		occ += s.portOcc(r, p)
+func (s *Sim) routeLoad(r, dst, n int) (hops, occ int) {
+	for ; r != dst; hops++ {
+		p := s.table.Port(r, dst, hops)
+		if hops < n {
+			occ += s.portOcc(r, p)
+		}
 		r = s.net.Adj[r][p]
 	}
-	return occ
+	return hops, occ
 }

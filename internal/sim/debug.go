@@ -32,8 +32,8 @@ func (s *Sim) Stuck() StuckReport {
 					rep.InInputBuffers += int(n)
 					f := s.inFront[slot]
 					p := f.pkt
-					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d/%d flit %d%s)",
-						r, pi, vc, n, p.id, p.src, p.dst, f.hop, len(p.next)-1, f.idx, s.cbDecision(slot)))
+					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d via router %d until hop %d flit %d%s)",
+						r, pi, vc, n, p.id, p.src, p.dst, f.hop, p.via, p.viaHops, f.idx, s.cbDecision(slot)))
 				}
 			}
 			for vc := 0; vc < s.vcs && s.cbq != nil; vc++ {

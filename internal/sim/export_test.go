@@ -83,7 +83,7 @@ func (s *Sim) CheckBuffers() error {
 		}
 		want := uint32(nextNone)
 		if nc.injLen > 0 {
-			want = nc.front.next[0]
+			want = s.nextWord(nc.front, s.net.NodeRouter(v), 0)
 		}
 		if s.injNext[v] != want {
 			return fmt.Errorf("node %d: injNext = %#x, injection queue front wants %#x", v, s.injNext[v], want)

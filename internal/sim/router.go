@@ -8,9 +8,10 @@
 // decomposition contract.
 //
 // The arbitration fast path re-derives nothing per flit: the next-hop
-// decision rides in the flit (flit.next), output conflicts are one bitmask
+// decision, computed from the route table as the flit is sent to the
+// router, rides in the flit (flit.next), output conflicts are one bitmask
 // test against the domain's outMask scratch, and downstream readiness is one
-// compare of the per-(port,vc) space word — no route-table, packet-array or
+// compare of the per-(port,vc) space word — no route-table, packet or
 // link-struct access until a flit actually moves.
 
 package sim
@@ -254,7 +255,7 @@ func (s *Sim) popInj(d *domain, node int, f flit) {
 	} else if f.tail() {
 		// The next packet's head is now in front; the flits behind a
 		// non-tail front share its next-hop word.
-		s.injNext[node] = nc.front.next[0]
+		s.injNext[node] = s.nextWord(nc.front, nc.front.srcR, 0)
 	}
 	if nc.src != nil {
 		s.nicWake(d, node)
@@ -385,7 +386,7 @@ func (s *Sim) cbDrain(d *domain, r int) {
 			continue
 		}
 		p := cp.pkt
-		f := flit{pkt: p, idx: uint16(int32(p.flits) - cp.expected - cp.stored), hop: cp.hop, next: p.next[cp.hop]}
+		f := flit{pkt: p, idx: uint16(int32(p.flits) - cp.expected - cp.stored), hop: cp.hop}
 		if !s.outputReady(p, vb+slot, f.head()) {
 			continue
 		}
@@ -449,7 +450,7 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	lid := s.outLink[r*s.stride+outPort]
 	l := &s.links[lid]
 	f.hop++
-	f.next = p.next[f.hop]
+	f.next = s.nextWord(p, l.to, int(f.hop))
 	// A flit never lands before the one sent ahead of it on its lane: the
 	// lane is a FIFO, so a CBR bypass flit (2 cycles) queues behind a
 	// buffered one (4 cycles) sent earlier.

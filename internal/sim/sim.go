@@ -5,19 +5,19 @@
 // central-buffer routers with a 2-cycle bypass and 4-cycle buffered path
 // (§4.1), ElastiStore-style elastic links (link pipeline registers as
 // storage, §4.2), and SMART links that traverse H grid hops per cycle
-// (§3.2.2). Packets are source-routed with per-hop VC assignments supplied
-// by internal/routing, which guarantees deadlock freedom (§4.3).
+// (§3.2.2). Packets follow routes with per-hop VC assignments supplied by
+// internal/routing, which guarantees deadlock freedom (§4.3).
 //
 // The engine is event-driven: nothing is polled. A flit put on a wire rides
 // a timing wheel to the cycle it lands, so a link costs work only in the
 // cycle a flit arrives; credit returns and delayed ejections ride wheels
 // too; a per-domain busy bitset marks the routers with resident flits, and
 // a NIC is visited only when it can inject (a packet was queued, or its
-// injection queue freed room while packets wait). Static routes come
-// pre-compiled as a routing.RouteTable, whose next-hop bytes each packet
-// walks once, at enqueue, into a recycled buffer of one next-hop word per
-// hop, and packet/buffer freelists make the steady-state cycle loop
-// allocation-free.
+// injection queue freed room while packets wait). Routes come pre-compiled
+// as a routing.RouteTable: a packet carries only its destination and, on an
+// adaptive route, one waypoint, and each hop's next-hop word is computed
+// from the table when the flit is sent. Packet and buffer freelists make
+// the steady-state cycle loop allocation-free.
 // All of this is behaviour-preserving: results are byte-identical to the
 // original full-scan engine (pinned by the golden-metrics fixture in
 // testdata/golden_results.json).
@@ -43,17 +43,21 @@ import (
 // in testdata/golden_results.json.
 const EngineVersion = "sim-v3"
 
-// maxVCs bounds Config.VCs: VC indices are packed into uint8 per-hop
-// assignments and historically into 6-bit central-buffer queue keys, so a
-// larger count would silently collide. Validated by New.
+// maxVCs bounds Config.VCs so that a next-hop word's port*vcs+vc slot offset
+// fits its 16 bits at any radix (routing.NextWord). Validated by New.
 const maxVCs = 63
 
-// maxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are uint16
-// so queues and wheels move 16-byte elements. New validates PacketFlits
-// against it and EpisodeEngine.Latencies every transfer's size; a source
-// emitting more still panics in enqueuePacket (synthetic traffic uses
-// single-digit counts).
-const maxPacketFlits = 1<<16 - 1
+// maxPacketFlits bounds per-packet flit counts and maxRouters the router
+// count: flit.idx, flit.hop and cbPacket.hop are uint16 so queues and wheels
+// move 16-byte elements, and a route has at most 2(nr-1) hops (a Valiant
+// route is two minimal segments). New validates both, and
+// EpisodeEngine.Latencies every transfer's size; a source emitting more
+// flits still panics in enqueuePacket (synthetic traffic uses single-digit
+// counts).
+const (
+	maxPacketFlits = 1<<16 - 1
+	maxRouters     = 1 << 15
+)
 
 // Config describes one simulation.
 type Config struct {
@@ -185,10 +189,10 @@ type NextFirer interface {
 
 // AdaptivePolicy chooses a packet's route given live network state.
 type AdaptivePolicy interface {
-	// Choose appends the NextEject-terminated next-hop words of a route
-	// from srcRouter to dstRouter to next, the packet's recycled buffer,
-	// and returns it.
-	Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int, next []uint32) []uint32
+	// Choose returns the waypoint via of a route from srcRouter to
+	// dstRouter and its hop count viaHops (0: the minimal route), as
+	// packet holds them.
+	Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) (via, viaHops int)
 }
 
 // Defaults match the paper's evaluation setup (§5.1).
@@ -219,15 +223,13 @@ func (c *Config) setDefaults() {
 type packet struct {
 	id       int64
 	src, dst int // nodes
-	// next is the per-hop next-hop word sequence (routing.NextWord encoding,
-	// NextEject-terminated, one entry per router on the path, so the hop count
-	// is len(next)-1) — all the engine reads of a route once the packet is
-	// queued. The packet owns it and keeps its capacity across freelist
-	// recycles. Flits copy next[hop] at injection and on every send, so the
-	// arbitration loop never touches the packet.
-	next  []uint32
-	flits int
-	class int
+	// The route: the table's walk from router srcR to router dstR, heading
+	// for the waypoint router via while the hop index is below viaHops (an
+	// adaptive policy's choice; viaHops is 0 on a minimal or static route).
+	// nextWord turns it into each hop's next-hop word.
+	srcR, dstR, via, viaHops int
+	flits                    int
+	class                    int
 
 	genTime int64
 	tracked bool
@@ -237,20 +239,19 @@ type packet struct {
 	qnext *packet
 }
 
-// flit references its packet and position. next carries the precomputed
-// next-hop word (routing.NextWord: output port in bits 16..23, port*vcs+vc
-// slot offset in bits 0..15, or nextEject at the final hop) so switch
-// allocation never touches the packet's route arrays: it is copied from
-// pkt.next once per hop — at injection and on every sendFlit — and the
-// arbitration fast path arbitrates on the word alone.
+// flit references its packet and position. next carries the next-hop word
+// of the router the flit is at (routing.NextWord: output port in bits
+// 16..23, port*vcs+vc slot offset in bits 0..15, or nextEject at the final
+// hop), computed from the route table once per hop — at injection and on
+// every sendFlit — so the arbitration fast path arbitrates on the word alone.
 // The struct is deliberately 16 bytes (idx/hop are uint16, bounded by New's
-// maxPacketFlits and the 255-router-radix path-length cap): flits are copied
-// on every queue push/pop along their life — arrival wheel, input buffer,
-// ejection wheel — so their width is hot-loop memory bandwidth.
+// maxPacketFlits and maxRouters): flits are copied on every queue push/pop
+// along their life — arrival wheel, input buffer, ejection wheel — so their
+// width is hot-loop memory bandwidth.
 type flit struct {
 	pkt  *packet
 	idx  uint16 // 0 = head; pkt.flits-1 = tail
-	hop  uint16 // hop index: the link path[hop] -> path[hop+1] it travels next
+	hop  uint16 // hop index: the links the flit has crossed
 	next uint32
 }
 
@@ -592,10 +593,10 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Net.NodeMap != nil {
 		return nil, fmt.Errorf("sim: indirect networks (node maps) are not simulated")
 	}
+	if cfg.Net.Nr > maxRouters {
+		return nil, fmt.Errorf("sim: %d routers exceed the %d-router limit (hop indices are uint16)", cfg.Net.Nr, maxRouters)
+	}
 	if cfg.VCs < 1 || cfg.VCs > maxVCs {
-		// The per-hop VC assignment is a uint8 and central-buffer queue
-		// keys historically packed the VC into 6 bits; beyond 63 VCs keys
-		// would silently collide.
 		return nil, fmt.Errorf("sim: VCs = %d out of range [1, %d]", cfg.VCs, maxVCs)
 	}
 	if cfg.InjQueueCap < 1 || cfg.InjQueueCap > math.MaxInt32 {
@@ -623,7 +624,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	if s.stride > 255 {
-		// Per-hop output ports are uint8 (packet.ports); no supported
+		// Output ports are the route table's bytes; no supported
 		// topology has a radix anywhere near this.
 		return nil, fmt.Errorf("sim: router radix %d exceeds the 255-port limit", s.stride)
 	}
@@ -1082,8 +1083,7 @@ func (s *Sim) allocPacket() *packet {
 	return p
 }
 
-// freePacket recycles a fully ejected packet; its buffers keep their
-// capacity for reuse.
+// freePacket recycles a fully ejected packet.
 //
 //sim:hot
 func (s *Sim) freePacket(p *packet) {
@@ -1104,15 +1104,9 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	p.src, p.dst = src, dst
 	p.flits, p.class = flits, class
 	p.genTime, p.tracked = s.now, tracked
-	// Write the route into the packet-owned buffer: allocation-free once
-	// the buffer has reached the longest route's length.
+	p.srcR, p.dstR, p.via, p.viaHops = srcR, dstR, 0, 0
 	if s.cfg.Adaptive != nil {
-		p.next = s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR, p.next[:0])
-	} else {
-		p.next = s.table.AppendNextWords(p.next[:0], srcR, dstR)
-	}
-	if len(p.next) > maxPacketFlits {
-		panic("sim: route exceeds maxPacketFlits hops (flit hop indices are uint16)")
+		p.via, p.viaHops = s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
 	}
 	if tracked {
 		s.genMeasured++
@@ -1129,6 +1123,19 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 		s.nicBacklog++
 	}
 	s.nicWake(&s.doms[s.domOf[srcR]], src)
+}
+
+// nextWord returns p's next-hop word at router cur on hop hop: toward the
+// waypoint while hop is below viaHops, then toward the destination. A flit
+// ejects only past the waypoint: a Valiant first segment may cross dstR.
+//
+//sim:hot
+func (s *Sim) nextWord(p *packet, cur, hop int) uint32 {
+	dst := p.dstR
+	if hop < p.viaHops {
+		dst = p.via
+	}
+	return s.table.Next(p.srcR, cur, dst, hop)
 }
 
 // nicWake puts a NIC with queued packets on its domain's ready list, once.
@@ -1203,7 +1210,7 @@ func (s *Sim) injectNIC(d *domain, v int) {
 		if nc.injLen == 0 {
 			// The flit lands in front of an empty queue, so p is front
 			// and injIdx already names the flit (see popInj).
-			s.injNext[v] = p.next[0]
+			s.injNext[v] = s.nextWord(p, r, 0)
 		}
 		nc.injLen++
 		p.flitsMoved++
@@ -1240,7 +1247,7 @@ func (s *Sim) eject(f flit) {
 		if p.tracked {
 			s.doneMeasured++
 			s.lat.add(s.now - p.genTime)
-			s.totalHops += int64(len(p.next) - 1)
+			s.totalHops += int64(f.hop)
 			s.hopPackets++
 		}
 		s.cfg.Traffic.OnDelivered(s.now, p.src, p.dst, p.flits, p.class, s.replyEmit)

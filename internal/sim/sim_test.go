@@ -326,6 +326,51 @@ func TestMinAdaptiveDelivers(t *testing.T) {
 	}
 }
 
+// fixedWaypoint routes every packet through one waypoint router.
+type fixedWaypoint struct{ via, viaHops int }
+
+func (w fixedWaypoint) Choose(*sim.Sim, *rng.Stream, int, int) (int, int) { return w.via, w.viaHops }
+
+// onePacket emits one 6-flit packet at cycle at.
+type onePacket struct {
+	at       int64
+	src, dst int
+}
+
+func (o *onePacket) Generate(t int64, _ *rng.Stream, emit func(src, dst, flits, class int)) {
+	if t == o.at {
+		emit(o.src, o.dst, 6, 0)
+	}
+}
+
+func (o *onePacket) OnDelivered(int64, int, int, int, int, func(int, int, int, int)) {}
+
+// TestWaypointPassesDestination: a Valiant route may pass through its
+// destination on its way to the waypoint, and ejects only on its way back.
+// On sn_subgr_200 the route from router 0 through the waypoint mid, two
+// hops away via router x, to x is 0 -> x -> mid -> x: three hops, not one.
+func TestWaypointPassesDestination(t *testing.T) {
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	tab := minTable(t, net, 4)
+	mid := 1
+	for tab.Hops(0, mid) != 2 {
+		mid++
+	}
+	x := tab.AppendPath(nil, 0, mid)[1]
+	cfg := sim.Config{
+		Net:           net,
+		Buffers:       core.Buffers{VCs: 4},
+		Adaptive:      fixedWaypoint{via: mid, viaHops: 2},
+		Traffic:       &onePacket{at: 10, src: 0, dst: x * net.P},
+		WarmupCycles:  5,
+		MeasureCycles: 100,
+		DrainCycles:   100,
+	}
+	if _, res := runCfg(t, cfg); res.Delivered != 1 || res.AvgHops != 3 {
+		t.Fatalf("0 -> %d -> %d -> %d: delivered %d packets over %v hops, want 1 over 3", x, mid, x, res.Delivered, res.AvgHops)
+	}
+}
+
 // replySource tests the OnDelivered hook: every class-1 packet triggers a
 // class-2 reply from the destination.
 type replySource struct {

@@ -100,7 +100,7 @@ func TestRoutingRegistryComplete(t *testing.T) {
 			t.Errorf("%s: does not build: %v", name, err)
 			continue
 		}
-		if words := tab.AppendNextWords(nil, 0, net.Nr-1); len(words) < 2 || words[len(words)-1] != routing.NextEject {
+		if words := routeWords(tab, net.Adj, nil, 0, net.Nr-1); len(words) < 2 || words[len(words)-1] != routing.NextEject {
 			t.Errorf("%s: bad route %#x", name, words)
 		}
 	}

@@ -196,6 +196,21 @@ func TestCompileRouteTableSelection(t *testing.T) {
 // next-hop word carries the port of the first neighbour, in adjacency order,
 // that one BFS from the destination puts a hop closer; and the network's
 // memoized diameter is the largest BFS distance.
+// routeWords appends the NextEject-terminated next-hop words of the table's
+// src->dst route over adjacency adj to buf, one Next call per hop.
+func routeWords(tab *RouteTable, adj [][]int, buf []uint32, src, dst int) []uint32 {
+	for cur, hop := src, 0; ; hop++ {
+		if hop > 2*len(adj) {
+			panic("route walk does not terminate")
+		}
+		w := tab.Next(src, cur, dst, hop)
+		if buf = append(buf, w); w == routing.NextEject {
+			return buf
+		}
+		cur = adj[cur][w>>16]
+	}
+}
+
 func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 	for _, name := range append(sortedKeys(presetTable), "sn_subgr_200", "sn_gr_1296", "sn_subgr_10000") {
 		net, _, err := BuildNetwork(NetworkSpec{Preset: name})
@@ -220,7 +235,7 @@ func TestCompactTableMatchesBFSOnPresets(t *testing.T) {
 					continue
 				}
 				port := slices.IndexFunc(adj, func(v int) bool { return dist[v] == dist[r]-1 })
-				words = tab.AppendNextWords(words[:0], r, dst)
+				words = routeWords(tab, net.Adj, words[:0], r, dst)
 				if got := int(words[0] >> 16); got != port || len(words) != int(dist[r])+1 {
 					t.Fatalf("%s %d->%d: table leaves by port %d on a %d-hop route, BFS by port %d on %d hops", name, r, dst, got, len(words)-1, port, dist[r])
 				}
@@ -275,9 +290,9 @@ func TestGridTablesMatchBuilders(t *testing.T) {
 				var want, got []uint32
 				for src := 0; src < net.Nr; src++ {
 					for dst := 0; dst < net.Nr; dst++ {
-						want = auto.AppendNextWords(want[:0], src, dst)
+						want = routeWords(auto, net.Adj, want[:0], src, dst)
 						for i, other := range []*RouteTable{tab, compiled} {
-							if got = other.AppendNextWords(got[:0], src, dst); !slices.Equal(got, want) {
+							if got = routeWords(other, net.Adj, got[:0], src, dst); !slices.Equal(got, want) {
 								t.Fatalf("vcs=%d %d->%d: %s walks %#x, CompileRouteTable %#x", vcs, src, dst, [...]string{"NewTable", "Compile"}[i], got, want)
 							}
 						}
