@@ -177,7 +177,7 @@ func campaignBenchPoints(b *testing.B) []slimnoc.RunSpec {
 // returns the per-point metrics serialized for comparison.
 func runCampaignBench(b *testing.B, points []slimnoc.RunSpec, jobs int) []string {
 	b.Helper()
-	results, err := slimnoc.RunCampaign(context.Background(), points, slimnoc.WithJobs(jobs))
+	results, err := slimnoc.NewCampaign(slimnoc.WithJobs(jobs)).Run(context.Background(), points)
 	if err != nil {
 		b.Fatal(err)
 	}

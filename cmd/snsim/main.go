@@ -204,7 +204,7 @@ func runSweep(path string, jobs int, outPath, csvPath string) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	results, err := slimnoc.RunCampaign(ctx, points, copts...)
+	results, err := slimnoc.NewCampaign(copts...).Run(ctx, points)
 	for _, f := range files {
 		f.Close()
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"flag"
 	"strings"
 	"testing"
 
@@ -59,5 +61,44 @@ func TestSweepLine(t *testing.T) {
 		if got := sweepLine(c.p); got != c.want {
 			t.Errorf("sweepLine = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestWorkloadSmoke runs one short t2d54 point per temporal process and
+// workload shape through the same path as the binary — flags bound to a
+// fresh FlagSet, Spec, slimnoc.Run, printRun — and checks each prints a
+// measured latency with no deadlock.
+func TestWorkloadSmoke(t *testing.T) {
+	for _, c := range []struct {
+		process string
+		flags   string
+	}{
+		{"bernoulli", "-pattern rnd -rate 0.05"},
+		{"burst", "-pattern rnd -rate 0.05 -process burst -burst-len 8 -duty 0.25"},
+		{"hotspot", "-pattern rnd -rate 0.05 -hotspot-frac 0.2 -hotspot-count 4 -size-mix bimodal"},
+		{"reqreply", "-pattern rnd -process reqreply -window 4"},
+	} {
+		t.Run(c.process, func(t *testing.T) {
+			fs := flag.NewFlagSet("snsim", flag.ContinueOnError)
+			sf := slimnoc.NewSpecFlags().BindCommon(fs).BindNetwork(fs).BindRun(fs)
+			args := append([]string{"-net", "t2d54", "-cycles", "500"}, strings.Fields(c.flags)...)
+			if err := fs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := sf.Spec(slimnoc.DefaultSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := slimnoc.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			printRun(&out, spec, res)
+			got := out.String()
+			if !strings.Contains(got, "\nlatency     ") || strings.Contains(got, "deadlock") || res.Metrics.Delivered == 0 {
+				t.Errorf("%s: want delivered packets, a measured latency and no deadlock:\n%s", c.flags, got)
+			}
+		})
 	}
 }

@@ -150,7 +150,7 @@ func pointRow(p slimnoc.PointResult) []string {
 	} else {
 		row = append(row, "", "", "", "", "", "")
 	}
-	return append(row, p.Error)
+	return append(row, p.ErrorText())
 }
 
 // satHeader is the per-search column set of saturation reports.

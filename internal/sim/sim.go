@@ -6,7 +6,11 @@
 // (§4.1), ElastiStore-style elastic links (link pipeline registers as
 // storage, §4.2), and SMART links that traverse H grid hops per cycle
 // (§3.2.2). Packets follow routes with per-hop VC assignments supplied by
-// internal/routing, which guarantees deadlock freedom (§4.3).
+// internal/routing. Its TestChannelDependencyVerdicts pins when that
+// assignment is deadlock-free (§4.3): the static routes have an acyclic
+// channel-dependency graph at 2 or more VCs on every pinned preset, but
+// `auto` at 1 VC on the Slim NoC presets and UGAL at 2 VCs on sn_subgr_200
+// are cyclic, and slimnoc's RunSpec.Validate still accepts both.
 //
 // The engine is event-driven: nothing is polled. A flit put on a wire rides
 // a timing wheel to the cycle it lands, so a link costs work only in the

@@ -4,14 +4,21 @@
 // and linkcheck) so the public facade and the implementation layers stay
 // navigable from `go doc` alone.
 //
+// When the directories include the facade package (slimnoc), doccheck also
+// keeps its surface to what callers use: each top-level exported name must
+// be named by a non-test file outside the package, or carry a line starting
+// "keep:" with the reason in its doc comment. It runs from the module root,
+// whose go.mod names the import path.
+//
 // Usage:
 //
 //	doccheck [dir ...]   (default: slimnoc internal)
 //
-// The exit code is the number of undocumented identifiers (capped at 1),
-// and each one is reported as file:line: <kind> <name>. Struct fields and
-// interface methods are exempt — the type's comment is the documentation
-// unit — as are generated files, test files, and main packages' main().
+// The exit code is the number of findings (capped at 1), and each one is
+// reported as file:line: <kind> <name>, or file:line: unused <kind> <name>
+// for a facade name nothing uses. Struct fields and interface methods are
+// exempt — the type's comment is the documentation unit — as are generated
+// files, test files, and main packages' main().
 package main
 
 import (
@@ -22,9 +29,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
+
+// facadeDir is the public facade package whose exported names must each
+// have a caller.
+const facadeDir = "slimnoc"
 
 func main() {
 	dirs := os.Args[1:]
@@ -33,23 +45,16 @@ func main() {
 	}
 	var missing []string
 	for _, dir := range dirs {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
+		err := walkGo(dir, func(path string) error {
 			m, err := checkFile(path)
-			if err != nil {
-				return err
-			}
 			missing = append(missing, m...)
-			return nil
+			return err
 		})
+		if err == nil && filepath.Clean(dir) == facadeDir {
+			var unused []string
+			unused, err = unusedNames(".", facadeDir)
+			missing = append(missing, unused...)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)
 			os.Exit(2)
@@ -60,7 +65,7 @@ func main() {
 		fmt.Println(m)
 	}
 	if len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", len(missing))
+		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented or unused exported identifier(s)\n", len(missing))
 		os.Exit(1)
 	}
 }
@@ -138,4 +143,126 @@ func kindOf(tok token.Token) string {
 		return "const"
 	}
 	return "var"
+}
+
+// walkGo calls fn for each non-test Go file under dir, skipping testdata
+// and hidden directories.
+func walkGo(dir string, fn func(path string) error) error {
+	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != dir && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		return fn(path)
+	})
+}
+
+// topName is one top-level exported declaration of the facade package.
+type topName struct {
+	pos  token.Position
+	kind string
+	keep bool
+}
+
+// unusedNames reports the top-level exported names of the package in
+// root/pkgDir that no non-test file of the module outside that package
+// references and whose doc comment has no "keep:" line.
+func unusedNames(root, pkgDir string) ([]string, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	modLine := strings.Fields(string(mod)) // go.mod opens with "module <path>"
+	if len(modLine) < 2 || modLine[0] != "module" {
+		return nil, fmt.Errorf("%s/go.mod: no module line first", root)
+	}
+	importPath := modLine[1] + "/" + filepath.ToSlash(pkgDir)
+
+	fset := token.NewFileSet()
+	names := map[string]topName{}
+	used := map[string]bool{}
+	add := func(id *ast.Ident, kind string, doc *ast.CommentGroup) {
+		if id.IsExported() {
+			names[id.Name] = topName{fset.Position(id.Pos()), kind, hasKeep(doc)}
+		}
+	}
+	err = walkGo(root, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if filepath.Dir(path) != filepath.Join(root, pkgDir) {
+			references(f, importPath, used)
+			return nil
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, "func", d.Doc)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, "type", docOf(s.Doc, d.Doc))
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, kindOf(d.Tok), docOf(s.Doc, d.Doc))
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	var out []string
+	for n, tn := range names { //detlint:ordered out is sorted before it is returned
+		if !used[n] && !tn.keep {
+			out = append(out, fmt.Sprintf("%s:%d: unused %s %s", tn.pos.Filename, tn.pos.Line, tn.kind, n))
+		}
+	}
+	sort.Strings(out)
+	return out, err
+}
+
+// references records the names a file selects from the package imported
+// as importPath.
+func references(f *ast.File, importPath string, used map[string]bool) {
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) != importPath {
+			continue
+		}
+		local := filepath.Base(importPath)
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+}
+
+// docOf returns a spec's own doc comment, or its declaration's.
+func docOf(spec, decl *ast.CommentGroup) *ast.CommentGroup {
+	if spec != nil {
+		return spec
+	}
+	return decl
+}
+
+// hasKeep reports whether a doc comment has a line starting "keep:".
+func hasKeep(doc *ast.CommentGroup) bool {
+	return doc != nil && slices.ContainsFunc(strings.Split(doc.Text(), "\n"), func(line string) bool {
+		return strings.HasPrefix(line, "keep:")
+	})
 }

@@ -37,11 +37,11 @@ func TestWithCycleStepIdentity(t *testing.T) {
 	}
 }
 
-// TestWithMemBudget checks both sides of the budget: an absurdly small cap
+// TestWithMemBudget checks both sides of a Run's budget: an absurdly small cap
 // rejects the run with a sizing error before the engine allocates, and a
 // generous cap changes nothing about the result.
 func TestWithMemBudget(t *testing.T) {
-	_, err := Run(context.Background(), budgetSpec(), WithMemBudget(1024))
+	_, err := Run(context.Background(), budgetSpec(), withMemBudget(1024))
 	if err == nil {
 		t.Fatal("1 KiB budget accepted a t2d54 engine")
 	}
@@ -49,7 +49,7 @@ func TestWithMemBudget(t *testing.T) {
 		t.Errorf("budget error %q does not name MemBudgetBytes", err)
 	}
 
-	capped, err := Run(context.Background(), budgetSpec(), WithMemBudget(1<<28))
+	capped, err := Run(context.Background(), budgetSpec(), withMemBudget(1<<28))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWithMemBudget(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(tableBudget))
+	_, err = Run(context.Background(), spec, WithNetwork(net, kind), withMemBudget(tableBudget))
 	runtime.ReadMemStats(&after)
 	checkTableBudgetError(t, err)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
@@ -86,7 +86,7 @@ func TestWithMemBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&before)
-	_, err = Run(context.Background(), spec, WithNetwork(net, kind), WithMemBudget(tableBudget))
+	_, err = Run(context.Background(), spec, WithNetwork(net, kind), withMemBudget(tableBudget))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("8 MiB budget on the 512-router SN: %v", err)
@@ -131,8 +131,7 @@ func checkTableBudgetError(t *testing.T, err error) {
 // budget every point fails with the sizing error (and the shared route-table
 // compile for oversized networks is skipped rather than allocated).
 func TestCampaignMemBudget(t *testing.T) {
-	results, err := RunCampaign(context.Background(),
-		[]RunSpec{budgetSpec()}, WithJobs(1), WithPointMemBudget(1024))
+	results, err := NewCampaign(WithJobs(1), WithPointMemBudget(1024)).Run(context.Background(), []RunSpec{budgetSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +144,8 @@ func TestCampaignMemBudget(t *testing.T) {
 
 	// The table-less path under a campaign: the shared-table cache compiles
 	// under the point budget too, refuses, and the point reports the table.
-	results, err = RunCampaign(context.Background(),
-		[]RunSpec{tableBustsBudget(), compactFitsBudget()}, WithJobs(1), WithPointMemBudget(tableBudget))
+	results, err = NewCampaign(WithJobs(1), WithPointMemBudget(tableBudget)).Run(context.Background(),
+		[]RunSpec{tableBustsBudget(), compactFitsBudget()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestScalePresets(t *testing.T) {
 		"cm10k": 10080, "t2d10k": 10080, "fbf10k": 10080,
 		"cm100k": 100352, "t2d100k": 100352, "fbf100k": 100352,
 	} {
-		ns, err := ResolvePreset(name)
+		ns, err := resolvePreset(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,35 +36,22 @@ type PointResult struct {
 	Cached bool `json:"-"`
 }
 
+// ErrorText is the point's error cell in tabular reports: its Error, or for
+// a run whose drain stalled with flits in flight, the suspected deadlock.
+func (p PointResult) ErrorText() string {
+	if p.Error == "" && p.Result != nil && p.Result.Metrics.DeadlockSuspected {
+		m := p.Result.Metrics
+		return fmt.Sprintf("deadlock suspected: %d of %d delivered", m.Delivered, m.Generated)
+	}
+	return p.Error
+}
+
 // Sink consumes point results as they complete. Emit is always called from
 // one goroutine at a time (the campaign serializes it), in completion
 // order — which under parallelism is not index order; every emitted record
 // carries its Index for re-ordering downstream.
 type Sink interface {
 	Emit(PointResult) error
-}
-
-// Collector is an in-memory Sink that returns results sorted by index.
-type Collector struct {
-	mu     sync.Mutex
-	points []PointResult
-}
-
-// Emit implements Sink.
-func (c *Collector) Emit(p PointResult) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.points = append(c.points, p)
-	return nil
-}
-
-// Points returns the collected results sorted by point index.
-func (c *Collector) Points() []PointResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]PointResult(nil), c.points...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
 }
 
 // jsonlSink streams one JSON object per completed point.
@@ -90,9 +76,9 @@ type csvSink struct {
 	wroteHead bool
 }
 
-// CSVHeader is the column set emitted by NewCSVSink, exported so consumers
-// can parse sink output without hard-coding positions.
-var CSVHeader = []string{
+// csvHeader is the column set emitted by NewCSVSink, written as its first
+// row.
+var csvHeader = []string{
 	"index", "name", "network", "pattern", "process", "burst_len", "duty",
 	"mod_factor", "mod_period", "hotspot_frac", "hotspot_count", "size_mix",
 	"window", "rate", "vcs", "scheme", "smart",
@@ -110,7 +96,7 @@ func NewCSVSink(w io.Writer) Sink {
 
 func (s *csvSink) Emit(p PointResult) error {
 	if !s.wroteHead {
-		if err := s.w.Write(CSVHeader); err != nil {
+		if err := s.w.Write(csvHeader); err != nil {
 			return err
 		}
 		s.wroteHead = true
@@ -123,7 +109,7 @@ func (s *csvSink) Emit(p PointResult) error {
 	}
 	// Resolved, not raw: a defaulted burst point reports the burst_len the
 	// run actually used (8), never a physically impossible zero.
-	tr := ResolveTraffic(p.Spec.Traffic)
+	tr := resolveTraffic(p.Spec.Traffic)
 	row := []string{
 		strconv.Itoa(p.Index), p.Spec.Name, netName,
 		tr.Pattern, DisplayProcess(tr), formatFloat(tr.BurstLen), formatFloat(tr.Duty),
@@ -138,7 +124,7 @@ func (s *csvSink) Emit(p PointResult) error {
 		formatFloat(m.OfferedLoad), formatFloat(m.AvgHops),
 		strconv.FormatInt(m.Delivered, 10), strconv.FormatInt(m.Generated, 10),
 		strconv.FormatInt(m.Cycles, 10), strconv.FormatBool(m.Saturated),
-		p.Error,
+		p.ErrorText(),
 	}
 	if err := s.w.Write(row); err != nil {
 		return err
@@ -155,14 +141,18 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 // caches live for the Campaign's lifetime, so a figure run as several
 // sequential sweeps builds each distinct network once, not once per sweep.
 // One Run call executes at a time per Campaign value.
+//
+// keep: what NewCampaign returns; callers reach it only through that.
 type Campaign struct {
 	jobs      int
 	memBudget int64
 	sinks     []Sink
 	onPoint   func(PointResult)
-	pointOpts func(i int, spec RunSpec) []Option
 	store     *store.Store
 	cache     *netCache
+	// hook, when set, sees each point's runner just before it runs, so
+	// tests can watch what the campaign handed a point.
+	hook func(i int, r *runner)
 }
 
 // CampaignOption configures a Campaign.
@@ -177,12 +167,13 @@ func WithJobs(n int) CampaignOption {
 }
 
 // WithPointMemBudget caps every point's estimated engine footprint at bytes
-// (the campaign form of Run's WithMemBudget; 0 = no cap). Oversized
-// points fail fast with a sizing error in their PointResult instead of
-// allocating — including the campaign's shared route-table compile, which is
-// skipped when the table alone would bust the budget. The budget never
-// alters the results of runs that fit, so unlike WithPointOptions it does
-// not bypass an attached result store.
+// (0 = no cap). The estimate covers the per-node, per-router, per-VC and
+// per-edge state plus the compiled route table. Oversized points fail fast
+// with a sizing error in their PointResult instead of allocating —
+// including the campaign's shared route-table compile, which is skipped
+// when the table alone would bust the budget. The budget never alters the
+// results of runs that fit, so it is a campaign option, not a RunSpec
+// field, and stays out of PointKey.
 func WithPointMemBudget(bytes int64) CampaignOption {
 	return func(c *Campaign) { c.memBudget = bytes }
 }
@@ -197,18 +188,6 @@ func WithSink(s Sink) CampaignOption {
 // tables). Like sinks, fn is serialized and sees completion order.
 func WithOnPoint(fn func(PointResult)) CampaignOption {
 	return func(c *Campaign) { c.onPoint = fn }
-}
-
-// WithPointOptions supplies per-point Run options that the declarative
-// spec cannot express (prebuilt networks, custom sources, adaptive
-// policies). The returned options are applied after the campaign's own
-// network-cache option, so a WithNetwork here overrides the cache. Options
-// must not share mutable state across points: fn is called concurrently
-// from worker goroutines. Because options change what a point computes
-// without changing its spec, a campaign with point options bypasses any
-// attached result store (see WithStore).
-func WithPointOptions(fn func(i int, spec RunSpec) []Option) CampaignOption {
-	return func(c *Campaign) { c.pointOpts = fn }
 }
 
 // NewCampaign builds a campaign engine.
@@ -411,58 +390,26 @@ func (c *Campaign) emitPoint(p *PointResult) {
 	}
 }
 
-// runPoint executes one spec with the shared-network cache plus any
-// per-point options, on engineJobs domains (0 = the engine's choice).
+// runPoint executes one spec on its cached network and route table, on
+// engineJobs domains (0 = the engine's choice).
 func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *netCache, engineJobs int) (*Result, error) {
 	net, kind, err := cache.get(spec.Network)
-	opts := make([]Option, 0, 4)
-	var cachedTab *routing.RouteTable
-	if err == nil {
-		opts = append(opts, WithNetwork(net, kind))
-		// Static routing compiles once per (network, algorithm, VCs) and is
-		// shared read-only by every point using it; adaptive algorithms
-		// route per packet, have no compiled form and fail to compile. The
-		// compile runs under the point budget, so a table that alone would
-		// bust it is refused before it is allocated. Any compile error is
-		// left for the run to rediscover and report.
-		if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); terr == nil {
-			cachedTab = tab
-			opts = append(opts, WithRouteTable(tab))
-		}
-	}
-	opts = append(opts, WithEngineJobs(engineJobs))
-	if c.memBudget > 0 {
-		opts = append(opts, WithMemBudget(c.memBudget))
-	}
-	// A network the cache cannot build may still come from the point
-	// options (WithNetwork); defer the error until after they apply.
-	if c.pointOpts != nil {
-		opts = append(opts, c.pointOpts(i, spec)...)
-	}
-	r := newRunner(spec, opts...)
-	if !r.haveNet && err != nil {
-		return nil, err
-	}
-	// Point options may have replaced the network; the cache's table was
-	// compiled for the cached network and must not ride along onto a
-	// different one.
-	if r.table == cachedTab && cachedTab != nil && r.net != net {
-		r.table = nil
-	}
-	return r.run(ctx)
-}
-
-// RunSweep expands the sweep and executes its points.
-func (c *Campaign) RunSweep(ctx context.Context, sweep SweepSpec) ([]PointResult, error) {
-	points, err := sweep.Points()
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(ctx, points)
-}
-
-// RunCampaign is the package-level convenience: execute the specs on a
-// fresh campaign with the given options.
-func RunCampaign(ctx context.Context, points []RunSpec, opts ...CampaignOption) ([]PointResult, error) {
-	return NewCampaign(opts...).Run(ctx, points)
+	r := newRunner(spec, WithNetwork(net, kind), WithEngineJobs(engineJobs))
+	r.memBudget = c.memBudget
+	// Static routing compiles once per (network, algorithm, VCs) and is
+	// shared read-only by every point using it; adaptive algorithms route
+	// per packet, have no compiled form and fail to compile. The compile
+	// runs under the point budget, so a table that alone would bust it is
+	// refused before it is allocated. Any compile error is left for the run
+	// to rediscover and report.
+	if tab, err := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs, c.memBudget); err == nil {
+		r.table = tab
+	}
+	if c.hook != nil {
+		c.hook(i, r)
+	}
+	return r.run(ctx)
 }

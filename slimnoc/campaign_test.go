@@ -26,7 +26,7 @@ func runSweepPoints(t *testing.T, jobs int, opts ...CampaignOption) []PointResul
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunCampaign(t.Context(), points, append(opts, WithJobs(jobs))...)
+	results, err := NewCampaign(append(opts, WithJobs(jobs))...).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +104,7 @@ func TestCampaignNetworkCacheSharing(t *testing.T) {
 		})
 	}
 	ran := make([]*Network, len(points)) // the network each point ran on
-	c := NewCampaign(WithJobs(3), WithPointOptions(func(i int, _ RunSpec) []Option {
-		return []Option{func(r *runner) { ran[i] = r.net }}
-	}))
+	c := NewCampaign(WithJobs(3), withRunnerHook(func(i int, r *runner) { ran[i] = r.net }))
 	results, err := c.Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +157,10 @@ func TestCampaignPartialResultsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	results, err := RunCampaign(ctx, points,
+	results, err := NewCampaign(
 		WithJobs(2),
-		WithOnPoint(func(PointResult) { once.Do(cancel) }))
+		WithOnPoint(func(PointResult) { once.Do(cancel) }),
+	).Run(ctx, points)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("campaign error %v, want context.Canceled", err)
 	}
@@ -194,11 +193,9 @@ func TestCampaignPartialResultsOnCancel(t *testing.T) {
 // serialize it parseably.
 func TestCampaignSinks(t *testing.T) {
 	var jsonl, csvBuf bytes.Buffer
-	collector := &Collector{}
 	results := runSweepPoints(t, 2,
 		WithSink(NewJSONLSink(&jsonl)),
-		WithSink(NewCSVSink(&csvBuf)),
-		WithSink(collector))
+		WithSink(NewCSVSink(&csvBuf)))
 
 	// JSONL: one parseable object per point, indices covering the sweep.
 	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
@@ -228,20 +225,9 @@ func TestCampaignSinks(t *testing.T) {
 	if len(rows) != len(results)+1 {
 		t.Fatalf("CSV has %d rows, want %d", len(rows), len(results)+1)
 	}
-	for i, col := range CSVHeader {
+	for i, col := range csvHeader {
 		if rows[0][i] != col {
 			t.Errorf("CSV header column %d = %q, want %q", i, rows[0][i], col)
-		}
-	}
-
-	// Collector: index-sorted and complete.
-	got := collector.Points()
-	if len(got) != len(results) {
-		t.Fatalf("collector has %d points", len(got))
-	}
-	for i, p := range got {
-		if p.Index != i {
-			t.Errorf("collector point %d has index %d", i, p.Index)
 		}
 	}
 }
@@ -256,7 +242,7 @@ func TestCampaignPointError(t *testing.T) {
 	}
 	bad := good
 	bad.Network = NetworkSpec{Preset: "no_such_net"}
-	results, err := RunCampaign(t.Context(), []RunSpec{good, bad, good}, WithJobs(2))
+	results, err := NewCampaign(WithJobs(2)).Run(t.Context(), []RunSpec{good, bad, good})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,31 +257,35 @@ func TestCampaignPointError(t *testing.T) {
 	}
 }
 
-// TestCampaignSharedNetworkRace runs many concurrent simulations on one
-// WithNetwork-shared network. Under -race this pins the contract that
-// sim.New/Run never mutate a supplied topo.Network — its one piece of
-// internal state, the memoized Diameter every point's NetworkInfo asks for,
-// is filled exactly once behind a sync.Once however many workers get there
-// together (the network arrives here with the memo still empty).
+// TestCampaignSharedNetworkRace runs many concurrent simulations on the one
+// network the campaign builds for their shared spec. Under -race this pins
+// the contract that sim.New/Run never mutate a supplied topo.Network — its
+// one piece of internal state, the memoized Diameter every point's
+// NetworkInfo asks for, is filled exactly once behind a sync.Once however
+// many workers get there together (the cached build starts with the memo
+// still empty).
 func TestCampaignSharedNetworkRace(t *testing.T) {
-	net, kind, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var points []RunSpec
 	for i := 0; i < 12; i++ {
 		points = append(points, RunSpec{
+			Network: NetworkSpec{Preset: "t2d54"},
 			Traffic: TrafficSpec{Pattern: "rnd", Rate: 0.02 + 0.005*float64(i)},
 			Sim:     SimSpec{WarmupCycles: 100, MeasureCycles: 300, DrainCycles: 600, Seed: int64(i + 1)},
 		})
 	}
-	results, err := RunCampaign(t.Context(), points,
-		WithJobs(runtime.NumCPU()),
-		WithPointOptions(func(int, RunSpec) []Option {
-			return []Option{WithNetwork(net, kind)}
-		}))
+	var mu sync.Mutex
+	nets := map[*Network]bool{}
+	c := NewCampaign(WithJobs(runtime.NumCPU()), withRunnerHook(func(_ int, r *runner) {
+		mu.Lock()
+		nets[r.net] = true
+		mu.Unlock()
+	}))
+	results, err := c.Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(nets) != 1 {
+		t.Fatalf("points ran on %d networks, want one shared build", len(nets))
 	}
 	fresh, _, err := BuildNetwork(NetworkSpec{Preset: "t2d54"})
 	if err != nil {
@@ -308,8 +298,10 @@ func TestCampaignSharedNetworkRace(t *testing.T) {
 			t.Errorf("point %d: diameter %d from the shared network, %d from a fresh build", i, got, want)
 		}
 	}
-	if err := net.Validate(); err != nil {
-		t.Errorf("shared network mutated: %v", err)
+	for net := range nets {
+		if err := net.Validate(); err != nil {
+			t.Errorf("shared network mutated: %v", err)
+		}
 	}
 }
 
@@ -323,17 +315,14 @@ func TestCampaignPointDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// seen records the domain count the campaign handed each point: a
-	// point option runs after the campaign's own options.
+	// seen records the domain count the campaign handed each point.
 	run := func(jobs int, points []RunSpec) map[int]bool {
 		var mu sync.Mutex
 		seen := map[int]bool{}
-		c := NewCampaign(WithJobs(jobs), WithPointOptions(func(int, RunSpec) []Option {
-			return []Option{func(r *runner) {
-				mu.Lock()
-				seen[r.engineJobs] = true
-				mu.Unlock()
-			}}
+		c := NewCampaign(WithJobs(jobs), withRunnerHook(func(_ int, r *runner) {
+			mu.Lock()
+			seen[r.engineJobs] = true
+			mu.Unlock()
 		}))
 		if _, err := c.Run(t.Context(), points); err != nil {
 			t.Fatal(err)
@@ -356,9 +345,7 @@ func TestCampaignPointDomains(t *testing.T) {
 	}
 
 	var probes []int
-	c := NewCampaign(WithJobs(2), WithPointOptions(func(int, RunSpec) []Option {
-		return []Option{func(r *runner) { probes = append(probes, r.engineJobs) }}
-	}))
+	c := NewCampaign(WithJobs(2), withRunnerHook(func(_ int, r *runner) { probes = append(probes, r.engineJobs) }))
 	sat := SaturationSpec{Base: points[0], MinLoad: 0.05, MaxLoad: 0.4, Step: 0.1}
 	if _, err := c.SaturationSearch(t.Context(), sat); err != nil {
 		t.Fatal(err)
@@ -376,8 +363,8 @@ func TestCampaignPointDomains(t *testing.T) {
 
 // TestCampaignDefaultJobsFollowGOMAXPROCS runs a default campaign on one P:
 // its worker count must follow GOMAXPROCS, not the CPU count, so no two
-// points are ever in flight at once (a point counts from its options hook
-// until it is reported).
+// points are ever in flight at once (a point counts from when its runner
+// is ready until it is reported).
 func TestCampaignDefaultJobsFollowGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var points []RunSpec
@@ -390,11 +377,10 @@ func TestCampaignDefaultJobsFollowGOMAXPROCS(t *testing.T) {
 	}
 	var inFlight, peak atomic.Int32
 	c := NewCampaign(
-		WithPointOptions(func(int, RunSpec) []Option {
+		withRunnerHook(func(int, *runner) {
 			n := inFlight.Add(1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 			}
-			return nil
 		}),
 		WithOnPoint(func(PointResult) { inFlight.Add(-1) }),
 	)
@@ -409,5 +395,40 @@ func TestCampaignDefaultJobsFollowGOMAXPROCS(t *testing.T) {
 	}
 	if p := peak.Load(); p != 1 {
 		t.Errorf("%d points in flight at once on one P, want 1", p)
+	}
+}
+
+// TestCSVSinkErrorCell: the CSV sink names a suspected deadlock in the
+// error column beside saturated=true, leaves it empty for a healthy or
+// saturated point, and keeps a failed point's error.
+func TestCSVSinkErrorCell(t *testing.T) {
+	point := func(m Metrics) PointResult {
+		return PointResult{Spec: RunSpec{Name: "p"}, Result: &Result{Metrics: m}}
+	}
+	for _, c := range []struct {
+		p               PointResult
+		saturated, cell string
+	}{
+		{point(Metrics{AvgLatencyCycles: 28.5, Delivered: 50, Generated: 50}), "false", ""},
+		{point(Metrics{AvgLatencyCycles: 400, Saturated: true}), "true", ""},
+		{point(Metrics{Delivered: 12, Generated: 50, Saturated: true, DeadlockSuspected: true}),
+			"true", "deadlock suspected: 12 of 50 delivered"},
+		{PointResult{Spec: RunSpec{Name: "p"}, Error: "boom"}, "false", "boom"},
+	} {
+		var buf bytes.Buffer
+		if err := NewCSVSink(&buf).Emit(c.p); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(&buf).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rows[1]
+		if got := row[len(row)-2]; got != c.saturated {
+			t.Errorf("saturated column = %q, want %q", got, c.saturated)
+		}
+		if got := row[len(row)-1]; got != c.cell {
+			t.Errorf("error column = %q, want %q", got, c.cell)
+		}
 	}
 }

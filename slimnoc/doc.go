@@ -23,9 +23,9 @@
 // run returns its partial metrics with an error wrapping ctx.Err()) and
 // functional options for everything the declarative spec cannot express:
 // WithProgress streams telemetry during long sweeps, WithSource injects a
-// custom traffic generator, and WithNetwork reuses one built network across
-// a sweep. The engine picks how many parallel domains it steps; no result
-// byte depends on the count.
+// custom traffic generator (such as a recorded trace), and WithNetwork
+// reuses one built network across a sweep. The engine picks how many
+// parallel domains it steps; no result byte depends on the count.
 //
 // Whole evaluation grids are campaigns: a SweepSpec declares axes (presets,
 // patterns, schemes, VC counts, loads, seeds) that expand into a
@@ -36,12 +36,14 @@
 // WithRouteTable hand such a table to a single Run; a Run given no table
 // compiles its own through the same CompileRouteTable), per-point seeds fixed
 // at expansion time (DeriveSeed) so results are byte-identical at any job
-// count, results streaming to pluggable Sinks (Collector, NewJSONLSink,
-// NewCSVSink) as points complete, and context cancellation returning the
-// partial result set:
+// count, results streaming to pluggable Sinks (NewJSONLSink, NewCSVSink)
+// as points complete, and context cancellation returning the partial
+// result set. WithPointMemBudget caps each point's engine footprint. Run
+// returns one PointResult per point, in point order:
 //
 //	sweep, _ := slimnoc.LoadSweep("sweep.json")
-//	results, err := slimnoc.NewCampaign(slimnoc.WithJobs(8)).RunSweep(ctx, sweep)
+//	points, _ := sweep.Points()
+//	results, err := slimnoc.NewCampaign(slimnoc.WithJobs(8)).Run(ctx, points)
 //
 // Campaigns become restartable jobs with a content-addressed result store
 // (WithStore, package slimnoc/store). Every point is addressed by its
@@ -54,10 +56,11 @@
 // them), a store is too — rerunning a sweep against the store of an
 // interrupted run completes only the missing points and returns a result
 // set byte-identical to an uninterrupted cold run, with served points
-// marked by PointResult.Cached:
+// marked by PointResult.Cached (the Campaign.Run example interrupts and
+// resumes one):
 //
 //	st, _ := store.Open("results/store.jsonl")
-//	results, err := slimnoc.NewCampaign(slimnoc.WithStore(st)).RunSweep(ctx, sweep)
+//	results, err := slimnoc.NewCampaign(slimnoc.WithStore(st)).Run(ctx, points)
 //
 // Because keys hash the full point identity (minus the display label), one
 // store deduplicates identical points across sweeps and figures; because

@@ -202,7 +202,7 @@ func (ns NetworkSpec) hasOverrides() bool {
 // Table 2, and the subgroup layout if it names none.
 func ExpandNetwork(ns NetworkSpec) (NetworkSpec, error) {
 	if ns.Preset != "" {
-		expanded, err := ResolvePreset(ns.Preset)
+		expanded, err := resolvePreset(ns.Preset)
 		if err != nil {
 			return NetworkSpec{}, err
 		}
@@ -418,14 +418,14 @@ const (
 	defaultWindow     = 4
 )
 
-// ResolveTraffic returns the spec with the runtime defaults of its selected
+// resolveTraffic returns the spec with the runtime defaults of its selected
 // process, overlay and size mix filled in — the exact values the traffic
 // generators use. It is the inverse direction from RunSpec.Normalized, which
 // canonicalizes defaults to ABSENT fields for stable content addressing:
 // normalize to hash and compare specs, resolve to display or analyze what a
 // run actually did (the CSV sink resolves, so a defaulted burst point
 // reports burst_len=8 rather than a physically impossible 0).
-func ResolveTraffic(ts TrafficSpec) TrafficSpec {
+func resolveTraffic(ts TrafficSpec) TrafficSpec {
 	if ts.PacketFlits == 0 {
 		ts.PacketFlits = 6
 	}
@@ -474,7 +474,7 @@ func synthetic(paperName, section string) trafficGen {
 		if err := ts.validate(); err != nil {
 			return nil, err
 		}
-		ts = ResolveTraffic(ts)
+		ts = resolveTraffic(ts)
 		pat := traffic.PatternByName(paperName, net)
 		if pat == nil {
 			return nil, fmt.Errorf("slimnoc: pattern %q unavailable", paperName)

@@ -79,11 +79,11 @@ func TestNameResolutionPresets(t *testing.T) {
 	}
 	for preset, nodes := range presets {
 		for _, p := range casings(preset) {
-			lower, err := ResolvePreset(preset)
+			lower, err := resolvePreset(preset)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ResolvePreset(p)
+			got, err := resolvePreset(p)
 			if err != nil {
 				t.Errorf("preset %q: %v", p, err)
 				continue

@@ -62,15 +62,9 @@ func PointKey(spec RunSpec) (store.Key, error) {
 // spec, which is never read: the hit carries the requested spec, whose
 // label may differ from the stored one. A store may be shared across campaigns and
 // sweeps: keys hash the full point identity, so only genuinely identical
-// points are deduplicated. Failed or cancelled points are never stored.
-//
-// WithStore and WithPointOptions are mutually exclusive in effect: a
-// point's key hashes only its declarative spec, and per-point options
-// (custom sources, replacement networks, adaptive policies) change what a
-// run computes without changing its spec. A campaign with point options
-// therefore bypasses the store entirely — every point simulates, nothing
-// is served or persisted — rather than risk serving or storing results
-// under a key that does not describe them.
+// points are deduplicated, and a campaign point is fully described by its
+// spec, so its key always names what ran. Failed or cancelled points are
+// never stored.
 func WithStore(st *store.Store) CampaignOption {
 	return func(c *Campaign) { c.store = st }
 }
@@ -93,7 +87,7 @@ func (skipJSON) UnmarshalJSON([]byte) error { return nil }
 // values (schema drift) are treated as misses and superseded.
 func (c *Campaign) execPoint(ctx context.Context, i int, spec RunSpec, cache *netCache, engineJobs int) (*Result, bool, error) {
 	var key store.Key
-	if c.store != nil && c.pointOpts == nil {
+	if c.store != nil {
 		k, kerr := PointKey(spec)
 		if kerr != nil {
 			// An unhashable spec cannot be stored or resumed; failing the

@@ -103,47 +103,6 @@ func TestPointKeyNormalizes(t *testing.T) {
 	}
 }
 
-// TestCampaignStoreBypassedByPointOptions pins the WithStore/WithPointOptions
-// exclusion: per-point options change what a run computes without changing
-// its spec, so a campaign carrying them must neither serve nor persist
-// store entries.
-func TestCampaignStoreBypassedByPointOptions(t *testing.T) {
-	points, err := testSweep().Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	points = points[:2]
-	st, err := store.Open(filepath.Join(t.TempDir(), "store.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Seed the store with the plain-spec results.
-	if _, err := RunCampaign(t.Context(), points, WithJobs(1), WithStore(st)); err != nil {
-		t.Fatal(err)
-	}
-	before := st.Len()
-
-	results, err := RunCampaign(t.Context(), points,
-		WithJobs(1),
-		WithStore(st),
-		WithPointOptions(func(int, RunSpec) []Option { return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range results {
-		if p.Err != nil {
-			t.Fatalf("point %d: %v", i, p.Err)
-		}
-		if p.Cached {
-			t.Errorf("point %d served from the store despite point options", i)
-		}
-	}
-	if st.Len() != before {
-		t.Errorf("point-option campaign grew the store from %d to %d", before, st.Len())
-	}
-}
-
 // pointKeyGoldenCase is one pinned (spec, canonical bytes, key) triple.
 type pointKeyGoldenCase struct {
 	Name      string          `json:"name"`
@@ -296,7 +255,7 @@ func TestCampaignStoreResumeIdentity(t *testing.T) {
 	}
 
 	// Cold reference: no store involved.
-	cold, err := RunCampaign(t.Context(), points, WithJobs(2))
+	cold, err := NewCampaign(WithJobs(2)).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +272,11 @@ func TestCampaignStoreResumeIdentity(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	partial, err := RunCampaign(ctx, points,
+	partial, err := NewCampaign(
 		WithJobs(2),
 		WithStore(st),
-		WithOnPoint(func(PointResult) { once.Do(cancel) }))
+		WithOnPoint(func(PointResult) { once.Do(cancel) }),
+	).Run(ctx, points)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted campaign returned %v, want context.Canceled", err)
 	}
@@ -341,7 +301,7 @@ func TestCampaignStoreResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunCampaign(t.Context(), points, WithJobs(2), WithStore(st2))
+	resumed, err := NewCampaign(WithJobs(2), WithStore(st2)).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +334,7 @@ func TestCampaignStoreResumeIdentity(t *testing.T) {
 	}
 	defer st3.Close()
 	before := st3.Len()
-	warm, err := RunCampaign(t.Context(), points, WithJobs(2), WithStore(st3))
+	warm, err := NewCampaign(WithJobs(2), WithStore(st3)).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +373,10 @@ func TestCampaignStoreCrossSweepReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := RunCampaign(t.Context(), p1, WithJobs(2), WithStore(st)); err != nil {
+	if _, err := NewCampaign(WithJobs(2), WithStore(st)).Run(t.Context(), p1); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunCampaign(t.Context(), p2, WithJobs(2), WithStore(st))
+	results, err := NewCampaign(WithJobs(2), WithStore(st)).Run(t.Context(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}

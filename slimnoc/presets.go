@@ -6,7 +6,7 @@ import (
 )
 
 // presetTable holds the static Table 4 configurations. Slim NoC presets of
-// the form sn_<layout>_<N> are resolved dynamically by ResolvePreset.
+// the form sn_<layout>_<N> are resolved dynamically by resolvePreset.
 var presetTable = map[string]NetworkSpec{
 	// N in {192, 200}.
 	"cm3":   {Topology: "mesh", X: 8, Y: 8, Conc: 3},
@@ -41,9 +41,9 @@ var presetTable = map[string]NetworkSpec{
 	"fbf100k": {Topology: "flatfly", X: 112, Y: 112, Conc: 8},
 }
 
-// ResolvePreset expands a preset name (Table 4 shorthand like cm3 or fbf9,
+// resolvePreset expands a preset name (Table 4 shorthand like cm3 or fbf9,
 // or the dynamic sn_<layout>_<N> form) into a full NetworkSpec.
-func ResolvePreset(name string) (NetworkSpec, error) {
+func resolvePreset(name string) (NetworkSpec, error) {
 	key := strings.ToLower(name)
 	if ns, ok := presetTable[key]; ok {
 		return ns, nil

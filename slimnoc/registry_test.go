@@ -43,7 +43,7 @@ func TestTopologyRegistryComplete(t *testing.T) {
 func TestPresetsResolveAndBuild(t *testing.T) {
 	names := append(sortedKeys(presetTable), "sn_basic_54", "sn_subgr_200", "sn_gr_200", "sn_rand_54")
 	for _, name := range names {
-		ns, err := ResolvePreset(name)
+		ns, err := resolvePreset(name)
 		if err != nil {
 			t.Errorf("%s: does not resolve: %v", name, err)
 			continue
@@ -63,10 +63,10 @@ func TestPresetsResolveAndBuild(t *testing.T) {
 			t.Errorf("%s: invalid network: %v", name, err)
 		}
 	}
-	if _, err := ResolvePreset("sn_weird_200"); err == nil {
+	if _, err := resolvePreset("sn_weird_200"); err == nil {
 		t.Error("unknown layout preset resolved")
 	}
-	if _, err := ResolvePreset("nope"); err == nil {
+	if _, err := resolvePreset("nope"); err == nil {
 		t.Error("unknown preset resolved")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/routing"
@@ -49,8 +50,7 @@ func TestRunnerWithRouteTable(t *testing.T) {
 // TestRouteTableNetworkMismatch: a table compiled for one network must not
 // silently route a different one — the simulator rejects a table compiled
 // for another network, of another size or of the same size with links
-// removed, and a campaign point whose options swap the network drops the
-// cached table and recompiles instead of failing.
+// removed.
 func TestRouteTableNetworkMismatch(t *testing.T) {
 	netA, kindA, err := BuildNetwork(NetworkSpec{Preset: "sn_subgr_200"})
 	if err != nil {
@@ -76,24 +76,6 @@ func TestRouteTableNetworkMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "another network") {
 		t.Fatalf("running a damaged network on the healthy network's table: err = %v, want a refusal naming another network", err)
 	}
-	// The campaign path: the internal cache attaches a table for the
-	// spec's network, then point options substitute another network. The
-	// stale table must be dropped, not applied.
-	spec.Network = NetworkSpec{Preset: "sn_subgr_200"}
-	results, err := RunCampaign(t.Context(), []RunSpec{spec},
-		WithJobs(1),
-		WithPointOptions(func(int, RunSpec) []Option {
-			return []Option{WithNetwork(netB, kindB)}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("network override alongside a cached table must recompile, got %v", results[0].Err)
-	}
-	if got := results[0].Result.Network.Name; got != netB.Name {
-		t.Fatalf("point ran on %q, want the overriding network %q", got, netB.Name)
-	}
 }
 
 // TestCompileRouteTableAdaptiveRejected: adaptive algorithms route per
@@ -112,10 +94,10 @@ func TestCompileRouteTableAdaptiveRejected(t *testing.T) {
 }
 
 // TestCampaignSharedRouteTableRace runs many concurrent simulations that
-// all read one compiled route table — both the campaign's internal
-// per-(network, routing, VCs) cache and an explicitly shared table via
-// WithRouteTable. Under -race this pins the contract that compiled tables
-// are immutable.
+// all read one compiled route table — a campaign's points through its
+// internal per-(network, routing, VCs) cache, and alongside them plain Runs
+// handed the same table via WithRouteTable. Under -race this pins the
+// contract that compiled tables are immutable.
 func TestCampaignSharedRouteTableRace(t *testing.T) {
 	net, kind, err := BuildNetwork(NetworkSpec{Preset: "sn_subgr_200"})
 	if err != nil {
@@ -133,22 +115,31 @@ func TestCampaignSharedRouteTableRace(t *testing.T) {
 			Sim:     SimSpec{WarmupCycles: 100, MeasureCycles: 300, DrainCycles: 600, Seed: int64(i + 1)},
 		})
 	}
-	// First half rides the campaign's internal table cache; second half
-	// shares the explicitly compiled table.
-	results, err := RunCampaign(t.Context(), points,
-		WithJobs(runtime.NumCPU()),
-		WithPointOptions(func(i int, _ RunSpec) []Option {
-			if i%2 == 0 {
-				return nil
-			}
-			return []Option{WithNetwork(net, kind), WithRouteTable(tab)}
-		}))
+	// The first half are campaign points riding its internal table cache;
+	// the second half are plain Runs sharing the explicitly compiled one.
+	half := len(points) / 2
+	runErrs := make([]error, len(points)-half)
+	var wg sync.WaitGroup
+	for i, p := range points[half:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, runErrs[i] = Run(t.Context(), p, WithNetwork(net, kind), WithRouteTable(tab))
+		}()
+	}
+	results, err := NewCampaign(WithJobs(runtime.NumCPU())).Run(t.Context(), points[:half])
+	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range results {
 		if p.Err != nil {
 			t.Errorf("point %d: %v", i, p.Err)
+		}
+	}
+	for i, err := range runErrs {
+		if err != nil {
+			t.Errorf("run %d on the shared table: %v", half+i, err)
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 
 // Source generates traffic for the simulator; see sim.Source. Aliased here
 // so callers of the facade never import internal/sim.
+//
+// keep: the parameter type of WithSource.
 type Source = sim.Source
 
 // Progress is the periodic telemetry snapshot streamed during a run.
@@ -35,6 +37,8 @@ type RouteTable = routing.RouteTable
 // EngineStats is the simulator-core telemetry block attached to every
 // Result: freelist behaviour, active-set occupancy and timing-wheel depth;
 // see sim.EngineStats.
+//
+// keep: the type of Result.Engine.
 type EngineStats = sim.EngineStats
 
 // runner executes one RunSpec once: the spec plus the options Run and the
@@ -89,6 +93,9 @@ func WithRouteTable(t *RouteTable) Option {
 
 // WithSource overrides the traffic section of the spec with a custom
 // generator (e.g. a recorded trace replay).
+//
+// keep: the one way to drive a run from a generator no spec names, such as
+// a recorded trace (see the package's WithSource example).
 func WithSource(src Source) Option {
 	return func(r *runner) { r.source = src }
 }
@@ -116,16 +123,6 @@ func WithEngineJobs(n int) Option {
 // differential debugging and for benchmarking the calendar's speedup.
 func WithCycleStep() Option {
 	return func(r *runner) { r.cycleStep = true }
-}
-
-// WithMemBudget caps the engine's estimated steady-state memory footprint at
-// bytes (0 = no cap). The estimate covers the per-node, per-router, per-VC
-// and per-edge state plus the compiled route table; a spec whose instance
-// exceeds the budget fails fast in Run with a sizing error instead of
-// allocating. The budget never alters results — runs that fit behave
-// identically at any budget — so it is a run option, not a RunSpec field.
-func WithMemBudget(bytes int64) Option {
-	return func(r *runner) { r.memBudget = bytes }
 }
 
 // newRunner prepares a run of the spec.

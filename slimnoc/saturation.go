@@ -85,11 +85,11 @@ func (s SaturationSpec) Validate() error {
 	return probe.Validate()
 }
 
-// Grid returns the search's load grid, MinLoad + i*Step up to MaxLoad
+// grid returns the search's load grid, MinLoad + i*Step up to MaxLoad
 // inclusive. Probes are drawn from exactly these float64 values (same
 // arithmetic, same bits), so a SweepSpec with this slice as its Loads axis
 // hits the same store keys as the search.
-func (s SaturationSpec) Grid() []float64 {
+func (s SaturationSpec) grid() []float64 {
 	s = s.Normalized()
 	loads := make([]float64, s.gridSteps()+1)
 	for i := range loads {
@@ -108,11 +108,10 @@ func (s SaturationSpec) load(i int) float64 {
 	return s.MinLoad + float64(i)*s.Step
 }
 
-// Saturates reports whether a probe's metrics cross the resolved threshold:
+// saturates reports whether a probe's metrics cross the resolved threshold:
 // the run reported saturation itself (undelivered tracked packets), or its
-// mean latency exceeds threshold cycles. Exported so grid scans can apply
-// the identical predicate the search uses.
-func Saturates(m Metrics, threshold float64) bool {
+// mean latency exceeds threshold cycles.
+func saturates(m Metrics, threshold float64) bool {
 	return m.Saturated || m.AvgLatencyCycles > threshold
 }
 
@@ -198,7 +197,7 @@ func (c *Campaign) SaturationSearch(ctx context.Context, spec SaturationSpec) (S
 	if res.Threshold <= 0 {
 		res.Threshold = spec.LatencyFactor * math.Max(base.AvgLatencyCycles, 1)
 	}
-	if Saturates(base, res.Threshold) {
+	if saturates(base, res.Threshold) {
 		res.AtMin = true
 		res.SaturationLoad = spec.load(0)
 		return res, nil
@@ -207,7 +206,7 @@ func (c *Campaign) SaturationSearch(ctx context.Context, spec SaturationSpec) (S
 	if err != nil {
 		return res, err
 	}
-	if !Saturates(top, res.Threshold) {
+	if !saturates(top, res.Threshold) {
 		res.AtMax = true
 		res.SaturationLoad = spec.load(steps)
 		return res, nil
@@ -219,7 +218,7 @@ func (c *Campaign) SaturationSearch(ctx context.Context, spec SaturationSpec) (S
 		if err != nil {
 			return res, err
 		}
-		if Saturates(m, res.Threshold) {
+		if saturates(m, res.Threshold) {
 			hi = mid
 		} else {
 			lo = mid

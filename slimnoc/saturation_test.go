@@ -45,14 +45,14 @@ func TestSaturationSearch(t *testing.T) {
 
 	// Brute force: run every grid load and find the last one below the
 	// search's own threshold.
-	grid := spec.Grid()
+	grid := spec.grid()
 	var points []RunSpec
 	for _, load := range grid {
 		p := spec.Base
 		p.Traffic.Rate = load
 		points = append(points, p)
 	}
-	scan, err := RunCampaign(t.Context(), points, WithJobs(2))
+	scan, err := NewCampaign(WithJobs(2)).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSaturationSearch(t *testing.T) {
 		if p.Err != nil {
 			t.Fatalf("grid point %d: %v", i, p.Err)
 		}
-		if !Saturates(p.Result.Metrics, res.Threshold) {
+		if !saturates(p.Result.Metrics, res.Threshold) {
 			bruteSat, seen = grid[i], true
 		} else {
 			break // the curve is monotone in this regime
@@ -126,14 +126,14 @@ func TestSaturationSearchStoreResume(t *testing.T) {
 
 	// Cross-mode reuse: a grid sweep over the same loads is served from the
 	// search's store entries for every load the search probed.
-	grid := spec.Grid()
+	grid := spec.grid()
 	var points []RunSpec
 	for _, load := range grid {
 		p := spec.Base
 		p.Traffic.Rate = load
 		points = append(points, p)
 	}
-	scan, err := RunCampaign(t.Context(), points, WithJobs(1), WithStore(st))
+	scan, err := NewCampaign(WithJobs(1), WithStore(st)).Run(t.Context(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSaturationSpecValidate(t *testing.T) {
 // point keys hash the load bytes).
 func TestSaturationGrid(t *testing.T) {
 	s := SaturationSpec{MinLoad: 0.1, MaxLoad: 0.3, Step: 0.05}
-	got := s.Grid()
+	got := s.grid()
 	if len(got) != 5 {
 		t.Fatalf("grid %v, want 5 points", got)
 	}
@@ -219,13 +219,13 @@ func TestSaturationGrid(t *testing.T) {
 	if last := got[len(got)-1]; last < 0.3-1e-9 || last > 0.3+1e-9 {
 		t.Errorf("grid ends at %v, want MaxLoad", last)
 	}
-	again := s.Grid()
+	again := s.grid()
 	for i := range got {
 		if got[i] != again[i] {
 			t.Errorf("grid[%d] not reproducible: %v vs %v", i, got[i], again[i])
 		}
 	}
-	if g := (SaturationSpec{}).Grid(); len(g) < 2 {
+	if g := (SaturationSpec{}).grid(); len(g) < 2 {
 		t.Errorf("default grid too small: %v", g)
 	}
 }

@@ -35,7 +35,7 @@ type RunSpec struct {
 // ready-made configuration (the Table 4 shorthand: cm3, t2d9, fbf8, pfbf4,
 // sn_subgr_200, ...) or Topology names a family with explicit parameters.
 type NetworkSpec struct {
-	// Preset expands to a full NetworkSpec via ResolvePreset; explicitly
+	// Preset expands to a full NetworkSpec (see ExpandNetwork); explicitly
 	// set fields below then override the preset's values.
 	Preset string `json:"preset,omitempty"`
 	// Topology names the family: sn, mesh, torus, flatfly, pflatfly,
@@ -278,8 +278,8 @@ func (s RunSpec) Normalized() RunSpec {
 	return s
 }
 
-// HopsPerCycle resolves the effective SMART hop factor H for the spec.
-func (s RunSpec) HopsPerCycle() int {
+// hopsPerCycle resolves the effective SMART hop factor H for the spec.
+func (s RunSpec) hopsPerCycle() int {
 	h := 1
 	if s.SMART {
 		h = 9
@@ -303,7 +303,7 @@ func (s RunSpec) BufferPlan() (core.Buffers, error) {
 	if b := s.Buffering; b.EdgeCap < 0 || b.CBCap < 0 {
 		return core.Buffers{}, fmt.Errorf("slimnoc: buffering.edge_cap = %d, cb_cap = %d: capacities must be >= 0 (0 selects the default)", b.EdgeCap, b.CBCap)
 	}
-	return core.Buffers{Scheme: bs.scheme, VCs: s.Routing.VCs, H: s.HopsPerCycle(),
+	return core.Buffers{Scheme: bs.scheme, VCs: s.Routing.VCs, H: s.hopsPerCycle(),
 		EdgeCap: s.Buffering.EdgeCap, CBCap: s.Buffering.CBCap}, nil
 }
 
@@ -315,7 +315,7 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("slimnoc: spec needs network.preset or network.topology")
 	}
 	if s.Network.Preset != "" {
-		if _, err := ResolvePreset(s.Network.Preset); err != nil {
+		if _, err := resolvePreset(s.Network.Preset); err != nil {
 			return err
 		}
 	} else if _, err := topologies.lookup(s.Network.Topology); err != nil {
@@ -390,6 +390,8 @@ func (s RunSpec) JSON() ([]byte, error) {
 
 // ParseSpec decodes a RunSpec from JSON, rejecting unknown fields so typos
 // in hand-written spec files fail loudly instead of being ignored.
+//
+// keep: it reads back what RunSpec.JSON writes (see the package example).
 func ParseSpec(data []byte) (RunSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -400,8 +402,8 @@ func ParseSpec(data []byte) (RunSpec, error) {
 	return s.Normalized(), nil
 }
 
-// LoadSpec reads and parses a spec file.
-func LoadSpec(path string) (RunSpec, error) {
+// loadSpec reads and parses a spec file.
+func loadSpec(path string) (RunSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return RunSpec{}, fmt.Errorf("slimnoc: loading spec: %w", err)
@@ -409,8 +411,8 @@ func LoadSpec(path string) (RunSpec, error) {
 	return ParseSpec(data)
 }
 
-// SaveSpec writes the spec as indented JSON to path.
-func SaveSpec(path string, s RunSpec) error {
+// saveSpec writes the spec as indented JSON to path.
+func saveSpec(path string, s RunSpec) error {
 	data, err := s.JSON()
 	if err != nil {
 		return err

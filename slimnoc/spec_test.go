@@ -121,13 +121,13 @@ func TestNormalizedDefaults(t *testing.T) {
 }
 
 func TestHopsPerCycle(t *testing.T) {
-	if h := (RunSpec{}).HopsPerCycle(); h != 1 {
+	if h := (RunSpec{}).hopsPerCycle(); h != 1 {
 		t.Errorf("base H = %d, want 1", h)
 	}
-	if h := (RunSpec{SMART: true}).HopsPerCycle(); h != 9 {
+	if h := (RunSpec{SMART: true}).hopsPerCycle(); h != 9 {
 		t.Errorf("SMART H = %d, want 9", h)
 	}
-	if h := (RunSpec{SMART: true, HopFactor: 4}).HopsPerCycle(); h != 4 {
+	if h := (RunSpec{SMART: true, HopFactor: 4}).hopsPerCycle(); h != 4 {
 		t.Errorf("explicit H = %d, want 4", h)
 	}
 }

@@ -133,7 +133,7 @@ func (s *SpecFlags) set(name string) bool {
 func (s *SpecFlags) Spec(defaults RunSpec) (RunSpec, error) {
 	spec := defaults.Normalized()
 	if s.SpecPath != "" {
-		loaded, err := LoadSpec(s.SpecPath)
+		loaded, err := loadSpec(s.SpecPath)
 		if err != nil {
 			return RunSpec{}, err
 		}
@@ -246,7 +246,7 @@ func (s *SpecFlags) Spec(defaults RunSpec) (RunSpec, error) {
 		return RunSpec{}, err
 	}
 	if s.SaveSpec != "" {
-		if err := SaveSpec(s.SaveSpec, spec); err != nil {
+		if err := saveSpec(s.SaveSpec, spec); err != nil {
 			return RunSpec{}, err
 		}
 	}

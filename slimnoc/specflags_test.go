@@ -71,7 +71,7 @@ func TestSpecFlagsFileAndOverride(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
 	base := testSpec()
 	base.Traffic.Rate = 0.3
-	if err := SaveSpec(path, base.Normalized()); err != nil {
+	if err := saveSpec(path, base.Normalized()); err != nil {
 		t.Fatal(err)
 	}
 	// Load the file and override just the rate.
@@ -98,7 +98,7 @@ func TestSpecFlagsSaveSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSpec(path)
+	loaded, err := loadSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}

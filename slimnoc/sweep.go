@@ -54,6 +54,9 @@ type SweepAxes struct {
 // practical sweep sizes, so the parallel and serial execution of one sweep
 // use identical per-point seeds. The result is never 0 (0 means "unset"
 // throughout the spec layer).
+//
+// keep: the documented seed rule of every sweep point (docs/DETERMINISM.md),
+// for rebuilding one point of a sweep outside it.
 func DeriveSeed(base int64, i int) int64 {
 	z := uint64(base)*0x9e3779b97f4a7c15 + uint64(i) + 1
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -258,14 +261,9 @@ func (s SweepSpec) Validate() error {
 	return err
 }
 
-// JSON renders the sweep as indented JSON.
-func (s SweepSpec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// ParseSweep decodes a SweepSpec from JSON, rejecting unknown fields so
+// parseSweep decodes a SweepSpec from JSON, rejecting unknown fields so
 // typos in hand-written sweep files fail loudly.
-func ParseSweep(data []byte) (SweepSpec, error) {
+func parseSweep(data []byte) (SweepSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s SweepSpec
@@ -282,14 +280,5 @@ func LoadSweep(path string) (SweepSpec, error) {
 	if err != nil {
 		return SweepSpec{}, fmt.Errorf("slimnoc: loading sweep: %w", err)
 	}
-	return ParseSweep(data)
-}
-
-// SaveSweep writes the sweep as indented JSON to path.
-func SaveSweep(path string, s SweepSpec) error {
-	data, err := s.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return parseSweep(data)
 }

@@ -1,6 +1,8 @@
 package slimnoc
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -118,7 +120,11 @@ func TestSweepSeedDerivation(t *testing.T) {
 func TestSweepJSONRoundTrip(t *testing.T) {
 	sweep := testSweep()
 	path := t.TempDir() + "/sweep.json"
-	if err := SaveSweep(path, sweep); err != nil {
+	data, err := json.MarshalIndent(sweep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSweep(path)
@@ -136,7 +142,7 @@ func TestSweepJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Error("round-tripped sweep expands differently")
 	}
-	if _, err := ParseSweep([]byte(`{"axes": {"loadz": [1]}}`)); err == nil {
+	if _, err := parseSweep([]byte(`{"axes": {"loadz": [1]}}`)); err == nil {
 		t.Error("unknown axis field accepted")
 	}
 }

@@ -250,7 +250,7 @@ func TestCampaignMixedProcessSerialMatchesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := RunCampaign(t.Context(), points, WithJobs(jobs))
+		results, err := NewCampaign(WithJobs(jobs)).Run(t.Context(), points)
 		if err != nil {
 			t.Fatal(err)
 		}
