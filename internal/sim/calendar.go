@@ -125,10 +125,10 @@ func (c *Config) memEstimate(stride int) int64 {
 	nv := np * vcs
 	lanes := edges * vcs
 	nd := int64(c.domains())
-	const flitBytes = 16                             // flit: pointer + idx + hop + next
+	const flitBytes = 12                             // flit: packet index + idx + hop + next
 	const linkBytes = 48                             // link: endpoints, latency, pending, VC bases
 	b := np * (3 * 4)                                // outLink/inLink/revPort
-	b += nv*(4+4+4+8+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inFront; inBuf
+	b += nv*(4+4+4+4+4+4+flitBytes) + slab*flitBytes // inCap/inOff/inHead + outOwner + space + inLen + inFront; inBuf
 	if c.Scheme == core.CBR {
 		b += nv * (16 + 8) // cbq heads and tails + cbIn
 	}

@@ -31,16 +31,16 @@ func (s *Sim) Stuck() StuckReport {
 				if n := s.inLen[slot]; n > 0 {
 					rep.InInputBuffers += int(n)
 					f := s.inFront[slot]
-					p := f.pkt
+					p := s.pkts[f.pkt]
 					add(fmt.Sprintf("router %d in[%d][%d]: %d flits; head pkt %d (src %d dst %d hop %d via router %d until hop %d flit %d%s)",
-						r, pi, vc, n, p.id, p.src, p.dst, f.hop, p.via, p.viaHops, f.idx, s.cbDecision(slot)))
+						r, pi, vc, n, f.pkt, p.src, p.dst, f.hop, p.via, p.viaHops, f.idx, s.cbDecision(slot)))
 				}
 			}
 			for vc := 0; vc < s.vcs && s.cbq != nil; vc++ {
 				for cp := s.cbq[vb+vc].head; cp != nil; cp = cp.qnext {
 					rep.InCB += int(cp.stored)
 					add(fmt.Sprintf("router %d CB (port %d vc %d): pkt %d stored %d expected %d",
-						r, pi, vc, cp.pkt.id, cp.stored, cp.expected))
+						r, pi, vc, cp.pkt, cp.stored, cp.expected))
 				}
 			}
 		}
@@ -73,7 +73,7 @@ func (s *Sim) Stuck() StuckReport {
 		if n := s.nics[v].injLen; n > 0 {
 			rep.InInjQueues += int(n)
 			f := s.injFront(v)
-			add(fmt.Sprintf("node %d injQ: %d flits (pkt %d dst %d)", v, n, f.pkt.id, f.pkt.dst))
+			add(fmt.Sprintf("node %d injQ: %d flits (pkt %d dst %d)", v, n, f.pkt, s.pkts[f.pkt].dst))
 		}
 	}
 	for di := range s.doms {

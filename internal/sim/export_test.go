@@ -31,17 +31,17 @@ func (s *Sim) CheckBuffers() error {
 			continue
 		}
 		prev := s.inFront[slot]
-		if prev.pkt == nil {
-			return fmt.Errorf("input slot %d: %d flits but no front flit", slot, n)
+		if int(prev.pkt) >= len(s.pkts) {
+			return fmt.Errorf("input slot %d: %d flits but the front flit names packet %d of %d", slot, n, prev.pkt, len(s.pkts))
 		}
 		for i := int32(1); i < n; i++ {
 			f := s.inBuf[slabPos(s.inOff[slot], h, i-1, c-1)]
 			ok := f.head()
-			if !prev.tail() {
+			if !prev.tail(s.pkts[prev.pkt]) {
 				ok = f.pkt == prev.pkt && f.idx == prev.idx+1
 			}
 			if !ok {
-				return fmt.Errorf("input slot %d: flit %d of packet %d follows flit %d of packet %d", slot, f.idx, f.pkt.id, prev.idx, prev.pkt.id)
+				return fmt.Errorf("input slot %d: flit %d of packet %d follows flit %d of packet %d", slot, f.idx, f.pkt, prev.idx, prev.pkt)
 			}
 			prev = f
 		}
@@ -55,27 +55,27 @@ func (s *Sim) CheckBuffers() error {
 		// The injection queue is the moved-but-uninjected flits of the
 		// packet list, from flit injIdx of front on; src is the first
 		// packet with unmoved flits.
-		queued, src := 0, (*packet)(nil)
+		queued, src := int32(0), (*packet)(nil)
 		for p := nc.front; p != nil; p = p.qnext {
 			moved := p.flitsMoved
 			if p == nc.front {
-				if int(nc.injIdx) > moved || moved > p.flits {
-					return fmt.Errorf("node %d: front packet %d at flit %d, %d of %d moved", v, p.id, nc.injIdx, moved, p.flits)
+				if int32(nc.injIdx) > moved || moved > p.flits {
+					return fmt.Errorf("node %d: front packet %d at flit %d, %d of %d moved", v, p.ref, nc.injIdx, moved, p.flits)
 				}
-				moved -= int(nc.injIdx)
+				moved -= int32(nc.injIdx)
 			}
 			queued += moved
 			if src == nil && p.flitsMoved < p.flits {
 				src = p
 			}
 			if p.qnext == nil && p != nc.last {
-				return fmt.Errorf("node %d: packet list ends at packet %d, last is packet %d", v, p.id, nc.last.id)
+				return fmt.Errorf("node %d: packet list ends at packet %d, last is packet %d", v, p.ref, nc.last.ref)
 			}
 		}
 		if nc.front == nil && nc.injIdx != 0 {
 			return fmt.Errorf("node %d: empty packet list but front flit %d", v, nc.injIdx)
 		}
-		if queued != int(nc.injLen) || src != nc.src {
+		if queued != nc.injLen || src != nc.src {
 			return fmt.Errorf("node %d: packet list holds %d moved flits and its first unmoved packet is %p; injLen %d, src %p", v, queued, src, nc.injLen, nc.src)
 		}
 		if nc.src != nil {
@@ -140,7 +140,7 @@ func (s *Sim) checkCB() error {
 		for _, q := range s.cbq[r*nvr : (r+1)*nvr] {
 			for cp := q.head; cp != nil; cp = cp.qnext {
 				if cp.stored < 0 || cp.expected < 0 || cp.stored+cp.expected == 0 {
-					return fmt.Errorf("router %d: CB record of packet %d holds %d flits, expects %d", r, cp.pkt.id, cp.stored, cp.expected)
+					return fmt.Errorf("router %d: CB record of packet %d holds %d flits, expects %d", r, cp.pkt, cp.stored, cp.expected)
 				}
 				held += cp.stored + cp.expected
 			}
@@ -152,7 +152,7 @@ func (s *Sim) checkCB() error {
 	for slot, cp := range s.cbIn {
 		if cp == nil {
 			if f := s.inFront[slot]; s.inLen[slot] > 0 && !f.head() && f.next != nextEject {
-				return fmt.Errorf("input slot %d: body flit %d of packet %d in front of an undecided input", slot, f.idx, f.pkt.id)
+				return fmt.Errorf("input slot %d: body flit %d of packet %d in front of an undecided input", slot, f.idx, f.pkt)
 			}
 			continue
 		}
@@ -162,10 +162,10 @@ func (s *Sim) checkCB() error {
 		f := s.inFront[slot]
 		if cp == cbBypass {
 			if f.head() {
-				return fmt.Errorf("input slot %d: head of packet %d behind a bypass decision", slot, f.pkt.id)
+				return fmt.Errorf("input slot %d: head of packet %d behind a bypass decision", slot, f.pkt)
 			}
-		} else if f.pkt != cp.pkt || int32(f.idx) != int32(cp.pkt.flits)-cp.expected {
-			return fmt.Errorf("input slot %d: flit %d of packet %d in front of the CB record of packet %d expecting %d more", slot, f.idx, f.pkt.id, cp.pkt.id, cp.expected)
+		} else if f.pkt != cp.pkt || int32(f.idx) != s.pkts[cp.pkt].flits-cp.expected {
+			return fmt.Errorf("input slot %d: flit %d of packet %d in front of the CB record of packet %d expecting %d more", slot, f.idx, f.pkt, cp.pkt, cp.expected)
 		}
 	}
 	return nil

@@ -56,12 +56,12 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 			for i := 1; i < len(stream); i++ {
 				prev, f := stream[i-1], stream[i]
 				ok := f.head()
-				if !prev.tail() {
+				if !prev.tail(s.pkts[prev.pkt]) {
 					ok = f.pkt == prev.pkt && f.idx == prev.idx+1
 				}
 				if !ok {
 					t.Fatalf("cycle %d, link %d->%d vc %d: flit %d of packet %d follows flit %d of packet %d (%d buffered, then %s)",
-						s.now, l.from, l.to, vc, f.idx, f.pkt.id, prev.idx, prev.pkt.id, buffered, streamString(stream[buffered:]))
+						s.now, l.from, l.to, vc, f.idx, f.pkt, prev.idx, prev.pkt, buffered, streamString(stream[buffered:]))
 				}
 			}
 		}
@@ -71,7 +71,7 @@ func checkLaneOrder(t *testing.T, s *Sim) {
 func streamString(fs []flit) string {
 	out := ""
 	for _, f := range fs {
-		out += fmt.Sprintf(" %d.%d", f.pkt.id, f.idx)
+		out += fmt.Sprintf(" %d.%d", f.pkt, f.idx)
 	}
 	return "[" + out + " ]"
 }
@@ -108,5 +108,94 @@ func TestLaneWormholeOrder(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOutputVCOwnership pins the wormhole guard on an output VC: while one
+// packet's wormhole holds it, no other packet's body flit may take it, and
+// a body flit never takes a free one (only its own head claims it). The
+// guard is unreachable from traffic — a body flit's head always claimed the
+// output VC the body is routed to — so the test builds the state by hand:
+// packets A and B enter router r from two different neighbours on routes
+// whose next hop at r is the same output VC; A's head has crossed r and
+// owns it, and B's body flit is at the front of its input.
+func TestOutputVCOwnership(t *testing.T) {
+	net := engineNet(t)
+	s, err := New(Config{Net: net, Table: minTable(t, net, 2), Buffers: core.Buffers{VCs: 2},
+		Traffic: &bernoulliSource{n: net.N(), flits: 2}, EngineJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// nb is the neighbour a next-hop word at router cur leads to.
+	nb := func(cur int, w uint32) int { return net.Adj[cur][w>>16] }
+	r, a, b, dst := -1, -1, -1, -1
+search:
+	for r0, adj := range net.Adj {
+		for _, a0 := range adj {
+			for _, b0 := range adj {
+				for d0 := 0; d0 < net.Nr && a0 != b0; d0++ {
+					if d0 == a0 || d0 == b0 || d0 == r0 ||
+						nb(a0, s.table.Next(a0, a0, d0, 0)) != r0 || nb(b0, s.table.Next(b0, b0, d0, 0)) != r0 {
+						continue // a route from a0 or b0 to d0 does not cross r0
+					}
+					if s.table.Next(a0, r0, d0, 1) == s.table.Next(b0, r0, d0, 1) {
+						r, a, b, dst = r0, a0, b0, d0
+						break search
+					}
+				}
+			}
+		}
+	}
+	if r < 0 {
+		t.Fatal("no router where two neighbours' routes share an output VC")
+	}
+	packetFrom := func(src int) *packet {
+		p := s.allocPacket()
+		p.src, p.dst = int32(net.RouterNodes(src)[0]), int32(net.RouterNodes(dst)[0])
+		p.srcR, p.dstR, p.flits = int32(src), int32(dst), 2
+		return p
+	}
+	pa, pb := packetFrom(a), packetFrom(b)
+	// lane is the link from p's source router into r and the VC p's flits
+	// ride on it, as the route table sends them.
+	lane := func(p *packet) (*link, int) {
+		w0 := s.table.Next(int(p.srcR), int(p.srcR), dst, 0)
+		port := int(w0 >> 16)
+		return &s.links[s.outLink[int(p.srcR)*s.stride+port]], int(w0&0xffff) - port*s.vcs
+	}
+	// send lands flit idx of p at r, as the link phase would.
+	send := func(p *packet, idx uint16) {
+		l, vc := lane(p)
+		l.pending++
+		s.doms[0].linksLive++
+		s.deliver(&s.doms[0], l, vc, flit{pkt: p.ref, idx: idx, hop: 1, next: s.table.Next(int(p.srcR), r, dst, 1)})
+	}
+	front := func(p *packet) int32 {
+		l, vc := lane(p)
+		return s.inLen[int(l.recvVB)+vc]
+	}
+	vi := r*s.stride*s.vcs + int(s.table.Next(a, r, dst, 1)&0xffff)
+	s.outOwner[vi] = int32(pa.ref) // A's head went out on vi
+	send(pb, 1)
+	step := func() {
+		s.step()
+		s.now++
+		if err := s.CheckBuffers(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if front(pb) != 1 || s.outOwner[vi] != int32(pa.ref) {
+		t.Fatalf("B's body flit took output VC %d from A's wormhole (B input holds %d flits, owner %d)", vi, front(pb), s.outOwner[vi])
+	}
+	// A's tail passes and frees the VC; B's body must still wait.
+	send(pa, 1)
+	step()
+	if front(pa) != 0 || s.outOwner[vi] != -1 {
+		t.Fatalf("A's tail did not pass: A input holds %d flits, owner %d", front(pa), s.outOwner[vi])
+	}
+	step()
+	if front(pb) != 1 || s.outOwner[vi] != -1 {
+		t.Fatalf("B's body flit took the free output VC %d (B input holds %d flits, owner %d)", vi, front(pb), s.outOwner[vi])
 	}
 }

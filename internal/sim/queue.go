@@ -57,9 +57,10 @@ func (q *fifo) pop(slab []flit) flit {
 // have (credit returns: the longest wire; ejections: the direct router
 // delay; arrivals: arrivalHorizon), so schedule panics on an event at or
 // beyond the horizon, as it does on one at or before `now`: both are
-// engine bugs. Bucket slices retain capacity across reuse. The bucket
-// count is rounded up to a power of two so the per-event bucket map is a
-// mask.
+// engine bugs. Bucket slices retain capacity across reuse; the events are
+// pointer-free values (flits, arrivals, credit returns), so the stale
+// entries past a bucket's length keep nothing alive. The bucket count is
+// rounded up to a power of two so the per-event bucket map is a mask.
 type wheel[T any] struct {
 	buckets [][]T
 	pending int
@@ -82,7 +83,6 @@ func wheelSize(horizon int64) int64 {
 // reset drops every pending event, keeping bucket capacity; see Sim.reset.
 func (w *wheel[T]) reset() {
 	for b := range w.buckets {
-		clear(w.buckets[b]) // release references held by undelivered events
 		w.buckets[b] = w.buckets[b][:0]
 	}
 	w.pending = 0
@@ -103,11 +103,11 @@ func (w *wheel[T]) schedule(now, at int64, v T) {
 
 // take removes and returns the events due at cycle `now`. The returned slice
 // aliases the bucket's backing array, which is immediately reusable for
-// future cycles — callers must finish iterating (and clear element
-// references) before the wheel can revisit the same bucket, which is
-// guaranteed within one cycle's processing. A clock that jumps forward —
-// the calendar's skip — still observes every event at its due cycle: it
-// never jumps past a wheel's nextDue.
+// future cycles — callers must finish iterating before the wheel can
+// revisit the same bucket, which is guaranteed within one cycle's
+// processing. A clock that jumps forward — the calendar's skip — still
+// observes every event at its due cycle: it never jumps past a wheel's
+// nextDue.
 //
 //sim:hot
 func (w *wheel[T]) take(now int64) []T {

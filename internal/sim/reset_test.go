@@ -19,12 +19,14 @@ import (
 	"repro/internal/topo"
 )
 
-// resetExempt names the fields reset leaves alone on purpose: the packet and
-// central-buffer freelists (recycled objects are reinitialised when taken).
+// resetExempt names the fields reset does not return to New's values on
+// purpose: the packet directory and freelist and the central-buffer
+// freelists (recycled objects are reinitialised when taken;
+// TestResetEqualsFresh checks the directory apart).
 //
 // The input and stall slabs are compared apart, in simDiff: only what their
 // queues hold is state.
-var resetExempt = map[string]bool{"pktPool": true, "cbPool": true, "inBuf": true, "stallBuf": true}
+var resetExempt = map[string]bool{"pkts": true, "pktFree": true, "cbPool": true, "inBuf": true, "stallBuf": true}
 
 var streamType = reflect.TypeOf(rng.Stream{})
 
@@ -227,7 +229,18 @@ func TestResetEqualsFresh(t *testing.T) {
 				if len(simDiff(t, e.s, fresh.s)) == 0 {
 					t.Fatalf("maxCycles %d: a loaded episode left the engine equal to a fresh one; the comparison sees nothing", maxCycles)
 				}
+				stranded := len(e.s.pkts) - len(e.s.pktFree)
 				e.s.reset()
+				// The packets an episode left in flight leave the directory.
+				if len(e.s.pkts) != len(e.s.pktFree) || (maxCycles != 0) != (stranded > 0) {
+					t.Fatalf("maxCycles %d: %d packets stranded in flight; after reset the directory holds %d, the freelist %d",
+						maxCycles, stranded, len(e.s.pkts), len(e.s.pktFree))
+				}
+				for _, ref := range e.s.pktFree {
+					if e.s.pkts[ref].ref != ref {
+						t.Fatalf("maxCycles %d: freelisted packet at directory slot %d has ref %d", maxCycles, ref, e.s.pkts[ref].ref)
+					}
+				}
 				if diffs := simDiff(t, e.s, fresh.s); len(diffs) > 0 {
 					if len(diffs) > 12 {
 						diffs = append(diffs[:12], fmt.Sprintf("... and %d more", len(diffs)-12))

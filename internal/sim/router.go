@@ -10,8 +10,9 @@
 // The arbitration fast path re-derives nothing per flit: the next-hop
 // decision, computed from the route table as the flit is sent to the
 // router, rides in the flit (flit.next), output conflicts are one bitmask
-// test against the domain's outMask scratch, and downstream readiness is one
-// compare of the per-(port,vc) space word — no route-table, packet or
+// test against the domain's outMask scratch, downstream readiness is one
+// compare of the per-(port,vc) space word, and VC ownership compares the
+// flit's packet index with the outOwner word — no route-table, packet or
 // link-struct access until a flit actually moves.
 
 package sim
@@ -91,7 +92,8 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// A probe on the fast path (edge buffers/elastic) reads the front flit's
 	// next-hop word and tests it against the conflict mask and the
 	// readiness word — dense scalar arrays; the rest of the flit is only
-	// read for the VC-ownership check and the move. The CBR probe keeps
+	// read for the VC-ownership check and the move, and its packet only
+	// for an ejection or the move. The CBR probe keeps
 	// the flit-carrying slow path (tryAdvanceCBR): its buffered path must
 	// make progress even when the output is blocked, so readiness cannot
 	// gate it.
@@ -102,7 +104,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	// Local views keep the probe loop free of slice-header reloads: the
 	// callees mutate elements, never the headers.
 	occ := s.occIn[r*s.occW : (r+1)*s.occW]
-	inFront := s.inFront
+	inFront, pkts := s.inFront, s.pkts
 	space, outOwner := s.space, s.outOwner
 	mask := d.outMask
 	skip := 0
@@ -142,11 +144,12 @@ func (s *Sim) stepRouter(d *domain, r int) {
 			} else if nx := inFront[slot].next; nx == nextEject {
 				// Ejection: one flit per node ejection port per cycle.
 				f := inFront[slot]
-				if s.ejUsedAt[f.pkt.dst] == now {
+				dst := pkts[f.pkt].dst
+				if s.ejUsedAt[dst] == now {
 					rm &= rm - 1
 					continue
 				}
-				s.ejUsedAt[f.pkt.dst] = now
+				s.ejUsedAt[dst] = now
 				vc = b % vcs
 				s.popInput(d, r, pb+b/vcs, slot, vc)
 				s.ejectWithDelay(d, r, f)
@@ -166,7 +169,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 						rm &= rm - 1 // head flit: output VC taken
 						continue
 					}
-				} else if owner != f.pkt.id {
+				} else if owner != int32(f.pkt) {
 					rm &= rm - 1 // body flit: not our wormhole
 					continue
 				}
@@ -196,11 +199,12 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		}
 		if nx == nextEject {
 			// Same-router destination: eject directly.
-			f := s.injFront(node)
-			if s.ejUsedAt[f.pkt.dst] == now {
+			dst := s.nics[node].front.dst
+			if s.ejUsedAt[dst] == now {
 				continue
 			}
-			s.ejUsedAt[f.pkt.dst] = now
+			s.ejUsedAt[dst] = now
+			f := s.injFront(node)
 			s.popInj(d, node, f)
 			s.ejectWithDelay(d, r, f)
 			continue
@@ -217,7 +221,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 			if owner != -1 {
 				continue
 			}
-		} else if owner != f.pkt.id {
+		} else if owner != int32(f.pkt) {
 			continue
 		}
 		s.popInj(d, node, f)
@@ -231,7 +235,7 @@ func (s *Sim) stepRouter(d *domain, r int) {
 //sim:hot
 func (s *Sim) injFront(node int) flit {
 	nc := &s.nics[node]
-	return flit{pkt: nc.front, idx: nc.injIdx, next: s.injNext[node]}
+	return flit{pkt: nc.front.ref, idx: nc.injIdx, next: s.injNext[node]}
 }
 
 // popInj removes the front flit f of a NIC injection queue, keeping the
@@ -245,17 +249,18 @@ func (s *Sim) injFront(node int) flit {
 func (s *Sim) popInj(d *domain, node int, f flit) {
 	nc := &s.nics[node]
 	nc.injLen--
-	if f.tail() {
+	tail := f.tail(nc.front)
+	if tail {
 		nc.front, nc.injIdx = nc.front.qnext, 0
 	} else {
 		nc.injIdx++
 	}
 	if nc.injLen == 0 {
 		s.injNext[node] = nextNone
-	} else if f.tail() {
+	} else if tail {
 		// The next packet's head is now in front; the flits behind a
 		// non-tail front share its next-hop word.
-		s.injNext[node] = s.nextWord(nc.front, nc.front.srcR, 0)
+		s.injNext[node] = s.nextWord(nc.front, int(nc.front.srcR), 0)
 	}
 	if nc.src != nil {
 		s.nicWake(d, node)
@@ -272,18 +277,18 @@ func (s *Sim) popInj(d *domain, node int, f flit) {
 //sim:hot
 //sim:domain
 func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int) bool {
+	p := s.pkts[f.pkt]
 	// Ejection.
 	if f.next == nextEject {
-		if s.ejUsedAt[f.pkt.dst] == s.now {
+		if s.ejUsedAt[p.dst] == s.now {
 			return false
 		}
-		s.ejUsedAt[f.pkt.dst] = s.now
+		s.ejUsedAt[p.dst] = s.now
 		pv := r*s.stride + pi
 		s.popInput(d, r, pv, pv*s.vcs+vc, vc)
 		s.ejectWithDelay(d, r, f)
 		return true
 	}
-	p := f.pkt
 	pb := r * s.stride
 	pv := pb + pi
 	in := pv*s.vcs + vc
@@ -297,11 +302,11 @@ func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int)
 		if q.head == nil && s.outOwner[vi] == -1 &&
 			d.outMask[outPort>>6]&(1<<(outPort&63)) == 0 && s.space[vi] > 0 {
 			cp = cbBypass
-		} else if s.cbFree[r] >= int32(p.flits) {
-			s.cbFree[r] -= int32(p.flits)
+		} else if s.cbFree[r] >= p.flits {
+			s.cbFree[r] -= p.flits
 			cp = s.allocCBPacket(d)
-			cp.pkt, cp.qnext, cp.hop = p, nil, f.hop
-			cp.stored, cp.expected = 0, int32(p.flits)
+			cp.pkt, cp.qnext, cp.hop = f.pkt, nil, f.hop
+			cp.stored, cp.expected = 0, p.flits
 			if q.head == nil {
 				q.head = cp
 			} else {
@@ -315,14 +320,14 @@ func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int)
 	}
 	if cp == cbBypass {
 		// Bypass path: behaves like a direct wormhole traversal.
-		if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 || !s.outputReady(p, vi, f.head()) {
+		if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 || !s.outputReady(f.pkt, vi, f.head()) {
 			return false
 		}
 	} else if *cbWrote {
 		return false // CB write port: one flit per router per cycle
 	}
 	s.popInput(d, r, pv, in, vc)
-	if f.tail() {
+	if f.tail(p) {
 		s.cbIn[in] = nil // the next packet's head decides afresh
 	}
 	if cp != cbBypass {
@@ -358,7 +363,6 @@ func (s *Sim) allocCBPacket(d *domain) *cbPacket {
 //sim:hot
 //sim:domain
 func (s *Sim) freeCBPacket(d *domain, cp *cbPacket) {
-	cp.pkt = nil
 	//detlint:allow hotalloc amortised freelist growth; capacity is retained across cycles
 	d.cbPool = append(d.cbPool, cp)
 }
@@ -385,9 +389,9 @@ func (s *Sim) cbDrain(d *domain, r int) {
 		if d.outMask[outPort>>6]&(1<<(outPort&63)) != 0 {
 			continue
 		}
-		p := cp.pkt
-		f := flit{pkt: p, idx: uint16(int32(p.flits) - cp.expected - cp.stored), hop: cp.hop}
-		if !s.outputReady(p, vb+slot, f.head()) {
+		p := s.pkts[cp.pkt]
+		f := flit{pkt: cp.pkt, idx: uint16(p.flits - cp.expected - cp.stored), hop: cp.hop}
+		if !s.outputReady(cp.pkt, vb+slot, f.head()) {
 			continue
 		}
 		cp.stored--
@@ -395,7 +399,7 @@ func (s *Sim) cbDrain(d *domain, r int) {
 		d.buffered++
 		d.forwarded++
 		s.sendFlit(d, r, f, outPort, outVC, vb+slot, routerDelayBuffered)
-		if f.tail() {
+		if f.tail(p) {
 			q.head = cp.qnext
 			s.freeCBPacket(d, cp)
 		}
@@ -403,20 +407,20 @@ func (s *Sim) cbDrain(d *domain, r int) {
 	}
 }
 
-// outputReady checks VC ownership and downstream readiness for one flit at
-// per-VC output index vi. space already encodes the scheme (credits for
-// edge buffers, link pipeline slots for elastic modes), so the check is two
-// contiguous loads and two compares.
+// outputReady checks VC ownership and downstream readiness for one flit of
+// packet pkt (its Sim.pkts index) at per-VC output index vi. space already
+// encodes the scheme (credits for edge buffers, link pipeline slots for
+// elastic modes), so the check is two contiguous loads and two compares.
 //
 //sim:hot
 //sim:domain
-func (s *Sim) outputReady(p *packet, vi int, head bool) bool {
+func (s *Sim) outputReady(pkt uint32, vi int, head bool) bool {
 	owner := s.outOwner[vi]
 	if head {
 		if owner != -1 {
 			return false
 		}
-	} else if owner != p.id {
+	} else if owner != int32(pkt) {
 		return false
 	}
 	return s.space[vi] > 0
@@ -434,11 +438,11 @@ func (s *Sim) outputReady(p *packet, vi int, head bool) bool {
 //sim:hot
 //sim:domain
 func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay int64) {
-	p := f.pkt
+	p := s.pkts[f.pkt]
 	if f.head() {
-		s.outOwner[vi] = p.id
+		s.outOwner[vi] = int32(f.pkt)
 	}
-	if f.tail() {
+	if f.tail(p) {
 		s.outOwner[vi] = -1
 	}
 	//detlint:allow sharedread sender-exclusive decrement; the receiver's slot returns happen in the barrier-separated link phase (elastic) or the serial credit phase (edge buffers)
@@ -518,11 +522,9 @@ func (s *Sim) ejectWithDelay(d *domain, r int, f flit) {
 //sim:hot
 func (s *Sim) flushEjections(t int64) {
 	for di := range s.doms {
-		evs := s.doms[di].ejection.take(t)
-		for _, f := range evs {
+		for _, f := range s.doms[di].ejection.take(t) {
 			s.eject(f)
 		}
-		clear(evs)
 	}
 }
 

@@ -20,8 +20,12 @@
 // injection queue freed room while packets wait). Routes come pre-compiled
 // as a routing.RouteTable: a packet carries only its destination and, on an
 // adaptive route, one waypoint, and each hop's next-hop word is computed
-// from the table when the flit is sent. Packet and buffer freelists make
-// the steady-state cycle loop allocation-free.
+// from the table when the flit is sent. Flits name their packet by its index
+// in a packet directory (Sim.pkts), so flits, the buffers and wheels that
+// hold them and the central-buffer records carry no pointer, and output-VC
+// ownership is keyed by that index. Packets recycle through a freelist of
+// indices and the central-buffer records through per-domain freelists,
+// which makes the steady-state cycle loop allocation-free.
 // All of this is behaviour-preserving: results are byte-identical to the
 // original full-scan engine (pinned by the golden-metrics fixture in
 // testdata/golden_results.json).
@@ -53,7 +57,7 @@ const maxVCs = 63
 
 // maxPacketFlits bounds per-packet flit counts and maxRouters the router
 // count: flit.idx, flit.hop and cbPacket.hop are uint16 so queues and wheels
-// move 16-byte elements, and a route has at most 2(nr-1) hops (a Valiant
+// move 12-byte elements, and a route has at most 2(nr-1) hops (a Valiant
 // route is two minimal segments). New validates both, and
 // EpisodeEngine.Latencies every transfer's size; a source emitting more
 // flits still panics in enqueuePacket (synthetic traffic uses single-digit
@@ -222,25 +226,28 @@ func (c *Config) setDefaults() {
 }
 
 // packet is one in-flight packet. Packets are recycled through a freelist
-// once their tail flit ejects, so every field is (re)initialised on
-// allocation.
+// once their tail flit ejects, so every field but ref is (re)initialised on
+// allocation. The bounded fields are int32 (nodes, routers below maxRouters,
+// hops, flits below maxPacketFlits), which fits a packet in 64 bytes.
 type packet struct {
-	id       int64
-	src, dst int // nodes
+	// qnext links the packet into its source NIC's packet list (see nic).
+	qnext   *packet
+	genTime int64
+	class   int
+	src     int32 // nodes
+	dst     int32
 	// The route: the table's walk from router srcR to router dstR, heading
 	// for the waypoint router via while the hop index is below viaHops (an
 	// adaptive policy's choice; viaHops is 0 on a minimal or static route).
 	// nextWord turns it into each hop's next-hop word.
-	srcR, dstR, via, viaHops int
-	flits                    int
-	class                    int
-
-	genTime int64
-	tracked bool
+	srcR, dstR, via, viaHops int32
+	flits                    int32
 	// flitsMoved counts flits moved into the source NIC's injection queue.
-	flitsMoved int
-	// qnext links the packet into its source NIC's packet list (see nic).
-	qnext *packet
+	flitsMoved int32
+	// ref is the packet's index in Sim.pkts, fixed when it is first
+	// allocated: what flits, central-buffer records and Sim.outOwner hold.
+	ref     uint32
+	tracked bool
 }
 
 // flit references its packet and position. next carries the next-hop word
@@ -248,13 +255,15 @@ type packet struct {
 // 16..23, port*vcs+vc slot offset in bits 0..15, or nextEject at the final
 // hop), computed from the route table once per hop — at injection and on
 // every sendFlit — so the arbitration fast path arbitrates on the word alone.
-// The struct is deliberately 16 bytes (idx/hop are uint16, bounded by New's
-// maxPacketFlits and maxRouters): flits are copied on every queue push/pop
-// along their life — arrival wheel, input buffer, ejection wheel — so their
-// width is hot-loop memory bandwidth.
+// The struct is 12 bytes with no pointer (pkt is the packet's Sim.pkts
+// index; idx/hop are uint16, bounded by New's maxPacketFlits and
+// maxRouters): flits are copied on every queue push/pop along their life —
+// arrival wheel, input buffer, ejection wheel — so their width is hot-loop
+// memory bandwidth, and the slabs that hold them are never scanned by the
+// garbage collector. TestFlitLayout pins both.
 type flit struct {
-	pkt  *packet
-	idx  uint16 // 0 = head; pkt.flits-1 = tail
+	pkt  uint32 // the packet's index in Sim.pkts
+	idx  uint16 // 0 = head; flits-1 = tail
 	hop  uint16 // hop index: the links the flit has crossed
 	next uint32
 }
@@ -272,8 +281,10 @@ const (
 //sim:hot
 func (f flit) head() bool { return f.idx == 0 }
 
+// tail reports whether f is the last flit of p, its packet.
+//
 //sim:hot
-func (f flit) tail() bool { return int(f.idx) == f.pkt.flits-1 }
+func (f flit) tail(p *packet) bool { return int32(f.idx) == p.flits-1 }
 
 // arrival is a flit in flight on a wire. The wheel bucket it rides is the
 // cycle it lands in input VC vc at the link's receiving port.
@@ -318,9 +329,9 @@ type creditEvent struct {
 // VC through qnext and recycle through the domain's freelist once their
 // tail drains.
 type cbPacket struct {
-	pkt              *packet
 	qnext            *cbPacket
 	stored, expected int32
+	pkt              uint32 // the packet's index in Sim.pkts
 	hop              uint16
 }
 
@@ -396,10 +407,14 @@ type Sim struct {
 	// costs two contiguous loads), and the inLen-1 flits behind it in inBuf
 	// from inOff+inHead on. Maintained by the only two input buffer
 	// mutators, deliver (push) and popInput (pop).
-	inHead   []int32 // [(r*stride+pi)*vcs+vc]
-	inLen    []int32 // [(r*stride+pi)*vcs+vc]
-	inFront  []flit  // [(r*stride+pi)*vcs+vc] valid when inLen > 0
-	outOwner []int64 // [(r*stride+pi)*vcs+vc] owning packet id, or -1
+	inHead  []int32 // [(r*stride+pi)*vcs+vc]
+	inLen   []int32 // [(r*stride+pi)*vcs+vc]
+	inFront []flit  // [(r*stride+pi)*vcs+vc] valid when inLen > 0
+	// outOwner is the Sim.pkts index of the packet whose wormhole holds the
+	// output VC, or -1. The index is as good as a unique id here: a packet
+	// recycles only after its tail ejects, which is after the tail has
+	// passed, and freed, every output VC the packet held.
+	outOwner []int32 // [(r*stride+pi)*vcs+vc]
 	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc of
 	// router r's occW words is set iff input slot (pi, vc) holds at least one
 	// flit. The arbitration walk starts at the cycle's rotating port and
@@ -460,15 +475,16 @@ type Sim struct {
 	calendar bool
 	nextFire NextFirer
 
-	// Packet freelist (allocated and recycled in serial phases; the
-	// central-buffer freelists are per domain).
-	pktPool []*packet
+	// The packet directory: every packet this engine has allocated, at its
+	// ref. It grows only on a freelist miss, and pktFree is the freelist
+	// of refs, taken last-in first-out. Both change only in serial phases
+	// (the central-buffer freelists are per domain).
+	pkts    []*packet
+	pktFree []uint32
 
 	// Persistent emit callbacks so the hot loop creates no closures.
 	genEmit   func(src, dst, flits, class int)
 	replyEmit func(src, dst, flits, class int)
-
-	nextPktID int64
 
 	// Stats.
 	Result        Result
@@ -653,7 +669,7 @@ func New(cfg Config) (*Sim, error) {
 	s.inFront = make([]flit, nv)
 	s.occW = max(1, (s.stride*s.vcs+63)/64)
 	s.occIn = make([]uint64, nr*s.occW)
-	s.outOwner = make([]int64, nv)
+	s.outOwner = make([]int32, nv)
 	s.space = make([]int32, nv)
 	if cfg.Scheme == core.CBR {
 		s.cbq = make([]cbQueue, nv)
@@ -774,7 +790,8 @@ func New(cfg Config) (*Sim, error) {
 // are truncated, so a long-lived engine's footprint stays at its
 // construction size plus its longest latency. The packet and
 // central-buffer freelists survive by design (a recycled packet is fully
-// reinitialised when allocated).
+// reinitialised when allocated); packets left in flight by the previous run
+// leave the directory.
 // Domain workers must not be running.
 func (s *Sim) reset() {
 	cfg := &s.cfg
@@ -840,8 +857,8 @@ func (s *Sim) reset() {
 	if s.par != nil {
 		s.par.reset()
 	}
+	s.dropInFlightPackets()
 	// Statistics.
-	s.nextPktID = 0
 	s.Result = Result{}
 	s.lat = latHist{counts: s.lat.counts[:0]}
 	s.genMeasured, s.doneMeasured = 0, 0
@@ -849,6 +866,26 @@ func (s *Sim) reset() {
 	s.totalHops, s.hopPackets = 0, 0
 	s.lastEject = 0
 	s.eng = engineCounters{}
+}
+
+// dropInFlightPackets shrinks the packet directory to the freelisted
+// packets, renumbered in freelist order. A packet still in flight when a run
+// stops never returns to the freelist, so a long-lived engine would
+// otherwise keep every packet its cut-off episodes stranded. Which packet
+// object a miss or a reuse hands out is unobservable; the freelist's length,
+// which sets where the next miss falls, is kept.
+func (s *Sim) dropInFlightPackets() {
+	if len(s.pktFree) == len(s.pkts) {
+		return
+	}
+	kept := make([]*packet, len(s.pktFree))
+	for i, ref := range s.pktFree {
+		p := s.pkts[ref]
+		p.ref = uint32(i)
+		kept[i] = p
+		s.pktFree[i] = uint32(i)
+	}
+	s.pkts = kept
 }
 
 func portIndex(adj []int, target int) int {
@@ -1064,24 +1101,25 @@ func (s *Sim) stepGenerate() {
 	s.cfg.Traffic.Generate(s.now, s.rng, s.genEmit)
 }
 
-// allocPacket takes a packet from the freelist (or allocates one) and
-// assigns its ID.
+// allocPacket takes a packet from the freelist, or allocates one and files
+// it in the directory at the next ref.
 //
 //sim:hot
 func (s *Sim) allocPacket() *packet {
 	var p *packet
-	if n := len(s.pktPool); n > 0 {
-		p = s.pktPool[n-1]
-		s.pktPool[n-1] = nil
-		s.pktPool = s.pktPool[:n-1]
+	if n := len(s.pktFree); n > 0 {
+		p = s.pkts[s.pktFree[n-1]]
+		s.pktFree = s.pktFree[:n-1]
 		s.eng.pktReuses++
 	} else {
+		if len(s.pkts) == math.MaxInt32 {
+			panic("sim: packet directory full (output VC owners are int32)")
+		}
 		//detlint:allow hotalloc freelist miss only; steady state recycles via freePacket (pinned by TestSteadyStateZeroAllocs)
-		p = &packet{}
+		p = &packet{ref: uint32(len(s.pkts))}
+		s.pkts = append(s.pkts, p)
 		s.eng.pktAllocs++
 	}
-	p.id = s.nextPktID
-	s.nextPktID++
 	p.flitsMoved = 0
 	p.qnext = nil
 	return p
@@ -1091,7 +1129,7 @@ func (s *Sim) allocPacket() *packet {
 //
 //sim:hot
 func (s *Sim) freePacket(p *packet) {
-	s.pktPool = append(s.pktPool, p)
+	s.pktFree = append(s.pktFree, p.ref)
 }
 
 //sim:hot
@@ -1105,12 +1143,13 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	srcR := s.net.NodeRouter(src)
 	dstR := s.net.NodeRouter(dst)
 	p := s.allocPacket()
-	p.src, p.dst = src, dst
-	p.flits, p.class = flits, class
+	p.src, p.dst = int32(src), int32(dst)
+	p.flits, p.class = int32(flits), class
 	p.genTime, p.tracked = s.now, tracked
-	p.srcR, p.dstR, p.via, p.viaHops = srcR, dstR, 0, 0
+	p.srcR, p.dstR, p.via, p.viaHops = int32(srcR), int32(dstR), 0, 0
 	if s.cfg.Adaptive != nil {
-		p.via, p.viaHops = s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
+		via, viaHops := s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
+		p.via, p.viaHops = int32(via), int32(viaHops)
 	}
 	if tracked {
 		s.genMeasured++
@@ -1136,10 +1175,10 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 //sim:hot
 func (s *Sim) nextWord(p *packet, cur, hop int) uint32 {
 	dst := p.dstR
-	if hop < p.viaHops {
+	if hop < int(p.viaHops) {
 		dst = p.via
 	}
-	return s.table.Next(p.srcR, cur, dst, hop)
+	return s.table.Next(int(p.srcR), cur, int(dst), hop)
 }
 
 // nicWake puts a NIC with queued packets on its domain's ready list, once.
@@ -1241,20 +1280,20 @@ func (s *Sim) flitCountInjected(p *packet) {
 //
 //sim:hot
 func (s *Sim) eject(f flit) {
-	p := f.pkt
+	p := s.pkts[f.pkt]
 	s.inFlightFlits--
 	s.lastEject = s.now
 	if s.now >= s.cfg.WarmupCycles && s.now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
 		s.flitsEjected++
 	}
-	if f.tail() {
+	if f.tail(p) {
 		if p.tracked {
 			s.doneMeasured++
 			s.lat.add(s.now - p.genTime)
 			s.totalHops += int64(f.hop)
 			s.hopPackets++
 		}
-		s.cfg.Traffic.OnDelivered(s.now, p.src, p.dst, p.flits, p.class, s.replyEmit)
+		s.cfg.Traffic.OnDelivered(s.now, int(p.src), int(p.dst), int(p.flits), p.class, s.replyEmit)
 		s.freePacket(p)
 	}
 }

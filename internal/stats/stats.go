@@ -1,26 +1,12 @@
-// Package stats provides the small statistical utilities shared by the
-// experiment harness: means, geometric means, percentiles and fixed-width
-// histograms.
+// Package stats provides the small utilities the experiment harness shares:
+// geometric means and printable result tables.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
 
 // GeoMean returns the geometric mean of positive values (0 if any value is
 // non-positive or the input is empty). The paper uses geometric means for
@@ -37,61 +23,6 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) using nearest-rank on a
-// sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := int(p * float64(len(cp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
-}
-
-// Histogram counts values into fixed-width bins starting at min.
-type Histogram struct {
-	Min, Width float64
-	Counts     []int
-	Total      int
-}
-
-// NewHistogram creates a histogram with the given origin and bin width.
-func NewHistogram(min, width float64, bins int) *Histogram {
-	return &Histogram{Min: min, Width: width, Counts: make([]int, bins)}
-}
-
-// Add inserts a value, extending the bin range as needed.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Min) / h.Width)
-	if bin < 0 {
-		bin = 0
-	}
-	for bin >= len(h.Counts) {
-		h.Counts = append(h.Counts, 0)
-	}
-	h.Counts[bin]++
-	h.Total++
-}
-
-// Density returns per-bin probabilities.
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.Total)
-	}
-	return out
 }
 
 // Table is a printable experiment result: a title, a header row, and data

@@ -7,15 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
 		t.Errorf("GeoMean(1,100) = %v, want 10", got)
@@ -46,50 +37,6 @@ func TestGeoMeanQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 1); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 0.5); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	for _, x := range []float64{0.5, 1.5, 2.5, 9} {
-		h.Add(x)
-	}
-	if h.Total != 4 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if len(h.Counts) < 5 {
-		t.Error("histogram should extend for out-of-range values")
-	}
-	d := h.Density()
-	sum := 0.0
-	for _, p := range d {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("density sums to %v", sum)
 	}
 }
 

@@ -19,13 +19,13 @@ func Canonical(v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: canonicalizing: %w", err)
 	}
-	return CanonicalizeJSON(data)
+	return canonicalizeJSON(data)
 }
 
-// CanonicalizeJSON re-encodes one JSON document in canonical form (sorted
+// canonicalizeJSON re-encodes one JSON document in canonical form (sorted
 // object keys, compact, numbers verbatim). It rejects documents with
 // trailing data so a canonical form is always a single value.
-func CanonicalizeJSON(data []byte) ([]byte, error) {
+func canonicalizeJSON(data []byte) ([]byte, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var v any

@@ -11,7 +11,7 @@ import (
 )
 
 func TestCanonicalSortsKeysAndPreservesNumbers(t *testing.T) {
-	got, err := CanonicalizeJSON([]byte(`{"b": 0.24, "a": {"z": 1e3, "y": [1, 2.50, -0]}, "c": "x"}`))
+	got, err := canonicalizeJSON([]byte(`{"b": 0.24, "a": {"z": 1e3, "y": [1, 2.50, -0]}, "c": "x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
