@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,5 +102,30 @@ func TestWorkloadSmoke(t *testing.T) {
 				t.Errorf("%s: want delivered packets, a measured latency and no deadlock:\n%s", c.flags, got)
 			}
 		})
+	}
+}
+
+// TestRejectsNegativeCounts: a negative cycle count or hop factor, from a
+// flag or from a spec file, exits 1 instead of running as the default or
+// running nothing.
+func TestRejectsNegativeCounts(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "negative.json")
+	spec := `{"network":{"preset":"t2d54"},"sim":{"warmup_cycles":-75,"measure_cycles":-300,"drain_cycles":-300}}`
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-net", "t2d54", "-cycles", "-5"},
+		{"-net", "t2d54", "-hop-factor", "-1"},
+		{"-spec", specPath},
+	} {
+		fs := flag.NewFlagSet("snsim", flag.ContinueOnError)
+		sf := slimnoc.NewSpecFlags().BindCommon(fs).BindNetwork(fs).BindRun(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if code := run(sf, false, "", 0, "", "", "", ""); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", args, code)
+		}
 	}
 }

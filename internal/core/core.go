@@ -2,8 +2,9 @@
 // topology family. It constructs the underlying MMS degree-diameter graphs
 // over prime and non-prime finite fields (§3.1, §3.5), provides the
 // NoC-specific physical layouts and placement model (§3.2–3.3), the buffer
-// and cost models (§3.2.2–3.2.3), the configuration tables (Table 2), and
-// the ready-made SN-S / SN-L / SN-1024 designs (§3.4).
+// and cost models (§3.2.2–3.2.3), and the configuration tables (Table 2).
+// The paper's SN-S / SN-L / SN-1024 designs (§3.4) are these constructions
+// at fixed (q, p, layout); the network presets in slimnoc name them.
 package core
 
 import (
@@ -39,11 +40,8 @@ type Label struct {
 	G, A, B int
 }
 
-// Index returns the unique router index for a label (the paper's
-// i = G q^2 + (a-1) q + b, zero-based).
-func (s *SlimNoC) Index(l Label) int { return l.G*s.Q*s.Q + l.A*s.Q + l.B }
-
-// LabelOf is the inverse of Index.
+// LabelOf returns the label of router i, the inverse of the paper's
+// i = G q^2 + (a-1) q + b (zero-based).
 func (s *SlimNoC) LabelOf(i int) Label {
 	q := s.Q
 	return Label{G: i / (q * q), A: (i / q) % q, B: i % q}
@@ -387,7 +385,7 @@ func symmetricSubsets(f *gf.Field, m int) [][]int {
 // Network converts the Slim NoC into a placed topo.Network using the given
 // layout. The cycle time follows §5.1 (0.5 ns).
 func (s *SlimNoC) Network(l Layout, seed int64) (*topo.Network, error) {
-	coords, err := s.Coordinates(l, seed)
+	coords, err := s.coordinates(l, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,10 +24,27 @@ func mustNet(t testing.TB, s *SlimNoC, l Layout) *topo.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Validate(); err != nil {
+	if err := wellFormed(n); err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// wellFormed reports the first router whose neighbour list is not sorted
+// and duplicate-free, holds itself or an out-of-range router, or names a
+// router that does not name it back.
+func wellFormed(n *topo.Network) error {
+	if len(n.Adj) != n.Nr || (n.Coords != nil && len(n.Coords) != n.Nr) {
+		return fmt.Errorf("%s: %d adjacency rows and %d coordinates for %d routers", n.Name, len(n.Adj), len(n.Coords), n.Nr)
+	}
+	for i, a := range n.Adj {
+		for k, j := range a {
+			if j == i || j < 0 || j >= n.Nr || (k > 0 && a[k-1] >= j) || !slices.Contains(n.Adj[j], i) {
+				return fmt.Errorf("%s: router %d has neighbours %v", n.Name, i, a)
+			}
+		}
+	}
+	return nil
 }
 
 // TestTable2Structure verifies the structural parameters of every Table 2
@@ -64,38 +83,41 @@ func TestDiameterTwo(t *testing.T) {
 	}
 }
 
+// paperDesigns are the ready-to-use Slim NoCs of §3.4 and §5.6, with their
+// node and router counts, network radix k' and router radix k.
+var paperDesigns = []struct {
+	name           string
+	q, p           int
+	layout         Layout
+	n, nr, kp, rad int
+}{
+	{"SN-S", 5, 4, LayoutSubgroup, 200, 50, 7, 11},
+	{"SN-L", 9, 8, LayoutGroup, 1296, 162, 13, 21},
+	{"SN-1024", 8, 8, LayoutSubgroup, 1024, 128, 12, 20},
+	{"SN-54", 3, 3, LayoutSubgroup, 54, 18, 5, 8},
+}
+
 // TestPaperDesigns validates §3.4: SN-S (N=200, Nr=50, k'=7, p=4),
 // SN-L (N=1296, Nr=162, k'=13, p=8), SN-1024 (N=1024, Nr=128, k'=12), and
 // SN-54.
 func TestPaperDesigns(t *testing.T) {
-	cases := []struct {
-		d              Design
-		n, nr, kp, rad int
-	}{
-		{SNS(), 200, 50, 7, 11},
-		{SNL(), 1296, 162, 13, 21},
-		{SN1024(), 1024, 128, 12, 20},
-		{SN54(), 54, 18, 5, 8},
-	}
-	for _, c := range cases {
-		s, net, err := c.d.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", c.d.Name, err)
-		}
+	for _, c := range paperDesigns {
+		s := mustSN(t, c.q, c.p)
+		net := mustNet(t, s, c.layout)
 		if s.N() != c.n || net.N() != c.n {
-			t.Errorf("%s: N = %d/%d, want %d", c.d.Name, s.N(), net.N(), c.n)
+			t.Errorf("%s: N = %d/%d, want %d", c.name, s.N(), net.N(), c.n)
 		}
 		if s.Nr() != c.nr {
-			t.Errorf("%s: Nr = %d, want %d", c.d.Name, s.Nr(), c.nr)
+			t.Errorf("%s: Nr = %d, want %d", c.name, s.Nr(), c.nr)
 		}
 		if s.KPrime != c.kp {
-			t.Errorf("%s: k' = %d, want %d", c.d.Name, s.KPrime, c.kp)
+			t.Errorf("%s: k' = %d, want %d", c.name, s.KPrime, c.kp)
 		}
 		if got := net.RouterRadix(); got != c.rad {
-			t.Errorf("%s: k = %d, want %d", c.d.Name, got, c.rad)
+			t.Errorf("%s: k = %d, want %d", c.name, got, c.rad)
 		}
 		if d := net.Diameter(); d != 2 {
-			t.Errorf("%s: diameter = %d, want 2", c.d.Name, d)
+			t.Errorf("%s: diameter = %d, want 2", c.name, d)
 		}
 	}
 }
@@ -129,12 +151,14 @@ func TestSubgroupStructure(t *testing.T) {
 	}
 }
 
-// TestIndexLabelRoundTrip property-checks Index/LabelOf.
+// TestIndexLabelRoundTrip property-checks LabelOf against the paper's
+// i = G q^2 + (a-1) q + b.
 func TestIndexLabelRoundTrip(t *testing.T) {
 	s := mustSN(t, 9, 8)
 	prop := func(raw uint32) bool {
 		i := int(raw) % s.Nr()
-		return s.Index(s.LabelOf(i)) == i
+		l := s.LabelOf(i)
+		return l.G*s.Q*s.Q+l.A*s.Q+l.B == i
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

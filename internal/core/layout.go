@@ -29,10 +29,10 @@ func Layouts() []Layout {
 	return []Layout{LayoutRand, LayoutBasic, LayoutGroup, LayoutSubgroup}
 }
 
-// Coordinates assigns every router a 2D grid coordinate under the given
+// coordinates assigns every router a 2D grid coordinate under the given
 // layout. Seed is used only by LayoutRand. Coordinates are 1-indexed as in
 // the paper's placement model.
-func (s *SlimNoC) Coordinates(l Layout, seed int64) ([]topo.Coord, error) {
+func (s *SlimNoC) coordinates(l Layout, seed int64) ([]topo.Coord, error) {
 	q := s.Q
 	coords := make([]topo.Coord, s.Nr())
 	switch l {
@@ -79,13 +79,13 @@ func (s *SlimNoC) Coordinates(l Layout, seed int64) ([]topo.Coord, error) {
 	return coords, nil
 }
 
-// WireCrossings implements the placement-constraint model of §3.2.1
+// wireCrossings implements the placement-constraint model of §3.2.1
 // (Eq. 1-3). Each directed link (i, j) is routed as an L-shaped Manhattan
 // path: vertical-first from i when |xi-xj| > |yi-yj|, horizontal-first
 // otherwise. The result counts, for every grid cell, the number of wires
 // placed over it; cells are indexed [x][y], 0-based on a grid sized by the
 // placement's extents.
-func WireCrossings(n *topo.Network) [][]int {
+func wireCrossings(n *topo.Network) [][]int {
 	mx, my := n.GridDims()
 	count := make([][]int, mx)
 	for x := range count {
@@ -126,7 +126,7 @@ func WireCrossings(n *topo.Network) [][]int {
 // Eq. 3).
 func MaxWireCrossing(n *topo.Network) int {
 	max := 0
-	for _, col := range WireCrossings(n) {
+	for _, col := range wireCrossings(n) {
 		for _, c := range col {
 			if c > max {
 				max = c

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/topo"
@@ -14,7 +13,7 @@ func TestCoordinatesBijective(t *testing.T) {
 	for _, q := range []int{3, 4, 5, 8, 9} {
 		s := mustSN(t, q, 1)
 		for _, l := range Layouts() {
-			coords, err := s.Coordinates(l, 42)
+			coords, err := s.coordinates(l, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +100,7 @@ func TestWireCrossingsConservation(t *testing.T) {
 		Adj:    [][]int{{1}, {0}},
 		Coords: []topo.Coord{{X: 1, Y: 1}, {X: 4, Y: 1}},
 	}
-	cr := WireCrossings(n)
+	cr := wireCrossings(n)
 	total := 0
 	for _, col := range cr {
 		for _, c := range col {
@@ -122,7 +121,7 @@ func TestWireCrossingsLShape(t *testing.T) {
 		Adj:    [][]int{{1}, {0}},
 		Coords: []topo.Coord{{X: 1, Y: 1}, {X: 4, Y: 2}},
 	}
-	cr := WireCrossings(n)
+	cr := wireCrossings(n)
 	// |dx|=3 > |dy|=1: vertical-first from each source.
 	// Wire from (1,1): (1,1),(1,2),(2,2),(3,2),(4,2).
 	if cr[0][1] == 0 {
@@ -137,14 +136,14 @@ func TestWireCrossingsLShape(t *testing.T) {
 // TestWiringConstraintsSatisfied reproduces §3.3.2: no SN layout violates
 // Eq. 3 at 45/22/11 nm for the paper's design points.
 func TestWiringConstraintsSatisfied(t *testing.T) {
-	for _, d := range []Design{SNS(), SNL(), SN1024()} {
-		s := mustSN(t, d.Q, d.P)
+	for _, d := range paperDesigns[:3] {
+		s := mustSN(t, d.q, d.p)
 		for _, l := range Layouts() {
 			n := mustNet(t, s, l)
 			for _, wc := range WiringConstraints() {
 				if got := MaxWireCrossing(n); got > wc.MaxWires() {
 					t.Errorf("%s %s at %s: max crossings %d exceed W=%d",
-						d.Name, l, wc.Node, got, wc.MaxWires())
+						d.name, l, wc.Node, got, wc.MaxWires())
 				}
 			}
 		}
@@ -219,16 +218,16 @@ func TestTheorem1Scaling(t *testing.T) {
 
 func TestUnknownLayout(t *testing.T) {
 	s := mustSN(t, 3, 1)
-	if _, err := s.Coordinates(Layout("bogus"), 0); err == nil {
+	if _, err := s.coordinates(Layout("bogus"), 0); err == nil {
 		t.Error("unknown layout should fail")
 	}
 }
 
 func TestRandLayoutDeterministic(t *testing.T) {
 	s := mustSN(t, 5, 1)
-	a, _ := s.Coordinates(LayoutRand, 7)
-	b, _ := s.Coordinates(LayoutRand, 7)
-	c, _ := s.Coordinates(LayoutRand, 8)
+	a, _ := s.coordinates(LayoutRand, 7)
+	b, _ := s.coordinates(LayoutRand, 7)
+	c, _ := s.coordinates(LayoutRand, 8)
 	same, diff := true, false
 	for i := range a {
 		if a[i] != b[i] {
@@ -243,57 +242,5 @@ func TestRandLayoutDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds should give different placements")
-	}
-}
-
-func TestRenderPlacement(t *testing.T) {
-	s := mustSN(t, 3, 1)
-	for _, l := range Layouts() {
-		out, err := s.RenderPlacement(l, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every router appears: count group glyphs in the grid body
-		// (skipping the header line).
-		body := out[strings.IndexByte(out, '\n')+1:]
-		count := 0
-		for _, r := range body {
-			switch r {
-			case '0', '1', '2':
-				count++
-			}
-		}
-		if count != s.Nr() {
-			t.Errorf("%s: rendered %d routers, want %d\n%s", l, count, s.Nr(), out)
-		}
-		// Both subgroup types are visible.
-		if !strings.Contains(body, "'") {
-			t.Errorf("%s: type-1 subgroup marker missing\n%s", l, out)
-		}
-	}
-	if _, err := s.RenderPlacement(Layout("zzz"), 1); err == nil {
-		t.Error("unknown layout should fail")
-	}
-}
-
-func TestRenderHeatmap(t *testing.T) {
-	s := mustSN(t, 5, 4)
-	n := mustNet(t, s, LayoutSubgroup)
-	out := RenderHeatmap(n)
-	if len(out) == 0 || out[len(out)-1] != '\n' {
-		t.Fatal("empty or unterminated heatmap")
-	}
-	// The hottest glyph must appear exactly where MaxWireCrossing says.
-	if MaxWireCrossing(n) <= 0 {
-		t.Fatal("expected positive crossings")
-	}
-	found := false
-	for _, r := range out {
-		if r == '@' {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("heatmap should contain the maximum-intensity glyph")
 	}
 }

@@ -51,10 +51,10 @@ func (b Buffers) LinkCycles(dist int) int {
 	return max((dist+h-1)/h, 1)
 }
 
-// RTT returns Tij in cycles for a wire of the given Manhattan length:
+// rtt returns Tij in cycles for a wire of the given Manhattan length:
 // 2⌈dist/H⌉ + 3 (two cycles of router processing plus one serialization
 // cycle; §3.2.2).
-func (b Buffers) RTT(dist int) int { return 2*b.LinkCycles(dist) + 3 }
+func (b Buffers) rtt(dist int) int { return 2*b.LinkCycles(dist) + 3 }
 
 // InputCap returns the per-VC input buffer in flits at the end of a wire of
 // Manhattan length dist: an edge buffer, or the elastic schemes' latch.
@@ -68,7 +68,7 @@ func (b Buffers) InputCap(dist int) int {
 	case EBLarge:
 		return ebLargeFlits
 	case EBVar:
-		return b.RTT(dist)
+		return b.rtt(dist)
 	}
 	return 1
 }

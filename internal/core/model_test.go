@@ -21,18 +21,18 @@ func TestRTT(t *testing.T) {
 	// Tij = 2*ceil(d/H) + 3 with H=1.
 	cases := map[int]int{1: 5, 2: 7, 5: 13, 10: 23}
 	for d, want := range cases {
-		if got := m.RTT(d); got != want {
+		if got := m.rtt(d); got != want {
 			t.Errorf("RTT(%d) = %d, want %d", d, got, want)
 		}
 	}
 	sm := withSMART(m)
 	// H=9: distances 1..9 take one link cycle.
 	for d := 1; d <= 9; d++ {
-		if got := sm.RTT(d); got != 5 {
+		if got := sm.rtt(d); got != 5 {
 			t.Errorf("SMART RTT(%d) = %d, want 5", d, got)
 		}
 	}
-	if got := sm.RTT(10); got != 7 {
+	if got := sm.rtt(10); got != 7 {
 		t.Errorf("SMART RTT(10) = %d, want 7", got)
 	}
 }
@@ -44,10 +44,10 @@ func TestSMARTReducesRTTQuick(t *testing.T) {
 	sm := withSMART(m)
 	prop := func(raw uint16) bool {
 		d := int(raw)%60 + 1
-		if sm.RTT(d) > m.RTT(d) {
+		if sm.rtt(d) > m.rtt(d) {
 			return false
 		}
-		return m.RTT(d+1) >= m.RTT(d) && sm.RTT(d+1) >= sm.RTT(d)
+		return m.rtt(d+1) >= m.rtt(d) && sm.rtt(d+1) >= sm.rtt(d)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

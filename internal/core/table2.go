@@ -1,5 +1,5 @@
-// Configuration enumeration reproducing Table 2 (§3.1) and the ready-made
-// designs of §3.4.
+// Configuration enumeration reproducing Table 2 (§3.1) and sizing a Slim
+// NoC for a requested node count (§3.5.3).
 
 package core
 
@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/gf"
-	"repro/internal/topo"
 )
 
 // ConfigRow is one row of Table 2: a feasible Slim NoC configuration.
@@ -96,43 +95,6 @@ func rowLess(a, b ConfigRow) bool {
 		return a.KPrime < b.KPrime
 	}
 	return a.P < b.P
-}
-
-// Design is a ready-to-use Slim NoC from §3.4.
-type Design struct {
-	Name   string
-	Q, P   int
-	Layout Layout
-}
-
-// SNS is the paper's small design: N=200, Nr=50, q=5, p=4, subgroup layout,
-// targeting SW26010-class chips.
-func SNS() Design { return Design{Name: "SN-S", Q: 5, P: 4, Layout: LayoutSubgroup} }
-
-// SNL is the large design: N=1296, Nr=162, q=9, p=8, group layout (9
-// identical groups on a 3x3 grid).
-func SNL() Design { return Design{Name: "SN-L", Q: 9, P: 8, Layout: LayoutGroup} }
-
-// SN1024 is the power-of-two design: N=1024, Nr=128, q=8, p=8, subgroup
-// layout, matching the Epiphany-class core count.
-func SN1024() Design { return Design{Name: "SN-1024", Q: 8, P: 8, Layout: LayoutSubgroup} }
-
-// SN54 is the small-scale design of §5.6 (N=54, q=3, p=3), used for the
-// Knights-Landing-class comparison.
-func SN54() Design { return Design{Name: "SN-54", Q: 3, P: 3, Layout: LayoutSubgroup} }
-
-// Build constructs the design's placed network.
-func (d Design) Build() (*SlimNoC, *topo.Network, error) {
-	s, err := New(Params{Q: d.Q, P: d.P})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: building %s: %v", d.Name, err)
-	}
-	n, err := s.Network(d.Layout, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	n.Name = d.Name
-	return s, n, nil
 }
 
 // FromNetworkSize constructs Slim NoC parameters for a requested node count

@@ -66,7 +66,7 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line contract the analyzer enforces.
 	Doc string
-	// Run inspects pass.Pkg and reports findings via pass.Reportf.
+	// Run inspects pass.Pkg and reports findings via pass.reportf.
 	Run func(pass *Pass) error
 }
 
@@ -97,11 +97,11 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records a finding at pos unless an effective waiver covers the
+// reportf records a finding at pos unless an effective waiver covers the
 // position's line. A waiver is effective only when it names this analyzer
 // (or is the //detlint:ordered shorthand for maporder) and carries a
 // non-empty reason.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	if p.Pkg.waived(p.Analyzer.Name, position) {
 		return
@@ -181,12 +181,12 @@ func DefaultConfig() *Config {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MapOrder,
-		RNGSource,
-		HotAlloc,
-		SharedRead,
-		FloatKey,
-		HotCover,
+		mapOrder,
+		rngSource,
+		hotAlloc,
+		sharedRead,
+		floatKey,
+		hotCover,
 	}
 }
 
@@ -241,18 +241,18 @@ func skipped(cfg *Config, path string) bool {
 	return false
 }
 
-// HotAnnotation is the directive that marks a function as part of the
+// hotAnnotation is the directive that marks a function as part of the
 // engine's steady-state cycle loop, placing it under hotalloc's
 // zero-allocation rules. It must appear as its own line inside the
 // function's doc comment.
-const HotAnnotation = "//sim:hot"
+const hotAnnotation = "//sim:hot"
 
-// DomainAnnotation marks a function as running concurrently across router
+// domainAnnotation marks a function as running concurrently across router
 // domains during the engine's parallel phases, placing its writes under
 // sharedread's cross-domain rules (Config.DomainSharedFields). Same
-// placement contract as HotAnnotation: a line of the function's doc
+// placement contract as hotAnnotation: a line of the function's doc
 // comment.
-const DomainAnnotation = "//sim:domain"
+const domainAnnotation = "//sim:domain"
 
 // waiverPrefix introduces the generic waiver directive; orderedDirective is
 // the maporder shorthand from the issue-tracker contract.
@@ -393,7 +393,7 @@ func funcDocHas(d *ast.FuncDecl, annotation string) bool {
 
 // funcDocHot reports whether a function declaration carries the //sim:hot
 // annotation as a line of its doc comment.
-func funcDocHot(d *ast.FuncDecl) bool { return funcDocHas(d, HotAnnotation) }
+func funcDocHot(d *ast.FuncDecl) bool { return funcDocHas(d, hotAnnotation) }
 
 // hotFuncs returns the package's annotated functions (by type object) and
 // all declared functions, so callers can distinguish "declared here but not

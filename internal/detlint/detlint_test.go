@@ -241,15 +241,15 @@ func runGolden(t *testing.T, a *Analyzer, cfg *Config, paths ...string) {
 }
 
 func TestMapOrderGolden(t *testing.T) {
-	runGolden(t, MapOrder, &Config{}, "maporder")
+	runGolden(t, mapOrder, &Config{}, "maporder")
 }
 
 func TestRNGSourceGolden(t *testing.T) {
-	runGolden(t, RNGSource, &Config{}, "rngsource")
+	runGolden(t, rngSource, &Config{}, "rngsource")
 }
 
 func TestHotAllocGolden(t *testing.T) {
-	runGolden(t, HotAlloc, &Config{}, "hotalloc")
+	runGolden(t, hotAlloc, &Config{}, "hotalloc")
 }
 
 func TestSharedReadGolden(t *testing.T) {
@@ -258,7 +258,7 @@ func TestSharedReadGolden(t *testing.T) {
 		SharedWriters: []string{"sharedread/netpkg"},
 		LabelFields:   []string{"Name"},
 	}
-	runGolden(t, SharedRead, cfg, "sharedread/netpkg", "sharedread/use")
+	runGolden(t, sharedRead, cfg, "sharedread/netpkg", "sharedread/use")
 }
 
 func TestDomainSharedGolden(t *testing.T) {
@@ -270,7 +270,7 @@ func TestDomainSharedGolden(t *testing.T) {
 			"sharedread/dompkg.engine.out",
 		},
 	}
-	runGolden(t, SharedRead, cfg, "sharedread/dompkg")
+	runGolden(t, sharedRead, cfg, "sharedread/dompkg")
 }
 
 // TestDomainSharedStaleEntries pins that a DomainSharedFields entry naming
@@ -290,7 +290,7 @@ func TestDomainSharedStaleEntries(t *testing.T) {
 			"sharedread/other.link.pending",
 		},
 	}
-	diags, err := Run(cfg, []*Package{pkg}, []*Analyzer{SharedRead})
+	diags, err := Run(cfg, []*Package{pkg}, []*Analyzer{sharedRead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,12 +316,12 @@ func TestDomainSharedStaleEntries(t *testing.T) {
 }
 
 func TestFloatKeyGolden(t *testing.T) {
-	runGolden(t, FloatKey, &Config{}, "floatkey")
+	runGolden(t, floatKey, &Config{}, "floatkey")
 }
 
 func TestHotCoverGolden(t *testing.T) {
 	cfg := &Config{HotPackages: []string{"hotcover/hot", "hotcover/empty"}}
-	runGolden(t, HotCover, cfg, "hotcover/hot", "hotcover/empty")
+	runGolden(t, hotCover, cfg, "hotcover/hot", "hotcover/empty")
 }
 
 func TestParseWaiver(t *testing.T) {

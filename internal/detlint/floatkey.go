@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// FloatKey guards the canonical-encoding and PointKey paths against
+// floatKey guards the canonical-encoding and PointKey paths against
 // floating-point identity. A float map key (or a `==` over a float-bearing
 // spec struct) makes equality depend on the bit pattern a value happened
 // to arrive with — +0 vs -0 compare equal but hash apart over history, NaN
@@ -14,7 +14,7 @@ import (
 // arithmetic route may differ in the last ulp. Canonical bytes and store
 // keys must instead compare through the canonical JSON encoding, which
 // fixes one representation per value.
-var FloatKey = &Analyzer{
+var floatKey = &Analyzer{
 	Name: "floatkey",
 	Doc:  "no floating-point map keys, and no ==/!= over float-bearing structs",
 	Run:  runFloatKey,
@@ -28,7 +28,7 @@ func runFloatKey(pass *Pass) error {
 			case *ast.MapType:
 				tv, ok := info.Types[x.Key]
 				if ok && tv.Type != nil && hasFloat(tv.Type, nil) {
-					pass.Reportf(x.Key.Pos(), "floating-point map key %s: float identity is representation-dependent; key by the canonical encoding instead", types.ExprString(x.Key))
+					pass.reportf(x.Key.Pos(), "floating-point map key %s: float identity is representation-dependent; key by the canonical encoding instead", types.ExprString(x.Key))
 				}
 			case *ast.BinaryExpr:
 				if x.Op != token.EQL && x.Op != token.NEQ {
@@ -39,7 +39,7 @@ func runFloatKey(pass *Pass) error {
 					return true
 				}
 				if _, isStruct := tv.Type.Underlying().(*types.Struct); isStruct && hasFloat(tv.Type, nil) {
-					pass.Reportf(x.Pos(), "%s on float-bearing struct %s: compare through the canonical encoding instead", x.Op, tv.Type)
+					pass.reportf(x.Pos(), "%s on float-bearing struct %s: compare through the canonical encoding instead", x.Op, tv.Type)
 				}
 			}
 			return true

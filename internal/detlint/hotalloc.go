@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// HotAlloc turns the engine's aggregate zero-allocation tests
+// hotAlloc turns the engine's aggregate zero-allocation tests
 // (AllocsPerRun==0 over the steady-state cycle loop) into line-precise
 // diagnostics. Inside functions annotated `//sim:hot` it flags the
 // constructs that cause heap allocation: make/new, composite literals,
@@ -21,7 +21,7 @@ import (
 // capacity is retained across cycles) and a function literal passed
 // directly as a call argument (a visitor handed to an iteration helper,
 // which does not escape and is measured allocation-free).
-var HotAlloc = &Analyzer{
+var hotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//sim:hot functions must not contain allocation-causing constructs",
 	Run:  runHotAlloc,
@@ -83,13 +83,13 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl, hot map[*types.Func]bool, declar
 			// Value struct/array literals live on the stack; the heap
 			// allocations are slice and map literals and &T{}.
 			if addrLit[x] {
-				pass.Reportf(x.Pos(), "&-of composite literal allocates in //sim:hot function %s", fd.Name.Name)
+				pass.reportf(x.Pos(), "&-of composite literal allocates in //sim:hot function %s", fd.Name.Name)
 			} else if tv, ok := info.Types[x]; ok && allocLit(tv.Type) {
-				pass.Reportf(x.Pos(), "%s literal allocates in //sim:hot function %s", litKind(tv.Type), fd.Name.Name)
+				pass.reportf(x.Pos(), "%s literal allocates in //sim:hot function %s", litKind(tv.Type), fd.Name.Name)
 			}
 		case *ast.FuncLit:
 			if !immediateLit[x] {
-				pass.Reportf(x.Pos(), "closure may escape and allocate in //sim:hot function %s", fd.Name.Name)
+				pass.reportf(x.Pos(), "closure may escape and allocate in //sim:hot function %s", fd.Name.Name)
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, fd, x, selfAppend, hot, declared)
@@ -97,14 +97,14 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl, hot map[*types.Func]bool, declar
 			if x.Tok == token.ASSIGN {
 				for i, rhs := range x.Rhs {
 					if i < len(x.Lhs) && boxes(info, x.Lhs[i], rhs) {
-						pass.Reportf(rhs.Pos(), "assignment boxes %s into an interface in //sim:hot function %s", types.ExprString(rhs), fd.Name.Name)
+						pass.reportf(rhs.Pos(), "assignment boxes %s into an interface in //sim:hot function %s", types.ExprString(rhs), fd.Name.Name)
 					}
 				}
 			}
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD {
 				if tv, ok := info.Types[x]; ok && tv.Value == nil && isString(tv.Type) {
-					pass.Reportf(x.Pos(), "string concatenation allocates in //sim:hot function %s", fd.Name.Name)
+					pass.reportf(x.Pos(), "string concatenation allocates in //sim:hot function %s", fd.Name.Name)
 				}
 			}
 		}
@@ -121,27 +121,27 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, selfAppend m
 	// Type conversion, not a call: T(x) boxes when T is an interface.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 && boxesType(info, tv.Type, call.Args[0]) {
-			pass.Reportf(call.Pos(), "conversion boxes %s into an interface in //sim:hot function %s", types.ExprString(call.Args[0]), fd.Name.Name)
+			pass.reportf(call.Pos(), "conversion boxes %s into an interface in //sim:hot function %s", types.ExprString(call.Args[0]), fd.Name.Name)
 		}
 		return
 	}
 
 	switch {
 	case isBuiltin(info, call.Fun, "make"):
-		pass.Reportf(call.Pos(), "make allocates in //sim:hot function %s", fd.Name.Name)
+		pass.reportf(call.Pos(), "make allocates in //sim:hot function %s", fd.Name.Name)
 		return
 	case isBuiltin(info, call.Fun, "new"):
-		pass.Reportf(call.Pos(), "new allocates in //sim:hot function %s", fd.Name.Name)
+		pass.reportf(call.Pos(), "new allocates in //sim:hot function %s", fd.Name.Name)
 		return
 	case isBuiltin(info, call.Fun, "append"):
 		if !selfAppend[call] {
-			pass.Reportf(call.Pos(), "append may grow and allocate in //sim:hot function %s; use the self-append recycling form or preallocate", fd.Name.Name)
+			pass.reportf(call.Pos(), "append may grow and allocate in //sim:hot function %s; use the self-append recycling form or preallocate", fd.Name.Name)
 		}
 		return
 	}
 
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && pkgNameOf(info, sel.X) == "fmt" {
-		pass.Reportf(call.Pos(), "fmt.%s allocates in //sim:hot function %s", sel.Sel.Name, fd.Name.Name)
+		pass.reportf(call.Pos(), "fmt.%s allocates in //sim:hot function %s", sel.Sel.Name, fd.Name.Name)
 		return
 	}
 
@@ -154,7 +154,7 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, selfAppend m
 		return
 	}
 	if _, declaredHere := declared[callee]; declaredHere && !hot[callee] {
-		pass.Reportf(call.Pos(), "//sim:hot function %s calls %s, which is not annotated //sim:hot", fd.Name.Name, callee.Name())
+		pass.reportf(call.Pos(), "//sim:hot function %s calls %s, which is not annotated //sim:hot", fd.Name.Name, callee.Name())
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// HotCover is the suite's self-check: hotalloc only guards what `//sim:hot`
+// hotCover is the suite's self-check: hotalloc only guards what `//sim:hot`
 // covers and sharedread's cross-domain mode only guards what `//sim:domain`
 // covers, so an empty or misplaced annotation set silently turns those
-// analyzers off. HotCover fails when a configured hot package (the engine
+// analyzers off. hotCover fails when a configured hot package (the engine
 // cycle-loop packages) declares no annotated function, and flags any
 // `//sim:hot` or `//sim:domain` comment that is not attached to a function
 // declaration's doc block — a directive floating above a blank line or
 // inside a body guards nothing.
-var HotCover = &Analyzer{
+var hotCover = &Analyzer{
 	Name: "hotcover",
 	Doc:  "the //sim:hot annotation set must be non-empty in engine packages, and //sim:hot///sim:domain directives attached to function declarations",
 	Run:  runHotCover,
@@ -38,8 +38,8 @@ func runHotCover(pass *Pass) error {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
-				if (text == HotAnnotation || text == DomainAnnotation) && !attached[c] {
-					pass.Reportf(c.Pos(), "misplaced %s: the directive only takes effect as a line of a function declaration's doc comment", text)
+				if (text == hotAnnotation || text == domainAnnotation) && !attached[c] {
+					pass.reportf(c.Pos(), "misplaced %s: the directive only takes effect as a line of a function declaration's doc comment", text)
 				}
 			}
 		}
@@ -50,7 +50,7 @@ func runHotCover(pass *Pass) error {
 			continue
 		}
 		if len(hot) == 0 {
-			pass.Reportf(pass.Pkg.Files[0].Package, "package %s is configured as a hot package but declares no %s functions; the engine cycle loop must carry the annotation set", pass.Pkg.Path, HotAnnotation)
+			pass.reportf(pass.Pkg.Files[0].Package, "package %s is configured as a hot package but declares no %s functions; the engine cycle loop must carry the annotation set", pass.Pkg.Path, hotAnnotation)
 		}
 	}
 	return nil

@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `range` over a map. Go randomises map iteration order per
+// mapOrder flags `range` over a map. Go randomises map iteration order per
 // run, so any map range whose body's effect depends on visit order (output
 // bytes, float accumulation, slice append of values, first-match selection)
 // breaks the golden byte-identity and parallel==serial contracts
 // non-deterministically. Two shapes are accepted without a waiver: the
 // sorted-keys idiom (the body only appends the key to a slice that the
 // function later sorts) and sites carrying `//detlint:ordered <reason>`.
-var MapOrder = &Analyzer{
+var mapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "range over a map must sort keys first or carry a //detlint:ordered waiver",
 	Run:  runMapOrder,
@@ -41,7 +41,7 @@ func runMapOrder(pass *Pass) error {
 				if keys := sortedKeysIdiom(info, rng); keys != nil && sortCalledAfter(info, fd.Body, rng, keys) {
 					return true
 				}
-				pass.Reportf(rng.Pos(), "range over map: iteration order is nondeterministic; collect and sort keys, or waive with //detlint:ordered <reason>")
+				pass.reportf(rng.Pos(), "range over map: iteration order is nondeterministic; collect and sort keys, or waive with //detlint:ordered <reason>")
 				return true
 			})
 		}

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// RNGSource enforces the DeriveSeed discipline: every random draw must
+// rngSource enforces the DeriveSeed discipline: every random draw must
 // flow from an explicitly seeded generator handed down by the campaign
 // layer (the engine's *rng.Stream, which is seeded through the math/rand
 // constructors allowed here, or a *rand.Rand), and no code may read the
@@ -13,7 +13,7 @@ import (
 // functions draw from a process-wide shared source whose state depends on
 // everything else that ran, and time.Now injects the host's clock — either
 // one silently breaks run-to-run byte identity.
-var RNGSource = &Analyzer{
+var rngSource = &Analyzer{
 	Name: "rngsource",
 	Doc:  "no global math/rand draws or wall-clock reads; randomness comes from a seeded *rand.Rand",
 	Run:  runRNGSource,
@@ -49,11 +49,11 @@ func runRNGSource(pass *Pass) error {
 			switch pkgNameOf(info, sel.X) {
 			case "math/rand", "math/rand/v2":
 				if !randConstructors[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(), "global math/rand.%s draws from shared process state; use an explicitly seeded *rand.Rand (DeriveSeed discipline)", sel.Sel.Name)
+					pass.reportf(sel.Pos(), "global math/rand.%s draws from shared process state; use an explicitly seeded *rand.Rand (DeriveSeed discipline)", sel.Sel.Name)
 				}
 			case "time":
 				if clockFuncs[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(), "time.%s reads the wall clock; simulated time must come from the engine's cycle counter", sel.Sel.Name)
+					pass.reportf(sel.Pos(), "time.%s reads the wall clock; simulated time must come from the engine's cycle counter", sel.Sel.Name)
 				}
 			}
 			return true

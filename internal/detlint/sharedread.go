@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// SharedRead enforces two read-only/exclusive-write sharing contracts.
+// sharedRead enforces two read-only/exclusive-write sharing contracts.
 //
 // Cross-worker: campaign workers and serve sessions share one topo.Network
 // and one compiled routing.RouteTable by pointer (WithNetwork /
@@ -29,7 +29,7 @@ import (
 // side or a list owned exclusively by this domain in this phase. An entry
 // naming no field of the package it names, once that package is loaded, is
 // reported too: a stale entry guards nothing.
-var SharedRead = &Analyzer{
+var sharedRead = &Analyzer{
 	Name: "sharedread",
 	Doc:  "no writes to shared network/route-table state outside constructors, nor to cross-domain engine state inside //sim:domain functions",
 	Run:  runSharedRead,
@@ -80,13 +80,13 @@ func runDomainShared(pass *Pass) {
 		rest, field, _ := cutLast(f, ".")
 		pkg, typ, _ := cutLast(rest, ".")
 		if pkg == pass.Pkg.Path && !hasField(pass.Pkg.Types, typ, field) {
-			pass.Reportf(pass.Pkg.Files[0].Package, "DomainSharedFields entry %s names no field of package %s: a stale entry guards nothing — drop it or fix its name", f, pkg)
+			pass.reportf(pass.Pkg.Files[0].Package, "DomainSharedFields entry %s names no field of package %s: a stale entry guards nothing — drop it or fix its name", f, pkg)
 		}
 	}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !funcDocHas(fd, DomainAnnotation) || fd.Body == nil {
+			if !ok || !funcDocHas(fd, domainAnnotation) || fd.Body == nil {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -168,7 +168,7 @@ func checkDomainWrite(pass *Pass, fields map[string]bool, lhs ast.Expr) {
 			}
 			key := qualifiedName(named) + "." + x.Sel.Name
 			if fields[key] {
-				pass.Reportf(x.Pos(), "write to cross-domain shared field %s inside a %s function: domains run this phase concurrently — keep the effect in state the domain owns, or waive with the exclusivity argument", key, DomainAnnotation)
+				pass.reportf(x.Pos(), "write to cross-domain shared field %s inside a %s function: domains run this phase concurrently — keep the effect in state the domain owns, or waive with the exclusivity argument", key, domainAnnotation)
 				return
 			}
 			lhs = x.X
@@ -202,7 +202,7 @@ func checkSharedWrite(pass *Pass, shared, labels map[string]bool, lhs ast.Expr) 
 			}
 			name := qualifiedName(named)
 			if shared[name] && !labels[x.Sel.Name] {
-				pass.Reportf(x.Pos(), "write to %s.%s outside its constructor packages: %s is shared read-only across workers (WithNetwork/WithRouteTable contract)", name, x.Sel.Name, named.Obj().Name())
+				pass.reportf(x.Pos(), "write to %s.%s outside its constructor packages: %s is shared read-only across workers (WithNetwork/WithRouteTable contract)", name, x.Sel.Name, named.Obj().Name())
 				return
 			}
 			// The selected field may itself live inside a shared struct

@@ -92,9 +92,9 @@ func (r *Reader) fail(format string, args ...any) {
 	}
 }
 
-// Cell returns the cell of table in the row labelled row and the column
+// cell returns the cell of table in the row labelled row and the column
 // headed col.
-func (r *Reader) Cell(table, row, col string) string {
+func (r *Reader) cell(table, row, col string) string {
 	t := r.table(table)
 	if t == nil {
 		return ""
@@ -119,10 +119,10 @@ func (r *Reader) Cell(table, row, col string) string {
 	return t.Rows[ri][ci]
 }
 
-// Num returns Cell parsed as a number. A saturated latency ("sat") reads as
+// num returns cell parsed as a number. A saturated latency ("sat") reads as
 // +Inf, so it loses every lower-is-better comparison.
-func (r *Reader) Num(table, row, col string) float64 {
-	s := r.Cell(table, row, col)
+func (r *Reader) num(table, row, col string) float64 {
+	s := r.cell(table, row, col)
 	if r.Err != nil {
 		return 0
 	}
@@ -137,8 +137,8 @@ func (r *Reader) Num(table, row, col string) float64 {
 	return v
 }
 
-// Labels returns the row labels (first cells) of table.
-func (r *Reader) Labels(table string) []string {
+// labels returns the row labels (first cells) of table.
+func (r *Reader) labels(table string) []string {
 	t := r.table(table)
 	if t == nil {
 		return nil
@@ -189,13 +189,13 @@ func (r *Reader) unique(names []string, what, want, in string) int {
 // below every column of ys (lower is better; a saturated cell reads +Inf).
 // Its value is x over the lowest of ys.
 func lowerInRow(id, paper, table, row, x string, ys ...string) Claim {
-	return lowest(id, paper, x, ys, func(r *Reader, col string) float64 { return r.Num(table, row, col) })
+	return lowest(id, paper, x, ys, func(r *Reader, col string) float64 { return r.num(table, row, col) })
 }
 
 // lowerInCol is lowerInRow down one column: row x reads below every row of
 // ys.
 func lowerInCol(id, paper, table, col, x string, ys ...string) Claim {
-	return lowest(id, paper, x, ys, func(r *Reader, row string) float64 { return r.Num(table, row, col) })
+	return lowest(id, paper, x, ys, func(r *Reader, row string) float64 { return r.num(table, row, col) })
 }
 
 // lowest declares the claim that cell x reads below every cell of ys.
@@ -214,7 +214,7 @@ func lowest(id, paper, x string, ys []string, num func(*Reader, string) float64)
 // at or below column y. Its value is x/y.
 func atMostInRow(id, paper, table, row, x, y string) Claim {
 	return Claim{ID: id, Paper: paper, Eval: func(r *Reader) (float64, bool) {
-		vx, vy := r.Num(table, row, x), r.Num(table, row, y)
+		vx, vy := r.num(table, row, x), r.num(table, row, y)
 		return vx / vy, vx <= vy
 	}}
 }

@@ -108,8 +108,8 @@ func TestReaderErrors(t *testing.T) {
 		{"tab5", "45nm/cm4", "vs", `"cm4" is not a number`},
 	} {
 		r := &Reader{Tables: readerTables()}
-		first := r.Num(c.table, c.row, c.col)
-		later := r.Num("lat", "0.008", "sn")
+		first := r.num(c.table, c.row, c.col)
+		later := r.num("lat", "0.008", "sn")
 		if first != 0 || later != 0 || r.Err == nil || !strings.Contains(r.Err.Error(), c.want) {
 			t.Errorf("%s: read %v then %v, error %v; want zeros and %s", c.want, first, later, r.Err, c.want)
 		}

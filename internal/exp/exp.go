@@ -41,8 +41,8 @@ type Options struct {
 	DrainCycles   int64
 }
 
-// Cycles returns (warmup, measure, drain) for the current mode.
-func (o Options) Cycles() (int64, int64, int64) {
+// cycles returns (warmup, measure, drain) for the current mode.
+func (o Options) cycles() (int64, int64, int64) {
 	mode := slimnoc.FullSim()
 	if o.Quick {
 		mode = slimnoc.QuickSim()
@@ -59,9 +59,9 @@ func (o Options) Cycles() (int64, int64, int64) {
 	return mode.WarmupCycles, mode.MeasureCycles, mode.DrainCycles
 }
 
-// SimSpec returns the facade simulation parameters for the mode.
-func (o Options) SimSpec() slimnoc.SimSpec {
-	warm, meas, drain := o.Cycles()
+// simSpec returns the facade simulation parameters for the mode.
+func (o Options) simSpec() slimnoc.SimSpec {
+	warm, meas, drain := o.cycles()
 	return slimnoc.SimSpec{
 		WarmupCycles:  warm,
 		MeasureCycles: meas,
@@ -70,8 +70,8 @@ func (o Options) SimSpec() slimnoc.SimSpec {
 	}
 }
 
-// Loads returns the offered-load sweep in flits/node/cycle.
-func (o Options) Loads() []float64 {
+// loads returns the offered-load sweep in flits/node/cycle.
+func (o Options) loads() []float64 {
 	if o.Quick {
 		return []float64{0.008, 0.06, 0.24}
 	}

@@ -43,12 +43,10 @@ func TestBuildNetAllNames(t *testing.T) {
 		"sn_gr_1296", "sn_subgr_1024", "sn_subgr_54",
 	}
 	for _, name := range names {
-		net, err := preset(name)
-		if err != nil {
+		// slimnoc's TestPresetsResolveAndBuild checks the adjacency of
+		// each of these presets; here every name must resolve.
+		if _, err := preset(name); err != nil {
 			t.Fatalf("preset(%s): %v", name, err)
-		}
-		if err := net.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	if _, err := preset("nonsense"); err == nil {
@@ -141,7 +139,7 @@ func TestTable4Experiment(t *testing.T) {
 	r := read(t, "tab4")
 	// The SN row shows D=2, k'=7, k=11 for N=200.
 	for col, want := range map[string]string{"D": "2", "k'": "7", "k": "11"} {
-		if got := r.Cell("tab4", "sn_subgr_200", col); got != want {
+		if got := r.cell("tab4", "sn_subgr_200", col); got != want {
 			t.Errorf("sn_subgr_200 %s = %q, want %q", col, got, want)
 		}
 	}
@@ -151,8 +149,8 @@ func TestFig6Experiment(t *testing.T) {
 	r := read(t, "fig6")
 	for _, tbl := range r.Tables {
 		sum := 0.0
-		for _, bin := range r.Labels(tbl.ID) {
-			sum += r.Num(tbl.ID, bin, "sn_gr")
+		for _, bin := range r.labels(tbl.ID) {
+			sum += r.num(tbl.ID, bin, "sn_gr")
 		}
 		if sum < 0.99 || sum > 1.01 {
 			t.Errorf("%s: sn_gr distribution sums to %.3f", tbl.ID, sum)
@@ -162,12 +160,12 @@ func TestFig6Experiment(t *testing.T) {
 
 func TestOptionsScaling(t *testing.T) {
 	q, f := Options{Quick: true}, Options{}
-	qw, qm, _ := q.Cycles()
-	fw, fm, _ := f.Cycles()
+	qw, qm, _ := q.cycles()
+	fw, fm, _ := f.cycles()
 	if qw >= fw || qm >= fm {
 		t.Error("quick mode should use fewer cycles")
 	}
-	if len(q.Loads()) >= len(f.Loads()) {
+	if len(q.loads()) >= len(f.loads()) {
 		t.Error("quick mode should use fewer load points")
 	}
 }
@@ -175,9 +173,9 @@ func TestOptionsScaling(t *testing.T) {
 func TestSensCycleTimeExperiment(t *testing.T) {
 	r := read(t, "sens-cycle")
 	// The uniform-clock column equals cycles * 0.5.
-	for _, net := range r.Labels("sens-cycle") {
-		cycles := r.Num("sens-cycle", net, "latency_cycles")
-		uniform := r.Num("sens-cycle", net, "latency_ns_uniform_0.5")
+	for _, net := range r.labels("sens-cycle") {
+		cycles := r.num("sens-cycle", net, "latency_cycles")
+		uniform := r.num("sens-cycle", net, "latency_ns_uniform_0.5")
 		if diff := uniform - cycles*0.5; diff > 0.01 || diff < -0.01 {
 			t.Errorf("%s: uniform-clock latency %v, want %v", net, uniform, cycles*0.5)
 		}
@@ -188,7 +186,7 @@ func TestResilienceExperiment(t *testing.T) {
 	r := read(t, "resil")
 	// Undamaged, every network is connected.
 	for _, net := range []string{"sn_subgr_200", "fbf4", "t2d4"} {
-		if conn := r.Num("resil", "0/"+net, "connectivity"); conn != 1 {
+		if conn := r.num("resil", "0/"+net, "connectivity"); conn != 1 {
 			t.Errorf("undamaged %s connectivity = %v", net, conn)
 		}
 	}

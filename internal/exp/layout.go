@@ -212,9 +212,9 @@ var fig5Claims = []Claim{
 		Paper: "Every layout's wiring over a router stays within the 22 nm bound W (Eq. 3; Fig. 5d, §3.3)",
 		Eval: func(r *Reader) (float64, bool) {
 			worst := 0.0
-			for _, q := range r.Labels("fig5d") {
+			for _, q := range r.labels("fig5d") {
 				for _, l := range core.Layouts() {
-					worst = math.Max(worst, r.Num("fig5d", q, "sn_"+string(l))/r.Num("fig5d", q, "W_bound_22nm"))
+					worst = math.Max(worst, r.num("fig5d", q, "sn_"+string(l))/r.num("fig5d", q, "W_bound_22nm"))
 				}
 			}
 			return worst, worst <= 1

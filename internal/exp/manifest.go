@@ -151,11 +151,11 @@ func FigureByID(id string, o Options) (Figure, error) {
 		}
 	}
 	return Figure{}, fmt.Errorf("exp: unknown manifest figure %q (have %s)",
-		id, strings.Join(FigureIDs(), ", "))
+		id, strings.Join(figureIDs(), ", "))
 }
 
-// FigureIDs lists the manifest IDs, sorted.
-func FigureIDs() []string {
+// figureIDs lists the manifest IDs, sorted.
+func figureIDs() []string {
 	out := make([]string, len(figures))
 	for i, e := range figures {
 		out[i] = e.id
@@ -166,7 +166,7 @@ func FigureIDs() []string {
 
 // simBase returns the base RunSpec every manifest sweep starts from.
 func simBase(o Options) slimnoc.RunSpec {
-	return slimnoc.RunSpec{Sim: o.SimSpec()}
+	return slimnoc.RunSpec{Sim: o.simSpec()}
 }
 
 // latencyGrid builds the standard latency-vs-load sweep: one network axis,
@@ -180,7 +180,7 @@ func latencyGrid(o Options, name string, presets, patterns []string, smart bool)
 		Axes: slimnoc.SweepAxes{
 			Presets:  presets,
 			Patterns: patterns,
-			Loads:    o.Loads(),
+			Loads:    o.loads(),
 		},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,6 +27,8 @@ func manifestOptions() Options {
 // without saturation searches must have a Derive, so snrepro always
 // renders its tables; and only a figure with a Derive may declare claims.
 func TestManifestExpandsAndValidates(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, quick := range []bool{true, false} {
 		o := manifestOptions()
 		o.Quick = quick
@@ -57,8 +60,10 @@ func TestManifestExpandsAndValidates(t *testing.T) {
 					t.Errorf("%s sweep %s: empty grid", f.ID, s.Name)
 				}
 			}
+			// A search validates its spec before its first probe, which
+			// the cancelled context then stops.
 			for _, s := range f.Sats {
-				if err := s.Validate(); err != nil {
+				if _, err := slimnoc.NewCampaign().SaturationSearch(cancelled, s); !errors.Is(err, context.Canceled) {
 					t.Errorf("%s search %s: %v", f.ID, s.Name, err)
 				}
 			}
@@ -96,7 +101,7 @@ func TestFigureByID(t *testing.T) {
 	if _, err := FigureByID("no-such-fig", o); err == nil {
 		t.Error("unknown figure did not error")
 	}
-	ids := FigureIDs()
+	ids := figureIDs()
 	if len(ids) < 15 {
 		t.Errorf("manifest lists only %d figures", len(ids))
 	}
@@ -176,7 +181,7 @@ func TestRunSatFigureWithStoreRoundTrip(t *testing.T) {
 			Base: slimnoc.RunSpec{
 				Network: slimnoc.NetworkSpec{Preset: "t2d54"},
 				Traffic: slimnoc.TrafficSpec{Pattern: "rnd"},
-				Sim:     o.SimSpec(),
+				Sim:     o.simSpec(),
 			},
 			MinLoad: 0.05, MaxLoad: 0.45, Step: 0.05, LatencyFactor: 3,
 		}},

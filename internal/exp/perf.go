@@ -152,7 +152,7 @@ func fig11(o Options) Figure {
 					Presets:  []string{sz.net},
 					Patterns: []string{"rnd"},
 					Schemes:  []string{"eb", "eb-var", "eb-large", "el"},
-					Loads:    o.Loads(),
+					Loads:    o.loads(),
 				},
 			})
 			for _, cb := range []int{40, 6} {
@@ -162,7 +162,7 @@ func fig11(o Options) Figure {
 				sweeps = append(sweeps, slimnoc.SweepSpec{
 					Name: fmt.Sprintf("fig11/%s/%s/cbr%d", sz.net, label, cb),
 					Base: cbBase,
-					Axes: slimnoc.SweepAxes{Presets: []string{sz.net}, Loads: o.Loads()},
+					Axes: slimnoc.SweepAxes{Presets: []string{sz.net}, Loads: o.loads()},
 				})
 			}
 		}
@@ -235,7 +235,7 @@ func fig20(o Options) Figure {
 			Axes: slimnoc.SweepAxes{
 				Presets:  []string{v.net},
 				Patterns: pats,
-				Loads:    o.Loads(),
+				Loads:    o.loads(),
 			},
 		})
 		header = append(header, v.label)

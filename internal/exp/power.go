@@ -435,7 +435,7 @@ var sec55Claim = Claim{
 	ID:    "sn-area-below-clos",
 	Paper: "SN takes less area than a folded Clos (~24-26% less; §5.5)",
 	Eval: func(r *Reader) (float64, bool) {
-		least := math.Min(r.Num("sec55", "200", "sn_smaller_by_%"), r.Num("sec55", "1296", "sn_smaller_by_%"))
+		least := math.Min(r.num("sec55", "200", "sn_smaller_by_%"), r.num("sec55", "1296", "sn_smaller_by_%"))
 		return least, least > 0
 	},
 }

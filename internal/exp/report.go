@@ -101,9 +101,9 @@ var reportHeader = []string{
 	"saturated", "error",
 }
 
-// Tables renders one stats.Table per sweep, a row per point in submission
+// tables renders one stats.Table per sweep, a row per point in submission
 // order.
-func (r FigureRun) Tables() []*stats.Table {
+func (r FigureRun) tables() []*stats.Table {
 	var out []*stats.Table
 	for si, sweep := range r.Figure.Sweeps {
 		t := &stats.Table{
@@ -159,11 +159,11 @@ var satHeader = []string{
 	"saturation_load", "threshold_cycles", "base_latency", "probes", "bracket",
 }
 
-// SatTable renders the figure's saturation searches as one summary table
+// satTable renders the figure's saturation searches as one summary table
 // (nil when the figure has none). Rows are deterministic for a fixed spec —
 // the search sequence never depends on store state — so warm and cold
 // reports stay byte-identical.
-func (r FigureRun) SatTable() *stats.Table {
+func (r FigureRun) satTable() *stats.Table {
 	if len(r.Figure.Sats) == 0 {
 		return nil
 	}
@@ -215,11 +215,11 @@ func (r FigureRun) Markdown() string {
 	if r.Figure.Notes != "" {
 		fmt.Fprintf(&b, "> %s\n\n", r.Figure.Notes)
 	}
-	for _, t := range r.Tables() {
+	for _, t := range r.tables() {
 		b.WriteString(t.Markdown())
 		b.WriteByte('\n')
 	}
-	if t := r.SatTable(); t != nil {
+	if t := r.satTable(); t != nil {
 		b.WriteString(t.Markdown())
 		b.WriteByte('\n')
 	}

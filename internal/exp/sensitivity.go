@@ -127,7 +127,7 @@ func sensConc(o Options) Figure {
 			ID:    "throughput-flat-in-p",
 			Paper: "Raising concentration at a fixed per-node load adds network pressure, so per-node throughput does not grow with p (within 10%; §5.5 / §2.1)",
 			Eval: func(r *Reader) (float64, bool) {
-				ratio := r.Num("sens-conc", "8", "throughput") / r.Num("sens-conc", "4", "throughput")
+				ratio := r.num("sens-conc", "8", "throughput") / r.num("sens-conc", "4", "throughput")
 				return ratio, ratio <= 1.1
 			},
 		}},
@@ -253,8 +253,8 @@ func resil(o Options) Figure {
 			Paper: "As an expander, SN with 10% of its links failed stays connected with a small diameter (at most 4), " +
 				"so it still routes deadlock-free and is simulated (§2.1)",
 			Eval: func(r *Reader) (float64, bool) {
-				conn, diam := r.Num("resil", "10/sn_subgr_200", "connectivity"), r.Num("resil", "10/sn_subgr_200", "diameter")
-				return diam, conn >= 0.99 && diam <= 4 && r.Cell("resil", "10/sn_subgr_200", "latency_cycles") != "n/a"
+				conn, diam := r.num("resil", "10/sn_subgr_200", "connectivity"), r.num("resil", "10/sn_subgr_200", "diameter")
+				return diam, conn >= 0.99 && diam <= 4 && r.cell("resil", "10/sn_subgr_200", "latency_cycles") != "n/a"
 			},
 		}},
 	}

@@ -188,7 +188,7 @@ func tab6(o Options) Figure {
 			Eval: func(r *Reader) (float64, bool) {
 				least := math.Inf(1)
 				for _, b := range benches {
-					least = math.Min(least, r.Num("tab6", "sn_subgr_200", b.Name)-r.Num("tab6", "cm3", b.Name))
+					least = math.Min(least, r.num("tab6", "sn_subgr_200", b.Name)-r.num("tab6", "cm3", b.Name))
 				}
 				return least, least > 0
 			},

@@ -18,7 +18,6 @@ type Field struct {
 	add     [][]int // add[a][b] = a+b
 	mul     [][]int // mul[a][b] = a*b
 	neg     []int   // neg[a] = -a
-	inv     []int   // inv[a] = a^-1; inv[0] = -1 (undefined)
 	poly    []int   // irreducible polynomial coefficients (len n+1), nil for prime fields
 	names   []string
 }
@@ -91,7 +90,6 @@ func (f *Field) initTables(add, mul func(a, b int) int) {
 	f.add = make([][]int, q)
 	f.mul = make([][]int, q)
 	f.neg = make([]int, q)
-	f.inv = make([]int, q)
 	f.names = make([]string, q)
 	for a := 0; a < q; a++ {
 		f.add[a] = make([]int, q)
@@ -102,13 +100,9 @@ func (f *Field) initTables(add, mul func(a, b int) int) {
 		}
 	}
 	for a := 0; a < q; a++ {
-		f.inv[a] = -1
 		for b := 0; b < q; b++ {
 			if f.add[a][b] == 0 {
 				f.neg[a] = b
-			}
-			if a != 0 && f.mul[a][b] == 1 {
-				f.inv[a] = b
 			}
 		}
 	}
@@ -263,14 +257,6 @@ func (f *Field) Mul(a, b int) int { return f.mul[a][b] }
 // Neg returns -a.
 func (f *Field) Neg(a int) int { return f.neg[a] }
 
-// Inv returns a^-1. It panics if a == 0.
-func (f *Field) Inv(a int) int {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return f.inv[a]
-}
-
 // Pow returns a^k for k >= 0.
 func (f *Field) Pow(a, k int) int {
 	res := 1
@@ -280,8 +266,8 @@ func (f *Field) Pow(a, k int) int {
 	return res
 }
 
-// ElementOrder returns the multiplicative order of a (a != 0).
-func (f *Field) ElementOrder(a int) int {
+// elementOrder returns the multiplicative order of a (a != 0).
+func (f *Field) elementOrder(a int) int {
 	if a == 0 {
 		panic("gf: order of zero")
 	}
@@ -297,7 +283,7 @@ func (f *Field) ElementOrder(a int) int {
 // element of order q-1. Every finite field has one.
 func (f *Field) PrimitiveElement() int {
 	for a := 1; a < f.q; a++ {
-		if f.ElementOrder(a) == f.q-1 {
+		if f.elementOrder(a) == f.q-1 {
 			return a
 		}
 	}
@@ -308,7 +294,7 @@ func (f *Field) PrimitiveElement() int {
 func (f *Field) PrimitiveElements() []int {
 	var out []int
 	for a := 1; a < f.q; a++ {
-		if f.ElementOrder(a) == f.q-1 {
+		if f.elementOrder(a) == f.q-1 {
 			out = append(out, a)
 		}
 	}
@@ -318,26 +304,12 @@ func (f *Field) PrimitiveElements() []int {
 // Name returns a printable name for element a.
 func (f *Field) Name(a int) string { return f.names[a] }
 
-// SetNames overrides element names (e.g. the paper's {0,1,2,u,v,w,x,y,z}
-// convention for F9). The slice must have exactly q entries.
-func (f *Field) SetNames(names []string) error {
-	if len(names) != f.q {
-		return fmt.Errorf("gf: got %d names for field of order %d", len(names), f.q)
-	}
-	f.names = append([]string(nil), names...)
-	return nil
-}
-
 // AddTable returns the full addition table (row a, column b). The returned
 // slices are copies and may be modified by the caller.
 func (f *Field) AddTable() [][]int { return copyTable(f.add) }
 
 // MulTable returns the full multiplication table.
 func (f *Field) MulTable() [][]int { return copyTable(f.mul) }
-
-// NegTable returns the additive-inverse table (the paper's "inverse element"
-// table in Table 3).
-func (f *Field) NegTable() []int { return append([]int(nil), f.neg...) }
 
 func copyTable(t [][]int) [][]int {
 	out := make([][]int, len(t))

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,7 +67,7 @@ func fieldAxioms(t *testing.T, f *Field) {
 		if f.Add(a, f.Neg(a)) != 0 {
 			t.Fatalf("additive inverse fails for %d", a)
 		}
-		if a != 0 && f.Mul(a, f.Inv(a)) != 1 {
+		if a != 0 && !slices.Contains(f.MulTable()[a], 1) {
 			t.Fatalf("multiplicative inverse fails for %d", a)
 		}
 		for b := 0; b < q; b++ {
@@ -203,11 +204,11 @@ func TestPowAndElementOrder(t *testing.T) {
 	if f.Pow(xi, 8) != 1 {
 		t.Error("Pow(xi,q-1) != 1")
 	}
-	if f.ElementOrder(xi) != 8 {
-		t.Errorf("ElementOrder(primitive) = %d, want 8", f.ElementOrder(xi))
+	if f.elementOrder(xi) != 8 {
+		t.Errorf("ElementOrder(primitive) = %d, want 8", f.elementOrder(xi))
 	}
-	if f.ElementOrder(1) != 1 {
-		t.Errorf("ElementOrder(1) = %d, want 1", f.ElementOrder(1))
+	if f.elementOrder(1) != 1 {
+		t.Errorf("ElementOrder(1) = %d, want 1", f.elementOrder(1))
 	}
 }
 
@@ -253,40 +254,11 @@ func TestTablesAreCopies(t *testing.T) {
 	if f.Add(0, 0) == 99 {
 		t.Error("AddTable returned internal storage")
 	}
-	nt := f.NegTable()
-	nt[1] = 99
-	if f.Neg(1) == 99 {
-		t.Error("NegTable returned internal storage")
-	}
 	mt := f.MulTable()
 	mt[1][1] = 99
 	if f.Mul(1, 1) == 99 {
 		t.Error("MulTable returned internal storage")
 	}
-}
-
-func TestSetNames(t *testing.T) {
-	f := mustField(t, 9)
-	names := []string{"0", "1", "2", "u", "v", "w", "x", "y", "z"}
-	if err := f.SetNames(names); err != nil {
-		t.Fatal(err)
-	}
-	if f.Name(3) != "u" {
-		t.Errorf("Name(3) = %q, want u", f.Name(3))
-	}
-	if err := f.SetNames([]string{"a"}); err == nil {
-		t.Error("SetNames with wrong length should fail")
-	}
-}
-
-func TestInvZeroPanics(t *testing.T) {
-	f := mustField(t, 5)
-	defer func() {
-		if recover() == nil {
-			t.Error("Inv(0) should panic")
-		}
-	}()
-	f.Inv(0)
 }
 
 // TestFrobenius checks (a+b)^p = a^p + b^p, a defining property of
@@ -329,7 +301,7 @@ func TestMulGroupCyclic(t *testing.T) {
 		f := mustField(t, q)
 		orders := map[int]int{}
 		for a := 1; a < q; a++ {
-			orders[f.ElementOrder(a)]++
+			orders[f.elementOrder(a)]++
 		}
 		for d, count := range orders {
 			if (q-1)%d != 0 {

@@ -37,7 +37,7 @@ type Tech struct {
 	EXbarJPerBit   float64 // crossbar traversal, J per bit
 	EWireJPerBitMM float64 // wire transfer, J per bit-mm
 
-	// TileSideMM returns the placement-grid pitch for a router tile holding
+	// tileSideMM returns the placement-grid pitch for a router tile holding
 	// p cores (§3.3.2 core areas: 4 / 1 mm^2 at 45 / 22 nm).
 	CoreAreaMM2 float64
 }
@@ -83,9 +83,9 @@ func Tech22() Tech {
 	}
 }
 
-// TileSideMM is the physical pitch of one placement-grid cell: a router and
+// tileSideMM is the physical pitch of one placement-grid cell: a router and
 // its p cores.
-func (t Tech) TileSideMM(p int) float64 {
+func (t Tech) tileSideMM(p int) float64 {
 	if p < 1 {
 		p = 1
 	}
@@ -140,7 +140,7 @@ func Area(n *topo.Network, buf BufferConfig, t Tech) AreaReport {
 	aRouters := bufBits*t.BufBitAreaMM2 + nr*k*k*float64(buf.VCs)*t.AllocCellMM2
 	iRouters := nr * k * k * w * t.XbarCellMM2
 
-	tile := t.TileSideMM(n.P)
+	tile := t.tileSideMM(n.P)
 	rrMM := float64(n.TotalWireLength()) * tile
 	rrWires := rrMM * w * 2 * t.WirePitchMM // two directions per link
 	// Router-node wires: each node one link of ~half a tile.
@@ -171,7 +171,7 @@ func Static(n *topo.Network, buf BufferConfig, t Tech) StaticReport {
 	nr := float64(n.Nr)
 	bufBits := buf.TotalFlits * w
 	routers := bufBits*t.BufLeakWPerBit + nr*k*k*w*t.XbarLeakWPerPB
-	tile := t.TileSideMM(n.P)
+	tile := t.tileSideMM(n.P)
 	wireMM := float64(n.TotalWireLength())*tile*w*2 + float64(n.N())*0.5*tile*w*2
 	wires := wireMM * t.WireLeakWPerMM
 	// Leakage scales roughly with VDD.
@@ -194,7 +194,7 @@ func ActivityOf(n *topo.Network, throughputPerNode, avgHops float64, t Tech, fli
 	return Activity{
 		FlitsPerCycle: throughputPerNode * float64(n.N()),
 		AvgHops:       avgHops,
-		AvgWireMM:     n.AvgWireLength() * t.TileSideMM(n.P),
+		AvgWireMM:     n.AvgWireLength() * t.tileSideMM(n.P),
 		CycleNs:       n.CycleTimeNs,
 		FlitBits:      flitBits,
 		RouterRadix:   n.RouterRadix(),

@@ -199,13 +199,13 @@ func TestActivityOf(t *testing.T) {
 }
 
 func TestTileSide(t *testing.T) {
-	if got := Tech45().TileSideMM(4); got != 4.0 {
+	if got := Tech45().tileSideMM(4); got != 4.0 {
 		t.Errorf("45nm tile for p=4 = %v, want 4.0 (sqrt(4*4))", got)
 	}
-	if got := Tech22().TileSideMM(1); got != 1.0 {
+	if got := Tech22().tileSideMM(1); got != 1.0 {
 		t.Errorf("22nm tile for p=1 = %v, want 1.0", got)
 	}
-	if Tech45().TileSideMM(0) != 2.0 {
+	if Tech45().tileSideMM(0) != 2.0 {
 		t.Error("p=0 should clamp to one core")
 	}
 }

@@ -31,7 +31,7 @@ func builderWords(t testing.TB, net *topo.Network, pb router, vcs, src, dst int)
 		if vc < 0 || vc >= vcs {
 			t.Fatalf("route %d->%d: vc %d out of range [0, %d)", src, dst, vc, vcs)
 		}
-		words = append(words, NextWord(port, vc, vcs))
+		words = append(words, nextWord(port, vc, vcs))
 	}
 	return append(words, NextEject), path
 }

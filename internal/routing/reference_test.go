@@ -45,7 +45,7 @@ func refNextWords(t *RouteTable, next []uint32, src, dst int) []uint32 {
 	case ClassMesh:
 		for cur, hop := src, 0; cur != dst; hop++ {
 			p := t.Port(cur, dst, hop)
-			next = append(next, NextWord(p, hop%t.vcs, t.vcs))
+			next = append(next, nextWord(p, hop%t.vcs, t.vcs))
 			cur = t.adj[cur][p]
 		}
 	default: // torus, PFBF
@@ -56,7 +56,7 @@ func refNextWords(t *RouteTable, next []uint32, src, dst int) []uint32 {
 				vc = xVC
 			}
 			p := t.Port(cur, dst, hop)
-			next = append(next, NextWord(p, vc, t.vcs))
+			next = append(next, nextWord(p, vc, t.vcs))
 			cur = t.adj[cur][p]
 		}
 	}
@@ -69,7 +69,7 @@ func refNextWords(t *RouteTable, next []uint32, src, dst int) []uint32 {
 func refAscending(t *RouteTable, next []uint32, src, dst, hop int) []uint32 {
 	for cur, step := src, 0; cur != dst; step++ {
 		p := t.Port(cur, dst, step)
-		next = append(next, NextWord(p, min(hop+step, t.vcs-1), t.vcs))
+		next = append(next, nextWord(p, min(hop+step, t.vcs-1), t.vcs))
 		cur = t.adj[cur][p]
 	}
 	return next
@@ -147,7 +147,7 @@ func TestNextMatchesStoredWalk(t *testing.T) {
 							continue
 						}
 						got = walkWords(tab, got[:0], src, dst, v, 1)
-						want = append(refAscending(tab, append(want[:0], NextWord(p, 0, vcs)), v, dst, 1), NextEject)
+						want = append(refAscending(tab, append(want[:0], nextWord(p, 0, vcs)), v, dst, 1), NextEject)
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s vcs=%d %d->%d first hop %d: Next walks %#x, the stored walk %#x", c.name, vcs, src, dst, v, got, want)
 						}

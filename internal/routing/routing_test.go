@@ -12,7 +12,7 @@ import (
 // pathValid reports whether consecutive routers in the path are adjacent.
 func pathValid(net *topo.Network, path []int) bool {
 	for i := 1; i < len(path); i++ {
-		if !net.Connected(path[i-1], path[i]) {
+		if !slices.Contains(net.Adj[path[i-1]], path[i]) {
 			return false
 		}
 	}
@@ -268,7 +268,7 @@ func TestMinimalRoutingBuilder(t *testing.T) {
 	}
 	for i, w := range words[:len(words)-1] {
 		port := int(w >> 16)
-		if want := NextWord(port, min(i, 1), 2); w != want || n.Adj[path[i]][port] != path[i+1] {
+		if want := nextWord(port, min(i, 1), 2); w != want || n.Adj[path[i]][port] != path[i+1] {
 			t.Fatalf("hop %d: word %#x, want %#x toward %d on path %v", i, w, want, path[i+1], path)
 		}
 	}

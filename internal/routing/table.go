@@ -52,13 +52,13 @@ const cnhNone = 0xff
 // at most 254*63+62, so a real word is at most 0x00fe3efe).
 const NextEject = ^uint32(0)
 
-// NextWord encodes one hop's switch-allocation decision: the output port in
+// nextWord encodes one hop's switch-allocation decision: the output port in
 // bits 16..23 (for output-conflict masking) and the port*vcs+vc slot offset
 // in bits 0..15 (the per-VC output index relative to the router's block in
 // the simulator's flattened state).
 //
 //sim:hot
-func NextWord(port, vc, vcs int) uint32 {
+func nextWord(port, vc, vcs int) uint32 {
 	return uint32(port)<<16 | uint32(port*vcs+vc)
 }
 
@@ -217,7 +217,7 @@ func (t *RouteTable) Next(src, cur, dst, hop int) uint32 {
 			vc = xVC
 		}
 	}
-	return NextWord(int(t.cnh[cur*t.nr+dst]), vc, t.vcs)
+	return nextWord(int(t.cnh[cur*t.nr+dst]), vc, t.vcs)
 }
 
 // phases splits a two-phase route (torus, PFBF) into its leading X hops and

@@ -74,7 +74,7 @@ func TestAppendPathHelpers(t *testing.T) {
 				}
 				for i, w := range words[:len(words)-1] {
 					port := int(w >> 16)
-					if want := NextWord(port, min(i, vcs-1), vcs); w != want || net.Adj[path[i]][port] != path[i+1] {
+					if want := nextWord(port, min(i, vcs-1), vcs); w != want || net.Adj[path[i]][port] != path[i+1] {
 						t.Fatalf("%d->%d->%d hop %d: word %#x, want %#x toward %d on path %v", src, mid, dst, i, w, want, path[i+1], path)
 					}
 				}

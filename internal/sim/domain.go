@@ -78,7 +78,7 @@ type domain struct {
 	credit   wheel[creditEvent]
 	ejection wheel[flit]
 	// Flits forwarded out of an input stage, and of those the CBR bypass
-	// and buffered ones (Sim.ForwardedFlits, Sim.CBPathStats sum them).
+	// and buffered ones (the conservation tests sum them).
 	forwarded int64
 	bypass    int64
 	buffered  int64

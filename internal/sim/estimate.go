@@ -5,8 +5,7 @@
 // engine until the last tail flit ejects. Execution-driven platforms (in
 // the uPIMulator x BookSim2 style) call this through the slimnoc/serve
 // service layer, which owns the warm-engine pooling and response caching.
-// EpisodeEngine is the reusable form — one Sim, reset before every episode —
-// and EstimateLatencies the construct-per-call reference.
+// EpisodeEngine is the reusable form: one Sim, reset before every episode.
 
 package sim
 
@@ -25,10 +24,10 @@ type Transfer struct {
 	Flits int `json:"flits"`
 }
 
-// DefaultEstimateCap bounds an estimate episode when the caller passes
+// defaultEstimateCap bounds an estimate episode when the caller passes
 // maxCycles <= 0: generous enough for any deliverable batch on any
 // supported topology, small enough to fail fast on a misconfigured one.
-const DefaultEstimateCap = 1 << 20
+const defaultEstimateCap = 1 << 20
 
 // oneshotSource is the Source behind an estimate episode: it emits every
 // transfer at cycle 0 (tagged by batch index via the class field) and
@@ -123,7 +122,7 @@ func NewEpisodeEngine(cfg Config) (*EpisodeEngine, error) {
 // the engine ran before (the engine RNG is only consulted by adaptive
 // policies, and is reseeded from cfg.Seed with everything else).
 //
-// maxCycles bounds the episode (<= 0 selects DefaultEstimateCap); hitting
+// maxCycles bounds the episode (<= 0 selects 2^20 cycles); hitting
 // the bound reports an error naming the undelivered transfers, the
 // estimate-mode analogue of the run loop's deadlock watchdog. The engine
 // stays usable after any error.
@@ -143,7 +142,7 @@ func (e *EpisodeEngine) Latencies(transfers []Transfer, maxCycles int64) ([]int6
 		}
 	}
 	if maxCycles <= 0 {
-		maxCycles = DefaultEstimateCap
+		maxCycles = defaultEstimateCap
 	}
 	// Reset before the episode, not after: whatever the previous one left
 	// behind — a batch cut off by the watchdog mid-flight included — is gone
@@ -176,15 +175,4 @@ func (e *EpisodeEngine) Latencies(transfers []Transfer, maxCycles int64) ([]int6
 		}
 	}
 	return lat, nil
-}
-
-// EstimateLatencies runs one episode on an engine built for the call: the
-// construct-per-call form of EpisodeEngine.Latencies, and the reference the
-// reuse tests compare a long-lived engine against.
-func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int64, error) {
-	e, err := NewEpisodeEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Latencies(transfers, maxCycles)
 }

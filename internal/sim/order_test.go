@@ -151,7 +151,7 @@ search:
 	}
 	packetFrom := func(src int) *packet {
 		p := s.allocPacket()
-		p.src, p.dst = int32(net.RouterNodes(src)[0]), int32(net.RouterNodes(dst)[0])
+		p.src, p.dst = int32(src*net.P), int32(dst*net.P) // each router's first node
 		p.srcR, p.dstR, p.flits = int32(src), int32(dst), 2
 		return p
 	}

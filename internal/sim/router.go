@@ -188,8 +188,8 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	}
 
 	// 3. Injection: each attached node may insert one flit per cycle.
-	// Nodes attach contiguously (New rejects node maps), matching the
-	// order of Network.RouterNodes without its allocation. Probes read the
+	// Nodes attach contiguously (New rejects node maps): router r serves
+	// nodes r·P to r·P+P-1. Probes read the
 	// dense injNext mirror; the NIC is only touched on a move.
 	base := r * s.net.P
 	for node := base; node < base+s.net.P; node++ {

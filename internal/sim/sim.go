@@ -52,7 +52,8 @@ import (
 const EngineVersion = "sim-v3"
 
 // maxVCs bounds Config.VCs so that a next-hop word's port*vcs+vc slot offset
-// fits its 16 bits at any radix (routing.NextWord). Validated by New.
+// fits its 16 bits at any radix (the route table's word encoding).
+// Validated by New.
 const maxVCs = 63
 
 // maxPacketFlits bounds per-packet flit counts and maxRouters the router
@@ -251,8 +252,8 @@ type packet struct {
 }
 
 // flit references its packet and position. next carries the next-hop word
-// of the router the flit is at (routing.NextWord: output port in bits
-// 16..23, port*vcs+vc slot offset in bits 0..15, or nextEject at the final
+// of the router the flit is at (the route table's encoding: output port in
+// bits 16..23, port*vcs+vc slot offset in bits 0..15, or nextEject at the final
 // hop), computed from the route table once per hop — at injection and on
 // every sendFlit — so the arbitration fast path arbitrates on the word alone.
 // The struct is 12 bytes with no pointer (pkt is the packet's Sim.pkts
@@ -897,33 +898,6 @@ func portIndex(adj []int, target int) int {
 	panic("sim: adjacency not symmetric")
 }
 
-// InFlight returns the number of flits currently inside the network,
-// injection queues, or links — zero after a fully drained run. Exposed for
-// conservation checks.
-func (s *Sim) InFlight() int64 { return s.inFlightFlits }
-
-// CBPathStats returns the number of flits that took the central-buffer
-// router's bypass path versus its buffered path (meaningful only for
-// Scheme == core.CBR).
-func (s *Sim) CBPathStats() (bypass, buffered int64) {
-	for di := range s.doms {
-		bypass += s.doms[di].bypass
-		buffered += s.doms[di].buffered
-	}
-	return bypass, buffered
-}
-
-// ForwardedFlits returns the number of flits forwarded out of an input
-// stage at an intermediate router (injections and ejections excluded). For
-// the central-buffer scheme this always equals bypass+buffered — the
-// conservation invariant pinned by TestFlitConservation.
-func (s *Sim) ForwardedFlits() (n int64) {
-	for di := range s.doms {
-		n += s.doms[di].forwarded
-	}
-	return n
-}
-
 // Progress is the periodic telemetry snapshot emitted during a run.
 type Progress struct {
 	Cycle       int64
@@ -933,14 +907,8 @@ type Progress struct {
 	InFlight    int64 // flits currently in the network
 }
 
-// Run executes the configured warmup + measurement + drain and returns the
-// result.
-func (s *Sim) Run() Result {
-	res, _ := s.RunContext(context.Background(), 0, nil)
-	return res
-}
-
-// RunContext is Run with cooperative cancellation and progress streaming.
+// RunContext executes the configured warmup + measurement + drain and
+// returns the result, with cooperative cancellation and progress streaming.
 // The context is polled every `every` cycles (default 1024); onProgress,
 // when non-nil, is invoked on the same cadence. On cancellation the
 // simulation stops at the next poll point and returns the statistics

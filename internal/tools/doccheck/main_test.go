@@ -7,23 +7,55 @@ import (
 	"testing"
 )
 
-// TestUnusedNames builds a small module and checks which facade names the
-// guard reports: a name stays when a non-test file outside the package
-// names it, through any import name and from a subpackage too, or when its
-// doc comment has a keep: line; a reference from a test file or from the
-// package itself does not count, and methods are not checked.
+// TestUnusedNames builds a small module and checks which names the rules
+// report. A name stays when a non-test file outside its package references
+// it (through any import name, from a subpackage too), when a used
+// signature or a used type's exported field names it, when it is a method
+// that implements an interface the module declares or imports (a module
+// interface, fmt.Stringer), or when its doc comment has a keep: line. A
+// reference from a test file or from the package itself does not count,
+// and main packages are not checked.
 func TestUnusedNames(t *testing.T) {
-	root := t.TempDir()
 	api := `package pkg
 
 // Used is called from cmd.
 func Used() Result { return Result{} }
 
 // Result is only returned by Used.
-type Result struct{}
+type Result struct {
+	// Field names Inner.
+	Field  Inner
+	hidden Hidden
+}
 
-// Method is a method, never called.
+// Inner is named only by the exported field of Result.
+type Inner struct{}
+
+// Hidden is named only by an unexported field.
+type Hidden struct{}
+
+// Method is an exported method nothing calls.
 func (Result) Method() {}
+
+// String implements fmt.Stringer.
+func (Result) String() string { return "result" }
+
+// Kept has no caller.
+//
+// keep: a stated reason.
+func (Result) Kept() {}
+
+// Shape is the interface NewShape returns.
+type Shape interface{ Area() int }
+
+// NewShape is called from cmd.
+func NewShape() Shape { return Square{} }
+
+// Square is reached only through Shape.
+type Square struct{}
+
+// Area implements Shape.
+func (Square) Area() int { return 1 }
 
 // Internal is only called inside the package.
 func Internal() { Used() }
@@ -31,10 +63,12 @@ func Internal() { Used() }
 // TestOnly is only called from a test file.
 func TestOnly() {}
 
-// Kept is called from nowhere.
+func Undocumented() {}
+
+// KeptFunc is called from nowhere.
 //
 // keep: a stated reason.
-func Kept() {}
+func KeptFunc() {}
 
 const (
 	// Sub is read from a subpackage of pkg.
@@ -48,14 +82,26 @@ var Aliased = 2
 
 func unexported() {}
 `
+	main := `package main
+
+import (
+	"fmt"
+
+	"m/pkg"
+)
+
+func main() { fmt.Println(pkg.Used(), pkg.NewShape(), pkg.Undocumented) }
+
+func Exported() {}
+`
+	root := t.TempDir()
 	for name, src := range map[string]string{
 		"go.mod":           "module m\n\ngo 1.24\n",
 		"pkg/api.go":       api,
 		"pkg/sub/sub.go":   "package sub\n\nimport \"m/pkg\"\n\nvar _ = pkg.Sub\n",
-		"cmd/main.go":      "package main\n\nimport \"m/pkg\"\n\nfunc main() { pkg.Used() }\n",
+		"cmd/main.go":      main,
 		"cmd/alias.go":     "package main\n\nimport p \"m/pkg\"\n\nvar _ = p.Aliased\n",
 		"cmd/main_test.go": "package main\n\nimport \"m/pkg\"\n\nvar _ = pkg.TestOnly\n",
-		"other/other.go":   "package other\n\nimport \"m/elsewhere/pkg\"\n\nvar _ = pkg.Internal\n",
 	} {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -65,18 +111,20 @@ func unexported() {}
 			t.Fatal(err)
 		}
 	}
-	got, err := unusedNames(root, "pkg")
+	got, err := check(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(root, "pkg", "api.go")
+	file := filepath.Join("pkg", "api.go")
 	want := []string{
-		file + ":13: unused func Internal",
-		file + ":16: unused func TestOnly",
-		file + ":27: unused const Grouped",
-		file + ":7: unused type Result",
+		file + ":17: unused type Hidden",
+		file + ":20: unused method Result.Method",
+		file + ":43: unused func Internal",
+		file + ":46: unused func TestOnly",
+		file + ":48: func Undocumented",
+		file + ":59: unused const Grouped",
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("unused = %q, want %q", got, want)
+		t.Errorf("findings = %q, want %q", got, want)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // the different crossbar sizes of each topology class.
 const (
 	CycleTimeSN       = 0.5 // ns, Slim NoC and PFBF
-	CycleTimeLowRadix = 0.4 // ns, T2D and CM
-	CycleTimeHighFBF  = 0.6 // ns, full-bandwidth FBF
+	cycleTimeLowRadix = 0.4 // ns, T2D and CM
+	cycleTimeHighFBF  = 0.6 // ns, full-bandwidth FBF
 )
 
 // Mesh2D builds an rx × ry 2D mesh with concentration p (a concentrated
@@ -23,7 +23,7 @@ func Mesh2D(rx, ry, p int) *Network {
 		Name:        fmt.Sprintf("cm_%dx%d_p%d", rx, ry, p),
 		Nr:          rx * ry,
 		P:           p,
-		CycleTimeNs: CycleTimeLowRadix,
+		CycleTimeNs: cycleTimeLowRadix,
 	}
 	es := newEdgeSet(n.Nr)
 	id := func(x, y int) int { return y*rx + x }
@@ -62,7 +62,7 @@ func Torus2D(rx, ry, p int) *Network {
 		Name:        fmt.Sprintf("t2d_%dx%d_p%d", rx, ry, p),
 		Nr:          rx * ry,
 		P:           p,
-		CycleTimeNs: CycleTimeLowRadix,
+		CycleTimeNs: cycleTimeLowRadix,
 	}
 	es := newEdgeSet(n.Nr)
 	id := func(x, y int) int { return y*rx + x }
@@ -86,7 +86,7 @@ func FBF(cx, cy, p int) *Network {
 		Name:        fmt.Sprintf("fbf_%dx%d_p%d", cx, cy, p),
 		Nr:          cx * cy,
 		P:           p,
-		CycleTimeNs: CycleTimeHighFBF,
+		CycleTimeNs: cycleTimeHighFBF,
 	}
 	es := newEdgeSet(n.Nr)
 	id := func(x, y int) int { return y*cx + x }

@@ -5,15 +5,15 @@ import "testing"
 func TestRemoveRandomLinksFraction(t *testing.T) {
 	n := Torus2D(8, 8, 3) // 128 links
 	damaged := n.RemoveRandomLinks(0.25, 1)
-	if err := damaged.Validate(); err != nil {
+	if err := damaged.validate(); err != nil {
 		t.Fatal(err)
 	}
 	want := 128 - 32
-	if got := damaged.Links(); got != want {
+	if got := damaged.links(); got != want {
 		t.Errorf("links after 25%% removal = %d, want %d", got, want)
 	}
 	// Original untouched.
-	if n.Links() != 128 {
+	if n.links() != 128 {
 		t.Error("RemoveRandomLinks mutated the original")
 	}
 }
@@ -57,8 +57,8 @@ func TestRemoveRandomLinksDeterministic(t *testing.T) {
 func TestRemoveAllLinks(t *testing.T) {
 	n := Mesh2D(3, 3, 1)
 	empty := n.RemoveRandomLinks(1.0, 1)
-	if empty.Links() != 0 {
-		t.Errorf("full removal left %d links", empty.Links())
+	if empty.links() != 0 {
+		t.Errorf("full removal left %d links", empty.links())
 	}
 	if empty.Diameter() != -1 {
 		t.Error("empty graph should report disconnected")

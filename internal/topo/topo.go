@@ -7,7 +7,6 @@
 package topo
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -76,24 +75,6 @@ func (n *Network) NodeRouter(v int) int {
 	return v / n.P
 }
 
-// RouterNodes returns the node IDs attached to router r.
-func (n *Network) RouterNodes(r int) []int {
-	if n.NodeMap != nil {
-		var out []int
-		for v, rr := range n.NodeMap {
-			if rr == r {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	out := make([]int, n.P)
-	for i := range out {
-		out[i] = r*n.P + i
-	}
-	return out
-}
-
 // NetworkRadix returns k', the maximum number of router-router channels at
 // any router.
 func (n *Network) NetworkRadix() int {
@@ -108,37 +89,6 @@ func (n *Network) NetworkRadix() int {
 
 // RouterRadix returns k = k' + p.
 func (n *Network) RouterRadix() int { return n.NetworkRadix() + n.P }
-
-// MinNetworkRadix returns the minimum router-router degree; for the regular
-// networks in the paper it equals NetworkRadix.
-func (n *Network) MinNetworkRadix() int {
-	if n.Nr == 0 {
-		return 0
-	}
-	min := len(n.Adj[0])
-	for _, a := range n.Adj {
-		if len(a) < min {
-			min = len(a)
-		}
-	}
-	return min
-}
-
-// Links returns the number of undirected router-router links.
-func (n *Network) Links() int {
-	total := 0
-	for _, a := range n.Adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
-// Connected reports whether routers i and j share a link.
-func (n *Network) Connected(i, j int) bool {
-	a := n.Adj[i]
-	k := sort.SearchInts(a, j)
-	return k < len(a) && a[k] == j
-}
 
 // BFS fills dist (length Nr) with the hop distance from src to every router,
 // -1 where unreachable, and returns the routers reached in visit order
@@ -310,34 +260,6 @@ func (n *Network) TotalWireLength() int {
 	return total
 }
 
-// BisectionLinks counts links crossing a vertical cut through the middle of
-// the placement grid — the paper's bisection-bandwidth proxy for comparing
-// FBF variants against SN. Networks without coordinates return 0.
-func (n *Network) BisectionLinks() int {
-	if n.Coords == nil {
-		return 0
-	}
-	maxX := 0
-	for _, c := range n.Coords {
-		if c.X > maxX {
-			maxX = c.X
-		}
-	}
-	cut := maxX / 2
-	count := 0
-	for i := 0; i < n.Nr; i++ {
-		for _, j := range n.Adj[i] {
-			if j > i {
-				xi, xj := n.Coords[i].X, n.Coords[j].X
-				if (xi <= cut) != (xj <= cut) {
-					count++
-				}
-			}
-		}
-	}
-	return count
-}
-
 // GridDims returns the extent (maxX, maxY) of the placement grid.
 func (n *Network) GridDims() (int, int) {
 	mx, my := 0, 0
@@ -350,37 +272,6 @@ func (n *Network) GridDims() (int, int) {
 		}
 	}
 	return mx, my
-}
-
-// Validate checks structural invariants: symmetric sorted adjacency, no
-// self-loops, no duplicate edges, coordinates (when present) matching Nr.
-func (n *Network) Validate() error {
-	if len(n.Adj) != n.Nr {
-		return fmt.Errorf("topo: %s: adjacency has %d rows, Nr=%d", n.Name, len(n.Adj), n.Nr)
-	}
-	if n.Coords != nil && len(n.Coords) != n.Nr {
-		return fmt.Errorf("topo: %s: %d coords, Nr=%d", n.Name, len(n.Coords), n.Nr)
-	}
-	for i, a := range n.Adj {
-		if !sort.IntsAreSorted(a) {
-			return fmt.Errorf("topo: %s: adjacency of router %d not sorted", n.Name, i)
-		}
-		for k, j := range a {
-			if j == i {
-				return fmt.Errorf("topo: %s: self-loop at router %d", n.Name, i)
-			}
-			if j < 0 || j >= n.Nr {
-				return fmt.Errorf("topo: %s: router %d links to out-of-range %d", n.Name, i, j)
-			}
-			if k > 0 && a[k-1] == j {
-				return fmt.Errorf("topo: %s: duplicate edge %d-%d", n.Name, i, j)
-			}
-			if !n.Connected(j, i) {
-				return fmt.Errorf("topo: %s: edge %d->%d not symmetric", n.Name, i, j)
-			}
-		}
-	}
-	return nil
 }
 
 // edgeSet accumulates undirected edges and produces sorted adjacency lists.

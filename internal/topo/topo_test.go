@@ -9,7 +9,7 @@ import (
 
 func validate(t *testing.T, n *Network) {
 	t.Helper()
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,8 +53,8 @@ func TestMesh2D(t *testing.T) {
 	if m.NetworkRadix() != 4 {
 		t.Errorf("mesh radix = %d, want 4", m.NetworkRadix())
 	}
-	if m.MinNetworkRadix() != 2 {
-		t.Errorf("mesh corner degree = %d, want 2", m.MinNetworkRadix())
+	if m.minNetworkRadix() != 2 {
+		t.Errorf("mesh corner degree = %d, want 2", m.minNetworkRadix())
 	}
 	if d := m.Diameter(); d != 14 {
 		t.Errorf("8x8 mesh diameter = %d, want 14", d)
@@ -63,8 +63,8 @@ func TestMesh2D(t *testing.T) {
 	if m.AvgWireLength() != 1 {
 		t.Errorf("mesh avg wire length = %v, want 1", m.AvgWireLength())
 	}
-	if m.Links() != 2*8*7 {
-		t.Errorf("mesh links = %d, want %d", m.Links(), 2*8*7)
+	if m.links() != 2*8*7 {
+		t.Errorf("mesh links = %d, want %d", m.links(), 2*8*7)
 	}
 }
 
@@ -74,14 +74,14 @@ func TestTorus2D(t *testing.T) {
 	if tr.Nr != 64 || tr.N() != 192 {
 		t.Fatalf("t2d3: Nr=%d N=%d", tr.Nr, tr.N())
 	}
-	if tr.NetworkRadix() != 4 || tr.MinNetworkRadix() != 4 {
-		t.Errorf("torus degrees = %d/%d, want 4/4", tr.MinNetworkRadix(), tr.NetworkRadix())
+	if tr.NetworkRadix() != 4 || tr.minNetworkRadix() != 4 {
+		t.Errorf("torus degrees = %d/%d, want 4/4", tr.minNetworkRadix(), tr.NetworkRadix())
 	}
 	if d := tr.Diameter(); d != 8 {
 		t.Errorf("8x8 torus diameter = %d, want 8", d)
 	}
-	if tr.Links() != 2*64 {
-		t.Errorf("torus links = %d, want 128", tr.Links())
+	if tr.links() != 2*64 {
+		t.Errorf("torus links = %d, want 128", tr.links())
 	}
 	// Folded placement: every wire at most 2 grid hops.
 	for i := 0; i < tr.Nr; i++ {
@@ -198,8 +198,8 @@ func TestDragonfly(t *testing.T) {
 		t.Fatalf("df Nr = %d, want 36", df.Nr)
 	}
 	// Degree: a-1 intra + h global = 5.
-	if df.NetworkRadix() != 5 || df.MinNetworkRadix() != 5 {
-		t.Errorf("df degrees = %d/%d, want 5/5", df.MinNetworkRadix(), df.NetworkRadix())
+	if df.NetworkRadix() != 5 || df.minNetworkRadix() != 5 {
+		t.Errorf("df degrees = %d/%d, want 5/5", df.minNetworkRadix(), df.NetworkRadix())
 	}
 	if d := df.Diameter(); d != 3 {
 		t.Errorf("df diameter = %d, want 3", d)
@@ -249,11 +249,11 @@ func TestFoldedClos(t *testing.T) {
 		}
 	}
 	for s := 25; s < 33; s++ {
-		if nodes := c.RouterNodes(s); len(nodes) != 0 {
+		if nodes := c.routerNodes(s); len(nodes) != 0 {
 			t.Fatalf("spine %d has %d nodes", s, len(nodes))
 		}
 	}
-	if got := c.RouterNodes(3); len(got) != 8 || got[0] != 24 {
+	if got := c.routerNodes(3); len(got) != 8 || got[0] != 24 {
 		t.Fatalf("leaf 3 nodes = %v", got)
 	}
 }
@@ -265,35 +265,20 @@ func TestNodeRouterUniform(t *testing.T) {
 			t.Fatalf("NodeRouter(%d) = %d", v, m.NodeRouter(v))
 		}
 	}
-	nodes := m.RouterNodes(5)
+	nodes := m.routerNodes(5)
 	if len(nodes) != 3 || nodes[0] != 15 || nodes[2] != 17 {
-		t.Fatalf("RouterNodes(5) = %v", nodes)
+		t.Fatalf("routerNodes(5) = %v", nodes)
 	}
 }
 
 func TestValidateCatchesAsymmetry(t *testing.T) {
 	n := &Network{Name: "bad", Nr: 2, P: 1, Adj: [][]int{{1}, {}}}
-	if err := n.Validate(); err == nil {
+	if err := n.validate(); err == nil {
 		t.Error("expected asymmetry error")
 	}
 	n2 := &Network{Name: "bad2", Nr: 2, P: 1, Adj: [][]int{{0}, {}}}
-	if err := n2.Validate(); err == nil {
+	if err := n2.validate(); err == nil {
 		t.Error("expected self-loop error")
-	}
-}
-
-func TestBisectionLinks(t *testing.T) {
-	// 4x1 path: coordinates 1..4, cut at x=2: one link crosses (2-3).
-	m := Mesh2D(4, 1, 1)
-	if got := m.BisectionLinks(); got != 1 {
-		t.Errorf("path bisection = %d, want 1", got)
-	}
-	// FBF has much higher bisection than PFBF at same size.
-	fbf := FBF(8, 8, 3)
-	pfbf := PFBF(2, 2, 4, 4, 3)
-	if fbf.BisectionLinks() <= pfbf.BisectionLinks() {
-		t.Errorf("FBF bisection %d should exceed PFBF %d",
-			fbf.BisectionLinks(), pfbf.BisectionLinks())
 	}
 }
 
@@ -318,7 +303,7 @@ func TestGridDims(t *testing.T) {
 	}
 }
 
-// TestRandomNetworkValidate property-tests Validate against randomly
+// TestRandomNetworkValidate property-tests validate against randomly
 // generated symmetric graphs.
 func TestRandomNetworkValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -330,7 +315,7 @@ func TestRandomNetworkValidate(t *testing.T) {
 			es.add(i, j)
 		}
 		n := &Network{Name: "rand", Nr: nr, P: 1, Adj: es.lists()}
-		if err := n.Validate(); err != nil {
+		if err := n.validate(); err != nil {
 			t.Fatalf("random network should validate: %v", err)
 		}
 	}
@@ -338,7 +323,7 @@ func TestRandomNetworkValidate(t *testing.T) {
 
 func TestDiameterDisconnected(t *testing.T) {
 	n := &Network{Name: "disc", Nr: 4, P: 1, Adj: [][]int{{1}, {0}, {3}, {2}}}
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d := n.Diameter(); d != -1 {
@@ -416,8 +401,8 @@ func TestHandshakeLemma(t *testing.T) {
 		for _, a := range n.Adj {
 			total += len(a)
 		}
-		if total != 2*n.Links() {
-			t.Errorf("%s: degree sum %d != 2*links %d", n.Name, total, 2*n.Links())
+		if total != 2*n.links() {
+			t.Errorf("%s: degree sum %d != 2*links %d", n.Name, total, 2*n.links())
 		}
 	}
 }
@@ -443,9 +428,9 @@ func TestFBFDegreeFormula(t *testing.T) {
 		for cy := 2; cy <= 6; cy++ {
 			f := FBF(cx, cy, 1)
 			want := cx + cy - 2
-			if f.NetworkRadix() != want || f.MinNetworkRadix() != want {
+			if f.NetworkRadix() != want || f.minNetworkRadix() != want {
 				t.Errorf("FBF(%d,%d) radix %d..%d, want %d",
-					cx, cy, f.MinNetworkRadix(), f.NetworkRadix(), want)
+					cx, cy, f.minNetworkRadix(), f.NetworkRadix(), want)
 			}
 		}
 	}

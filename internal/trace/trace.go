@@ -18,18 +18,18 @@ import (
 
 // Message classes carried through the simulator.
 const (
-	ClassRead  = 1 // 2 flits, triggers a 6-flit reply
-	ClassWrite = 2 // 6 flits
-	ClassCoh   = 3 // 2 flits
-	ClassReply = 4 // 6 flits, generated at the read destination
+	classRead  = 1 // 2 flits, triggers a 6-flit reply
+	classWrite = 2 // 6 flits
+	classCoh   = 3 // 2 flits
+	classReply = 4 // 6 flits, generated at the read destination
 )
 
 // Flit sizes per class (§5.1).
 const (
-	FlitsRead  = 2
-	FlitsWrite = 6
-	FlitsCoh   = 2
-	FlitsReply = 6
+	flitsRead  = 2
+	flitsWrite = 6
+	flitsCoh   = 2
+	flitsReply = 6
 )
 
 // Benchmark describes one synthetic workload.
@@ -123,11 +123,11 @@ func (s *Source) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, c
 		r := rng.Float64()
 		switch {
 		case r < s.B.ReadFrac:
-			emit(node, dst, FlitsRead, ClassRead)
+			emit(node, dst, flitsRead, classRead)
 		case r < s.B.ReadFrac+s.B.WriteFrac:
-			emit(node, dst, FlitsWrite, ClassWrite)
+			emit(node, dst, flitsWrite, classWrite)
 		default:
-			emit(node, dst, FlitsCoh, ClassCoh)
+			emit(node, dst, flitsCoh, classCoh)
 		}
 		s.Requests++
 	}
@@ -163,8 +163,8 @@ func (s *Source) dest(rng *rng.Stream, src int) int {
 
 // OnDelivered implements sim.Source: reads trigger 6-flit replies (§5.1).
 func (s *Source) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
-	if class == ClassRead {
-		emit(dst, src, FlitsReply, ClassReply)
+	if class == classRead {
+		emit(dst, src, flitsReply, classReply)
 		s.Replies++
 	}
 }

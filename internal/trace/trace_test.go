@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,17 +82,17 @@ func TestMessageMix(t *testing.T) {
 			flits[class] = f
 		})
 	}
-	total := counts[ClassRead] + counts[ClassWrite] + counts[ClassCoh]
+	total := counts[classRead] + counts[classWrite] + counts[classCoh]
 	if total == 0 {
 		t.Fatal("no messages generated")
 	}
-	readFrac := float64(counts[ClassRead]) / float64(total)
+	readFrac := float64(counts[classRead]) / float64(total)
 	if readFrac < 0.58 || readFrac > 0.78 {
 		t.Errorf("read fraction %.2f, configured 0.68", readFrac)
 	}
-	if flits[ClassRead] != 2 || flits[ClassCoh] != 2 || flits[ClassWrite] != 6 {
+	if flits[classRead] != 2 || flits[classCoh] != 2 || flits[classWrite] != 6 {
 		t.Errorf("flit sizes read/coh/write = %d/%d/%d, want 2/2/6",
-			flits[ClassRead], flits[ClassCoh], flits[ClassWrite])
+			flits[classRead], flits[classCoh], flits[classWrite])
 	}
 }
 
@@ -102,23 +101,23 @@ func TestRepliesOnReadsOnly(t *testing.T) {
 	got := 0
 	emit := func(src, dst, flits, class int) {
 		got++
-		if class != ClassReply || flits != FlitsReply {
+		if class != classReply || flits != flitsReply {
 			t.Errorf("reply class/flits = %d/%d", class, flits)
 		}
 	}
-	s.OnDelivered(0, 1, 2, FlitsRead, ClassRead, emit)
-	s.OnDelivered(0, 1, 2, FlitsWrite, ClassWrite, emit)
-	s.OnDelivered(0, 1, 2, FlitsCoh, ClassCoh, emit)
-	s.OnDelivered(0, 1, 2, FlitsReply, ClassReply, emit)
+	s.OnDelivered(0, 1, 2, flitsRead, classRead, emit)
+	s.OnDelivered(0, 1, 2, flitsWrite, classWrite, emit)
+	s.OnDelivered(0, 1, 2, flitsCoh, classCoh, emit)
+	s.OnDelivered(0, 1, 2, flitsReply, classReply, emit)
 	if got != 1 {
 		t.Errorf("got %d replies, want 1 (reads only)", got)
 	}
 }
 
 func TestRecordDeterministic(t *testing.T) {
-	mk := func() []Event {
+	mk := func() []event {
 		s := NewSource(*BenchmarkByName("dedup"), 192)
-		return Record(s, 500, 99)
+		return record(s, 500, 99)
 	}
 	a, b := mk(), mk()
 	if len(a) != len(b) {
@@ -134,63 +133,6 @@ func TestRecordDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	s := NewSource(*BenchmarkByName("vips"), 192)
-	events := Record(s, 300, 7)
-	var buf bytes.Buffer
-	if err := Write(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("round trip lost events: %d vs %d", len(got), len(events))
-	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Fatalf("event %d differs after round trip", i)
-		}
-	}
-}
-
-func TestReplayEmitsInOrder(t *testing.T) {
-	events := []Event{
-		{Cycle: 0, Src: 1, Dst: 2, Flits: 2, Class: ClassRead},
-		{Cycle: 0, Src: 3, Dst: 4, Flits: 6, Class: ClassWrite},
-		{Cycle: 5, Src: 5, Dst: 6, Flits: 2, Class: ClassCoh},
-	}
-	r := &Replay{Events: events}
-	rng := rng.New(1)
-	var got []Event
-	for tt := int64(0); tt < 10; tt++ {
-		r.Generate(tt, rng, func(src, dst, flits, class int) {
-			got = append(got, Event{Cycle: tt, Src: int32(src), Dst: int32(dst),
-				Flits: int16(flits), Class: int16(class)})
-		})
-	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d events, want 3", len(got))
-	}
-	if got[2].Cycle != 5 {
-		t.Errorf("third event at cycle %d, want 5", got[2].Cycle)
-	}
-}
-
-func TestReplayLoop(t *testing.T) {
-	events := []Event{{Cycle: 0, Src: 1, Dst: 2, Flits: 2, Class: ClassCoh}}
-	r := &Replay{Events: events, Loop: true}
-	rng := rng.New(1)
-	count := 0
-	for tt := int64(0); tt < 5; tt++ {
-		r.Generate(tt, rng, func(src, dst, flits, class int) { count++ })
-	}
-	if count < 2 {
-		t.Errorf("looped replay emitted %d events, want repeated injection", count)
-	}
-}
-
 // TestSourceMatchesPerNodeLoop pins Generate's scan against the loop it
 // replaced: one Float64() >= Rate decision per active node, and for each
 // issuing node its destination and class draws, written out on math/rand —
@@ -200,11 +142,11 @@ func TestSourceMatchesPerNodeLoop(t *testing.T) {
 		for _, name := range []string{"fft", "radios.", "water-s"} {
 			s := NewSource(*BenchmarkByName(name), n)
 			const cycles, seed = 4000, 5
-			got := Record(s, cycles, seed)
+			got := record(s, cycles, seed)
 
 			b, threads := s.B, s.ThreadsPerCopy
 			r := rand.New(rand.NewSource(seed))
-			var want []Event
+			var want []event
 			for c := int64(0); c < cycles; c++ {
 				for node := 0; node < s.Copies*threads; node++ {
 					if r.Float64() >= b.Rate {
@@ -225,12 +167,12 @@ func TestSourceMatchesPerNodeLoop(t *testing.T) {
 					if d += base; d == node {
 						d = base + (local+1)%threads
 					}
-					e := Event{Cycle: c, Src: int32(node), Dst: int32(d), Flits: FlitsCoh, Class: ClassCoh}
+					e := event{Cycle: c, Src: int32(node), Dst: int32(d), Flits: flitsCoh, Class: classCoh}
 					switch x := r.Float64(); {
 					case x < b.ReadFrac:
-						e.Flits, e.Class = FlitsRead, ClassRead
+						e.Flits, e.Class = flitsRead, classRead
 					case x < b.ReadFrac+b.WriteFrac:
-						e.Flits, e.Class = FlitsWrite, ClassWrite
+						e.Flits, e.Class = flitsWrite, classWrite
 					}
 					want = append(want, e)
 				}
@@ -240,4 +182,27 @@ func TestSourceMatchesPerNodeLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// event is one injected message.
+type event struct {
+	Cycle int64
+	Src   int32
+	Dst   int32
+	Flits int16
+	Class int16
+}
+
+// record runs a Source standalone for the given number of cycles and
+// captures the primary (non-reply) messages it would inject.
+func record(src *Source, cycles int64, seed int64) []event {
+	r := rng.New(seed)
+	var out []event
+	for t := int64(0); t < cycles; t++ {
+		src.Generate(t, r, func(s, d, flits, class int) {
+			out = append(out, event{Cycle: t, Src: int32(s), Dst: int32(d),
+				Flits: int16(flits), Class: int16(class)})
+		})
+	}
+	return out
 }

@@ -16,12 +16,12 @@ import (
 // Message classes carried by ReqReply packets, mirroring the trace package's
 // read/reply convention.
 const (
-	// ClassRequest tags the short control packet a node issues while it has
+	// classRequest tags the short control packet a node issues while it has
 	// window credit; its delivery triggers a reply.
-	ClassRequest = 11
-	// ClassReply tags the long data packet sent back to the requester; its
+	classRequest = 11
+	// classReply tags the long data packet sent back to the requester; its
 	// delivery returns one unit of window credit.
-	ClassReply = 12
+	classReply = 12
 )
 
 // ReqReply is a closed-loop source: every node keeps up to Window requests
@@ -71,7 +71,7 @@ func (s *ReqReply) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits,
 	}
 	for node := 0; node < s.N; node++ {
 		for s.outstanding[node] < s.Window {
-			emit(node, s.Pattern.Dest(rng, node), s.ReqFlits, ClassRequest)
+			emit(node, s.Pattern.Dest(rng, node), s.ReqFlits, classRequest)
 			s.outstanding[node]++
 			s.totalOut++
 			s.Requests++
@@ -102,22 +102,13 @@ func (s *ReqReply) NextFire(t int64) int64 {
 //sim:hot
 func (s *ReqReply) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 	switch class {
-	case ClassRequest:
-		emit(dst, src, s.ReplyFlits, ClassReply)
+	case classRequest:
+		emit(dst, src, s.ReplyFlits, classReply)
 		s.Replies++
-	case ClassReply:
+	case classReply:
 		if s.outstanding != nil && dst >= 0 && dst < len(s.outstanding) && s.outstanding[dst] > 0 {
 			s.outstanding[dst]--
 			s.totalOut--
 		}
 	}
-}
-
-// Outstanding returns node's current in-flight request count (test hook for
-// the window invariant).
-func (s *ReqReply) Outstanding(node int) int {
-	if s.outstanding == nil {
-		return 0
-	}
-	return s.outstanding[node]
 }

@@ -154,9 +154,9 @@ type Adversarial struct {
 	partner []int
 }
 
-// NewAdversarial builds ADV1 (variant 1) or ADV2 (variant 2) for a placed
+// newAdversarial builds ADV1 (variant 1) or ADV2 (variant 2) for a placed
 // network.
-func NewAdversarial(net *topo.Network, variant int) *Adversarial {
+func newAdversarial(net *topo.Network, variant int) *Adversarial {
 	a := &Adversarial{Variant: variant, net: net, partner: make([]int, net.Nr)}
 	switch variant {
 	case 1:
@@ -366,9 +366,9 @@ func PatternByName(name string, net *topo.Network) Pattern {
 	case "REV":
 		return Reversal{N: net.N()}
 	case "ADV1":
-		return NewAdversarial(net, 1)
+		return newAdversarial(net, 1)
 	case "ADV2":
-		return NewAdversarial(net, 2)
+		return newAdversarial(net, 2)
 	case "ASYM":
 		return Asymmetric{N: net.N()}
 	}

@@ -118,7 +118,7 @@ func TestReversalInvolutionQuick(t *testing.T) {
 
 func TestAdversarialPermutation(t *testing.T) {
 	net := snNet(t, 5, 4)
-	adv := NewAdversarial(net, 1)
+	adv := newAdversarial(net, 1)
 	// ADV1 partners form an injective mapping over routers.
 	seen := map[int]bool{}
 	for r := 0; r < net.Nr; r++ {
@@ -172,7 +172,7 @@ func TestAdversarialMatchesAllPairs(t *testing.T) {
 			taken[best] = true
 			want[r] = best
 		}
-		if got := NewAdversarial(net, 1).partner; !slices.Equal(got, want) {
+		if got := newAdversarial(net, 1).partner; !slices.Equal(got, want) {
 			t.Errorf("%s (%d routers): partners %v, want %v", net.Name, net.Nr, got, want)
 		}
 	}
@@ -180,7 +180,7 @@ func TestAdversarialMatchesAllPairs(t *testing.T) {
 
 func TestAdversarialVariant2CrossesDie(t *testing.T) {
 	net := snNet(t, 5, 4)
-	adv := NewAdversarial(net, 2)
+	adv := newAdversarial(net, 2)
 	for r := 0; r < net.Nr; r++ {
 		if adv.partner[r] != (r+net.Nr/2)%net.Nr {
 			t.Fatalf("ADV2 partner of %d = %d", r, adv.partner[r])
@@ -254,7 +254,7 @@ func TestAllPatternsInRangeQuick(t *testing.T) {
 	n := net.N()
 	pats := []Pattern{
 		Uniform{N: n}, Shuffle{N: n}, Reversal{N: n},
-		NewAdversarial(net, 1), NewAdversarial(net, 2), Asymmetric{N: n},
+		newAdversarial(net, 1), newAdversarial(net, 2), Asymmetric{N: n},
 	}
 	rng := rng.New(5)
 	prop := func(raw uint16) bool {

@@ -264,7 +264,7 @@ func TestReqReplyWindow(t *testing.T) {
 		t.Fatalf("cold start emitted %d requests, want %d", len(pending), n*w)
 	}
 	for node := 0; node < n; node++ {
-		if got := src.Outstanding(node); got != w {
+		if got := src.outstanding[node]; got != w {
 			t.Fatalf("node %d outstanding %d after cold start, want %d", node, got, w)
 		}
 	}
@@ -279,7 +279,7 @@ func TestReqReplyWindow(t *testing.T) {
 	pending = pending[:0]
 	src.OnDelivered(10, req.src, req.dst, req.flits, req.class, emit)
 	if len(pending) != 1 || pending[0].src != req.dst || pending[0].dst != req.src ||
-		pending[0].flits != 6 || pending[0].class != ClassReply {
+		pending[0].flits != 6 || pending[0].class != classReply {
 		t.Fatalf("request delivery emitted %+v, want 6-flit reply %d->%d", pending, req.dst, req.src)
 	}
 	// Deliver the reply: credit returns and the next cycle issues exactly
@@ -287,11 +287,11 @@ func TestReqReplyWindow(t *testing.T) {
 	reply := pending[0]
 	pending = pending[:0]
 	src.OnDelivered(20, reply.src, reply.dst, reply.flits, reply.class, emit)
-	if got := src.Outstanding(req.src); got != w-1 {
+	if got := src.outstanding[req.src]; got != w-1 {
 		t.Fatalf("outstanding %d after reply, want %d", got, w-1)
 	}
 	src.Generate(2, rng, emit)
-	if len(pending) != 1 || pending[0].src != req.src || pending[0].class != ClassRequest {
+	if len(pending) != 1 || pending[0].src != req.src || pending[0].class != classRequest {
 		t.Fatalf("refill emitted %+v, want one request from node %d", pending, req.src)
 	}
 }
@@ -322,8 +322,8 @@ func TestSourceGenerateZeroAllocs(t *testing.T) {
 	rr.Generate(0, rng, nop)
 	allocs := testing.AllocsPerRun(200, func() {
 		// Steady closed loop: deliver a request and its reply, then refill.
-		rr.OnDelivered(1, 0, 5, 2, ClassRequest, nop)
-		rr.OnDelivered(2, 5, 0, 6, ClassReply, nop)
+		rr.OnDelivered(1, 0, 5, 2, classRequest, nop)
+		rr.OnDelivered(2, 5, 0, 6, classReply, nop)
 		rr.Generate(3, rng, nop)
 	})
 	if allocs != 0 {

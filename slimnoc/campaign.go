@@ -141,8 +141,6 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 // caches live for the Campaign's lifetime, so a figure run as several
 // sequential sweeps builds each distinct network once, not once per sweep.
 // One Run call executes at a time per Campaign value.
-//
-// keep: what NewCampaign returns; callers reach it only through that.
 type Campaign struct {
 	jobs      int
 	memBudget int64

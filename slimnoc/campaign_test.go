@@ -299,7 +299,7 @@ func TestCampaignSharedNetworkRace(t *testing.T) {
 		}
 	}
 	for net := range nets {
-		if err := net.Validate(); err != nil {
+		if err := wellFormed(net); err != nil {
 			t.Errorf("shared network mutated: %v", err)
 		}
 	}

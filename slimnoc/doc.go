@@ -22,9 +22,9 @@
 // Runs accept a context.Context for cooperative cancellation (a cancelled
 // run returns its partial metrics with an error wrapping ctx.Err()) and
 // functional options for everything the declarative spec cannot express:
-// WithProgress streams telemetry during long sweeps, WithSource injects a
-// custom traffic generator (such as a recorded trace), and WithNetwork
-// reuses one built network across a sweep. The engine picks how many
+// WithProgress streams telemetry during long sweeps, and WithNetwork and
+// WithRouteTable reuse one built network and its compiled routes across a
+// sweep. The engine picks how many
 // parallel domains it steps; no result byte depends on the count.
 //
 // Whole evaluation grids are campaigns: a SweepSpec declares axes (presets,

@@ -131,9 +131,6 @@ func (e *Estimator) Network() NetworkInfo { return networkInfo(e.net) }
 // [0, Nodes).
 func (e *Estimator) Nodes() int { return e.net.N() }
 
-// CycleTimeNs returns the router cycle time used for ns conversion.
-func (e *Estimator) CycleTimeNs() float64 { return e.net.CycleTimeNs }
-
 // RouterPath returns the compiled router path a transfer from node src to
 // node dst follows (len >= 1; consecutive elements are the directed links
 // the transfer occupies). The slice is the caller's.

@@ -1,6 +1,7 @@
 package slimnoc_test
 
 import (
+	"encoding/json"
 	"slices"
 	"sync"
 	"testing"
@@ -36,8 +37,8 @@ func TestEstimatorSpecCanonicalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, _ := a.JSON()
-	bj, _ := b.JSON()
+	aj, _ := json.MarshalIndent(a, "", "  ")
+	bj, _ := json.MarshalIndent(b, "", "  ")
 	if string(aj) != string(bj) {
 		t.Fatalf("estimator specs differ for identical engines:\n a %s\n b %s", aj, bj)
 	}
@@ -69,7 +70,7 @@ func TestEstimatorEstimateAndPath(t *testing.T) {
 		if r.LatencyCycles <= 0 {
 			t.Fatalf("transfer %d: latency %d", i, r.LatencyCycles)
 		}
-		if r.LatencyNs != float64(r.LatencyCycles)*e.CycleTimeNs() {
+		if r.LatencyNs != float64(r.LatencyCycles)*e.Network().CycleTimeNs {
 			t.Fatalf("transfer %d: ns conversion mismatch", i)
 		}
 	}
@@ -208,7 +209,7 @@ func oneHopPairs(t *testing.T) map[int][2]int {
 		for _, b := range adj {
 			d := topo.ManhattanDist(net.Coords[a], net.Coords[b])
 			if _, ok := pairs[d]; !ok {
-				pairs[d] = [2]int{net.RouterNodes(a)[0], net.RouterNodes(b)[0]}
+				pairs[d] = [2]int{a * net.P, b * net.P} // nodes attach contiguously
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/trace"
 	"repro/slimnoc"
 	"repro/slimnoc/store"
 )
@@ -43,7 +42,7 @@ func Example() {
 		m.AvgLatencyCycles, m.Throughput, m.AvgHops)
 
 	// A spec is a document: serialize it, read it back, run it again.
-	data, err := res.Spec.JSON()
+	data, err := json.MarshalIndent(res.Spec, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,38 +166,4 @@ func ExampleCampaign_Run() {
 	// t2d54        adv1      20.2   32.2  676.2
 	// interrupted: context canceled
 	// resumed metrics identical to the cold run: true
-}
-
-// WithSource drives a run from a generator no spec names: here a recorded
-// PARSEC/SPLASH-style trace (the paper's §5.1 real-traffic substitute),
-// written out, read back and replayed on SN-S.
-func ExampleWithSource() {
-	b := trace.BenchmarkByName("fft")
-	events := trace.Record(trace.NewSource(*b, 192), 5000, 42)
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, events); err != nil {
-		log.Fatal(err)
-	}
-	stored := buf.Len()
-	loaded, err := trace.Read(&buf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("recorded %d fft events (%d bytes)\n", len(loaded), stored)
-
-	spec := slimnoc.RunSpec{
-		Network: slimnoc.NetworkSpec{Preset: "sn_subgr_200"},
-		Sim:     slimnoc.QuickSim(),
-	}
-	spec.Sim.Seed = 2
-	res, err := slimnoc.Run(context.Background(), spec,
-		slimnoc.WithSource(&trace.Replay{Events: loaded, Loop: true}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("replay: latency %.1f cycles, throughput %.4f flits/node/cycle\n",
-		res.Metrics.AvgLatencyCycles, res.Metrics.Throughput)
-	// Output:
-	// recorded 15432 fft events (308648 bytes)
-	// replay: latency 21.0 cycles, throughput 0.1068 flits/node/cycle
 }

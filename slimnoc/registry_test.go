@@ -1,6 +1,8 @@
 package slimnoc
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestTopologyRegistryComplete(t *testing.T) {
 			t.Errorf("%s: example does not build: %v", name, err)
 			continue
 		}
-		if err := net.Validate(); err != nil {
+		if err := wellFormed(net); err != nil {
 			t.Errorf("%s: invalid network: %v", name, err)
 		}
 	}
@@ -41,7 +43,8 @@ func TestTopologyRegistryComplete(t *testing.T) {
 // TestPresetsResolveAndBuild checks every static preset plus the dynamic
 // Slim NoC forms.
 func TestPresetsResolveAndBuild(t *testing.T) {
-	names := append(sortedKeys(presetTable), "sn_basic_54", "sn_subgr_200", "sn_gr_200", "sn_rand_54")
+	names := append(sortedKeys(presetTable), "sn_basic_54", "sn_subgr_200", "sn_gr_200", "sn_rand_54",
+		"sn_basic_200", "sn_rand_200", "sn_gr_1296", "sn_subgr_1024", "sn_subgr_54")
 	for _, name := range names {
 		ns, err := resolvePreset(name)
 		if err != nil {
@@ -59,7 +62,7 @@ func TestPresetsResolveAndBuild(t *testing.T) {
 		if net.Name != strings.ToLower(name) {
 			t.Errorf("%s: network named %q", name, net.Name)
 		}
-		if err := net.Validate(); err != nil {
+		if err := wellFormed(net); err != nil {
 			t.Errorf("%s: invalid network: %v", name, err)
 		}
 	}
@@ -196,4 +199,21 @@ func TestPresetOverrides(t *testing.T) {
 	if ns.Q != 5 || ns.Conc != 4 || ns.Layout != "gr" {
 		t.Errorf("ExpandNetwork: %+v, want q=5 conc=4 layout=gr", ns)
 	}
+}
+
+// wellFormed reports the first router whose neighbour list is not sorted
+// and duplicate-free, holds itself or an out-of-range router, or names a
+// router that does not name it back.
+func wellFormed(n *Network) error {
+	if len(n.Adj) != n.Nr || (n.Coords != nil && len(n.Coords) != n.Nr) {
+		return fmt.Errorf("%s: %d adjacency rows and %d coordinates for %d routers", n.Name, len(n.Adj), len(n.Coords), n.Nr)
+	}
+	for i, a := range n.Adj {
+		for k, j := range a {
+			if j == i || j < 0 || j >= n.Nr || (k > 0 && a[k-1] >= j) || !slices.Contains(n.Adj[j], i) {
+				return fmt.Errorf("%s: router %d has neighbours %v", n.Name, i, a)
+			}
+		}
+	}
+	return nil
 }

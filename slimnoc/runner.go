@@ -9,12 +9,6 @@ import (
 	"repro/internal/topo"
 )
 
-// Source generates traffic for the simulator; see sim.Source. Aliased here
-// so callers of the facade never import internal/sim.
-//
-// keep: the parameter type of WithSource.
-type Source = sim.Source
-
 // Progress is the periodic telemetry snapshot streamed during a run.
 type Progress = sim.Progress
 
@@ -37,8 +31,6 @@ type RouteTable = routing.RouteTable
 // EngineStats is the simulator-core telemetry block attached to every
 // Result: freelist behaviour, active-set occupancy and timing-wheel depth;
 // see sim.EngineStats.
-//
-// keep: the type of Result.Engine.
 type EngineStats = sim.EngineStats
 
 // runner executes one RunSpec once: the spec plus the options Run and the
@@ -50,7 +42,6 @@ type runner struct {
 	kind    routing.Kind
 	haveNet bool
 
-	source        sim.Source
 	table         *routing.RouteTable
 	progress      func(Progress)
 	progressEvery int64
@@ -89,15 +80,6 @@ func WithNetwork(net *Network, kind routing.Kind) Option {
 // per packet.
 func WithRouteTable(t *RouteTable) Option {
 	return func(r *runner) { r.table = t }
-}
-
-// WithSource overrides the traffic section of the spec with a custom
-// generator (e.g. a recorded trace replay).
-//
-// keep: the one way to drive a run from a generator no spec names, such as
-// a recorded trace (see the package's WithSource example).
-func WithSource(src Source) Option {
-	return func(r *runner) { r.source = src }
 }
 
 // WithProgress streams a telemetry snapshot every `every` cycles (0 = the
@@ -208,15 +190,13 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	src := r.source
-	if src == nil {
-		gen, err := traffics.lookup(spec.Traffic.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		if src, err = gen.source(net, spec.Traffic); err != nil {
-			return nil, err
-		}
+	gen, err := traffics.lookup(spec.Traffic.Pattern)
+	if err != nil {
+		return nil, err
+	}
+	src, err := gen.source(net, spec.Traffic)
+	if err != nil {
+		return nil, err
 	}
 
 	// Static routing always runs from a compiled table: a shared one

@@ -60,8 +60,8 @@ func (s SaturationSpec) Normalized() SaturationSpec {
 	return s
 }
 
-// Validate reports the first structural problem with the search spec.
-func (s SaturationSpec) Validate() error {
+// validate reports the first structural problem with the search spec.
+func (s SaturationSpec) validate() error {
 	s = s.Normalized()
 	if s.MinLoad <= 0 || s.MaxLoad <= s.MinLoad {
 		return fmt.Errorf("slimnoc: saturation search needs 0 < min_load < max_load (have %g, %g)",
@@ -152,7 +152,7 @@ type SaturationResult struct {
 func (c *Campaign) SaturationSearch(ctx context.Context, spec SaturationSpec) (SaturationResult, error) {
 	spec = spec.Normalized()
 	res := SaturationResult{Spec: spec}
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return res, err
 	}
 	c.ensureCache()

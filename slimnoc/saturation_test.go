@@ -161,7 +161,7 @@ func TestSaturationSearchStoreResume(t *testing.T) {
 // TestSaturationSpecValidate covers the search spec's rejection paths.
 func TestSaturationSpecValidate(t *testing.T) {
 	ok := satSpec()
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatalf("calibrated spec invalid: %v", err)
 	}
 	cases := []struct {
@@ -181,7 +181,7 @@ func TestSaturationSpecValidate(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := satSpec()
 			c.mutate(&s)
-			if err := s.Validate(); err == nil {
+			if err := s.validate(); err == nil {
 				t.Error("invalid spec accepted")
 			}
 		})

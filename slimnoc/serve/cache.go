@@ -140,16 +140,16 @@ func (c *Cache) Put(key store.Key, results []slimnoc.EstimateResult) error {
 	return c.st.Put(key, raw)
 }
 
-// Len returns the number of records in the backing store (0 when nil).
-func (c *Cache) Len() int {
+// size returns the number of records in the backing store (0 when nil).
+func (c *Cache) size() int {
 	if c == nil || c.st == nil {
 		return 0
 	}
 	return c.st.Len()
 }
 
-// Hits returns how many Get calls were served from the cache.
-func (c *Cache) Hits() int64 {
+// hitCount returns how many Get calls were served from the cache.
+func (c *Cache) hitCount() int64 {
 	if c == nil {
 		return 0
 	}

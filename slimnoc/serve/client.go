@@ -2,33 +2,31 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 
 	"repro/slimnoc"
 )
 
-// DefaultWindow is the client's default bound on in-flight requests.
-const DefaultWindow = 32
+// defaultWindow is the client's bound on in-flight requests.
+const defaultWindow = 32
 
 // Client speaks the JSON-line protocol to a serve.Server over any
-// stream transport. It pipelines: up to a configurable window of requests
-// may be in flight at once, submitted from any number of goroutines, with
+// stream transport. It pipelines: up to 32 requests may be
+// in flight at once, submitted from any number of goroutines, with
 // responses matched back to callers in protocol order (the server answers
 // strictly in request order). When the window is full, submission blocks —
 // server-side backpressure (queued engine activations) propagates to the
-// caller instead of growing an unbounded queue.
+// caller instead of growing an unbounded queue. The session's other verbs
+// (occupy, window, stats, shutdown) are spoken on the wire by hosts that
+// drive the server directly; docs/SERVING.md describes them.
 type Client struct {
 	rwc io.ReadWriteCloser
 
-	network   slimnoc.NetworkInfo
-	engine    string
-	flitBytes int
+	network slimnoc.NetworkInfo
 
 	// wmu serializes writes and pending-queue appends so the FIFO order of
 	// pending always matches the wire order of requests.
@@ -51,67 +49,21 @@ type call struct {
 	done chan struct{}
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*clientConfig)
-
-type clientConfig struct {
-	flitBytes int
-	window    int
-}
-
-// WithFlitBytes negotiates a session flit width (bytes per flit) in hello.
-func WithFlitBytes(n int) ClientOption {
-	return func(c *clientConfig) { c.flitBytes = n }
-}
-
-// WithWindow bounds the client's in-flight request window
-// (default DefaultWindow).
-func WithWindow(n int) ClientOption {
-	return func(c *clientConfig) {
-		if n > 0 {
-			c.window = n
-		}
-	}
-}
-
-// Dial connects to a snserve TCP endpoint and opens a session for spec.
-func Dial(ctx context.Context, addr string, spec slimnoc.RunSpec, opts ...ClientOption) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
-	}
-	c, err := NewClient(conn, spec, opts...)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
 // NewClient opens a session over an existing transport (a TCP connection, a
 // subprocess's stdin/stdout pair, an in-process pipe): it performs the
-// hello handshake synchronously and returns a ready client. The client
-// owns rwc and closes it on Close.
-func NewClient(rwc io.ReadWriteCloser, spec slimnoc.RunSpec, opts ...ClientOption) (*Client, error) {
-	cfg := clientConfig{window: DefaultWindow}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// hello handshake synchronously and returns a ready client, whose session
+// keeps the server's default flit width. The client owns rwc and closes it
+// on Close.
+func NewClient(rwc io.ReadWriteCloser, spec slimnoc.RunSpec) (*Client, error) {
 	c := &Client{
 		rwc:     rwc,
 		w:       bufio.NewWriter(rwc),
-		pending: make(chan *call, cfg.window),
-		window:  make(chan struct{}, cfg.window),
+		pending: make(chan *call, defaultWindow),
+		window:  make(chan struct{}, defaultWindow),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
-	resp, err := c.roundTrip(Request{
-		Op:        OpHello,
-		Version:   ProtocolVersion,
-		FlitBytes: cfg.flitBytes,
-		Spec:      &spec,
-	})
+	resp, err := c.roundTrip(Request{Op: opHello, Version: protocolVersion, Spec: &spec})
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -121,8 +73,6 @@ func NewClient(rwc io.ReadWriteCloser, spec slimnoc.RunSpec, opts ...ClientOptio
 		return nil, errors.New("serve: hello response missing network info")
 	}
 	c.network = *resp.Network
-	c.engine = resp.Engine
-	c.flitBytes = resp.FlitBytes
 	return c, nil
 }
 
@@ -232,26 +182,8 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 // Network returns the session engine's network summary from hello.
 func (c *Client) Network() slimnoc.NetworkInfo { return c.network }
 
-// Engine returns the server's engine version string from hello.
-func (c *Client) Engine() string { return c.engine }
-
-// FlitBytes returns the session's negotiated flit width.
-func (c *Client) FlitBytes() int { return c.flitBytes }
-
-// Estimate returns the isolated (idle-network) latency of moving bytes
-// from src to dst.
-func (c *Client) Estimate(src, dst int, bytes int64) (slimnoc.EstimateResult, error) {
-	resp, err := c.roundTrip(Request{Op: OpEstimate, Src: &src, Dst: &dst, Bytes: bytes})
-	if err != nil {
-		return slimnoc.EstimateResult{}, err
-	}
-	if resp.Result == nil {
-		return slimnoc.EstimateResult{}, errors.New("serve: estimate response missing result")
-	}
-	return *resp.Result, nil
-}
-
-// EstimateFlits is Estimate with an explicit flit count.
+// EstimateFlits returns the isolated (idle-network) latency of moving flits
+// flits from node src to node dst.
 func (c *Client) EstimateFlits(src, dst, flits int) (slimnoc.EstimateResult, error) {
 	resp, err := c.roundTrip(Request{Op: OpEstimate, Src: &src, Dst: &dst, Flits: flits})
 	if err != nil {
@@ -267,7 +199,7 @@ func (c *Client) EstimateFlits(src, dst, flits int) (slimnoc.EstimateResult, err
 // injected at cycle 0), amortizing one engine activation; results are in
 // request order.
 func (c *Client) Batch(transfers []WireTransfer) ([]slimnoc.EstimateResult, error) {
-	resp, err := c.roundTrip(Request{Op: OpBatch, Transfers: transfers})
+	resp, err := c.roundTrip(Request{Op: opBatch, Transfers: transfers})
 	if err != nil {
 		return nil, err
 	}
@@ -275,83 +207,6 @@ func (c *Client) Batch(transfers []WireTransfer) ([]slimnoc.EstimateResult, erro
 		return nil, fmt.Errorf("serve: batch returned %d results for %d transfers", len(resp.Results), len(transfers))
 	}
 	return resp.Results, nil
-}
-
-// Occupy schedules a transfer on the session timeline no earlier than
-// start: the returned grant says when the route was actually free, when the
-// transfer finishes, and how long occupancy windows delayed it. The route's
-// links are reserved until the grant's finish.
-func (c *Client) Occupy(src, dst int, bytes int64, start int64) (Grant, error) {
-	resp, err := c.roundTrip(Request{Op: OpOccupy, Src: &src, Dst: &dst, Bytes: bytes, Start: start})
-	if err != nil {
-		return Grant{}, err
-	}
-	if resp.Grant == nil {
-		return Grant{}, errors.New("serve: occupy response missing grant")
-	}
-	return *resp.Grant, nil
-}
-
-// OccupyFlits is Occupy with an explicit flit count.
-func (c *Client) OccupyFlits(src, dst, flits int, start int64) (Grant, error) {
-	resp, err := c.roundTrip(Request{Op: OpOccupy, Src: &src, Dst: &dst, Flits: flits, Start: start})
-	if err != nil {
-		return Grant{}, err
-	}
-	if resp.Grant == nil {
-		return Grant{}, errors.New("serve: occupy response missing grant")
-	}
-	return *resp.Grant, nil
-}
-
-// Window reports the session's occupancy state.
-func (c *Client) Window() (WindowInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpWindow})
-	if err != nil {
-		return WindowInfo{}, err
-	}
-	if resp.Window == nil {
-		return WindowInfo{}, errors.New("serve: window response missing window info")
-	}
-	return *resp.Window, nil
-}
-
-// RouteWindow reports occupancy plus the earliest free cycle of the
-// src→dst route.
-func (c *Client) RouteWindow(src, dst int) (WindowInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpWindow, Src: &src, Dst: &dst})
-	if err != nil {
-		return WindowInfo{}, err
-	}
-	if resp.Window == nil {
-		return WindowInfo{}, errors.New("serve: window response missing window info")
-	}
-	return *resp.Window, nil
-}
-
-// ResetWindows clears the session's occupancy windows.
-func (c *Client) ResetWindows() error {
-	_, err := c.roundTrip(Request{Op: OpWindow, Reset: true})
-	return err
-}
-
-// Stats fetches the server's deterministic service counters.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.roundTrip(Request{Op: OpStats})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("serve: stats response missing stats")
-	}
-	return *resp.Stats, nil
-}
-
-// Shutdown asks the server to stop after answering; the session is done
-// afterwards (Close still releases the transport).
-func (c *Client) Shutdown() error {
-	_, err := c.roundTrip(Request{Op: OpShutdown})
-	return err
 }
 
 // Close releases the transport. In-flight calls fail with a connection

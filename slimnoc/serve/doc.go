@@ -24,8 +24,8 @@
 // sessions and server restarts, and an engine bump can never serve stale
 // numbers.
 //
-// Client is the Go-side library: connection management, the hello
-// handshake, pipelined submission with a bounded in-flight window
-// (server backpressure reaches callers by blocking, not queue growth),
-// and typed wrappers for every verb.
+// Client is the Go-side library for the estimating verbs: the hello
+// handshake over a transport the caller opens, pipelined submission with
+// a bounded in-flight window (server backpressure reaches callers by
+// blocking, not queue growth), and typed estimate and batch calls.
 package serve

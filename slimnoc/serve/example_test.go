@@ -14,14 +14,13 @@ import (
 )
 
 // A toy host pipeline uses the server as its latency oracle over an
-// in-process pipe: a load fans out to two compute stages that read the
-// loaded buffer, and a store drains the first stage's output. The host
-// tracks only data dependencies; both compute stages leave node 77 over
-// the same links, so the oracle pushes the second one back (waited > 0)
-// although the host issued both for the same cycle. A second session on
-// the same store replays the pipeline from the response cache without
-// simulating. Swapping the pipe for a TCP connection (Dial) or an snserve
-// subprocess changes nothing else.
+// in-process pipe: a load brings a buffer to node 77, then two compute
+// stages read it out of node 77 at once. The host issues the stages as one
+// batch, so they contend for the links leaving node 77 and the second one
+// lands later than it would alone. A second session on the same store
+// replays the pipeline from the response cache without simulating.
+// Swapping the pipe for a TCP connection or an snserve subprocess changes
+// nothing else.
 func ExampleNewClient() {
 	dir, err := os.MkdirTemp("", "snserve-example")
 	if err != nil {
@@ -47,57 +46,49 @@ func ExampleNewClient() {
 		}
 		return c
 	}
-	pipeline := func(c *serve.Client) int64 {
-		occupy := func(name string, src, dst int, bytes, at int64) serve.Grant {
-			g, err := c.Occupy(src, dst, bytes, at)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-6s start %5d  finish %5d  waited %3d  (%d hops)\n",
-				name, g.Start, g.Finish, g.Waited, g.Hops)
-			return g
+	pipeline := func(c *serve.Client) {
+		load, err := c.EstimateFlits(0, 77, 256)
+		if err != nil {
+			log.Fatal(err)
 		}
-		load := occupy("load", 0, 77, 4096, 0)
-		s1 := occupy("stage1", 77, 150, 2048, load.Finish)
-		s2 := occupy("stage2", 77, 151, 2048, load.Finish)
-		out := occupy("store", 150, 199, 1024, s1.Finish)
-		return max(out.Finish, s2.Finish)
+		fmt.Printf("  load    %4d cycles  (%d hops)\n", load.LatencyCycles, load.Hops)
+		stages, err := c.Batch([]serve.WireTransfer{
+			{Src: 77, Dst: 150, Bytes: 2048},
+			{Src: 77, Dst: 151, Bytes: 2048},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, r := range stages {
+			fmt.Printf("  stage%d  %4d cycles  (%d hops)\n", i+1, r.LatencyCycles, r.Hops)
+		}
 	}
 
 	cold := session()
 	n := cold.Network()
 	fmt.Printf("%s: %d routers, %d nodes\n", n.Name, n.Routers, n.Nodes)
 	fmt.Println("cold pass:")
-	makespan := pipeline(cold)
-	stats, err := cold.Stats()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("makespan %d cycles, %d simulated\n", makespan, stats.Simulated)
+	pipeline(cold)
 	cold.Close()
+	stats := srv.Stats()
+	fmt.Printf("%d simulated\n", stats.Simulated)
 
 	warm := session()
 	defer warm.Close()
 	fmt.Println("warm pass:")
-	makespan = pipeline(warm)
-	again, err := warm.Stats()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("makespan %d cycles, %d simulated, %d cache hits\n",
-		makespan, again.Simulated-stats.Simulated, again.CacheHits)
+	pipeline(warm)
+	again := srv.Stats()
+	fmt.Printf("%d simulated, %d cache hits\n", again.Simulated-stats.Simulated, again.CacheHits)
 	// Output:
 	// sn_subgr_200: 50 routers, 200 nodes
 	// cold pass:
-	//   load   start     0  finish   835  waited   0  (2 hops)
-	//   stage1 start   835  finish   997  waited   0  (2 hops)
-	//   stage2 start   997  finish  1159  waited 162  (2 hops)
-	//   store  start   997  finish  1161  waited   0  (2 hops)
-	// makespan 1161 cycles, 4 simulated
+	//   load     835 cycles  (2 hops)
+	//   stage1   162 cycles  (2 hops)
+	//   stage2   316 cycles  (2 hops)
+	// 2 simulated
 	// warm pass:
-	//   load   start     0  finish   835  waited   0  (2 hops)
-	//   stage1 start   835  finish   997  waited   0  (2 hops)
-	//   stage2 start   997  finish  1159  waited 162  (2 hops)
-	//   store  start   997  finish  1161  waited   0  (2 hops)
-	// makespan 1161 cycles, 0 simulated, 4 cache hits
+	//   load     835 cycles  (2 hops)
+	//   stage1   162 cycles  (2 hops)
+	//   stage2   316 cycles  (2 hops)
+	// 0 simulated, 2 cache hits
 }

@@ -20,11 +20,11 @@ import (
 //     and the estimator recycles the simulators its episodes run on (see
 //     slimnoc.Estimator).
 //   - Activation bounding: each engine episode (an actual simulation)
-//     holds one of Size activation slots while it runs. More concurrent
+//     holds one of the pool's activation slots while it runs. More concurrent
 //     sessions than slots simply queue, which is how server-side
 //     backpressure reaches clients without dropping requests. Because an
-//     estimator keeps one simulator per concurrently running episode, Size
-//     is also the most simulators any one engine ever holds. Episodes
+//     estimator keeps one simulator per concurrently running episode, the
+//     slot count is also the most simulators any one engine ever holds. Episodes
 //     step one domain each, so the slots are the server's parallelism.
 //
 // A Pool is safe for concurrent use by any number of sessions.
@@ -54,14 +54,11 @@ func NewPool(size int) *Pool {
 	}
 }
 
-// Size returns the activation-slot count.
-func (p *Pool) Size() int { return cap(p.slots) }
-
-// Engine returns the warm estimator for the spec, building it on first
+// engine returns the warm estimator for the spec, building it on first
 // use. Two specs that canonicalize identically (preset vs explicit
 // parameters, defaulted fields, irrelevant traffic/sim sections) share one
 // engine.
-func (p *Pool) Engine(spec slimnoc.RunSpec) (*slimnoc.Estimator, error) {
+func (p *Pool) engine(spec slimnoc.RunSpec) (*slimnoc.Estimator, error) {
 	canon, err := slimnoc.EstimatorSpec(spec)
 	if err != nil {
 		return nil, err
@@ -84,19 +81,19 @@ func (p *Pool) Engine(spec slimnoc.RunSpec) (*slimnoc.Estimator, error) {
 	return e.est, e.err
 }
 
-// Engines returns the number of warm engines resident (failed builds
+// resident returns the number of warm engines resident (failed builds
 // included until evicted by a successful rebuild of the same key — they
 // are cheap placeholders).
-func (p *Pool) Engines() int {
+func (p *Pool) resident() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.engines)
 }
 
-// Acquire takes one activation slot, blocking while all are in use; it
-// returns ctx's error if the context ends first. Every Acquire must be
-// paired with Release.
-func (p *Pool) Acquire(ctx context.Context) error {
+// acquire takes one activation slot, blocking while all are in use; it
+// returns ctx's error if the context ends first. Every acquire must be
+// paired with release.
+func (p *Pool) acquire(ctx context.Context) error {
 	select {
 	case p.slots <- struct{}{}:
 		return nil
@@ -105,5 +102,5 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release returns an activation slot taken by Acquire.
-func (p *Pool) Release() { <-p.slots }
+// release returns an activation slot taken by acquire.
+func (p *Pool) release() { <-p.slots }

@@ -6,39 +6,39 @@ import (
 	"repro/slimnoc"
 )
 
-// ProtocolVersion is the JSON-line protocol generation this package speaks.
+// protocolVersion is the JSON-line protocol generation this package speaks.
 // A hello naming a different version is rejected; omitting the version
 // selects the current one. Bump on any wire-incompatible change.
-const ProtocolVersion = 1
+const protocolVersion = 1
 
-// DefaultFlitBytes is the payload a flit carries when converting byte
+// defaultFlitBytes is the payload a flit carries when converting byte
 // counts to flit counts (16 B — a 128-bit link, the paper's §5.1 setup).
 // Sessions may negotiate a different value in hello.
-const DefaultFlitBytes = 16
+const defaultFlitBytes = 16
 
 // Protocol verbs. One request object per line; the server answers every
 // request with exactly one response line carrying the same op and id.
 const (
-	// OpHello opens a session: protocol version check plus engine
+	// opHello opens a session: protocol version check plus engine
 	// negotiation (the RunSpec naming network, routing, VCs, buffering).
-	OpHello = "hello"
+	opHello = "hello"
 	// OpEstimate asks for the cycle-accurate latency of one transfer on an
 	// otherwise idle network.
 	OpEstimate = "estimate"
-	// OpBatch estimates N transfers in one engine episode: all injected at
+	// opBatch estimates N transfers in one engine episode: all injected at
 	// cycle 0, contending like simultaneously issued DMAs.
-	OpBatch = "batch"
-	// OpOccupy schedules a transfer under the session's link-occupancy
+	opBatch = "batch"
+	// opOccupy schedules a transfer under the session's link-occupancy
 	// windows: its start is pushed past the busy windows of every link on
 	// its route, and its own window is then reserved — the uPIMulator-style
 	// backpressure coupling.
-	OpOccupy = "occupy"
-	// OpWindow inspects (or resets) the session's occupancy state.
-	OpWindow = "window"
-	// OpStats reports the server's deterministic service counters.
-	OpStats = "stats"
-	// OpShutdown ends the session and stops the server.
-	OpShutdown = "shutdown"
+	opOccupy = "occupy"
+	// opWindow inspects (or resets) the session's occupancy state.
+	opWindow = "window"
+	// opStats reports the server's deterministic service counters.
+	opStats = "stats"
+	// opShutdown ends the session and stops the server.
+	opShutdown = "shutdown"
 )
 
 // WireTransfer names one transfer in a request: size as either bytes
@@ -61,7 +61,7 @@ type Request struct {
 	// Version is the protocol version the client speaks (hello; 0 = current).
 	Version int `json:"version,omitempty"`
 	// FlitBytes sets the session's byte-to-flit conversion width (hello;
-	// 0 = DefaultFlitBytes).
+	// 0 = defaultFlitBytes).
 	FlitBytes int `json:"flit_bytes,omitempty"`
 	// Spec names the engine: network, routing, VCs, buffering, SMART. The
 	// traffic and sim sections are ignored (see slimnoc.EstimatorSpec).
@@ -169,10 +169,10 @@ type Response struct {
 	Stats *Stats `json:"stats,omitempty"`
 }
 
-// FlitsFor converts a wire transfer's size to flits: an explicit flit count
+// flitsFor converts a wire transfer's size to flits: an explicit flit count
 // wins, else bytes are divided by the session's flit width (rounded up,
 // minimum one flit).
-func FlitsFor(t WireTransfer, flitBytes int) (int, error) {
+func flitsFor(t WireTransfer, flitBytes int) (int, error) {
 	if t.Flits < 0 || t.Bytes < 0 {
 		return 0, fmt.Errorf("serve: negative transfer size (flits %d, bytes %d)", t.Flits, t.Bytes)
 	}
@@ -183,7 +183,7 @@ func FlitsFor(t WireTransfer, flitBytes int) (int, error) {
 		return 0, fmt.Errorf("serve: transfer %d -> %d has neither bytes nor flits", t.Src, t.Dst)
 	}
 	if flitBytes <= 0 {
-		flitBytes = DefaultFlitBytes
+		flitBytes = defaultFlitBytes
 	}
 	flits := int((t.Bytes + int64(flitBytes) - 1) / int64(flitBytes))
 	if flits < 1 {

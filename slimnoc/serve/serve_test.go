@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -44,51 +46,95 @@ func openCache(t testing.TB, path string) *serve.Cache {
 	return serve.NewCache(st)
 }
 
+// estimate asks the session for the isolated latency of moving bytes from
+// src to dst.
+func estimate(c *serve.Client, src, dst int, bytes int64) (slimnoc.EstimateResult, error) {
+	resp, err := c.RoundTrip(serve.Request{Op: "estimate", Src: &src, Dst: &dst, Bytes: bytes})
+	if err != nil || resp.Result == nil {
+		return slimnoc.EstimateResult{}, cmp.Or(err, errors.New("estimate response without a result"))
+	}
+	return *resp.Result, nil
+}
+
+// stats fetches the server's deterministic service counters.
+func stats(t testing.TB, c *serve.Client) serve.Stats {
+	t.Helper()
+	resp, err := c.RoundTrip(serve.Request{Op: "stats"})
+	if err != nil || resp.Stats == nil {
+		t.Fatalf("stats: %+v, %v", resp, err)
+	}
+	return *resp.Stats
+}
+
+// occupy schedules a transfer of bytes from src to dst on the session
+// timeline no earlier than start.
+func occupy(t testing.TB, c *serve.Client, src, dst int, bytes, start int64) serve.Grant {
+	t.Helper()
+	resp, err := c.RoundTrip(serve.Request{Op: "occupy", Src: &src, Dst: &dst, Bytes: bytes, Start: start})
+	if err != nil || resp.Grant == nil {
+		t.Fatalf("occupy: %+v, %v", resp, err)
+	}
+	return *resp.Grant
+}
+
+// window sends a window request (route, reset) and returns the session's
+// occupancy state.
+func window(t testing.TB, c *serve.Client, req serve.Request) serve.WindowInfo {
+	t.Helper()
+	req.Op = "window"
+	resp, err := c.RoundTrip(req)
+	if err != nil || resp.Window == nil {
+		t.Fatalf("window: %+v, %v", resp, err)
+	}
+	return *resp.Window
+}
+
 func TestServeSessionEndToEnd(t *testing.T) {
 	srv := serve.NewServer(
 		serve.WithCache(openCache(t, filepath.Join(t.TempDir(), "serve.jsonl"))),
 		serve.WithPool(serve.NewPool(2)),
 	)
-	c, err := serve.NewClient(startServer(t, srv), testSpec(), serve.WithFlitBytes(8))
+	// A session that negotiates 8-byte flits converts bytes at that width.
+	raw := rawSession(t, startServer(t, srv), []string{
+		`{"op":"hello","id":1,"flit_bytes":8,"spec":{"network":{"preset":"t2d54"}}}`,
+		`{"op":"estimate","id":2,"src":0,"dst":27,"bytes":64}`,
+	})
+	if raw[0].Engine != slimnoc.EngineVersion {
+		t.Fatalf("engine = %q, want %q", raw[0].Engine, slimnoc.EngineVersion)
+	}
+	if raw[0].FlitBytes != 8 {
+		t.Fatalf("flit bytes = %d, want 8", raw[0].FlitBytes)
+	}
+	if raw[1].Result == nil || raw[1].Result.Flits != 8 {
+		t.Fatalf("64 bytes at 8-byte flits: %+v, want 8 flits", raw[1])
+	}
+	c, err := serve.NewClient(startServer(t, srv), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	if c.Engine() != slimnoc.EngineVersion {
-		t.Fatalf("engine = %q, want %q", c.Engine(), slimnoc.EngineVersion)
-	}
-	if c.FlitBytes() != 8 {
-		t.Fatalf("flit bytes = %d, want 8", c.FlitBytes())
-	}
 	if c.Network().Nodes != 54 {
 		t.Fatalf("nodes = %d, want 54", c.Network().Nodes)
 	}
 
 	// Isolated estimate; the repeat must be served from cache (Simulated
 	// stays put) with the identical result.
-	r1, err := c.Estimate(0, 27, 64)
+	r1, err := estimate(c, 0, 27, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.LatencyCycles <= 0 || r1.Flits != 8 {
+	if r1.LatencyCycles <= 0 || r1.Flits != 4 {
 		t.Fatalf("estimate = %+v", r1)
 	}
-	st1, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Estimate(0, 27, 64)
+	st1 := stats(t, c)
+	r2, err := estimate(c, 0, 27, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Fatalf("repeat estimate differs: %+v vs %+v", r1, r2)
 	}
-	st2, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := stats(t, c)
 	if st2.Simulated != st1.Simulated {
 		t.Fatalf("repeat estimate simulated (simulated %d -> %d)", st1.Simulated, st2.Simulated)
 	}
@@ -114,52 +160,39 @@ func TestServeSessionEndToEnd(t *testing.T) {
 
 	// Occupancy: a second transfer on the same route is pushed past the
 	// first one's window.
-	g1, err := c.Occupy(0, 27, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1 := occupy(t, c, 0, 27, 64, 0)
 	if g1.Start != 0 || g1.Waited != 0 || g1.Finish != g1.LatencyCycles {
 		t.Fatalf("first grant = %+v", g1)
 	}
-	g2, err := c.Occupy(0, 27, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := occupy(t, c, 0, 27, 64, 0)
 	if g2.Start != g1.Finish || g2.Waited != g1.Finish {
 		t.Fatalf("second grant not pushed past first: %+v after %+v", g2, g1)
 	}
 
 	// Window reflects the reservations; a disjoint route is free now.
-	w, err := c.RouteWindow(0, 27)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src, dst := 0, 27
+	w := window(t, c, serve.Request{Src: &src, Dst: &dst})
 	if w.Horizon != g2.Finish || w.BusyLinks == 0 {
 		t.Fatalf("window = %+v, want horizon %d and busy links", w, g2.Finish)
 	}
 	if w.FreeAt == nil || *w.FreeAt != g2.Finish {
 		t.Fatalf("route free_at = %v, want %d", w.FreeAt, g2.Finish)
 	}
-	if err := c.ResetWindows(); err != nil {
-		t.Fatal(err)
-	}
-	w, err = c.Window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	window(t, c, serve.Request{Reset: true})
+	w = window(t, c, serve.Request{})
 	if w.Horizon != 0 || w.BusyLinks != 0 {
 		t.Fatalf("window after reset = %+v", w)
 	}
 
 	// Protocol errors leave the session usable.
-	if _, err := c.Estimate(-1, 27, 64); err == nil {
+	if _, err := estimate(c, -1, 27, 64); err == nil {
 		t.Fatal("out-of-range estimate accepted")
 	}
-	if _, err := c.Estimate(0, 1, 64); err != nil {
+	if _, err := estimate(c, 0, 1, 64); err != nil {
 		t.Fatalf("session unusable after error: %v", err)
 	}
 
-	if err := c.Shutdown(); err != nil {
+	if _, err := c.RoundTrip(serve.Request{Op: "shutdown"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,11 +225,7 @@ func TestServeWarmRerunZeroSimulations(t *testing.T) {
 			t.Fatal(err)
 		}
 		results = append(results, batch...)
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, st
+		return results, stats(t, c)
 	}
 
 	cold, coldStats := run()
@@ -219,18 +248,19 @@ func TestServeWarmRerunZeroSimulations(t *testing.T) {
 
 // TestServeConcurrentDeterminism pins satellite 3: the same transcript of
 // estimates yields identical latencies whether submitted serially or from
-// many goroutines pipelining over one session. No cache is attached, so
-// every answer is a live engine episode.
+// many goroutines pipelining over one session, more of them than the
+// client's in-flight window, so submission blocks on a full window. No
+// cache is attached, so every answer is a live engine episode.
 func TestServeConcurrentDeterminism(t *testing.T) {
 	srv := serve.NewServer(serve.WithPool(serve.NewPool(4)))
-	c, err := serve.NewClient(startServer(t, srv), testSpec(), serve.WithWindow(8))
+	c, err := serve.NewClient(startServer(t, srv), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	type q struct{ src, dst, flits int }
-	queries := make([]q, 24)
+	queries := make([]q, 48)
 	for i := range queries {
 		queries[i] = q{src: (i * 7) % 54, dst: (i*31 + 5) % 54, flits: 1 + i%6}
 	}
@@ -263,11 +293,7 @@ func TestServeConcurrentDeterminism(t *testing.T) {
 			t.Fatalf("query %d: concurrent %+v != serial %+v", i, concurrent[i], serial[i])
 		}
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Simulated != int64(2*len(queries)) {
+	if st := stats(t, c); st.Simulated != int64(2*len(queries)) {
 		t.Fatalf("simulated = %d, want %d (no cache attached)", st.Simulated, 2*len(queries))
 	}
 }

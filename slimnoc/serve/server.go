@@ -90,9 +90,9 @@ func (s *Server) Stats() Stats {
 		Requests:  s.requests.Load(),
 		Estimates: s.estimates.Load(),
 		Simulated: s.simulated.Load(),
-		CacheHits: s.cache.Hits(),
-		CacheSize: s.cache.Len(),
-		Engines:   s.pool.Engines(),
+		CacheHits: s.cache.hitCount(),
+		CacheSize: s.cache.size(),
+		Engines:   s.pool.resident(),
 		Occupies:  s.occupies.Load(),
 	}
 }
@@ -112,7 +112,7 @@ type session struct {
 // stop, and the transport error otherwise. Cancelling ctx aborts in-flight
 // engine acquisition; the transport itself is the caller's to close.
 func (s *Server) ServeConn(ctx context.Context, rw io.ReadWriter) error {
-	sess := &session{srv: s, flitBytes: DefaultFlitBytes}
+	sess := &session{srv: s, flitBytes: defaultFlitBytes}
 	sc := bufio.NewScanner(rw)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	w := bufio.NewWriter(rw)
@@ -140,7 +140,7 @@ func (s *Server) ServeConn(ctx context.Context, rw io.ReadWriter) error {
 		if err := w.Flush(); err != nil {
 			return fmt.Errorf("serve: write response: %w", err)
 		}
-		if req.Op == OpShutdown && resp.OK {
+		if req.Op == opShutdown && resp.OK {
 			return ErrShutdown
 		}
 	}
@@ -150,10 +150,14 @@ func (s *Server) ServeConn(ctx context.Context, rw io.ReadWriter) error {
 	return nil
 }
 
-// Serve accepts sessions on ln until ctx ends or a session requests
-// shutdown; each session runs in its own goroutine. The listener is closed
-// on return.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+// ListenAndServe listens on addr (TCP) and accepts sessions until ctx ends
+// or a session requests shutdown; each session runs in its own goroutine.
+// The listener is closed on return.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go func() {
@@ -177,16 +181,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr (TCP) and serves until ctx ends or a
-// session requests shutdown.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
 // handle dispatches one request. Every path returns a response; failures
 // set Error and leave the session usable.
 func (sess *session) handle(ctx context.Context, req Request) Response {
@@ -197,9 +191,9 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		return resp
 	}
 	switch req.Op {
-	case OpHello:
-		if req.Version != 0 && req.Version != ProtocolVersion {
-			return fail("serve: protocol version %d unsupported (server speaks %d)", req.Version, ProtocolVersion)
+	case opHello:
+		if req.Version != 0 && req.Version != protocolVersion {
+			return fail("serve: protocol version %d unsupported (server speaks %d)", req.Version, protocolVersion)
 		}
 		if req.Spec == nil {
 			return fail("serve: hello needs a spec")
@@ -207,7 +201,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		if req.FlitBytes < 0 {
 			return fail("serve: flit_bytes = %d, want >= 0", req.FlitBytes)
 		}
-		est, err := sess.srv.pool.Engine(*req.Spec)
+		est, err := sess.srv.pool.engine(*req.Spec)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -225,7 +219,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		sess.srv.sessions.Add(1)
 		info := est.Network()
 		resp.OK = true
-		resp.Protocol = ProtocolVersion
+		resp.Protocol = protocolVersion
 		resp.Engine = slimnoc.EngineVersion
 		resp.FlitBytes = sess.flitBytes
 		resp.Network = &info
@@ -244,7 +238,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		resp.Result = &results[0]
 		return resp
 
-	case OpBatch:
+	case opBatch:
 		if sess.est == nil {
 			return fail("serve: hello required before %s", req.Op)
 		}
@@ -256,7 +250,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		}
 		transfers := make([]slimnoc.Transfer, len(req.Transfers))
 		for i, wt := range req.Transfers {
-			flits, err := FlitsFor(wt, sess.flitBytes)
+			flits, err := flitsFor(wt, sess.flitBytes)
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -270,7 +264,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		resp.Results = results
 		return resp
 
-	case OpOccupy:
+	case opOccupy:
 		tr, err := sess.oneTransfer(req)
 		if err != nil {
 			return fail("%v", err)
@@ -301,7 +295,7 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		}
 		return resp
 
-	case OpWindow:
+	case opWindow:
 		if sess.est == nil {
 			return fail("serve: hello required before %s", req.Op)
 		}
@@ -324,13 +318,13 @@ func (sess *session) handle(ctx context.Context, req Request) Response {
 		resp.Window = &win
 		return resp
 
-	case OpStats:
+	case opStats:
 		st := sess.srv.Stats()
 		resp.OK = true
 		resp.Stats = &st
 		return resp
 
-	case OpShutdown:
+	case opShutdown:
 		resp.OK = true
 		return resp
 
@@ -348,7 +342,7 @@ func (sess *session) oneTransfer(req Request) (slimnoc.Transfer, error) {
 	if req.Src == nil || req.Dst == nil {
 		return slimnoc.Transfer{}, fmt.Errorf("serve: %s needs src and dst", req.Op)
 	}
-	flits, err := FlitsFor(WireTransfer{Src: *req.Src, Dst: *req.Dst, Bytes: req.Bytes, Flits: req.Flits}, sess.flitBytes)
+	flits, err := flitsFor(WireTransfer{Src: *req.Src, Dst: *req.Dst, Bytes: req.Bytes, Flits: req.Flits}, sess.flitBytes)
 	if err != nil {
 		return slimnoc.Transfer{}, err
 	}
@@ -369,11 +363,11 @@ func (sess *session) estimate(ctx context.Context, transfers []slimnoc.Transfer)
 			return results, nil
 		}
 	}
-	if err := srv.pool.Acquire(ctx); err != nil {
+	if err := srv.pool.acquire(ctx); err != nil {
 		return nil, err
 	}
 	results, err := sess.est.Estimate(transfers)
-	srv.pool.Release()
+	srv.pool.release()
 	if err != nil {
 		return nil, err
 	}

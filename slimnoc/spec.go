@@ -324,6 +324,19 @@ func (s RunSpec) Validate() error {
 	if err := s.Network.validateFailures(); err != nil {
 		return err
 	}
+	// Zero selects the default; a negative count or factor would run as if
+	// it did, or not at all.
+	if s.HopFactor < 0 {
+		return fmt.Errorf("slimnoc: hop_factor = %d, want >= 0", s.HopFactor)
+	}
+	for _, c := range []struct {
+		field string
+		n     int64
+	}{{"warmup_cycles", s.Sim.WarmupCycles}, {"measure_cycles", s.Sim.MeasureCycles}, {"drain_cycles", s.Sim.DrainCycles}} {
+		if c.n < 0 {
+			return fmt.Errorf("slimnoc: sim.%s = %d, want >= 0", c.field, c.n)
+		}
+	}
 	if _, err := engineConfig(s); err != nil {
 		return err
 	}
@@ -383,15 +396,11 @@ func (ts TrafficSpec) validate() error {
 	return nil
 }
 
-// JSON renders the spec as indented JSON.
-func (s RunSpec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // ParseSpec decodes a RunSpec from JSON, rejecting unknown fields so typos
 // in hand-written spec files fail loudly instead of being ignored.
 //
-// keep: it reads back what RunSpec.JSON writes (see the package example).
+// keep: the strict reader for a spec an importer wrote with encoding/json
+// (see the package example); the commands reach it through SpecFlags' -spec.
 func ParseSpec(data []byte) (RunSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -413,7 +422,7 @@ func loadSpec(path string) (RunSpec, error) {
 
 // saveSpec writes the spec as indented JSON to path.
 func saveSpec(path string, s RunSpec) error {
-	data, err := s.JSON()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package slimnoc
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func testSpec() RunSpec {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	spec := testSpec().Normalized()
-	data, err := spec.JSON()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestSpecRoundTripReproducesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serialize the spec the run reports, re-load it, re-run.
-	data, err := res1.Spec.JSON()
+	data, err := json.MarshalIndent(res1.Spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,11 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+	zero := good
+	zero.Sim, zero.HopFactor = SimSpec{Seed: 1}, 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero (default) cycle counts and hop factor rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		mut  func(*RunSpec)
@@ -86,6 +92,10 @@ func TestValidate(t *testing.T) {
 		{"negative cb_cap", func(s *RunSpec) { s.Buffering.CBCap = -3 }, "cb_cap = -3"},
 		{"negative edge_cap", func(s *RunSpec) { s.Buffering.EdgeCap = -1 }, "edge_cap = -1"},
 		{"bad pattern", func(s *RunSpec) { s.Traffic.Pattern = "xxx" }, "pattern"},
+		{"negative warmup", func(s *RunSpec) { s.Sim.WarmupCycles = -75 }, "sim.warmup_cycles = -75"},
+		{"negative measure", func(s *RunSpec) { s.Sim.MeasureCycles = -300 }, "sim.measure_cycles = -300"},
+		{"negative drain", func(s *RunSpec) { s.Sim.DrainCycles = -1 }, "sim.drain_cycles = -1"},
+		{"negative hop factor", func(s *RunSpec) { s.HopFactor = -4 }, "hop_factor = -4"},
 	}
 	for _, c := range cases {
 		s := testSpec()

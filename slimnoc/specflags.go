@@ -2,6 +2,7 @@ package slimnoc
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 )
 
@@ -235,6 +236,9 @@ func (s *SpecFlags) Spec(defaults RunSpec) (RunSpec, error) {
 		spec.Sim.WarmupCycles = quick.WarmupCycles
 		spec.Sim.MeasureCycles = quick.MeasureCycles
 		spec.Sim.DrainCycles = quick.DrainCycles
+	}
+	if s.set("cycles") && s.Cycles < 0 {
+		return RunSpec{}, fmt.Errorf("slimnoc: -cycles %d, want >= 0", s.Cycles)
 	}
 	if s.set("cycles") && s.Cycles > 0 {
 		spec.Sim.MeasureCycles = s.Cycles

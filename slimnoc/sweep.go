@@ -254,13 +254,6 @@ func pointName(sweep, base string, label []string, idx int) string {
 	return prefix + "/" + strings.Join(label, "/")
 }
 
-// Validate expands the sweep and validates every point without building any
-// network.
-func (s SweepSpec) Validate() error {
-	_, err := s.Points()
-	return err
-}
-
 // parseSweep decodes a SweepSpec from JSON, rejecting unknown fields so
 // typos in hand-written sweep files fail loudly.
 func parseSweep(data []byte) (SweepSpec, error) {

@@ -152,12 +152,12 @@ func TestSweepJSONRoundTrip(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	sweep := testSweep()
 	sweep.Axes.Patterns = []string{"rnd", "nonsense"}
-	if err := sweep.Validate(); err == nil {
+	if _, err := sweep.Points(); err == nil {
 		t.Error("unknown pattern accepted")
 	}
 	sweep = testSweep()
 	sweep.Axes.Presets = []string{"no_such_preset"}
-	if err := sweep.Validate(); err == nil {
+	if _, err := sweep.Points(); err == nil {
 		t.Error("unknown preset accepted")
 	}
 }
