@@ -5,8 +5,7 @@ package detlint
 // expected finding is declared in place with a `// want "regex"` comment
 // on the offending line. The harness fails on any missing, unexpected or
 // mismatched diagnostic, so the fixtures double as the analyzers'
-// behavioral spec — including the waiver and annotation-propagation
-// cases.
+// behavioral spec — including the waiver cases.
 
 import (
 	"bytes"
@@ -248,10 +247,6 @@ func TestRNGSourceGolden(t *testing.T) {
 	runGolden(t, rngSource, &Config{}, "rngsource")
 }
 
-func TestHotAllocGolden(t *testing.T) {
-	runGolden(t, hotAlloc, &Config{}, "hotalloc")
-}
-
 func TestSharedReadGolden(t *testing.T) {
 	cfg := &Config{
 		SharedTypes:   []string{"sharedread/netpkg.Network"},
@@ -261,67 +256,8 @@ func TestSharedReadGolden(t *testing.T) {
 	runGolden(t, sharedRead, cfg, "sharedread/netpkg", "sharedread/use")
 }
 
-func TestDomainSharedGolden(t *testing.T) {
-	cfg := &Config{
-		DomainSharedFields: []string{
-			"sharedread/dompkg.link.pending",
-			"sharedread/dompkg.link.inFly",
-			"sharedread/dompkg.engine.count",
-			"sharedread/dompkg.engine.out",
-		},
-	}
-	runGolden(t, sharedRead, cfg, "sharedread/dompkg")
-}
-
-// TestDomainSharedStaleEntries pins that a DomainSharedFields entry naming
-// a loaded package but no field of it — a deleted or renamed field, or a
-// missing type — is a finding at the package clause, while an entry for a
-// package outside the run is not judged.
-func TestDomainSharedStaleEntries(t *testing.T) {
-	pkg, err := newLoader(t).load("sharedread/dompkg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &Config{
-		DomainSharedFields: []string{
-			"sharedread/dompkg.link.pending",
-			"sharedread/dompkg.link.gone",
-			"sharedread/dompkg.nosuch.pending",
-			"sharedread/other.link.pending",
-		},
-	}
-	diags, err := Run(cfg, []*Package{pkg}, []*Analyzer{sharedRead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale []string
-	for _, d := range diags {
-		if strings.Contains(d.Message, "names no field") {
-			if d.Pos.Line != 6 {
-				t.Errorf("stale-entry finding at line %d, want the package clause (line 6): %s", d.Pos.Line, d)
-			}
-			stale = append(stale, d.Message)
-		}
-	}
-	sort.Strings(stale)
-	want := []string{"sharedread/dompkg.link.gone", "sharedread/dompkg.nosuch.pending"}
-	if len(stale) != len(want) {
-		t.Fatalf("stale-entry findings %q, want one each for %q", stale, want)
-	}
-	for i, e := range want {
-		if !strings.Contains(stale[i], "entry "+e+" ") {
-			t.Errorf("finding %q does not name entry %s", stale[i], e)
-		}
-	}
-}
-
 func TestFloatKeyGolden(t *testing.T) {
 	runGolden(t, floatKey, &Config{}, "floatkey")
-}
-
-func TestHotCoverGolden(t *testing.T) {
-	cfg := &Config{HotPackages: []string{"hotcover/hot", "hotcover/empty"}}
-	runGolden(t, hotCover, cfg, "hotcover/hot", "hotcover/empty")
 }
 
 func TestParseWaiver(t *testing.T) {
@@ -333,11 +269,10 @@ func TestParseWaiver(t *testing.T) {
 		{"//detlint:ordered commutative sum", true, "maporder"},
 		{"//detlint:ordered", false, ""},
 		{"//detlint:ordered   ", false, ""},
-		{"//detlint:allow hotalloc freelist miss only", true, "hotalloc"},
-		{"//detlint:allow hotalloc", false, ""},
+		{"//detlint:allow rngsource wall-clock cost, printed only", true, "rngsource"},
+		{"//detlint:allow rngsource", false, ""},
 		{"//detlint:allow", false, ""},
 		{"// regular comment", false, ""},
-		{"//sim:hot", false, ""},
 	}
 	for _, c := range cases {
 		w, ok := parseWaiver(c.text)
@@ -347,20 +282,9 @@ func TestParseWaiver(t *testing.T) {
 	}
 }
 
-func TestAnalyzerByName(t *testing.T) {
-	for _, a := range Analyzers() {
-		if AnalyzerByName(a.Name) != a {
-			t.Errorf("AnalyzerByName(%q) did not return the suite analyzer", a.Name)
-		}
-	}
-	if AnalyzerByName("nosuch") != nil {
-		t.Error("AnalyzerByName of unknown name should be nil")
-	}
-}
-
 // TestSuiteCleanOnTree is the acceptance check the CI lint job enforces:
 // the full suite runs clean over the repository's determinism-critical
-// packages, and the //sim:hot annotation set is non-empty.
+// packages.
 func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole tree; skipped in -short")
@@ -375,12 +299,5 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
-	}
-	hot := 0
-	for _, p := range pkgs {
-		hot += HotFunctionCount(p)
-	}
-	if hot == 0 {
-		t.Error("no //sim:hot functions found anywhere; the engine annotation set is missing")
 	}
 }

@@ -16,7 +16,6 @@ import (
 // fixes one representation per value.
 var floatKey = &Analyzer{
 	Name: "floatkey",
-	Doc:  "no floating-point map keys, and no ==/!= over float-bearing structs",
 	Run:  runFloatKey,
 }
 

@@ -14,7 +14,6 @@ import (
 // function later sorts) and sites carrying `//detlint:ordered <reason>`.
 var mapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "range over a map must sort keys first or carry a //detlint:ordered waiver",
 	Run:  runMapOrder,
 }
 

@@ -15,7 +15,6 @@ import (
 // one silently breaks run-to-run byte identity.
 var rngSource = &Analyzer{
 	Name: "rngsource",
-	Doc:  "no global math/rand draws or wall-clock reads; randomness comes from a seeded *rand.Rand",
 	Run:  runRNGSource,
 }
 

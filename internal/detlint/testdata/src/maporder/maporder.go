@@ -97,7 +97,7 @@ func genericAllowWaiver(m map[string]int) int {
 
 func wrongAnalyzerWaiver(m map[string]int) int {
 	n := 0
-	//detlint:allow hotalloc this waiver names another analyzer
+	//detlint:allow floatkey this waiver names another analyzer
 	for range m { // want "range over map"
 		n++
 	}

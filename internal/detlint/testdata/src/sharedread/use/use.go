@@ -20,8 +20,3 @@ func read(net *netpkg.Network) int {
 func localWrite(l *local) {
 	l.N = 1 // not a shared type: no finding
 }
-
-func waived(net *netpkg.Network) {
-	//detlint:allow sharedread fixture mutates a private clone
-	net.N = 9
-}

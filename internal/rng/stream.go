@@ -71,15 +71,11 @@ func New(seed int64) *Stream {
 // Seed restarts the stream at the beginning of seed's sequence. It only
 // records the seed: the state is built by the first draw, so a stream that
 // is reseeded and never drawn from costs nothing.
-//
-//sim:hot
 func (s *Stream) Seed(seed int64) {
 	s.seed, s.pending, s.pos = seed, true, ringLen
 }
 
 // refill makes ring[0:] the next ringLen outputs.
-//
-//sim:hot
 func (s *Stream) refill() {
 	s.pos = 0
 	if s.pending {
@@ -110,8 +106,6 @@ func (s *Stream) refill() {
 }
 
 // Uint64 returns the next 64-bit word of the recurrence.
-//
-//sim:hot
 func (s *Stream) Uint64() uint64 {
 	if s.pos == ringLen {
 		s.refill()
@@ -122,13 +116,9 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Int63 returns a non-negative 63-bit integer, as (*rand.Rand).Int63.
-//
-//sim:hot
 func (s *Stream) Int63() int64 { return int64(s.Uint64() & mask63) }
 
 // Float64 returns a number in [0, 1), as (*rand.Rand).Float64.
-//
-//sim:hot
 func (s *Stream) Float64() float64 {
 	for {
 		if v := s.Uint64() & mask63; v < redrawFrom {
@@ -139,8 +129,6 @@ func (s *Stream) Float64() float64 {
 
 // Intn returns a number in [0, n), as (*rand.Rand).Intn. It panics if
 // n <= 0.
-//
-//sim:hot
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: invalid argument to Intn")
@@ -151,10 +139,8 @@ func (s *Stream) Intn(n int) int {
 	return int(s.int63n(int64(n)))
 }
 
-//sim:hot
 func (s *Stream) int31() int32 { return int32(s.Int63() >> 32) }
 
-//sim:hot
 func (s *Stream) int31n(n int32) int32 {
 	if n&(n-1) == 0 {
 		return s.int31() & (n - 1)
@@ -167,7 +153,6 @@ func (s *Stream) int31n(n int32) int32 {
 	return v % n
 }
 
-//sim:hot
 func (s *Stream) int63n(n int64) int64 {
 	if n&(n-1) == 0 {
 		return s.Int63() & (n - 1)
@@ -186,8 +171,6 @@ func (s *Stream) int63n(n int64) int64 {
 // are then the same predicate on the same word. NaN and prob <= 0 give 0
 // (never), prob >= 1 gives the whole range below the band (always).
 // FirstBelow calls it once per change of prob.
-//
-//sim:hot
 func threshold(prob float64) uint64 {
 	// The quotient is monotone in v, so the bound is found by bisection with
 	// the float predicate itself.
@@ -211,8 +194,6 @@ func threshold(prob float64) uint64 {
 //
 // but compares the ring's words in place against threshold(prob): one load,
 // one mask and one compare per decision.
-//
-//sim:hot
 func (s *Stream) FirstBelow(prob float64, n int) int {
 	if prob != s.prob {
 		s.prob, s.thr = prob, threshold(prob)

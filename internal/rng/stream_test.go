@@ -264,4 +264,11 @@ func TestStreamAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Seed + first draw allocates %v times, want 0", n)
 	}
+	// Bounded draws, each range reduction below and above 2^31, for powers
+	// of two and the rejection loop.
+	if n := testing.AllocsPerRun(100, func() {
+		sinkWord = uint64(s.Intn(1000) + s.Intn(1<<20) + s.Intn(3<<40) + s.Intn(1<<40))
+	}); n != 0 {
+		t.Errorf("Intn allocates %v times, want 0", n)
+	}
 }

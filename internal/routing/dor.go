@@ -66,8 +66,6 @@ func ringStep(cur, target, n int) int {
 // ringWraps reports whether the shortest-direction segment from cur to
 // target, both in [0, n), on a ring of n crosses the wrap link between n-1
 // and 0. On a two-router ring every move does: its one link joins 0 and n-1.
-//
-//sim:hot
 func ringWraps(cur, target, n int) bool {
 	fwd := (target - cur + n) % n
 	switch {

@@ -40,8 +40,6 @@ import (
 // RandomIntermediate picks a Valiant intermediate among nr routers
 // uniformly, excluding src and dst. With no router to pick (nr <= 2) it
 // returns src without drawing.
-//
-//sim:hot
 func RandomIntermediate(rng *rng.Stream, nr, src, dst int) int {
 	if nr <= 2 {
 		return src

@@ -56,8 +56,6 @@ const NextEject = ^uint32(0)
 // bits 16..23 (for output-conflict masking) and the port*vcs+vc slot offset
 // in bits 0..15 (the per-VC output index relative to the router's block in
 // the simulator's flattened state).
-//
-//sim:hot
 func nextWord(port, vc, vcs int) uint32 {
 	return uint32(port)<<16 | uint32(port*vcs+vc)
 }
@@ -182,8 +180,6 @@ func (t *RouteTable) MemBytes() int64 { return int64(len(t.cnh)) }
 // Port returns the output port at cur toward dst (cur != dst), the port of
 // Next's word, for the hop-th hop of a walk that reads only ports (Hops,
 // AppendPath, UGAL's pricing).
-//
-//sim:hot
 func (t *RouteTable) Port(cur, dst, hop int) int {
 	if hop >= t.nr {
 		panic("routing: next-hop walk does not terminate (corrupt table or mutated adjacency)")
@@ -198,8 +194,6 @@ func (t *RouteTable) Port(cur, dst, hop int) int {
 // instead of storing a route per packet; a waypoint route calls it toward
 // the waypoint first and toward the destination after, the hop count
 // running on across the switch.
-//
-//sim:hot
 func (t *RouteTable) Next(src, cur, dst, hop int) uint32 {
 	if cur == dst {
 		return NextEject
@@ -222,8 +216,6 @@ func (t *RouteTable) Next(src, cur, dst, hop int) uint32 {
 
 // phases splits a two-phase route (torus, PFBF) into its leading X hops and
 // the rest, returning the X hop count and the VC of each phase.
-//
-//sim:hot
 func (t *RouteTable) phases(src, dst int) (xHops, xVC, yVC int) {
 	k, s, d := t.kind, t.at[src], t.at[dst]
 	x, dx := int(s[0]), int(d[0])
@@ -238,7 +230,6 @@ func (t *RouteTable) phases(src, dst int) (xHops, xVC, yVC int) {
 	return (int(d[1])-int(s[1])+k.PX)%k.PX + b2i(x != dx), 0, 1
 }
 
-//sim:hot
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -248,8 +239,6 @@ func b2i(b bool) int {
 
 // Hops returns the hop count of the src->dst route: the distance, on the
 // minimal tables adaptive policies read.
-//
-//sim:hot
 func (t *RouteTable) Hops(src, dst int) int {
 	hops := 0
 	for cur := src; cur != dst; hops++ {

@@ -29,8 +29,6 @@ type UGAL struct {
 
 // Choose implements AdaptivePolicy. The Valiant route wins only if strictly
 // cheaper; a degenerate intermediate (none to pick) keeps the minimal route.
-//
-//sim:hot
 func (u *UGAL) Choose(s *Sim, rng *rng.Stream, srcRouter, dstRouter int) (via, viaHops int) {
 	if srcRouter == dstRouter {
 		return 0, 0
@@ -61,8 +59,6 @@ type MinAdaptive struct{}
 // Choose implements AdaptivePolicy. The chosen neighbour is a one-hop
 // waypoint: New wires one link per neighbour, so the table's port toward it
 // is its adjacency position.
-//
-//sim:hot
 func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int) (via, viaHops int) {
 	if srcRouter == dstRouter {
 		return 0, 0
@@ -86,8 +82,6 @@ func (m *MinAdaptive) Choose(s *Sim, _ *rng.Stream, srcRouter, dstRouter int) (v
 // output port p (the UGAL congestion signal): its flits on the wire or
 // stalled at its end, plus those in the input buffers it feeds. Policies
 // read it between cycles, from the serial phases.
-//
-//sim:hot
 func (s *Sim) portOcc(r, p int) int {
 	l := &s.links[s.outLink[r*s.stride+p]]
 	occ := l.pending
@@ -100,8 +94,6 @@ func (s *Sim) portOcc(r, p int) int {
 // routeLoad walks the table's route from router r to dst and returns its hop
 // count and the summed occupancy (portOcc) of its first n links: UGAL-L
 // prices one link, UGAL-G all of them.
-//
-//sim:hot
 func (s *Sim) routeLoad(r, dst, n int) (hops, occ int) {
 	for ; r != dst; hops++ {
 		p := s.table.Port(r, dst, hops)

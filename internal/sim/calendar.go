@@ -34,8 +34,6 @@ import "repro/internal/core"
 // skip of k cycles the clock sits at wake-1 and the caller's s.now++ lands
 // exactly on the first cycle with work. Allocation-free: the wheel scans
 // reuse existing storage (pinned by TestSteadyStateZeroAllocs).
-//
-//sim:hot
 func (s *Sim) skipAhead(limit int64) {
 	if limit <= s.now+1 {
 		return

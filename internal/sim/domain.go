@@ -182,9 +182,6 @@ func (d *domain) reset() {
 // routers in ascending order whatever order they woke in — but within a
 // lane it is: the stalled flits go first, and a new arrival joins them
 // while any remain.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) stepLinksDomain(d *domain) {
 	if len(d.stalled) > 0 {
 		keep := d.stalled[:0]
@@ -193,11 +190,11 @@ func (s *Sim) stepLinksDomain(d *domain) {
 				keep = append(keep, lane)
 			}
 		}
-		//detlint:allow sharedread own-domain list: only this domain's link phase touches its stalled lanes
 		d.stalled = keep
 	}
 	for sd := range s.doms {
-		//detlint:allow sharedread receiver-exclusive: out[d] of every sender is taken only by d, and senders schedule only in the barrier-separated router phase
+		// Only d takes out[d] of each sender, and senders schedule only in
+		// the router phase, behind the phase barrier.
 		evs := s.doms[sd].out[d.di].take(s.now)
 		for i := range evs {
 			s.land(d, evs[i])
@@ -209,9 +206,6 @@ func (s *Sim) stepLinksDomain(d *domain) {
 // sent on guarantees room; an elastic input latch may be full, or the lane
 // may hold stalled flits the new one must not overtake, and then the flit
 // waits in the lane's stall FIFO (backpressure into the link pipeline).
-//
-//sim:hot
-//sim:domain
 func (s *Sim) land(d *domain, a arrival) {
 	l := &s.links[a.link]
 	vc := int(a.vc)
@@ -220,7 +214,7 @@ func (s *Sim) land(d *domain, a arrival) {
 		slot := int(l.recvVB) + vc
 		if st := &s.stall[lane]; st.n > 0 || s.inLen[slot] >= s.inCap[slot] {
 			if st.n == 0 {
-				//detlint:allow sharedread own-domain list: the lane leads into this domain, so only its link phase touches the entry
+				// The lane leads into d, so its stall list is d's own.
 				d.stalled = append(d.stalled, int32(lane))
 			}
 			st.push(s.stallBuf, a.f)
@@ -232,9 +226,6 @@ func (s *Sim) land(d *domain, a arrival) {
 
 // drainStall lands a stalled lane's flits while its input latch has room and
 // reports whether any remain.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) drainStall(d *domain, lane int) bool {
 	l := &s.links[lane/s.vcs]
 	vc := lane % s.vcs
@@ -249,10 +240,10 @@ func (s *Sim) drainStall(d *domain, lane int) bool {
 // deliver pushes a landed flit into input VC vc of the link's receiving
 // port (into inFront when the buffer is empty, behind it in the slab
 // otherwise), keeping the dense input mirrors coherent, and returns the
-// pipeline slot to the sender in elastic modes.
-//
-//sim:hot
-//sim:domain
+// pipeline slot to the sender in elastic modes. One router receives on each
+// directed link, so the input slots and occupancy words it writes are its
+// own; the sender writes pending and reads space only after the phase
+// barrier.
 func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 	to := l.to
 	slot := int(l.recvVB) + vc
@@ -265,18 +256,15 @@ func (s *Sim) deliver(d *domain, l *link, vc int, f flit) {
 	} else {
 		s.inFront[slot] = f
 		b := l.toPort*s.vcs + vc
-		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, and router to's occupancy words are its own
 		s.occIn[to*s.occW+(b>>6)] |= 1 << uint(b&63)
 	}
 	s.inLen[slot] = n + 1
-	//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, sender writes only after the phase barrier
 	l.pending--
 	if l.pending == 0 {
 		d.linksLive--
 	}
 	if s.stall != nil {
 		// Return the pipeline slot to the sender's readiness word.
-		//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the sending domain reads space only after the phase barrier
 		s.space[int(l.sendVB)+vc]++
 	}
 	s.routerGainsFlit(d, to)
@@ -357,8 +345,6 @@ func (s *Sim) stopWorkers() {
 
 // parPhase runs one phase across all domains: publish the command, step
 // domain 0 on the calling (main) goroutine, then wait for every worker.
-//
-//sim:hot
 func (s *Sim) parPhase(cmd uint32) {
 	pr := s.par
 	pr.cmd = cmd
@@ -375,8 +361,6 @@ func (s *Sim) parPhase(cmd uint32) {
 
 // domainWorker is the steady loop of one worker goroutine: wait for an
 // epoch, run the commanded phase on its domain, acknowledge.
-//
-//sim:domain
 func (s *Sim) domainWorker(w int, last uint32) {
 	defer s.par.wg.Done()
 	d := &s.doms[w+1]
@@ -399,8 +383,6 @@ func (s *Sim) domainWorker(w int, last uint32) {
 
 // awaitEpoch spins until the epoch moves past last, yielding the scheduler
 // once the phases stop arriving back-to-back (oversubscribed boxes).
-//
-//sim:hot
 func awaitEpoch(v *atomic.Uint32, last uint32) uint32 {
 	for spins := 0; ; spins++ {
 		if e := v.Load(); e != last {
@@ -413,8 +395,6 @@ func awaitEpoch(v *atomic.Uint32, last uint32) uint32 {
 }
 
 // awaitAck spins until a worker acknowledges the given epoch.
-//
-//sim:hot
 func awaitAck(v *atomic.Uint32, want uint32) {
 	for spins := 0; ; spins++ {
 		if v.Load() == want {

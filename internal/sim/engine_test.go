@@ -75,16 +75,17 @@ func engineNet(t testing.TB) *topo.Network {
 	return net
 }
 
-// newWideEngineSim is newEngineSim on fbf4 at 10 VCs: 13 ports x 10 VCs is
-// 130 input slots per router, three occupancy words.
-func newWideEngineSim(t testing.TB, scheme core.Scheme, rate float64) *Sim {
-	t.Helper()
-	net := topo.FBF(10, 5, 4)
-	tab, err := routing.NewTable(net, routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10)
-	if err != nil {
-		t.Fatal(err)
+// newGridEngineSim returns newEngineSim on a grid network, routed by its
+// kind's table on vcs VCs.
+func newGridEngineSim(net *topo.Network, kind routing.Kind, vcs int) func(testing.TB, core.Scheme, float64) *Sim {
+	return func(t testing.TB, scheme core.Scheme, rate float64) *Sim {
+		t.Helper()
+		tab, err := routing.NewTable(net, kind, vcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newEngineSimOn(t, Config{Net: net, Table: tab, Buffers: core.Buffers{VCs: vcs}}, scheme, rate)
 	}
-	return newEngineSimOn(t, Config{Net: net, Table: tab, Buffers: core.Buffers{VCs: 10}}, scheme, rate)
 }
 
 // newAdaptiveEngineSim returns newEngineSim with every packet routed by
@@ -128,8 +129,13 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"CBR", core.CBR, newEngineSim, 0.06},
 		{"EL", core.EL, newEngineSim, 0.06},
 		// A multi-word occupancy walk, loaded enough to keep many input
-		// VCs of a router occupied at once.
-		{"fbf4_v10/EB", core.EB, newWideEngineSim, 0.20},
+		// VCs of a router occupied at once: fbf4 at 10 VCs is 13 ports x 10
+		// VCs, 130 input slots per router, three occupancy words.
+		{"fbf4_v10/EB", core.EB, newGridEngineSim(topo.FBF(10, 5, 4), routing.Kind{Class: routing.ClassFBF, RX: 10, RY: 5}, 10), 0.20},
+		// Two-phase routes: the send-time next word splits each route at
+		// its X phase, on a torus by dateline and on a PFBF by partition.
+		{"t2d/EB", core.EB, newGridEngineSim(topo.Torus2D(8, 8, 3), routing.Kind{Class: routing.ClassTorus, RX: 8, RY: 8}, 2), 0.06},
+		{"pfbf/EB", core.EB, newGridEngineSim(topo.PFBF(2, 2, 4, 4, 3), routing.Kind{Class: routing.ClassPFBF, PX: 2, PY: 2, RX: 4, RY: 4}, 2), 0.06},
 		// Per-packet route choice: the policies append their words into
 		// the recycled packet buffers like the table walk does.
 		{"ugal-l/EB", core.EB, newAdaptiveEngineSim(&UGAL{Global: false}, 4), 0.06},
@@ -301,42 +307,6 @@ func (s *reqReplySource) NextFire(t int64) int64 {
 		return int64(math.MaxInt64)
 	}
 	return t + 1
-}
-
-// TestSteadyStateZeroAllocsWorkloads extends the zero-allocation contract to
-// the new workload shapes: bursty arrivals (idle/active phase churn in the
-// active sets) and the request-reply closed loop (OnDelivered-emitted
-// replies riding the packet freelist through the ejection path). The cycle
-// loop must stay allocation-free under both.
-func TestSteadyStateZeroAllocsWorkloads(t *testing.T) {
-	sources := []struct {
-		name string
-		mk   func(n int) Source
-	}{
-		{"Bursty", func(n int) Source { return newOnOffSource(n, 0.06, 8, 0.25) }},
-		{"ReqReply", func(n int) Source { return &reqReplySource{n: n, window: 4} }},
-	}
-	for _, src := range sources {
-		src := src
-		t.Run(src.name, func(t *testing.T) {
-			s := newEngineSim(t, core.EB, 0.06)
-			s.cfg.Traffic = src.mk(s.net.N())
-			warm := s.cfg.WarmupCycles + 2000
-			for s.now = 0; s.now < warm; s.now++ {
-				s.step()
-			}
-			allocs := testing.AllocsPerRun(500, func() {
-				s.step()
-				s.now++
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state cycle loop allocates %.2f times per cycle, want 0", allocs)
-			}
-			if s.doneMeasured == 0 {
-				t.Fatal("measurement window delivered nothing; test exercised an idle network")
-			}
-		})
-	}
 }
 
 // TestSteadyStateZeroAllocsCalendar extends the zero-allocation contract to

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"testing"
 )
 
 // CheckBuffers reports the first breach, between cycles, of the bounded
@@ -331,6 +332,24 @@ func (s *Sim) ForwardedFlits() (n int64) {
 		n += s.doms[di].forwarded
 	}
 	return n
+}
+
+// CalendarAllocs steps the engine through its warmup phase and after more
+// cycles, then returns the heap allocations per cycle of the loop the
+// engine runs (a step, then a skip decision) over runs more cycles, and the
+// packets delivered in the measurement window by then.
+func (s *Sim) CalendarAllocs(after int64, runs int) (allocs float64, measured int64) {
+	warm := s.cfg.WarmupCycles + after
+	for s.now = 0; s.now < warm; s.now++ {
+		s.step()
+	}
+	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles + s.cfg.DrainCycles
+	allocs = testing.AllocsPerRun(runs, func() {
+		s.step()
+		s.skipAhead(total)
+		s.now++
+	})
+	return allocs, s.doneMeasured
 }
 
 // Run executes the configured warmup + measurement + drain and returns the

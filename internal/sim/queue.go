@@ -13,8 +13,6 @@ import "math"
 // slabPos is the slab index of element i (0 = front) of a fixed-capacity
 // FIFO at slab[off:off+cap] whose front is at off+head. With head and i
 // below cap the wrap is a compare: capacities are not powers of two.
-//
-//sim:hot
 func slabPos(off, head, i, cap int32) int32 {
 	if head += i; head >= cap {
 		head -= cap
@@ -32,7 +30,6 @@ type fifo struct {
 	head, n   int32
 }
 
-//sim:hot
 func (q *fifo) push(slab []flit, f flit) {
 	if q.n == q.size {
 		panic("sim: stall FIFO overflow")
@@ -41,7 +38,6 @@ func (q *fifo) push(slab []flit, f flit) {
 	q.n++
 }
 
-//sim:hot
 func (q *fifo) pop(slab []flit) flit {
 	f := slab[q.off+q.head]
 	if q.head++; q.head == q.size {
@@ -88,7 +84,6 @@ func (w *wheel[T]) reset() {
 	w.pending = 0
 }
 
-//sim:hot
 func (w *wheel[T]) schedule(now, at int64, v T) {
 	if at <= now {
 		panic("sim: wheel event scheduled at or before now")
@@ -108,8 +103,6 @@ func (w *wheel[T]) schedule(now, at int64, v T) {
 // processing. A clock that jumps forward — the calendar's skip — still
 // observes every event at its due cycle: it never jumps past a wheel's
 // nextDue.
-//
-//sim:hot
 func (w *wheel[T]) take(now int64) []T {
 	b := now & int64(len(w.buckets)-1)
 	evs := w.buckets[b]
@@ -122,8 +115,6 @@ func (w *wheel[T]) take(now int64) []T {
 // event fires, or math.MaxInt64 when the wheel is empty. O(horizon) and
 // allocation-free; called only at skip decisions, when the rest of the
 // engine is idle.
-//
-//sim:hot
 func (w *wheel[T]) nextDue(now int64) int64 {
 	if w.pending == 0 {
 		return math.MaxInt64

@@ -38,9 +38,6 @@ const (
 // injection phases irrelevant). It walks the busy bitset a word at a time
 // and clears a router's bit once its last flit has left. No router gains a
 // flit in this phase, so a word's snapshot sees every router due a visit.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) stepRoutersDomain(d *domain) {
 	for w, m := range d.busy {
 		for ; m != 0; m &= m - 1 {
@@ -55,8 +52,6 @@ func (s *Sim) stepRoutersDomain(d *domain) {
 	}
 }
 
-//sim:hot
-//sim:domain
 func (s *Sim) stepRouter(d *domain, r int) {
 	now := s.now
 	kp := int(s.kp[r])
@@ -231,8 +226,6 @@ func (s *Sim) stepRouter(d *domain, r int) {
 }
 
 // injFront returns the front flit of a non-empty NIC injection queue.
-//
-//sim:hot
 func (s *Sim) injFront(node int) flit {
 	nc := &s.nics[node]
 	return flit{pkt: nc.front.ref, idx: nc.injIdx, next: s.injNext[node]}
@@ -243,9 +236,6 @@ func (s *Sim) injFront(node int) flit {
 // takes its packet off the NIC's list here, before it can eject. The freed
 // slot is the only thing that lets a NIC with unmoved flits inject again,
 // so it wakes the NIC here.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) popInj(d *domain, node int, f flit) {
 	nc := &s.nics[node]
 	nc.injLen--
@@ -273,9 +263,6 @@ func (s *Sim) popInj(d *domain, node int, f flit) {
 // free and no CB traffic is queued for it; otherwise the whole packet
 // reserves CB space atomically (§4.3) and streams through the buffered
 // 4-cycle path. Returns true if the flit was consumed.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int) bool {
 	p := s.pkts[f.pkt]
 	// Ejection.
@@ -344,9 +331,6 @@ func (s *Sim) tryAdvanceCBR(d *domain, r int, f flit, cbWrote *bool, pi, vc int)
 
 // allocCBPacket takes a CB packet record from the domain's freelist
 // (cbPackets live and die at one router, so the pools are domain-closed).
-//
-//sim:hot
-//sim:domain
 func (s *Sim) allocCBPacket(d *domain) *cbPacket {
 	if n := len(d.cbPool); n > 0 {
 		cp := d.cbPool[n-1]
@@ -354,25 +338,18 @@ func (s *Sim) allocCBPacket(d *domain) *cbPacket {
 		d.cbPool = d.cbPool[:n-1]
 		return cp
 	}
-	//detlint:allow hotalloc freelist miss only; steady state recycles via freeCBPacket (pinned by TestSteadyStateZeroAllocs)
+	// A freelist miss: once warm, records recycle through freeCBPacket.
 	return &cbPacket{}
 }
 
 // freeCBPacket recycles a drained CB packet record.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) freeCBPacket(d *domain, cp *cbPacket) {
-	//detlint:allow hotalloc amortised freelist growth; capacity is retained across cycles
 	d.cbPool = append(d.cbPool, cp)
 }
 
 // cbDrain moves at most one flit from the central buffer to an output (the
 // CB's single read port), scanning (port, vc) queues in a deterministic
 // rotating order.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) cbDrain(d *domain, r int) {
 	total := int(s.kp[r]) * s.vcs
 	start := int(s.now) % max(total, 1)
@@ -411,9 +388,6 @@ func (s *Sim) cbDrain(d *domain, r int) {
 // packet pkt (its Sim.pkts index) at per-VC output index vi. space already
 // encodes the scheme (credits for edge buffers, link pipeline slots for
 // elastic modes), so the check is two contiguous loads and two compares.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) outputReady(pkt uint32, vi int, head bool) bool {
 	owner := s.outOwner[vi]
 	if head {
@@ -434,9 +408,6 @@ func (s *Sim) outputReady(pkt uint32, vi int, head bool) bool {
 // because a directed link has exactly one sending router, hence exactly one
 // writing domain; the receiver only touches these fields in the
 // (barrier-separated) link phase.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay int64) {
 	p := s.pkts[f.pkt]
 	if f.head() {
@@ -445,7 +416,9 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	if f.tail(p) {
 		s.outOwner[vi] = -1
 	}
-	//detlint:allow sharedread sender-exclusive decrement; the receiver's slot returns happen in the barrier-separated link phase (elastic) or the serial credit phase (edge buffers)
+	// Only the sender decrements; the receiver returns slots in the link
+	// phase (elastic) or the serial credit phase (edge buffers), both behind
+	// the phase barrier.
 	s.space[vi]--
 	if s.space[vi] < 0 {
 		panic("sim: negative output readiness")
@@ -461,9 +434,10 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 	lane := int(lid)*s.vcs + outVC
 	at := max(s.now+delay+l.latency, s.laneLast[lane])
 	s.laneLast[lane] = at
-	//detlint:allow sharedread sender-exclusive: d.out is this domain's own wheel set, its receivers take from it only in the barrier-separated link phase
+	// d.out is this domain's own wheel set; its receivers take from it only
+	// in the link phase, behind the phase barrier. One router sends on each
+	// directed link, and its receiver reads pending only after the barrier.
 	d.out[s.domOf[l.to]].schedule(s.now, at, arrival{f: f, link: lid, vc: int32(outVC)})
-	//detlint:allow sharedread sender-exclusive: one sending router per directed link, receiver reads only after the phase barrier
 	l.pending++
 	if l.pending == 1 {
 		d.linksLive++
@@ -475,9 +449,6 @@ func (s *Sim) sendFlit(d *domain, r int, f flit, outPort, outVC, vi int, delay i
 // r*stride+pi is the flat port index). Callers pass the indices they already
 // hold from the probe, so the pop recomputes nothing. Under edge buffers the
 // freed slot returns a credit upstream through the domain's credit wheel.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 	n := s.inLen[vi] - 1
 	s.inLen[vi] = n
@@ -492,7 +463,7 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 		s.inFront[vi] = nf
 	} else {
 		b := vi - r*s.stride*s.vcs
-		//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and r's occupancy words are only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
+		// Router r's occupancy words are written only by r's own domain.
 		s.occIn[r*s.occW+(b>>6)] &^= 1 << uint(b&63)
 	}
 	if s.scheme.EdgeBuffers() {
@@ -507,9 +478,6 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 
 // ejectWithDelay consumes a flit at its destination, accounting for the
 // final router traversal on the domain's ejection wheel.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) ejectWithDelay(d *domain, r int, f flit) {
 	d.ejection.schedule(s.now, s.now+routerDelayDirect, f)
 	s.work[r]--
@@ -518,8 +486,6 @@ func (s *Sim) ejectWithDelay(d *domain, r int, f flit) {
 // flushEjections completes the delayed ejections due at cycle t, taking the
 // domains' wheels in ascending domain order: the 1-domain engine's
 // ascending-router order (see domain.go).
-//
-//sim:hot
 func (s *Sim) flushEjections(t int64) {
 	for di := range s.doms {
 		for _, f := range s.doms[di].ejection.take(t) {

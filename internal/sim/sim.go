@@ -279,12 +279,9 @@ const (
 	nextNone  = routing.NextEject - 1
 )
 
-//sim:hot
 func (f flit) head() bool { return f.idx == 0 }
 
 // tail reports whether f is the last flit of p, its packet.
-//
-//sim:hot
 func (f flit) tail(p *packet) bool { return int32(f.idx) == p.flits-1 }
 
 // arrival is a flit in flight on a wire. The wheel bucket it rides is the
@@ -988,8 +985,6 @@ func (s *Sim) RunContext(ctx context.Context, every int64, onProgress func(Progr
 // original full-scan engine exactly; only the iteration strategy changed.
 // The link and router phases run per domain — in parallel when workers are
 // live, inline in ascending domain order otherwise (see domain.go).
-//
-//sim:hot
 func (s *Sim) step() {
 	s.stepGenerate()
 	s.stepCredits()
@@ -1034,7 +1029,6 @@ type latHist struct {
 	n, sum int64
 }
 
-//sim:hot
 func (h *latHist) add(l int64) {
 	for int64(len(h.counts)) <= l {
 		h.counts = append(h.counts, 0)
@@ -1060,8 +1054,6 @@ func (h *latHist) quantile(p float64) float64 {
 // NICs. Generation stops at the end of the measurement window so the drain
 // phase empties the network; a non-zero InFlight after Run therefore
 // indicates a deadlock or livelock.
-//
-//sim:hot
 func (s *Sim) stepGenerate() {
 	if s.now >= s.cfg.WarmupCycles+s.cfg.MeasureCycles {
 		return
@@ -1071,8 +1063,6 @@ func (s *Sim) stepGenerate() {
 
 // allocPacket takes a packet from the freelist, or allocates one and files
 // it in the directory at the next ref.
-//
-//sim:hot
 func (s *Sim) allocPacket() *packet {
 	var p *packet
 	if n := len(s.pktFree); n > 0 {
@@ -1083,7 +1073,7 @@ func (s *Sim) allocPacket() *packet {
 		if len(s.pkts) == math.MaxInt32 {
 			panic("sim: packet directory full (output VC owners are int32)")
 		}
-		//detlint:allow hotalloc freelist miss only; steady state recycles via freePacket (pinned by TestSteadyStateZeroAllocs)
+		// A freelist miss: once warm, packets recycle through freePacket.
 		p = &packet{ref: uint32(len(s.pkts))}
 		s.pkts = append(s.pkts, p)
 		s.eng.pktAllocs++
@@ -1094,13 +1084,10 @@ func (s *Sim) allocPacket() *packet {
 }
 
 // freePacket recycles a fully ejected packet.
-//
-//sim:hot
 func (s *Sim) freePacket(p *packet) {
 	s.pktFree = append(s.pktFree, p.ref)
 }
 
-//sim:hot
 func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	if flits <= 0 {
 		flits = s.cfg.PacketFlits
@@ -1139,8 +1126,6 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 // nextWord returns p's next-hop word at router cur on hop hop: toward the
 // waypoint while hop is below viaHops, then toward the destination. A flit
 // ejects only past the waypoint: a Valiant first segment may cross dstR.
-//
-//sim:hot
 func (s *Sim) nextWord(p *packet, cur, hop int) uint32 {
 	dst := p.dstR
 	if hop < int(p.viaHops) {
@@ -1152,9 +1137,6 @@ func (s *Sim) nextWord(p *packet, cur, hop int) uint32 {
 // nicWake puts a NIC with queued packets on its domain's ready list, once.
 // Callers are the serial phases (enqueuePacket) and the NIC's own router's
 // domain in the router phase (popInj), so the append is single-writer.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) nicWake(d *domain, node int) {
 	if !s.nicReady[node] {
 		s.nicReady[node] = true
@@ -1165,8 +1147,6 @@ func (s *Sim) nicWake(d *domain, node int) {
 // stepCredits applies the credit returns due this cycle from every domain's
 // wheel (edge buffers: each event restores one unit of output readiness at
 // the upstream router, so the order of returns does not matter).
-//
-//sim:hot
 func (s *Sim) stepCredits() {
 	for di := range s.doms {
 		for _, ev := range s.doms[di].credit.take(s.now) {
@@ -1178,9 +1158,6 @@ func (s *Sim) stepCredits() {
 // routerGainsFlit accounts a flit arriving at router r of domain d and
 // marks the router busy. Callers are either d's link phase or the serial
 // injection phase, so the bit write is always single-writer.
-//
-//sim:hot
-//sim:domain
 func (s *Sim) routerGainsFlit(d *domain, r int) {
 	if s.work[r] == 0 {
 		i := r - int(d.rlo)
@@ -1196,8 +1173,6 @@ func (s *Sim) routerGainsFlit(d *domain, r int) {
 // router phase visits routers in ascending order whatever order they woke
 // in. Every visit ends with no unmoved flits or a full injection queue, so
 // the lists empty completely.
-//
-//sim:hot
 func (s *Sim) stepInject() {
 	for di := range s.doms {
 		d := &s.doms[di]
@@ -1211,8 +1186,6 @@ func (s *Sim) stepInject() {
 
 // injectNIC moves the flits of one NIC's queued packets, from src on, into
 // its injection queue while space lasts. d owns the NIC's router.
-//
-//sim:hot
 func (s *Sim) injectNIC(d *domain, v int) {
 	nc := &s.nics[v]
 	r := s.net.NodeRouter(v)
@@ -1236,7 +1209,6 @@ func (s *Sim) injectNIC(d *domain, v int) {
 	}
 }
 
-//sim:hot
 func (s *Sim) flitCountInjected(p *packet) {
 	if s.now >= s.cfg.WarmupCycles && s.now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
 		s.flitsInjected++
@@ -1245,8 +1217,6 @@ func (s *Sim) flitCountInjected(p *packet) {
 }
 
 // eject consumes a flit at its destination.
-//
-//sim:hot
 func (s *Sim) eject(f flit) {
 	p := s.pkts[f.pkt]
 	s.inFlightFlits--

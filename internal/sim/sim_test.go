@@ -739,3 +739,52 @@ func TestDefaultDomains(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyStateZeroAllocsWorkloads extends the zero-allocation contract to
+// the traffic package's sources, driven by the loop the engine runs (a step,
+// then a skip decision): bursty arrivals (idle/active phase churn in the
+// active sets), the request-reply closed loop (OnDelivered-emitted replies
+// riding the packet freelist through the ejection path), and a closed loop
+// of two requesters, which leaves the network idle often enough that the
+// calendar asks the source's NextFire.
+func TestSteadyStateZeroAllocsWorkloads(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		src  func(n int) sim.Source
+	}{
+		{"Bursty", func(n int) sim.Source {
+			return &traffic.Synthetic{N: n, Rate: 0.06, PacketFlits: 6,
+				Pattern: traffic.Uniform{N: n}, Process: traffic.NewOnOff(n, 8, 0.25)}
+		}},
+		{"ReqReply", func(n int) sim.Source {
+			return &traffic.ReqReply{N: n, Window: 4, ReqFlits: 2, ReplyFlits: 6, Pattern: traffic.Uniform{N: n}}
+		}},
+		{"ReqReply/idle", func(int) sim.Source {
+			return &traffic.ReqReply{N: 2, Window: 1, ReqFlits: 2, ReplyFlits: 6, Pattern: traffic.Uniform{N: 2}}
+		}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+			s, err := sim.New(sim.Config{
+				Net:           net,
+				Table:         minTable(t, net, 2),
+				Buffers:       core.Buffers{VCs: 2, Scheme: core.EB},
+				Traffic:       sc.src(net.N()),
+				Seed:          211,
+				WarmupCycles:  2000,
+				MeasureCycles: 20000,
+				DrainCycles:   4000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs, measured := s.CalendarAllocs(2000, 500)
+			if allocs != 0 {
+				t.Fatalf("steady-state cycle loop allocates %.2f times per cycle, want 0", allocs)
+			}
+			if measured == 0 {
+				t.Fatal("measurement window delivered nothing; test exercised an idle network")
+			}
+		})
+	}
+}

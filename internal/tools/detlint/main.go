@@ -1,11 +1,10 @@
-// Command detlint runs the determinism & zero-allocation static-analysis
-// suite (internal/detlint) over the repository and prints findings in the
-// go-vet file:line:col style, exiting nonzero when any contract is
-// violated.
+// Command detlint runs the determinism static-analysis suite
+// (internal/detlint) over the repository and prints findings in the go-vet
+// file:line:col style, exiting nonzero when any contract is violated.
 //
-// Usage:
+// Usage, from the module root:
 //
-//	go run ./internal/tools/detlint [-C dir] [-list] [-analyzers a,b] [patterns...]
+//	go run ./internal/tools/detlint [patterns...]
 //
 // Patterns are go-list package patterns; the default set covers the
 // determinism-critical tree (./internal/... ./slimnoc/... ./cmd/...).
@@ -18,49 +17,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/detlint"
 )
 
 func main() {
-	dir := flag.String("C", ".", "directory to resolve package patterns in (module root)")
-	list := flag.Bool("list", false, "list the suite's analyzers and exit")
-	only := flag.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 	flag.Parse()
-
-	if *list {
-		for _, a := range detlint.Analyzers() {
-			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := detlint.Analyzers()
-	if *only != "" {
-		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := detlint.AnalyzerByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "detlint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./internal/...", "./slimnoc/...", "./cmd/..."}
 	}
 
-	pkgs, err := detlint.Load(*dir, patterns)
+	pkgs, err := detlint.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	diags, err := detlint.Run(detlint.DefaultConfig(), pkgs, analyzers)
+	diags, err := detlint.Run(detlint.DefaultConfig(), pkgs, detlint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -72,10 +46,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
-
-	hot := 0
-	for _, p := range pkgs {
-		hot += detlint.HotFunctionCount(p)
-	}
-	fmt.Printf("detlint: ok — %d package(s) clean, %d //sim:hot function(s) guarded\n", len(pkgs), hot)
+	fmt.Printf("detlint: ok — %d package(s) clean\n", len(pkgs))
 }

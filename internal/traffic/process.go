@@ -48,14 +48,10 @@ type Bernoulli struct{}
 func (Bernoulli) Name() string { return "bernoulli" }
 
 // Begin implements Process (memoryless: no per-cycle state, no RNG draw).
-//
-//sim:hot
 func (Bernoulli) Begin(t int64, rng *rng.Stream) {}
 
 // Next implements Process: one scan of the stream for the first draw below
 // prob.
-//
-//sim:hot
 func (Bernoulli) Next(rng *rng.Stream, from, n int, prob float64) int {
 	return from + rng.FirstBelow(prob, n-from)
 }
@@ -105,14 +101,10 @@ func NewOnOff(n int, burstLen, duty float64) *OnOff {
 func (o *OnOff) Name() string { return "burst" }
 
 // Begin implements Process (state is per node, advanced in Next).
-//
-//sim:hot
 func (o *OnOff) Begin(t int64, rng *rng.Stream) {}
 
 // Next implements Process: for each node, advance its two-state chain (one
 // draw), then draw the injection decision while it is on.
-//
-//sim:hot
 func (o *OnOff) Next(rng *rng.Stream, from, n int, prob float64) int {
 	onProb := prob / o.Duty
 	for node := from; node < n; node++ {
@@ -167,8 +159,6 @@ func NewModulated(factor, period float64) *Modulated {
 func (m *Modulated) Name() string { return "mmpp" }
 
 // Begin implements Process: one global state-transition draw per cycle.
-//
-//sim:hot
 func (m *Modulated) Begin(t int64, rng *rng.Stream) {
 	if rng.Float64() < m.flip {
 		m.high = !m.high
@@ -177,8 +167,6 @@ func (m *Modulated) Begin(t int64, rng *rng.Stream) {
 
 // Next implements Process: memoryless within a cycle, so one scan at the
 // current state's probability.
-//
-//sim:hot
 func (m *Modulated) Next(rng *rng.Stream, from, n int, prob float64) int {
 	if m.high {
 		prob *= m.Factor
@@ -211,13 +199,9 @@ type Fixed struct {
 func (Fixed) Name() string { return "fixed" }
 
 // Mean implements Sizer.
-//
-//sim:hot
 func (f Fixed) Mean() float64 { return float64(f.Flits) }
 
 // Draw implements Sizer.
-//
-//sim:hot
 func (f Fixed) Draw(rng *rng.Stream) int { return f.Flits }
 
 // Bimodal mixes short control packets with long data packets: a packet is
@@ -234,15 +218,11 @@ type Bimodal struct {
 func (Bimodal) Name() string { return "bimodal" }
 
 // Mean implements Sizer.
-//
-//sim:hot
 func (b Bimodal) Mean() float64 {
 	return b.ShortFrac*float64(b.Short) + (1-b.ShortFrac)*float64(b.Long)
 }
 
 // Draw implements Sizer.
-//
-//sim:hot
 func (b Bimodal) Draw(rng *rng.Stream) int {
 	if rng.Float64() < b.ShortFrac {
 		return b.Short

@@ -62,11 +62,8 @@ var _ sim.NextFirer = (*ReqReply)(nil)
 // requests. On the first cycle this emits Window requests per node (the
 // cold-start burst); afterwards it emits one request per reply received, the
 // steady closed-loop state.
-//
-//sim:hot
 func (s *ReqReply) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	if s.outstanding == nil {
-		//detlint:allow hotalloc one-time lazy init on first cycle, outside the measured steady state
 		s.outstanding = make([]int, s.N)
 	}
 	for node := 0; node < s.N; node++ {
@@ -85,8 +82,6 @@ func (s *ReqReply) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits,
 // cycle — so the window-stalled state persists across any skipped range and
 // the calendar may jump straight to the next engine event. With any window
 // slot open the source fires next cycle.
-//
-//sim:hot
 func (s *ReqReply) NextFire(t int64) int64 {
 	if s.outstanding != nil && s.totalOut >= s.N*s.Window {
 		return math.MaxInt64 // stalled until a reply lands
@@ -98,8 +93,6 @@ func (s *ReqReply) NextFire(t int64) int64 {
 // (data-packet sized, back to the requester), and a delivered reply returns
 // window credit to its destination — the original requester — so Generate
 // issues a replacement next cycle.
-//
-//sim:hot
 func (s *ReqReply) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 	switch class {
 	case classRequest:

@@ -51,8 +51,6 @@ type Uniform struct {
 func (Uniform) Name() string { return "RND" }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (u Uniform) Dest(rng *rng.Stream, src int) int {
 	if u.N < 2 {
 		return src
@@ -66,8 +64,6 @@ func (u Uniform) Dest(rng *rng.Stream, src int) int {
 }
 
 // nodeBits returns the number of bits needed to index n nodes.
-//
-//sim:hot
 func nodeBits(n int) int {
 	b := 0
 	for (1 << b) < n {
@@ -98,8 +94,6 @@ type Shuffle struct {
 func (Shuffle) Name() string { return "SHF" }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (s Shuffle) Dest(rng *rng.Stream, src int) int {
 	b := nodeBits(s.N)
 	if b == 0 {
@@ -125,8 +119,6 @@ type Reversal struct {
 func (Reversal) Name() string { return "REV" }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (r Reversal) Dest(rng *rng.Stream, src int) int {
 	b := nodeBits(r.N)
 	d := 0
@@ -217,8 +209,6 @@ func (a *Adversarial) Name() string {
 }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (a *Adversarial) Dest(rng *rng.Stream, src int) int {
 	p := a.net.P
 	r := a.net.NodeRouter(src)
@@ -240,8 +230,6 @@ type Asymmetric struct {
 func (Asymmetric) Name() string { return "ASYM" }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (a Asymmetric) Dest(rng *rng.Stream, src int) int {
 	if a.N < 2 {
 		return src
@@ -278,8 +266,6 @@ type Hotspot struct {
 func (h Hotspot) Name() string { return "HOT+" + h.Base.Name() }
 
 // Dest implements Pattern.
-//
-//sim:hot
 func (h Hotspot) Dest(rng *rng.Stream, src int) int {
 	if rng.Float64() >= h.Frac {
 		return h.Base.Dest(rng, src)
@@ -319,8 +305,6 @@ type Synthetic struct {
 var _ sim.Source = (*Synthetic)(nil)
 
 // Generate implements sim.Source.
-//
-//sim:hot
 func (s *Synthetic) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
 	if !s.pinned {
 		s.pin()
@@ -335,15 +319,11 @@ func (s *Synthetic) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits
 // Process and Sizer and the packet-start probability. Pinning once (not per
 // cycle) keeps the interface conversions and the Sizer.Mean call out of the
 // steady-state loop; Rate, Process and Sizer must not change afterwards.
-//
-//sim:hot
 func (s *Synthetic) pin() {
 	if s.Process == nil {
-		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Process = Bernoulli{}
 	}
 	if s.Sizer == nil {
-		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Sizer = Fixed{Flits: s.PacketFlits}
 	}
 	s.prob = s.Rate / s.Sizer.Mean()
@@ -351,8 +331,6 @@ func (s *Synthetic) pin() {
 }
 
 // OnDelivered implements sim.Source (synthetic traffic has no replies).
-//
-//sim:hot
 func (s *Synthetic) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
 }
 

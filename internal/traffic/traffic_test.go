@@ -233,9 +233,12 @@ func TestSyntheticRate(t *testing.T) {
 	}
 }
 
+// patternNames are the names PatternByName builds.
+var patternNames = []string{"RND", "SHF", "REV", "ADV1", "ADV2", "ASYM"}
+
 func TestPatternByName(t *testing.T) {
 	net := snNet(t, 3, 3)
-	for _, name := range []string{"RND", "SHF", "REV", "ADV1", "ADV2", "ASYM"} {
+	for _, name := range patternNames {
 		p := PatternByName(name, net)
 		if p == nil {
 			t.Fatalf("PatternByName(%s) = nil", name)

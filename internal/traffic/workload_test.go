@@ -304,7 +304,14 @@ func TestSourceGenerateZeroAllocs(t *testing.T) {
 	const n = 64
 	rng := rng.New(1)
 	nop := func(s, d, f, c int) {}
-	for name, src := range newWorkloads(n) {
+	sources := newWorkloads(n)
+	// Every spatial pattern's Dest, on 200 nodes so the bit permutations
+	// fold out-of-range IDs.
+	net := snNet(t, 5, 4)
+	for _, name := range patternNames {
+		sources[name] = &Synthetic{N: net.N(), Rate: 0.06, PacketFlits: 6, Pattern: PatternByName(name, net)}
+	}
+	for name, src := range sources {
 		src := src
 		var tt int64
 		for ; tt < 50; tt++ { // warm: pin default Process/Sizer, state slices
