@@ -1,42 +1,25 @@
 package exp
 
 import (
-	"encoding/json"
-	"flag"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/stats"
 	"repro/slimnoc"
 	"repro/slimnoc/store"
 )
-
-var updateClaims = flag.Bool("update-claims", false, "rewrite testdata/claims_quick.json from this run's verdicts")
-
-// claimsFile pins every declared claim's verdict at quick mode, seed 1.
-var claimsFile = filepath.Join("testdata", "claims_quick.json")
 
 // TestClaims judges the paper's claims at quick mode, seed 1, against the
 // verdicts pinned in testdata/claims_quick.json: every declared claim, or
 // under -short the claims of shortFigures. A failed table lookup is an
 // error, never a verdict, and a claim without a pin fails. The figures
 // share one result store, so points common to several figures simulate
-// once. Regenerate the pins with -update-claims.
+// once. The pins move only with an EngineVersion bump, re-pinned with
+// GOLDEN_UPDATE=1 go test ./...
 func TestClaims(t *testing.T) {
-	if *updateClaims && testing.Short() {
-		t.Fatal("-update-claims judges every claim: run it without -short")
-	}
-	pinned := map[string]string{}
-	data, err := os.ReadFile(claimsFile)
-	if err == nil {
-		err = json.Unmarshal(data, &pinned)
-	}
-	if err != nil && !*updateClaims {
-		t.Fatal(err)
-	}
 	st, err := store.Open(filepath.Join(t.TempDir(), "store.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -55,28 +38,11 @@ func TestClaims(t *testing.T) {
 						t.Fatal(v.Err)
 					}
 					got[v.Claim] = v.Outcome
-					if want := pinned[v.Claim]; !*updateClaims && v.Outcome != want {
-						t.Errorf("%s (value %.4g), pinned %q: %s", v.Outcome, v.Value, want, v.Paper)
-					}
 				})
 			}
 		})
 	}
-	if *updateClaims {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(claimsFile, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	for id := range pinned {
-		if _, ok := got[id]; !ok && !testing.Short() {
-			t.Errorf("pinned claim %s was not judged", id)
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "claims_quick.json"), slimnoc.EngineVersion, got)
 }
 
 // readerTables is a fixture with a repeating first column (tab5-like), a

@@ -12,37 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
-
-// bernoulliSource mirrors traffic.Synthetic with a uniform pattern. The
-// real traffic package imports sim and so cannot be used from white-box
-// tests.
-type bernoulliSource struct {
-	n     int
-	rate  float64
-	flits int
-}
-
-func (b *bernoulliSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
-	prob := b.rate / float64(b.flits)
-	for node := 0; node < b.n; node++ {
-		if rng.Float64() < prob {
-			for {
-				d := rng.Intn(b.n)
-				if d != node {
-					emit(node, d, b.flits, 0)
-					break
-				}
-			}
-		}
-	}
-}
-
-func (b *bernoulliSource) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
-}
 
 // minTable compiles the generic minimal route table of net over vcs VCs.
 func minTable(t testing.TB, net *topo.Network, vcs int) *routing.RouteTable {
@@ -102,7 +74,7 @@ func newAdaptiveEngineSim(policy AdaptivePolicy, vcs int) func(testing.TB, core.
 func newEngineSimOn(t testing.TB, cfg Config, scheme core.Scheme, rate float64) *Sim {
 	t.Helper()
 	cfg.Scheme = scheme
-	cfg.Traffic = &bernoulliSource{n: cfg.Net.N(), rate: rate, flits: 6}
+	cfg.Traffic = UniformTraffic(cfg.Net.N(), rate, 6)
 	cfg.Seed = 211
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 2000, 20000, 4000
 	s, err := New(cfg)
@@ -191,7 +163,7 @@ func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 		Net:           net,
 		Table:         tab,
 		Buffers:       core.Buffers{VCs: 2, Scheme: core.EB},
-		Traffic:       &bernoulliSource{n: net.N(), rate: 0.06, flits: 6},
+		Traffic:       UniformTraffic(net.N(), 0.06, 6),
 		Seed:          211,
 		WarmupCycles:  2000,
 		MeasureCycles: 20000,
@@ -215,98 +187,6 @@ func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 	if s.doneMeasured == 0 {
 		t.Fatal("measurement window delivered nothing; test exercised an idle network")
 	}
-}
-
-// onOffSource mirrors traffic.Synthetic with the OnOff bursty process (the
-// traffic package imports sim, so white-box tests re-state the semantics):
-// per-node two-state chain, geometric dwell, injection at rate/duty while on.
-type onOffSource struct {
-	n, flits        int
-	rate, duty      float64
-	exitOn, exitOff float64
-	on              []bool
-}
-
-func newOnOffSource(n int, rate, burstLen, duty float64) *onOffSource {
-	return &onOffSource{
-		n: n, flits: 6, rate: rate, duty: duty,
-		exitOn:  1 / burstLen,
-		exitOff: duty / ((1 - duty) * burstLen),
-		on:      make([]bool, n),
-	}
-}
-
-func (b *onOffSource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
-	prob := b.rate / float64(b.flits)
-	for node := 0; node < b.n; node++ {
-		if b.on[node] {
-			if rng.Float64() < b.exitOn {
-				b.on[node] = false
-			}
-		} else if rng.Float64() < b.exitOff {
-			b.on[node] = true
-		}
-		if !b.on[node] || rng.Float64() >= prob/b.duty {
-			continue
-		}
-		for {
-			d := rng.Intn(b.n)
-			if d != node {
-				emit(node, d, b.flits, 0)
-				break
-			}
-		}
-	}
-}
-
-func (b *onOffSource) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
-}
-
-// reqReplySource mirrors traffic.ReqReply: a closed loop where every node
-// keeps `window` requests outstanding, each delivered request triggers a
-// data-sized reply, and each delivered reply returns window credit. Like
-// the real source it implements NextFirer: with every window full Generate
-// is a zero-RNG no-op until a reply lands.
-type reqReplySource struct {
-	n, window   int
-	outstanding []int
-	totalOut    int
-}
-
-func (s *reqReplySource) Generate(t int64, rng *rng.Stream, emit func(src, dst, flits, class int)) {
-	if s.outstanding == nil {
-		s.outstanding = make([]int, s.n)
-	}
-	for node := 0; node < s.n; node++ {
-		for s.outstanding[node] < s.window {
-			for {
-				d := rng.Intn(s.n)
-				if d != node {
-					emit(node, d, 2, 1)
-					break
-				}
-			}
-			s.outstanding[node]++
-			s.totalOut++
-		}
-	}
-}
-
-func (s *reqReplySource) OnDelivered(t int64, src, dst, flits, class int, emit func(src, dst, flits, class int)) {
-	switch class {
-	case 1:
-		emit(dst, src, 6, 2)
-	case 2:
-		s.outstanding[dst]--
-		s.totalOut--
-	}
-}
-
-func (s *reqReplySource) NextFire(t int64) int64 {
-	if s.outstanding != nil && s.totalOut >= s.n*s.window {
-		return int64(math.MaxInt64)
-	}
-	return t + 1
 }
 
 // TestSteadyStateZeroAllocsCalendar extends the zero-allocation contract to
@@ -347,50 +227,6 @@ func TestSteadyStateZeroAllocsCalendar(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSkipAccounting pins the CyclesSkipped/CalendarPeak telemetry: nonzero
-// on an idle workload (where the drain phase alone is thousands of dead
-// cycles), exactly zero at saturation (active sets never empty, so the
-// calendar never gets a skip), and exactly zero under Config.CycleStep.
-func TestSkipAccounting(t *testing.T) {
-	t.Run("IdleSkips", func(t *testing.T) {
-		s := newEngineSim(t, core.EB, 0.002)
-		s.cfg.Traffic = &reqReplySource{n: s.net.N(), window: 1}
-		s.Run()
-		st := s.EngineStats()
-		if st.CyclesSkipped == 0 {
-			t.Fatalf("idle closed loop skipped nothing: %+v", st)
-		}
-		if st.CalendarPeak == 0 {
-			t.Fatalf("skips fired but no calendar backlog was sampled: %+v", st)
-		}
-		if st.CyclesSkipped >= st.Cycles {
-			t.Fatalf("skipped %d of %d cycles; skips must be a strict subset", st.CyclesSkipped, st.Cycles)
-		}
-	})
-	t.Run("SaturationNeverSkips", func(t *testing.T) {
-		s := newEngineSim(t, core.EB, 0.40)
-		s.cfg.DrainCycles = 500 // keep the saturated drain bounded
-		s.Run()
-		st := s.EngineStats()
-		if st.CyclesSkipped != 0 {
-			t.Fatalf("saturated run skipped %d cycles, want exactly 0", st.CyclesSkipped)
-		}
-		if st.CalendarPeak != 0 {
-			t.Fatalf("saturated run sampled calendar peak %d, want 0 (no skip decisions)", st.CalendarPeak)
-		}
-	})
-	t.Run("CycleStepNeverSkips", func(t *testing.T) {
-		s := newEngineSim(t, core.EB, 0.002)
-		s.cfg.CycleStep = true
-		s.calendar = false
-		s.Run()
-		st := s.EngineStats()
-		if st.CyclesSkipped != 0 || st.CalendarPeak != 0 {
-			t.Fatalf("CycleStep run reported skip telemetry: %+v", st)
-		}
-	})
 }
 
 // TestPercentile pins the nearest-rank floor semantics of the latency
@@ -659,7 +495,7 @@ func TestMemEstimateTracksNew(t *testing.T) {
 		for _, sc := range cases {
 			t.Run(nc.name+"/"+sc.name, func(t *testing.T) {
 				cfg := Config{Net: net, Table: tab, Adaptive: sc.adaptive, Buffers: core.Buffers{VCs: 2, Scheme: sc.scheme, H: 9},
-					Traffic: &bernoulliSource{n: net.N(), rate: 0.1, flits: 6}}
+					Traffic: UniformTraffic(net.N(), 0.1, 6)}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				s, err := New(cfg)

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// UniformTraffic returns the real Bernoulli source with uniform
+// destinations (traffic.Synthetic) at rate flits per node per cycle in
+// packets of flits flits. The traffic package imports sim, so the
+// white-box tests cannot name it; the external test package's init sets
+// this hook.
+var UniformTraffic func(n int, rate float64, flits int) Source
+
 // CheckBuffers reports the first breach, between cycles, of the bounded
 // buffer invariants, for the external tests that step an engine: every input
 // buffer holds between 0 and inCap flits, in wormhole order, every

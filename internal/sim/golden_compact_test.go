@@ -20,7 +20,7 @@ import (
 func TestGoldenMetricsCompactTable(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("read golden fixture (generate with -update-golden): %v", err)
+		t.Fatalf("read golden fixture: %v", err)
 	}
 	var want map[string]sim.Result
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -70,7 +70,7 @@ func TestGoldenMetricsCompactTable(t *testing.T) {
 func TestGoldenWorkloadsCompactTable(t *testing.T) {
 	data, err := os.ReadFile(workloadsPath)
 	if err != nil {
-		t.Fatalf("read workloads fixture (generate with -update-workloads): %v", err)
+		t.Fatalf("read workloads fixture: %v", err)
 	}
 	var want map[string]sim.Result
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -112,7 +112,7 @@ func TestGoldenWorkloadsCompactTable(t *testing.T) {
 func TestGoldenIdleCompactTable(t *testing.T) {
 	data, err := os.ReadFile(goldenIdlePath)
 	if err != nil {
-		t.Fatalf("read idle fixture (generate with -update-golden-idle): %v", err)
+		t.Fatalf("read idle fixture: %v", err)
 	}
 	var want map[string]sim.Result
 	if err := json.Unmarshal(data, &want); err != nil {

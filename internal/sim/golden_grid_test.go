@@ -1,13 +1,11 @@
 package sim_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -21,13 +19,8 @@ import (
 // minimally; this one is the proof that a change to how grid routes are
 // stored or walked moves no flit. The wide cases (wideGridCases) pin routers
 // whose input slots (ports x VCs) span more than one 64-bit word, and the
-// adaptive cases (adaptiveGridCases) the §6 policies on FBF.
-//
-// Regenerate (only for an intentional, documented behaviour change):
-//
-//	go test ./internal/sim -run TestGoldenGrid -update-golden-grid
-var updateGoldenGrid = flag.Bool("update-golden-grid", false, "rewrite the grid-routing golden fixture")
-
+// adaptive cases (adaptiveGridCases) the §6 policies on FBF. Re-pin (only
+// with an EngineVersion bump) with GOLDEN_UPDATE=1 go test ./...
 const goldenGridPath = "testdata/golden_grid.json"
 
 // gridRecord is one fixture entry: the run's Result and its engine
@@ -171,44 +164,13 @@ func runGridCase(t *testing.T, c gridCase, jobs int) gridRecord {
 // TestGoldenGrid replays every grid case serially and split across four
 // domains against the fixture.
 func TestGoldenGrid(t *testing.T) {
-	got := make(map[string]gridRecord)
+	serial, par := make(map[string]gridRecord), make(map[string]gridRecord)
 	for _, c := range gridCases() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			got[c.Name] = runGridCase(t, c, 0)
+			serial[c.Name] = runGridCase(t, c, 0)
+			par[c.Name] = runGridCase(t, c, 4)
 		})
 	}
-	if *updateGoldenGrid {
-		writeGolden(t, goldenGridPath, got)
-		return
-	}
-
-	data, err := os.ReadFile(goldenGridPath)
-	if err != nil {
-		t.Fatalf("read grid fixture (generate with -update-golden-grid): %v", err)
-	}
-	var want map[string]gridRecord
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range gridCases() {
-		g, ok := got[c.Name]
-		if !ok {
-			continue // filtered out by -run
-		}
-		w, ok := want[c.Name]
-		if !ok {
-			t.Errorf("case %s missing from fixture; regenerate intentionally", c.Name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: drifted from grid fixture\n got %+v\nwant %+v", c.Name, g, w)
-		}
-		if par := runGridCase(t, c, 4); par != w {
-			t.Errorf("%s: 4-domain run drifted from grid fixture\n got %+v\nwant %+v", c.Name, par, w)
-		}
-	}
-	if len(got) == len(gridCases()) && len(want) != len(got) {
-		t.Errorf("fixture holds %d cases, the test produces %d", len(want), len(got))
-	}
+	golden.Check(t, goldenGridPath, sim.EngineVersion, serial)
+	golden.Check(t, goldenGridPath, sim.EngineVersion, par)
 }

@@ -1,13 +1,11 @@
 package sim_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -19,12 +17,8 @@ import (
 // generated with the calendar ON; TestGoldenIdleCycleStep replays every case
 // with Config.CycleStep forced and must match the same bytes, which is the
 // standing proof that skipping is exact (the harness twin of diff_test.go's
-// randomized corpus).
-//
-// Regenerate (only for an intentional, documented behaviour change):
-//
-//	go test ./internal/sim -run TestGoldenIdle -update-golden-idle
-var updateGoldenIdle = flag.Bool("update-golden-idle", false, "rewrite the idle-skip golden fixture")
+// randomized corpus). Re-pin (only with an EngineVersion bump) with
+// GOLDEN_UPDATE=1 go test ./...
 
 const goldenIdlePath = "testdata/golden_idle.json"
 
@@ -57,11 +51,7 @@ func goldenIdleCases() []goldenIdleCase {
 	return cases
 }
 
-// runGoldenIdleCase executes one case. jobs selects the engine-domain count
-// and cycleStep forces classic stepping — the fixture must be invariant to
-// both, which is exactly what the three Test functions below assert.
-// idleSource builds the pinned idle-heavy workload for one shape; shared
-// with the compact-route-table replay in golden_compact_test.go.
+// idleSource builds the pinned idle-heavy workload for one shape.
 func idleSource(t *testing.T, n int, shape string) sim.Source {
 	t.Helper()
 	switch shape {
@@ -83,6 +73,9 @@ func idleSource(t *testing.T, n int, shape string) sim.Source {
 	return nil
 }
 
+// runGoldenIdleCase executes one case. jobs selects the engine-domain count
+// and cycleStep forces classic stepping — the fixture must be invariant to
+// both, which is exactly what the three Test functions below assert.
 func runGoldenIdleCase(t *testing.T, c goldenIdleCase, jobs int, cycleStep bool) (*sim.Sim, sim.Result) {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
@@ -106,41 +99,7 @@ func runGoldenIdleCase(t *testing.T, c goldenIdleCase, jobs int, cycleStep bool)
 // the calendar active (the default engine), and asserts the calendar
 // actually skipped cycles — a fixture that never skips would pin nothing.
 func TestGoldenIdle(t *testing.T) {
-	got := make(map[string]sim.Result)
-	for _, c := range goldenIdleCases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			s, res := runGoldenIdleCase(t, c, 0, false)
-			got[c.Name] = res
-			if st := s.EngineStats(); st.CyclesSkipped == 0 {
-				t.Errorf("%s: calendar skipped nothing on an idle-heavy workload", c.Name)
-			}
-		})
-	}
-
-	if *updateGoldenIdle {
-		writeGolden(t, goldenIdlePath, got)
-		return
-	}
-
-	want := readGoldenIdle(t)
-	for name, g := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("case %s missing from fixture; regenerate intentionally", name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: Result drifted from golden fixture\n got %+v\nwant %+v", name, g, w)
-		}
-	}
-	if len(got) == len(goldenIdleCases()) {
-		for name := range want {
-			if _, ok := got[name]; !ok {
-				t.Errorf("fixture case %s no longer produced", name)
-			}
-		}
-	}
+	testGoldenIdle(t, 0, false)
 }
 
 // TestGoldenIdleParallel replays every case with 4 engine domains against
@@ -148,53 +107,29 @@ func TestGoldenIdle(t *testing.T) {
 // main goroutine, so domain-parallel stepping composes with the calendar
 // without any result drift.
 func TestGoldenIdleParallel(t *testing.T) {
-	want := readGoldenIdle(t)
-	for _, c := range goldenIdleCases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			_, got := runGoldenIdleCase(t, c, 4, false)
-			assertGoldenIdle(t, c.Name, got, want, "4-domain")
-		})
-	}
+	testGoldenIdle(t, 4, false)
 }
 
 // TestGoldenIdleCycleStep replays every case with Config.CycleStep forcing
 // the classic cycle-by-cycle loop against the same fixture: the calendar's
 // exact-equivalence contract, pinned from the other side.
 func TestGoldenIdleCycleStep(t *testing.T) {
-	want := readGoldenIdle(t)
+	testGoldenIdle(t, 0, true)
+}
+
+func testGoldenIdle(t *testing.T, jobs int, cycleStep bool) {
+	got := make(map[string]sim.Result)
 	for _, c := range goldenIdleCases() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			s, got := runGoldenIdleCase(t, c, 0, true)
-			assertGoldenIdle(t, c.Name, got, want, "cycle-stepped")
-			if st := s.EngineStats(); st.CyclesSkipped != 0 || st.CalendarPeak != 0 {
-				t.Errorf("%s: CycleStep run reported skip telemetry: %+v", c.Name, st)
+			s, res := runGoldenIdleCase(t, c, jobs, cycleStep)
+			got[c.Name] = res
+			switch st := s.EngineStats(); {
+			case cycleStep && (st.CyclesSkipped != 0 || st.CalendarPeak != 0):
+				t.Errorf("CycleStep run reported skip telemetry: %+v", st)
+			case !cycleStep && st.CyclesSkipped == 0:
+				t.Error("calendar skipped nothing on an idle-heavy workload")
 			}
 		})
 	}
-}
-
-func readGoldenIdle(t *testing.T) map[string]sim.Result {
-	t.Helper()
-	data, err := os.ReadFile(goldenIdlePath)
-	if err != nil {
-		t.Fatalf("read golden fixture (generate with -update-golden-idle): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-func assertGoldenIdle(t *testing.T, name string, got sim.Result, want map[string]sim.Result, mode string) {
-	t.Helper()
-	w, ok := want[name]
-	if !ok {
-		t.Fatalf("case %s missing from fixture", name)
-	}
-	if got != w {
-		t.Errorf("%s: %s Result drifted from golden fixture\n got %+v\nwant %+v", name, mode, got, w)
-	}
+	golden.Check(t, goldenIdlePath, sim.EngineVersion, got)
 }

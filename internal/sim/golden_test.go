@@ -1,13 +1,11 @@
 package sim_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -18,13 +16,8 @@ import (
 // engine and must never be regenerated casually: engine optimisations (route
 // tables, freelists, timing wheels, dirty lists) are required to be
 // byte-identical re-implementations of the original semantics, and this test
-// is the proof.
-//
-// Regenerate (only for an intentional, documented behaviour change):
-//
-//	go test ./internal/sim -run TestGoldenMetrics -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden metrics fixture")
-
+// is the proof. Re-pin (only with an EngineVersion bump) with
+// GOLDEN_UPDATE=1 go test ./...
 const goldenPath = "testdata/golden_results.json"
 
 // goldenCase is one pinned configuration. All cases run on the SN q=5 p=4
@@ -107,50 +100,10 @@ func runGoldenCase(t *testing.T, c goldenCase, jobs int) sim.Result {
 	return res
 }
 
-// TestGoldenMetrics compares every case's full Result against the fixture.
-// Comparison goes through JSON with all fields marshalled, so any drift —
-// latency, throughput, counts, flags — fails loudly.
+// TestGoldenMetrics compares every case's full Result against the fixture:
+// any drift — latency, throughput, counts, flags — fails loudly.
 func TestGoldenMetrics(t *testing.T) {
-	got := make(map[string]sim.Result)
-	for _, c := range goldenCases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			got[c.Name] = runGoldenCase(t, c, 0)
-		})
-	}
-
-	if *updateGolden {
-		writeGolden(t, goldenPath, got)
-		return
-	}
-
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden fixture (generate with -update-golden): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for name, g := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("case %s missing from fixture; regenerate intentionally", name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: Result drifted from golden fixture\n got %+v\nwant %+v", name, g, w)
-		}
-	}
-	// The completeness check only applies to an unfiltered run: under a
-	// -run subtest filter `got` legitimately holds a subset of the cases.
-	if len(got) == len(goldenCases()) {
-		for name := range want {
-			if _, ok := got[name]; !ok {
-				t.Errorf("fixture case %s no longer produced", name)
-			}
-		}
-	}
+	testGoldenMetrics(t, 0)
 }
 
 // TestGoldenMetricsParallel re-runs every golden case with the engine split
@@ -159,25 +112,15 @@ func TestGoldenMetrics(t *testing.T) {
 // identical re-implementation of the serial engine the fixture was
 // generated from, exactly like every previous engine optimisation.
 func TestGoldenMetricsParallel(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden fixture (generate with -update-golden): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	testGoldenMetrics(t, 4)
+}
+
+func testGoldenMetrics(t *testing.T, jobs int) {
+	got := make(map[string]sim.Result)
 	for _, c := range goldenCases() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			got := runGoldenCase(t, c, 4)
-			w, ok := want[c.Name]
-			if !ok {
-				t.Fatalf("case %s missing from fixture", c.Name)
-			}
-			if got != w {
-				t.Errorf("%s: 4-domain Result drifted from golden fixture\n got %+v\nwant %+v", c.Name, got, w)
-			}
+			got[c.Name] = runGoldenCase(t, c, jobs)
 		})
 	}
+	golden.Check(t, goldenPath, sim.EngineVersion, got)
 }

@@ -1,12 +1,10 @@
 package sim_test
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -17,12 +15,8 @@ import (
 // testdata/golden_results.json (which pins the pre-decomposition Bernoulli
 // path and must never change): together they freeze both halves of the
 // Pattern x Process x Sizer refactor, so an engine or traffic change that
-// shifts any new workload's metrics fails loudly.
-//
-// Regenerate (only for an intentional, documented behaviour change):
-//
-//	go test ./internal/sim -run TestGoldenWorkloads -update-workloads
-var updateWorkloads = flag.Bool("update-workloads", false, "rewrite the workloads golden fixture")
+// shifts any new workload's metrics fails loudly. Re-pin (only with an
+// EngineVersion bump) with GOLDEN_UPDATE=1 go test ./...
 
 const workloadsPath = "testdata/golden_workloads.json"
 
@@ -48,7 +42,7 @@ func workloadSources(n int) map[string]sim.Source {
 }
 
 // TestGoldenWorkloads compares every workload case's full Result against the
-// fixture, via JSON like TestGoldenMetrics, so any metric drift fails.
+// fixture, like TestGoldenMetrics, so any metric drift fails.
 func TestGoldenWorkloads(t *testing.T) {
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
 	got := make(map[string]sim.Result)
@@ -73,34 +67,5 @@ func TestGoldenWorkloads(t *testing.T) {
 		})
 	}
 
-	if *updateWorkloads {
-		writeGolden(t, workloadsPath, got)
-		return
-	}
-
-	data, err := os.ReadFile(workloadsPath)
-	if err != nil {
-		t.Fatalf("read workloads fixture (generate with -update-workloads): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for name, g := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("case %s missing from fixture; regenerate intentionally", name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: Result drifted from workloads fixture\n got %+v\nwant %+v", name, g, w)
-		}
-	}
-	if len(got) == len(workloadSources(net.N())) {
-		for name := range want {
-			if _, ok := got[name]; !ok {
-				t.Errorf("fixture case %s no longer produced", name)
-			}
-		}
-	}
+	golden.Check(t, workloadsPath, sim.EngineVersion, got)
 }

@@ -79,7 +79,7 @@ func TestNewFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Net: net, Table: minTable(t, net, 2), Buffers: core.Buffers{VCs: 2},
-				Traffic: &bernoulliSource{n: net.N(), flits: 6}, EngineJobs: 1}
+				Traffic: UniformTraffic(net.N(), 0, 6), EngineJobs: 1}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			s, err := New(cfg)

@@ -122,7 +122,7 @@ func TestLaneWormholeOrder(t *testing.T) {
 func TestOutputVCOwnership(t *testing.T) {
 	net := engineNet(t)
 	s, err := New(Config{Net: net, Table: minTable(t, net, 2), Buffers: core.Buffers{VCs: 2},
-		Traffic: &bernoulliSource{n: net.N(), flits: 2}, EngineJobs: 1})
+		Traffic: UniformTraffic(net.N(), 0, 2), EngineJobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

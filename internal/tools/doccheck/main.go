@@ -10,12 +10,14 @@
 //     exported type, has a caller: some non-test file outside its package
 //     (benchmark/ and the commands included) references it. A type also
 //     counts as used when a used name's signature or a used type's
-//     exported field names it, or when one of its methods is used; a
+//     exported field names it, or when one of its methods is used. A
 //     method counts as used when it implements an interface that the
 //     loaded packages declare or import (sim.Source, fmt.Stringer,
-//     json.Unmarshaler, error), since calls through the interface reach
-//     it. A doc comment line starting "keep:" states why a name stays
-//     without a caller.
+//     json.Unmarshaler, error) and its type is used or built by a
+//     composite literal in non-test code, its own package's included,
+//     since calls through the interface reach it; a type that only tests
+//     construct does not pass this way. A doc comment line starting
+//     "keep:" states why a name stays without a caller.
 //
 // Usage, from the module root:
 //
@@ -233,20 +235,28 @@ func unused(pkgs []*detlint.Package) []decl {
 			use(d.obj)
 		}
 	}
-	for _, obj := range implementing(pkgs) {
-		use(obj)
-	}
 	// A used name's signature and a used type's exported fields make the
-	// types they name used.
+	// types they name used. A method that implements an interface is used
+	// once its type is used through the other rules or non-test code
+	// constructs it: a call through the interface reaches it only on a
+	// value some caller made.
+	impl, made := implementing(pkgs), constructed(pkgs)
 	seen := map[types.Type]bool{}
 	for len(work) > 0 {
-		obj := work[len(work)-1]
-		work = work[:len(work)-1]
-		t := obj.Type()
-		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-			t = t.Underlying()
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			t := obj.Type()
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				t = t.Underlying()
+			}
+			namedIn(t, seen, func(tn *types.TypeName) { use(tn) })
 		}
-		namedIn(t, seen, func(tn *types.TypeName) { use(tn) })
+		for _, m := range impl {
+			if recv := recvNamed(m); recv != nil && (used[key(recv.Obj())] || made[key(recv.Obj())]) {
+				use(m)
+			}
+		}
 	}
 
 	var out []decl
@@ -256,6 +266,25 @@ func unused(pkgs []*detlint.Package) []decl {
 		}
 	}
 	return out
+}
+
+// constructed returns the keys of the named types that a composite literal
+// in a loaded (non-test) file builds.
+func constructed(pkgs []*detlint.Package) map[string]bool {
+	made := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if named, ok := types.Unalias(p.Info.TypeOf(lit)).(*types.Named); ok {
+						made[key(named.Origin().Obj())] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return made
 }
 
 // key names a package-level object or a method module-wide: "path.Name"

@@ -12,9 +12,11 @@ import (
 // it (through any import name, from a subpackage too), when a used
 // signature or a used type's exported field names it, when it is a method
 // that implements an interface the module declares or imports (a module
-// interface, fmt.Stringer), or when its doc comment has a keep: line. A
-// reference from a test file or from the package itself does not count,
-// and main packages are not checked.
+// interface, fmt.Stringer) on a type that is used or that non-test code
+// builds, or when its doc comment has a keep: line. A reference from a
+// test file or from the package itself does not count, so a type that only
+// a test builds is reported with its interface methods; main packages are
+// not checked.
 func TestUnusedNames(t *testing.T) {
 	api := `package pkg
 
@@ -81,6 +83,12 @@ const (
 var Aliased = 2
 
 func unexported() {}
+
+// Fake implements Shape, and only a test builds it.
+type Fake struct{}
+
+// Area implements Shape.
+func (Fake) Area() int { return 2 }
 `
 	main := `package main
 
@@ -101,7 +109,7 @@ func Exported() {}
 		"pkg/sub/sub.go":   "package sub\n\nimport \"m/pkg\"\n\nvar _ = pkg.Sub\n",
 		"cmd/main.go":      main,
 		"cmd/alias.go":     "package main\n\nimport p \"m/pkg\"\n\nvar _ = p.Aliased\n",
-		"cmd/main_test.go": "package main\n\nimport \"m/pkg\"\n\nvar _ = pkg.TestOnly\n",
+		"cmd/main_test.go": "package main\n\nimport \"m/pkg\"\n\nvar _ = pkg.TestOnly\n\nvar _ pkg.Shape = pkg.Fake{}\n",
 	} {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -123,6 +131,8 @@ func Exported() {}
 		file + ":46: unused func TestOnly",
 		file + ":48: func Undocumented",
 		file + ":59: unused const Grouped",
+		file + ":68: unused type Fake",
+		file + ":71: unused method Fake.Area",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings = %q, want %q", got, want)

@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/slimnoc/store"
 )
 
@@ -111,9 +111,7 @@ type pointKeyGoldenCase struct {
 	Key       store.Key       `json:"key"`
 }
 
-// goldenSpecs are the fixture inputs; regenerate testdata/pointkey_golden.json
-// with UPDATE_POINTKEY_GOLDEN=1 after an INTENTIONAL spec-schema or engine
-// version change.
+// goldenSpecs are the fixture inputs of testdata/pointkey_golden.json.
 func goldenSpecs() []struct {
 	name string
 	spec RunSpec
@@ -159,76 +157,32 @@ func pointCanonical(spec RunSpec) ([]byte, error) {
 }
 
 // TestPointKeyGolden pins the canonical-JSON bytes and hashes of
-// representative specs. It fails when a RunSpec schema change (renamed or
-// added field, changed JSON tag) or an engine-version bump silently changes
-// point keys — either invalidating every existing store or, worse, aliasing
-// old results onto new semantics. If the change is intentional, regenerate
-// the fixture (UPDATE_POINTKEY_GOLDEN=1 go test ./slimnoc -run
-// TestPointKeyGolden) and say so in the commit.
+// representative specs, under the point-key salt. It fails when a RunSpec
+// schema change (renamed or added field, changed JSON tag) or an
+// engine-version bump silently changes point keys — either invalidating
+// every existing store or, worse, aliasing old results onto new semantics.
+// An intentional change bumps the salt and re-pins with GOLDEN_UPDATE=1 go
+// test ./...
 func TestPointKeyGolden(t *testing.T) {
-	path := filepath.Join("testdata", "pointkey_golden.json")
-	if os.Getenv("UPDATE_POINTKEY_GOLDEN") != "" {
-		var cases []pointKeyGoldenCase
-		for _, g := range goldenSpecs() {
-			canon, err := pointCanonical(g.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key, err := PointKey(g.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			specJSON, err := json.Marshal(g.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, pointKeyGoldenCase{
-				Name: g.name, Spec: specJSON, Canonical: string(canon), Key: key,
-			})
-		}
-		data, err := json.MarshalIndent(cases, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-		return
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var cases []pointKeyGoldenCase
-	if err := json.Unmarshal(data, &cases); err != nil {
-		t.Fatal(err)
-	}
-	if len(cases) != len(goldenSpecs()) {
-		t.Fatalf("fixture has %d cases, test defines %d — regenerate it", len(cases), len(goldenSpecs()))
-	}
-	for i, g := range goldenSpecs() {
-		c := cases[i]
-		if c.Name != g.name {
-			t.Fatalf("fixture case %d is %q, want %q — regenerate it", i, c.Name, g.name)
-		}
+	for _, g := range goldenSpecs() {
 		canon, err := pointCanonical(g.spec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if string(canon) != c.Canonical {
-			t.Errorf("%s: canonical bytes changed\n got: %s\nwant: %s\n(spec schema drift — stored results would be orphaned)",
-				g.name, canon, c.Canonical)
 		}
 		key, err := PointKey(g.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if key != c.Key {
-			t.Errorf("%s: key changed: got %s, want %s", g.name, key, c.Key)
+		specJSON, err := json.Marshal(g.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cases = append(cases, pointKeyGoldenCase{
+			Name: g.name, Spec: specJSON, Canonical: string(canon), Key: key,
+		})
 	}
+	golden.Check(t, filepath.Join("testdata", "pointkey_golden.json"), pointKeySalt, cases)
 }
 
 // marshalResults serializes a result set the way identity comparisons see

@@ -6,12 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
+	"repro/slimnoc"
 	"repro/slimnoc/serve"
 )
 
@@ -52,10 +55,9 @@ type scriptRW struct {
 // testdata/protocol_requests.jsonl must produce byte-for-byte the responses
 // in testdata/protocol_golden.jsonl. The transcript covers every verb,
 // cache-hit repeats, occupancy backpressure, both error shapes, and the
-// deterministic stats block. Regenerate after an intentional protocol
-// change with:
-//
-//	UPDATE_PROTOCOL_GOLDEN=1 go test ./slimnoc/serve -run TestProtocolGolden
+// deterministic stats block. It is pinned under the engine and protocol
+// versions: an intentional wire change bumps ProtocolVersion and re-pins
+// with GOLDEN_UPDATE=1 go test ./...
 func TestProtocolGolden(t *testing.T) {
 	reqs, err := os.ReadFile(filepath.Join("testdata", "protocol_requests.jsonl"))
 	if err != nil {
@@ -70,52 +72,24 @@ func TestProtocolGolden(t *testing.T) {
 	if err != nil && !errors.Is(err, serve.ErrShutdown) {
 		t.Fatal(err)
 	}
+	version := fmt.Sprintf("%s|protocol=%d", slimnoc.EngineVersion, serve.ProtocolVersion)
+	golden.Check(t, filepath.Join("testdata", "protocol_golden.jsonl"), version, out.Bytes())
 
-	goldenPath := filepath.Join("testdata", "protocol_golden.jsonl")
-	if os.Getenv("UPDATE_PROTOCOL_GOLDEN") == "1" {
-		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, out.Len())
-		return
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_PROTOCOL_GOLDEN=1)", err)
-	}
-	if !bytes.Equal(out.Bytes(), golden) {
-		gl := bytes.Split(golden, []byte("\n"))
-		ol := bytes.Split(out.Bytes(), []byte("\n"))
-		for i := 0; i < len(gl) || i < len(ol); i++ {
-			var g, o []byte
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(ol) {
-				o = ol[i]
-			}
-			if !bytes.Equal(g, o) {
-				t.Fatalf("protocol output diverges from golden at line %d:\n golden: %s\n    got: %s\n(an intentional wire change needs UPDATE_PROTOCOL_GOLDEN=1 and a ProtocolVersion review)", i+1, g, o)
-			}
-		}
-		t.Fatal("protocol output differs from golden")
-	}
-
-	// Round-trip check: every golden line must decode into Response and
+	// Round-trip check: every response line must decode into Response and
 	// re-encode to the identical bytes, so the pinned fixture stays in sync
 	// with the Go types.
-	sc := bufio.NewScanner(bytes.NewReader(golden))
+	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
 	for line := 1; sc.Scan(); line++ {
 		var r serve.Response
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("golden line %d does not decode: %v", line, err)
+			t.Fatalf("response line %d does not decode: %v", line, err)
 		}
 		re, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(re, sc.Bytes()) {
-			t.Fatalf("golden line %d does not round-trip:\n golden: %s\nre-enc: %s", line, sc.Bytes(), re)
+			t.Fatalf("response line %d does not round-trip:\n    got: %s\nre-enc: %s", line, sc.Bytes(), re)
 		}
 	}
 }
